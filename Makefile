@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint check bench clean
+.PHONY: all build test race vet lint check bench bench-fleet profile-fleet clean
 
 all: build
 
@@ -33,6 +33,19 @@ check: lint race
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+
+# The fleet-sim workload of the benchmark of record (bench/README.md):
+# 9000 users, 2 workers, end-to-end metrics only.
+bench-fleet:
+	bash bench/run.sh --workload fleet-sim --trace 0
+
+# CPU profile of that same configuration (seed 42), written with the test
+# binary it needs under .bench_build/; read it with
+#   go tool pprof -top .bench_build/fleet.test .bench_build/fleet.cpu.prof
+profile-fleet:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetSim$$' -benchtime 20x -benchmem \
+		-cpuprofile .bench_build/fleet.cpu.prof -o .bench_build/fleet.test ./internal/sim
 
 clean:
 	$(GO) clean ./...

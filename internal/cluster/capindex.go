@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"oasis/internal/host"
-	"oasis/internal/placement"
 	"oasis/internal/units"
 )
 
@@ -58,6 +57,9 @@ type capIndex struct {
 	// reserve[i] is cons host i's planning headroom floor
 	// (VacateHeadroom × Usable), fixed for the run.
 	reserve []units.Bytes
+	// top is the highest bucket any host can ever be filed under (that
+	// of an empty host), so a pick need not walk the empty ones above.
+	top int
 
 	// vacatable[i] reports home host i is powered with resident VMs —
 	// the standing precondition of planVacate's candidate loop.
@@ -86,6 +88,7 @@ func newCapIndex(c *Cluster) *capIndex {
 	}
 	for i, h := range c.consHosts() {
 		x.reserve[i] = units.Bytes(c.Cfg.VacateHeadroom * float64(h.Usable()))
+		x.top = max(x.top, availBucket(h.Usable()-x.reserve[i]))
 		b := availBucket(h.Free() - x.reserve[i])
 		x.bucket[i] = b
 		x.pos[i] = len(x.buckets[b])
@@ -138,46 +141,4 @@ type PlannerStats struct {
 	// (the scan planner examines every cons host on every pick; the
 	// indexed planner examines only plausible buckets).
 	Candidates int64
-}
-
-// pickConsHostIndexed is pickConsHost served from the capacity index:
-// identical decision, candidate walk restricted to buckets that can
-// fit. See the bit-identity argument at the top of this file.
-func (c *Cluster) pickConsHostIndexed(need units.Bytes, free, spent map[int]units.Bytes, wokenPlanned map[int]bool, allowSleeping bool) (int, bool) {
-	x := c.capIdx
-	poweredFits := c.pickPowered[:0]
-	sleepingFits := c.pickSleeping[:0]
-	for b := availBucket(need); b < capBuckets; b++ {
-		for _, i := range x.buckets[b] {
-			id := i + x.homeN
-			c.Planner.Candidates++
-			if free[id]-spent[id]-need < x.reserve[i] {
-				continue
-			}
-			h := c.Hosts[id]
-			if h.Powered() || wokenPlanned[id] || spent[id] > 0 {
-				poweredFits = append(poweredFits, id)
-			} else if allowSleeping {
-				sleepingFits = append(sleepingFits, id)
-			}
-		}
-	}
-	c.pickPowered, c.pickSleeping = poweredFits, sleepingFits
-	fits := poweredFits
-	if len(fits) == 0 {
-		fits = sleepingFits
-	}
-	if len(fits) == 0 {
-		return 0, false
-	}
-	cands := c.pickCands[:0]
-	for _, id := range fits {
-		cands = append(cands, placement.Candidate{ID: id, Free: free[id] - spent[id]})
-	}
-	c.pickCands = cands
-	strat := c.Cfg.Placement
-	if strat == nil {
-		strat = placement.RandomBestK{K: 2}
-	}
-	return strat.Pick(cands, c.rand), true
 }

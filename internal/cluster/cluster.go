@@ -262,15 +262,16 @@ type Cluster struct {
 	// faultRand drives memory-server outage injection separately from
 	// rand, keeping fault-free runs bit-identical across MTBF settings.
 	faultRand *rng.Rand
-	meta      map[pagestore.VMID]*vmMeta
+	// meta is indexed by the VM's position in VMs (see metaOf).
+	meta []vmMeta
 
-	// busyUntil tracks, per home host, when its NIC finishes the
+	// busyUntil tracks, by home host ID, when its NIC finishes the
 	// reintegration transfers already in flight (in absolute sim
 	// seconds). Simultaneous activations of VMs of the same home
 	// serialize on that home's link; transfers to different homes
 	// proceed in parallel across the rack switch. This models the
 	// resume-storm queueing of Figure 11.
-	busyUntil map[int]float64
+	busyUntil []float64
 	// pendingDelays holds this tick's partial-VM transition delays until
 	// flushDelays resolves them in arrival order.
 	pendingDelays []delayReq
@@ -289,11 +290,23 @@ type Cluster struct {
 	// capIdx is the live free-capacity index the incremental planner
 	// reads (capindex.go); nil under Config.ScanPlanner.
 	capIdx *capIndex
-	// pickPowered, pickSleeping and pickCands are pickConsHostIndexed's
-	// scratch buffers, retained across picks so the planner's hot path
-	// does not allocate.
+	// pickPowered, pickSleeping and pickCands are pickConsHost's scratch
+	// buffers, retained across picks so the planner's hot path does not
+	// allocate.
 	pickPowered, pickSleeping []int
 	pickCands                 []placement.Candidate
+	// The planner's working state by host ID, retained likewise: each
+	// consolidation host's tentative free capacity within one buildPlans
+	// attempt; what the home being assigned has spent of it (zero between
+	// assignVMs calls); the hosts the attempt's plans land on (after
+	// planVacate, this tick's targets); and those one executeVacate has
+	// already sent a wake (false between calls).
+	free, spent   []units.Bytes
+	woken, waking []bool
+	// planVacate's candidates, assignVMs' plan in progress, Tick's list.
+	vacCands  []vacateCand
+	assignBuf []assignment
+	wentIdle  []*vm.VM
 
 	// Planner counts planning work (picks, candidates examined). Not
 	// part of Stats/digest: scan and indexed planners must fingerprint
@@ -329,12 +342,14 @@ func New(sim *simtime.Simulator, cfg Config) (*Cluster, error) {
 		Sim:       sim,
 		rand:      rng.New(cfg.Seed),
 		faultRand: rng.New(cfg.Seed ^ 0xfa177),
-		meta:      make(map[pagestore.VMID]*vmMeta),
-		busyUntil: make(map[int]float64),
 	}
 	c.Stats.init()
 
 	total := cfg.HomeHosts + cfg.ConsHosts
+	c.meta = make([]vmMeta, cfg.HomeHosts*cfg.VMsPerHost)
+	c.busyUntil = make([]float64, total)
+	c.free, c.spent = make([]units.Bytes, total), make([]units.Bytes, total)
+	c.woken, c.waking = make([]bool, total), make([]bool, total)
 	for i := 0; i < total; i++ {
 		role := host.Compute
 		name := fmt.Sprintf("home-%02d", i)
@@ -352,7 +367,7 @@ func New(sim *simtime.Simulator, cfg Config) (*Cluster, error) {
 		}))
 	}
 
-	id := pagestore.VMID(1000)
+	id := firstVMID
 	nth := 0
 	for hi := 0; hi < cfg.HomeHosts; hi++ {
 		for j := 0; j < cfg.VMsPerHost; j++ {
@@ -375,7 +390,6 @@ func New(sim *simtime.Simulator, cfg Config) (*Cluster, error) {
 				return nil, fmt.Errorf("cluster: initial placement: %w", err)
 			}
 			c.VMs = append(c.VMs, v)
-			c.meta[v.ID] = &vmMeta{}
 		}
 	}
 
@@ -416,6 +430,12 @@ func (c *Cluster) homeHosts() []*host.Host { return c.Hosts[:c.Cfg.HomeHosts] }
 
 // consHosts returns the consolidation hosts.
 func (c *Cluster) consHosts() []*host.Host { return c.Hosts[c.Cfg.HomeHosts:] }
+
+// firstVMID is the ID of VMs[0]; IDs ascend by one from there.
+const firstVMID pagestore.VMID = 1000
+
+// metaOf returns the manager's bookkeeping for v: meta at v's position.
+func (c *Cluster) metaOf(v *vm.VM) *vmMeta { return &c.meta[v.ID-firstVMID] }
 
 // hostByID returns a host.
 func (c *Cluster) hostByID(id int) *host.Host { return c.Hosts[id] }

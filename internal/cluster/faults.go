@@ -91,7 +91,7 @@ func (c *Cluster) failMemServer(h *host.Host) {
 		}
 		stranded++
 		c.Stats.DegradedVMs++
-		op := c.Cfg.Model.Reintegration(c.reintegrateDirty(c.meta[v.ID]))
+		op := c.Cfg.Model.Reintegration(c.reintegrateDirty(c.metaOf(v)))
 		c.Stats.OutageRecovery.Add(op.Latency.Seconds())
 		c.event(EvForcePromote, v.Host, v.ID, "memory server lost")
 	}
@@ -105,7 +105,7 @@ func (c *Cluster) failMemServer(h *host.Host) {
 	// upload state of every VM homed here.
 	for _, v := range c.VMs {
 		if v.Home == h.ID {
-			m := c.meta[v.ID]
+			m := c.metaOf(v)
 			m.uploaded = false
 			m.dirtySinceUpload = 0
 		}

@@ -1,8 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"oasis/internal/host"
@@ -38,14 +39,13 @@ func (c *Cluster) Tick(active []bool) error {
 
 	// 2. Apply activity transitions. Activations first: they may trigger
 	// conversions, relocations, or wake-the-home returns.
-	var wentIdle []*vm.VM
+	wentIdle := c.wentIdle[:0]
 	for i, v := range c.VMs {
 		switch {
 		case active[i] && !v.Active:
 			c.activate(v)
 		case !active[i] && v.Active:
-			v.Active = false
-			c.hostByID(v.Host).NoteVMStateChanged()
+			c.setActive(v, false)
 			// A fresh idle episode begins: resample the idle working set
 			// (it is an episode property — what this idle period's
 			// background activity touches — not a monotone attribute).
@@ -57,6 +57,7 @@ func (c *Cluster) Tick(active []bool) error {
 			wentIdle = append(wentIdle, v)
 		}
 	}
+	c.wentIdle = wentIdle
 
 	// 3. FulltoPartial/NewHome: exchange consolidated full VMs that went
 	// idle for partial VMs (§3.2), batched per home host.
@@ -68,12 +69,12 @@ func (c *Cluster) Tick(active []bool) error {
 	c.relieveExhausted()
 
 	// 5. Plan and execute vacations of compute hosts.
-	planned := c.planVacate()
+	c.planVacate()
 
 	// 6. Suspend empty consolidation hosts (they sleep by default, §3.1)
 	// unless this tick's plan is about to land VMs on them.
 	for _, h := range c.consHosts() {
-		if h.Powered() && h.NumVMs() == 0 && !planned[h.ID] {
+		if h.Powered() && h.NumVMs() == 0 && !c.woken[h.ID] {
 			c.suspendHost(h)
 		}
 	}
@@ -100,21 +101,12 @@ func (c *Cluster) Tick(active []bool) error {
 // accrue advances per-VM dirty counters and working sets by dt.
 func (c *Cluster) accrue(dt time.Duration) {
 	hours := dt.Hours()
-	for _, v := range c.VMs {
-		m := c.meta[v.ID]
+	for i, v := range c.VMs {
+		m := &c.meta[i]
 		if v.Partial {
 			m.consDirty += units.Bytes(float64(c.Cfg.ConsDirtyPerHour) * hours)
 			if m.consDirty > c.Cfg.ReintegrateDirtyCap {
 				m.consDirty = c.Cfg.ReintegrateDirtyCap
-			}
-			// Working-set growth (§3.2) can exhaust the host.
-			old := v.Footprint()
-			v.WorkingSet += units.Bytes(float64(c.Cfg.WSGrowthPerHour) * hours)
-			if v.WorkingSet > v.Alloc {
-				v.WorkingSet = v.Alloc
-			}
-			if err := c.hostByID(v.Host).Recharge(v.ID, old); err != nil {
-				panic(fmt.Sprintf("cluster: recharge invariant: %v", err))
 			}
 			continue
 		}
@@ -129,12 +121,25 @@ func (c *Cluster) accrue(dt time.Duration) {
 			}
 		}
 	}
+	// Working-set growth (§3.2) can exhaust the host. Each host grows its
+	// own partial residents and re-accounts once, not once per VM.
+	grow := units.Bytes(float64(c.Cfg.WSGrowthPerHour) * hours)
+	for _, h := range c.Hosts {
+		h.GrowPartials(grow)
+	}
+}
+
+// setActive flips v between active and idle and tells its host.
+func (c *Cluster) setActive(v *vm.VM, active bool) {
+	v.Active = active
+	if err := c.hostByID(v.Host).NoteVMStateChanged(v); err != nil {
+		panic(fmt.Sprintf("cluster: activity flip invariant: %v", err))
+	}
 }
 
 // activate handles an idle→active transition (§3.2).
 func (c *Cluster) activate(v *vm.VM) {
-	v.Active = true
-	c.hostByID(v.Host).NoteVMStateChanged()
+	c.setActive(v, true)
 
 	if !v.Partial {
 		// Full VMs already hold all their resources: zero latency.
@@ -193,7 +198,7 @@ func (c *Cluster) consolidatedSiblings(v *vm.VM) int {
 // queueing model must see this tick's arrivals in time order, so the
 // samples are resolved in flushDelays).
 func (c *Cluster) recordPartialDelay(v *vm.VM, bulkSiblings int) {
-	m := c.meta[v.ID]
+	m := c.metaOf(v)
 	dirty := c.reintegrateDirty(m)
 	op := c.Cfg.Model.Reintegration(dirty)
 	transfer := op.Latency.Seconds() - c.Cfg.Model.ReintegrateOverhead.Seconds()
@@ -226,9 +231,7 @@ func (c *Cluster) recordPartialDelay(v *vm.VM, bulkSiblings int) {
 // covers the S3 resume and switch-over, which overlap the transfer of
 // other VMs to *different* homes but serialize per home.
 func (c *Cluster) flushDelays() {
-	sort.Slice(c.pendingDelays, func(i, j int) bool {
-		return c.pendingDelays[i].instant < c.pendingDelays[j].instant
-	})
+	slices.SortFunc(c.pendingDelays, func(a, b delayReq) int { return cmp.Compare(a.instant, b.instant) })
 	for _, d := range c.pendingDelays {
 		wait := 0.0
 		if busy := c.busyUntil[d.home]; busy > d.instant {
@@ -257,7 +260,7 @@ func (c *Cluster) reintegrateDirty(m *vmMeta) units.Bytes {
 // the on-demand pages fetched while consolidated, and optionally the dirty
 // push of a reintegration.
 func (c *Cluster) endPartialEpisode(v *vm.VM, reintegrated bool) {
-	m := c.meta[v.ID]
+	m := c.metaOf(v)
 	dur := c.Sim.Now().Sub(m.consolidatedAt)
 	c.Stats.OnDemandBytes += c.Cfg.Model.OnDemandFetch(classRate(v.Class), v.WorkingSet, dur)
 	if reintegrated {
@@ -297,7 +300,7 @@ func (c *Cluster) convertInPlace(v *vm.VM) bool {
 	// exchanges this VM back through that home when it goes idle.
 	c.Stats.ConvertBytes += v.Alloc - v.WorkingSet
 	c.Stats.Ops.Inc("convert-in-place", 1)
-	m := c.meta[v.ID]
+	m := c.metaOf(v)
 	m.uploaded = false
 	m.dirtySinceUpload = 0
 	return true
@@ -330,7 +333,7 @@ func (c *Cluster) migrateToNewHome(v *vm.VM) bool {
 	c.event(EvNewHome, dest.ID, v.ID, "")
 	// The home's memory-server image is freed once the full state has
 	// been transferred; the VM keeps its original home.
-	m := c.meta[v.ID]
+	m := c.metaOf(v)
 	m.uploaded = false
 	m.dirtySinceUpload = 0
 	return true
@@ -386,15 +389,23 @@ func (c *Cluster) returnAllHome(h *host.Host) {
 // home in full, partially migrate it back to the same consolidation host,
 // and let the home sleep again (§3.2).
 func (c *Cluster) exchangeIdleFulls(wentIdle []*vm.VM) {
-	batches := make(map[int][]*vm.VM)
+	var fulls []*vm.VM
 	for _, v := range wentIdle {
 		if !v.Partial && v.Consolidated() && v.Home != v.Host {
-			batches[v.Home] = append(batches[v.Home], v)
+			fulls = append(fulls, v)
 		}
 	}
-	for homeID, vs := range batches {
-		h := c.hostByID(homeID)
-		vs := vs
+	// One batch per home, homes in host-ID order: the order homes wake
+	// in can decide who gets the freed consolidation capacity.
+	slices.SortStableFunc(fulls, func(a, b *vm.VM) int { return cmp.Compare(a.Home, b.Home) })
+	for len(fulls) > 0 {
+		n := 1
+		for n < len(fulls) && fulls[n].Home == fulls[0].Home {
+			n++
+		}
+		vs := fulls[:n]
+		fulls = fulls[n:]
+		h := c.hostByID(vs[0].Home)
 		wasAsleep := h.Sleeping() || h.InTransit()
 		if wasAsleep {
 			c.Stats.Ops.Inc("home-wake-exchange", 1)
@@ -413,7 +424,7 @@ func (c *Cluster) exchangeIdleFulls(wentIdle []*vm.VM) {
 			// The home returns to sleep once the exchange completes,
 			// unless it picked up VMs meanwhile.
 			if h.NumVMs() == 0 {
-				c.Sim.After(busy, fmt.Sprintf("exchange-sleep-%d", h.ID), func() {
+				c.Sim.After(busy, "exchange-sleep", func() {
 					if h.Powered() && h.NumVMs() == 0 {
 						c.suspendHost(h)
 					}
@@ -462,7 +473,7 @@ func (c *Cluster) partialMigrate(v *vm.VM, dest *host.Host) (time.Duration, bool
 		return 0, false
 	}
 	src := c.hostByID(v.Host)
-	m := c.meta[v.ID]
+	m := c.metaOf(v)
 	upload := v.Alloc
 	first := !m.uploaded
 	if m.uploaded {
@@ -519,7 +530,8 @@ func (c *Cluster) relieveExhausted() {
 			continue
 		}
 		// Pick the partial VM with the largest footprint as the
-		// "requesting" VM.
+		// "requesting" VM; residents come in ID order, so the lowest ID
+		// wins a tie.
 		var victim *vm.VM
 		for _, v := range h.VMs() {
 			if v.Partial && (victim == nil || v.Footprint() > victim.Footprint()) {
@@ -553,17 +565,20 @@ func (c *Cluster) suspendHost(h *host.Host) {
 	}
 }
 
+// vacateCand is a home host planVacate considers.
+type vacateCand struct {
+	h      *host.Host
+	demand units.Bytes
+}
+
 // planVacate searches for compute hosts whose VMs can all be moved to
 // consolidation hosts, and executes those vacations (§3.1 "Where to
 // migrate"): hosts are sorted by total VM memory demand ascending and
 // destinations are chosen at random among consolidation hosts with
-// capacity. It returns the set of consolidation hosts the plan targets.
-func (c *Cluster) planVacate() map[int]bool {
-	type cand struct {
-		h      *host.Host
-		demand units.Bytes
-	}
-	var cands []cand
+// capacity. It leaves the consolidation hosts the plan targets marked
+// in c.woken.
+func (c *Cluster) planVacate() {
+	cands := c.vacCands[:0]
 	collect := func(h *host.Host) {
 		if c.Cfg.Policy == OnlyPartial && h.ActiveVMs() > 0 {
 			return
@@ -572,7 +587,7 @@ func (c *Cluster) planVacate() map[int]bool {
 			float64(h.ActiveVMs()) > c.Cfg.MaxVacateActiveFrac*float64(h.NumVMs()) {
 			return
 		}
-		cands = append(cands, cand{h, h.Used()})
+		cands = append(cands, vacateCand{h, h.Used()})
 	}
 	if c.capIdx != nil {
 		// Incremental path: the change feed maintains the
@@ -591,24 +606,16 @@ func (c *Cluster) planVacate() map[int]bool {
 			collect(h)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].demand != cands[j].demand {
+	slices.SortFunc(cands, func(a, b vacateCand) int {
+		if a.demand != b.demand {
 			if c.Cfg.VacateDescending {
-				return cands[i].demand > cands[j].demand
+				return cmp.Compare(b.demand, a.demand)
 			}
-			return cands[i].demand < cands[j].demand
+			return cmp.Compare(a.demand, b.demand)
 		}
-		return cands[i].h.ID < cands[j].h.ID
+		return cmp.Compare(a.h.ID, b.h.ID)
 	})
-
-	// Tentative free capacity per consolidation host, counting both
-	// currently powered and sleeping ones (sleeping hosts can be woken to
-	// accommodate incoming VMs, §3.1; a host mid-transition completes it
-	// and then serves the queued wake).
-	free := make(map[int]units.Bytes)
-	for _, h := range c.consHosts() {
-		free[h.ID] = h.Free()
-	}
+	c.vacCands = cands
 
 	// Build the full plan first, allowing sleeping consolidation hosts
 	// as destinations.
@@ -616,24 +623,26 @@ func (c *Cluster) planVacate() map[int]bool {
 		h      *host.Host
 		assign []assignment
 	}
-	buildPlans := func(allowSleeping bool) ([]hostPlan, map[int]bool) {
-		f := make(map[int]units.Bytes, len(free))
-		for id, b := range free {
-			f[id] = b
+	buildPlans := func(allowSleeping bool) []hostPlan {
+		// Tentative free capacity per consolidation host, counting both
+		// currently powered and sleeping ones (sleeping hosts can be
+		// woken to accommodate incoming VMs, §3.1; a host mid-transition
+		// completes it and then serves the queued wake). No host mutates
+		// while planning, so each attempt starts from the live figures.
+		for _, h := range c.consHosts() {
+			c.free[h.ID] = h.Free()
+			c.woken[h.ID] = false
 		}
-		woken := make(map[int]bool)
 		var plans []hostPlan
 		for _, cd := range cands {
-			assign, ok := c.assignVMs(cd.h, f, woken, allowSleeping)
-			if !ok {
-				continue
+			if assign, ok := c.assignVMs(cd.h, allowSleeping); ok {
+				plans = append(plans, hostPlan{cd.h, assign})
 			}
-			plans = append(plans, hostPlan{cd.h, assign})
 		}
-		return plans, woken
+		return plans
 	}
 
-	plans, woken := buildPlans(true)
+	plans := buildPlans(true)
 
 	// Energy gating (§3.1: consolidate "only when it determines that
 	// doing so can save energy"): waking a consolidation host costs
@@ -642,24 +651,19 @@ func (c *Cluster) planVacate() map[int]bool {
 	saveW := p.HostPower(power.Powered, 0) - (p.SleepW + p.MemServerW)
 	wakeW := p.HostPower(power.Powered, 0) - p.SleepW
 	newWakes := 0
-	for id := range woken {
-		if !c.hostByID(id).Powered() {
+	for _, h := range c.consHosts() {
+		if c.woken[h.ID] && !h.Powered() {
 			newWakes++
 		}
 	}
 	if float64(len(plans))*saveW <= float64(newWakes)*wakeW {
 		// The plan is a net loss; retry against powered hosts only.
-		plans, _ = buildPlans(false)
+		plans = buildPlans(false)
 	}
 
-	planned := make(map[int]bool)
 	for _, pl := range plans {
-		for _, a := range pl.assign {
-			planned[a.dest] = true
-		}
 		c.executeVacate(pl.h, pl.assign)
 	}
-	return planned
 }
 
 // assignment maps a VM to a destination host and residency mode.
@@ -669,34 +673,38 @@ type assignment struct {
 	partial bool
 }
 
-// assignVMs tries to place every VM of h onto consolidation hosts using
-// the tentative free map; on success the map is updated and the plan
-// returned. wokenPlanned tracks sleeping consolidation hosts earlier
-// plans already committed to waking this tick.
-func (c *Cluster) assignVMs(h *host.Host, free map[int]units.Bytes, wokenPlanned map[int]bool, allowSleeping bool) ([]assignment, bool) {
-	vms := h.VMs()
-	// Deterministic order for reproducibility.
-	sort.Slice(vms, func(i, j int) bool { return vms[i].ID < vms[j].ID })
-	var plan []assignment
-	spent := make(map[int]units.Bytes)
-	for _, v := range vms {
+// assignVMs tries to place every VM of h onto consolidation hosts against
+// the attempt's tentative c.free; on success c.free and c.woken are
+// updated and the plan returned (a copy the caller owns: executeVacate
+// keeps it past this tick).
+func (c *Cluster) assignVMs(h *host.Host, allowSleeping bool) ([]assignment, bool) {
+	plan := c.assignBuf[:0]
+	ok := true
+	for _, v := range h.VMs() { // ID order, for reproducibility
 		partial := !v.Active && c.Cfg.Policy != FullOnly
 		need := v.FullFootprint()
 		if partial {
 			need = vm.ChunkRound(v.WorkingSet)
 		}
-		dest, ok := c.pickConsHost(need, free, spent, wokenPlanned, allowSleeping)
-		if !ok {
-			return nil, false
+		var dest int
+		if dest, ok = c.pickConsHost(need, allowSleeping); !ok {
+			break
 		}
-		spent[dest] += need
+		c.spent[dest] += need
 		plan = append(plan, assignment{v: v, dest: dest, partial: partial})
 	}
-	for id, n := range spent {
-		free[id] -= n
-		wokenPlanned[id] = true
+	c.assignBuf = plan
+	for _, a := range plan {
+		if ok {
+			c.free[a.dest] -= c.spent[a.dest]
+			c.woken[a.dest] = true
+		}
+		c.spent[a.dest] = 0
 	}
-	return plan, true
+	if !ok {
+		return nil, false
+	}
+	return slices.Clone(plan), true
 }
 
 // pickConsHost selects a destination among consolidation hosts whose
@@ -707,24 +715,34 @@ func (c *Cluster) assignVMs(h *host.Host, free map[int]units.Bytes, wokenPlanned
 // that lightly-used consolidation hosts drain empty and can sleep instead
 // of all staying powered. Random tie-breaking keeps placement spread when
 // hosts are equally full.
-func (c *Cluster) pickConsHost(need units.Bytes, free, spent map[int]units.Bytes, wokenPlanned map[int]bool, allowSleeping bool) (int, bool) {
+func (c *Cluster) pickConsHost(need units.Bytes, allowSleeping bool) (int, bool) {
 	c.Planner.Picks++
-	if c.capIdx != nil {
-		return c.pickConsHostIndexed(need, free, spent, wokenPlanned, allowSleeping)
-	}
-	var poweredFits, sleepingFits []int
-	for _, h := range c.consHosts() {
+	poweredFits, sleepingFits := c.pickPowered[:0], c.pickSleeping[:0]
+	consider := func(h *host.Host, reserve units.Bytes) {
 		c.Planner.Candidates++
-		reserve := units.Bytes(c.Cfg.VacateHeadroom * float64(h.Usable()))
-		if free[h.ID]-spent[h.ID]-need < reserve {
-			continue
+		if c.free[h.ID]-c.spent[h.ID]-need < reserve {
+			return
 		}
-		if h.Powered() || wokenPlanned[h.ID] || spent[h.ID] > 0 {
+		if h.Powered() || c.woken[h.ID] || c.spent[h.ID] > 0 {
 			poweredFits = append(poweredFits, h.ID)
 		} else if allowSleeping {
 			sleepingFits = append(sleepingFits, h.ID)
 		}
 	}
+	if x := c.capIdx; x != nil {
+		// The capacity index restricts the walk to buckets that can fit;
+		// the decision is identical (argument at the top of capindex.go).
+		for b := availBucket(need); b <= x.top; b++ {
+			for _, i := range x.buckets[b] {
+				consider(c.Hosts[i+x.homeN], x.reserve[i])
+			}
+		}
+	} else {
+		for _, h := range c.consHosts() {
+			consider(h, units.Bytes(c.Cfg.VacateHeadroom*float64(h.Usable())))
+		}
+	}
+	c.pickPowered, c.pickSleeping = poweredFits, sleepingFits
 	fits := poweredFits
 	if len(fits) == 0 {
 		fits = sleepingFits
@@ -732,10 +750,11 @@ func (c *Cluster) pickConsHost(need units.Bytes, free, spent map[int]units.Bytes
 	if len(fits) == 0 {
 		return 0, false
 	}
-	cands := make([]placement.Candidate, len(fits))
-	for i, id := range fits {
-		cands[i] = placement.Candidate{ID: id, Free: free[id] - spent[id]}
+	cands := c.pickCands[:0]
+	for _, id := range fits {
+		cands = append(cands, placement.Candidate{ID: id, Free: c.free[id] - c.spent[id]})
 	}
+	c.pickCands = cands
 	strat := c.Cfg.Placement
 	if strat == nil {
 		strat = placement.RandomBestK{K: 2}
@@ -748,21 +767,23 @@ func (c *Cluster) pickConsHost(need units.Bytes, free, spent map[int]units.Bytes
 func (c *Cluster) executeVacate(h *host.Host, plan []assignment) {
 	// Wake any sleeping destinations first.
 	needWake := false
-	woken := map[int]bool{}
 	for _, a := range plan {
 		dest := c.hostByID(a.dest)
-		if !dest.Powered() && !woken[a.dest] {
+		if !dest.Powered() && !c.waking[a.dest] {
 			needWake = true
-			woken[a.dest] = true
+			c.waking[a.dest] = true
 			c.Stats.Ops.Inc("cons-wake", 1)
 			dest.Wake(nil)
 		}
+	}
+	for _, a := range plan {
+		c.waking[a.dest] = false
 	}
 	delay := time.Duration(0)
 	if needWake {
 		delay = c.Cfg.Profile.ResumeTime + time.Millisecond
 	}
-	c.Sim.After(delay, fmt.Sprintf("vacate-%d", h.ID), func() {
+	c.Sim.After(delay, "vacate", func() {
 		var busy time.Duration
 		moved := 0
 		for _, a := range plan {
@@ -793,7 +814,7 @@ func (c *Cluster) executeVacate(h *host.Host, plan []assignment) {
 			c.Stats.Ops.Inc("full-vacate", 1)
 			// Full migration frees any memory-server image at the source
 			// (§4.2).
-			m := c.meta[v.ID]
+			m := c.metaOf(v)
 			m.uploaded = false
 			m.dirtySinceUpload = 0
 			busy += op.Latency
@@ -802,8 +823,10 @@ func (c *Cluster) executeVacate(h *host.Host, plan []assignment) {
 		if moved == 0 {
 			return
 		}
-		c.event(EvVacate, h.ID, 0, fmt.Sprintf("%d VMs moved", moved))
-		c.Sim.After(busy, fmt.Sprintf("vacate-sleep-%d", h.ID), func() {
+		if c.Cfg.EventLogSize > 0 {
+			c.event(EvVacate, h.ID, 0, fmt.Sprintf("%d VMs moved", moved))
+		}
+		c.Sim.After(busy, "vacate-sleep", func() {
 			if h.Powered() && h.NumVMs() == 0 {
 				c.suspendHost(h)
 			}
@@ -840,7 +863,7 @@ func (c *Cluster) ActiveVMs() int {
 func (c *Cluster) FlushEpisodes() {
 	for _, v := range c.VMs {
 		if v.Partial {
-			m := c.meta[v.ID]
+			m := c.metaOf(v)
 			dur := c.Sim.Now().Sub(m.consolidatedAt)
 			c.Stats.OnDemandBytes += c.Cfg.Model.OnDemandFetch(classRate(v.Class), v.WorkingSet, dur)
 			m.consolidatedAt = c.Sim.Now()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"oasis/internal/placement"
@@ -148,6 +149,97 @@ func TestCapIndexConsistency(t *testing.T) {
 		for i, h := range c.homeHosts() {
 			if x.vacatable[i] != (h.Powered() && h.NumVMs() > 0) {
 				t.Fatalf("tick %d: home %d vacatable=%v, live state says %v", i, i, x.vacatable[i], !x.vacatable[i])
+			}
+		}
+	}
+}
+
+// settledCell builds a default-sized cell, drives it with one fixed
+// activity vector until the planner has nothing left to move, and
+// returns it with that vector. Home 0 is kept too busy to vacate (12 of
+// its 30 VMs active); the rest of the cell is active at random with
+// probability frac. At 0.15 the consolidation hosts fill up and a dozen
+// homes stay candidates that no longer fit; at 0.05 there is room left.
+func settledCell(t *testing.T, scan bool, frac float64) (*simtime.Simulator, *Cluster, []bool) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Seed = 42
+	cfg.NoTelemetry = true
+	cfg.ScanPlanner = scan
+	s := simtime.New()
+	c, err := New(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(7)
+	active := make([]bool, len(c.VMs))
+	for i := range active {
+		active[i] = r.Bool(frac)
+		if i < cfg.VMsPerHost {
+			active[i] = i < 12
+		}
+	}
+	for i := 0; i < 12; i++ {
+		if err := c.Tick(active); err != nil {
+			t.Fatal(err)
+		}
+		s.RunUntil(s.Now().Add(cfg.PlanEvery))
+	}
+	return s, c, active
+}
+
+// TestTickAllocs is the tick's allocation gate. An interval that changes
+// nothing — same activity as the last, nothing that can be vacated —
+// must not allocate, whether the planner has no candidates or a dozen
+// that do not fit: per-VM and per-host state is dense and the planner's
+// working state is retained on the Cluster. An interval that vacates one
+// home may allocate only what outlives the tick (the plan, the deferred
+// moves, the host transitions and their events): a few per home, not a
+// few per VM.
+func TestTickAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, scan := range []bool{false, true} {
+		for _, frac := range []float64{0.15, 0.05} {
+			s, c, active := settledCell(t, scan, frac)
+			migrations := func() (n int64) {
+				for _, v := range c.Stats.Ops {
+					n += v
+				}
+				return n
+			}
+			interval := func() {
+				if err := c.Tick(active); err != nil {
+					t.Fatal(err)
+				}
+				s.RunUntil(s.Now().Add(c.Cfg.PlanEvery))
+			}
+			before, picks := migrations(), c.Planner.Picks
+			if steady := testing.AllocsPerRun(20, interval); steady != 0 {
+				t.Errorf("scan=%v frac=%v: a steady interval allocates %v times, want 0", scan, frac, steady)
+			}
+			if n := migrations() - before; n != 0 {
+				t.Fatalf("scan=%v frac=%v: the cell was not settled: %d migrations in the steady intervals", scan, frac, n)
+			}
+			if frac == 0.15 {
+				if c.Planner.Picks == picks {
+					t.Fatalf("scan=%v: the full cell left the planner no candidate to try", scan)
+				}
+				continue
+			}
+
+			// Home 0 goes quiet: the next interval vacates it.
+			clear(active[:c.Cfg.VMsPerHost])
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			interval()
+			runtime.ReadMemStats(&m1)
+			if n := migrations() - before; n != int64(c.Cfg.VMsPerHost) || c.Hosts[0].NumVMs() != 0 {
+				t.Fatalf("scan=%v: home 0 was not vacated: %d migrations, host %v", scan, n, c.Hosts[0])
+			}
+			allocs := m1.Mallocs - m0.Mallocs
+			t.Logf("scan=%v: vacating interval: %d allocs", scan, allocs)
+			if allocs > 24 {
+				t.Errorf("scan=%v: the interval that vacates one home allocates %d times, want <= 24", scan, allocs)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -11,10 +12,21 @@ import (
 	"oasis/internal/trace"
 )
 
-// fleetGateBudgetSec is the wall-clock acceptance budget for the
-// million-user fleet benchmark: the ROADMAP's "millions of users in
-// minutes" target, pinned at 10 minutes per worker configuration.
-const fleetGateBudgetSec = 600
+// The fleet benchmark's gate. What bounds how much of the design space a
+// sweep can afford is user-days per second per core, so that is what is
+// floored: the one-worker run must reach fleetUsersPerSecPerCore. The
+// floor sits between what the simulator did before its cell state became
+// dense (≈ 18k on the 2-core sandbox the artifact is recorded on) and
+// what it does since (≈ 45k there), so a return of per-flip or per-VM
+// rescans fails it while a slower CI runner does not. Parallelism is
+// gated separately and only where it can show: with at least
+// fleetScalingMinCores cores, the widest run must reach
+// fleetScalingFloor times the one-worker throughput.
+const (
+	fleetUsersPerSecPerCore = 25_000
+	fleetScalingMinCores    = 4
+	fleetScalingFloor       = 2.0
+)
 
 // FleetRun is one worker count's execution of the same fleet: wall
 // clock, throughput, and the result fingerprint that must match every
@@ -29,12 +41,21 @@ type FleetRun struct {
 // FleetBench is the fleet-simulator benchmark artifact; oasis-bench
 // -json with -experiment sim writes it as BENCH_sim.json. One
 // million-user day is simulated at each worker count in WorkerRuns; the
-// gate demands every run finish inside fleetGateBudgetSec AND every
-// fingerprint be identical — wall-clock scale and the serial-vs-parallel
-// bit-identity proof in one artifact.
+// gate demands the per-core floor, the scaling ratio where the machine
+// has the cores to show one, AND every fingerprint identical — per-core
+// speed and the serial-vs-parallel bit-identity proof in one artifact.
 type FleetBench struct {
 	Experiment string `json:"experiment"`
 	BenchMeta
+	// NumCPU and GOMAXPROCS are the cores the run had: without them a
+	// worker-scaling curve cannot be read (a 1-CPU box gives a flat one).
+	NumCPU     int `json:"num_cpu"`
+	GOMAXPROCS int `json:"gomaxprocs"`
+	// WorkerScaling is the widest run's throughput over the one-worker
+	// run's. MeasuredGate.Comparison says whether the gate held it to
+	// fleetScalingFloor, which takes fleetScalingMinCores cores.
+	WorkerScaling float64 `json:"worker_scaling"`
+
 	Users        int        `json:"users"`
 	Cells        int        `json:"cells"`
 	UsersPerCell int        `json:"users_per_cell"`
@@ -77,19 +98,28 @@ func Fleet(opt Option) (FleetBench, error) {
 	out := FleetBench{
 		Experiment:   "sim",
 		BenchMeta:    meta,
+		NumCPU:       runtime.NumCPU(),
+		GOMAXPROCS:   runtime.GOMAXPROCS(0),
 		Users:        users,
 		Cells:        cfg.Cells(),
 		UsersPerCell: cfg.UsersPerCell(),
 		Kind:         cfg.Kind.String(),
 		Seed:         opt.Seed,
-		Note: fmt.Sprintf("one rep per worker count (runs are minutes long); gate: every run inside %ds AND all fingerprints bit-identical",
-			fleetGateBudgetSec),
+	}
+	cores := min(out.NumCPU, out.GOMAXPROCS)
+	gateScaling := cores >= fleetScalingMinCores
+	// fleetBenchWorkers starts at the serial reference and ends at the
+	// widest pool.
+	widest := fleetBenchWorkers[len(fleetBenchWorkers)-1]
+	comparison := fmt.Sprintf("users_per_sec at 1 worker >= %d AND fingerprints identical across workers %v", fleetUsersPerSecPerCore, fleetBenchWorkers)
+	out.Note = fmt.Sprintf("one rep of %d user-days per worker count", users)
+	if gateScaling {
+		comparison += fmt.Sprintf(" AND users_per_sec at %d workers >= %.1f * that", widest, fleetScalingFloor)
+	} else {
+		out.Note += fmt.Sprintf("; worker scaling is reported, not gated, on %d core(s): the gate needs %d", cores, fleetScalingMinCores)
 	}
 
-	var (
-		first      uint64
-		maxElapsed time.Duration
-	)
+	var first uint64
 	out.BitIdentical = true
 	for i, workers := range fleetBenchWorkers {
 		c := cfg
@@ -105,9 +135,6 @@ func Fleet(opt Option) (FleetBench, error) {
 		} else if fp != first {
 			out.BitIdentical = false
 		}
-		if res.Elapsed > maxElapsed {
-			maxElapsed = res.Elapsed
-		}
 		out.WorkerRuns = append(out.WorkerRuns, FleetRun{
 			Workers:     workers,
 			ElapsedSec:  res.Elapsed.Seconds(),
@@ -116,13 +143,15 @@ func Fleet(opt Option) (FleetBench, error) {
 		})
 	}
 
-	ratio := float64(fleetGateBudgetSec) / maxElapsed.Seconds()
+	perCore := out.WorkerRuns[0].UsersPerSec
+	out.WorkerScaling = out.WorkerRuns[len(out.WorkerRuns)-1].UsersPerSec / perCore
+	ratio := perCore / fleetUsersPerSecPerCore
 	out.MeasuredGate = Gate{
-		Metric:     "fleet_elapsed_sec",
-		Comparison: fmt.Sprintf("max(elapsed_sec) <= %d AND fingerprints identical across workers %v", fleetGateBudgetSec, fleetBenchWorkers),
+		Metric:     "fleet_users_per_sec_per_core",
+		Comparison: comparison,
 		Ratio:      ratio,
 		NoiseFloor: 1.0,
-		Pass:       ratio >= 1.0 && out.BitIdentical,
+		Pass:       ratio >= 1.0 && out.BitIdentical && (!gateScaling || out.WorkerScaling >= fleetScalingFloor),
 	}
 	return out, nil
 }
@@ -270,7 +299,8 @@ func FleetBenchReport(opt Option) Report {
 		fmt.Fprintf(&b, "%-10d %11.1fs %14.0f %20s\n",
 			run.Workers, run.ElapsedSec, run.UsersPerSec, run.Fingerprint)
 	}
-	fmt.Fprintf(&b, "bit-identical: %v\n", r.BitIdentical)
+	fmt.Fprintf(&b, "bit-identical: %v; %d CPUs, GOMAXPROCS %d; widest/serial %.2fx\n",
+		r.BitIdentical, r.NumCPU, r.GOMAXPROCS, r.WorkerScaling)
 	fmt.Fprintf(&b, "measured gate (%s): ratio %.3f vs floor %.2f: %s\n",
 		r.MeasuredGate.Comparison, r.MeasuredGate.Ratio, r.MeasuredGate.NoiseFloor, gateWord(r.MeasuredGate))
 	return Report{ID: "sim", Title: "Million-user fleet benchmark", Text: b.String()}

@@ -5,6 +5,7 @@ package host
 
 import (
 	"fmt"
+	"slices"
 
 	"oasis/internal/pagestore"
 	"oasis/internal/power"
@@ -72,12 +73,21 @@ type Host struct {
 	// stay current without rescanning hosts; the callback must be O(1).
 	onChange func(*Host)
 
-	vms  map[pagestore.VMID]*vm.VM
-	used units.Bytes
-	// active caches the count of resident active VMs. The power model
-	// reads it on every footprint recharge (fleet-scale runs recharge
-	// hundreds of VMs per tick), so it must not be a map scan; AddVM,
-	// RemoveVM and NoteVMStateChanged keep it exact.
+	// The residents: ids ascending, slot[i] the place of ids[i]'s VM in
+	// vms, which is unordered (RemoveVM moves the last VM into the hole).
+	// Only the pointer-free slices are ever shifted — moving a run of
+	// pointers pays a write barrier each while the collector marks — and
+	// lookups search ids, not vms[i].ID, which costs a pointer chase per
+	// probe. byID is vms in ID order, rebuilt by VMs when stale.
+	ids   []pagestore.VMID
+	slot  []int32
+	vms   []*vm.VM
+	byID  []*vm.VM
+	stale bool
+	used  units.Bytes
+	// active is the count of resident active VMs, adjusted by ±1 in
+	// AddVM, RemoveVM and NoteVMStateChanged. Nothing recounts it, so a
+	// resident's flip must be notified exactly once.
 	active int
 
 	// Transition counters for the evaluation.
@@ -115,7 +125,6 @@ func New(sim *simtime.Simulator, cfg Config) *Host {
 		profile:    cfg.Profile,
 		meter:      power.NewMeter(cfg.Profile),
 		state:      power.Powered,
-		vms:        make(map[pagestore.VMID]*vm.VM),
 	}
 }
 
@@ -153,36 +162,37 @@ func (h *Host) Fits(need units.Bytes) bool { return need <= h.Free() }
 // NumVMs returns the count of resident VMs.
 func (h *Host) NumVMs() int { return len(h.vms) }
 
-// VMs returns the resident VMs (unspecified order).
+// VMs returns the resident VMs in ascending ID order, so that no result
+// depends on how residents are stored. The slice is the host's own:
+// read-only, and valid until the next AddVM or RemoveVM.
 func (h *Host) VMs() []*vm.VM {
-	out := make([]*vm.VM, 0, len(h.vms))
-	for _, v := range h.vms {
-		out = append(out, v)
+	if h.stale {
+		h.byID = h.byID[:0]
+		for _, j := range h.slot {
+			h.byID = append(h.byID, h.vms[j])
+		}
+		h.stale = false
 	}
-	return out
+	return h.byID
+}
+
+// find returns id's place in ids and the resident with that id, or nil.
+func (h *Host) find(id pagestore.VMID) (int, *vm.VM) {
+	i, ok := slices.BinarySearch(h.ids, id)
+	if !ok {
+		return i, nil
+	}
+	return i, h.vms[h.slot[i]]
 }
 
 // VM returns a resident VM by id, or nil.
-func (h *Host) VM(id pagestore.VMID) *vm.VM { return h.vms[id] }
-
-// ActiveVMs counts resident active VMs. O(1): the count is maintained
-// incrementally, because the energy meter re-reads it on every
-// footprint recharge and a map scan here dominated whole-fleet
-// simulation profiles.
-func (h *Host) ActiveVMs() int { return h.active }
-
-// recountActive re-derives the cached active count from resident VM
-// state. Called when a resident VM flips between active and idle — the
-// host cannot see the flip itself, only be told after the fact.
-func (h *Host) recountActive() {
-	n := 0
-	for _, v := range h.vms {
-		if v.Active {
-			n++
-		}
-	}
-	h.active = n
+func (h *Host) VM(id pagestore.VMID) *vm.VM {
+	_, v := h.find(id)
+	return v
 }
+
+// ActiveVMs counts resident active VMs in O(1) (see the active field).
+func (h *Host) ActiveVMs() int { return h.active }
 
 // AddVM places a VM on the host, charging its footprint. It fails if the
 // host lacks capacity or is not powered.
@@ -194,10 +204,14 @@ func (h *Host) AddVM(v *vm.VM) error {
 	if !h.Fits(need) {
 		return &ErrCapacity{Host: h.ID, Need: need, Free: h.Free()}
 	}
-	if _, ok := h.vms[v.ID]; ok {
+	i, dup := h.find(v.ID)
+	if dup != nil {
 		return fmt.Errorf("host %d: vm%04d already resident", h.ID, v.ID)
 	}
-	h.vms[v.ID] = v
+	h.ids = slices.Insert(h.ids, i, v.ID)
+	h.slot = slices.Insert(h.slot, i, int32(len(h.vms)))
+	h.vms = append(h.vms, v)
+	h.stale = true
 	h.used += need
 	if v.Active {
 		h.active++
@@ -209,11 +223,19 @@ func (h *Host) AddVM(v *vm.VM) error {
 
 // RemoveVM takes a VM off the host, releasing its footprint.
 func (h *Host) RemoveVM(id pagestore.VMID) error {
-	v, ok := h.vms[id]
-	if !ok {
+	i, v := h.find(id)
+	if v == nil {
 		return fmt.Errorf("host %d: vm%04d not resident", h.ID, id)
 	}
-	delete(h.vms, id)
+	j, last := h.slot[i], len(h.vms)-1
+	if moved := h.vms[last]; moved != v {
+		k, _ := h.find(moved.ID)
+		h.vms[j], h.slot[k] = moved, j
+	}
+	h.vms = slices.Delete(h.vms, last, last+1)
+	h.ids = slices.Delete(h.ids, i, i+1)
+	h.slot = slices.Delete(h.slot, i, i+1)
+	h.stale = true
 	h.used -= v.Footprint()
 	if v.Active {
 		h.active--
@@ -228,13 +250,33 @@ func (h *Host) RemoveVM(id pagestore.VMID) error {
 // exhaustion check) so that working-set growth can actually exhaust a
 // host, as §3.2 describes.
 func (h *Host) Recharge(id pagestore.VMID, old units.Bytes) error {
-	v, ok := h.vms[id]
-	if !ok {
+	v := h.VM(id)
+	if v == nil {
 		return fmt.Errorf("host %d: vm%04d not resident", h.ID, id)
 	}
 	h.used += v.Footprint() - old
 	h.refreshPower()
 	return nil
+}
+
+// GrowPartials adds grow to every partial resident's working set, capped
+// at its allocation, and re-accounts the host once. A host without a
+// partial resident is not refreshed, so the energy integral sees the
+// same (host, instant) refreshes as a Recharge per grown VM.
+func (h *Host) GrowPartials(grow units.Bytes) {
+	grew := false
+	for _, v := range h.vms {
+		if !v.Partial {
+			continue
+		}
+		old := v.Footprint()
+		v.WorkingSet = min(v.WorkingSet+grow, v.Alloc)
+		h.used += v.Footprint() - old
+		grew = true
+	}
+	if grew {
+		h.refreshPower()
+	}
 }
 
 // Exhausted reports whether resident footprints exceed usable memory.
@@ -252,11 +294,20 @@ func (h *Host) refreshPower() {
 	}
 }
 
-// NoteVMStateChanged must be called after a resident VM flips between
-// active and idle so the power model tracks the load.
-func (h *Host) NoteVMStateChanged() {
-	h.recountActive()
+// NoteVMStateChanged must be called once after resident VM v flips
+// between active and idle — the host cannot see the flip itself — so the
+// active count and the power model track the load.
+func (h *Host) NoteVMStateChanged(v *vm.VM) error {
+	if h.VM(v.ID) != v {
+		return fmt.Errorf("host %d: vm%04d not resident", h.ID, v.ID)
+	}
+	if v.Active {
+		h.active++
+	} else {
+		h.active--
+	}
 	h.refreshPower()
+	return nil
 }
 
 // MemServerOn reports whether the host's low-power memory server is
@@ -284,7 +335,7 @@ func (h *Host) Suspend(done func()) error {
 	}
 	h.setState(power.Suspending)
 	h.Suspends++
-	h.sim.After(h.profile.SuspendTime, fmt.Sprintf("host%d-suspend", h.ID), func() {
+	h.sim.After(h.profile.SuspendTime, "host-suspend", func() {
 		h.setState(power.Sleeping)
 		if done != nil {
 			done()
@@ -325,7 +376,7 @@ func (h *Host) startResume(done func()) {
 	if done != nil {
 		h.pendingWake = append(h.pendingWake, done)
 	}
-	h.sim.After(h.profile.ResumeTime, fmt.Sprintf("host%d-resume", h.ID), func() {
+	h.sim.After(h.profile.ResumeTime, "host-resume", func() {
 		h.setState(power.Powered)
 		cbs := h.pendingWake
 		h.pendingWake = nil

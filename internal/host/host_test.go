@@ -1,11 +1,14 @@
 package host
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"testing"
 
 	"oasis/internal/pagestore"
 	"oasis/internal/power"
+	"oasis/internal/rng"
 	"oasis/internal/simtime"
 	"oasis/internal/units"
 	"oasis/internal/vm"
@@ -245,7 +248,9 @@ func TestActivePowerTracking(t *testing.T) {
 		t.Fatal("active VM not counted")
 	}
 	v.Active = false
-	h.NoteVMStateChanged()
+	if err := h.NoteVMStateChanged(v); err != nil {
+		t.Fatal(err)
+	}
 	if h.ActiveVMs() != 0 {
 		t.Fatal("state change not tracked")
 	}
@@ -292,4 +297,124 @@ func TestRolesAndStrings(t *testing.T) {
 	if ce.Error() == "" {
 		t.Error("empty capacity error")
 	}
+}
+
+// TestResidentInvariants drives a random history of placements,
+// removals, activity flips, recharges and working-set growth over three
+// hosts, and after every step recounts each host from scratch: the
+// incrementally kept active count, pinned memory, resident count and the
+// ID order of VMs() must equal the recount. The host keeps all four by
+// ±deltas and never re-derives them, so this is what would catch a
+// missed or doubled update.
+func TestResidentInvariants(t *testing.T) {
+	sim := simtime.New()
+	hosts := []*Host{newTestHost(sim, 0, Compute), newTestHost(sim, 1, Consolidation), newTestHost(sim, 2, Consolidation)}
+	r := rng.New(20160418)
+	vms := make([]*vm.VM, 60)
+	on := make([]*Host, len(vms)) // the reference model: where each VM is
+	for i := range vms {
+		vms[i] = &vm.VM{
+			ID:         pagestore.VMID(1000 + r.Intn(5000)*len(vms) + i), // distinct, unordered
+			Alloc:      4 * units.GiB,
+			WorkingSet: units.Bytes(16+r.Intn(400)) * units.MiB,
+			Active:     r.Bool(0.3),
+		}
+	}
+	check := func(step int, op string) {
+		t.Helper()
+		for _, h := range hosts {
+			var want []*vm.VM
+			var used units.Bytes
+			active := 0
+			for i, v := range vms {
+				if on[i] != h {
+					if h.VM(v.ID) != nil {
+						t.Fatalf("step %d (%s): host %d still finds vm%d", step, op, h.ID, v.ID)
+					}
+					continue
+				}
+				want = append(want, v)
+				used += v.Footprint()
+				if v.Active {
+					active++
+				}
+				if h.VM(v.ID) != v {
+					t.Fatalf("step %d (%s): host %d cannot find resident vm%d", step, op, h.ID, v.ID)
+				}
+			}
+			slices.SortFunc(want, func(a, b *vm.VM) int { return cmp.Compare(a.ID, b.ID) })
+			if h.ActiveVMs() != active || h.Used() != used || h.NumVMs() != len(want) {
+				t.Fatalf("step %d (%s): host %d keeps active=%d used=%v n=%d, recount gives active=%d used=%v n=%d",
+					step, op, h.ID, h.ActiveVMs(), h.Used(), h.NumVMs(), active, used, len(want))
+			}
+			if !slices.Equal(h.VMs(), want) {
+				t.Fatalf("step %d (%s): host %d VMs() is not the residents in ID order", step, op, h.ID)
+			}
+		}
+	}
+	for step := 0; step < 4000; step++ {
+		i := r.Intn(len(vms))
+		v, h := vms[i], on[i]
+		var op string
+		switch k := r.Intn(6); {
+		case h == nil: // place it (a full host refuses, which changes nothing)
+			op = "add"
+			dest := hosts[r.Intn(len(hosts))]
+			v.Partial = !v.Active && r.Bool(0.7)
+			if err := dest.AddVM(v); err == nil {
+				on[i] = dest
+			} else if !errors.As(err, new(*ErrCapacity)) {
+				t.Fatal(err)
+			}
+		case k == 0:
+			op = "remove"
+			if err := h.RemoveVM(v.ID); err != nil {
+				t.Fatal(err)
+			}
+			on[i] = nil
+		case k <= 2:
+			op = "flip"
+			v.Active = !v.Active
+			if err := h.NoteVMStateChanged(v); err != nil {
+				t.Fatal(err)
+			}
+		case k == 3: // change residency mode, as convertInPlace does
+			op = "recharge"
+			old := v.Footprint()
+			v.Partial = !v.Partial
+			if err := h.Recharge(v.ID, old); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			op = "grow"
+			h.GrowPartials(units.Bytes(r.Intn(64)) * units.MiB)
+		}
+		check(step, op)
+	}
+
+	// A flip or a recharge for a VM the host does not hold must fail
+	// loudly and change nothing — also for a different VM that merely
+	// carries a resident's ID.
+	var resident *vm.VM
+	var h *Host
+	for i, v := range vms {
+		if on[i] != nil {
+			resident, h = v, on[i]
+		}
+	}
+	if h == nil {
+		t.Fatal("history ended with no resident VM")
+	}
+	other := hosts[(h.ID+1)%len(hosts)]
+	impostor := &vm.VM{ID: resident.ID, Alloc: resident.Alloc, Active: true}
+	if err := other.NoteVMStateChanged(resident); err == nil {
+		t.Error("flip of a VM resident elsewhere accepted")
+	}
+	if err := h.NoteVMStateChanged(impostor); err == nil {
+		t.Error("flip of a VM that only shares a resident's ID accepted")
+	}
+	if err := other.Recharge(resident.ID, 0); err == nil {
+		t.Error("recharge of a VM resident elsewhere accepted")
+	}
+	check(-1, "rejected notifications")
 }
