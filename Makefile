@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint check bench bench-fleet profile-fleet clean
+.PHONY: all build test race vet lint check bench bench-check bench-fleet profile-fleet clean
 
 all: build
 
@@ -33,6 +33,13 @@ check: lint race
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+
+# The benchmark of record is its own module (oasis/bench, compiled
+# against the facade), so `go build ./... && go test ./...` at the root
+# cannot see it: a facade change that breaks it would otherwise ship
+# green.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # The fleet-sim workload of the benchmark of record (bench/README.md):
 # 9000 users, 2 workers, end-to-end metrics only.

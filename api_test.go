@@ -34,9 +34,6 @@ var apiGolden = []string{
 	"DefaultSimConfig",
 	"DesktopVM",
 	"Dial",
-	"DialMemServer",
-	"DialMemServerPool",
-	"DialMemServerResilient",
 	"DialOption",
 	"DialShard",
 	"EncodeImage",
@@ -88,7 +85,6 @@ var apiGolden = []string{
 	"PowerProfile",
 	"ResilienceConfig",
 	"ResilienceStats",
-	"ResilientMemClient",
 	"SampleWorkingSet",
 	"Scenario",
 	"ScenarioByName",
@@ -204,13 +200,12 @@ func TestAPISurfaceGolden(t *testing.T) {
 
 // TestDialCoversEveryTransportShape asserts every client shape the
 // facade exports is reachable through the one Dial entry point — the
-// returned static type is always MemConn, and the concrete types behind
-// the deprecated entry points all satisfy it.
+// returned static type is always MemConn, and every exported concrete
+// type satisfies it.
 func TestDialCoversEveryTransportShape(t *testing.T) {
-	// Compile-time: all four shapes are MemConns, so anything written
+	// Compile-time: all three shapes are MemConns, so anything written
 	// against Dial's return type works against any of them.
 	var _ oasis.MemConn = (*oasis.MemClient)(nil)
-	var _ oasis.MemConn = (*oasis.ResilientMemClient)(nil)
 	var _ oasis.MemConn = (*oasis.MemClientPool)(nil)
 	var _ oasis.MemConn = (*oasis.ShardClient)(nil)
 
@@ -228,7 +223,7 @@ func TestDialCoversEveryTransportShape(t *testing.T) {
 		want string
 	}{
 		{"bare", nil, "*memserver.Client"},
-		{"resilient", []oasis.DialOption{oasis.WithResilience(oasis.ResilienceConfig{})}, "*memserver.ResilientClient"},
+		{"resilient", []oasis.DialOption{oasis.WithResilience(oasis.ResilienceConfig{})}, "*memserver.ClientPool"},
 		{"pool", []oasis.DialOption{oasis.WithPool(2)}, "*memserver.ClientPool"},
 		{"fabric", []oasis.DialOption{oasis.WithBackends(addr.String()), oasis.WithReplicas(1)}, "*shard.Client"},
 		{"transport", []oasis.DialOption{oasis.WithTransport(oasis.Transport{
@@ -245,10 +240,6 @@ func TestDialCoversEveryTransportShape(t *testing.T) {
 			if !ok {
 				t.Errorf("%s: Dial returned %T", tc.name, conn)
 			}
-		case "*memserver.ResilientClient":
-			if _, ok := conn.(*oasis.ResilientMemClient); !ok {
-				t.Errorf("%s: Dial returned %T", tc.name, conn)
-			}
 		case "*memserver.ClientPool":
 			if _, ok := conn.(*oasis.MemClientPool); !ok {
 				t.Errorf("%s: Dial returned %T", tc.name, conn)
@@ -259,16 +250,5 @@ func TestDialCoversEveryTransportShape(t *testing.T) {
 			}
 		}
 		conn.Close()
-	}
-
-	// The deprecated wrappers still hand back their concrete types.
-	if _, err := oasis.DialMemServer(addr.String(), secret, 0); err != nil {
-		t.Fatalf("deprecated DialMemServer: %v", err)
-	}
-	if _, err := oasis.DialMemServerResilient(addr.String(), secret, oasis.ResilienceConfig{}); err != nil {
-		t.Fatalf("deprecated DialMemServerResilient: %v", err)
-	}
-	if _, err := oasis.DialMemServerPool(addr.String(), secret, oasis.MemPoolConfig{Size: 2}); err != nil {
-		t.Fatalf("deprecated DialMemServerPool: %v", err)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // MemConn is the full memory-server client surface: page reads (plain
 // and staged), image/diff uploads (one-shot and streamed), lifecycle and
 // counters. Dial returns a MemConn whatever transport shape the options
-// select — a bare connection, a resilient one, a pooled one, or a
+// select — a bare connection, a resilient pool of one or more, or a
 // sharded replicated fabric — so one call site scales from a laptop
 // test to a rack purely through options.
 type MemConn = memserver.Conn
@@ -54,23 +54,12 @@ func DialShard(backends []string, secret []byte, cfg ShardConfig) (*ShardClient,
 
 // DialOption configures Dial; see WithTimeout, WithResilience,
 // WithPool, WithTLS, WithBackends, WithReplicas, WithTransport.
-type DialOption func(*dialConfig)
-
-type dialConfig struct {
-	timeout   time.Duration
-	res       ResilienceConfig
-	resilient bool
-	pool      int
-	poolSet   bool
-	roots     *x509.CertPool
-	backends  []string
-	replicas  int
-}
+type DialOption func(*shard.Target)
 
 // WithTimeout bounds the initial dial (and, on the resilient shapes,
 // every reconnect attempt). Zero keeps the 5-second default.
 func WithTimeout(d time.Duration) DialOption {
-	return func(c *dialConfig) { c.timeout = d }
+	return func(t *shard.Target) { t.DialTimeout = d }
 }
 
 // WithResilience selects the self-healing client — reconnect, bounded
@@ -78,13 +67,18 @@ func WithTimeout(d time.Duration) DialOption {
 // selects defaults. Pooled and sharded shapes inherit cfg for every
 // connection they manage.
 func WithResilience(cfg ResilienceConfig) DialOption {
-	return func(c *dialConfig) { c.res = cfg; c.resilient = true }
+	return func(t *shard.Target) { t.Resilience = &cfg }
 }
 
 // WithPool fans requests across size pooled resilient connections
 // (size <= 0 selects the default of 4). Implies WithResilience.
 func WithPool(size int) DialOption {
-	return func(c *dialConfig) { c.pool = size; c.poolSet = true }
+	return func(t *shard.Target) {
+		if size <= 0 {
+			size = memserver.DefaultPoolSize
+		}
+		t.Lanes = size
+	}
 }
 
 // WithTLS dials over TLS, verifying the server against roots (§4.3
@@ -92,7 +86,7 @@ func WithPool(size int) DialOption {
 // session. Applies to every connection of whatever shape the other
 // options select.
 func WithTLS(roots *x509.CertPool) DialOption {
-	return func(c *dialConfig) { c.roots = roots }
+	return func(t *shard.Target) { t.TLSRoots = roots }
 }
 
 // WithBackends selects the sharded fabric: pages place onto these
@@ -100,7 +94,7 @@ func WithTLS(roots *x509.CertPool) DialOption {
 // WithReplicas). The addr argument of Dial is ignored — the fabric is
 // exactly this list; pass "" for clarity. Implies WithResilience.
 func WithBackends(addrs ...string) DialOption {
-	return func(c *dialConfig) { c.backends = append([]string(nil), addrs...) }
+	return func(t *shard.Target) { t.Backends = append([]string(nil), addrs...) }
 }
 
 // WithReplicas sets the fabric's replication factor (writes must reach
@@ -108,35 +102,28 @@ func WithBackends(addrs ...string) DialOption {
 // WithBackends; <= 0 keeps the default of 2, values above the backend
 // count are clamped.
 func WithReplicas(n int) DialOption {
-	return func(c *dialConfig) { c.replicas = n }
+	return func(t *shard.Target) { t.Replicas = n }
 }
 
 // WithTransport applies a Transport's connection-shaping fields —
 // PoolSize, Backends, Replicas — to the dial, so a daemon can hand its
 // flag-bound transport straight to Dial. The fields follow the
-// Transport contract exactly: PoolSize <= 1 keeps a single resilient
-// connection (the same shape the deprecated DialMemServerResilient
-// returns) rather than a one-lane pool, Backends selects the sharded
-// fabric with PoolSize as the per-backend pool width, and Replicas <= 0
-// takes the fabric default. PrefetchStreams and UploadStreams shape the
-// memtap/agent pipelines, not the connection, and are ignored here.
-func WithTransport(t Transport) DialOption {
-	return func(c *dialConfig) {
-		switch {
-		case t.Sharded():
-			c.backends = append([]string(nil), t.Backends...)
-			if t.PoolSize > 0 {
-				c.pool = t.PoolSize
-				c.poolSet = true
-			}
-		case t.PoolSize > 1:
-			c.pool = t.PoolSize
-			c.poolSet = true
-		case t.PoolSize == 1:
-			c.resilient = true
+// Transport contract exactly: PoolSize >= 1 selects that many resilient
+// connections (zero leaves the shape to the other options), Backends
+// selects the sharded fabric with PoolSize as the per-backend pool
+// width, and Replicas <= 0 takes the fabric default. PrefetchStreams
+// and UploadStreams shape the memtap/agent pipelines, not the
+// connection, and are ignored here.
+func WithTransport(tr Transport) DialOption {
+	return func(t *shard.Target) {
+		if tr.Sharded() {
+			t.Backends = append([]string(nil), tr.Backends...)
 		}
-		if t.Replicas > 0 {
-			c.replicas = t.Replicas
+		if tr.PoolSize > 0 {
+			t.Lanes = tr.PoolSize
+		}
+		if tr.Replicas > 0 {
+			t.Replicas = tr.Replicas
 		}
 	}
 }
@@ -145,70 +132,20 @@ func WithTransport(t Transport) DialOption {
 // the options select, behind the one MemConn surface:
 //
 //   - no options: one authenticated connection (a *MemClient);
-//   - WithResilience: a self-healing connection (*ResilientMemClient);
-//   - WithPool: a pool of resilient connections (*MemClientPool);
+//   - WithResilience and/or WithPool: a pool of self-healing connections
+//     (*MemClientPool) — one lane unless WithPool says more;
 //   - WithBackends: a sharded replicated fabric (*ShardClient) — addr
 //     is ignored, the backend list is the fabric.
 //
 // WithTLS and WithTimeout shape the underlying connections of any of
-// the four. Dial replaces DialMemServer, DialMemServerResilient and
-// DialMemServerPool, which remain as deprecated wrappers.
+// the three.
 func Dial(addr string, secret []byte, opts ...DialOption) (MemConn, error) {
-	var c dialConfig
+	t := shard.Target{Addr: addr}
 	for _, o := range opts {
-		o(&c)
+		o(&t)
 	}
-	res := c.res
-	if c.timeout > 0 {
-		res.DialTimeout = c.timeout
+	if t.Lanes > 0 && t.Resilience == nil {
+		t.Resilience = &ResilienceConfig{}
 	}
-	if c.roots != nil {
-		// Route every (re)connect through the TLS dialer; the resilient
-		// layer otherwise falls back to the plaintext memserver.Dial.
-		roots, timeout := c.roots, res.DialTimeout
-		if timeout <= 0 {
-			timeout = 5 * time.Second
-		}
-		secretCopy := append([]byte(nil), secret...)
-		if len(c.backends) == 0 {
-			a := addr
-			res.Dialer = func() (*MemClient, error) {
-				return memserver.DialTLS(a, secretCopy, roots, timeout)
-			}
-		}
-	}
-	switch {
-	case len(c.backends) > 0:
-		cfg := ShardConfig{
-			Replicas: c.replicas,
-			Pool:     MemPoolConfig{Size: c.pool, Resilience: res},
-		}
-		if c.roots != nil {
-			roots, timeout := c.roots, res.DialTimeout
-			if timeout <= 0 {
-				timeout = 5 * time.Second
-			}
-			secretCopy := append([]byte(nil), secret...)
-			cfg.Dialer = func(a string) (*MemClient, error) {
-				return memserver.DialTLS(a, secretCopy, roots, timeout)
-			}
-		}
-		return shard.Dial(c.backends, secret, cfg)
-	case c.poolSet:
-		return memserver.DialPool(addr, secret, MemPoolConfig{Size: c.pool, Resilience: res})
-	case c.resilient:
-		return memserver.DialResilient(addr, secret, res)
-	case c.roots != nil:
-		timeout := c.timeout
-		if timeout <= 0 {
-			timeout = 5 * time.Second
-		}
-		return memserver.DialTLS(addr, secret, c.roots, timeout)
-	default:
-		timeout := c.timeout
-		if timeout <= 0 {
-			timeout = 5 * time.Second
-		}
-		return memserver.Dial(addr, secret, timeout)
-	}
+	return shard.Connect(t, secret)
 }

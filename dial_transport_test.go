@@ -2,16 +2,13 @@ package oasis_test
 
 import (
 	"testing"
-	"time"
 
 	"oasis"
 )
 
 // TestTransportDialShapes pins the Transport → Dial contract against
-// the flagbind documentation and the deprecated wrappers: the same
-// transport configuration must select the same client shape whichever
-// entry point a caller uses, so legacy wrapper call sites and
-// flag-driven Dial call sites cannot drift apart.
+// the flagbind documentation: which client shape, and how many lanes,
+// each transport configuration selects.
 func TestTransportDialShapes(t *testing.T) {
 	secret := []byte("transport-shape-test")
 	srv := oasis.NewMemServer(secret, nil)
@@ -27,42 +24,26 @@ func TestTransportDialShapes(t *testing.T) {
 	}
 	defer srv2.Close()
 
-	// PoolSize <= 1 "keeps a single resilient connection" (the
-	// flagbind contract): Dial must return the same shape the
-	// deprecated DialMemServerResilient wrapper does, not a one-lane
-	// pool.
-	conn, err := oasis.Dial(addr.String(), secret, oasis.WithTransport(oasis.Transport{PoolSize: 1}))
-	if err != nil {
-		t.Fatal(err)
+	// PoolSize 1 "keeps a single resilient connection" (the flagbind
+	// contract): the resilient client with one lane. PoolSize > 1 is the
+	// same type, wider.
+	for _, lanes := range []int{1, 3} {
+		conn, err := oasis.Dial(addr.String(), secret, oasis.WithTransport(oasis.Transport{PoolSize: lanes}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, ok := conn.(*oasis.MemClientPool)
+		if !ok {
+			t.Fatalf("Transport{PoolSize: %d} dialed a %T, want the resilient client", lanes, conn)
+		}
+		if pool.Size() != lanes {
+			t.Fatalf("Transport{PoolSize: %d} dialed %d lanes", lanes, pool.Size())
+		}
+		conn.Close()
 	}
-	if _, ok := conn.(*oasis.ResilientMemClient); !ok {
-		t.Fatalf("Transport{PoolSize: 1} dialed a %T, want the single resilient connection", conn)
-	}
-	conn.Close()
-	legacy, err := oasis.DialMemServerResilient(addr.String(), secret, oasis.ResilienceConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy.Close()
 
-	// PoolSize > 1 pools, exactly like the deprecated pool wrapper.
-	conn, err = oasis.Dial(addr.String(), secret, oasis.WithTransport(oasis.Transport{PoolSize: 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := conn.(*oasis.MemClientPool); !ok {
-		t.Fatalf("Transport{PoolSize: 3} dialed a %T, want a client pool", conn)
-	}
-	conn.Close()
-	pool, err := oasis.DialMemServerPool(addr.String(), secret, oasis.MemPoolConfig{Size: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Close()
-
-	// A zero transport keeps the bare connection, the shape the
-	// deprecated DialMemServer wrapper returns.
-	conn, err = oasis.Dial(addr.String(), secret, oasis.WithTransport(oasis.Transport{}))
+	// A zero transport keeps the bare connection.
+	conn, err := oasis.Dial(addr.String(), secret, oasis.WithTransport(oasis.Transport{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +51,6 @@ func TestTransportDialShapes(t *testing.T) {
 		t.Fatalf("zero Transport dialed a %T, want the bare client", conn)
 	}
 	conn.Close()
-	bare, err := oasis.DialMemServer(addr.String(), secret, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare.Close()
 
 	// A sharded transport selects the fabric and propagates the backend
 	// list and replica count into the ring; PoolSize sizes the

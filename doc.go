@@ -13,7 +13,7 @@
 //
 //   - A functional layer: a real TCP memory page server with per-page
 //     compression, differential upload and HMAC authentication
-//     (NewMemServer/DialMemServer), the memtap pager that services page
+//     (NewMemServer/Dial), the memtap pager that services page
 //     faults for partial VMs (NewMemtap), and a model hypervisor with
 //     descriptors, present bitmaps and 2 MiB chunk frame allocation
 //     (NewVMDescriptor/NewPartialVM).

@@ -59,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	client, err := oasis.DialMemServer(addr.String(), secret, 5*time.Second)
+	client, err := oasis.Dial(addr.String(), secret)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -132,7 +132,7 @@ type Agent struct {
 	// lazily-dialed shard client over transport.Backends, used for both
 	// upload shapes when the transport is sharded.
 	upPoolMu sync.Mutex
-	upPool   *memserver.ClientPool
+	upPool   memserver.Conn
 	fabric   *shard.Client
 
 	tel *agentTel
@@ -477,50 +477,44 @@ func (a *Agent) uploadStreams() int {
 	return max(w, 1)
 }
 
-// uploadPool returns, dialing on first use, the streaming-upload pool to
-// this host's own memory server.
-func (a *Agent) uploadPool(streams int) (*memserver.ClientPool, error) {
-	a.upPoolMu.Lock()
-	defer a.upPoolMu.Unlock()
-	if a.upPool != nil {
-		return a.upPool, nil
-	}
-	p, err := memserver.DialPool(a.memAddr.String(), a.secret, memserver.PoolConfig{
-		Size:       streams,
-		Resilience: memserver.ResilientConfig{Name: "agent-upload"},
-	})
-	if err != nil {
-		return nil, err
-	}
-	a.upPool = p
-	return p, nil
-}
-
-// fabricConn returns, dialing on first use, the shard-fabric client
-// over transport.Backends. Callers have already checked Sharded().
-func (a *Agent) fabricConn() (*shard.Client, error) {
+// uploadConn returns, dialing on first use, the client detach uploads
+// stream through: the shard fabric over transport.Backends when the
+// transport is sharded, else UploadStreams lanes to this host's own
+// memory server.
+func (a *Agent) uploadConn() (memserver.Conn, error) {
 	a.mu.Lock()
-	backends := append([]string(nil), a.transport.Backends...)
-	replicas := a.transport.Replicas
-	pool := a.transport.PoolSize
+	tc := a.transport
+	tc.Backends = append([]string(nil), tc.Backends...)
 	a.mu.Unlock()
 	a.upPoolMu.Lock()
 	defer a.upPoolMu.Unlock()
-	if a.fabric != nil {
+	if tc.Sharded() {
+		if a.fabric == nil {
+			conn, err := shard.Connect(shard.Target{
+				Backends:   tc.Backends,
+				Replicas:   tc.Replicas,
+				Lanes:      tc.PoolSize,
+				Resilience: &memserver.ResilientConfig{Name: "agent-fabric"},
+			}, a.secret)
+			if err != nil {
+				return nil, err
+			}
+			a.fabric = conn.(*shard.Client)
+		}
 		return a.fabric, nil
 	}
-	f, err := shard.Dial(backends, a.secret, shard.Config{
-		Replicas: replicas,
-		Pool: memserver.PoolConfig{
-			Size:       pool,
-			Resilience: memserver.ResilientConfig{Name: "agent-fabric"},
-		},
-	})
-	if err != nil {
-		return nil, err
+	if a.upPool == nil {
+		conn, err := shard.Connect(shard.Target{
+			Addr:       a.memAddr.String(),
+			Lanes:      tc.UploadStreams,
+			Resilience: &memserver.ResilientConfig{Name: "agent-upload"},
+		}, a.secret)
+		if err != nil {
+			return nil, err
+		}
+		a.upPool = conn
 	}
-	a.fabric = f
-	return f, nil
+	return a.upPool, nil
 }
 
 // sharded reports whether detach uploads target a shard fabric instead
@@ -536,7 +530,7 @@ func (a *Agent) sharded() bool {
 // Cleanup is best-effort — a missing image is not an error.
 func (a *Agent) deleteImage(id pagestore.VMID) {
 	if a.sharded() {
-		if f, err := a.fabricConn(); err == nil {
+		if f, err := a.uploadConn(); err == nil {
 			f.Delete(id) //nolint:errcheck // best-effort cleanup
 		}
 		return
@@ -551,42 +545,28 @@ func (a *Agent) deleteImage(id pagestore.VMID) {
 // atomically.
 func (a *Agent) uploadImage(id pagestore.VMID, alloc units.Bytes, snap []byte) error {
 	streams := a.uploadStreams()
-	if a.sharded() {
-		f, err := a.fabricConn()
-		if err != nil {
-			return err
-		}
-		return f.StreamImage(id, alloc, snap, memserver.PutOptions{Streams: streams})
-	}
-	if streams <= 1 {
+	if streams <= 1 && !a.sharded() {
 		return a.mem.InstallImage(id, alloc, snap)
 	}
-	p, err := a.uploadPool(streams)
+	conn, err := a.uploadConn()
 	if err != nil {
 		return err
 	}
-	return p.StreamImage(id, alloc, snap, memserver.PutOptions{Streams: streams})
+	return conn.StreamImage(id, alloc, snap, memserver.PutOptions{Streams: streams})
 }
 
 // uploadDiff ships a differential snapshot the same way uploadImage ships
 // full ones.
 func (a *Agent) uploadDiff(id pagestore.VMID, snap []byte) error {
 	streams := a.uploadStreams()
-	if a.sharded() {
-		f, err := a.fabricConn()
-		if err != nil {
-			return err
-		}
-		return f.StreamDiff(id, snap, memserver.PutOptions{Streams: streams})
-	}
-	if streams <= 1 {
+	if streams <= 1 && !a.sharded() {
 		return a.mem.ApplyDiff(id, snap)
 	}
-	p, err := a.uploadPool(streams)
+	conn, err := a.uploadConn()
 	if err != nil {
 		return err
 	}
-	return p.StreamDiff(id, snap, memserver.PutOptions{Streams: streams})
+	return conn.StreamDiff(id, snap, memserver.PutOptions{Streams: streams})
 }
 
 // handlePartialMigrate implements the source side of §4.2 partial

@@ -4,15 +4,12 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"oasis/internal/pagestore"
-	"oasis/internal/units"
 )
 
 // ErrClientBroken is returned by every operation after a transport error
@@ -20,7 +17,7 @@ import (
 // half-transferred, so the stream's length-prefixed framing may be
 // misaligned; continuing would let a caller read another request's bytes
 // as its reply. The only safe recovery is a fresh connection (which
-// ResilientClient automates).
+// a ClientPool lane automates).
 var ErrClientBroken = errors.New("memserver: connection broken by a previous transport error")
 
 // DefaultOpTimeout bounds one request/response round trip. A page server
@@ -29,23 +26,32 @@ var ErrClientBroken = errors.New("memserver: connection broken by a previous tra
 // the VM harder than an error does.
 const DefaultOpTimeout = 30 * time.Second
 
-// Client is a connection to a memory page server. It is what a memtap
-// process (or a host agent performing uploads) holds. Client serialises
-// requests: the protocol is strictly request/response per connection.
+// DefaultDialTimeout bounds one connection attempt (TCP or TLS handshake)
+// of a lane or of shard.Connect when the caller names none.
+const DefaultDialTimeout = 5 * time.Second
+
+// Client is one authenticated connection to a memory page server: the
+// exchanger that frames a call and puts it on the wire, with no retry and
+// no state beyond the socket. Client serialises requests: the protocol is
+// strictly request/response per connection.
 type Client struct {
+	ops // the protocol operations, written once over exchange
+
 	mu        sync.Mutex
 	conn      net.Conn
-	broken    bool
 	opTimeout time.Duration
+	// broken is atomic so a lane can test a connection's health without
+	// queueing behind the round trip that holds mu.
+	broken atomic.Bool
 
 	// Reusable framing state, guarded by mu. Request frames are laid
 	// out as segments in bufs (bufs[0] is always the 5-byte header
 	// rebuilt per call in hdrArr); small frames coalesce into frame and
 	// go out in one Write, large ones as vectored buffers. opArr holds
-	// the fixed-size request prefix of the current op, so the PutChunk
+	// the fixed-size request prefix of the current call, so the PutChunk
 	// and GetPage hot paths allocate nothing per call.
 	hdrArr [5]byte
-	opArr  [21]byte
+	opArr  [16]byte
 	frame  []byte
 	bufs   net.Buffers
 
@@ -69,12 +75,19 @@ func Dial(addr string, secret []byte, timeout time.Duration) (*Client, error) {
 // transports (fault injection, custom dialers); Dial and DialTLS route
 // through the same authentication.
 func NewClientConn(conn net.Conn, secret []byte) (*Client, error) {
-	c := &Client{conn: conn, opTimeout: DefaultOpTimeout}
+	c := newClient(conn)
 	if err := c.authenticate(secret); err != nil {
 		conn.Close()
 		return nil, err
 	}
 	return c, nil
+}
+
+// newClient wraps conn without authenticating.
+func newClient(conn net.Conn) *Client {
+	c := &Client{conn: conn, opTimeout: DefaultOpTimeout}
+	c.ops.x = c
+	return c
 }
 
 // SetOpTimeout bounds each request/response round trip (zero disables
@@ -87,16 +100,12 @@ func (c *Client) SetOpTimeout(d time.Duration) {
 
 // Broken reports whether a transport error has poisoned the connection;
 // every further operation returns ErrClientBroken.
-func (c *Client) Broken() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.broken
-}
+func (c *Client) Broken() bool { return c.broken.Load() }
 
 // markBroken poisons the client after a transport error and closes the
 // connection so the peer's goroutine is released too. Callers hold c.mu.
 func (c *Client) markBroken() {
-	c.broken = true
+	c.broken.Store(true)
 	c.conn.Close()
 }
 
@@ -153,30 +162,24 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// roundTrip sends a request frame and returns the reply payload, mapping
-// msgError replies to errors. Any transport error (failed write, failed
-// or timed-out read, reply of an unexpected type) poisons the connection:
-// the framing may be misaligned mid-frame, so subsequent calls get
-// ErrClientBroken instead of another caller's bytes. A clean msgError
-// reply is a server-level error, not a transport fault, and leaves the
-// connection healthy.
-func (c *Client) roundTrip(typ byte, payload []byte, wantReply byte) ([]byte, error) {
+// exchange frames and sends one call and returns the reply payload,
+// mapping msgError replies to errors. Any transport error (failed write,
+// failed or timed-out read, reply of an unexpected type) poisons the
+// connection: the framing may be misaligned mid-frame, so subsequent
+// calls get ErrClientBroken instead of another caller's bytes. A clean
+// msgError reply is a server-level error, not a transport fault, and
+// leaves the connection healthy.
+func (c *Client) exchange(op call) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bufs = append(c.bufs[:0], nil, payload)
-	return c.roundTripBufsLocked(typ, wantReply, false)
-}
-
-// roundTripBufsLocked sends the request laid out in c.bufs[1:] (bufs[0]
-// is reserved for the header, rebuilt here) and returns the reply
-// payload. withMAC appends the session MAC trailer over the payload
-// segments when the connection negotiated upload MACs. Callers hold
-// c.mu and must have populated c.bufs with a nil first element.
-func (c *Client) roundTripBufsLocked(typ byte, wantReply byte, withMAC bool) ([]byte, error) {
-	if c.broken {
+	if c.broken.Load() {
 		return nil, ErrClientBroken
 	}
-	if err := c.writeRequestLocked(typ, withMAC); err != nil {
+	// The prefix is copied into client scratch: a slice of the by-value
+	// call stored in c.bufs would move every call to the heap.
+	n := copy(c.opArr[:], op.prefix[:op.n])
+	c.bufs = append(c.bufs[:0], nil, c.opArr[:n], op.segs[0], op.segs[1], op.segs[2])
+	if err := c.writeRequestLocked(op.req, op.mac); err != nil {
 		c.markBroken()
 		return nil, err
 	}
@@ -193,27 +196,21 @@ func (c *Client) roundTripBufsLocked(typ byte, wantReply byte, withMAC bool) ([]
 	if rtyp == msgError {
 		return nil, remoteError(rpayload)
 	}
-	if rtyp != wantReply {
+	if rtyp != op.want {
 		c.markBroken()
 		return nil, fmt.Errorf("memserver: unexpected reply type %d", rtyp)
 	}
 	return rpayload, nil
 }
 
-// writeRequestLocked frames and sends the request laid out in c.bufs[1:]:
-// optional session-MAC trailer, header into hdrArr, then one coalesced
-// Write (or a vectored write past coalesceLimit). It allocates nothing
-// in steady state — the alloc-gated framing tests call it directly.
-// Callers hold c.mu.
+// writeRequestLocked frames and sends the request laid out in c.bufs[1:]
+// (bufs[0] is reserved for the header, rebuilt here): optional
+// session-MAC trailer over the payload segments, header into hdrArr,
+// then one coalesced Write (or a vectored write past coalesceLimit). It
+// allocates nothing in steady state. Callers hold c.mu.
 func (c *Client) writeRequestLocked(typ byte, withMAC bool) error {
 	if withMAC && c.upMAC != nil {
-		c.upMAC.h.Reset()
-		for _, s := range c.bufs[1:] {
-			if len(s) > 0 {
-				c.upMAC.h.Write(s)
-			}
-		}
-		c.bufs = append(c.bufs, c.upMAC.h.Sum(c.upMAC.sum[:0]))
+		c.bufs = append(c.bufs, c.upMAC.compute(c.bufs[1:]...))
 	}
 	total := 0
 	for _, s := range c.bufs[1:] {
@@ -226,150 +223,4 @@ func (c *Client) writeRequestLocked(typ byte, withMAC bool) error {
 		c.conn.SetDeadline(time.Now().Add(c.opTimeout))
 	}
 	return writeFrameBufs(c.conn, &c.frame, &c.bufs)
-}
-
-// GetPage fetches one guest page, decompressing it. The returned slice
-// must not be modified if the page was all zero (a shared buffer).
-func (c *Client) GetPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error) {
-	page, _, _, err := c.GetPageStaged(id, pfn)
-	return page, err
-}
-
-// GetPageStaged is GetPage plus the stage split the fault-path tracer
-// records: wire is the request/response round trip, decompress the
-// client-side page decode. Memtap prefers this (via the optional
-// StagedFetcher interface) so a /traces span can attribute fault
-// latency to the network or the decompressor.
-func (c *Client) GetPageStaged(id pagestore.VMID, pfn pagestore.PFN) (page []byte, wire, decompress time.Duration, err error) {
-	c.mu.Lock()
-	binary.BigEndian.PutUint32(c.opArr[:], uint32(id))
-	binary.BigEndian.PutUint64(c.opArr[4:], uint64(pfn))
-	c.bufs = append(c.bufs[:0], nil, c.opArr[:12])
-	start := time.Now()
-	reply, err := c.roundTripBufsLocked(msgGetPage, msgPage, false)
-	wire = time.Since(start)
-	c.mu.Unlock()
-	if err != nil {
-		return nil, wire, 0, err
-	}
-	if len(reply) < 2 {
-		return nil, wire, 0, errors.New("memserver: short page reply")
-	}
-	token := binary.BigEndian.Uint16(reply)
-	start = time.Now()
-	page, err = pagestore.DecodePage(token, reply[2:])
-	decompress = time.Since(start)
-	if err == nil {
-		decompressSeconds.Observe(decompress.Seconds())
-	}
-	return page, wire, decompress, err
-}
-
-// GetPages fetches a batch of guest pages in one round trip, for
-// prefetchers converting a partial VM into a full one (§4.4.4). The
-// result maps each requested PFN to its decompressed contents; all-zero
-// pages share one buffer that must not be modified.
-func (c *Client) GetPages(id pagestore.VMID, pfns []pagestore.PFN) (map[pagestore.PFN][]byte, error) {
-	if len(pfns) == 0 {
-		return map[pagestore.PFN][]byte{}, nil
-	}
-	reply, err := c.roundTrip(msgGetPages, encodeGetPagesRequest(id, pfns), msgPages)
-	if err != nil {
-		return nil, err
-	}
-	return parsePagesReply(reply)
-}
-
-// PutImage uploads a full snapshot as a VM's image, replacing any prior
-// image for that VMID. The snapshot bytes are sent without an
-// intermediate copy (vectored write past the coalesce limit), with the
-// session MAC trailer when negotiated.
-func (c *Client) PutImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	binary.BigEndian.PutUint32(c.opArr[:], uint32(id))
-	binary.BigEndian.PutUint64(c.opArr[4:], uint64(alloc))
-	c.bufs = append(c.bufs[:0], nil, c.opArr[:12], snapshot)
-	_, err := c.roundTripBufsLocked(msgPutImage, msgOK, true)
-	return err
-}
-
-// PutDiff applies a differential snapshot to an existing image (§4.3
-// differential upload).
-func (c *Client) PutDiff(id pagestore.VMID, snapshot []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	binary.BigEndian.PutUint32(c.opArr[:], uint32(id))
-	c.bufs = append(c.bufs[:0], nil, c.opArr[:4], snapshot)
-	_, err := c.roundTripBufsLocked(msgPutDiff, msgOK, true)
-	return err
-}
-
-// PutBegin opens a chunked streaming upload (see proto.go). Re-sending a
-// Begin for the same upload id is a no-op that keeps staged chunks.
-func (c *Client) PutBegin(id pagestore.VMID, uploadID uint64, kind byte, alloc units.Bytes) error {
-	_, err := c.roundTrip(msgPutBegin, encodePutBegin(id, uploadID, kind, uint64(alloc)), msgOK)
-	return err
-}
-
-// PutChunk stages one self-contained snapshot chunk of an open upload.
-// Chunks may arrive in any order and over any connection.
-func (c *Client) PutChunk(id pagestore.VMID, uploadID uint64, seq uint32, chunk []byte) error {
-	return c.PutChunkRef(id, uploadID, seq, pagestore.ChunkRef{Body: chunk})
-}
-
-// PutChunkRef stages one chunk described by a pagestore.ChunkRef — the
-// zero-copy form of PutChunk. The chunk's header, dictionary and body
-// segments go straight from the encoded snapshot to the socket
-// (vectored write), framed by reusable client scratch: the hot path
-// performs no allocations and no copies of page bytes.
-func (c *Client) PutChunkRef(id pagestore.VMID, uploadID uint64, seq uint32, chunk pagestore.ChunkRef) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	binary.BigEndian.PutUint32(c.opArr[:], uint32(id))
-	binary.BigEndian.PutUint64(c.opArr[4:], uploadID)
-	binary.BigEndian.PutUint32(c.opArr[12:], seq)
-	c.bufs = append(c.bufs[:0], nil, c.opArr[:16], chunk.Pre, chunk.Dict, chunk.Body)
-	_, err := c.roundTripBufsLocked(msgPutChunk, msgOK, true)
-	return err
-}
-
-// PutCommit validates that all n chunks arrived and applies the upload
-// atomically; until it succeeds the VM's previous image stays visible.
-func (c *Client) PutCommit(id pagestore.VMID, uploadID uint64, n uint32) error {
-	_, err := c.roundTrip(msgPutCommit, encodePutCommit(id, uploadID, n), msgOK)
-	return err
-}
-
-// Delete frees a VM's image (after full migration the source agent frees
-// all resources, including memory-server state, §4.2).
-func (c *Client) Delete(id pagestore.VMID) error {
-	req := make([]byte, 4)
-	binary.BigEndian.PutUint32(req, uint32(id))
-	_, err := c.roundTrip(msgDeleteVM, req, msgOK)
-	return err
-}
-
-// Stats fetches the server's counters.
-func (c *Client) Stats() (Stats, error) {
-	reply, err := c.roundTrip(msgStats, nil, msgStatsReply)
-	if err != nil {
-		return Stats{}, err
-	}
-	var st Stats
-	if err := json.Unmarshal(reply, &st); err != nil {
-		return Stats{}, fmt.Errorf("memserver: decode stats: %w", err)
-	}
-	return st, nil
-}
-
-// SetServing toggles whether the daemon serves pages. The host agent stops
-// the daemon when the host wakes and its VMs return (§4.3).
-func (c *Client) SetServing(on bool) error {
-	b := byte(0)
-	if on {
-		b = 1
-	}
-	_, err := c.roundTrip(msgSetServing, []byte{b}, msgOK)
-	return err
 }

@@ -1,6 +1,10 @@
 package memserver
 
 import (
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"time"
 
 	"oasis/internal/pagestore"
@@ -9,12 +13,12 @@ import (
 
 // Conn is the full client surface of the memory-server protocol: page
 // reads (plain and staged), image/diff uploads (one-shot and streamed),
-// lifecycle, and counters. Every transport this package builds satisfies
-// it — the single-connection Client, the reconnecting ResilientClient,
-// the multi-lane ClientPool — and so does the sharded fabric client in
-// the shard subpackage. The facade's Dial returns a Conn, which is what
-// lets one call site scale from a bare connection to a replicated
-// fabric purely through dial options.
+// lifecycle, and counters. Three types implement it: the
+// single-connection Client and the multi-lane ClientPool here (both by
+// embedding ops, the protocol written once), and the sharded fabric
+// client in the shard subpackage. shard.Connect picks between them, which
+// is what lets one call site scale from a bare connection to a
+// replicated fabric purely through dial options.
 type Conn interface {
 	GetPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error)
 	GetPageStaged(id pagestore.VMID, pfn pagestore.PFN) (page []byte, wire, decompress time.Duration, err error)
@@ -29,34 +33,212 @@ type Conn interface {
 	Close() error
 }
 
-// StreamImage on a single connection has no lanes to overlap chunks on,
-// so it takes the one-shot path: PutImage ships the same bytes and the
-// image becomes visible in the same atomic swap. The method exists so a
-// bare Client satisfies Conn and upload call sites need not branch on
-// transport shape.
-func (c *Client) StreamImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte, opts PutOptions) error {
-	return c.PutImage(id, alloc, snapshot)
-}
-
-// StreamDiff is StreamImage's differential counterpart (see there).
-func (c *Client) StreamDiff(id pagestore.VMID, snapshot []byte, opts PutOptions) error {
-	return c.PutDiff(id, snapshot)
-}
-
-// StreamImage over one resilient connection delegates to PutImage:
-// identical bytes and commit semantics, with the mutating retry budget
-// (see Client.StreamImage for why there is nothing to overlap).
-func (r *ResilientClient) StreamImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte, opts PutOptions) error {
-	return r.PutImage(id, alloc, snapshot)
-}
-
-// StreamDiff is StreamImage's differential counterpart (see there).
-func (r *ResilientClient) StreamDiff(id pagestore.VMID, snapshot []byte, opts PutOptions) error {
-	return r.PutDiff(id, snapshot)
-}
-
 var (
 	_ Conn = (*Client)(nil)
-	_ Conn = (*ResilientClient)(nil)
 	_ Conn = (*ClientPool)(nil)
 )
+
+// call is one request/response exchange of the protocol, described as
+// data: what to send, what reply to expect, and how hard to try. The
+// operations in this file build calls; the three exchangers (Client,
+// lane, ClientPool) carry them and never look at which operation a call
+// is.
+type call struct {
+	op   string // operation name, for error messages
+	req  byte   // request message type
+	want byte   // reply message type a healthy server answers with
+
+	// mutating is the retry class. Every operation is idempotent, so
+	// retry is always safe; the class only sets the budget. Reads get
+	// ResilientConfig.MaxRetries because a stranded partial VM has no
+	// alternative. Mutating ops (PutImage, PutDiff, Delete, SetServing)
+	// get the smaller MutatingRetries: their caller holds the
+	// authoritative copy and can re-drive the operation, so burning the
+	// fault window on retries only delays the degradation decision. The
+	// staging ops of a chunked upload (PutBegin, PutChunk, PutCommit)
+	// touch nothing live until the commit applies, so they ride the read
+	// budget.
+	mutating bool
+	// mac asks for the session MAC trailer over the payload, on
+	// connections that negotiated it (upload payloads; see proto.go).
+	mac bool
+
+	// The payload is prefix[:n] followed by segs. The prefix is the
+	// op's fixed-size header, built by u32/u64; segs point into the
+	// caller's buffers and reach the socket without a copy.
+	prefix [16]byte
+	n      int
+	segs   [3][]byte
+}
+
+func (c *call) u32(v uint32) {
+	binary.BigEndian.PutUint32(c.prefix[c.n:], v)
+	c.n += 4
+}
+
+func (c *call) u64(v uint64) {
+	binary.BigEndian.PutUint64(c.prefix[c.n:], v)
+	c.n += 8
+}
+
+// exchanger carries one call to a server and returns the reply payload.
+// A msgError reply comes back as a remoteError; anything else that is
+// not c.want is a transport fault. call travels by value so the hot
+// paths (GetPage, PutChunkRef) allocate nothing per exchange.
+type exchanger interface {
+	exchange(c call) ([]byte, error)
+}
+
+// ops is the memory-server protocol, each operation encoded and decoded
+// exactly once over an exchanger. Client and ClientPool embed it, so
+// what differs between them is only how a call travels.
+type ops struct {
+	x exchanger
+	// put counts streamed chunks under the owner's client label; nil
+	// (a bare Client) counts under "default" like any unnamed client.
+	put *putTel
+}
+
+// GetPage fetches one guest page, decompressing it. The returned slice
+// must not be modified if the page was all zero (a shared buffer).
+func (o ops) GetPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error) {
+	page, _, _, err := o.GetPageStaged(id, pfn)
+	return page, err
+}
+
+// GetPageStaged is GetPage plus the stage split the fault-path tracer
+// records: wire is the time the request spent away (round trip, and any
+// retries and lane queueing on the way), decompress the client-side page
+// decode. Memtap prefers this so a /traces span can attribute fault
+// latency to the network or the decompressor.
+func (o ops) GetPageStaged(id pagestore.VMID, pfn pagestore.PFN) (page []byte, wire, decompress time.Duration, err error) {
+	c := call{op: "GetPage", req: msgGetPage, want: msgPage}
+	c.u32(uint32(id))
+	c.u64(uint64(pfn))
+	start := time.Now()
+	reply, err := o.x.exchange(c)
+	wire = time.Since(start)
+	if err != nil {
+		return nil, wire, 0, err
+	}
+	if len(reply) < 2 {
+		return nil, wire, 0, errors.New("memserver: short page reply")
+	}
+	start = time.Now()
+	page, err = pagestore.DecodePage(binary.BigEndian.Uint16(reply), reply[2:])
+	decompress = time.Since(start)
+	if err == nil {
+		decompressSeconds.Observe(decompress.Seconds())
+	}
+	return page, wire, decompress, err
+}
+
+// GetPages fetches a batch of guest pages in one round trip, for
+// prefetchers converting a partial VM into a full one (§4.4.4). The
+// result maps each requested PFN to its decompressed contents; all-zero
+// pages share one buffer that must not be modified.
+func (o ops) GetPages(id pagestore.VMID, pfns []pagestore.PFN) (map[pagestore.PFN][]byte, error) {
+	if len(pfns) == 0 {
+		return map[pagestore.PFN][]byte{}, nil
+	}
+	c := call{op: "GetPages", req: msgGetPages, want: msgPages}
+	c.segs[0] = encodeGetPagesRequest(id, pfns)
+	reply, err := o.x.exchange(c)
+	if err != nil {
+		return nil, err
+	}
+	return parsePagesReply(reply)
+}
+
+// PutImage uploads a full snapshot as a VM's image, replacing any prior
+// image for that VMID (so replaying it yields the same image). The
+// snapshot bytes are sent without an intermediate copy, with the session
+// MAC trailer when negotiated.
+func (o ops) PutImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte) error {
+	c := call{op: "PutImage", req: msgPutImage, want: msgOK, mutating: true, mac: true}
+	c.u32(uint32(id))
+	c.u64(uint64(alloc))
+	c.segs[0] = snapshot
+	_, err := o.x.exchange(c)
+	return err
+}
+
+// PutDiff applies a differential snapshot to an existing image (§4.3
+// differential upload). Diffs carry absolute page contents, so applying
+// one twice is a no-op.
+func (o ops) PutDiff(id pagestore.VMID, snapshot []byte) error {
+	c := call{op: "PutDiff", req: msgPutDiff, want: msgOK, mutating: true, mac: true}
+	c.u32(uint32(id))
+	c.segs[0] = snapshot
+	_, err := o.x.exchange(c)
+	return err
+}
+
+// PutBegin opens a chunked streaming upload (see proto.go). Re-sending a
+// Begin for the same upload id is a no-op that keeps staged chunks.
+func (o ops) PutBegin(id pagestore.VMID, uploadID uint64, kind byte, alloc units.Bytes) error {
+	c := call{op: "PutBegin", req: msgPutBegin, want: msgOK}
+	c.segs[0] = encodePutBegin(id, uploadID, kind, uint64(alloc))
+	_, err := o.x.exchange(c)
+	return err
+}
+
+// PutChunkRef stages one self-contained snapshot chunk of an open upload.
+// Chunks may arrive in any order and over any connection; a duplicate seq
+// overwrites with identical bytes and a chunk landing after its upload
+// committed is acknowledged as a no-op. The chunk's header, dictionary
+// and body segments go straight from the encoded snapshot to the socket:
+// the hot path performs no allocations and no copies of page bytes.
+func (o ops) PutChunkRef(id pagestore.VMID, uploadID uint64, seq uint32, chunk pagestore.ChunkRef) error {
+	c := call{op: "PutChunk", req: msgPutChunk, want: msgOK, mac: true}
+	c.u32(uint32(id))
+	c.u64(uploadID)
+	c.u32(seq)
+	c.segs = [3][]byte{chunk.Pre, chunk.Dict, chunk.Body}
+	_, err := o.x.exchange(c)
+	return err
+}
+
+// PutCommit validates that all n chunks arrived and applies the upload
+// atomically; until it succeeds the VM's previous image stays visible.
+// The server remembers the last committed upload id per VM, so a Commit
+// retried after a lost reply is acknowledged without re-applying.
+func (o ops) PutCommit(id pagestore.VMID, uploadID uint64, n uint32) error {
+	c := call{op: "PutCommit", req: msgPutCommit, want: msgOK}
+	c.segs[0] = encodePutCommit(id, uploadID, n)
+	_, err := o.x.exchange(c)
+	return err
+}
+
+// Delete frees a VM's image (after full migration the source agent frees
+// all resources, including memory-server state, §4.2).
+func (o ops) Delete(id pagestore.VMID) error {
+	c := call{op: "Delete", req: msgDeleteVM, want: msgOK, mutating: true}
+	c.u32(uint32(id))
+	_, err := o.x.exchange(c)
+	return err
+}
+
+// Stats fetches the server's counters.
+func (o ops) Stats() (Stats, error) {
+	reply, err := o.x.exchange(call{op: "Stats", req: msgStats, want: msgStatsReply})
+	if err != nil {
+		return Stats{}, err
+	}
+	var st Stats
+	if err := json.Unmarshal(reply, &st); err != nil {
+		return Stats{}, fmt.Errorf("memserver: decode stats: %w", err)
+	}
+	return st, nil
+}
+
+// SetServing toggles whether the daemon serves pages. The host agent stops
+// the daemon when the host wakes and its VMs return (§4.3).
+func (o ops) SetServing(on bool) error {
+	c := call{op: "SetServing", req: msgSetServing, want: msgOK, mutating: true, n: 1}
+	if on {
+		c.prefix[0] = 1
+	}
+	_, err := o.x.exchange(c)
+	return err
+}

@@ -10,13 +10,13 @@ import (
 	"oasis/internal/units"
 )
 
-// ExampleResilientClient shows the knobs of the fault-tolerant client
-// path and a full round trip against a live server: upload an image the
-// way a suspending host does, then fault a page back the way a memtap
-// does. The config shown is the shape agents use — small retry budgets,
+// ExampleDialPool shows the knobs of the fault-tolerant client path — a
+// one-lane pool — and a full round trip against a live server: upload an
+// image the way a suspending host does, then fault a page back the way a
+// memtap does. The config shown is the shape agents use — small retry budgets,
 // fast breaker — with a Name so the client's oasis_client_* metrics are
 // distinguishable in a scrape.
-func ExampleResilientClient() {
+func ExampleDialPool() {
 	secret := []byte("example-secret")
 	srv := memserver.NewServer(secret, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -45,7 +45,7 @@ func ExampleResilientClient() {
 		Name:     "example",
 		Registry: telemetry.NewRegistry(),
 	}
-	rc, err := memserver.DialResilient(addr.String(), secret, cfg)
+	rc, err := memserver.DialPool(addr.String(), secret, memserver.PoolConfig{Size: 1, Resilience: cfg})
 	if err != nil {
 		panic(err)
 	}

@@ -69,7 +69,8 @@ func testPage(seed uint64) []byte {
 // the empty-msgOK reply read — and requires zero heap allocations per
 // operation once warm.
 func TestPutChunkFramingZeroAlloc(t *testing.T) {
-	c := &Client{conn: newDiscardConn(), opTimeout: time.Second}
+	c := newClient(newDiscardConn())
+	c.opTimeout = time.Second
 	var nonce [16]byte
 	c.upMAC = sessionMAC(testSecret, nonce[:])
 

@@ -101,6 +101,35 @@ func TestGetPageErrors(t *testing.T) {
 	}
 }
 
+// TestIsUnknownVM drives a real server into the refusal the predicate
+// names, so the text pagestore formats and the matcher cannot drift
+// apart, and checks it stays false for refusals of other kinds.
+func TestIsUnknownVM(t *testing.T) {
+	_, addr := startServer(t)
+	c := dial(t, addr)
+	_, snap := makeSnapshot(t, 1*units.MiB, 2, 4)
+
+	_, err := c.GetPage(9999, 0)
+	if !IsRemoteError(err) || !IsUnknownVM(err) {
+		t.Errorf("GetPage of an absent VM: %v, want a remote unknown-VM error", err)
+	}
+	err = c.PutDiff(9999, snap)
+	if !IsRemoteError(err) || !IsUnknownVM(err) {
+		t.Errorf("PutDiff to an absent VM: %v, want a remote unknown-VM error", err)
+	}
+
+	if err := c.PutImage(7, 1*units.MiB, snap); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.GetPage(7, 1<<20)
+	if !IsRemoteError(err) || IsUnknownVM(err) {
+		t.Errorf("out-of-range pfn of a known VM: %v, want a remote error that is not unknown-VM", err)
+	}
+	if IsUnknownVM(nil) || IsUnknownVM(ErrClientBroken) {
+		t.Error("IsUnknownVM matched a non-remote error")
+	}
+}
+
 func TestPutDiff(t *testing.T) {
 	_, addr := startServer(t)
 	c := dial(t, addr)

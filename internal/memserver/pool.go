@@ -3,10 +3,6 @@ package memserver
 import (
 	"fmt"
 	"sync"
-	"time"
-
-	"oasis/internal/pagestore"
-	"oasis/internal/units"
 )
 
 // DefaultPoolSize is the connection count DialPool uses when the config
@@ -17,22 +13,23 @@ const DefaultPoolSize = 4
 // PoolConfig configures a ClientPool.
 type PoolConfig struct {
 	// Size is the number of pooled connections (lanes). Values <= 0 take
-	// DefaultPoolSize; 1 is allowed and behaves like a bare
-	// ResilientClient behind the pool interface.
+	// DefaultPoolSize; 1 is the plain resilient client — one
+	// self-healing connection.
 	Size int
-	// Resilience configures every lane. Each lane gets its own
-	// ResilientClient — own connection, retry budget, backoff and circuit
-	// breaker — so one wedged connection cannot poison its siblings. The
-	// JitterSeed is perturbed per lane to de-correlate backoff across the
-	// pool, and OnStateChange (if set) is lifted to the pool level: it
-	// fires on transitions of the AGGREGATE breaker state (see
-	// ClientPool.BreakerState), not per lane, because that is the signal
-	// callers act on (memtap's degraded flag).
+	// Resilience configures every lane. Each lane has its own connection,
+	// retry budget, backoff and circuit breaker, so one wedged connection
+	// cannot poison its siblings. The JitterSeed is perturbed per lane to
+	// de-correlate backoff across the pool, and OnStateChange (if set) is
+	// lifted to the pool level: it fires on transitions of the AGGREGATE
+	// breaker state (see ClientPool.BreakerState), not per lane, because
+	// that is the signal callers act on (memtap's degraded flag).
 	Resilience ResilientConfig
 }
 
-// ClientPool fans requests out over N authenticated connections to one
-// memory server. The wire protocol is strictly request/response per
+// ClientPool is the resilient client: it fans calls out over N
+// self-healing connections (lanes) to one memory server; with one lane it
+// is simply a connection that retries, reconnects and breaks the
+// circuit. The wire protocol is strictly request/response per
 // connection — that serialization is preserved per lane (it is what makes
 // the framing self-synchronizing and retries safe) — and parallelism
 // comes from having N independent lanes. Each operation is dispatched to
@@ -40,36 +37,36 @@ type PoolConfig struct {
 // connection while a pipelined prefetcher spreads its batches across all
 // of them.
 //
-// ClientPool implements the same operation surface as ResilientClient
-// (and thus memtap.PageClient); it is safe for concurrent use.
+// ClientPool is safe for concurrent use.
 type ClientPool struct {
-	lanes []*ResilientClient
+	ops // the protocol operations, written once over exchange
+
+	lanes []*lane
 
 	mu        sync.Mutex
 	inflight  []int          // per-lane outstanding ops
 	laneState []BreakerState // per-lane breaker, tracked via OnStateChange
-	aggState  BreakerState   // derived: see aggregateLocked
+	aggState  BreakerState   // AggregateBreaker(laneState)
 
 	onStateChange func(from, to BreakerState)
 	tel           *poolTel
-	putTel        *putTel
 }
 
-// NewPool builds a pool of cfg.Size resilient lanes around
-// cfg.Resilience.Dialer without connecting; lanes dial on first use.
-// cfg.Resilience.Dialer must be set (as for NewResilient).
+// NewPool builds a pool of cfg.Size lanes around cfg.Resilience.Dialer
+// without connecting; lanes dial on first use. cfg.Resilience.Dialer must
+// be set.
 func NewPool(cfg PoolConfig) *ClientPool {
 	if cfg.Size <= 0 {
 		cfg.Size = DefaultPoolSize
 	}
 	p := &ClientPool{
-		lanes:         make([]*ResilientClient, cfg.Size),
+		lanes:         make([]*lane, cfg.Size),
 		inflight:      make([]int, cfg.Size),
 		laneState:     make([]BreakerState, cfg.Size),
 		onStateChange: cfg.Resilience.OnStateChange,
 		tel:           newPoolTel(cfg.Resilience.Registry, cfg.Resilience.Name),
-		putTel:        newPutTel(cfg.Resilience.Registry, cfg.Resilience.Name),
 	}
+	p.ops = ops{x: p, put: newPutTel(cfg.Resilience.Registry, cfg.Resilience.Name)}
 	for i := range p.lanes {
 		lane := i
 		lcfg := cfg.Resilience
@@ -77,16 +74,16 @@ func NewPool(cfg PoolConfig) *ClientPool {
 		// not see N synchronized reconnect storms.
 		lcfg.JitterSeed ^= uint64(lane) * 0x9E3779B97F4A7C15
 		lcfg.OnStateChange = func(from, to BreakerState) { p.laneStateChanged(lane) }
-		p.lanes[i] = NewResilient(lcfg)
+		p.lanes[i] = newLane(lcfg)
 	}
 	p.tel.size.Set(float64(cfg.Size))
 	return p
 }
 
-// DialPool returns a pool for the server at addr. Like DialResilient, the
-// first lane connects eagerly so misconfiguration (bad address, bad
-// secret) surfaces immediately; the remaining lanes dial lazily as load
-// arrives, healing themselves independently afterwards.
+// DialPool returns a pool for the server at addr. The first lane
+// connects eagerly so misconfiguration (bad address, bad secret) surfaces
+// immediately; the remaining lanes dial lazily as load arrives, and every
+// lane heals itself independently afterwards.
 func DialPool(addr string, secret []byte, cfg PoolConfig) (*ClientPool, error) {
 	cfg.Resilience.withDefaults()
 	if cfg.Resilience.Dialer == nil {
@@ -96,9 +93,9 @@ func DialPool(addr string, secret []byte, cfg PoolConfig) (*ClientPool, error) {
 	}
 	p := NewPool(cfg)
 	first := p.lanes[0]
-	first.mu.Lock()
-	_, err := first.ensureClientLocked()
-	first.mu.Unlock()
+	first.callMu.Lock()
+	_, err := first.connect()
+	first.callMu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("memserver: pool dial %s: %w", addr, err)
 	}
@@ -142,11 +139,14 @@ func (p *ClientPool) release(lane int) {
 	p.tel.inflight.Dec()
 }
 
-// do dispatches one operation to the least-loaded lane.
-func (p *ClientPool) do(fn func(*ResilientClient) error) error {
-	lane := p.acquire()
-	defer p.release(lane)
-	return fn(p.lanes[lane])
+// exchange dispatches one call to the least-loaded lane. Single-request
+// traffic sticks to one warm connection; a pipelined prefetcher or a
+// streamed upload issues calls concurrently and they spread across all
+// lanes, so they genuinely overlap on the wire.
+func (p *ClientPool) exchange(c call) ([]byte, error) {
+	i := p.acquire()
+	defer p.release(i)
+	return p.lanes[i].exchange(c)
 }
 
 // laneStateChanged records a lane's breaker transition and recomputes the
@@ -160,11 +160,13 @@ func (p *ClientPool) do(fn func(*ResilientClient) error) error {
 // the cached state at a stale value forever once the lane stops
 // transitioning. Re-reading converges: whichever delivery runs last
 // sees the lane's settled state. (Lock order is p.mu → lane.mu; lane
-// callbacks never run under lane.mu, so there is no inversion.)
+// callbacks never run under lane.mu, so there is no inversion, and a
+// lane never holds its mutex across a dial or a round trip, so p.mu —
+// which every acquire takes — is never parked behind the network.)
 func (p *ClientPool) laneStateChanged(lane int) {
 	p.mu.Lock()
-	p.laneState[lane] = p.lanes[lane].BreakerState()
-	agg := p.aggregateLocked()
+	p.laneState[lane] = p.lanes[lane].breakerState()
+	agg := AggregateBreaker(p.laneState)
 	from := p.aggState
 	changed := agg != from
 	if changed {
@@ -183,32 +185,7 @@ func (p *ClientPool) laneStateChanged(lane int) {
 	}
 }
 
-// aggregateLocked derives the pool's breaker state from its lanes: the
-// pool is Open only when EVERY lane is open (one healthy connection still
-// serves faults), HalfOpen when no lane is closed but a probe is in
-// flight somewhere, Closed otherwise.
-func (p *ClientPool) aggregateLocked() BreakerState {
-	allOpen, anyHalf := true, false
-	for _, s := range p.laneState {
-		switch s {
-		case BreakerOpen:
-		case BreakerHalfOpen:
-			anyHalf = true
-			allOpen = false
-		default:
-			return BreakerClosed
-		}
-	}
-	if allOpen {
-		return BreakerOpen
-	}
-	if anyHalf {
-		return BreakerHalfOpen
-	}
-	return BreakerClosed
-}
-
-// BreakerState returns the aggregate breaker state (see aggregateLocked).
+// BreakerState returns the aggregate breaker state (see AggregateBreaker).
 // Memtap's Degraded check reads this: a pool is degraded only when no
 // lane can reach the server.
 func (p *ClientPool) BreakerState() BreakerState {
@@ -228,89 +205,20 @@ func (p *ClientPool) LaneStates() []BreakerState {
 func (p *ClientPool) ResilienceStats() ResilienceStats {
 	var out ResilienceStats
 	for _, lane := range p.lanes {
-		st := lane.ResilienceStats()
-		out.Retries += st.Retries
-		out.Reconnects += st.Reconnects
-		out.Failures += st.Failures
-		out.BreakerOpens += st.BreakerOpens
+		out.Add(lane.resilienceStats())
 	}
 	out.State = p.BreakerState()
 	return out
 }
 
-// Close shuts every lane's connection down. As with ResilientClient, the
-// pool may still be used afterwards; lanes reconnect on demand.
+// Close shuts every lane's connection down. The pool may still be used
+// afterwards; lanes reconnect on demand.
 func (p *ClientPool) Close() error {
 	var first error
 	for _, lane := range p.lanes {
-		if err := lane.Close(); err != nil && first == nil {
+		if err := lane.close(); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
-}
-
-// GetPage fetches one guest page over the least-loaded lane.
-func (p *ClientPool) GetPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error) {
-	var page []byte
-	err := p.do(func(r *ResilientClient) error {
-		var err error
-		page, err = r.GetPage(id, pfn)
-		return err
-	})
-	return page, err
-}
-
-// GetPageStaged fetches one page, reporting wire/decompress stage timings.
-func (p *ClientPool) GetPageStaged(id pagestore.VMID, pfn pagestore.PFN) (page []byte, wire, decompress time.Duration, err error) {
-	err = p.do(func(r *ResilientClient) error {
-		var err error
-		page, wire, decompress, err = r.GetPageStaged(id, pfn)
-		return err
-	})
-	return page, wire, decompress, err
-}
-
-// GetPages fetches a batch of pages over the least-loaded lane. Pipelined
-// prefetchers issue several GetPages concurrently; the pool spreads them
-// across lanes so the batches genuinely overlap on the wire.
-func (p *ClientPool) GetPages(id pagestore.VMID, pfns []pagestore.PFN) (map[pagestore.PFN][]byte, error) {
-	var pages map[pagestore.PFN][]byte
-	err := p.do(func(r *ResilientClient) error {
-		var err error
-		pages, err = r.GetPages(id, pfns)
-		return err
-	})
-	return pages, err
-}
-
-// Stats fetches server counters.
-func (p *ClientPool) Stats() (Stats, error) {
-	var st Stats
-	err := p.do(func(r *ResilientClient) error {
-		var err error
-		st, err = r.Stats()
-		return err
-	})
-	return st, err
-}
-
-// PutImage uploads a full image.
-func (p *ClientPool) PutImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte) error {
-	return p.do(func(r *ResilientClient) error { return r.PutImage(id, alloc, snapshot) })
-}
-
-// PutDiff applies a differential snapshot.
-func (p *ClientPool) PutDiff(id pagestore.VMID, snapshot []byte) error {
-	return p.do(func(r *ResilientClient) error { return r.PutDiff(id, snapshot) })
-}
-
-// Delete frees a VM's image.
-func (p *ClientPool) Delete(id pagestore.VMID) error {
-	return p.do(func(r *ResilientClient) error { return r.Delete(id) })
-}
-
-// SetServing toggles whether the daemon serves pages.
-func (p *ClientPool) SetServing(on bool) error {
-	return p.do(func(r *ResilientClient) error { return r.SetServing(on) })
 }

@@ -85,13 +85,75 @@ func TestPoolLeastLoadedDispatch(t *testing.T) {
 	}
 }
 
+// TestParkedDialDoesNotStallBreakerOrSiblings pins the lane's locking
+// rule: a dial runs outside the lane's state mutex. One lane's redial of
+// a black-holed server (here: a Dialer parked on a channel) must not keep
+// anyone from reading the breaker — memtap's Degraded() sits on the
+// agent's recovery path — nor, through a breaker callback that takes the
+// pool's mutex and then the lane's, stall dispatch to the healthy lanes.
+func TestParkedDialDoesNotStallBreakerOrSiblings(t *testing.T) {
+	_, addr := startServer(t)
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	var dials atomic.Int32
+	cfg := fastResilient()
+	cfg.Dialer = func() (*Client, error) {
+		if dials.Add(1) == 1 {
+			close(parked)
+			<-release
+		}
+		return Dial(addr, testSecret, time.Second)
+	}
+	p := NewPool(PoolConfig{Size: 2, Resilience: cfg})
+	defer p.Close()
+	var unpark sync.Once
+	defer unpark.Do(func() { close(release) }) // before Close, which waits for the dial
+
+	// The first call lands on lane 0 and parks in its dial.
+	first := make(chan error, 1)
+	go func() {
+		_, err := p.Stats()
+		first <- err
+	}()
+	<-parked
+
+	promptly := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			fn()
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s blocked behind another lane's dial", what)
+		}
+	}
+	promptly("lane BreakerState", func() { p.lanes[0].breakerState() })
+	promptly("ResilienceStats", func() { p.ResilienceStats() })
+	// A breaker callback for the dialing lane, delivered late (callbacks
+	// run outside the lane's mutex, so they can be).
+	promptly("laneStateChanged", func() { p.laneStateChanged(0) })
+	promptly("a sibling lane's Stats", func() {
+		if _, err := p.Stats(); err != nil {
+			t.Errorf("sibling lane: %v", err)
+		}
+	})
+
+	unpark.Do(func() { close(release) })
+	if err := <-first; err != nil {
+		t.Fatalf("parked call after release: %v", err)
+	}
+}
+
 // forceLaneState transitions a lane's real breaker and delivers its
 // callback, the same path production transitions take.
 func forceLaneState(p *ClientPool, lane int, s BreakerState) {
-	r := p.lanes[lane]
-	r.mu.Lock()
-	cb := r.setStateLocked(s)
-	r.mu.Unlock()
+	l := p.lanes[lane]
+	l.mu.Lock()
+	cb := l.setStateLocked(s)
+	l.mu.Unlock()
 	if cb != nil {
 		cb()
 	}

@@ -16,6 +16,7 @@ import (
 	"hash"
 	"io"
 	"net"
+	"strings"
 
 	"oasis/internal/pagestore"
 )
@@ -261,13 +262,23 @@ func (e remoteError) Error() string { return "memserver: remote: " + string(e) }
 
 // IsRemoteError reports whether err is a reply from a healthy server
 // refusing the request (unknown VM, not serving, malformed payload), as
-// opposed to a transport failure. The resilient client returns such
-// errors without retrying or tripping the breaker; the shard fabric uses
-// the distinction to decide between hinting a write for later replay
+// opposed to a transport failure. A lane returns such errors without
+// retrying or tripping the breaker; the shard fabric uses the
+// distinction to decide between hinting a write for later replay
 // (transport loss) and failing it outright (server refusal).
 func IsRemoteError(err error) bool {
 	var r remoteError
 	return errors.As(err, &r)
+}
+
+// IsUnknownVM reports whether err is a server refusing an operation on a
+// VM it holds no image for. To the shard fabric that is the signature of
+// a backend that restarted empty. The server relays the page store's
+// error text, so the match is keyed to the constant the store formats
+// that error from.
+func IsUnknownVM(err error) bool {
+	var r remoteError
+	return errors.As(err, &r) && strings.Contains(string(r), pagestore.UnknownVMText)
 }
 
 // GetPages batch framing. The encode/parse pairs below are the single

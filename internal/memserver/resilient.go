@@ -6,44 +6,27 @@ import (
 	"sync"
 	"time"
 
-	"oasis/internal/metrics"
-	"oasis/internal/pagestore"
 	"oasis/internal/rng"
 	"oasis/internal/telemetry"
-	"oasis/internal/units"
 )
 
 // This file adds the resilience layer the paper punts on ("a failed
-// memory server strands its partial VMs"): a client that survives dropped
+// memory server strands its partial VMs"): a lane that survives dropped
 // connections, server restarts and transient stalls by reconnecting with
-// exponential backoff + jitter, retrying operations, and tripping a
-// circuit breaker when the server is genuinely gone so callers can
-// degrade (memtap reports the VM degraded; the agent force-promotes it
-// home from the last good image, §4.4.4).
-//
-// Retry classes. Every protocol operation is idempotent by design, which
-// is what makes transparent retry safe:
-//
-//   - GetPage/GetPages/Stats are pure reads.
-//   - PutImage replaces the whole image for a VMID; replaying it yields
-//     the same image.
-//   - PutDiff writes absolute page contents (not increments); applying
-//     the same diff twice is a no-op.
-//   - Delete and SetServing are trivially idempotent.
-//
-// Reads retry up to MaxRetries because a stranded partial VM has no
-// alternative. Mutating ops retry with the smaller MutatingRetries
-// budget: their callers (the host agent's upload path) hold the
-// authoritative copy and can re-drive the operation at a higher level,
-// so burning the fault window on retries only delays the degradation
-// decision.
+// exponential backoff + jitter, re-issuing calls, and tripping a circuit
+// breaker when the server is genuinely gone so callers can degrade
+// (memtap reports the VM degraded; the agent force-promotes it home from
+// the last good image, §4.4.4). A lane is mechanism only: it re-issues
+// whatever call it is handed, and the call says which retry budget it
+// gets (see call.mutating). ClientPool is the exported face of one or
+// more lanes.
 
 // ErrCircuitOpen is returned while the breaker is open: the server has
 // failed repeatedly and calls fail fast instead of queueing behind
 // doomed reconnect attempts. Callers treat it as "degrade now".
 var ErrCircuitOpen = errors.New("memserver: circuit open (memory server unavailable)")
 
-// BreakerState is the resilient client's circuit-breaker state.
+// BreakerState is a lane's (or, aggregated, a pool's) circuit-breaker state.
 type BreakerState int32
 
 // Breaker states: Closed passes traffic; Open fails fast; HalfOpen lets
@@ -97,7 +80,8 @@ type ResilientConfig struct {
 	OpTimeout   time.Duration
 	// Dialer overrides how connections are (re)established; tests and
 	// the fault injector supply wrapped transports. Nil uses
-	// Dial(addr, secret, DialTimeout).
+	// Dial(addr, secret, DialTimeout). It runs outside every lock and
+	// may block for as long as it likes.
 	Dialer func() (*Client, error)
 	// Sleep replaces time.Sleep in backoff waits (virtual time in
 	// tests). Nil uses time.Sleep.
@@ -136,7 +120,7 @@ func (c *ResilientConfig) withDefaults() {
 		c.BreakerCooldown = 5 * time.Second
 	}
 	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
+		c.DialTimeout = DefaultDialTimeout
 	}
 	if c.OpTimeout <= 0 {
 		c.OpTimeout = DefaultOpTimeout
@@ -146,7 +130,24 @@ func (c *ResilientConfig) withDefaults() {
 	}
 }
 
-// ResilienceStats snapshots the resilient client's counters for the
+// AggregateBreaker folds the breakers of a group's members — a pool's
+// lanes, a fabric's backends — into the group's: Open only when EVERY
+// member is open (one healthy member still serves), HalfOpen when none is
+// closed but a probe is in flight somewhere, Closed otherwise.
+func AggregateBreaker(members []BreakerState) BreakerState {
+	agg := BreakerOpen
+	for _, s := range members {
+		switch s {
+		case BreakerClosed:
+			return BreakerClosed
+		case BreakerHalfOpen:
+			agg = BreakerHalfOpen
+		}
+	}
+	return agg
+}
+
+// ResilienceStats snapshots the retry layer's counters for the
 // metrics/degradation reporting layer.
 type ResilienceStats struct {
 	Retries      int64 // operation attempts beyond the first
@@ -156,141 +157,137 @@ type ResilienceStats struct {
 	State        BreakerState
 }
 
-// ResilientClient wraps the single-connection Client with reconnect,
-// retry and circuit breaking. It is safe for concurrent use; operations
-// serialise on the one underlying connection exactly as Client does.
-type ResilientClient struct {
-	cfg ResilientConfig
+// Add sums a group member's counters into s. State is left alone: a
+// group's breaker is an AggregateBreaker, not a sum.
+func (s *ResilienceStats) Add(member ResilienceStats) {
+	s.Retries += member.Retries
+	s.Reconnects += member.Reconnects
+	s.Failures += member.Failures
+	s.BreakerOpens += member.BreakerOpens
+}
 
+// lane is one self-healing connection: the exchanger that re-issues a
+// call across reconnects until it succeeds, its retry budget runs out, or
+// the breaker says the server is gone. It is safe for concurrent use;
+// calls serialise on the one underlying connection exactly as on Client.
+type lane struct {
+	cfg ResilientConfig
+	tel *resTel
+
+	// callMu serialises attempts, each a (re)dial if needed plus one
+	// round trip. Holding it across both means at most one dial is ever
+	// in flight, and no caller queues on a connection the caller ahead
+	// of it is about to poison — one transport error is one failure to
+	// the breaker, however many calls were waiting.
+	callMu sync.Mutex
+
+	// mu guards the state below and is never held across a dial, a
+	// round trip or a sleep, so the breaker can always be read promptly.
 	mu       sync.Mutex
 	client   *Client // nil when disconnected
 	everConn bool
-	state    BreakerState
 	fails    int       // consecutive failed attempts
 	openedAt time.Time // when the breaker last opened
 	jitter   *rng.Rand
-	counters *metrics.AtomicCounter
-	tel      *resTel
-
-	retries      int64
-	reconnects   int64
-	failures     int64
-	breakerOpens int64
+	stats    ResilienceStats // State is the breaker
 }
 
-// DialResilient returns a resilient client for the server at addr. The
-// first connection is attempted eagerly so misconfiguration (bad
-// address, bad secret) surfaces immediately; afterwards the client heals
-// itself across server crashes and restarts.
-func DialResilient(addr string, secret []byte, cfg ResilientConfig) (*ResilientClient, error) {
+// newLane builds a lane around cfg.Dialer (which must be set) without
+// connecting; the first call dials.
+func newLane(cfg ResilientConfig) *lane {
 	cfg.withDefaults()
 	if cfg.Dialer == nil {
-		secret = append([]byte(nil), secret...)
-		cfg.Dialer = func() (*Client, error) { return Dial(addr, secret, cfg.DialTimeout) }
+		panic("memserver: a lane requires cfg.Dialer")
 	}
-	r := NewResilient(cfg)
-	r.mu.Lock()
-	_, err := r.ensureClientLocked()
-	r.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// NewResilient builds a resilient client around cfg.Dialer without
-// connecting; the first operation dials. cfg.Dialer must be set.
-func NewResilient(cfg ResilientConfig) *ResilientClient {
-	cfg.withDefaults()
-	if cfg.Dialer == nil {
-		panic("memserver: NewResilient requires cfg.Dialer")
-	}
-	return &ResilientClient{
-		cfg:      cfg,
-		jitter:   rng.New(cfg.JitterSeed ^ 0x6f617369),
-		counters: metrics.NewAtomicCounter(),
-		tel:      newResTel(cfg.Registry, cfg.Name),
+	return &lane{
+		cfg:    cfg,
+		tel:    newResTel(cfg.Registry, cfg.Name),
+		jitter: rng.New(cfg.JitterSeed ^ 0x6f617369),
 	}
 }
 
-// Close shuts the current connection down. The client may still be used
-// afterwards; the next operation reconnects.
-func (r *ResilientClient) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.client == nil {
+// close shuts the current connection down once the attempt in flight, if
+// any, has finished. The lane may still be used afterwards; the next call
+// reconnects.
+func (l *lane) close() error {
+	l.callMu.Lock()
+	defer l.callMu.Unlock()
+	l.mu.Lock()
+	c := l.client
+	l.client = nil
+	l.mu.Unlock()
+	if c == nil {
 		return nil
 	}
-	err := r.client.Close()
-	r.client = nil
-	return err
+	return c.Close()
 }
 
-// BreakerState returns the current circuit-breaker state.
-func (r *ResilientClient) BreakerState() BreakerState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state
+func (l *lane) breakerState() BreakerState {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.stats.State
 }
 
-// Stats snapshots the resilience counters.
-func (r *ResilientClient) ResilienceStats() ResilienceStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return ResilienceStats{
-		Retries:      r.retries,
-		Reconnects:   r.reconnects,
-		Failures:     r.failures,
-		BreakerOpens: r.breakerOpens,
-		State:        r.state,
-	}
+func (l *lane) resilienceStats() ResilienceStats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.stats
 }
 
-// Counters exposes the named event tallies (retry, reconnect, ...) for
-// aggregation into higher-level metrics.
-func (r *ResilientClient) Counters() *metrics.AtomicCounter { return r.counters }
-
-// ensureClientLocked returns a healthy client, dialing if needed.
-// Callers hold r.mu.
-func (r *ResilientClient) ensureClientLocked() (*Client, error) {
-	if r.client != nil && !r.client.Broken() {
-		return r.client, nil
-	}
-	if r.client != nil {
-		r.client.Close()
-		r.client = nil
-	}
-	c, err := r.cfg.Dialer()
+// attempt makes one try at c: over the current connection if it is
+// healthy, else over a fresh one.
+func (l *lane) attempt(c call) ([]byte, error) {
+	l.callMu.Lock()
+	defer l.callMu.Unlock()
+	client, err := l.connect()
 	if err != nil {
 		return nil, err
 	}
-	c.SetOpTimeout(r.cfg.OpTimeout)
-	r.client = c
-	if r.everConn {
-		r.reconnects++
-		r.counters.Inc("reconnect", 1)
-		r.tel.reconnects.Inc()
+	return client.exchange(c)
+}
+
+// connect returns a healthy connection, dialing if needed. Callers hold
+// callMu and nothing else: a black-holed server can park the dial for
+// DialTimeout, and the lane's state must stay readable throughout.
+func (l *lane) connect() (*Client, error) {
+	l.mu.Lock()
+	client := l.client
+	l.mu.Unlock()
+	if client != nil && !client.Broken() {
+		return client, nil
 	}
-	r.everConn = true
-	return c, nil
+	// A broken Client has already closed its socket; just replace it.
+	client, err := l.cfg.Dialer()
+	if err != nil {
+		return nil, err
+	}
+	client.SetOpTimeout(l.cfg.OpTimeout)
+	l.mu.Lock()
+	l.client = client
+	if l.everConn {
+		l.stats.Reconnects++
+		l.tel.reconnects.Inc()
+	}
+	l.everConn = true
+	l.mu.Unlock()
+	return client, nil
 }
 
 // setStateLocked transitions the breaker, returning a callback to invoke
 // after unlocking (or nil).
-func (r *ResilientClient) setStateLocked(s BreakerState) func() {
-	if r.state == s {
+func (l *lane) setStateLocked(s BreakerState) func() {
+	if l.stats.State == s {
 		return nil
 	}
-	from := r.state
-	r.state = s
-	r.tel.state.Set(float64(s))
+	from := l.stats.State
+	l.stats.State = s
+	l.tel.state.Set(float64(s))
 	if s == BreakerOpen {
-		r.openedAt = time.Now()
-		r.breakerOpens++
-		r.counters.Inc("breaker-open", 1)
-		r.tel.opens.Inc()
+		l.openedAt = time.Now()
+		l.stats.BreakerOpens++
+		l.tel.opens.Inc()
 	}
-	if cb := r.cfg.OnStateChange; cb != nil {
+	if cb := l.cfg.OnStateChange; cb != nil {
 		return func() { cb(from, s) }
 	}
 	return nil
@@ -298,18 +295,18 @@ func (r *ResilientClient) setStateLocked(s BreakerState) func() {
 
 // allow checks the breaker before an attempt: open and still cooling
 // down → fail fast; open past the cooldown → half-open probe.
-func (r *ResilientClient) allow() error {
-	r.mu.Lock()
+func (l *lane) allow() error {
+	l.mu.Lock()
 	var cb func()
 	err := error(nil)
-	if r.state == BreakerOpen {
-		if time.Since(r.openedAt) >= r.cfg.BreakerCooldown {
-			cb = r.setStateLocked(BreakerHalfOpen)
+	if l.stats.State == BreakerOpen {
+		if time.Since(l.openedAt) >= l.cfg.BreakerCooldown {
+			cb = l.setStateLocked(BreakerHalfOpen)
 		} else {
 			err = ErrCircuitOpen
 		}
 	}
-	r.mu.Unlock()
+	l.mu.Unlock()
 	if cb != nil {
 		cb()
 	}
@@ -317,11 +314,11 @@ func (r *ResilientClient) allow() error {
 }
 
 // onSuccess resets the failure accounting and closes the breaker.
-func (r *ResilientClient) onSuccess() {
-	r.mu.Lock()
-	r.fails = 0
-	cb := r.setStateLocked(BreakerClosed)
-	r.mu.Unlock()
+func (l *lane) onSuccess() {
+	l.mu.Lock()
+	l.fails = 0
+	cb := l.setStateLocked(BreakerClosed)
+	l.mu.Unlock()
 	if cb != nil {
 		cb()
 	}
@@ -330,17 +327,16 @@ func (r *ResilientClient) onSuccess() {
 // onFailure counts a failed attempt and trips the breaker when the
 // consecutive-failure threshold is reached (immediately, when a
 // half-open probe fails).
-func (r *ResilientClient) onFailure() {
-	r.mu.Lock()
-	r.fails++
-	r.failures++
-	r.counters.Inc("failure", 1)
-	r.tel.failures.Inc()
+func (l *lane) onFailure() {
+	l.mu.Lock()
+	l.fails++
+	l.stats.Failures++
+	l.tel.failures.Inc()
 	var cb func()
-	if r.state == BreakerHalfOpen || r.fails >= r.cfg.BreakerThreshold {
-		cb = r.setStateLocked(BreakerOpen)
+	if l.stats.State == BreakerHalfOpen || l.fails >= l.cfg.BreakerThreshold {
+		cb = l.setStateLocked(BreakerOpen)
 	}
-	r.mu.Unlock()
+	l.mu.Unlock()
 	if cb != nil {
 		cb()
 	}
@@ -348,154 +344,49 @@ func (r *ResilientClient) onFailure() {
 
 // backoff sleeps base·2^attempt with up to 50% seeded jitter, capped at
 // MaxBackoff.
-func (r *ResilientClient) backoff(attempt int) {
-	d := r.cfg.BaseBackoff << uint(attempt)
-	if d > r.cfg.MaxBackoff || d <= 0 {
-		d = r.cfg.MaxBackoff
+func (l *lane) backoff(attempt int) {
+	d := l.cfg.BaseBackoff << uint(attempt)
+	if d > l.cfg.MaxBackoff || d <= 0 {
+		d = l.cfg.MaxBackoff
 	}
-	r.mu.Lock()
-	frac := r.jitter.Float64()
-	r.mu.Unlock()
+	l.mu.Lock()
+	frac := l.jitter.Float64()
+	l.mu.Unlock()
 	d += time.Duration(frac * 0.5 * float64(d))
-	r.tel.backoff.Add(d.Seconds())
-	r.cfg.Sleep(d)
+	l.tel.backoff.Add(d.Seconds())
+	l.cfg.Sleep(d)
 }
 
-// do runs fn with retry/reconnect/breaker handling. A remoteError reply
-// is a healthy server refusing the request (unknown VM, not serving):
-// it is returned as-is without burning retries or tripping the breaker.
-func (r *ResilientClient) do(op string, mutating bool, fn func(*Client) error) error {
-	attempts := r.cfg.MaxRetries
-	if mutating {
-		attempts = r.cfg.MutatingRetries
+// exchange carries c with retry/reconnect/breaker handling. A remoteError
+// reply is a healthy server refusing the request (unknown VM, not
+// serving): it is returned as-is without burning retries or tripping the
+// breaker.
+func (l *lane) exchange(c call) ([]byte, error) {
+	attempts := l.cfg.MaxRetries
+	if c.mutating {
+		attempts = l.cfg.MutatingRetries
 	}
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
-		if err := r.allow(); err != nil {
-			return fmt.Errorf("memserver: %s: %w", op, err)
+		if err := l.allow(); err != nil {
+			return nil, fmt.Errorf("memserver: %s: %w", c.op, err)
 		}
 		if attempt > 0 {
-			r.mu.Lock()
-			r.retries++
-			r.counters.Inc("retry", 1)
-			r.mu.Unlock()
-			r.tel.retries.Inc()
+			l.mu.Lock()
+			l.stats.Retries++
+			l.mu.Unlock()
+			l.tel.retries.Inc()
 		}
-		r.mu.Lock()
-		c, err := r.ensureClientLocked()
-		r.mu.Unlock()
-		if err == nil {
-			err = fn(c)
-			if err == nil {
-				r.onSuccess()
-				return nil
-			}
-			var remote remoteError
-			if errors.As(err, &remote) {
-				r.onSuccess() // the transport worked; the server said no
-				return err
-			}
+		reply, err := l.attempt(c)
+		if err == nil || IsRemoteError(err) {
+			l.onSuccess() // the transport worked, whatever the server said
+			return reply, err
 		}
 		lastErr = err
-		r.onFailure()
+		l.onFailure()
 		if attempt < attempts-1 {
-			r.backoff(attempt)
+			l.backoff(attempt)
 		}
 	}
-	return fmt.Errorf("memserver: %s failed after %d attempts: %w", op, attempts, lastErr)
-}
-
-// GetPage fetches one guest page with retries (see Client.GetPage).
-func (r *ResilientClient) GetPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error) {
-	var page []byte
-	err := r.do("GetPage", false, func(c *Client) error {
-		var err error
-		page, err = c.GetPage(id, pfn)
-		return err
-	})
-	return page, err
-}
-
-// GetPageStaged fetches one page with retries, reporting the last
-// attempt's wire and decompress stage timings (see Client.GetPageStaged).
-func (r *ResilientClient) GetPageStaged(id pagestore.VMID, pfn pagestore.PFN) (page []byte, wire, decompress time.Duration, err error) {
-	err = r.do("GetPage", false, func(c *Client) error {
-		var err error
-		page, wire, decompress, err = c.GetPageStaged(id, pfn)
-		return err
-	})
-	return page, wire, decompress, err
-}
-
-// GetPages fetches a batch of pages with retries (see Client.GetPages).
-func (r *ResilientClient) GetPages(id pagestore.VMID, pfns []pagestore.PFN) (map[pagestore.PFN][]byte, error) {
-	var pages map[pagestore.PFN][]byte
-	err := r.do("GetPages", false, func(c *Client) error {
-		var err error
-		pages, err = c.GetPages(id, pfns)
-		return err
-	})
-	return pages, err
-}
-
-// Stats fetches server counters with retries.
-func (r *ResilientClient) Stats() (Stats, error) {
-	var st Stats
-	err := r.do("Stats", false, func(c *Client) error {
-		var err error
-		st, err = c.Stats()
-		return err
-	})
-	return st, err
-}
-
-// PutImage uploads a full image with a bounded retry budget (idempotent:
-// it replaces the VM's image wholesale).
-func (r *ResilientClient) PutImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte) error {
-	return r.do("PutImage", true, func(c *Client) error { return c.PutImage(id, alloc, snapshot) })
-}
-
-// PutDiff applies a differential snapshot with a bounded retry budget
-// (idempotent: diffs carry absolute page contents).
-func (r *ResilientClient) PutDiff(id pagestore.VMID, snapshot []byte) error {
-	return r.do("PutDiff", true, func(c *Client) error { return c.PutDiff(id, snapshot) })
-}
-
-// PutBegin opens a chunked upload with the read retry budget: Begin is a
-// pure staging operation (the live image is untouched until Commit) and
-// re-sending it for the same upload id keeps already-staged chunks, so
-// retrying freely costs nothing and loses nothing.
-func (r *ResilientClient) PutBegin(id pagestore.VMID, uploadID uint64, kind byte, alloc units.Bytes) error {
-	return r.do("PutBegin", false, func(c *Client) error { return c.PutBegin(id, uploadID, kind, alloc) })
-}
-
-// PutChunk stages one chunk with the read retry budget: a duplicate seq
-// overwrites with identical bytes and a chunk landing after its upload
-// committed is acknowledged as a no-op, so retry is always safe.
-func (r *ResilientClient) PutChunk(id pagestore.VMID, uploadID uint64, seq uint32, chunk []byte) error {
-	return r.do("PutChunk", false, func(c *Client) error { return c.PutChunk(id, uploadID, seq, chunk) })
-}
-
-// PutChunkRef stages one chunk from segment references without
-// flattening them into a contiguous buffer (see Client.PutChunkRef);
-// retry semantics are identical to PutChunk.
-func (r *ResilientClient) PutChunkRef(id pagestore.VMID, uploadID uint64, seq uint32, chunk pagestore.ChunkRef) error {
-	return r.do("PutChunk", false, func(c *Client) error { return c.PutChunkRef(id, uploadID, seq, chunk) })
-}
-
-// PutCommit commits a chunked upload with the read retry budget: the
-// server remembers the last committed upload id per VM, so a Commit
-// retried after a lost reply is acknowledged without re-applying.
-func (r *ResilientClient) PutCommit(id pagestore.VMID, uploadID uint64, n uint32) error {
-	return r.do("PutCommit", false, func(c *Client) error { return c.PutCommit(id, uploadID, n) })
-}
-
-// Delete frees a VM's image with a bounded retry budget (idempotent).
-func (r *ResilientClient) Delete(id pagestore.VMID) error {
-	return r.do("Delete", true, func(c *Client) error { return c.Delete(id) })
-}
-
-// SetServing toggles serving with a bounded retry budget (idempotent).
-func (r *ResilientClient) SetServing(on bool) error {
-	return r.do("SetServing", true, func(c *Client) error { return c.SetServing(on) })
+	return nil, fmt.Errorf("memserver: %s failed after %d attempts: %w", c.op, attempts, lastErr)
 }

@@ -83,7 +83,7 @@ func TestResilientReconnectsAfterServerRestart(t *testing.T) {
 	rs := newRestartableServer(t)
 	src, snap := makeSnapshot(t, 8*units.MiB, 3, 40)
 
-	rc, err := DialResilient(rs.addr, testSecret, fastResilient())
+	rc, err := DialPool(rs.addr, testSecret, PoolConfig{Size: 1, Resilience: fastResilient()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestResilientRetriesThroughFaultStorm(t *testing.T) {
 		}
 		return NewClientConn(conn, testSecret)
 	}
-	rc := NewResilient(cfg)
+	rc := NewPool(PoolConfig{Size: 1, Resilience: cfg})
 	defer rc.Close()
 
 	// Upload the image before the storm begins (the mutating-op retry
@@ -193,7 +193,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		tmu.Unlock()
 	}
 	cfg.DialTimeout = 200 * time.Millisecond
-	rc, err := DialResilient(rs.addr, testSecret, cfg)
+	rc, err := DialPool(rs.addr, testSecret, PoolConfig{Size: 1, Resilience: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestResilientConcurrentOpsDuringRestarts(t *testing.T) {
 	cfg := fastResilient()
 	cfg.MaxRetries = 8
 	cfg.MaxBackoff = 20 * time.Millisecond
-	rc, err := DialResilient(rs.addr, testSecret, cfg)
+	rc, err := DialPool(rs.addr, testSecret, PoolConfig{Size: 1, Resilience: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestMutatingOpsBoundedRetries(t *testing.T) {
 		dials++
 		return nil, errors.New("synthetic dial failure")
 	}
-	rc := NewResilient(cfg)
+	rc := NewPool(PoolConfig{Size: 1, Resilience: cfg})
 	if err := rc.PutDiff(1, nil); err == nil {
 		t.Fatal("PutDiff succeeded with a failing dialer")
 	}
@@ -325,7 +325,7 @@ func TestRemoteErrorsDoNotBurnRetries(t *testing.T) {
 		dials++
 		return Dial(rs.addr, testSecret, time.Second)
 	}
-	rc := NewResilient(cfg)
+	rc := NewPool(PoolConfig{Size: 1, Resilience: cfg})
 	defer rc.Close()
 	// Unknown VM: the server answers with a clean msgError. That must
 	// surface once, with no retries and no breaker damage.

@@ -47,8 +47,8 @@ type Config struct {
 	// de-correlate reconnect storms across the fabric.
 	Pool memserver.PoolConfig
 	// Dialer overrides how one backend connection is established (tests
-	// and chaos harnesses wrap the transport, TLS deployments dial with
-	// a cert pool). Nil uses memserver.Dial with the fabric secret.
+	// and chaos harnesses wrap the transport, Connect dials TLS with a
+	// cert pool). Nil uses memserver.Dial with the fabric secret.
 	Dialer func(addr string) (*memserver.Client, error)
 	// RebalanceBytesPerSec caps the encoded bytes per second the
 	// background rebalancer and repair paths copy between backends, so a
@@ -168,8 +168,7 @@ type imageInfo struct {
 //
 // Client is safe for concurrent use.
 type Client struct {
-	cfg     Config // normalized: defaults filled in
-	secret  []byte
+	cfg     Config                    // normalized: defaults filled in
 	baseRes memserver.ResilientConfig // per-backend template
 	onState func(from, to memserver.BreakerState)
 	tel     *shardTel
@@ -234,24 +233,15 @@ func Dial(addrs []string, secret []byte, cfg Config) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := c.state.Load()
-	var wg sync.WaitGroup
-	errs := make([]error, len(st.cur))
-	for i := range st.cur {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Stats is the cheapest op that proves address + secret; it
-			// also warms the pool's first lane.
-			_, errs[i] = st.cur[i].pool.Stats()
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("shard: backend %d (%s): %w", i, addrs[i], err)
-		}
+	// Stats is the cheapest op that proves address + secret; it also
+	// warms each pool's first lane.
+	err = c.eachBackend(func(ref *backendRef) error {
+		_, err := ref.pool.Stats()
+		return err
+	})
+	if err != nil {
+		c.Close()
+		return nil, err
 	}
 	return c, nil
 }
@@ -278,6 +268,13 @@ func New(addrs []string, secret []byte, cfg Config) (*Client, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
 	}
+	secret = append([]byte(nil), secret...)
+	if cfg.Dialer == nil {
+		timeout := cfg.Pool.Resilience.DialTimeout
+		cfg.Dialer = func(addr string) (*memserver.Client, error) {
+			return memserver.Dial(addr, secret, timeout)
+		}
+	}
 	ring, err := NewRing(addrs, cfg.Replicas, cfg.RangePages, cfg.Vnodes)
 	if err != nil {
 		return nil, err
@@ -288,7 +285,6 @@ func New(addrs []string, secret []byte, cfg Config) (*Client, error) {
 	}
 	c := &Client{
 		cfg:      cfg,
-		secret:   append([]byte(nil), secret...),
 		baseRes:  base,
 		onState:  base.OnStateChange,
 		tel:      newShardTel(base.Registry),
@@ -326,16 +322,7 @@ func (c *Client) newBackendRef(addr string) *backendRef {
 	pcfg.Resilience = c.baseRes
 	pcfg.Resilience.Name = c.baseRes.Name + "-" + strconv.Itoa(tidx)
 	pcfg.Resilience.JitterSeed ^= uint64(tidx+1) * 0xD6E8FEB86659FD93
-	if c.cfg.Dialer != nil {
-		dial := c.cfg.Dialer
-		pcfg.Resilience.Dialer = func() (*memserver.Client, error) { return dial(addr) }
-	} else {
-		secret := c.secret
-		timeout := pcfg.Resilience.DialTimeout
-		pcfg.Resilience.Dialer = func() (*memserver.Client, error) {
-			return memserver.Dial(addr, secret, timeout)
-		}
-	}
+	pcfg.Resilience.Dialer = func() (*memserver.Client, error) { return c.cfg.Dialer(addr) }
 	pcfg.Resilience.OnStateChange = func(from, to memserver.BreakerState) {
 		c.poolStateChanged(ref, from, to)
 	}
@@ -463,27 +450,14 @@ func (c *Client) Close() error {
 
 // BreakerState aggregates across backends the way a pool aggregates
 // across lanes: the fabric is Open only when every backend's pool is
-// open (no shard can serve anything), HalfOpen when nothing is closed
-// but a probe is in flight somewhere.
+// open (no shard can serve anything).
 func (c *Client) BreakerState() memserver.BreakerState {
-	allOpen, anyHalf := true, false
-	for _, ref := range c.state.Load().allRefs() {
-		switch ref.pool.BreakerState() {
-		case memserver.BreakerOpen:
-		case memserver.BreakerHalfOpen:
-			anyHalf = true
-			allOpen = false
-		default:
-			return memserver.BreakerClosed
-		}
+	refs := c.state.Load().allRefs()
+	states := make([]memserver.BreakerState, len(refs))
+	for i, ref := range refs {
+		states[i] = ref.pool.BreakerState()
 	}
-	if allOpen {
-		return memserver.BreakerOpen
-	}
-	if anyHalf {
-		return memserver.BreakerHalfOpen
-	}
-	return memserver.BreakerClosed
+	return memserver.AggregateBreaker(states)
 }
 
 // ResilienceStats sums the backend pools' counters; State is the
@@ -491,11 +465,7 @@ func (c *Client) BreakerState() memserver.BreakerState {
 func (c *Client) ResilienceStats() memserver.ResilienceStats {
 	var out memserver.ResilienceStats
 	for _, ref := range c.state.Load().allRefs() {
-		st := ref.pool.ResilienceStats()
-		out.Retries += st.Retries
-		out.Reconnects += st.Reconnects
-		out.Failures += st.Failures
-		out.BreakerOpens += st.BreakerOpens
+		out.Add(ref.pool.ResilienceStats())
 	}
 	out.State = c.BreakerState()
 	return out
@@ -610,7 +580,7 @@ func (c *Client) readFrom(id pagestore.VMID, pfn pagestore.PFN, fn func(p *memse
 		}
 		tried++
 		if err := fn(ref.pool); err != nil {
-			if isUnknownVM(err) && c.tracked(id) {
+			if memserver.IsUnknownVM(err) && c.tracked(id) {
 				// The backend is up but lost a VM we registered with it:
 				// it restarted empty. Flag the repair so the replica
 				// count recovers (the read itself just fails over).
@@ -651,12 +621,7 @@ func (c *Client) readFrom(id pagestore.VMID, pfn pagestore.PFN, fn func(p *memse
 
 // GetPage fetches one guest page from the range's replica set.
 func (c *Client) GetPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error) {
-	var page []byte
-	err := c.readFrom(id, pfn, func(p *memserver.ClientPool) error {
-		var err error
-		page, err = p.GetPage(id, pfn)
-		return err
-	})
+	page, _, _, err := c.GetPageStaged(id, pfn)
 	return page, err
 }
 
@@ -781,6 +746,22 @@ func (k writeKind) String() string {
 }
 
 func (k writeKind) image() bool { return k == wImage || k == wStreamImage }
+
+// send issues the write k names against one backend's pool.
+func (k writeKind) send(p *memserver.ClientPool, id pagestore.VMID, alloc units.Bytes, part []byte, opts memserver.PutOptions) error {
+	switch k {
+	case wImage:
+		return p.PutImage(id, alloc, part)
+	case wStreamImage:
+		return p.StreamImage(id, alloc, part, opts)
+	case wDiff:
+		return p.PutDiff(id, part)
+	case wStreamDiff:
+		return p.StreamDiff(id, part, opts)
+	default:
+		return p.Delete(id)
+	}
+}
 
 // writeSnapshot is the single replica-write fan-out behind
 // PutImage/PutDiff/StreamImage/StreamDiff. Partitioning follows the
@@ -912,23 +893,13 @@ func (c *Client) writePart(kind writeKind, ref *backendRef, id pagestore.VMID, a
 	if c.enqueueIfQueued(ref.addr, kind, id, alloc, part, opts, ranges) {
 		return errHinted
 	}
-	var err error
-	switch kind {
-	case wImage:
-		err = ref.pool.PutImage(id, alloc, part)
-	case wStreamImage:
-		err = ref.pool.StreamImage(id, alloc, part, opts)
-	case wDiff:
-		err = ref.pool.PutDiff(id, part)
-	default:
-		err = ref.pool.StreamDiff(id, part, opts)
-	}
+	err := kind.send(ref.pool, id, alloc, part, opts)
 	if err == nil {
 		c.tel.write(ref.tidx).Inc()
 		c.tel.byte(ref.tidx).Add(float64(len(part)))
 		return nil
 	}
-	if memserver.IsRemoteError(err) && !isUnknownVM(err) {
+	if memserver.IsRemoteError(err) && !memserver.IsUnknownVM(err) {
 		// A healthy server refused the request: not a connectivity
 		// problem, so hinting would just replay the refusal.
 		return err
@@ -936,25 +907,9 @@ func (c *Client) writePart(kind writeKind, ref *backendRef, id pagestore.VMID, a
 	// Transport loss — or a backend that restarted empty and no longer
 	// knows the VM (an unknown-VM refusal on a write we know we
 	// registered): buffer the part for replay and flag the repair.
-	c.addHint(ref.addr, hint{kind: kind, vm: id, alloc: alloc, part: part, opts: opts}, ranges, isUnknownVM(err))
+	c.addHint(ref.addr, hint{kind: kind, vm: id, alloc: alloc, part: part, opts: opts}, ranges, memserver.IsUnknownVM(err))
 	c.maybeRecover(ref.addr)
 	return errHinted
-}
-
-// isUnknownVM matches the server's refusal of an operation against a VM
-// it does not hold — the signature of a backend that restarted empty.
-func isUnknownVM(err error) bool {
-	return err != nil && memserver.IsRemoteError(err) && containsUnknownVM(err.Error())
-}
-
-func containsUnknownVM(s string) bool {
-	const needle = "unknown vm"
-	for i := 0; i+len(needle) <= len(s); i++ {
-		if s[i:i+len(needle)] == needle {
-			return true
-		}
-	}
-	return false
 }
 
 // PutImage uploads a full image, partitioned so each backend stores the
@@ -1003,7 +958,7 @@ func (c *Client) Delete(id pagestore.VMID) error {
 				return
 			}
 			err := ref.pool.Delete(id)
-			if err == nil || isUnknownVM(err) {
+			if err == nil || memserver.IsUnknownVM(err) {
 				return
 			}
 			if memserver.IsRemoteError(err) {

@@ -98,7 +98,7 @@ func testImage(t *testing.T, seed uint64, pages int64) *pagestore.Image {
 
 // readBack fetches every page of the image through the client into a
 // fresh image and returns its canonical encoding.
-func readBack(t *testing.T, c *Client, id pagestore.VMID, im *pagestore.Image) []byte {
+func readBack(t *testing.T, c memserver.Conn, id pagestore.VMID, im *pagestore.Image) []byte {
 	t.Helper()
 	back := pagestore.NewImage(im.Alloc())
 	var batch []pagestore.PFN

@@ -247,10 +247,10 @@ func (c *Client) recover(addr string) {
 				return // still unreachable; retry on next breaker close
 			}
 			if _, err := ref.pool.GetPage(id, 0); err != nil {
-				if !isUnknownVM(err) && memserver.IsRemoteError(err) {
+				if !memserver.IsUnknownVM(err) && memserver.IsRemoteError(err) {
 					// Serving disabled etc.: the VM is there.
 					lost = false
-				} else if isUnknownVM(err) {
+				} else if memserver.IsUnknownVM(err) {
 					lost = true
 				} else {
 					return // transport error; retry later
@@ -325,23 +325,11 @@ func (c *Client) popReplayed(addr string, h hint) {
 
 // replayOne applies one buffered write to the rejoined backend.
 func (c *Client) replayOne(ref *backendRef, h hint) error {
-	var err error
-	switch h.kind {
-	case wImage:
-		err = ref.pool.PutImage(h.vm, h.alloc, h.part)
-	case wStreamImage:
-		err = ref.pool.StreamImage(h.vm, h.alloc, h.part, h.opts)
-	case wDiff:
-		err = ref.pool.PutDiff(h.vm, h.part)
-	case wStreamDiff:
-		err = ref.pool.StreamDiff(h.vm, h.part, h.opts)
-	case wDelete:
-		err = ref.pool.Delete(h.vm)
-		if err != nil && isUnknownVM(err) {
-			err = nil
-		}
+	err := h.kind.send(ref.pool, h.vm, h.alloc, h.part, h.opts)
+	if h.kind == wDelete && memserver.IsUnknownVM(err) {
+		err = nil // already gone
 	}
-	if err != nil && h.kind.diff() && isUnknownVM(err) {
+	if err != nil && h.kind.diff() && memserver.IsUnknownVM(err) {
 		// The backend lost the VM after all: escalate to repair. The
 		// hint is consumed — the repair copies fresher bytes anyway.
 		// The caller (recover's replay loop) already holds this VM's

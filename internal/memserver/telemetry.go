@@ -7,7 +7,7 @@ import (
 	"oasis/internal/telemetry"
 )
 
-// Live telemetry for the memory-server daemon and the resilient client.
+// Live telemetry for the memory-server daemon and the client pool.
 // Every instrument lives on a telemetry.Registry (the process Default
 // unless overridden), so a -metrics-addr scrape sees the same counters
 // the in-process Stats/ResilienceStats snapshots report. Instrument
@@ -137,9 +137,9 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// resTel bundles the resilient client's instruments. The client label
+// resTel bundles a lane's instruments. The client label
 // (ResilientConfig.Name) separates e.g. a memtap's fault path from an
-// agent's upload path; unnamed clients share the "default" series.
+// agent's upload path.
 type resTel struct {
 	retries    *telemetry.Counter
 	reconnects *telemetry.Counter
@@ -149,14 +149,21 @@ type resTel struct {
 	state      *telemetry.Gauge
 }
 
-func newResTel(r *telemetry.Registry, name string) *resTel {
+// clientSeries resolves where a client's oasis_client_* series live: the
+// Default registry unless one is given, under the client label name
+// ("default" for unnamed clients, which therefore share their series).
+func clientSeries(r *telemetry.Registry, name string) (*telemetry.Registry, telemetry.Label) {
 	if r == nil {
 		r = telemetry.Default
 	}
 	if name == "" {
 		name = "default"
 	}
-	l := telemetry.L("client", name)
+	return r, telemetry.L("client", name)
+}
+
+func newResTel(r *telemetry.Registry, name string) *resTel {
+	r, l := clientSeries(r, name)
 	return &resTel{
 		retries: r.Counter("oasis_client_retries_total",
 			"Operation attempts beyond the first.", l),
@@ -185,13 +192,7 @@ type poolTel struct {
 }
 
 func newPoolTel(r *telemetry.Registry, name string) *poolTel {
-	if r == nil {
-		r = telemetry.Default
-	}
-	if name == "" {
-		name = "default"
-	}
-	l := telemetry.L("client", name)
+	r, l := clientSeries(r, name)
 	return &poolTel{
 		size: r.Gauge("oasis_client_pool_size",
 			"Connections (lanes) in the client pool.", l),
@@ -215,13 +216,7 @@ type putTel struct {
 }
 
 func newPutTel(r *telemetry.Registry, name string) *putTel {
-	if r == nil {
-		r = telemetry.Default
-	}
-	if name == "" {
-		name = "default"
-	}
-	l := telemetry.L("client", name)
+	r, l := clientSeries(r, name)
 	return &putTel{
 		chunks: r.Counter("oasis_client_put_chunks_total",
 			"Snapshot chunks shipped by streaming uploads.", l),
@@ -234,10 +229,8 @@ func newPutTel(r *telemetry.Registry, name string) *putTel {
 
 // decompressTel tracks client-side page decompression, the stage of the
 // fault path that is neither wire nor install time.
-var decompressSeconds = func() *telemetry.Histogram {
-	return telemetry.Default.Histogram("oasis_client_decompress_seconds",
-		"Client-side page decode/decompress latency.", telemetry.ExpBuckets(1e-6, 2, 16))
-}()
+var decompressSeconds = telemetry.Default.Histogram("oasis_client_decompress_seconds",
+	"Client-side page decode/decompress latency.", telemetry.ExpBuckets(1e-6, 2, 16))
 
 // sinceSeconds is a tiny helper for observing a latency.
 func sinceSeconds(start time.Time) float64 { return time.Since(start).Seconds() }

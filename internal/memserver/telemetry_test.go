@@ -38,7 +38,7 @@ func TestResilientMetricsMatchStats(t *testing.T) {
 	cfg := fastResilient()
 	cfg.Name = "storm"
 	cfg.Registry = reg
-	rc, err := DialResilient(rs.addr, testSecret, cfg)
+	rc, err := DialPool(rs.addr, testSecret, PoolConfig{Size: 1, Resilience: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +176,13 @@ func TestServerMetricsMatchSnapshot(t *testing.T) {
 		t.Errorf("bytes_out = %v, want > 0", out)
 	}
 
-	// The histogram of op latency counts exactly the ops issued.
+	// The histogram of op latency counts exactly the ops issued. The
+	// server observes an op's latency after writing its reply, so the
+	// last observation may trail the client's return by a moment.
 	lat := reg.Histogram("oasis_memserver_op_seconds", "", nil, telemetry.L("op", "get_page"))
+	for deadline := time.Now().Add(2 * time.Second); lat.Count() < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := lat.Count(); got != 2 {
 		t.Errorf("get_page latency observations = %d, want 2", got)
 	}
@@ -252,7 +257,7 @@ func TestResilienceTextDump(t *testing.T) {
 	cfg.Name = "dump"
 	cfg.Registry = reg
 	rs := newRestartableServer(t)
-	rc, err := DialResilient(rs.addr, testSecret, cfg)
+	rc, err := DialPool(rs.addr, testSecret, PoolConfig{Size: 1, Resilience: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

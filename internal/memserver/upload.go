@@ -10,12 +10,12 @@ import (
 )
 
 // Client side of the chunked streaming upload protocol: split a snapshot
-// into self-contained chunks and ship them concurrently over the pool's
-// lanes, overlapping compression framing, wire transfer and server-side
-// staging the way the prefetch path overlaps batch fetches. With
-// Streams <= 1 the chunks go out sequentially over one lane, which is
-// bit-for-bit the same server-side result as PutImage/PutDiff — the
-// parallel path is a pure latency optimisation.
+// into self-contained chunks and ship up to Streams of them at once.
+// Over a ClientPool the concurrent chunks land on different lanes,
+// overlapping framing, wire transfer and server-side staging the way the
+// prefetch path overlaps batch fetches; over a single Client they queue
+// on the one connection. Either way the server-side result is bit-for-bit
+// that of PutImage/PutDiff — streaming is a pure latency optimisation.
 
 // DefaultChunkBytes is the streaming-upload chunk budget. 4 MiB keeps a
 // chunk well under the frame ceiling while leaving enough chunks to keep
@@ -23,7 +23,7 @@ import (
 const DefaultChunkBytes = 4 << 20
 
 // chunkRetries bounds uploader-level re-issues of one chunk beyond the
-// lane-level retry budget each attempt already gets.
+// retry budget the exchanger gives each attempt.
 const chunkRetries = 2
 
 // PutOptions tunes a streaming upload.
@@ -55,21 +55,21 @@ var uploadSeq atomic.Uint64
 // StreamImage uploads a full snapshot as a VM's image through the
 // chunked streaming protocol. The image becomes visible atomically at
 // commit; a failure anywhere leaves the VM's previous image intact.
-func (p *ClientPool) StreamImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte, opts PutOptions) error {
-	return p.streamUpload(id, putKindImage, alloc, snapshot, opts)
+func (o ops) StreamImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte, opts PutOptions) error {
+	return o.streamUpload(id, putKindImage, alloc, snapshot, opts)
 }
 
 // StreamDiff uploads a differential snapshot through the chunked
 // streaming protocol; the diff applies to the live image atomically at
 // commit after full validation.
-func (p *ClientPool) StreamDiff(id pagestore.VMID, snapshot []byte, opts PutOptions) error {
-	return p.streamUpload(id, putKindDiff, 0, snapshot, opts)
+func (o ops) StreamDiff(id pagestore.VMID, snapshot []byte, opts PutOptions) error {
+	return o.streamUpload(id, putKindDiff, 0, snapshot, opts)
 }
 
-func (p *ClientPool) streamUpload(id pagestore.VMID, kind byte, alloc units.Bytes, snapshot []byte, opts PutOptions) error {
+func (o ops) streamUpload(id pagestore.VMID, kind byte, alloc units.Bytes, snapshot []byte, opts PutOptions) error {
 	opts = opts.withDefaults()
 	// Chunk references point back into the snapshot buffer — no copies;
-	// the client's vectored send stitches prefix+dict+body on the wire.
+	// the connection's vectored send stitches prefix+dict+body on the wire.
 	chunks, err := pagestore.SplitSnapshotRefs(snapshot, opts.ChunkBytes)
 	if err != nil {
 		return fmt.Errorf("memserver: split snapshot: %w", err)
@@ -78,50 +78,38 @@ func (p *ClientPool) streamUpload(id pagestore.VMID, kind byte, alloc units.Byte
 		return fmt.Errorf("memserver: snapshot needs %d chunks, limit %d (raise ChunkBytes)", len(chunks), maxUploadChunks)
 	}
 	uploadID := uploadSeq.Add(1)
-	if err := p.do(func(r *ResilientClient) error {
-		return r.PutBegin(id, uploadID, kind, alloc)
-	}); err != nil {
+	if err := o.PutBegin(id, uploadID, kind, alloc); err != nil {
 		return err
 	}
-	if err := p.shipChunks(id, uploadID, chunks, opts.Streams); err != nil {
+	if err := o.shipChunks(id, uploadID, chunks, opts.Streams); err != nil {
 		return err
 	}
-	return p.do(func(r *ResilientClient) error {
-		return r.PutCommit(id, uploadID, uint32(len(chunks)))
-	})
+	return o.PutCommit(id, uploadID, uint32(len(chunks)))
 }
 
 // shipChunks sends every chunk, keeping up to streams in flight. Each
-// chunk gets uploader-level re-issues on top of the per-attempt lane
-// retries: a re-issued chunk lands on a (likely) different lane, and the
-// server treats duplicates as idempotent overwrites.
-func (p *ClientPool) shipChunks(id pagestore.VMID, uploadID uint64, chunks []pagestore.ChunkRef, streams int) error {
+// chunk gets uploader-level re-issues on top of the exchanger's own
+// retries: over a pool a re-issued chunk lands on a (likely) different
+// lane, and the server treats duplicates as idempotent overwrites.
+func (o ops) shipChunks(id pagestore.VMID, uploadID uint64, chunks []pagestore.ChunkRef, streams int) error {
+	tel := o.put
+	if tel == nil {
+		tel = newPutTel(nil, "")
+	}
 	send := func(seq int) error {
-		p.putTel.inflight.Inc()
-		defer p.putTel.inflight.Dec()
+		tel.inflight.Inc()
+		defer tel.inflight.Dec()
 		var err error
 		for attempt := 0; attempt <= chunkRetries; attempt++ {
 			if attempt > 0 {
-				p.putTel.retried.Inc()
+				tel.retried.Inc()
 			}
-			err = p.do(func(r *ResilientClient) error {
-				return r.PutChunkRef(id, uploadID, uint32(seq), chunks[seq])
-			})
-			if err == nil {
-				p.putTel.chunks.Inc()
+			if err = o.PutChunkRef(id, uploadID, uint32(seq), chunks[seq]); err == nil {
+				tel.chunks.Inc()
 				return nil
 			}
 		}
 		return fmt.Errorf("chunk %d/%d: %w", seq, len(chunks), err)
-	}
-
-	if streams <= 1 || len(chunks) <= 1 {
-		for seq := range chunks {
-			if err := send(seq); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 
 	if streams > len(chunks) {

@@ -9,18 +9,6 @@ import (
 	"oasis/internal/units"
 )
 
-// dialTestPool returns a small pool against addr with fast resilience
-// settings for upload tests.
-func dialTestPool(t *testing.T, addr string, size int) *ClientPool {
-	t.Helper()
-	p, err := DialPool(addr, testSecret, PoolConfig{Size: size, Resilience: fastResilient()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	return p
-}
-
 // serverImageBytes canonicalises a VM's server-side image for comparison:
 // the full-snapshot encoding is deterministic (sorted PFNs, deterministic
 // per-page tokens), so equal bytes means equal images.
@@ -59,81 +47,6 @@ func rawSnapshot(t *testing.T, alloc units.Bytes, seed uint64, pages int) []byte
 	return snap
 }
 
-// TestStreamImageMatchesPutImage holds the core equivalence: a streamed
-// image upload — serial or parallel — must produce the same server-side
-// image bytes as the one-shot PutImage path.
-func TestStreamImageMatchesPutImage(t *testing.T) {
-	srv, addr := startServer(t)
-	c := dial(t, addr)
-	p := dialTestPool(t, addr, 4)
-
-	_, snap := makeSnapshot(t, 16*units.MiB, 11, 200)
-	if err := c.PutImage(1, 16*units.MiB, snap); err != nil {
-		t.Fatal(err)
-	}
-	want := serverImageBytes(t, srv, 1)
-
-	// Tiny chunks force a real multi-chunk upload (~dozens of chunks).
-	opts := PutOptions{ChunkBytes: 8 * int(units.PageSize)}
-	for _, streams := range []int{1, 4} {
-		opts.Streams = streams
-		id := pagestore.VMID(100 + streams)
-		if err := p.StreamImage(id, 16*units.MiB, snap, opts); err != nil {
-			t.Fatalf("StreamImage(streams=%d): %v", streams, err)
-		}
-		if got := serverImageBytes(t, srv, id); !bytes.Equal(got, want) {
-			t.Fatalf("streams=%d: streamed image diverged from PutImage", streams)
-		}
-	}
-}
-
-// TestStreamDiffMatchesPutDiff holds the same equivalence for the
-// differential path.
-func TestStreamDiffMatchesPutDiff(t *testing.T) {
-	srv, addr := startServer(t)
-	c := dial(t, addr)
-	p := dialTestPool(t, addr, 4)
-
-	src, snap := makeSnapshot(t, 8*units.MiB, 13, 100)
-	for _, id := range []pagestore.VMID{1, 2, 3} {
-		if err := c.PutImage(id, 8*units.MiB, snap); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Dirty a spread of pages, including a zeroed one.
-	base := src.NextEpoch()
-	pattern := bytes.Repeat([]byte{0xC3}, int(units.PageSize))
-	for _, pfn := range []pagestore.PFN{0, 7, 42, 99, 150} {
-		if err := src.Write(pfn, pattern); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := src.Write(7, nil); err != nil {
-		t.Fatal(err)
-	}
-	diff, _, err := pagestore.EncodeDirtySince(src, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := c.PutDiff(1, diff); err != nil {
-		t.Fatal(err)
-	}
-	want := serverImageBytes(t, srv, 1)
-
-	opts := PutOptions{ChunkBytes: 2 * int(units.PageSize)}
-	for i, streams := range []int{1, 3} {
-		opts.Streams = streams
-		id := pagestore.VMID(2 + i)
-		if err := p.StreamDiff(id, diff, opts); err != nil {
-			t.Fatalf("StreamDiff(streams=%d): %v", streams, err)
-		}
-		if got := serverImageBytes(t, srv, id); !bytes.Equal(got, want) {
-			t.Fatalf("streams=%d: streamed diff diverged from PutDiff", streams)
-		}
-	}
-}
-
 // TestUploadIdempotency exercises every retry-shaped replay the protocol
 // promises to tolerate: re-Begin, duplicate chunk, re-Commit, and a late
 // chunk landing after its upload committed.
@@ -153,7 +66,7 @@ func TestUploadIdempotency(t *testing.T) {
 	if err := c.PutBegin(id, uploadID, putKindImage, 4*units.MiB); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PutChunk(id, uploadID, 0, chunks[0]); err != nil {
+	if err := c.PutChunkRef(id, uploadID, 0, pagestore.ChunkRef{Body: chunks[0]}); err != nil {
 		t.Fatal(err)
 	}
 	// Re-Begin keeps staged chunks; finish after it without resending 0.
@@ -161,12 +74,12 @@ func TestUploadIdempotency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := 1; seq < len(chunks); seq++ {
-		if err := c.PutChunk(id, uploadID, uint32(seq), chunks[seq]); err != nil {
+		if err := c.PutChunkRef(id, uploadID, uint32(seq), pagestore.ChunkRef{Body: chunks[seq]}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Duplicate chunk overwrites with identical bytes.
-	if err := c.PutChunk(id, uploadID, 1, chunks[1]); err != nil {
+	if err := c.PutChunkRef(id, uploadID, 1, pagestore.ChunkRef{Body: chunks[1]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.PutCommit(id, uploadID, uint32(len(chunks))); err != nil {
@@ -183,7 +96,7 @@ func TestUploadIdempotency(t *testing.T) {
 		t.Fatalf("re-commit re-applied: pages uploaded %d -> %d", uploadedBefore, got)
 	}
 	// A straggler chunk retry after commit is an acknowledged no-op.
-	if err := c.PutChunk(id, uploadID, 2, chunks[2]); err != nil {
+	if err := c.PutChunkRef(id, uploadID, 2, pagestore.ChunkRef{Body: chunks[2]}); err != nil {
 		t.Fatalf("late chunk after commit: %v", err)
 	}
 	if got := serverImageBytes(t, srv, id); !bytes.Equal(got, want) {
@@ -201,7 +114,7 @@ func TestUploadErrors(t *testing.T) {
 	if err := c.PutCommit(3, 1, 1); err == nil {
 		t.Error("commit before begin accepted")
 	}
-	if err := c.PutChunk(3, 1, 0, []byte("OAPS\x00\x00\x00\x00")); err == nil {
+	if err := c.PutChunkRef(3, 1, 0, pagestore.ChunkRef{Body: []byte("OAPS\x00\x00\x00\x00")}); err == nil {
 		t.Error("chunk before begin accepted")
 	}
 	if err := c.PutBegin(3, 1, putKindDiff, 0); err == nil {
@@ -218,7 +131,7 @@ func TestUploadErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := 1; seq < len(chunks); seq++ { // hold back chunk 0
-		if err := c.PutChunk(id, uploadID, uint32(seq), chunks[seq]); err != nil {
+		if err := c.PutChunkRef(id, uploadID, uint32(seq), pagestore.ChunkRef{Body: chunks[seq]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,7 +142,7 @@ func TestUploadErrors(t *testing.T) {
 		t.Fatal("failed commit made an image visible")
 	}
 	// The staging upload survived the refused commit: resend and retry.
-	if err := c.PutChunk(id, uploadID, 0, chunks[0]); err != nil {
+	if err := c.PutChunkRef(id, uploadID, 0, pagestore.ChunkRef{Body: chunks[0]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.PutCommit(id, uploadID, uint32(len(chunks))); err != nil {
@@ -273,7 +186,7 @@ func TestAbandonedUploadLeavesImageIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := 0; seq < len(chunks)/2; seq++ {
-		if err := c.PutChunk(id, 901, uint32(seq), chunks[seq]); err != nil {
+		if err := c.PutChunkRef(id, 901, uint32(seq), pagestore.ChunkRef{Body: chunks[seq]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -295,7 +208,7 @@ func TestAbandonedUploadLeavesImageIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := range chunks {
-		if err := c.PutChunk(id, 902, uint32(seq), chunks[seq]); err != nil {
+		if err := c.PutChunkRef(id, 902, uint32(seq), pagestore.ChunkRef{Body: chunks[seq]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -346,7 +259,7 @@ func TestStreamDiffOutOfRangeRejectedAtomically(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := range chunks {
-		if err := c.PutChunk(id, 55, uint32(seq), chunks[seq]); err != nil {
+		if err := c.PutChunkRef(id, 55, uint32(seq), pagestore.ChunkRef{Body: chunks[seq]}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -93,8 +93,8 @@ func degradedGauge(vmid pagestore.VMID) *telemetry.Gauge {
 var ErrDegraded = errors.New("memtap: memory server unavailable, VM degraded")
 
 // PageClient is the slice of the memory-server client surface a memtap
-// needs. *memserver.Client, *memserver.ResilientClient and
-// *memserver.ClientPool all satisfy it; tests may supply in-process fakes.
+// needs. Every memserver.Conn satisfies it; tests may supply in-process
+// fakes.
 type PageClient interface {
 	GetPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error)
 	GetPages(id pagestore.VMID, pfns []pagestore.PFN) (map[pagestore.PFN][]byte, error)
@@ -102,16 +102,15 @@ type PageClient interface {
 }
 
 // breakerReporter is implemented by clients that expose circuit-breaker
-// state (memserver.ResilientClient, memserver.ClientPool).
+// state (memserver.ClientPool, shard.Client).
 type breakerReporter interface {
 	BreakerState() memserver.BreakerState
 }
 
 // stagedFetcher is implemented by clients that report the wire/decompress
-// stage split of a page fetch (memserver.Client, memserver.ResilientClient,
-// memserver.ClientPool); FetchPage uses it to attribute fault latency in
-// telemetry.FaultPath spans. Plain PageClients fall back to an undivided
-// fetch stage.
+// stage split of a page fetch (every memserver.Conn); FetchPage uses it
+// to attribute fault latency in telemetry.FaultPath spans. Plain
+// PageClients fall back to an undivided fetch stage.
 type stagedFetcher interface {
 	GetPageStaged(id pagestore.VMID, pfn pagestore.PFN) (page []byte, wire, decompress time.Duration, err error)
 }
@@ -122,14 +121,15 @@ type stagedFetcher interface {
 var DefaultResilience = memserver.ResilientConfig{}
 
 // Options tune the transport a memtap dials. The zero value reproduces
-// New's defaults: one resilient connection, serial prefetch.
+// New's defaults: one resilient connection (a one-lane
+// memserver.ClientPool), serial prefetch.
 type Options struct {
 	// Resilience overrides DefaultResilience for this memtap's
 	// connection(s); nil uses DefaultResilience.
 	Resilience *memserver.ResilientConfig
-	// PoolSize > 1 dials a memserver.ClientPool of that many connections
-	// instead of a single ResilientClient, letting concurrent faults and
-	// pipelined prefetch batches genuinely overlap on the wire.
+	// PoolSize > 1 widens the memserver.ClientPool to that many
+	// connections, letting concurrent faults and pipelined prefetch
+	// batches genuinely overlap on the wire.
 	PoolSize int
 	// PrefetchStreams is the number of GetPages batches PrefetchRemaining
 	// keeps in flight (<= 1 means strictly serial batches). Values above
@@ -233,7 +233,7 @@ func newMemtap(vmid pagestore.VMID, client PageClient) *Memtap {
 
 // New creates a memtap for the given VM, dialing the memory server at
 // addr with the shared secret over a resilient connection (reconnect,
-// retry, circuit breaker — see memserver.ResilientClient). The agent
+// retry, circuit breaker — see memserver.ClientPool). The agent
 // configures each memtap with the host and port of the memory server
 // containing the VM's pages (§4.2).
 func New(vmid pagestore.VMID, addr string, secret []byte) (*Memtap, error) {
@@ -261,56 +261,34 @@ func NewWithOptions(vmid pagestore.VMID, addr string, secret []byte, opts Option
 	gauge := degradedGauge(vmid)
 	inner := cfg.OnStateChange
 	var fabRef atomic.Pointer[shard.Client]
-	if len(opts.Backends) > 0 {
-		cfg.OnStateChange = func(from, to memserver.BreakerState) {
-			if f := fabRef.Load(); f != nil {
-				gauge.Set(float64(fabricHealthLevel(f)))
-			}
-			if inner != nil {
-				inner(from, to)
-			}
+	cfg.OnStateChange = func(from, to memserver.BreakerState) {
+		switch f := fabRef.Load(); {
+		case f != nil:
+			gauge.Set(float64(fabricHealthLevel(f)))
+		case len(opts.Backends) > 0:
+			// The fabric is still dialing; bindFabric sets the gauge.
+		case to == memserver.BreakerOpen:
+			gauge.Set(2)
+		default:
+			gauge.Set(0)
 		}
-	} else {
-		cfg.OnStateChange = func(from, to memserver.BreakerState) {
-			if to == memserver.BreakerOpen {
-				gauge.Set(2)
-			} else {
-				gauge.Set(0)
-			}
-			if inner != nil {
-				inner(from, to)
-			}
+		if inner != nil {
+			inner(from, to)
 		}
 	}
-	var client PageClient
-	var err error
-	var fab *shard.Client
-	switch {
-	case len(opts.Backends) > 0:
-		fab, err = shard.Dial(opts.Backends, secret, shard.Config{
-			Replicas: opts.Replicas,
-			Pool: memserver.PoolConfig{
-				Size:       opts.PoolSize,
-				Resilience: cfg,
-			},
-		})
-		if err == nil {
-			fabRef.Store(fab)
-			client = fab
-		}
-	case opts.PoolSize > 1:
-		client, err = memserver.DialPool(addr, secret, memserver.PoolConfig{
-			Size:       opts.PoolSize,
-			Resilience: cfg,
-		})
-	default:
-		client, err = memserver.DialResilient(addr, secret, cfg)
-	}
+	conn, err := shard.Connect(shard.Target{
+		Addr:       addr,
+		Backends:   opts.Backends,
+		Replicas:   opts.Replicas,
+		Lanes:      opts.PoolSize,
+		Resilience: &cfg,
+	}, secret)
 	if err != nil {
 		return nil, fmt.Errorf("memtap: vm %04d: %w", vmid, err)
 	}
-	m := newMemtap(vmid, client)
-	if fab != nil {
+	m := newMemtap(vmid, conn)
+	if fab, ok := conn.(*shard.Client); ok {
+		fabRef.Store(fab)
 		m.bindFabric(fab, gauge)
 	}
 	m.SetPrefetchStreams(opts.PrefetchStreams)

@@ -391,7 +391,7 @@ func verifyIdentical(t *testing.T, pvm *hypervisor.PartialVM, src *pagestore.Ima
 // its image.
 func TestPrefetchSurvivesServerRestart(t *testing.T) {
 	rb, src := newRestartableBackend(t, 61, 8*units.MiB)
-	rc, err := memserver.DialResilient(rb.addr, secret, fastCfg())
+	rc, err := memserver.DialPool(rb.addr, secret, memserver.PoolConfig{Size: 1, Resilience: fastCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestPrefetchSurvivesFaultStorm(t *testing.T) {
 		}
 		return memserver.NewClientConn(conn, secret)
 	}
-	rc := memserver.NewResilient(cfg)
+	rc := memserver.NewPool(memserver.PoolConfig{Size: 1, Resilience: cfg})
 	mt := NewWithClient(62, rc)
 	defer mt.Close()
 	desc := hypervisor.NewDescriptor(62, "storm", 8*units.MiB, 1)
@@ -507,7 +507,7 @@ func TestMemtapReportsDegraded(t *testing.T) {
 	cfg.MaxRetries = 3
 	cfg.BreakerThreshold = 2
 	cfg.DialTimeout = 200 * time.Millisecond
-	rc, err := memserver.DialResilient(rb.addr, secret, cfg)
+	rc, err := memserver.DialPool(rb.addr, secret, memserver.PoolConfig{Size: 1, Resilience: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Welford accumulates a streaming mean and variance.
@@ -251,49 +250,6 @@ type Counter map[string]int64
 
 // Inc adds delta to the named tally.
 func (c Counter) Inc(name string, delta int64) { c[name] += delta }
-
-// AtomicCounter is a concurrency-safe named tally for event accounting
-// on concurrent paths — the resilient memory-server client's retries and
-// reconnects, fault-injection hit counts — where a plain Counter would
-// race.
-type AtomicCounter struct {
-	mu sync.Mutex
-	m  map[string]int64
-}
-
-// NewAtomicCounter returns an empty concurrent counter set.
-func NewAtomicCounter() *AtomicCounter {
-	return &AtomicCounter{m: make(map[string]int64)}
-}
-
-// Inc adds delta to the named tally.
-func (c *AtomicCounter) Inc(name string, delta int64) {
-	c.mu.Lock()
-	c.m[name] += delta
-	c.mu.Unlock()
-}
-
-// Get returns the named tally.
-func (c *AtomicCounter) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[name]
-}
-
-// Snapshot copies the tallies into a plain Counter for rendering and
-// aggregation.
-func (c *AtomicCounter) Snapshot() Counter {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(Counter, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
-	}
-	return out
-}
-
-// String renders the counters sorted by name.
-func (c *AtomicCounter) String() string { return c.Snapshot().String() }
 
 // String renders the counters sorted by name.
 func (c Counter) String() string {

@@ -59,6 +59,11 @@ func (s *Store) Create(id VMID, alloc units.Bytes) (*Image, error) {
 	return im, nil
 }
 
+// UnknownVMText is the phrase Get's error carries for a VM the store does
+// not hold. The memory server relays the error as text over the wire, so
+// clients recognise the condition by this phrase (memserver.IsUnknownVM).
+const UnknownVMText = "unknown vm"
+
 // Get returns the image for a VM, or an error if unknown.
 func (s *Store) Get(id VMID) (*Image, error) {
 	sh := s.shard(id)
@@ -66,7 +71,7 @@ func (s *Store) Get(id VMID) (*Image, error) {
 	defer sh.mu.RUnlock()
 	im, ok := sh.images[id]
 	if !ok {
-		return nil, fmt.Errorf("pagestore: unknown vm %04d", id)
+		return nil, fmt.Errorf("pagestore: %s %04d", UnknownVMText, id)
 	}
 	return im, nil
 }

@@ -165,7 +165,7 @@ func TestStreamedUploadUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := 0; seq < len(chunks)/2; seq++ {
-		if err := c.PutChunk(vmid, 424242, uint32(seq), chunks[seq]); err != nil {
+		if err := c.PutChunkRef(vmid, 424242, uint32(seq), pagestore.ChunkRef{Body: chunks[seq]}); err != nil {
 			t.Fatal(err)
 		}
 	}

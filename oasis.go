@@ -2,7 +2,6 @@ package oasis
 
 import (
 	"io"
-	"time"
 
 	"oasis/internal/cluster"
 	"oasis/internal/hypervisor"
@@ -206,29 +205,14 @@ func NewMemServer(secret []byte, logf func(string, ...any)) *MemServer {
 	return memserver.NewServer(secret, logf)
 }
 
-// MemClient is an authenticated connection to a memory page server.
+// MemClient is one authenticated connection to a memory page server, the
+// shape Dial returns with no options: no retry, no reconnect.
 type MemClient = memserver.Client
-
-// DialMemServer connects and authenticates to a memory server.
-//
-// Deprecated: use Dial with WithTimeout; with no other options it
-// returns the same bare *MemClient.
-func DialMemServer(addr string, secret []byte, timeout time.Duration) (*MemClient, error) {
-	c, err := Dial(addr, secret, WithTimeout(timeout))
-	if err != nil {
-		return nil, err
-	}
-	return c.(*MemClient), nil
-}
 
 // ---- Resilient client path (fault tolerance) ----
 
-// ResilientMemClient wraps MemClient with reconnect, bounded retries of
-// idempotent operations, and a circuit breaker.
-type ResilientMemClient = memserver.ResilientClient
-
-// ResilienceConfig tunes the retry/backoff/breaker behaviour; the zero
-// value selects sensible defaults.
+// ResilienceConfig tunes the retry/backoff/breaker behaviour of a
+// MemClientPool's connections; the zero value selects sensible defaults.
 type ResilienceConfig = memserver.ResilientConfig
 
 // ResilienceStats counts what the fault path did: retries, reconnects,
@@ -243,18 +227,6 @@ var ErrCircuitOpen = memserver.ErrCircuitOpen
 // opened; the VM should be force-promoted to its home (full migration).
 var ErrMemtapDegraded = memtap.ErrDegraded
 
-// DialMemServerResilient connects with the resilient client. The zero
-// config selects defaults.
-//
-// Deprecated: use Dial with WithResilience.
-func DialMemServerResilient(addr string, secret []byte, cfg ResilienceConfig) (*ResilientMemClient, error) {
-	c, err := Dial(addr, secret, WithResilience(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return c.(*ResilientMemClient), nil
-}
-
 // Memtap services the page faults of one partial VM from a memory server
 // (§4.2).
 type Memtap = memtap.Memtap
@@ -266,32 +238,22 @@ func NewMemtap(vmid VMID, addr string, secret []byte) (*Memtap, error) {
 }
 
 // NewMemtapWithClient builds a memtap over a caller-supplied page client
-// (e.g. a ResilientMemClient with custom tuning).
+// (e.g. a MemConn dialed with custom tuning).
 func NewMemtapWithClient(vmid VMID, client memtap.PageClient) *Memtap {
 	return memtap.NewWithClient(vmid, client)
 }
 
-// MemClientPool fans memory-server requests across several authenticated
-// connections, each wrapped in the resilient retry/backoff/breaker layer;
-// independent requests proceed in parallel while each connection keeps
-// its strict request/response serialization (DESIGN.md §9).
+// MemClientPool is the resilient client, the shape Dial returns under
+// WithResilience or WithPool: one or more authenticated connections, each
+// with reconnect, bounded retries of the (idempotent) operations and a
+// circuit breaker. Independent requests proceed in parallel across the
+// connections while each keeps its strict request/response serialization
+// (DESIGN.md §9).
 type MemClientPool = memserver.ClientPool
 
 // MemPoolConfig sizes a MemClientPool and tunes its per-connection
 // resilience; the zero value selects defaults.
 type MemPoolConfig = memserver.PoolConfig
-
-// DialMemServerPool connects a pool of resilient clients to a memory
-// server. The zero config selects defaults (4 connections).
-//
-// Deprecated: use Dial with WithPool and WithResilience.
-func DialMemServerPool(addr string, secret []byte, cfg MemPoolConfig) (*MemClientPool, error) {
-	c, err := Dial(addr, secret, WithResilience(cfg.Resilience), WithPool(cfg.Size))
-	if err != nil {
-		return nil, err
-	}
-	return c.(*MemClientPool), nil
-}
 
 // MemtapOptions tunes a memtap's transport: connection-pool width,
 // pipelined prefetch depth, and per-connection resilience.
@@ -357,7 +319,7 @@ func EncodeImageDiffParallel(im *Image, epoch uint64, workers int) (data []byte,
 	return pagestore.EncodeDirtySinceParallel(im, epoch, workers)
 }
 
-// UploadOptions tunes a MemClientPool's chunked streaming uploads
+// UploadOptions tunes a MemConn's chunked streaming uploads
 // (StreamImage/StreamDiff): concurrent streams and chunk size. The zero
 // value selects defaults (serial, 4 MiB chunks).
 type UploadOptions = memserver.PutOptions

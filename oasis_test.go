@@ -84,7 +84,7 @@ func TestFunctionalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := oasis.DialMemServer(addr.String(), secret, 2*time.Second)
+	client, err := oasis.Dial(addr.String(), secret, oasis.WithTimeout(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
