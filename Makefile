@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint check bench bench-check bench-fleet profile-fleet clean
+.PHONY: all build test race vet lint check bench bench-check bench-fleet profile-fleet bench-codec profile-codec clean
 
 all: build
 
@@ -53,6 +53,20 @@ profile-fleet:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetSim$$' -benchtime 20x -benchmem \
 		-cpuprofile .bench_build/fleet.cpu.prof -o .bench_build/fleet.test ./internal/sim
+
+# The codec micro-benchmarks: lzf on one page (caller-owned dst and nil),
+# the in-place page encoder, and the whole-snapshot encoders.
+bench-codec:
+	$(GO) test -run '^$$' -bench 'Page|EncodePages' -benchmem ./internal/lzf ./internal/pagestore
+
+# CPU profile of the serial snapshot encoder (lzf + pagestore, what
+# detach-upload has on the clock), written with its test binary under
+# .bench_build/; read it with
+#   go tool pprof -top .bench_build/codec.test .bench_build/codec.cpu.prof
+profile-codec:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench 'BenchmarkEncodePagesSerial$$' -benchtime 200x -benchmem \
+		-cpuprofile .bench_build/codec.cpu.prof -o .bench_build/codec.test ./internal/pagestore
 
 clean:
 	$(GO) clean ./...

@@ -20,21 +20,26 @@ const BenchSchemaVersion = 2
 // recorded numbers are the best run. On a loaded or small build machine
 // a single run is dominated by scheduling and GC noise — best-of-N is
 // the standard way to ask "how fast is this code path" rather than "how
-// busy was the box". Under the race detector a single rep is used:
-// instrumentation slows the transports by an order of magnitude, the
-// measured gate is skipped there anyway, and best-of-3 would push the
-// experiments package past its test timeout for no extra signal.
+// busy was the box". Seven, because a rep is short: since the
+// word-at-a-time codec a 32 MiB conversion takes ~25 ms, and best-of-3
+// over windows that short failed the 0.90 gate 2 times in 15 on a
+// loaded 2-core box where best-of-7 failed 0 in 15 (and costs what
+// best-of-3 did with the old codec). Under the race detector a single
+// rep is used: instrumentation slows the transports by an order of
+// magnitude, the measured gate is skipped there anyway, and more reps
+// would push the experiments package past its test timeout for no
+// extra signal.
 var benchRuns = func() int {
 	if raceEnabled {
 		return 1
 	}
-	return 3
+	return 7
 }()
 
 // measuredNoiseFloor is the slack the measured acceptance gates allow:
 // the faster transport must reach at least this fraction of its rival's
 // throughput before the comparison is called a regression. The observed
-// best-of-3 run-to-run spread on a loaded loopback box is up to ~8%
+// best-of-N run-to-run spread on a loaded loopback box is up to ~8%
 // (ratios 0.93–1.02 across repeated runs on the same commit), so the
 // floor sits at 10%: tight enough to catch a real regression (the
 // pooled path going genuinely slower than serial shows up as a ~2×

@@ -36,7 +36,7 @@ func clampDict(dict []byte) []byte {
 func CompressDict(dst, dict, in []byte) []byte {
 	dict = clampDict(dict)
 	if len(dict) == 0 {
-		return Compress(dst, in)
+		return compressFrom(dst, in, 0)
 	}
 	bufp := concatPool.Get().(*[]byte)
 	buf := append((*bufp)[:0], dict...)
@@ -47,160 +47,11 @@ func CompressDict(dst, dict, in []byte) []byte {
 	return dst
 }
 
-// compressFrom compresses buf[start:], treating buf[:start] as
-// already-emitted history the token stream may reference. It mirrors
-// Compress byte for byte when start == 0.
-func compressFrom(dst, buf []byte, start int) []byte {
-	n := len(buf)
-	if n-start == 0 {
-		return dst
-	}
-	if n-start < 4 {
-		dst = append(dst, byte(n-start-1))
-		return append(dst, buf[start:]...)
-	}
-
-	var htab [hashSize]int
-	for i := range htab {
-		htab[i] = -1
-	}
-
-	// Seed the hash chain over the history region without emitting, so
-	// the first input bytes can match into it immediately.
-	ip := 0
-	if start > 0 {
-		hval := first(buf, 0)
-		for ip < start && ip < n-2 {
-			hval = next(hval, buf, ip)
-			htab[hash(hval)] = ip
-			ip++
-		}
-	}
-	ip = start
-
-	lit := 0       // number of pending literals
-	litAt := start // start of pending literal run
-
-	flushLit := func() {
-		for lit > 0 {
-			run := lit
-			if run > maxLit {
-				run = maxLit
-			}
-			dst = append(dst, byte(run-1))
-			dst = append(dst, buf[litAt:litAt+run]...)
-			litAt += run
-			lit -= run
-		}
-	}
-
-	if ip >= n-2 {
-		lit = n - litAt
-		flushLit()
-		return dst
-	}
-	hval := first(buf, ip)
-	for ip < n-2 {
-		hval = next(hval, buf, ip)
-		hslot := hash(hval)
-		ref := htab[hslot]
-		htab[hslot] = ip
-
-		off := ip - ref - 1
-		if ref >= 0 && off < maxOff &&
-			buf[ref] == buf[ip] && buf[ref+1] == buf[ip+1] && buf[ref+2] == buf[ip+2] {
-			length := 3
-			maxLen := n - ip
-			if maxLen > maxRef {
-				maxLen = maxRef
-			}
-			for length < maxLen && buf[ref+length] == buf[ip+length] {
-				length++
-			}
-			flushLit()
-
-			l := length - 2
-			if l < 7 {
-				dst = append(dst, byte((off>>8)+(l<<5)), byte(off))
-			} else {
-				dst = append(dst, byte((off>>8)+(7<<5)), byte(l-7), byte(off))
-			}
-
-			ip += length
-			litAt = ip
-			if ip >= n-2 {
-				break
-			}
-			hval = first(buf, ip)
-			continue
-		}
-		ip++
-		lit++
-	}
-	lit = n - litAt
-	flushLit()
-	return dst
-}
-
 // DecompressDict appends the decompressed form of in to dst, resolving
 // back-references that reach before the output start into dict (the
 // same dictionary the compressor used). outLen is the expected
 // decompressed size; a mismatch, a malformed stream, or a reference
 // beyond the dictionary returns ErrCorrupt.
 func DecompressDict(dst, dict, in []byte, outLen int) ([]byte, error) {
-	dict = clampDict(dict)
-	base := len(dst)
-	ip := 0
-	n := len(in)
-	for ip < n {
-		ctrl := int(in[ip])
-		ip++
-		if ctrl < 0x20 {
-			run := ctrl + 1
-			if ip+run > n {
-				return dst, ErrCorrupt
-			}
-			dst = append(dst, in[ip:ip+run]...)
-			ip += run
-			continue
-		}
-		length := ctrl >> 5
-		if length == 7 {
-			if ip >= n {
-				return dst, ErrCorrupt
-			}
-			length += int(in[ip])
-			ip++
-		}
-		length += 2
-		if ip >= n {
-			return dst, ErrCorrupt
-		}
-		off := (ctrl&0x1f)<<8 | int(in[ip])
-		ip++
-		ref := len(dst) - off - 1
-		if ref >= base {
-			for i := 0; i < length; i++ {
-				dst = append(dst, dst[ref+i])
-			}
-			continue
-		}
-		// Reference into the dictionary; the run may spill from the
-		// dictionary's tail into the output already produced.
-		d := ref - base + len(dict)
-		if d < 0 {
-			return dst, ErrCorrupt
-		}
-		for i := 0; i < length; i++ {
-			if j := d + i; j < len(dict) {
-				dst = append(dst, dict[j])
-			} else {
-				dst = append(dst, dst[base+j-len(dict)])
-			}
-		}
-	}
-	if len(dst)-base != outLen {
-		return dst, ErrCorrupt
-	}
-	return dst, nil
+	return decompress(dst, clampDict(dict), in, outLen)
 }

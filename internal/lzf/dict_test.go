@@ -161,10 +161,3 @@ func TestDecompressDictRandomGarbage(t *testing.T) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

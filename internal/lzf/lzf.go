@@ -1,7 +1,7 @@
-// Package lzf implements a fast byte-oriented LZ77 compressor in the
-// spirit of the real-time compressors (LZO1X, LZF) the Oasis prototype
-// uses for per-page compression before memory images are written to the
-// memory server (§4.3 "Memory upload optimizations").
+// Package lzf implements a fast LZ77 compressor in the spirit of the
+// real-time compressors (LZO1X, LZF) the Oasis prototype uses for
+// per-page compression before memory images are written to the memory
+// server (§4.3 "Memory upload optimizations").
 //
 // The format is self-contained and simple:
 //
@@ -17,6 +17,17 @@
 // appropriate for compressing 4 KiB pages on the migration path where CPU
 // time competes with SAS bandwidth.
 //
+// The format is the compatibility promise; the match finder is not. The
+// compressor works a machine word at a time: it hashes three bytes out
+// of a four-byte load into a 16 KiB table of window-relative positions
+// (zero means empty, so the runtime clears it), extends a match eight
+// bytes per step, and widens its stride over data that keeps missing, so
+// an incompressible page costs less than a compressible one. Which
+// matches it picks — hence the exact compressed bytes — may change
+// between versions; every stream any version wrote decodes to the same
+// bytes with every other (testdata/parent_streams.golden holds streams
+// of the byte-at-a-time compressor this one replaced).
+//
 // CompressDict/DecompressDict extend the format with a shared
 // dictionary: the dictionary bytes virtually precede the input, so
 // back-references may reach into them (dict.go). The output framing is
@@ -28,8 +39,11 @@
 package lzf
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
 const (
@@ -38,6 +52,9 @@ const (
 	maxOff   = 1 << 13 // 8 KiB window
 	maxRef   = (1 << 8) + (1 << 3)
 	maxLit   = 1 << 5
+	// skipLog sets how fast the stride widens: one byte more for every
+	// 1<<skipLog positions tried since the last match.
+	skipLog = 6
 )
 
 // ErrCorrupt is returned when Decompress encounters an impossible token
@@ -45,16 +62,9 @@ const (
 // size mismatch).
 var ErrCorrupt = errors.New("lzf: corrupt compressed data")
 
-func hash(h uint32) uint32 {
-	return ((h >> (3*8 - hashLog)) - h*5) & (hashSize - 1)
-}
-
-func first(in []byte, i int) uint32 {
-	return uint32(in[i])<<8 | uint32(in[i+1])
-}
-
-func next(v uint32, in []byte, i int) uint32 {
-	return v<<8 | uint32(in[i+2])
+// hash mixes the low three bytes of a four-byte little-endian load.
+func hash(v uint32) uint32 {
+	return (v << 8) * 2654435761 >> (32 - hashLog)
 }
 
 // CompressBound returns the maximum compressed size for an input of n
@@ -65,132 +75,149 @@ func CompressBound(n int) int {
 }
 
 // Compress appends the compressed form of in to dst and returns the
-// extended slice. Compressing empty input yields an empty output.
+// extended slice. Compressing empty input yields an empty output. A dst
+// with CompressBound(len(in)) spare capacity is never reallocated.
 func Compress(dst, in []byte) []byte {
-	n := len(in)
-	if n == 0 {
+	return compressFrom(dst, in, 0)
+}
+
+// compressFrom compresses buf[start:], treating buf[:start] as
+// already-emitted history the token stream may reference.
+func compressFrom(dst, buf []byte, start int) []byte {
+	n := len(buf)
+	if n == start {
 		return dst
 	}
-	if n < 4 {
-		// Too short to find matches; emit as one literal run.
-		dst = append(dst, byte(n-1))
-		return append(dst, in...)
+	op := len(dst)
+	dst = slices.Grow(dst, CompressBound(n-start))
+	dst = dst[:cap(dst)]
+
+	// htab[h] is the last position whose three bytes hashed to h, plus
+	// one, modulo 1<<16: wider than the window, so every position a
+	// back-reference can reach is told apart, and a stale or empty entry
+	// only ever proposes a candidate that the byte compare below refuses.
+	var htab [hashSize]uint16
+	for i := 0; i < start && i+4 <= n; i++ {
+		htab[hash(binary.LittleEndian.Uint32(buf[i:]))] = uint16(i + 1)
 	}
 
-	var htab [hashSize]int
-	for i := range htab {
-		htab[i] = -1
-	}
-
-	ip := 0
-	lit := 0   // number of pending literals
-	litAt := 0 // start of pending literal run
-
-	flushLit := func() {
-		for lit > 0 {
-			run := lit
-			if run > maxLit {
-				run = maxLit
-			}
-			dst = append(dst, byte(run-1))
-			dst = append(dst, in[litAt:litAt+run]...)
-			litAt += run
-			lit -= run
-		}
-	}
-
-	hval := first(in, ip)
-	for ip < n-2 {
-		hval = next(hval, in, ip)
-		hslot := hash(hval)
-		ref := htab[hslot]
-		htab[hslot] = ip
-
-		off := ip - ref - 1
-		if ref >= 0 && off < maxOff &&
-			in[ref] == in[ip] && in[ref+1] == in[ip+1] && in[ref+2] == in[ip+2] {
-			// Found a match of at least 3 bytes.
-			length := 3
-			maxLen := n - ip
-			if maxLen > maxRef {
-				maxLen = maxRef
-			}
-			for length < maxLen && in[ref+length] == in[ip+length] {
-				length++
-			}
-			flushLit()
-
-			l := length - 2 // encoded length
-			if l < 7 {
-				dst = append(dst, byte((off>>8)+(l<<5)), byte(off))
-			} else {
-				dst = append(dst, byte((off>>8)+(7<<5)), byte(l-7), byte(off))
-			}
-
-			ip += length
-			litAt = ip
-			if ip >= n-2 {
-				break
-			}
-			// Re-seed the hash chain over the skipped region's tail so
-			// future matches can anchor near the end of this one.
-			hval = first(in, ip)
+	anchor := start // first literal not yet emitted
+	for ip := start; ip+4 <= n; {
+		v := binary.LittleEndian.Uint32(buf[ip:])
+		h := hash(v)
+		off := int(uint16(ip+1)-htab[h]) - 1
+		htab[h] = uint16(ip + 1)
+		ref := ip - off - 1
+		if uint(off) >= maxOff || ref < 0 || (binary.LittleEndian.Uint32(buf[ref:])^v)<<8 != 0 {
+			ip += 1 + (ip-anchor)>>skipLog
 			continue
 		}
-		ip++
-		lit++
+		length := 3 + matchLen(buf[ref+3:], buf[ip+3:min(n, ip+maxRef)])
+		op = putLiterals(dst, op, buf[anchor:ip])
+		if l := length - 2; l < 7 {
+			dst[op], dst[op+1] = byte(off>>8+l<<5), byte(off)
+			op += 2
+		} else {
+			dst[op], dst[op+1], dst[op+2] = byte(off>>8+7<<5), byte(l-7), byte(off)
+			op += 3
+		}
+		ip += length
+		anchor = ip
 	}
-	// Everything from the pending run start to the end is literals.
-	lit = n - litAt
-	flushLit()
-	return dst
+	return dst[:putLiterals(dst, op, buf[anchor:])]
+}
+
+// matchLen returns how many leading bytes of b equal those of a, which
+// is at least as long, comparing eight at a time.
+func matchLen(a, b []byte) int {
+	n := 0
+	for ; n+8 <= len(b); n += 8 {
+		if x := binary.LittleEndian.Uint64(a[n:]) ^ binary.LittleEndian.Uint64(b[n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+	}
+	for n < len(b) && a[n] == b[n] {
+		n++
+	}
+	return n
+}
+
+// putLiterals writes lit at dst[op:] as literal runs of at most maxLit
+// bytes and returns the new write position.
+func putLiterals(dst []byte, op int, lit []byte) int {
+	for len(lit) > 0 {
+		run := min(len(lit), maxLit)
+		dst[op] = byte(run - 1)
+		op += 1 + copy(dst[op+1:], lit[:run])
+		lit = lit[run:]
+	}
+	return op
 }
 
 // Decompress appends the decompressed form of in to dst and returns the
 // extended slice. outLen is the expected decompressed size; a mismatch or
 // malformed stream returns ErrCorrupt.
 func Decompress(dst, in []byte, outLen int) ([]byte, error) {
+	return decompress(dst, nil, in, outLen)
+}
+
+// decompress is the one decoder: dict virtually precedes the output. It
+// grows dst by outLen once and fills that region in place; a token that
+// would write past it is refused where it stands.
+func decompress(dst, dict, in []byte, outLen int) ([]byte, error) {
 	base := len(dst)
-	ip := 0
-	n := len(in)
+	dst = slices.Grow(dst, outLen)
+	out := dst[base : base+outLen]
+	op, ip, n := 0, 0, len(in)
 	for ip < n {
 		ctrl := int(in[ip])
 		ip++
 		if ctrl < 0x20 {
 			// Literal run of ctrl+1 bytes.
 			run := ctrl + 1
-			if ip+run > n {
-				return dst, ErrCorrupt
+			if ip+run > n || op+run > outLen {
+				return dst[:base+op], ErrCorrupt
 			}
-			dst = append(dst, in[ip:ip+run]...)
+			copy(out[op:], in[ip:ip+run])
 			ip += run
+			op += run
 			continue
 		}
 		// Back reference.
 		length := ctrl >> 5
 		if length == 7 {
 			if ip >= n {
-				return dst, ErrCorrupt
+				return dst[:base+op], ErrCorrupt
 			}
 			length += int(in[ip])
 			ip++
 		}
 		length += 2
-		if ip >= n {
-			return dst, ErrCorrupt
+		if ip >= n || op+length > outLen {
+			return dst[:base+op], ErrCorrupt
 		}
-		off := (ctrl&0x1f)<<8 | int(in[ip])
+		ref := op - (ctrl&0x1f)<<8 - int(in[ip]) - 1
 		ip++
-		ref := len(dst) - off - 1
-		if ref < base {
-			return dst, ErrCorrupt
+		end := op + length
+		if ref < 0 {
+			// Reference into the dictionary; the run may spill from the
+			// dictionary's tail into the output already produced.
+			d := len(dict) + ref
+			if d < 0 {
+				return dst[:base+op], ErrCorrupt
+			}
+			op += copy(out[op:end], dict[d:])
+			ref = 0
 		}
-		for i := 0; i < length; i++ {
-			dst = append(dst, dst[ref+i])
+		// copy is a memmove: where source and destination overlap, the
+		// bytes already written are a whole number of periods, so each
+		// round doubles what the next can take.
+		for op < end {
+			op += copy(out[op:end], out[ref:op])
 		}
 	}
-	if len(dst)-base != outLen {
-		return dst, fmt.Errorf("%w: got %d bytes, want %d", ErrCorrupt, len(dst)-base, outLen)
+	if op != outLen {
+		return dst[:base+op], fmt.Errorf("%w: got %d bytes, want %d", ErrCorrupt, op, outLen)
 	}
-	return dst, nil
+	return dst[:base+outLen], nil
 }

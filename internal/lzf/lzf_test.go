@@ -2,6 +2,7 @@ package lzf
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -85,18 +86,60 @@ func TestRoundTripStructured(t *testing.T) {
 	}
 }
 
-func TestDecompressCorrupt(t *testing.T) {
-	cases := [][]byte{
-		{0x05},             // literal run longer than input
-		{0xff},             // match with no offset byte
-		{0xe0},             // extended length with nothing following
-		{0x20, 0x10},       // back-reference before start of output
-		{0x00, 0x41, 0xff}, // trailing garbage control wanting more bytes
+// TestDecompressHostile has one stream per rejection, each tried through
+// Decompress and through DecompressDict with a dictionary in play.
+func TestDecompressHostile(t *testing.T) {
+	dict := []byte("xyz")
+	cases := []struct {
+		name   string
+		in     []byte
+		outLen int
+	}{
+		{"truncated literal run", []byte{0x05, 'a'}, 6},
+		{"truncated length byte", []byte{0x00, 'a', 0xe0}, 100},
+		{"truncated offset byte", []byte{0x00, 'a', 0x20}, 4},
+		{"truncated offset byte after a length byte", []byte{0x00, 'a', 0xe0, 0x01}, 11},
+		{"reference before the output and the dictionary", []byte{0x00, 'a', 0x20, 0x10}, 4},
+		{"trailing control byte wanting more", []byte{0x00, 'a', 0xff}, 1},
+		{"stream ends short of outLen", []byte{0x01, 'a', 'b'}, 3},
+		{"literal run passes outLen", []byte{0x02, 'a', 'b', 'c'}, 2},
+		{"match passes outLen", []byte{0x00, 'a', 0xe0, 0xff, 0x00}, 100},
 	}
-	for i, c := range cases {
-		if _, err := Decompress(nil, c, 100); err == nil {
-			t.Errorf("case %d: corrupt input decompressed without error", i)
+	for _, c := range cases {
+		if _, err := Decompress(nil, c.in, c.outLen); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decompress = %v, want ErrCorrupt", c.name, err)
 		}
+		if _, err := DecompressDict(nil, dict, c.in, c.outLen); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecompressDict = %v, want ErrCorrupt", c.name, err)
+		}
+	}
+	// A reference may reach the dictionary but not bytes dst already
+	// held, which are not part of this stream's history.
+	reach := []byte{0x00, 'a', 0x20, 0x02} // 'a', then 3 bytes from 2 before the output
+	if out, err := DecompressDict(nil, dict, reach, 4); err != nil || string(out) != "ayza" {
+		t.Errorf("reference into the dictionary = %q, %v", out, err)
+	}
+	if _, err := Decompress([]byte("xyz"), reach, 4); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("reference into dst's prefix = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecompressStopsAtOutLen holds the decoder to refusing a stream at
+// the token that would pass outLen: a hostile stream expanding to 64 MiB
+// must not grow the caller's page-sized buffer, let alone be decoded and
+// measured afterwards.
+func TestDecompressStopsAtOutLen(t *testing.T) {
+	bomb := []byte{0x00, 0}
+	for i := 0; i < 1<<18; i++ {
+		bomb = append(bomb, 0xe0, 0xff, 0x00) // 264 more zeros each
+	}
+	buf := make([]byte, 0, 4096)
+	out, err := Decompress(buf, bomb, 4096)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if len(out) > 4096 || cap(out) != cap(buf) {
+		t.Fatalf("decoder produced %d bytes (cap %d) for outLen 4096", len(out), cap(out))
 	}
 }
 
@@ -133,7 +176,8 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-func BenchmarkCompressPage(b *testing.B) {
+// benchPage is a sparse page: 64 scattered 16-byte words in zeros.
+func benchPage() []byte {
 	r := rng.New(3)
 	page := make([]byte, 4096)
 	for i := 0; i < 64; i++ {
@@ -142,28 +186,66 @@ func BenchmarkCompressPage(b *testing.B) {
 			page[off+j] = byte(r.Uint64())
 		}
 	}
+	return page
+}
+
+// The Page benchmarks report both call shapes: "owned" is the hot paths'
+// (a caller-owned dst reused across pages, 0 allocs/op), "nil" what a
+// one-off caller such as pagestore.DecodePage pays (1 alloc/op).
+func BenchmarkCompressPage(b *testing.B) {
+	page := benchPage()
+	b.Run("owned", func(b *testing.B) {
+		dst := make([]byte, 0, CompressBound(len(page)))
+		b.SetBytes(4096)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dst = Compress(dst[:0], page)
+		}
+	})
+	b.Run("nil", func(b *testing.B) {
+		b.SetBytes(4096)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Compress(nil, page)
+		}
+	})
+}
+
+// BenchmarkCompressRandomPage is the incompressible case, which the
+// widening stride keeps cheaper than the compressible one.
+func BenchmarkCompressRandomPage(b *testing.B) {
+	r := rng.New(4)
+	page := make([]byte, 4096)
+	for i := range page {
+		page[i] = byte(r.Uint64())
+	}
+	dst := make([]byte, 0, CompressBound(len(page)))
 	b.SetBytes(4096)
-	b.ResetTimer()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Compress(nil, page)
+		dst = Compress(dst[:0], page)
 	}
 }
 
 func BenchmarkDecompressPage(b *testing.B) {
-	r := rng.New(3)
-	page := make([]byte, 4096)
-	for i := 0; i < 64; i++ {
-		off := r.Intn(len(page) - 16)
-		for j := 0; j < 16; j++ {
-			page[off+j] = byte(r.Uint64())
+	comp := Compress(nil, benchPage())
+	b.Run("owned", func(b *testing.B) {
+		dst := make([]byte, 0, 4096)
+		b.SetBytes(4096)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Decompress(dst[:0], comp, 4096); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
-	comp := Compress(nil, page)
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(nil, comp, 4096); err != nil {
-			b.Fatal(err)
+	})
+	b.Run("nil", func(b *testing.B) {
+		b.SetBytes(4096)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Decompress(nil, comp, 4096); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }

@@ -46,9 +46,9 @@ func FuzzPagesReply(f *testing.F) {
 	zero := make([]byte, units.PageSize)
 	good := make([]byte, 4)
 	binary.BigEndian.PutUint32(good, 3)
-	good, _ = appendPageEntry(good, 4, pageA, nil)
-	good, _ = appendPageEntry(good, 9, pageB, nil)
-	good, _ = appendPageEntry(good, 13, zero, nil)
+	good = appendPageEntry(good, 4, pageA)
+	good = appendPageEntry(good, 9, pageB)
+	good = appendPageEntry(good, 13, zero)
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1})                   // count promises more than the payload holds
@@ -223,7 +223,7 @@ func FuzzGetPagesRoundTrip(f *testing.F) {
 		// Reply side, built the way the server builds it.
 		reply := make([]byte, 4)
 		binary.BigEndian.PutUint32(reply, 1)
-		reply, _ = appendPageEntry(reply, pfn, want, nil)
+		reply = appendPageEntry(reply, pfn, want)
 		pages, err := parsePagesReply(reply)
 		if err != nil {
 			t.Fatal(err)

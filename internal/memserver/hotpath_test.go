@@ -124,12 +124,12 @@ func TestGetPageReplyZeroAlloc(t *testing.T) {
 	var scratch connScratch
 	reply := func() {
 		out := scratch.beginReply(msgPage)
-		out, scratch.comp = pagestore.EncodePageAppend(out, scratch.comp, page)
+		out = pagestore.EncodePageAppend(out, page)
 		if err := scratch.finishReply(io.Discard, out); err != nil {
 			t.Fatal(err)
 		}
 	}
-	reply() // warm the reply and compression buffers
+	reply() // warm the reply buffer
 	if allocs := testing.AllocsPerRun(200, reply); allocs > 0 {
 		t.Fatalf("GetPage reply allocates %.1f times per op; want 0", allocs)
 	}

@@ -320,12 +320,10 @@ func parseGetPagesRequest(payload []byte) (pagestore.VMID, []pagestore.PFN, erro
 }
 
 // appendPageEntry appends one reply entry (pfn | token | encoded body)
-// for a page's raw contents. scratch is the caller-owned compression
-// buffer (see pagestore.EncodePageAppend); passing nil still works but
-// allocates per call.
-func appendPageEntry(out []byte, pfn pagestore.PFN, page, scratch []byte) ([]byte, []byte) {
+// for a page's raw contents.
+func appendPageEntry(out []byte, pfn pagestore.PFN, page []byte) []byte {
 	out = binary.BigEndian.AppendUint64(out, uint64(pfn))
-	return pagestore.EncodePageAppend(out, scratch, page)
+	return pagestore.EncodePageAppend(out, page)
 }
 
 // parsePagesReply decodes a msgPages payload into decompressed pages.

@@ -262,11 +262,11 @@ func (s *Server) serveConn(raw net.Conn) {
 		raw.SetReadDeadline(time.Now().Add(s.idleTimeout))
 	}
 	// Per-connection reusable buffers: one goroutine serves a
-	// connection, so the receive buffer, the reply under construction
-	// and the compression scratch all live across frames instead of
-	// being allocated per page (see pagestore.EncodePageAppend) — the
-	// page-serving and chunk-receiving hot paths are allocation-free in
-	// steady state.
+	// connection, so the receive buffer and the reply under construction
+	// (which pages are compressed straight into, see
+	// pagestore.EncodePageAppend) live across frames instead of being
+	// allocated per page — the page-serving and chunk-receiving hot
+	// paths are allocation-free in steady state.
 	var scratch connScratch
 	if err := s.authenticate(conn, &scratch); err != nil {
 		s.tel.authFail.Inc()
@@ -300,7 +300,6 @@ type connScratch struct {
 	hdr   [5]byte // inbound frame header (stack copies escape via io.ReadFull)
 	read  []byte  // inbound frame payload (reused; handlers must not retain)
 	reply []byte  // outgoing reply frame under construction
-	comp  []byte  // lzf compression scratch
 	upMAC *sessionHMAC
 }
 
@@ -405,10 +404,10 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 		// msgPage's reply body IS the page encoding (u16 token | payload),
 		// built straight into the frame under construction in the
 		// connection's reusable buffer and sent with a single write: the
-		// GetPage reply hot path performs no allocations and no copies
-		// beyond the compressor's own output.
+		// GetPage reply hot path performs no allocations and no copies:
+		// the compressor's output lands in the frame.
 		out := scratch.beginReply(msgPage)
-		out, scratch.comp = pagestore.EncodePageAppend(out, scratch.comp, page)
+		out = pagestore.EncodePageAppend(out, page)
 		s.pagesServed.Add(1)
 		s.bytesServed.Add(int64(len(out) - 5))
 		return scratch.finishReply(conn, out)
@@ -434,7 +433,7 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 			if err != nil {
 				return fail(err)
 			}
-			out, scratch.comp = appendPageEntry(out, pfn, page, scratch.comp)
+			out = appendPageEntry(out, pfn, page)
 		}
 		s.pagesServed.Add(int64(n))
 		s.bytesServed.Add(int64(len(out) - 5))

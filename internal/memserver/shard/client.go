@@ -570,7 +570,11 @@ func (c *Client) readRefs(st *epochState, id pagestore.VMID, pfn pagestore.PFN, 
 // replicas failed and why.
 func (c *Client) readFrom(id pagestore.VMID, pfn pagestore.PFN, fn func(p *memserver.ClientPool) error) error {
 	st := c.state.Load()
-	refs := c.readRefs(st, id, pfn, nil)
+	return c.readVia(st, c.readRefs(st, id, pfn, nil), id, pfn, fn)
+}
+
+// readVia is readFrom over a route the caller already resolved.
+func (c *Client) readVia(st *epochState, refs []*backendRef, id pagestore.VMID, pfn pagestore.PFN, fn func(p *memserver.ClientPool) error) error {
 	key := rangeKey{id, rngOf(st.ring, pfn)}
 	var errs []error
 	tried := 0
@@ -657,9 +661,12 @@ func (c *Client) GetPages(id pagestore.VMID, pfns []pagestore.PFN) (map[pagestor
 		wg.Add(1)
 		go func(g ownerGroup) {
 			defer wg.Done()
-			// All pages in the group share a route; failover routes the
-			// whole group through readFrom keyed by its first page.
-			err := c.readFrom(id, g.pfns[0], func(p *memserver.ClientPool) error {
+			// All pages in the group share the route resolved when they
+			// were grouped, and are read over that one: resolving it again
+			// from the first page would send the rest to a new owner their
+			// own, still pending, ranges have not been copied to the
+			// moment the first page's range settles in between.
+			err := c.readVia(st, g.refs, id, g.pfns[0], func(p *memserver.ClientPool) error {
 				pages, err := p.GetPages(id, g.pfns)
 				if err != nil {
 					return err
@@ -690,6 +697,7 @@ func (c *Client) GetPages(id pagestore.VMID, pfns []pagestore.PFN) (map[pagestor
 // ownerGroup is a run of pages sharing one replica route.
 type ownerGroup struct {
 	key  string
+	refs []*backendRef
 	pfns []pagestore.PFN
 }
 
@@ -712,7 +720,7 @@ func (c *Client) groupByOwners(st *epochState, id pagestore.VMID, pfns []pagesto
 		if !ok {
 			i = len(groups)
 			idx[k] = i
-			groups = append(groups, ownerGroup{key: k})
+			groups = append(groups, ownerGroup{key: k, refs: append([]*backendRef(nil), refs...)})
 		}
 		groups[i].pfns = append(groups[i].pfns, pfn)
 	}

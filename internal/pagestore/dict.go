@@ -97,38 +97,32 @@ func appendSnapHeader(out []byte, h snapHeader, count uint32) []byte {
 }
 
 // appendPageEntriesDict is appendPageEntries with a dictionary in play:
-// each non-zero page is compressed both plain and against dict, and the
-// smaller encoding wins (dictionary wins tagged with tokenDictBit).
-// With an empty dict it produces exactly appendPageEntries' bytes.
+// each non-zero page is also compressed against dict, and that encoding
+// replaces the plain (or raw) one when it is smaller (tagged with
+// tokenDictBit). With an empty dict it produces exactly
+// appendPageEntries' bytes.
 func appendPageEntriesDict(out []byte, im *Image, pfns []PFN, dict []byte) ([]byte, error) {
 	if len(dict) == 0 {
 		return appendPageEntries(out, im, pfns)
 	}
-	var comp, dcomp []byte
+	var dcomp []byte
 	for _, pfn := range pfns {
 		page, err := im.Read(pfn)
 		if err != nil {
 			return nil, err
 		}
 		out = binary.BigEndian.AppendUint64(out, uint64(pfn))
-		if isZero(page) {
-			out = binary.BigEndian.AppendUint16(out, tokenZero)
-			continue
+		at := len(out)
+		out = EncodePageAppend(out, page)
+		if len(out) == at+2 {
+			continue // zero page
 		}
-		comp = lzf.Compress(comp[:0], page)
 		dcomp = lzf.CompressDict(dcomp[:0], dict, page)
-		best, token := comp, uint16(len(comp))
-		if len(dcomp) < len(comp) {
-			best, token = dcomp, tokenDictBit|uint16(len(dcomp))
+		if len(dcomp) < len(out)-at-2 {
+			binary.BigEndian.PutUint16(out[at:], tokenDictBit|uint16(len(dcomp)))
+			out = append(out[:at+2], dcomp...)
 			dictHits.Inc()
 		}
-		if len(best) >= int(units.PageSize) {
-			out = binary.BigEndian.AppendUint16(out, tokenRawBit|uint16(units.PageSize&0x7FFF))
-			out = append(out, page...)
-			continue
-		}
-		out = binary.BigEndian.AppendUint16(out, token)
-		out = append(out, best...)
 	}
 	return out, nil
 }

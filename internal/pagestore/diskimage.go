@@ -46,16 +46,17 @@ func WriteImageFile(path string, im *Image) (int, error) {
 	index := make([]byte, 0, len(pfns)*diskIndexEntrySize)
 	payloads := make([]byte, 0, len(pfns)*128)
 	base := uint64(diskHeaderSize + len(pfns)*diskIndexEntrySize)
+	var enc []byte // one page's token | payload, reused across the loop
 	for _, pfn := range pfns {
 		page, err := im.Read(pfn)
 		if err != nil {
 			return 0, err
 		}
-		token, body := EncodePage(page)
+		enc = EncodePageAppend(enc[:0], page)
 		index = binary.BigEndian.AppendUint64(index, uint64(pfn))
-		index = binary.BigEndian.AppendUint16(index, token)
+		index = append(index, enc[:2]...)
 		index = binary.BigEndian.AppendUint64(index, base+uint64(len(payloads)))
-		payloads = append(payloads, body...)
+		payloads = append(payloads, enc[2:]...)
 	}
 	if _, err := f.Write(index); err != nil {
 		return 0, err

@@ -38,13 +38,15 @@ var pageEstimate atomic.Int64
 const defaultPageEstimate = 128
 
 // snapshotCapacity returns the output capacity to reserve for an n-page
-// snapshot, from the observed compressibility of previous encodes.
+// snapshot, from the observed compressibility of previous encodes, plus
+// the worst-case room the compressor wants ahead of it for one page: a
+// snapshot the estimate fits is then never regrown for its last entries.
 func snapshotCapacity(n int) int {
 	per := int(pageEstimate.Load())
 	if per <= 0 {
 		per = defaultPageEstimate
 	}
-	return 8 + n*per
+	return 8 + n*per + lzf.CompressBound(int(units.PageSize))
 }
 
 // observeSnapshot folds one encode's realized bytes/page into the
@@ -92,26 +94,13 @@ func EncodePages(im *Image, pfns []PFN) ([]byte, error) {
 // parallel one — which is what makes their outputs byte-identical by
 // construction.
 func appendPageEntries(out []byte, im *Image, pfns []PFN) ([]byte, error) {
-	var comp []byte
 	for _, pfn := range pfns {
 		page, err := im.Read(pfn)
 		if err != nil {
 			return nil, err
 		}
 		out = binary.BigEndian.AppendUint64(out, uint64(pfn))
-		if isZero(page) {
-			out = binary.BigEndian.AppendUint16(out, tokenZero)
-			continue
-		}
-		comp = lzf.Compress(comp[:0], page)
-		if len(comp) >= int(units.PageSize) {
-			// Incompressible: store raw.
-			out = binary.BigEndian.AppendUint16(out, tokenRawBit|uint16(units.PageSize&0x7FFF))
-			out = append(out, page...)
-			continue
-		}
-		out = binary.BigEndian.AppendUint16(out, uint16(len(comp)))
-		out = append(out, comp...)
+		out = EncodePageAppend(out, page)
 	}
 	return out, nil
 }
@@ -131,69 +120,33 @@ func EncodeAll(im *Image) ([]byte, int, error) {
 	return data, len(pfns), err
 }
 
-// DecodeSnapshot parses a snapshot (either the v1 "OAPS" or the v2
-// dictionary-carrying "OAPD" format), invoking apply for every page.
-// Zero pages are delivered as a nil slice so the receiver can elide
-// storage.
-func DecodeSnapshot(data []byte, apply func(pfn PFN, page []byte) error) error {
+// walkSnapshot parses a snapshot's framing (either the v1 "OAPS" or the
+// v2 dictionary-carrying "OAPD" format) and hands fn every page entry,
+// still encoded, with the snapshot's dictionary (nil for v1).
+func walkSnapshot(data []byte, fn func(dict []byte, pfn PFN, token uint16, payload []byte) error) error {
 	hdr, err := parseSnapHeader(data)
 	if err != nil {
 		return err
 	}
-	count := hdr.count
 	off := hdr.bodyOff
-	pageBuf := make([]byte, 0, units.PageSize)
-	for i := uint32(0); i < count; i++ {
+	for i := uint32(0); i < hdr.count; i++ {
 		if off+10 > len(data) {
-			return fmt.Errorf("pagestore: truncated snapshot at page %d/%d", i, count)
+			return fmt.Errorf("pagestore: truncated snapshot at page %d/%d", i, hdr.count)
 		}
 		pfn := PFN(binary.BigEndian.Uint64(data[off:]))
 		token := binary.BigEndian.Uint16(data[off+8:])
 		off += 10
-		switch {
-		case token == tokenZero:
-			if err := apply(pfn, nil); err != nil {
-				return err
-			}
-		case token&tokenRawBit != 0:
-			n := int(token &^ tokenRawBit)
-			if off+n > len(data) {
-				return fmt.Errorf("pagestore: truncated raw page %d", pfn)
-			}
-			if err := apply(pfn, data[off:off+n]); err != nil {
-				return err
-			}
-			off += n
-		case token&tokenDictBit != 0:
-			n := int(token &^ tokenDictBit)
-			if off+n > len(data) {
-				return fmt.Errorf("pagestore: truncated compressed page %d", pfn)
-			}
-			if hdr.dict == nil {
-				return fmt.Errorf("pagestore: page %d: dict token in dictionary-less snapshot", pfn)
-			}
-			pageBuf, err = lzf.DecompressDict(pageBuf[:0], hdr.dict, data[off:off+n], int(units.PageSize))
-			if err != nil {
-				return fmt.Errorf("pagestore: page %d: %w", pfn, err)
-			}
-			if err := apply(pfn, pageBuf); err != nil {
-				return err
-			}
-			off += n
-		default:
-			n := int(token)
-			if off+n > len(data) {
-				return fmt.Errorf("pagestore: truncated compressed page %d", pfn)
-			}
-			pageBuf, err = lzf.Decompress(pageBuf[:0], data[off:off+n], int(units.PageSize))
-			if err != nil {
-				return fmt.Errorf("pagestore: page %d: %w", pfn, err)
-			}
-			if err := apply(pfn, pageBuf); err != nil {
-				return err
-			}
-			off += n
+		n := PageBodyLen(token)
+		if token != tokenZero && token&tokenRawBit != 0 {
+			n = int(token &^ tokenRawBit) // a snapshot's raw token carries its own length
 		}
+		if off+n > len(data) {
+			return fmt.Errorf("pagestore: truncated page %d", pfn)
+		}
+		if err := fn(hdr.dict, pfn, token, data[off:off+n]); err != nil {
+			return err
+		}
+		off += n
 	}
 	if off != len(data) {
 		return fmt.Errorf("pagestore: %d trailing bytes in snapshot", len(data)-off)
@@ -201,46 +154,81 @@ func DecodeSnapshot(data []byte, apply func(pfn PFN, page []byte) error) error {
 	return nil
 }
 
-// ApplySnapshot decodes a snapshot directly into an image.
-func ApplySnapshot(im *Image, data []byte) error {
-	return DecodeSnapshot(data, func(pfn PFN, page []byte) error {
-		if page == nil {
-			return im.Write(pfn, nil)
+// decodeEntry returns the page of one snapshot entry: nil for a zero
+// page, the payload itself for a raw one, and otherwise the payload
+// decompressed into dst.
+func decodeEntry(dst, dict []byte, pfn PFN, token uint16, payload []byte) (page []byte, err error) {
+	switch {
+	case token == tokenZero:
+		return nil, nil
+	case token&tokenRawBit != 0:
+		return payload, nil
+	case token&tokenDictBit == 0:
+		page, err = lzf.Decompress(dst, payload, int(units.PageSize))
+	case dict == nil:
+		return nil, fmt.Errorf("pagestore: page %d: dict token in dictionary-less snapshot", pfn)
+	default:
+		page, err = lzf.DecompressDict(dst, dict, payload, int(units.PageSize))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("pagestore: page %d: %w", pfn, err)
+	}
+	return page, nil
+}
+
+// DecodeSnapshot parses a snapshot of either format, invoking apply for
+// every page. Zero pages are delivered as a nil slice so the receiver
+// can elide storage; any other page is only valid during the call.
+func DecodeSnapshot(data []byte, apply func(pfn PFN, page []byte) error) error {
+	buf := make([]byte, 0, units.PageSize)
+	return walkSnapshot(data, func(dict []byte, pfn PFN, token uint16, payload []byte) error {
+		page, err := decodeEntry(buf, dict, pfn, token, payload)
+		if err != nil {
+			return err
 		}
-		return im.Write(pfn, page)
+		return apply(pfn, page)
 	})
 }
 
-// EncodePage compresses a single page for network transmission, returning
-// the token and payload in the same format snapshots use.
-func EncodePage(page []byte) (token uint16, payload []byte) {
-	if isZero(page) {
-		return tokenZero, nil
-	}
-	comp := lzf.Compress(nil, page)
-	if len(comp) >= int(units.PageSize) {
-		return tokenRawBit | uint16(units.PageSize&0x7FFF), page
-	}
-	return uint16(len(comp)), comp
+// ApplySnapshot decodes a snapshot directly into an image: a compressed
+// page is decompressed into the buffer the image then keeps.
+func ApplySnapshot(im *Image, data []byte) error {
+	return walkSnapshot(data, func(dict []byte, pfn PFN, token uint16, payload []byte) error {
+		page, err := decodeEntry(nil, dict, pfn, token, payload)
+		if err != nil {
+			return err
+		}
+		if token&tokenRawBit != 0 {
+			// Zero (every bit set) or raw: nothing was decoded, Write copies.
+			return im.Write(pfn, page)
+		}
+		if isZero(page) {
+			page = nil
+		}
+		return im.set(pfn, page)
+	})
 }
 
-// EncodePageAppend is the allocation-free variant of EncodePage for the
-// page-serving hot path: it appends the wire encoding (u16 token |
-// payload) to out, compressing into scratch, and returns both slices for
-// reuse. A caller looping over pages (the daemon's GetPage/GetPages
-// handlers) amortizes every buffer across the loop instead of paying a
-// fresh compressor allocation per page.
-func EncodePageAppend(out, scratch, page []byte) (newOut, newScratch []byte) {
+// EncodePageAppend appends one page's wire encoding (u16 token | payload,
+// the format snapshots use) to out and returns the extended slice. The
+// page is compressed straight into out behind its token; a result no
+// smaller than the page is rolled back to a raw entry. A caller looping
+// over pages (the snapshot encoders, the daemon's GetPage/GetPages
+// handlers) reuses out and pays no allocation per page.
+func EncodePageAppend(out, page []byte) []byte {
 	if isZero(page) {
-		return binary.BigEndian.AppendUint16(out, tokenZero), scratch
+		return binary.BigEndian.AppendUint16(out, tokenZero)
 	}
-	scratch = lzf.Compress(scratch[:0], page)
-	if len(scratch) >= int(units.PageSize) {
-		out = binary.BigEndian.AppendUint16(out, tokenRawBit|uint16(units.PageSize&0x7FFF))
-		return append(out, page...), scratch
+	at := len(out)
+	out = lzf.Compress(append(out, 0, 0), page)
+	token := len(out) - at - 2
+	if token >= int(units.PageSize) {
+		// Incompressible: store raw.
+		out = append(out[:at+2], page...)
+		token = tokenRawBit | int(units.PageSize&0x7FFF)
 	}
-	out = binary.BigEndian.AppendUint16(out, uint16(len(scratch)))
-	return append(out, scratch...), scratch
+	binary.BigEndian.PutUint16(out[at:], uint16(token))
+	return out
 }
 
 // PageBodyLen returns the payload size implied by a page token, so wire
@@ -258,7 +246,7 @@ func PageBodyLen(token uint16) int {
 	}
 }
 
-// DecodePage reverses EncodePage. Zero-token pages return a shared
+// DecodePage reverses EncodePageAppend. Zero-token pages return a shared
 // all-zero page; callers must not modify the result.
 func DecodePage(token uint16, payload []byte) ([]byte, error) {
 	switch {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"oasis/internal/lzf"
 	"oasis/internal/rng"
 	"oasis/internal/units"
 )
@@ -224,25 +225,37 @@ func TestSplitSnapshotEdgeCases(t *testing.T) {
 	}
 }
 
-// TestEncodePageAppendMatchesEncodePage pins the hot-path variant to the
-// allocating one across all three page classes.
+// encodePage is the reference EncodePageAppend is held to: compress
+// aside, then pick the zero, raw or compressed token.
+func encodePage(page []byte) (token uint16, payload []byte) {
+	if isZero(page) {
+		return tokenZero, nil
+	}
+	comp := lzf.Compress(nil, page)
+	if len(comp) >= int(units.PageSize) {
+		return tokenRawBit | uint16(units.PageSize&0x7FFF), page
+	}
+	return uint16(len(comp)), comp
+}
+
+// TestEncodePageAppendMatchesEncodePage pins the in-place encoder (token
+// slot reserved, compressed straight into out, rolled back to raw) to
+// the reference across all three page classes, behind a non-empty out.
 func TestEncodePageAppendMatchesEncodePage(t *testing.T) {
 	r := rng.New(3)
 	raw := make([]byte, units.PageSize)
 	for i := range raw {
 		raw[i] = byte(r.Int63n(256))
 	}
-	var scratch []byte
 	for name, page := range map[string][]byte{
 		"zero":         make([]byte, units.PageSize),
 		"compressible": bytes.Repeat([]byte{0x42}, int(units.PageSize)),
 		"raw":          raw,
 	} {
-		token, body := EncodePage(page)
-		want := binary.BigEndian.AppendUint16(nil, token)
+		token, body := encodePage(page)
+		want := binary.BigEndian.AppendUint16([]byte("prefix"), token)
 		want = append(want, body...)
-		var got []byte
-		got, scratch = EncodePageAppend(got, scratch, page)
+		got := EncodePageAppend([]byte("prefix"), page)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s page: append variant diverges (%d vs %d bytes)", name, len(got), len(want))
 		}
@@ -256,7 +269,8 @@ func TestSnapshotCapacityAdapts(t *testing.T) {
 	defer pageEstimate.Store(prev)
 
 	pageEstimate.Store(0)
-	if got := snapshotCapacity(100); got != 8+100*defaultPageEstimate {
+	// The compressor writes in place, so the hint carries one page of slack.
+	if got := snapshotCapacity(100); got != 8+100*defaultPageEstimate+lzf.CompressBound(int(units.PageSize)) {
 		t.Fatalf("unseeded capacity = %d", got)
 	}
 	// Feed raw-heavy snapshots: the estimate must climb toward the raw
@@ -280,25 +294,14 @@ func TestSnapshotCapacityAdapts(t *testing.T) {
 	}
 }
 
-// BenchmarkEncodePage and BenchmarkEncodePageAppend document the
-// allocation fix on the GetPage hot path: the append variant runs with
-// zero allocations per page once its buffers are warm.
-func BenchmarkEncodePage(b *testing.B) {
-	page := bytes.Repeat([]byte{0x42, 0, 0, 0x17}, int(units.PageSize)/4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		token, body := EncodePage(page)
-		_ = token
-		_ = body
-	}
-}
-
+// BenchmarkEncodePageAppend is the GetPage hot path: zero allocations
+// per page once out is warm.
 func BenchmarkEncodePageAppend(b *testing.B) {
 	page := bytes.Repeat([]byte{0x42, 0, 0, 0x17}, int(units.PageSize)/4)
-	var out, scratch []byte
+	var out []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, scratch = EncodePageAppend(out[:0], scratch, page)
+		out = EncodePageAppend(out[:0], page)
 	}
 }
 

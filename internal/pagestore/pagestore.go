@@ -12,6 +12,7 @@
 package pagestore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -63,19 +64,29 @@ func (im *Image) NumPages() int64 { return im.npages }
 // bit (the page changed from the server's perspective). The data is
 // copied; the caller keeps ownership of the slice.
 func (im *Image) Write(pfn PFN, data []byte) error {
-	if int64(pfn) >= im.npages {
-		return fmt.Errorf("%w: pfn %d, allocation %d pages", ErrOutOfRange, pfn, im.npages)
-	}
 	if len(data) > int(units.PageSize) {
 		return fmt.Errorf("pagestore: page data %d bytes exceeds page size", len(data))
 	}
+	var p []byte
+	if !isZero(data) {
+		p = make([]byte, units.PageSize)
+		copy(p, data)
+	}
+	return im.set(pfn, p)
+}
+
+// set makes p the page's contents and marks it dirty in the current
+// epoch. p is a whole non-zero page the image keeps from here on, or nil
+// for a zero page.
+func (im *Image) set(pfn PFN, p []byte) error {
+	if int64(pfn) >= im.npages {
+		return fmt.Errorf("%w: pfn %d, allocation %d pages", ErrOutOfRange, pfn, im.npages)
+	}
 	im.mu.Lock()
 	defer im.mu.Unlock()
-	if isZero(data) {
+	if p == nil {
 		delete(im.pages, pfn)
 	} else {
-		p := make([]byte, units.PageSize)
-		copy(p, data)
 		im.pages[pfn] = p
 	}
 	im.dirtyAt[pfn] = im.epoch
@@ -170,7 +181,13 @@ func (im *Image) ClearDirty() {
 
 var zeroPage = make([]byte, units.PageSize)
 
+// isZero scans eight bytes at a time, then the tail.
 func isZero(p []byte) bool {
+	for ; len(p) >= 8; p = p[8:] {
+		if binary.LittleEndian.Uint64(p) != 0 {
+			return false
+		}
+	}
 	for _, b := range p {
 		if b != 0 {
 			return false

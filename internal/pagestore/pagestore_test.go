@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -225,14 +226,47 @@ func TestEncodeDecodePage(t *testing.T) {
 	}
 	cases = append(cases, inc)
 	for i, page := range cases {
-		token, payload := EncodePage(page)
-		got, err := DecodePage(token, payload)
+		enc := EncodePageAppend(nil, page)
+		got, err := DecodePage(binary.BigEndian.Uint16(enc), enc[2:])
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		if !bytes.Equal(got, page) {
 			t.Fatalf("case %d: round trip mismatch", i)
 		}
+	}
+}
+
+// TestIsZeroMatchesByteLoop checks the word-at-a-time scan against the
+// byte loop on every length around the word size, with the one non-zero
+// byte at every position (short and unaligned tails included).
+func TestIsZeroMatchesByteLoop(t *testing.T) {
+	byteLoop := func(p []byte) bool {
+		for _, b := range p {
+			if b != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	buf := make([]byte, 64)
+	for start := 0; start < 8; start++ {
+		for n := 0; start+n <= 40; n++ {
+			p := buf[start : start+n]
+			if !isZero(p) {
+				t.Fatalf("isZero(%d zero bytes at offset %d) = false", n, start)
+			}
+			for i := range p {
+				p[i] = 0x80
+				if isZero(p) != byteLoop(p) {
+					t.Fatalf("len %d offset %d: non-zero byte at %d missed", n, start, i)
+				}
+				p[i] = 0
+			}
+		}
+	}
+	if !isZero(nil) || !isZero(zeroPage) {
+		t.Fatal("nil or the shared zero page not zero")
 	}
 }
 
