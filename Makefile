@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint check bench bench-check bench-fleet profile-fleet bench-codec profile-codec clean
+.PHONY: all build test race stress vet lint check bench bench-check bench-fleet profile-fleet bench-codec profile-codec clean
 
 all: build
 
@@ -16,6 +16,14 @@ test:
 # go test's default 10m package timeout under the race detector.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# The chaos suite twenty times over, plain and under the race detector.
+# Its accounting tests pin exact cross-layer counts (memtap faults ==
+# hypervisor faults), so a duplicate fetch or a lost install that shows
+# once in a hundred runs fails here instead of flaking tier-1.
+stress:
+	$(GO) test -count=20 ./internal/stress
+	$(GO) test -race -count=20 ./internal/stress
 
 vet:
 	$(GO) vet ./...

@@ -7,13 +7,17 @@
 //	oasis-bench -runs 5              # average 5 simulation days per point
 //	oasis-bench -quick               # restricted sweeps for a fast pass
 //	oasis-bench -list                # list experiment identifiers
-//	oasis-bench -json BENCH_reattach.json   # transport benchmark as JSON
+//	oasis-bench -experiment cluster -json BENCH_cluster.json   # a benchmark artifact
+//
+// The transport benchmark of record is bench/ (bash bench/run.sh); see
+// PERFORMANCE.md.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,124 +25,109 @@ import (
 	"oasis/internal/experiments"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments, streams and exit status made explicit.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("oasis-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		experiment = flag.String("experiment", "all", "experiment id (see -list) or 'all'")
-		seed       = flag.Uint64("seed", 42, "random seed")
-		runs       = flag.Int("runs", 1, "simulation days averaged per cluster data point")
-		quick      = flag.Bool("quick", false, "restrict sweeps for a fast pass")
-		list       = flag.Bool("list", false, "list experiment identifiers and exit")
-		outDir     = flag.String("out", "", "also write each report to <dir>/<id>.txt")
-		jsonOut    = flag.String("json", "", "run the reattach transport benchmark and write it as JSON to this path")
+		experiment = fs.String("experiment", "all", "experiment id (see -list) or 'all'")
+		seed       = fs.Uint64("seed", 42, "random seed")
+		runs       = fs.Int("runs", 1, "simulation days averaged per cluster data point")
+		quick      = fs.Bool("quick", false, "restrict sweeps for a fast pass")
+		list       = fs.Bool("list", false, "list experiment identifiers and exit")
+		outDir     = fs.String("out", "", "also write each report to <dir>/<id>.txt")
+		jsonOut    = fs.String("json", "", "with -experiment sim|cluster|rebalance: run that benchmark and write its artifact as JSON to this path")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
-		fmt.Println(strings.Join(experiments.IDs(), "\n"))
-		return
+		fmt.Fprintln(stdout, strings.Join(experiments.IDs(), "\n"))
+		return 0
 	}
 	opt := experiments.Option{Seed: *seed, Runs: *runs, Quick: *quick}
 
 	if *jsonOut != "" {
-		// -experiment selects which benchmark the JSON carries: "detach"
-		// for the upload pipeline, "shard" for the sharded fabric, "sim"
-		// for the million-user fleet simulator, "cluster" for the
-		// control-plane stress benchmark, anything else (including the
-		// default "all") keeps the original reattach benchmark.
-		var (
-			bench   any
-			speedup float64
-			err     error
-		)
-		switch strings.ToLower(*experiment) {
-		case "sim":
-			var b experiments.FleetBench
-			b, err = experiments.Fleet(opt)
-			if err == nil && len(b.WorkerRuns) > 1 {
-				bench, speedup = b, b.WorkerRuns[0].ElapsedSec/b.WorkerRuns[len(b.WorkerRuns)-1].ElapsedSec
-			} else {
-				bench = b
-			}
-		case "cluster":
-			var b experiments.ClusterBench
-			b, err = experiments.ClusterStress(opt)
-			bench, speedup = b, b.MeasuredGate.Ratio
-		case "detach":
-			var b experiments.DetachBench
-			b, err = experiments.Detach(opt)
-			bench, speedup = b, b.Model.Speedup
-		case "shard":
-			var b experiments.ShardBench
-			b, err = experiments.Shard(opt)
-			bench, speedup = b, b.Model.Speedup
-		case "rebalance":
-			var b experiments.RebalanceBench
-			b, err = experiments.Rebalance(opt)
-			bench, speedup = b, b.Model.Speedup
-		default:
-			var b experiments.ReattachBench
-			b, err = experiments.Reattach(opt)
-			bench, speedup = b, b.Model.Speedup
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (modeled speedup %.2fx)\n", *jsonOut, speedup)
-		// Benchmarks that embed a measured acceptance gate decide the exit
-		// status: CI runs the bench and fails the build when the measured
-		// comparison regresses past the noise floor.
-		if g, ok := bench.(interface{ GateResult() experiments.Gate }); ok {
-			gate := g.GateResult()
-			fmt.Printf("measured gate (%s): ratio %.3f vs floor %.2f\n",
-				gate.Comparison, gate.Ratio, gate.NoiseFloor)
-			if !gate.Pass {
-				fmt.Fprintln(os.Stderr, "measured gate FAILED")
-				os.Exit(1)
-			}
-		}
-		return
+		return writeBench(strings.ToLower(*experiment), opt, *jsonOut, stdout, stderr)
 	}
 
-	emit := func(r experiments.Report) {
-		fmt.Println(r.String())
+	emit := func(r experiments.Report) error {
+		fmt.Fprintln(stdout, r.String())
 		if *outDir == "" {
-			return
+			return nil
 		}
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		path := filepath.Join(*outDir, r.ID+".txt")
-		if err := os.WriteFile(path, []byte(r.String()+"\n"), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		return os.WriteFile(filepath.Join(*outDir, r.ID+".txt"), []byte(r.String()+"\n"), 0o644)
 	}
 
+	var reports []experiments.Report
 	if *experiment == "all" {
-		for _, r := range experiments.All(opt) {
-			emit(r)
+		reports = append(experiments.All(opt), experiments.Ablations(opt)...)
+	} else {
+		r, ok := experiments.ByID(*experiment, opt)
+		if !ok {
+			fmt.Fprintf(stderr, "unknown experiment %q; known: %s\n",
+				*experiment, strings.Join(experiments.IDs(), ", "))
+			return 2
 		}
-		for _, r := range experiments.Ablations(opt) {
-			emit(r)
+		reports = []experiments.Report{r}
+	}
+	for _, r := range reports {
+		if err := emit(r); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		return
 	}
-	r, ok := experiments.ByID(*experiment, opt)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n",
-			*experiment, strings.Join(experiments.IDs(), ", "))
-		os.Exit(2)
+	return 0
+}
+
+// writeBench runs the benchmark -experiment names and writes its JSON
+// artifact to path. A benchmark that embeds a measured acceptance gate
+// decides the exit status: CI runs it and fails the step when the gate
+// does.
+func writeBench(experiment string, opt experiments.Option, path string, stdout, stderr io.Writer) int {
+	var (
+		bench any
+		err   error
+	)
+	switch experiment {
+	case "sim":
+		bench, err = experiments.Fleet(opt)
+	case "cluster":
+		bench, err = experiments.ClusterStress(opt)
+	case "rebalance":
+		bench, err = experiments.Rebalance(opt)
+	default:
+		fmt.Fprintf(stderr, "-json needs -experiment sim, cluster or rebalance (got %q)\n", experiment)
+		return 2
 	}
-	emit(r)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	data, err := json.MarshalIndent(bench, "", "  ")
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "wrote %s\n", path)
+	if g, ok := bench.(interface{ GateResult() experiments.Gate }); ok {
+		gate := g.GateResult()
+		fmt.Fprintf(stdout, "measured gate (%s): ratio %.3f vs floor %.2f\n",
+			gate.Comparison, gate.Ratio, gate.NoiseFloor)
+		if !gate.Pass {
+			fmt.Fprintln(stderr, "measured gate FAILED")
+			return 1
+		}
+	}
+	return 0
 }

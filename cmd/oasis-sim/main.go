@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"oasis"
-	"oasis/internal/flagbind"
 )
 
 func parsePolicy(s string) (oasis.Policy, error) {
@@ -40,32 +39,30 @@ func parsePolicy(s string) (oasis.Policy, error) {
 	}
 }
 
+// The command line. The simulator models the paper's measured
+// calibration only, so it takes none of the daemons' transport flags
+// (-pool, -prefetch-streams, -upload-streams, -backends, ...): what those
+// buy is measured on the running system by bench/.
+var (
+	policy = flag.String("policy", "FulltoPartial", "OnlyPartial|Default|FulltoPartial|NewHome|FullOnly")
+	home   = flag.Int("home", 30, "home (compute) hosts")
+	cons   = flag.Int("cons", 4, "consolidation hosts")
+	vms    = flag.Int("vms", 30, "VMs per home host")
+	kind   = flag.String("kind", "weekday", "weekday|weekend")
+	seed   = flag.Uint64("seed", 1, "random seed")
+	runs   = flag.Int("runs", 1, "days to simulate and average")
+	series = flag.Bool("series", false, "print the hourly active/powered series")
+	events = flag.Int("events", 0, "record and print the last N manager decisions")
+	msMTBF = flag.Duration("ms-mtbf", 0, "inject memory-server outages with this mean time between failures per serving server (0 disables)")
+
+	scenarioSpec = flag.String("scenario", "", "run a fleet scenario: name[,key=value,...] ('list' prints the library); see README")
+	users        = flag.Int("users", 0, "fleet mode: total simulated users, sharded into independent cells (0 keeps the single-cluster mode unless -scenario is given)")
+	simWorkers   = flag.Int("simworkers", 0, "fleet mode: cells simulated concurrently (<=0 means GOMAXPROCS; results are bit-identical at any worker count)")
+
+	metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /traces and /debug/pprof on this address while the simulation runs (empty disables); see OBSERVABILITY.md")
+)
+
 func main() {
-	var (
-		policy = flag.String("policy", "FulltoPartial", "OnlyPartial|Default|FulltoPartial|NewHome|FullOnly")
-		home   = flag.Int("home", 30, "home (compute) hosts")
-		cons   = flag.Int("cons", 4, "consolidation hosts")
-		vms    = flag.Int("vms", 30, "VMs per home host")
-		kind   = flag.String("kind", "weekday", "weekday|weekend")
-		seed   = flag.Uint64("seed", 1, "random seed")
-		runs   = flag.Int("runs", 1, "days to simulate and average")
-		series = flag.Bool("series", false, "print the hourly active/powered series")
-		events = flag.Int("events", 0, "record and print the last N manager decisions")
-		msMTBF = flag.Duration("ms-mtbf", 0, "inject memory-server outages with this mean time between failures per serving server (0 disables)")
-		shards = flag.Int("shards", 0, "model a sharded memory-server fabric with this many backends (<=1 keeps the single host-local server)")
-
-		scenarioSpec = flag.String("scenario", "", "run a fleet scenario: name[,key=value,...] ('list' prints the library); see README")
-		users        = flag.Int("users", 0, "fleet mode: total simulated users, sharded into independent cells (0 keeps the single-cluster mode unless -scenario is given)")
-		simWorkers   = flag.Int("simworkers", 0, "fleet mode: cells simulated concurrently (<=0 means GOMAXPROCS; results are bit-identical at any worker count)")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /traces and /debug/pprof on this address while the simulation runs (empty disables); see OBSERVABILITY.md")
-	)
-	// The transport knobs come from the shared binding (-prefetch-streams
-	// and -upload-streams drive the model; -pool/-backends/-replicas are
-	// accepted for flag parity with the daemons but the simulator keys the
-	// fabric off -shards, or off the -backends count when -shards is unset).
-	var transport flagbind.Transport
-	flagbind.BindTransport(flag.CommandLine, &transport)
 	flag.Parse()
 
 	if *metricsAddr != "" {
@@ -104,12 +101,6 @@ func main() {
 	cfg.TraceSeed = *seed
 	cfg.Cluster.EventLogSize = *events
 	cfg.Cluster.MemServerMTBF = *msMTBF
-	cfg.Cluster.Model.PrefetchStreams = transport.PrefetchStreams
-	cfg.Cluster.Model.UploadStreams = transport.UploadStreams
-	cfg.Cluster.Model.Shards = *shards
-	if *shards == 0 && transport.Sharded() {
-		cfg.Cluster.Model.Shards = len(transport.Backends)
-	}
 	cfg.Kind = oasis.Weekday
 	if strings.ToLower(*kind) == "weekend" {
 		cfg.Kind = oasis.Weekend
@@ -139,14 +130,6 @@ func main() {
 		r.Stats.NetworkBytes(), r.Stats.FullBytes, r.Stats.DescriptorBytes,
 		r.Stats.OnDemandBytes, r.Stats.ReintegrateBytes)
 	fmt.Printf("  operations: %v\n", r.Stats.Ops)
-	if transport.UploadStreams > 1 && r.Stats.DetachSample.N() > 0 {
-		fmt.Printf("  detach windows (×%d upload streams): mean %.2fs, max %.2fs over %d detaches\n",
-			transport.UploadStreams, r.Stats.DetachSample.Mean(), r.Stats.DetachSample.Max(), r.Stats.DetachSample.N())
-	}
-	if cfg.Cluster.Model.Shards > 1 && r.Stats.ShardSample.N() > 0 {
-		fmt.Printf("  shard windows (×%d backends): mean %.2fs, max %.2fs over %d detaches\n",
-			cfg.Cluster.Model.Shards, r.Stats.ShardSample.Mean(), r.Stats.ShardSample.Max(), r.Stats.ShardSample.N())
-	}
 	if *msMTBF > 0 {
 		// Print the fault-injection outcome straight from the live
 		// registry — the same oasis_sim_* values a -metrics-addr scrape

@@ -75,9 +75,6 @@ func (m *Manager) Hosts() []string {
 	return out
 }
 
-// NumHosts counts registered hosts.
-func (m *Manager) NumHosts() int { return m.reg.size() }
-
 // CreateVM creates a VM on the host with the fewest resident VMs (the
 // manager "identifies a host with sufficient resources", §4.1). The
 // placement scan is one bounded-concurrency stats fan-out over the

@@ -189,18 +189,6 @@ func (r *registry) snapshot() []*hostEntry {
 	return out
 }
 
-// size counts registered hosts.
-func (r *registry) size() int {
-	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		n += len(s.hosts)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
 // close marks the registry closed (new operations are refused), waits
 // for in-flight operations to drain, then closes every client and
 // empties the roster. Idempotent.

@@ -135,15 +135,6 @@ type Config struct {
 	// behaviour; see the placement ablation for the comparison.
 	Placement placement.Strategy
 
-	// ScanPlanner forces the original full-scan consolidation planner:
-	// every pickConsHost walks all consolidation hosts and planVacate
-	// walks all home hosts. The default (false) serves both from the
-	// live free-capacity index (capindex.go), which makes bit-identical
-	// decisions — the planner-equivalence test proves it across seeds
-	// and policies. The scan path is kept as that test's oracle and as
-	// the baseline the cluster bench measures against.
-	ScanPlanner bool
-
 	// VacateDescending reverses the §3.1 vacate ordering (ablation): the
 	// paper sorts compute hosts by total VM memory demand ascending so
 	// the cheapest hosts vacate first; descending vacates the most
@@ -288,7 +279,9 @@ type Cluster struct {
 	tel *simTel
 
 	// capIdx is the live free-capacity index the incremental planner
-	// reads (capindex.go); nil under Config.ScanPlanner.
+	// reads (capindex.go). With it nil every pick walks all consolidation
+	// hosts and planVacate all home hosts, with bit-identical decisions:
+	// the planner-equivalence test clears it to get its oracle.
 	capIdx *capIndex
 	// pickPowered, pickSleeping and pickCands are pickConsHost's scratch
 	// buffers, retained across picks so the planner's hot path does not
@@ -403,9 +396,7 @@ func New(sim *simtime.Simulator, cfg Config) (*Cluster, error) {
 
 	// Build the planner's capacity index from the settled initial state;
 	// from here on the host change feed keeps it current.
-	if !cfg.ScanPlanner {
-		c.capIdx = newCapIndex(c)
-	}
+	c.capIdx = newCapIndex(c)
 	return c, nil
 }
 

@@ -79,14 +79,6 @@ func (d *SampleDigest) merge(o SampleDigest) {
 	}
 }
 
-// MeanMicros returns the digest's mean in micro-units.
-func (d *SampleDigest) MeanMicros() int64 {
-	if d.Count == 0 {
-		return 0
-	}
-	return d.SumMicros / d.Count
-}
-
 // StatsDigest is the canonical, mergeable, fixed-point reduction of one
 // cluster run (or a merge of many): the quantity the fleet's
 // serial-vs-parallel bit-identity proof compares.

@@ -205,22 +205,13 @@ func (c *Cluster) recordPartialDelay(v *vm.VM, bulkSiblings int) {
 	if transfer < 0 {
 		transfer = 0
 	}
-	latency := op.Latency.Seconds()
-	// The pipelined transport shortens the wire component of reattach;
-	// the fixed overhead (S3 resume, switch-over) is unaffected. Guarded
-	// so the serial configuration keeps its exact arithmetic.
-	if speed := c.Cfg.Model.PrefetchSpeedup(); speed > 1 {
-		scaled := transfer / speed
-		latency -= transfer - scaled
-		transfer = scaled
-	}
 	// In a bulk return the requester lands at a random position in the
 	// queue of its siblings' reintegrations, all over the home's link.
 	bulkWait := c.rand.Float64() * float64(bulkSiblings) * transfer
 	c.pendingDelays = append(c.pendingDelays, delayReq{
 		home:     v.Home,
 		instant:  c.Sim.Now().Seconds() + c.rand.Float64()*c.Cfg.ActivationSpread.Seconds(),
-		latency:  latency + bulkWait,
+		latency:  op.Latency.Seconds() + bulkWait,
 		transfer: transfer,
 	})
 }
@@ -482,20 +473,6 @@ func (c *Cluster) partialMigrate(v *vm.VM, dest *host.Host) (time.Duration, bool
 	op := c.Cfg.Model.PartialMigration(upload, c.descSize(v), first)
 	c.Stats.DescriptorBytes += op.NetBytes
 	c.Stats.SASBytes += op.SASBytes
-	// Record the detach window the source host actually spends busy: the
-	// parallel detach pipeline (Model.UploadStreams > 1) shortens the SAS
-	// upload component by overlapping encode/transfer/decode. Stats-only,
-	// exactly like the prefetch speedup on the reattach side: the op
-	// latency that drives placement and energy is returned unshortened,
-	// so the powered/energy series are bit-identical across stream
-	// counts.
-	c.Stats.DetachSample.Add(c.Cfg.Model.DetachWindow(op).Seconds())
-	// Same contract for the shard fabric: Model.Shards > 1 spreads the
-	// upload across concurrently-ingesting backends, shrinking only the
-	// recorded window, never the placement-driving latency.
-	if c.Cfg.Model.Shards > 1 {
-		c.Stats.ShardSample.Add(c.Cfg.Model.ShardWindow(op).Seconds())
-	}
 	if first {
 		c.Stats.Ops.Inc("partial-first", 1)
 	} else {

@@ -29,22 +29,6 @@ type Stats struct {
 	ZeroTransitions int64
 	DelaySample     metrics.Sample // seconds, non-zero transitions only
 
-	// DetachSample records each partial migration's detach window (the
-	// seconds the source host is busy encoding + uploading before it can
-	// progress toward suspend), as shortened by the parallel detach
-	// pipeline (migration.Model.DetachWindow). Stats-only: placement and
-	// energy accounting use the op's unshortened latency.
-	DetachSample metrics.Sample
-
-	// ShardSample records each partial migration's detach window as
-	// shortened by a sharded memory-server fabric
-	// (migration.Model.ShardWindow): the upload partitions across
-	// Model.Shards backends ingesting concurrently. Empty unless
-	// Model.Shards > 1, and stats-only like DetachSample — placement
-	// and energy accounting use the op's unshortened latency, so the
-	// powered/energy series are bit-identical across shard counts.
-	ShardSample metrics.Sample
-
 	// ConsRatio samples the number of VMs per powered consolidation host
 	// at every planning interval (Figure 9).
 	ConsRatio metrics.Sample

@@ -21,13 +21,16 @@ import (
 //     under saturation retry pressure — the consolidation fleet is sized
 //     (via VacateHeadroom) to absorb less than half the idle demand, so
 //     thousands of home hosts re-plan every interval and most placement
-//     searches fail. That is the planner's worst case: the scan planner
-//     pays O(ConsHosts) per search, fitting or not, while the indexed
-//     planner's bucket walk skips hosts that cannot fit. The measured
-//     gate demands the indexed planner deliver at least 2× the scan
-//     planner's plans/sec, and the two runs' digest fingerprints must be
-//     bit-identical (the CI-gated planner-equivalence property, re-proven
-//     at full scale inside the artifact).
+//     searches fail. That is the planner's worst case: a walk over every
+//     consolidation host pays O(ConsHosts) per search, fitting or not,
+//     while the capacity index's bucket walk skips hosts that cannot
+//     fit. The gate holds the planner to both halves of that: it may
+//     examine at most clusterCandidatesPerPick hosts per search, and must
+//     reach clusterPlansPerSecPerCore searches a second. (That the index
+//     decides exactly as the full walk does is the CI-gated
+//     planner-equivalence test's job, which keeps the walk as its
+//     oracle; the run's fingerprint is recorded so two artifacts of one
+//     seed can be compared.)
 //
 //   - Actuation latency. An in-process agent fleet (capped well below the
 //     simulator's host count: each agent is two real listeners plus RPC
@@ -39,20 +42,22 @@ import (
 //     win here is modest by design; the numbers exist to track
 //     regressions in the fan-out machinery itself.
 
-// clusterPlannerGateRatio is the measured gate's bar: the indexed
-// planner must reach at least this multiple of the scan planner's
-// plans/sec at the full 10k-host geometry. The bar is 2.0 where the
-// other measured gates use a 0.90 noise floor because this comparison
-// is not near unity: the observed ratio at this geometry is an order of
-// magnitude above the bar (see BENCH_cluster.json), so run-to-run noise
-// of ±10-15% cannot flake it, and a regression that drags the ratio
-// below 2 means the index has effectively stopped indexing.
-const clusterPlannerGateRatio = 2.0
+// The planner gate. clusterCandidatesPerPick is the structural half:
+// the index examined exactly one host per search at this geometry when
+// the bar was set, a walk over every consolidation host examines 1,000,
+// so 2 fails the moment the index stops indexing and cannot fail from
+// noise. The throughput half is a per-core floor (planning is
+// single-threaded): the 2-core sandbox the artifact is recorded on does
+// 10–15 M plans/sec with the index and 0.26 M walking every host, so the
+// floor fails a return of per-search scans while a CI runner a fifth as
+// fast passes.
+const (
+	clusterCandidatesPerPick  = 2.0
+	clusterPlansPerSecPerCore = 2_000_000
+)
 
-// PlannerStressRun is one planner's timed steady-state phase.
+// PlannerStressRun is the planner's timed steady-state phase.
 type PlannerStressRun struct {
-	// Planner is "scan" or "indexed".
-	Planner string `json:"planner"`
 	// ElapsedSec is the wall time of the measured ticks.
 	ElapsedSec float64 `json:"elapsed_sec"`
 	// Ticks is the number of measured planning intervals.
@@ -61,10 +66,12 @@ type PlannerStressRun struct {
 	Picks int64 `json:"picks"`
 	// Candidates counts consolidation hosts examined across those picks.
 	Candidates int64 `json:"candidates_examined"`
-	// PlansPerSec is Picks / ElapsedSec — the gated metric.
-	PlansPerSec float64 `json:"plans_per_sec"`
-	// Fingerprint is the run's digest fingerprint; both planners must
-	// match bit for bit.
+	// CandidatesPerPick is Candidates / Picks and PlansPerSec is
+	// Picks / ElapsedSec — the two gated metrics.
+	CandidatesPerPick float64 `json:"candidates_per_pick"`
+	PlansPerSec       float64 `json:"plans_per_sec"`
+	// Fingerprint is the run's digest fingerprint, a function of the
+	// seed and geometry alone.
 	Fingerprint string `json:"fingerprint"`
 }
 
@@ -88,16 +95,15 @@ type ActuationRun struct {
 type ClusterBench struct {
 	Experiment string `json:"experiment"`
 	BenchMeta
-	Hosts        int                `json:"hosts"`
-	VMs          int                `json:"vms"`
-	WarmupTicks  int                `json:"warmup_ticks"`
-	Seed         uint64             `json:"seed"`
-	Planner      []PlannerStressRun `json:"planner_runs"`
-	BitIdentical bool               `json:"bit_identical"`
-	Agents       int                `json:"agents"`
-	Actuation    []ActuationRun     `json:"actuation_runs"`
-	MeasuredGate Gate               `json:"measured_gate"`
-	Note         string             `json:"note"`
+	Hosts        int              `json:"hosts"`
+	VMs          int              `json:"vms"`
+	WarmupTicks  int              `json:"warmup_ticks"`
+	Seed         uint64           `json:"seed"`
+	Planner      PlannerStressRun `json:"planner_run"`
+	Agents       int              `json:"agents"`
+	Actuation    []ActuationRun   `json:"actuation_runs"`
+	MeasuredGate Gate             `json:"measured_gate"`
+	Note         string           `json:"note"`
 }
 
 // GateResult returns the measured acceptance gate (for oasis-bench's
@@ -108,7 +114,7 @@ func (b ClusterBench) GateResult() Gate { return b.MeasuredGate }
 // VacateHeadroom is raised until the consolidation fleet can hold well
 // under half of the idle working sets, so the post-warmup steady state
 // keeps thousands of home hosts under retry pressure.
-func clusterStressConfig(opt Option, scan bool) cluster.Config {
+func clusterStressConfig(opt Option) cluster.Config {
 	cfg := cluster.DefaultConfig()
 	cfg.Policy = cluster.FulltoPartial
 	cfg.HomeHosts, cfg.ConsHosts, cfg.VMsPerHost = 9000, 1000, 12
@@ -120,7 +126,6 @@ func clusterStressConfig(opt Option, scan bool) cluster.Config {
 	cfg.HostReserved = 4 * units.GiB
 	cfg.VacateHeadroom = 0.88
 	cfg.Seed = opt.Seed
-	cfg.ScanPlanner = scan
 	cfg.NoTelemetry = true
 	return cfg
 }
@@ -132,7 +137,7 @@ const (
 
 // runPlannerStress builds one cluster, drives it through the warmup to
 // steady state, then times the measured all-idle ticks.
-func runPlannerStress(cfg cluster.Config, name string) (PlannerStressRun, error) {
+func runPlannerStress(cfg cluster.Config) (PlannerStressRun, error) {
 	s := simtime.New()
 	c, err := cluster.New(s, cfg)
 	if err != nil {
@@ -161,15 +166,15 @@ func runPlannerStress(cfg cluster.Config, name string) (PlannerStressRun, error)
 	elapsed := time.Since(t0)
 	c.FlushEpisodes()
 	d := c.Digest()
-	picks := c.Planner.Picks - picks0
+	picks, cands := c.Planner.Picks-picks0, c.Planner.Candidates-cands0
 	return PlannerStressRun{
-		Planner:     name,
-		ElapsedSec:  elapsed.Seconds(),
-		Ticks:       clusterMeasuredTicks,
-		Picks:       picks,
-		Candidates:  c.Planner.Candidates - cands0,
-		PlansPerSec: float64(picks) / elapsed.Seconds(),
-		Fingerprint: fmt.Sprintf("%#x", d.Fingerprint()),
+		ElapsedSec:        elapsed.Seconds(),
+		Ticks:             clusterMeasuredTicks,
+		Picks:             picks,
+		Candidates:        cands,
+		CandidatesPerPick: float64(cands) / float64(picks),
+		PlansPerSec:       float64(picks) / elapsed.Seconds(),
+		Fingerprint:       fmt.Sprintf("%#x", d.Fingerprint()),
 	}, nil
 }
 
@@ -215,32 +220,24 @@ func runActuation(m *agent.Manager, mode string, limit, hosts, sweeps int) (Actu
 
 // ClusterStress runs the full control-plane stress benchmark.
 func ClusterStress(opt Option) (ClusterBench, error) {
-	meta := benchMeta()
-	meta.Runs = 1 // one rep per planner: each run rebuilds and re-warms a 10k-host cluster
-	cfgScan := clusterStressConfig(opt, true)
+	cfg := clusterStressConfig(opt)
 	out := ClusterBench{
 		Experiment:  "cluster",
-		BenchMeta:   meta,
-		Hosts:       cfgScan.HomeHosts + cfgScan.ConsHosts,
-		VMs:         cfgScan.HomeHosts * cfgScan.VMsPerHost,
+		BenchMeta:   benchMeta(),
+		Hosts:       cfg.HomeHosts + cfg.ConsHosts,
+		VMs:         cfg.HomeHosts * cfg.VMsPerHost,
 		WarmupTicks: clusterWarmupTicks,
 		Seed:        opt.Seed,
-		Note: fmt.Sprintf("planner phase: %d warmup ticks to consolidation steady state, %d measured all-idle ticks under saturation retry pressure; "+
-			"gate bar %.1fx sits far below the observed ratio so ±10-15%% run noise cannot flake it; "+
-			"actuation phase reported not gated (1-CPU box: batching hides RTT, not compute)",
-			clusterWarmupTicks, clusterMeasuredTicks, clusterPlannerGateRatio),
+		Note: fmt.Sprintf("planner phase: %d warmup ticks to consolidation steady state, %d measured all-idle ticks under saturation retry pressure, one rep; "+
+			"actuation phase reported not gated (batching hides RTT, not compute)",
+			clusterWarmupTicks, clusterMeasuredTicks),
 	}
 
-	scanRun, err := runPlannerStress(cfgScan, "scan")
+	plan, err := runPlannerStress(cfg)
 	if err != nil {
 		return ClusterBench{}, err
 	}
-	idxRun, err := runPlannerStress(clusterStressConfig(opt, false), "indexed")
-	if err != nil {
-		return ClusterBench{}, err
-	}
-	out.Planner = []PlannerStressRun{scanRun, idxRun}
-	out.BitIdentical = scanRun.Fingerprint == idxRun.Fingerprint
+	out.Planner = plan
 
 	agents, sweeps := clusterAgentFleet(opt)
 	out.Agents = agents
@@ -252,25 +249,22 @@ func ClusterStress(opt Option) (ClusterBench, error) {
 	for _, mode := range []struct {
 		name  string
 		limit int
-	}{{"serial", 1}, {"batched", 0}} {
-		limit := mode.limit
-		if limit == 0 {
-			limit = 32
-		}
-		run, err := runActuation(m, mode.name, limit, agents, sweeps)
+	}{{"serial", 1}, {"batched", 32}} {
+		run, err := runActuation(m, mode.name, mode.limit, agents, sweeps)
 		if err != nil {
 			return ClusterBench{}, err
 		}
 		out.Actuation = append(out.Actuation, run)
 	}
 
-	ratio := idxRun.PlansPerSec / scanRun.PlansPerSec
+	ratio := plan.PlansPerSec / clusterPlansPerSecPerCore
 	out.MeasuredGate = Gate{
-		Metric:     "planner_plans_per_sec",
-		Comparison: fmt.Sprintf("indexed >= %.2f * scan AND digest fingerprints bit-identical", clusterPlannerGateRatio),
+		Metric: "planner_plans_per_sec",
+		Comparison: fmt.Sprintf("plans_per_sec >= %d AND candidates_per_pick <= %.2f",
+			clusterPlansPerSecPerCore, clusterCandidatesPerPick),
 		Ratio:      ratio,
-		NoiseFloor: clusterPlannerGateRatio,
-		Pass:       ratio >= clusterPlannerGateRatio && out.BitIdentical,
+		NoiseFloor: 1.0,
+		Pass:       ratio >= 1.0 && plan.CandidatesPerPick <= clusterCandidatesPerPick,
 	}
 	return out, nil
 }
@@ -313,13 +307,9 @@ func ClusterStressReport(opt Option) Report {
 	}
 	fmt.Fprintf(&b, "%d hosts, %d VMs (seed %d); %d warmup + %d measured ticks\n",
 		r.Hosts, r.VMs, r.Seed, r.WarmupTicks, clusterMeasuredTicks)
-	fmt.Fprintf(&b, "%-10s %12s %12s %16s %14s %20s\n",
-		"planner", "elapsed", "picks", "cands examined", "plans/sec", "fingerprint")
-	for _, p := range r.Planner {
-		fmt.Fprintf(&b, "%-10s %11.2fs %12d %16d %14.0f %20s\n",
-			p.Planner, p.ElapsedSec, p.Picks, p.Candidates, p.PlansPerSec, p.Fingerprint)
-	}
-	fmt.Fprintf(&b, "bit-identical: %v\n", r.BitIdentical)
+	p := r.Planner
+	fmt.Fprintf(&b, "planner: %d picks in %.2fs = %.0f plans/sec, %d candidates examined (%.2f per pick), fingerprint %s\n",
+		p.Picks, p.ElapsedSec, p.PlansPerSec, p.Candidates, p.CandidatesPerPick, p.Fingerprint)
 	fmt.Fprintf(&b, "%-10s %8s %8s %10s %10s %14s\n", "actuation", "limit", "sweeps", "p50", "p99", "stats/sec")
 	for _, a := range r.Actuation {
 		fmt.Fprintf(&b, "%-10s %8d %8d %8.1fms %8.1fms %14.0f\n",

@@ -4,7 +4,7 @@ import "testing"
 
 // TestClusterStressQuick runs the control-plane stress benchmark at its
 // -quick geometry and checks the artifact is fully populated and
-// internally consistent. It does not assert the 2x measured gate — the
+// internally consistent. It does not assert the plans/sec floor — the
 // quick geometry is a tenth of the real one and timing-gated assertions
 // belong to the committed BENCH_cluster.json run, not to `go test`.
 func TestClusterStressQuick(t *testing.T) {
@@ -18,25 +18,14 @@ func TestClusterStressQuick(t *testing.T) {
 	if b.Experiment != "cluster" || b.Hosts != 1000 || b.VMs != 900*12 {
 		t.Fatalf("unexpected geometry: %+v", b)
 	}
-	if len(b.Planner) != 2 || b.Planner[0].Planner != "scan" || b.Planner[1].Planner != "indexed" {
-		t.Fatalf("want scan+indexed planner runs, got %+v", b.Planner)
+	p := b.Planner
+	if p.Picks == 0 || p.Candidates == 0 || p.PlansPerSec <= 0 || p.Fingerprint == "" {
+		t.Fatalf("planner run not populated: %+v", p)
 	}
-	for _, p := range b.Planner {
-		if p.Picks == 0 || p.Candidates == 0 || p.PlansPerSec <= 0 || p.Fingerprint == "" {
-			t.Fatalf("planner run %q not populated: %+v", p.Planner, p)
-		}
-	}
-	// Bit-identity is not a timing property: it must hold at any scale.
-	if !b.BitIdentical {
-		t.Fatalf("scan and indexed fingerprints diverge: %s vs %s",
-			b.Planner[0].Fingerprint, b.Planner[1].Fingerprint)
-	}
-	if b.Planner[0].Picks != b.Planner[1].Picks {
-		t.Fatalf("pick counts diverge: scan %d, indexed %d", b.Planner[0].Picks, b.Planner[1].Picks)
-	}
-	if b.Planner[1].Candidates > b.Planner[0].Candidates {
-		t.Fatalf("indexed examined more candidates (%d) than the scan (%d)",
-			b.Planner[1].Candidates, b.Planner[0].Candidates)
+	// The structural half of the gate is not a timing property: the index
+	// must keep the walk short at any scale.
+	if p.CandidatesPerPick > clusterCandidatesPerPick {
+		t.Fatalf("planner examined %.2f candidates per pick, want <= %.2f", p.CandidatesPerPick, clusterCandidatesPerPick)
 	}
 	if len(b.Actuation) != 2 || b.Actuation[0].Mode != "serial" || b.Actuation[1].Mode != "batched" {
 		t.Fatalf("want serial+batched actuation runs, got %+v", b.Actuation)

@@ -90,12 +90,6 @@ func ByID(id string, opt Option) (Report, bool) {
 		return Fig12(opt), true
 	case "table3":
 		return Table3(opt), true
-	case "reattach":
-		return ReattachReport(opt), true
-	case "detach":
-		return DetachReport(opt), true
-	case "shard":
-		return ShardReport(opt), true
 	case "rebalance":
 		return RebalanceReport(opt), true
 	case "ab-diff":
@@ -140,7 +134,7 @@ func ByID(id string, opt Option) (Report, bool) {
 // the ablations.
 func IDs() []string {
 	return []string{"fig1", "fig2", "table1", "fig5", "traffic", "fig6",
-		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "table3", "reattach", "detach", "shard", "rebalance",
+		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "table3", "rebalance",
 		"fleet", "scenarios",
 		"ab-diff", "ab-lzf", "ab-shared", "ab-elide", "ab-place", "ab-order", "ab-headroom", "ab-power", "ab-mem"}
 }

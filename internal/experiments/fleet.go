@@ -93,11 +93,9 @@ func Fleet(opt Option) (FleetBench, error) {
 		Seed:  opt.Seed,
 	}
 
-	meta := benchMeta()
-	meta.Runs = 1 // one rep per worker count; runs are minutes long
 	out := FleetBench{
 		Experiment:   "sim",
-		BenchMeta:    meta,
+		BenchMeta:    benchMeta(),
 		NumCPU:       runtime.NumCPU(),
 		GOMAXPROCS:   runtime.GOMAXPROCS(0),
 		Users:        users,

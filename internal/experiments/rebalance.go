@@ -70,9 +70,13 @@ type RebalanceBench struct {
 	Note       string            `json:"note"`
 }
 
-// rebalanceGeometry: a 32 MiB image over 64-page (256 KiB) ranges =
-// 128 placement ranges, enough for the R/(N+1) statistics to hold.
+// rebalanceGeometry: the smallest fabric where one backend can leave
+// while every page keeps a live replica, and a 32 MiB image over 64-page
+// (256 KiB) ranges = 128 placement ranges, enough for the R/(N+1)
+// statistics to hold.
 const (
+	shardBackends       = 3
+	shardReplicas       = 2
 	rebalanceRangePages = 64
 	rebalanceAllocMiB   = 32
 )

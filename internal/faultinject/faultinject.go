@@ -263,25 +263,6 @@ func (in *Injector) WrapConn(conn net.Conn) net.Conn {
 	return &faultConn{Conn: conn, in: in}
 }
 
-// WrapListener returns a listener whose accepted connections are wrapped
-// with WrapConn — the server-side hook point.
-func (in *Injector) WrapListener(ln net.Listener) net.Listener {
-	return &faultListener{Listener: ln, in: in}
-}
-
-type faultListener struct {
-	net.Listener
-	in *Injector
-}
-
-func (l *faultListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.in.WrapConn(conn), nil
-}
-
 // faultConn injects faults around an inner net.Conn.
 type faultConn struct {
 	net.Conn

@@ -25,14 +25,25 @@ func (f PagerFunc) FetchPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, erro
 	return f(id, pfn)
 }
 
+// FetchHolder is implemented by a Pager that coalesces concurrent
+// fetches of one page (memtap's single flight) and can keep doing so
+// past the end of a fetch: from the first HoldFetch of a page until the
+// last ReleaseFetch, every FetchPage for it must be served by one
+// successful remote fetch. Touch brackets each fault with the pair.
+type FetchHolder interface {
+	HoldFetch(pfn pagestore.PFN)
+	ReleaseFetch(pfn pagestore.PFN)
+}
+
 // PartialVM is a VM created from a descriptor with most of its memory
 // absent. Page accesses to absent pages fault; the fault handler allocates
 // frames at 2 MiB chunk granularity (§4.2) and asks the Pager for the
 // page's contents. Writes dirty local pages, which reintegration later
 // pushes back to the owner. PartialVM is safe for concurrent use.
 type PartialVM struct {
-	desc  *Descriptor
-	pager Pager
+	desc   *Descriptor
+	pager  Pager
+	holder FetchHolder // pager, if it is one; else nil
 
 	mu      sync.Mutex
 	mem     *pagestore.Image
@@ -64,6 +75,7 @@ func NewPartialVM(desc *Descriptor, pager Pager) (*PartialVM, error) {
 		chunks:  make(map[int64]struct{}),
 		written: make(map[pagestore.PFN]struct{}),
 	}
+	vm.holder, _ = pager.(FetchHolder)
 	// Page-table frames arrive with the descriptor.
 	for i := int64(0); i < desc.PageTablePages && i < npages; i++ {
 		vm.markPresent(pagestore.PFN(i))
@@ -96,22 +108,40 @@ func (vm *PartialVM) markPresent(pfn pagestore.PFN) {
 // behind one page's round trip (and deadlock against a prefetcher
 // installing into the same VM). Instead the fault path is
 // check → fetch unlocked → recheck-and-install. Two vCPUs faulting the
-// same page may therefore both reach the pager; the memtap's single-flight
-// layer collapses those into one remote fetch, and whichever Touch
+// same page may therefore both reach the pager, and whichever Touch
 // reacquires the lock first installs. The loser observes the page present
 // and keeps the newer state, counting nothing — so faults and fetchedBytes
 // track pages actually installed by the fault path, never double-counting
 // a PFN.
+//
+// With a pager that is a FetchHolder (memtap) the page is also fetched
+// only once. The invariant: a Touch that calls FetchPage holds the page's
+// flight, took the hold before it last saw the page absent, and lets go
+// only after its install has returned. So of two faults on one page,
+// either the second took its hold before the first let go — the flight
+// was open throughout and hands the second the first's page — or it took
+// it after, and then the look that follows the hold finds the page the
+// first installed and no fetch happens.
 func (vm *PartialVM) Touch(pfn pagestore.PFN) (faulted bool, err error) {
 	if int64(pfn) >= vm.desc.Alloc.Pages() {
 		return false, fmt.Errorf("hypervisor: vm %04d: pfn %d out of range", vm.desc.VMID, pfn)
 	}
 	vm.mu.Lock()
-	if vm.isPresent(pfn) {
-		vm.mu.Unlock()
+	present := vm.isPresent(pfn)
+	vm.mu.Unlock()
+	if present {
 		return false, nil
 	}
-	vm.mu.Unlock()
+	if vm.holder != nil {
+		vm.holder.HoldFetch(pfn)
+		defer vm.holder.ReleaseFetch(pfn)
+		vm.mu.Lock()
+		present = vm.isPresent(pfn)
+		vm.mu.Unlock()
+		if present {
+			return true, nil // another fault installed it before this one's hold
+		}
+	}
 	page, err := vm.pager.FetchPage(vm.desc.VMID, pfn)
 	if err != nil {
 		return true, fmt.Errorf("hypervisor: vm %04d: fetch pfn %d: %w", vm.desc.VMID, pfn, err)

@@ -89,6 +89,16 @@ func frame(typ byte, payload []byte) struct {
 	}{typ, payload}
 }
 
+// encodePutChunk builds a msgPutChunk payload around a snapshot chunk, the
+// way the client's zero-copy framing lays it out.
+func encodePutChunk(id pagestore.VMID, uploadID uint64, seq uint32, chunk []byte) []byte {
+	req := make([]byte, 0, 16+len(chunk))
+	req = binary.BigEndian.AppendUint32(req, uint32(id))
+	req = binary.BigEndian.AppendUint64(req, uploadID)
+	req = binary.BigEndian.AppendUint32(req, seq)
+	return append(req, chunk...)
+}
+
 // FuzzPutChunkFraming drives the chunked-upload framing and staging state
 // machine with arbitrary frame sequences. Three properties hold: the
 // parsers never panic and anything they accept round-trips to identical

@@ -392,15 +392,6 @@ func parsePutBegin(payload []byte) (id pagestore.VMID, uploadID uint64, kind byt
 	return id, uploadID, kind, alloc, nil
 }
 
-// encodePutChunk builds a msgPutChunk payload around a snapshot chunk.
-func encodePutChunk(id pagestore.VMID, uploadID uint64, seq uint32, chunk []byte) []byte {
-	req := make([]byte, 0, 16+len(chunk))
-	req = binary.BigEndian.AppendUint32(req, uint32(id))
-	req = binary.BigEndian.AppendUint64(req, uploadID)
-	req = binary.BigEndian.AppendUint32(req, seq)
-	return append(req, chunk...)
-}
-
 // parsePutChunk decodes a msgPutChunk payload. The chunk bytes alias the
 // payload (no copy): readFrame allocates a fresh buffer per frame, so the
 // server may retain them.

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -535,16 +534,4 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 	default:
 		return fail(fmt.Errorf("unknown message type %d", typ))
 	}
-}
-
-// ListenAndServe runs a server on addr until it fails; a convenience for
-// the memserverd command.
-func ListenAndServe(addr string, secret []byte) error {
-	s := NewServer(secret, log.Printf)
-	bound, err := s.Listen(addr)
-	if err != nil {
-		return err
-	}
-	log.Printf("memserver: serving on %v", bound)
-	select {} // the accept loop owns the lifecycle; block forever
 }

@@ -146,12 +146,24 @@ type Options struct {
 	Replicas int
 }
 
-// fetchCall is one in-flight remote fetch; followers wait on done and
-// share the leader's result.
+// fetchCall is one remote fetch; followers wait on done and share the
+// leader's result.
 type fetchCall struct {
 	done chan struct{}
 	page []byte
 	err  error
+}
+
+// flight is the single-flight state of one PFN. It lives while anyone
+// holds it (HoldFetch): every FetchPage for its whole duration, and a
+// faulting PartialVM from before it looks at the present bit until the
+// page is installed. call is the fetch in progress or, once that has
+// succeeded, its result, kept for the holders still to ask; it is nil
+// before the first fetch and again after a failed one, so that a retry
+// fetches afresh.
+type flight struct {
+	holds int
+	call  *fetchCall
 }
 
 // Memtap services page faults for one partial VM from one memory server.
@@ -174,10 +186,11 @@ type Memtap struct {
 	latency metrics.Sample
 
 	// inflight implements single-flight deduplication per PFN: the first
-	// fault (the leader) fetches; concurrent faults on the same PFN wait
-	// for its result instead of issuing duplicate remote fetches.
+	// fault (the leader) fetches; faults on the same PFN until the last
+	// holder lets go share its result instead of issuing duplicate remote
+	// fetches.
 	sfMu     sync.Mutex
-	inflight map[pagestore.PFN]*fetchCall
+	inflight map[pagestore.PFN]*flight
 
 	prefetchStreams atomic.Int32
 
@@ -227,7 +240,7 @@ func newMemtap(vmid pagestore.VMID, client PageClient) *Memtap {
 	return &Memtap{
 		vmid:     vmid,
 		client:   client,
-		inflight: make(map[pagestore.PFN]*fetchCall),
+		inflight: make(map[pagestore.PFN]*flight),
 	}
 }
 
@@ -395,9 +408,49 @@ func (m *Memtap) Resilience() memserver.ResilienceStats {
 	return memserver.ResilienceStats{}
 }
 
-// FetchPage implements hypervisor.Pager. Concurrent faults on the same
-// PFN are deduplicated single-flight: the first caller (the leader)
-// performs the remote fetch; the rest wait and share its page and error.
+// HoldFetch and ReleaseFetch implement hypervisor.FetchHolder: between
+// the first hold of a PFN and the last release, every FetchPage for it
+// is served by one successful remote fetch. A PartialVM holds from before
+// its look at the present bit until its install has returned, which is
+// what keeps a fault that saw "absent" while another's fetched page was
+// on its way into the VM from fetching that page a second time.
+func (m *Memtap) HoldFetch(pfn pagestore.PFN) {
+	m.sfMu.Lock()
+	m.holdLocked(pfn)
+	m.sfMu.Unlock()
+}
+
+// holdLocked takes one hold on pfn's flight, opening it if need be, and
+// returns it. The caller holds sfMu.
+func (m *Memtap) holdLocked(pfn pagestore.PFN) *flight {
+	f := m.inflight[pfn]
+	if f == nil {
+		f = &flight{}
+		m.inflight[pfn] = f
+	}
+	f.holds++
+	return f
+}
+
+// ReleaseFetch undoes one HoldFetch.
+func (m *Memtap) ReleaseFetch(pfn pagestore.PFN) {
+	m.sfMu.Lock()
+	if f := m.inflight[pfn]; f.holds > 1 {
+		f.holds--
+	} else {
+		delete(m.inflight, pfn)
+	}
+	m.sfMu.Unlock()
+}
+
+// FetchPage implements hypervisor.Pager. Faults on the same PFN are
+// deduplicated single-flight: the first caller (the leader) performs the
+// remote fetch; the rest wait and share its page and error. FetchPage
+// holds the PFN's flight for its own duration, so concurrent callers
+// always coalesce and a later one fetches afresh unless a caller's own
+// HoldFetch has kept the flight open (the page may have been evicted
+// again). A failed fetch is shared with the waiters it already has and
+// then forgotten.
 // Only the leader's fetch is counted in Faults/FetchedBytes — the page is
 // installed once, so the accounting stays exact — while coalesced waiters
 // tick the dedup counter. Each leader fault feeds the live latency
@@ -408,7 +461,9 @@ func (m *Memtap) FetchPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error)
 		return nil, fmt.Errorf("memtap: configured for vm %04d, asked for %04d", m.vmid, id)
 	}
 	m.sfMu.Lock()
-	if c, ok := m.inflight[pfn]; ok {
+	f := m.holdLocked(pfn)
+	defer m.ReleaseFetch(pfn)
+	if c := f.call; c != nil {
 		m.sfMu.Unlock()
 		m.dedup.Add(1)
 		tel.dedup.Inc()
@@ -416,19 +471,18 @@ func (m *Memtap) FetchPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error)
 		return c.page, c.err
 	}
 	c := &fetchCall{done: make(chan struct{})}
-	m.inflight[pfn] = c
+	f.call = c
 	m.sfMu.Unlock()
 	tel.inflight.Inc()
 
 	c.page, c.err = m.fetchRemote(id, pfn)
 
-	// Deregister before waking the waiters: a fault arriving after this
-	// point starts a fresh fetch (the page may have been evicted again),
-	// while every waiter that joined this call gets this result.
-	m.sfMu.Lock()
-	delete(m.inflight, pfn)
-	m.sfMu.Unlock()
 	tel.inflight.Dec()
+	if c.err != nil {
+		m.sfMu.Lock()
+		f.call = nil
+		m.sfMu.Unlock()
+	}
 	close(c.done)
 	return c.page, c.err
 }

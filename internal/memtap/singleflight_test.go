@@ -172,6 +172,52 @@ func TestSingleFlightRefetchesAfterCompletion(t *testing.T) {
 	}
 }
 
+// TestHeldFlightOutlivesFetch is the install window, closed: a fault that
+// took its hold while the page was absent (HoldFetch, as PartialVM.Touch
+// does) and reaches FetchPage only after another fault has fetched and
+// installed the page is handed that fetch's page, not a second remote
+// fetch. Once the last holder lets go the flight is forgotten, and a
+// failed fetch is forgotten at once, hold or no hold.
+func TestHeldFlightOutlivesFetch(t *testing.T) {
+	src := seededImage(t, units.MiB)
+	gc := &gatedClient{src: src}
+	mt := NewWithClient(5, gc)
+	pvm, err := hypervisor.NewPartialVM(hypervisor.NewDescriptor(5, "held", units.MiB, 1), mt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pfn := pagestore.PFN(pvm.Desc().PageTablePages + 3)
+
+	mt.HoldFetch(pfn) // the straggler saw "absent"...
+	if faulted, err := pvm.Touch(pfn); err != nil || !faulted {
+		t.Fatalf("Touch = %v, %v", faulted, err)
+	}
+	page, err := mt.FetchPage(5, pfn) // ...and asks after the install
+	want, _ := src.Read(pfn)
+	if err != nil || !bytes.Equal(page, want) {
+		t.Fatalf("held FetchPage: %v", err)
+	}
+	if n, d := gc.fetches.Load(), mt.DedupedFaults(); n != 1 || d != 1 || mt.Faults() != pvm.Faults() {
+		t.Fatalf("held flight: %d remote fetches, %d coalesced, memtap %d faults vs hypervisor %d; want 1, 1, equal",
+			n, d, mt.Faults(), pvm.Faults())
+	}
+	mt.ReleaseFetch(pfn)
+	if _, err := mt.FetchPage(5, pfn); err != nil || gc.fetches.Load() != 2 {
+		t.Fatalf("after the last release: %d remote fetches (err %v), want a fresh one", gc.fetches.Load(), err)
+	}
+
+	mt.HoldFetch(pfn)
+	defer mt.ReleaseFetch(pfn)
+	gc.err = errors.New("backend detonated")
+	if _, err := mt.FetchPage(5, pfn); err == nil {
+		t.Fatal("failing fetch succeeded")
+	}
+	gc.err = nil
+	if _, err := mt.FetchPage(5, pfn); err != nil || gc.fetches.Load() != 4 {
+		t.Fatalf("retry under the same hold: %d remote fetches (err %v), want the failed one forgotten", gc.fetches.Load(), err)
+	}
+}
+
 // TestPipelinedPrefetchConvertsToFull runs the pipelined path end to end:
 // pooled connections, several streams, a real server — the VM must end up
 // full with byte-identical contents and exact accounting, same as serial.

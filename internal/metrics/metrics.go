@@ -132,16 +132,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
 }
 
-// CDFAt returns the empirical cumulative probability P(X <= x).
-func (s *Sample) CDFAt(x float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.sort()
-	i := sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(s.xs))
-}
-
 // CDFPoint is one (value, cumulative-probability) pair.
 type CDFPoint struct {
 	X float64
@@ -175,43 +165,6 @@ func (s *Sample) Values() []float64 {
 	copy(out, s.xs)
 	return out
 }
-
-// Histogram counts observations into fixed-width buckets.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int64
-	width   float64
-	under   int64
-	over    int64
-	n       int64
-}
-
-// NewHistogram creates a histogram over [lo, hi) with n buckets.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("metrics: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int64, n), width: (hi - lo) / float64(n)}
-}
-
-// Add counts x. Out-of-range observations are tallied separately.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		h.Buckets[int((x-h.Lo)/h.width)]++
-	}
-}
-
-// N returns the total number of observations, including out-of-range ones.
-func (h *Histogram) N() int64 { return h.n }
-
-// BucketStart returns the lower bound of bucket i.
-func (h *Histogram) BucketStart(i int) float64 { return h.Lo + float64(i)*h.width }
 
 // TimeWeighted integrates a piecewise-constant value over time, e.g. power
 // (watts) into energy (joules). Times are arbitrary float seconds.

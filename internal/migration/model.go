@@ -80,38 +80,6 @@ type Model struct {
 	// FaultServiceTime is the per-page cost of an on-demand fetch: fault
 	// delivery, network round trip, SAS read and decompression.
 	FaultServiceTime time.Duration
-	// PrefetchStreams is the pipeline depth of the parallel page-transport
-	// layer (memtap's pooled connections + pipelined PrefetchRemaining).
-	// Values <= 1 model the serial transport: one connection, each batch's
-	// install strictly after its transfer.
-	PrefetchStreams int
-	// InstallOverheadFrac is install/decompress time per batch as a
-	// fraction of its wire time. On the serial path each batch pays
-	// transfer + install back to back, derating throughput by
-	// 1/(1+frac); pipelined streams overlap install with the next batch's
-	// transfer and win that factor back (see PrefetchSpeedup). Zero takes
-	// the calibrated default of 1.0: on the GigE testbed the SAS read +
-	// decompress + install side of a batch costs about as much as its
-	// wire time (the same split FaultServiceTime shows per page).
-	InstallOverheadFrac float64
-	// UploadStreams is the detach-direction counterpart of
-	// PrefetchStreams: the fan-out of the parallel detach pipeline
-	// (sharded snapshot encoding plus chunked streaming upload to the
-	// memory server). Values <= 1 model the serial pipeline: one encode
-	// pass, one upload stream, each chunk's server-side decode strictly
-	// after its transfer. It shortens only the host's detach WINDOW (see
-	// DetachWindow) — placement and energy accounting use Op.Latency,
-	// which it deliberately does not touch.
-	UploadStreams int
-	// Shards is the number of memory-server backends in the shard
-	// fabric (internal/memserver/shard). Values <= 1 model the single
-	// host-local memory server. A fabric partitions every upload by
-	// (VMID, PFN-range) and writes all backends concurrently, dividing
-	// the SAS component of the detach window by Shards (see
-	// ShardWindow). Stats-only, exactly like UploadStreams: placement
-	// and energy accounting use Op.Latency, which Shards deliberately
-	// does not touch.
-	Shards int
 }
 
 // MicroBenchModel returns the §4.4 testbed calibration (Figure 5).
@@ -142,105 +110,6 @@ func ClusterModel() Model {
 // effectiveNet returns the usable network bandwidth.
 func (m Model) effectiveNet() units.Bandwidth {
 	return units.Bandwidth(float64(m.Net) * m.NetEfficiency)
-}
-
-// installFrac returns InstallOverheadFrac with its calibrated default.
-func (m Model) installFrac() float64 {
-	if m.InstallOverheadFrac <= 0 {
-		return 1.0
-	}
-	return m.InstallOverheadFrac
-}
-
-// PrefetchSpeedup returns the reattach-transfer speedup of the pipelined
-// transport over the serial one. Serial throughput is derated by install
-// overhead to effNet/(1+f); S streams overlap installs with transfers,
-// recovering min(S, 1+f)·— the wire saturates once enough batches are in
-// flight to hide install time, so adding streams past that buys nothing.
-// With the default f = 1, two or more streams give exactly 2×.
-func (m Model) PrefetchSpeedup() float64 {
-	if m.PrefetchStreams <= 1 {
-		return 1
-	}
-	f := m.installFrac()
-	s := float64(m.PrefetchStreams)
-	if max := 1 + f; s > max {
-		return max
-	}
-	return s
-}
-
-// PrefetchThroughput returns the modeled page-install throughput of
-// PrefetchRemaining: wire bandwidth derated by install overhead,
-// recovered by stream overlap. oasis-bench reports this in pages/sec for
-// the serial-vs-pooled comparison.
-func (m Model) PrefetchThroughput() units.Bandwidth {
-	f := m.installFrac()
-	return units.Bandwidth(float64(m.effectiveNet()) * m.PrefetchSpeedup() / (1 + f))
-}
-
-// DetachSpeedup returns the upload-transfer speedup of the parallel
-// detach pipeline over the serial one, mirroring PrefetchSpeedup for the
-// opposite direction: serial uploads pay encode/decode overhead in line
-// with the SAS transfer, derating throughput by 1/(1+f); S upload
-// streams overlap a chunk's server-side decode with the next chunk's
-// transfer, recovering min(S, 1+f) — the SAS link saturates once enough
-// chunks are in flight to hide decode time. With the default f = 1, two
-// or more streams give exactly 2×.
-func (m Model) DetachSpeedup() float64 {
-	if m.UploadStreams <= 1 {
-		return 1
-	}
-	f := m.installFrac()
-	s := float64(m.UploadStreams)
-	if max := 1 + f; s > max {
-		return max
-	}
-	return s
-}
-
-// DetachThroughput returns the modeled upload throughput of the detach
-// pipeline: SAS bandwidth derated by encode/decode overhead, recovered
-// by stream overlap. oasis-bench reports this in pages/sec for the
-// serial-vs-streamed comparison.
-func (m Model) DetachThroughput() units.Bandwidth {
-	f := m.installFrac()
-	return units.Bandwidth(float64(m.SAS) * m.DetachSpeedup() / (1 + f))
-}
-
-// DetachWindow returns how long the host is actually busy detaching for
-// a partial-migration op: the streamed pipeline shortens the SAS upload
-// component by DetachSpeedup while the descriptor push and its fixed
-// overhead are unchanged. With UploadStreams <= 1 it returns op.Latency
-// exactly. Op.Latency itself is deliberately untouched — placement and
-// energy accounting key off it, and the pipeline must not (and does
-// not) change which hosts sleep when; only the per-detach busy window
-// the cluster records shrinks.
-func (m Model) DetachWindow(op Op) time.Duration {
-	speedup := m.DetachSpeedup()
-	if speedup <= 1 || op.SASBytes == 0 {
-		return op.Latency
-	}
-	sas := units.TransferTime(op.SASBytes, m.SAS)
-	return op.Latency - sas + time.Duration(float64(sas)/speedup)
-}
-
-// ShardWindow returns how long the host is busy uploading when the
-// detach targets a Shards-backend fabric instead of one memory server:
-// the image partitions by (VMID, PFN-range) and every backend ingests
-// its slice concurrently, so the SAS upload component divides by
-// Shards while the descriptor push and fixed overhead are unchanged.
-// Replica writes ride the same concurrent fan-out (each replica lands
-// on a different backend in the same round), so the replication factor
-// does not appear. With Shards <= 1 it returns op.Latency exactly;
-// like DetachWindow it never feeds back into Op.Latency, so placement
-// and energy series are bit-identical across shard counts.
-func (m Model) ShardWindow(op Op) time.Duration {
-	if m.Shards <= 1 || op.SASBytes == 0 {
-		return op.Latency
-	}
-	sas := units.TransferTime(op.SASBytes, m.SAS)
-	return op.Latency - sas + time.Duration(float64(sas)/float64(m.Shards))
 }
 
 // compressed returns the post-compression size of a memory region.

@@ -138,53 +138,6 @@ func TestCompressionDisabled(t *testing.T) {
 	}
 }
 
-// TestPrefetchSpeedup pins the pipelined-transport model: <=1 stream is
-// the serial baseline, speedup grows linearly with streams, and saturates
-// at 1+installFrac once installs are fully hidden behind transfers.
-func TestPrefetchSpeedup(t *testing.T) {
-	m := MicroBenchModel()
-	for streams, want := range map[int]float64{-1: 1, 0: 1, 1: 1, 2: 2, 4: 2, 8: 2} {
-		m.PrefetchStreams = streams
-		if got := m.PrefetchSpeedup(); got != want {
-			t.Errorf("streams=%d: speedup = %v, want %v (default install frac)", streams, got, want)
-		}
-	}
-	// A lighter install side saturates earlier and lower.
-	m.InstallOverheadFrac = 0.5
-	m.PrefetchStreams = 8
-	if got := m.PrefetchSpeedup(); got != 1.5 {
-		t.Errorf("f=0.5 streams=8: speedup = %v, want 1.5", got)
-	}
-	// Below saturation the speedup is the stream count itself.
-	m.InstallOverheadFrac = 3
-	m.PrefetchStreams = 2
-	if got := m.PrefetchSpeedup(); got != 2 {
-		t.Errorf("f=3 streams=2: speedup = %v, want 2", got)
-	}
-}
-
-// TestPrefetchThroughput checks the bench acceptance inequality at the
-// model level: on GigE the pooled transport moves at least 2x the serial
-// pages/sec, and the serial rate is the derated wire rate.
-func TestPrefetchThroughput(t *testing.T) {
-	serial := MicroBenchModel()
-	pooled := MicroBenchModel()
-	pooled.PrefetchStreams = 4
-	s, p := float64(serial.PrefetchThroughput()), float64(pooled.PrefetchThroughput())
-	if ratio := p / s; ratio < 2 {
-		t.Errorf("pooled/serial throughput = %.2fx, want >= 2x on modeled GigE", ratio)
-	}
-	// Serial throughput is effective wire bandwidth derated by the
-	// back-to-back install: effNet/2 with the default install fraction.
-	if want := float64(serial.effectiveNet()) / 2; math.Abs(s-want) > 1 {
-		t.Errorf("serial throughput = %v, want %v", s, want)
-	}
-	// Pipelining never beats the wire itself.
-	if p > float64(pooled.effectiveNet()) {
-		t.Errorf("pooled throughput %v exceeds effective wire %v", p, float64(pooled.effectiveNet()))
-	}
-}
-
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		Full: "full", PartialFirst: "partial-first",

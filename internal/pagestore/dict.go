@@ -189,14 +189,6 @@ func EncodeAllDict(im *Image, dict []byte, workers int) ([]byte, int, error) {
 	return data, len(pfns), err
 }
 
-// EncodeDirtySinceDict encodes the pages dirtied since epoch as a
-// dictionary snapshot.
-func EncodeDirtySinceDict(im *Image, epoch uint64, dict []byte, workers int) ([]byte, int, error) {
-	pfns := im.DirtySince(epoch)
-	data, err := EncodePagesDict(im, pfns, dict, workers)
-	return data, len(pfns), err
-}
-
 // buildDictSamples is how many pages BuildDict samples: candidates are
 // judged by how well each compresses the rest of the sample.
 const buildDictSamples = 16

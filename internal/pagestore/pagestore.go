@@ -107,14 +107,6 @@ func (im *Image) Read(pfn PFN) ([]byte, error) {
 	return zeroPage, nil
 }
 
-// Present reports whether the page has non-zero contents stored.
-func (im *Image) Present(pfn PFN) bool {
-	im.mu.RLock()
-	defer im.mu.RUnlock()
-	_, ok := im.pages[pfn]
-	return ok
-}
-
 // TouchedPages returns the number of pages with non-zero contents.
 func (im *Image) TouchedPages() int64 {
 	im.mu.RLock()

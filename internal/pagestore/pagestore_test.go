@@ -289,9 +289,6 @@ func TestStore(t *testing.T) {
 	if err := im.Write(0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	if s.TotalTouched() != units.PageSize {
-		t.Fatalf("TotalTouched = %v", s.TotalTouched())
-	}
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d", s.Len())
 	}

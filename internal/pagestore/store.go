@@ -119,17 +119,3 @@ func (s *Store) Len() int {
 	}
 	return n
 }
-
-// TotalTouched returns the total resident bytes across all images.
-func (s *Store) TotalTouched() units.Bytes {
-	var total units.Bytes
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, im := range sh.images {
-			total += im.TouchedBytes()
-		}
-		sh.mu.RUnlock()
-	}
-	return total
-}

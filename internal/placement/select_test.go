@@ -67,7 +67,11 @@ func refRandomBestK(K int, cands []Candidate, r *rng.Rand) int {
 // tie-break shows up).
 func genCands(r *rng.Rand, n int) []Candidate {
 	out := make([]Candidate, n)
-	perm := r.Perm(n * 4)
+	perm := make([]int, n*4)
+	for i := range perm {
+		perm[i] = i
+	}
+	r.ShuffleInts(perm)
 	for i := range out {
 		out[i] = Candidate{
 			ID:   perm[i],
@@ -131,9 +135,10 @@ func TestStrategiesOrderIndependent(t *testing.T) {
 		n := 1 + int(nRaw)%30
 		cs := genCands(gen, n)
 		shuffled := append([]Candidate(nil), cs...)
-		gen.Shuffle(len(shuffled), func(i, j int) {
+		for i := len(shuffled) - 1; i > 0; i-- {
+			j := gen.Intn(i + 1)
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-		})
+		}
 		for _, s := range []Strategy{Random{}, FirstFit{}, BestFit{}, WorstFit{}, RandomBestK{K: 3}} {
 			a := s.Pick(append([]Candidate(nil), cs...), rng.New(seed))
 			b := s.Pick(append([]Candidate(nil), shuffled...), rng.New(seed))

@@ -162,9 +162,6 @@ func (m *Meter) TotalJoules(t simtime.Time) float64 {
 	return m.HostJoules(t) + m.MemServerJoules(t)
 }
 
-// KWh converts joules to kilowatt-hours.
-func KWh(joules float64) float64 { return joules / 3.6e6 }
-
 // BaselineJoules returns the energy n hosts would use if left powered for
 // duration d with the given average active-VM count per host — the
 // denominator of the paper's savings numbers (§5.3: "normalized over the

@@ -130,39 +130,11 @@ func (r *Rand) TruncNorm(mean, stddev, lo, hi float64) float64 {
 	return math.Min(math.Max(x, lo), hi)
 }
 
-// Pareto returns a Pareto variate with minimum xm and shape alpha. Used to
-// model heavy-tailed burst sizes in idle memory-access processes.
-func (r *Rand) Pareto(xm, alpha float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.ShuffleInts(p)
-	return p
-}
-
 // ShuffleInts shuffles s in place (Fisher-Yates).
 func (r *Rand) ShuffleInts(s []int) {
 	for i := len(s) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// Shuffle shuffles n elements using the provided swap function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }
 

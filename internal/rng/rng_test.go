@@ -107,33 +107,26 @@ func TestTruncNormBounds(t *testing.T) {
 	}
 }
 
-func TestPareto(t *testing.T) {
-	r := New(6)
-	for i := 0; i < 1000; i++ {
-		if r.Pareto(2, 1.5) < 2 {
-			t.Fatal("Pareto below minimum")
-		}
-	}
-}
-
 func TestPermShuffle(t *testing.T) {
 	r := New(7)
-	p := r.Perm(100)
+	p := make([]int, 100)
+	for i := range p {
+		p[i] = i
+	}
+	r.ShuffleInts(p)
 	seen := make([]bool, 100)
-	for _, v := range p {
+	moved := 0
+	for i, v := range p {
 		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm invalid at %d", v)
+			t.Fatalf("ShuffleInts lost or repeated %d", v)
 		}
 		seen[v] = true
+		if v != i {
+			moved++
+		}
 	}
-	s := []int{1, 2, 3, 4, 5}
-	sum := 0
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	for _, v := range s {
-		sum += v
-	}
-	if sum != 15 {
-		t.Error("Shuffle lost elements")
+	if moved == 0 {
+		t.Error("ShuffleInts left 100 elements in place")
 	}
 }
 

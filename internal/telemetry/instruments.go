@@ -132,17 +132,3 @@ func ExpBuckets(start, factor float64, count int) []float64 {
 	}
 	return out
 }
-
-// LinearBuckets returns count bucket bounds starting at start, each
-// width apart.
-func LinearBuckets(start, width float64, count int) []float64 {
-	if width <= 0 || count < 1 {
-		panic("telemetry: invalid linear buckets")
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start
-		start += width
-	}
-	return out
-}

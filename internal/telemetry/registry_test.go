@@ -180,12 +180,6 @@ func TestBucketHelpers(t *testing.T) {
 			t.Fatalf("ExpBuckets[%d] = %v, want %v", i, exp[i], want)
 		}
 	}
-	lin := LinearBuckets(0.5, 0.25, 3)
-	for i, want := range []float64{0.5, 0.75, 1} {
-		if lin[i] != want {
-			t.Fatalf("LinearBuckets[%d] = %v, want %v", i, lin[i], want)
-		}
-	}
 }
 
 // TestRegistryConcurrency hammers one registry from many goroutines —

