@@ -1,7 +1,6 @@
 package agent
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -101,17 +100,6 @@ func fanOut[T any](entries []*hostEntry, limit int, fn func(*hostEntry) (T, erro
 		}
 	}
 	return out, errs
-}
-
-// joinErrs joins non-nil errors in order (nil if none).
-func joinErrs(errs []error) error {
-	var nonNil []error
-	for _, err := range errs {
-		if err != nil {
-			nonNil = append(nonNil, err)
-		}
-	}
-	return errors.Join(nonNil...)
 }
 
 // HostScan is one host's slot in a fleet-wide stats sweep.

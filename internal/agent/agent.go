@@ -14,8 +14,6 @@
 package agent
 
 import (
-	"encoding/base64"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -82,8 +80,13 @@ type managedVM struct {
 	uploaded      bool
 	uploadedEpoch uint64
 
-	// migrating marks an in-flight live migration; paused marks its
-	// stop-and-copy phase, during which guest writes are refused.
+	// migrating marks an in-flight hand-off of this VM to a peer; a second
+	// one is refused. paused marks the part of it, from the snapshot that
+	// decides what the peer receives onwards, during which guest writes
+	// are refused (§4.2: a write acknowledged after that snapshot would
+	// exist nowhere once the peer takes over) — all of it except pre-copy
+	// rounds. Both are cleared when the hand-off returns: by then away or
+	// the VM's deletion has taken over, or it failed and the VM runs on.
 	migrating bool
 	paused    bool
 
@@ -234,19 +237,22 @@ func (a *Agent) Addr() string { return a.rpcAddr.String() }
 // MemServerAddr returns the host's memory-server address.
 func (a *Agent) MemServerAddr() string { return a.memAddr.String() }
 
-// peer returns (caching) an RPC client to another agent.
-func (a *Agent) peer(addr string) (*wire.Client, error) {
+// callPeer calls method on the agent at addr over a connection dialed on
+// first use and kept (the client redials after a transport failure).
+func (a *Agent) callPeer(addr, method string, args any, payload []byte) error {
 	a.peersMu.Lock()
-	defer a.peersMu.Unlock()
-	if c, ok := a.peers[addr]; ok {
-		return c, nil
+	c, ok := a.peers[addr]
+	if !ok {
+		var err error
+		if c, err = wire.Dial(addr); err != nil {
+			a.peersMu.Unlock()
+			return err
+		}
+		a.peers[addr] = c
 	}
-	c, err := wire.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	a.peers[addr] = c
-	return c, nil
+	a.peersMu.Unlock()
+	_, err := c.CallPayload(method, args, payload, nil)
+	return err
 }
 
 // ---- RPC parameter types ----
@@ -261,11 +267,11 @@ type CreateVMArgs struct {
 	Disk  string         `json:"disk"`
 }
 
-// PageArgs addresses one guest page, optionally with contents.
+// PageArgs addresses one guest page; its contents travel as the frame's
+// payload (the request's for WritePage, the reply's for ReadPage).
 type PageArgs struct {
 	VMID pagestore.VMID `json:"vmid"`
 	PFN  pagestore.PFN  `json:"pfn"`
-	Data string         `json:"data,omitempty"` // base64
 }
 
 // MigrateArgs requests a migration to another agent.
@@ -278,25 +284,16 @@ type MigrateArgs struct {
 // when set, tell the destination the pages live on a shard fabric
 // rather than the single server at MemAddr.
 type receivePartialArgs struct {
-	Backends []string `json:"backends,omitempty"`
-	Replicas int      `json:"replicas,omitempty"`
-	Desc     string   `json:"desc"` // base64 gob descriptor
-	MemAddr  string   `json:"mem_addr"`
+	Backends []string              `json:"backends,omitempty"`
+	Replicas int                   `json:"replicas,omitempty"`
+	Desc     hypervisor.Descriptor `json:"desc"`
+	MemAddr  string                `json:"mem_addr"`
 }
 
-// receiveFullArgs carries the first round of a full migration. Staged
-// marks a live (pre-copy) migration whose switch-over happens later via
-// ActivateFull.
-type receiveFullArgs struct {
-	Desc     string `json:"desc"`
-	Snapshot string `json:"snapshot"` // base64 compressed image
-	Staged   bool   `json:"staged,omitempty"`
-}
-
-// receiveDirtyArgs carries reintegration dirty state to the owner.
-type receiveDirtyArgs struct {
-	VMID     pagestore.VMID `json:"vmid"`
-	Snapshot string         `json:"snapshot"`
+// vmArgs names the VM a call is about: the one to adopt, or the one the
+// snapshot chunk in the frame's payload belongs to.
+type vmArgs struct {
+	VMID pagestore.VMID `json:"vmid"`
 }
 
 // RecoverArgs requests forced promotion of a degraded partial VM back to
@@ -342,37 +339,26 @@ type Stats struct {
 }
 
 func (a *Agent) register() {
-	h := func(name string, fn func(json.RawMessage) (any, error)) {
-		a.rpc.Handle("Agent."+name, wire.Handler(fn))
-	}
-	h("CreateVM", a.handleCreateVM)
-	h("WritePage", a.handleWritePage)
-	h("ReadPage", a.handleReadPage)
-	h("PartialMigrate", a.handlePartialMigrate)
-	h("ReceivePartial", a.handleReceivePartial)
-	h("FullMigrate", a.handleFullMigrate)
-	h("ReceiveFull", a.handleReceiveFull)
-	h("ReceiveFullDelta", a.handleReceiveFullDelta)
-	h("ActivateFull", a.handleActivateFull)
-	h("PostCopyMigrate", a.handlePostCopyMigrate)
-	h("AdoptVM", a.handleAdoptVM)
-	h("Reintegrate", a.handleReintegrate)
-	h("RecoverDegraded", a.handleRecoverDegraded)
-	h("ReceiveDirty", a.handleReceiveDirty)
-	h("Suspend", a.handleSuspend)
-	h("Wake", a.handleWake)
-	h("Stats", a.handleStats)
-	h("FabricAddBackend", a.handleFabricAddBackend)
-	h("FabricRemoveBackend", a.handleFabricRemoveBackend)
-	h("FabricStatus", a.handleFabricStatus)
-}
-
-func decode[T any](params json.RawMessage) (T, error) {
-	var v T
-	if err := json.Unmarshal(params, &v); err != nil {
-		return v, fmt.Errorf("bad params: %w", err)
-	}
-	return v, nil
+	wire.Handle(a.rpc, "Agent.CreateVM", a.handleCreateVM)
+	wire.Handle(a.rpc, "Agent.WritePage", a.handleWritePage)
+	wire.Handle(a.rpc, "Agent.ReadPage", a.handleReadPage)
+	wire.Handle(a.rpc, "Agent.PartialMigrate", a.handlePartialMigrate)
+	wire.Handle(a.rpc, "Agent.ReceivePartial", a.handleReceivePartial)
+	wire.Handle(a.rpc, "Agent.FullMigrate", a.handleFullMigrate)
+	wire.Handle(a.rpc, "Agent.ReceiveFull", a.handleReceiveFull)
+	wire.Handle(a.rpc, "Agent.ReceiveFullDelta", a.receiveSnapshot(chunkMore))
+	wire.Handle(a.rpc, "Agent.ActivateFull", a.receiveSnapshot(chunkActivates))
+	wire.Handle(a.rpc, "Agent.ReceiveDirty", a.receiveSnapshot(chunkReturns))
+	wire.Handle(a.rpc, "Agent.PostCopyMigrate", a.handlePostCopyMigrate)
+	wire.Handle(a.rpc, "Agent.AdoptVM", a.handleAdoptVM)
+	wire.Handle(a.rpc, "Agent.Reintegrate", a.handleReintegrate)
+	wire.Handle(a.rpc, "Agent.RecoverDegraded", a.handleRecoverDegraded)
+	wire.Handle(a.rpc, "Agent.Suspend", a.handleSuspend)
+	wire.Handle(a.rpc, "Agent.Wake", a.handleWake)
+	wire.Handle(a.rpc, "Agent.Stats", a.handleStats)
+	wire.Handle(a.rpc, "Agent.FabricAddBackend", a.handleFabricChange(true))
+	wire.Handle(a.rpc, "Agent.FabricRemoveBackend", a.handleFabricChange(false))
+	wire.Handle(a.rpc, "Agent.FabricStatus", a.handleFabricStatus)
 }
 
 func (a *Agent) checkAwake() error {
@@ -382,21 +368,17 @@ func (a *Agent) checkAwake() error {
 	return nil
 }
 
-func (a *Agent) handleCreateVM(params json.RawMessage) (any, error) {
-	args, err := decode[CreateVMArgs](params)
-	if err != nil {
-		return nil, err
-	}
+func (a *Agent) handleCreateVM(args CreateVMArgs, _ []byte) (any, []byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if err := a.checkAwake(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if _, ok := a.vms[args.VMID]; ok {
-		return nil, fmt.Errorf("vm %04d already exists", args.VMID)
+		return nil, nil, fmt.Errorf("vm %04d already exists", args.VMID)
 	}
 	if args.Alloc <= 0 {
-		return nil, fmt.Errorf("vm %04d: invalid allocation %d", args.VMID, args.Alloc)
+		return nil, nil, fmt.Errorf("vm %04d: invalid allocation %d", args.VMID, args.Alloc)
 	}
 	desc := hypervisor.NewDescriptor(args.VMID, args.Name, args.Alloc, args.VCPUs)
 	desc.DiskImagePath = args.Disk
@@ -406,67 +388,57 @@ func (a *Agent) handleCreateVM(params json.RawMessage) (any, error) {
 		owner: true,
 	}
 	a.logf("agent %s: created vm %04d (%v)", a.Name, args.VMID, args.Alloc)
-	return nil, nil
+	return nil, nil, nil
 }
 
-func (a *Agent) handleWritePage(params json.RawMessage) (any, error) {
-	args, err := decode[PageArgs](params)
-	if err != nil {
-		return nil, err
-	}
-	data, err := base64.StdEncoding.DecodeString(args.Data)
-	if err != nil {
-		return nil, fmt.Errorf("bad page data: %w", err)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// running returns the VM if its guest runs on this host, as a partial VM
+// or in full. Called with a.mu held.
+func (a *Agent) running(id pagestore.VMID) (*managedVM, error) {
 	if err := a.checkAwake(); err != nil {
 		return nil, err
 	}
-	mv, ok := a.vms[args.VMID]
+	mv, ok := a.vms[id]
 	if !ok {
-		return nil, fmt.Errorf("unknown vm %04d", args.VMID)
+		return nil, fmt.Errorf("unknown vm %04d", id)
 	}
-	if mv.paused {
-		return nil, fmt.Errorf("vm %04d is paused for migration switch-over", args.VMID)
+	if mv.pvm == nil && (mv.image == nil || mv.away) {
+		return nil, fmt.Errorf("vm %04d is not running here", id)
 	}
+	return mv, nil
+}
+
+// handleWritePage stores the payload as the page's contents (the image
+// copies it). A VM that is paused for a hand-off refuses the write.
+func (a *Agent) handleWritePage(args PageArgs, data []byte) (any, []byte, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	mv, err := a.running(args.VMID)
 	switch {
+	case err != nil:
+		return nil, nil, err
+	case mv.paused:
+		return nil, nil, fmt.Errorf("vm %04d is paused for migration switch-over", args.VMID)
 	case mv.pvm != nil:
-		return nil, mv.pvm.Write(args.PFN, data)
-	case mv.image != nil && !mv.away:
-		return nil, mv.image.Write(args.PFN, data)
-	default:
-		return nil, fmt.Errorf("vm %04d is not running here", args.VMID)
+		return nil, nil, mv.pvm.Write(args.PFN, data)
 	}
+	return nil, nil, mv.image.Write(args.PFN, data)
 }
 
-func (a *Agent) handleReadPage(params json.RawMessage) (any, error) {
-	args, err := decode[PageArgs](params)
-	if err != nil {
-		return nil, err
-	}
+// handleReadPage replies with the page as the frame's payload. An image
+// never modifies a page in place (a write installs a new one), so the
+// slice stays good while the reply is written outside a.mu.
+func (a *Agent) handleReadPage(args PageArgs, _ []byte) (_ any, page []byte, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.checkAwake(); err != nil {
-		return nil, err
-	}
-	mv, ok := a.vms[args.VMID]
-	if !ok {
-		return nil, fmt.Errorf("unknown vm %04d", args.VMID)
-	}
-	var page []byte
+	mv, err := a.running(args.VMID)
 	switch {
+	case err != nil:
 	case mv.pvm != nil:
 		page, err = mv.pvm.Read(args.PFN)
-	case mv.image != nil && !mv.away:
-		page, err = mv.image.Read(args.PFN)
 	default:
-		return nil, fmt.Errorf("vm %04d is not running here", args.VMID)
+		page, err = mv.image.Read(args.PFN)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return base64.StdEncoding.EncodeToString(page), nil
+	return nil, page, err
 }
 
 // uploadStreams returns the configured detach fan-out (>= 1).
@@ -538,60 +510,152 @@ func (a *Agent) deleteImage(id pagestore.VMID) {
 	a.mem.Store().Delete(id)
 }
 
-// uploadImage ships a full snapshot to the VM's memory backend: the
-// shard fabric when the transport is sharded, otherwise chunked
-// streaming over UploadStreams concurrent connections when > 1, else
-// the host-local (SAS) install. Every path swaps the image in
-// atomically.
-func (a *Agent) uploadImage(id pagestore.VMID, alloc units.Bytes, snap []byte) error {
+// upload ships a snapshot — the full image, or a diff against the image
+// already there — to the VM's memory backend: the shard fabric when the
+// transport is sharded, otherwise chunked streaming over UploadStreams
+// concurrent connections when > 1, else the host-local (SAS) install.
+// Every path swaps the result in atomically.
+func (a *Agent) upload(id pagestore.VMID, alloc units.Bytes, snap []byte, diff bool) error {
 	streams := a.uploadStreams()
 	if streams <= 1 && !a.sharded() {
+		if diff {
+			return a.mem.ApplyDiff(id, snap)
+		}
 		return a.mem.InstallImage(id, alloc, snap)
 	}
 	conn, err := a.uploadConn()
 	if err != nil {
 		return err
 	}
+	if diff {
+		return conn.StreamDiff(id, snap, memserver.PutOptions{Streams: streams})
+	}
 	return conn.StreamImage(id, alloc, snap, memserver.PutOptions{Streams: streams})
 }
 
-// uploadDiff ships a differential snapshot the same way uploadImage ships
-// full ones.
-func (a *Agent) uploadDiff(id pagestore.VMID, snap []byte) error {
-	streams := a.uploadStreams()
-	if streams <= 1 && !a.sharded() {
-		return a.mem.ApplyDiff(id, snap)
+// claim's two choices, by name.
+const (
+	fullVM, partialVM = false, true
+	live, stopped     = false, true
+)
+
+// claim finds the VM a hand-off is about — a partial VM running here, or
+// else a full VM this agent owns and runs — and marks it migrating, and
+// paused too when pause is set (see managedVM.migrating). On success the
+// caller defers a.release(mv).
+func (a *Agent) claim(id pagestore.VMID, partial, pause bool) (*managedVM, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if err := a.checkAwake(); err != nil {
+		return nil, err
 	}
-	conn, err := a.uploadConn()
+	mv, ok := a.vms[id]
+	switch {
+	case partial && (!ok || mv.pvm == nil):
+		return nil, fmt.Errorf("vm %04d is not a partial VM here", id)
+	case !partial && (!ok || !mv.owner || mv.away || mv.image == nil):
+		return nil, fmt.Errorf("vm %04d is not a resident owned full VM", id)
+	case mv.migrating:
+		return nil, fmt.Errorf("vm %04d is already migrating", id)
+	}
+	mv.migrating, mv.paused = true, pause
+	return mv, nil
+}
+
+// release ends a hand-off, however it went: a VM that is still here runs
+// (and accepts writes) again.
+func (a *Agent) release(mv *managedVM) {
+	a.mu.Lock()
+	mv.migrating, mv.paused = false, false
+	a.mu.Unlock()
+}
+
+// A frame carries one chunk of the streaming budget; wire refuses more.
+const _ = uint(wire.MaxPayload - memserver.DefaultChunkBytes)
+
+// pushSnapshot is the one way a snapshot reaches a peer: cut into
+// self-contained chunks of the streaming budget, one chunk per call, the
+// last one to method last — the only call that changes state at the
+// receiver. Page entries are absolute contents, so pushing again after a
+// failure is idempotent.
+func (a *Agent) pushSnapshot(dest string, id pagestore.VMID, snap []byte, last string) error {
+	chunks, err := pagestore.SplitSnapshot(snap, memserver.DefaultChunkBytes)
 	if err != nil {
 		return err
 	}
-	return conn.StreamDiff(id, snap, memserver.PutOptions{Streams: streams})
+	for i, chunk := range chunks {
+		method := "Agent.ReceiveFullDelta"
+		if i == len(chunks)-1 {
+			method = last
+		}
+		if err := a.callPeer(dest, method, vmArgs{VMID: id}, chunk); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// What the call carrying a snapshot chunk completes at the receiver.
+const (
+	chunkMore      = iota // nothing yet: more chunks follow
+	chunkActivates        // a staged live migration: the VM switches over and runs here
+	chunkReturns          // a reintegration: the away VM runs at home again
+)
+
+// receiveSnapshot is the apply step under every inbound snapshot push:
+// the chunk lands in the image the VM's inbound state belongs to — the
+// retained copy of an owned VM that is away, or a staged live migration's
+// image — and the call that completes the push flips that VM's state.
+func (a *Agent) receiveSnapshot(completes int) func(vmArgs, []byte) (any, []byte, error) {
+	return func(args vmArgs, chunk []byte) (any, []byte, error) {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		if err := a.checkAwake(); err != nil {
+			return nil, nil, err
+		}
+		mv, sv := a.vms[args.VMID], a.staged[args.VMID]
+		var im *pagestore.Image
+		switch {
+		case completes != chunkActivates && mv != nil && mv.owner && mv.away:
+			im = mv.image
+		case completes != chunkReturns && mv == nil && sv != nil:
+			im = sv.image
+		case completes == chunkReturns:
+			return nil, nil, fmt.Errorf("vm %04d is not an away VM owned here", args.VMID)
+		default:
+			return nil, nil, fmt.Errorf("vm %04d has no staged migration", args.VMID)
+		}
+		if err := pagestore.ApplySnapshot(im, chunk); err != nil {
+			return nil, nil, err
+		}
+		switch completes {
+		case chunkReturns:
+			mv.away = false
+			a.logf("agent %s: vm %04d reintegrated and resumed", a.Name, args.VMID)
+		case chunkActivates:
+			delete(a.staged, args.VMID)
+			a.vms[args.VMID] = &managedVM{desc: sv.desc, image: sv.image, owner: true}
+			a.logf("agent %s: vm %04d switched over and resumed here", a.Name, args.VMID)
+		}
+		return nil, nil, nil
+	}
 }
 
 // handlePartialMigrate implements the source side of §4.2 partial
 // migration: suspend the VM, upload its memory to the host's memory
 // server (differential when possible), and push the descriptor to the
 // destination agent.
-func (a *Agent) handlePartialMigrate(params json.RawMessage) (any, error) {
-	args, err := decode[MigrateArgs](params)
+func (a *Agent) handlePartialMigrate(args MigrateArgs, _ []byte) (any, []byte, error) {
+	mv, err := a.claim(args.VMID, fullVM, stopped)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	a.mu.Lock()
-	if err := a.checkAwake(); err != nil {
-		a.mu.Unlock()
-		return nil, err
-	}
-	mv, ok := a.vms[args.VMID]
-	if !ok || !mv.owner || mv.away || mv.image == nil {
-		a.mu.Unlock()
-		return nil, fmt.Errorf("vm %04d is not a resident owned full VM", args.VMID)
-	}
+	defer a.release(mv)
 
 	// Upload memory to the memory server: full image the first time,
 	// only dirty pages afterwards (§4.3 differential upload). The encode
 	// fans out across UploadStreams shards (byte-identical to serial).
+	a.mu.Lock()
 	workers := a.transport.UploadStreams
 	var snap []byte
 	var pages int
@@ -608,45 +672,26 @@ func (a *Agent) handlePartialMigrate(params json.RawMessage) (any, error) {
 	}
 	if err != nil {
 		a.mu.Unlock()
-		return nil, err
+		return nil, nil, err
 	}
 	epoch := mv.image.NextEpoch()
 	wasUploaded := mv.uploaded
-	desc := *mv.desc
-	desc.MemServerAddr = a.memAddr.String()
+	handoff := receivePartialArgs{Desc: *mv.desc, MemAddr: a.memAddr.String()}
+	handoff.Desc.MemServerAddr = handoff.MemAddr
 	a.mu.Unlock()
 
-	// Ship the snapshot to the local memory server: chunked streaming
-	// over concurrent connections when UploadStreams > 1, else the
-	// host-local (SAS) path. Either way the image swaps in atomically.
-	if wasUploaded {
-		err = a.uploadDiff(args.VMID, snap)
-	} else {
-		err = a.uploadImage(args.VMID, desc.Alloc, snap)
-	}
-	if err != nil {
-		return nil, err
+	if err := a.upload(args.VMID, handoff.Desc.Alloc, snap, wasUploaded); err != nil {
+		return nil, nil, err
 	}
 
-	// Push the descriptor to the destination.
-	enc, err := desc.Encode()
-	if err != nil {
-		return nil, err
-	}
-	peer, err := a.peer(args.Dest)
-	if err != nil {
-		return nil, err
-	}
+	// Push the descriptor to the destination, with the fabric membership
+	// as it stands now that the upload has landed.
 	a.mu.Lock()
-	handoff := receivePartialArgs{
-		Desc:     base64.StdEncoding.EncodeToString(enc),
-		MemAddr:  a.memAddr.String(),
-		Backends: append([]string(nil), a.transport.Backends...),
-		Replicas: a.transport.Replicas,
-	}
+	handoff.Backends = append([]string(nil), a.transport.Backends...)
+	handoff.Replicas = a.transport.Replicas
 	a.mu.Unlock()
-	if err := peer.Call("Agent.ReceivePartial", handoff, nil); err != nil {
-		return nil, err
+	if err := a.callPeer(args.Dest, "Agent.ReceivePartial", handoff, nil); err != nil {
+		return nil, nil, err
 	}
 
 	a.mu.Lock()
@@ -657,25 +702,14 @@ func (a *Agent) handlePartialMigrate(params json.RawMessage) (any, error) {
 	a.tel.migrations("partial").Inc()
 	a.logf("agent %s: partial migrated vm %04d to %s (%d pages uploaded)",
 		a.Name, args.VMID, args.Dest, pages)
-	return nil, nil
+	return nil, nil, nil
 }
 
 // handleReceivePartial implements the destination side: create a partial
 // VM whose faults are serviced by a memtap talking to the source's memory
 // server.
-func (a *Agent) handleReceivePartial(params json.RawMessage) (any, error) {
-	args, err := decode[receivePartialArgs](params)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := base64.StdEncoding.DecodeString(args.Desc)
-	if err != nil {
-		return nil, err
-	}
-	desc, err := hypervisor.DecodeDescriptor(raw)
-	if err != nil {
-		return nil, err
-	}
+func (a *Agent) handleReceivePartial(args receivePartialArgs, _ []byte) (any, []byte, error) {
+	desc := &args.Desc
 	a.mu.Lock()
 	tc := a.transport
 	a.mu.Unlock()
@@ -686,26 +720,26 @@ func (a *Agent) handleReceivePartial(params json.RawMessage) (any, error) {
 		Replicas:        args.Replicas,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pvm, err := hypervisor.NewPartialVM(desc, mt)
 	if err != nil {
 		mt.Close()
-		return nil, err
+		return nil, nil, err
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if err := a.checkAwake(); err != nil {
 		mt.Close()
-		return nil, err
+		return nil, nil, err
 	}
 	if _, ok := a.vms[desc.VMID]; ok {
 		mt.Close()
-		return nil, fmt.Errorf("vm %04d already resident", desc.VMID)
+		return nil, nil, fmt.Errorf("vm %04d already resident", desc.VMID)
 	}
 	a.vms[desc.VMID] = &managedVM{desc: desc, pvm: pvm, mt: mt}
 	a.logf("agent %s: received partial vm %04d (pages from %s)", a.Name, desc.VMID, args.MemAddr)
-	return nil, nil
+	return nil, nil, nil
 }
 
 // precopyRounds bounds the iterative phase of pre-copy live migration;
@@ -718,58 +752,34 @@ const (
 )
 
 // handleFullMigrate implements pre-copy live full migration (§2, §4.2):
-// the first round copies every page while the VM keeps running (and
-// dirtying memory); subsequent rounds copy only pages dirtied during the
-// previous round; when the dirty set is small the VM is stopped, the
-// remainder transferred, and ownership switches to the destination. The
-// source then frees everything including memory-server state.
-func (a *Agent) handleFullMigrate(params json.RawMessage) (any, error) {
-	args, err := decode[MigrateArgs](params)
+// the destination stages the VM under its descriptor, the first round
+// copies every page while the VM keeps running (and dirtying memory);
+// subsequent rounds copy only pages dirtied during the previous round;
+// when the dirty set is small the VM is stopped, the remainder
+// transferred, and ownership switches to the destination. The source then
+// frees everything including memory-server state. A failure at any point
+// leaves the VM running here.
+func (a *Agent) handleFullMigrate(args MigrateArgs, _ []byte) (any, []byte, error) {
+	mv, err := a.claim(args.VMID, fullVM, live)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	defer a.release(mv)
 	a.mu.Lock()
-	if err := a.checkAwake(); err != nil {
-		a.mu.Unlock()
-		return nil, err
-	}
-	mv, ok := a.vms[args.VMID]
-	if !ok || !mv.owner || mv.away || mv.image == nil {
-		a.mu.Unlock()
-		return nil, fmt.Errorf("vm %04d is not a resident owned full VM", args.VMID)
-	}
-	if mv.migrating {
-		a.mu.Unlock()
-		return nil, fmt.Errorf("vm %04d is already migrating", args.VMID)
-	}
-	mv.migrating = true
 	desc := *mv.desc
 	epoch := mv.image.NextEpoch()
 	snap, _, err := pagestore.EncodeAllParallel(mv.image, a.transport.UploadStreams)
 	a.mu.Unlock()
 	if err != nil {
-		a.abortMigration(args.VMID)
-		return nil, err
+		return nil, nil, err
 	}
 
-	enc, err := desc.Encode()
-	if err != nil {
-		a.abortMigration(args.VMID)
-		return nil, err
-	}
-	peer, err := a.peer(args.Dest)
-	if err != nil {
-		a.abortMigration(args.VMID)
-		return nil, err
-	}
 	// Round 1: the full image, VM still running here.
-	if err := peer.Call("Agent.ReceiveFull", receiveFullArgs{
-		Desc:     base64.StdEncoding.EncodeToString(enc),
-		Snapshot: base64.StdEncoding.EncodeToString(snap),
-		Staged:   true,
-	}, nil); err != nil {
-		a.abortMigration(args.VMID)
-		return nil, err
+	if err := a.callPeer(args.Dest, "Agent.ReceiveFull", desc, nil); err != nil {
+		return nil, nil, err
+	}
+	if err := a.pushSnapshot(args.Dest, args.VMID, snap, "Agent.ReceiveFullDelta"); err != nil {
+		return nil, nil, err
 	}
 
 	// Iterative rounds: re-send pages dirtied during the previous round.
@@ -785,15 +795,10 @@ func (a *Agent) handleFullMigrate(params json.RawMessage) (any, error) {
 		delta, err := pagestore.EncodePagesParallel(mv.image, dirty, a.transport.UploadStreams)
 		a.mu.Unlock()
 		if err != nil {
-			a.abortMigration(args.VMID)
-			return nil, err
+			return nil, nil, err
 		}
-		if err := peer.Call("Agent.ReceiveFullDelta", receiveDirtyArgs{
-			VMID:     args.VMID,
-			Snapshot: base64.StdEncoding.EncodeToString(delta),
-		}, nil); err != nil {
-			a.abortMigration(args.VMID)
-			return nil, err
+		if err := a.pushSnapshot(args.Dest, args.VMID, delta, "Agent.ReceiveFullDelta"); err != nil {
+			return nil, nil, err
 		}
 	}
 
@@ -805,15 +810,10 @@ func (a *Agent) handleFullMigrate(params json.RawMessage) (any, error) {
 	lastDelta, err := pagestore.EncodePages(mv.image, final)
 	a.mu.Unlock()
 	if err != nil {
-		a.abortMigration(args.VMID)
-		return nil, err
+		return nil, nil, err
 	}
-	if err := peer.Call("Agent.ActivateFull", receiveDirtyArgs{
-		VMID:     args.VMID,
-		Snapshot: base64.StdEncoding.EncodeToString(lastDelta),
-	}, nil); err != nil {
-		a.abortMigration(args.VMID)
-		return nil, err
+	if err := a.pushSnapshot(args.Dest, args.VMID, lastDelta, "Agent.ActivateFull"); err != nil {
+		return nil, nil, err
 	}
 
 	// Free all source resources, including any memory-server image.
@@ -824,7 +824,7 @@ func (a *Agent) handleFullMigrate(params json.RawMessage) (any, error) {
 	a.tel.migrations("full_live").Inc()
 	a.logf("agent %s: live migrated vm %04d to %s (%d pre-copy rounds, %d stop-and-copy pages)",
 		a.Name, args.VMID, args.Dest, rounds+1, len(final))
-	return nil, nil
+	return nil, nil, nil
 }
 
 // handlePostCopyMigrate implements post-copy live migration (§2): the VM
@@ -837,24 +837,16 @@ func (a *Agent) handleFullMigrate(params json.RawMessage) (any, error) {
 // Built from the partial-migration machinery, this shows the relationship
 // the paper draws: partial VM migration *is* post-copy without the active
 // push and without the ownership transfer.
-func (a *Agent) handlePostCopyMigrate(params json.RawMessage) (any, error) {
-	args, err := decode[MigrateArgs](params)
-	if err != nil {
-		return nil, err
-	}
+func (a *Agent) handlePostCopyMigrate(args MigrateArgs, _ []byte) (any, []byte, error) {
 	// Phase 1: exactly a partial migration — suspend, upload, push the
 	// descriptor, resume at the destination.
-	if _, err := a.handlePartialMigrate(params); err != nil {
-		return nil, err
+	if _, _, err := a.handlePartialMigrate(args, nil); err != nil {
+		return nil, nil, err
 	}
 	// Phase 2: the destination pulls all remaining memory and adopts the
 	// VM.
-	peer, err := a.peer(args.Dest)
-	if err != nil {
-		return nil, err
-	}
-	if err := peer.Call("Agent.AdoptVM", PageArgs{VMID: args.VMID}, nil); err != nil {
-		return nil, fmt.Errorf("post-copy adopt failed (VM keeps running as partial at %s): %w",
+	if err := a.callPeer(args.Dest, "Agent.AdoptVM", vmArgs{VMID: args.VMID}, nil); err != nil {
+		return nil, nil, fmt.Errorf("post-copy adopt failed (VM keeps running as partial at %s): %w",
 			args.Dest, err)
 	}
 	// Phase 3: free the source's copy and memory-server image (§4.2:
@@ -865,31 +857,25 @@ func (a *Agent) handlePostCopyMigrate(params json.RawMessage) (any, error) {
 	a.deleteImage(args.VMID)
 	a.tel.migrations("post_copy").Inc()
 	a.logf("agent %s: post-copy migrated vm %04d to %s", a.Name, args.VMID, args.Dest)
-	return nil, nil
+	return nil, nil, nil
 }
 
 // handleAdoptVM completes a post-copy migration on the destination: it
 // prefetches every absent page of the resident partial VM and converts it
 // into an owned full VM.
-func (a *Agent) handleAdoptVM(params json.RawMessage) (any, error) {
-	args, err := decode[PageArgs](params)
+func (a *Agent) handleAdoptVM(args vmArgs, _ []byte) (any, []byte, error) {
+	mv, err := a.claim(args.VMID, partialVM, live)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	a.mu.Lock()
-	mv, ok := a.vms[args.VMID]
-	if !ok || mv.pvm == nil {
-		a.mu.Unlock()
-		return nil, fmt.Errorf("vm %04d is not a partial VM here", args.VMID)
-	}
+	defer a.release(mv)
 	pvm, mt := mv.pvm, mv.mt
-	a.mu.Unlock()
 
 	// The active push of post-copy: stream all remaining pages in
 	// batches while the VM keeps executing.
 	n, err := mt.PrefetchRemaining(pvm, 1024)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	a.mu.Lock()
 	mv.image = pvm.Image()
@@ -900,179 +886,66 @@ func (a *Agent) handleAdoptVM(params json.RawMessage) (any, error) {
 	mt.Close()
 	a.tel.migrations("adopt").Inc()
 	a.logf("agent %s: adopted vm %04d after prefetching %d pages", a.Name, args.VMID, n)
-	return nil, nil
+	return nil, nil, nil
 }
 
-// abortMigration clears the migration flags after a failed live
-// migration; the VM keeps running at the source.
-func (a *Agent) abortMigration(id pagestore.VMID) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if mv, ok := a.vms[id]; ok {
-		mv.migrating = false
-		mv.paused = false
-	}
-}
-
-func (a *Agent) handleReceiveFull(params json.RawMessage) (any, error) {
-	args, err := decode[receiveFullArgs](params)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := base64.StdEncoding.DecodeString(args.Desc)
-	if err != nil {
-		return nil, err
-	}
-	desc, err := hypervisor.DecodeDescriptor(raw)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := base64.StdEncoding.DecodeString(args.Snapshot)
-	if err != nil {
-		return nil, err
-	}
-	im := pagestore.NewImage(desc.Alloc)
-	if err := pagestore.ApplySnapshot(im, snap); err != nil {
-		return nil, err
-	}
+// handleReceiveFull opens an inbound live migration: an empty image is
+// staged under the VM's descriptor, the pre-copy rounds fill it chunk by
+// chunk (ReceiveFullDelta) and ActivateFull switches it over.
+func (a *Agent) handleReceiveFull(desc hypervisor.Descriptor, _ []byte) (any, []byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if err := a.checkAwake(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if _, ok := a.vms[desc.VMID]; ok {
-		return nil, fmt.Errorf("vm %04d already resident", desc.VMID)
+		return nil, nil, fmt.Errorf("vm %04d already resident", desc.VMID)
 	}
-	if args.Staged {
-		// First pre-copy round: hold the image until ActivateFull.
-		a.staged[desc.VMID] = &stagedVM{desc: desc, image: im}
-		a.logf("agent %s: staging inbound live migration of vm %04d", a.Name, desc.VMID)
-		return nil, nil
-	}
-	a.vms[desc.VMID] = &managedVM{desc: desc, image: im, owner: true}
-	a.logf("agent %s: received full vm %04d", a.Name, desc.VMID)
-	return nil, nil
+	a.staged[desc.VMID] = &stagedVM{desc: &desc, image: pagestore.NewImage(desc.Alloc)}
+	a.logf("agent %s: staging inbound live migration of vm %04d", a.Name, desc.VMID)
+	return nil, nil, nil
 }
 
-// handleReceiveFullDelta applies one iterative pre-copy round to a staged
-// inbound migration.
-func (a *Agent) handleReceiveFullDelta(params json.RawMessage) (any, error) {
-	args, err := decode[receiveDirtyArgs](params)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := base64.StdEncoding.DecodeString(args.Snapshot)
-	if err != nil {
-		return nil, err
-	}
+// sendHome hands a claimed, paused partial VM back to its owner: only
+// the pages it wrote here travel (faulted-in pages already match the
+// owner's retained DRAM copy, §4.2); the owner merges them with that copy
+// and resumes the VM, and then the memtap is closed and the VM dropped
+// here. It returns the number of dirty pages pushed.
+func (a *Agent) sendHome(id pagestore.VMID, mv *managedVM, owner string) (int, error) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	sv, ok := a.staged[args.VMID]
-	if !ok {
-		return nil, fmt.Errorf("vm %04d has no staged migration", args.VMID)
-	}
-	return nil, pagestore.ApplySnapshot(sv.image, snap)
-}
-
-// handleActivateFull applies the stop-and-copy dirty set and switches the
-// staged VM into execution here; this agent becomes the owner (§4.2).
-func (a *Agent) handleActivateFull(params json.RawMessage) (any, error) {
-	args, err := decode[receiveDirtyArgs](params)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := base64.StdEncoding.DecodeString(args.Snapshot)
-	if err != nil {
-		return nil, err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	sv, ok := a.staged[args.VMID]
-	if !ok {
-		return nil, fmt.Errorf("vm %04d has no staged migration", args.VMID)
-	}
-	if err := pagestore.ApplySnapshot(sv.image, snap); err != nil {
-		return nil, err
-	}
-	delete(a.staged, args.VMID)
-	a.vms[args.VMID] = &managedVM{desc: sv.desc, image: sv.image, owner: true}
-	a.logf("agent %s: vm %04d switched over and resumed here", a.Name, args.VMID)
-	return nil, nil
-}
-
-// handleReintegrate implements §4.2 reintegration, executed on the
-// consolidation host: push only the partial VM's dirty state back to the
-// owner, which merges it with the retained full image and resumes the VM.
-func (a *Agent) handleReintegrate(params json.RawMessage) (any, error) {
-	args, err := decode[MigrateArgs](params)
-	if err != nil {
-		return nil, err
-	}
-	a.mu.Lock()
-	if err := a.checkAwake(); err != nil {
-		a.mu.Unlock()
-		return nil, err
-	}
-	mv, ok := a.vms[args.VMID]
-	if !ok || mv.pvm == nil {
-		a.mu.Unlock()
-		return nil, fmt.Errorf("vm %04d is not a partial VM here", args.VMID)
-	}
-	// Only pages the partial VM wrote locally travel home; faulted-in
-	// pages already match the owner's retained DRAM copy (§4.2).
 	snap, pages, err := mv.pvm.DirtySnapshotParallel(a.transport.UploadStreams)
-	if err != nil {
-		a.mu.Unlock()
-		return nil, err
-	}
 	a.mu.Unlock()
-
-	peer, err := a.peer(args.Dest)
+	if err == nil {
+		err = a.pushSnapshot(owner, id, snap, "Agent.ReceiveDirty")
+	}
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if err := peer.Call("Agent.ReceiveDirty", receiveDirtyArgs{
-		VMID:     args.VMID,
-		Snapshot: base64.StdEncoding.EncodeToString(snap),
-	}, nil); err != nil {
-		return nil, err
-	}
-
 	a.mu.Lock()
 	if mv.mt != nil {
 		mv.mt.Close()
 	}
-	delete(a.vms, args.VMID)
+	delete(a.vms, id)
 	a.mu.Unlock()
-	a.tel.migrations("reintegrate").Inc()
-	a.logf("agent %s: reintegrated vm %04d to %s (%d dirty pages)", a.Name, args.VMID, args.Dest, pages)
-	return nil, nil
+	return pages, nil
 }
 
-func (a *Agent) handleReceiveDirty(params json.RawMessage) (any, error) {
-	args, err := decode[receiveDirtyArgs](params)
+// handleReintegrate implements §4.2 reintegration, executed on the
+// consolidation host: push only the partial VM's dirty state back to the
+// owner.
+func (a *Agent) handleReintegrate(args MigrateArgs, _ []byte) (any, []byte, error) {
+	mv, err := a.claim(args.VMID, partialVM, stopped)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	snap, err := base64.StdEncoding.DecodeString(args.Snapshot)
+	defer a.release(mv)
+	pages, err := a.sendHome(args.VMID, mv, args.Dest)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.checkAwake(); err != nil {
-		return nil, err
-	}
-	mv, ok := a.vms[args.VMID]
-	if !ok || !mv.owner || !mv.away {
-		return nil, fmt.Errorf("vm %04d is not an away VM owned here", args.VMID)
-	}
-	if err := pagestore.ApplySnapshot(mv.image, snap); err != nil {
-		return nil, err
-	}
-	mv.away = false
-	a.logf("agent %s: vm %04d reintegrated and resumed", a.Name, args.VMID)
-	return nil, nil
+	a.tel.migrations("reintegrate").Inc()
+	a.logf("agent %s: reintegrated vm %04d to %s (%d dirty pages)", a.Name, args.VMID, args.Dest, pages)
+	return nil, nil, nil
 }
 
 // handleRecoverDegraded is the last rung before quarantine on the
@@ -1085,86 +958,55 @@ func (a *Agent) handleReceiveDirty(params json.RawMessage) (any, error) {
 // If even that push fails (owner unreachable), the VM is quarantined:
 // left resident and flagged for manual recovery rather than silently
 // retried forever.
-func (a *Agent) handleRecoverDegraded(params json.RawMessage) (any, error) {
-	args, err := decode[RecoverArgs](params)
+func (a *Agent) handleRecoverDegraded(args RecoverArgs, _ []byte) (any, []byte, error) {
+	mv, err := a.claim(args.VMID, partialVM, stopped)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	a.mu.Lock()
-	mv, ok := a.vms[args.VMID]
-	if !ok || mv.pvm == nil {
-		a.mu.Unlock()
-		return nil, fmt.Errorf("vm %04d is not a partial VM here", args.VMID)
-	}
+	defer a.release(mv)
 	if !args.Force && (mv.mt == nil || !mv.mt.Degraded()) {
-		a.mu.Unlock()
-		return nil, fmt.Errorf("vm %04d is not degraded (memory server reachable); use force to promote anyway", args.VMID)
+		return nil, nil, fmt.Errorf("vm %04d is not degraded (memory server reachable); use force to promote anyway", args.VMID)
 	}
-	snap, pages, err := mv.pvm.DirtySnapshot()
+	pages, err := a.sendHome(args.VMID, mv, args.Dest)
 	if err != nil {
-		mv.quarantined = true
-		a.mu.Unlock()
-		a.tel.quarantines.Inc()
-		return nil, fmt.Errorf("vm %04d quarantined: dirty snapshot failed: %w", args.VMID, err)
-	}
-	a.mu.Unlock()
-
-	push := func() error {
-		peer, err := a.peer(args.Dest)
-		if err != nil {
-			return err
-		}
-		return peer.Call("Agent.ReceiveDirty", receiveDirtyArgs{
-			VMID:     args.VMID,
-			Snapshot: base64.StdEncoding.EncodeToString(snap),
-		}, nil)
-	}
-	if err := push(); err != nil {
 		a.mu.Lock()
 		mv.quarantined = true
 		a.mu.Unlock()
 		a.tel.quarantines.Inc()
 		a.logf("agent %s: vm %04d QUARANTINED: forced promotion to %s failed: %v",
 			a.Name, args.VMID, args.Dest, err)
-		return nil, fmt.Errorf("vm %04d quarantined: promotion to owner failed: %w", args.VMID, err)
+		return nil, nil, fmt.Errorf("vm %04d quarantined: promotion to owner failed: %w", args.VMID, err)
 	}
-
-	a.mu.Lock()
-	if mv.mt != nil {
-		mv.mt.Close()
-	}
-	delete(a.vms, args.VMID)
-	a.mu.Unlock()
 	a.tel.promotions.Inc()
 	a.logf("agent %s: force-promoted degraded vm %04d home to %s (%d dirty pages)",
 		a.Name, args.VMID, args.Dest, pages)
-	return nil, nil
+	return nil, nil, nil
 }
 
-func (a *Agent) handleSuspend(json.RawMessage) (any, error) {
+func (a *Agent) handleSuspend(struct{}, []byte) (any, []byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for id, mv := range a.vms {
 		if mv.pvm != nil || (mv.image != nil && !mv.away) {
-			return nil, fmt.Errorf("cannot suspend: vm %04d still runs here", id)
+			return nil, nil, fmt.Errorf("cannot suspend: vm %04d still runs here", id)
 		}
 	}
 	a.suspended = true
 	a.tel.suspended.Set(1)
 	a.logf("agent %s: host suspended (memory server keeps serving)", a.Name)
-	return nil, nil
+	return nil, nil, nil
 }
 
-func (a *Agent) handleWake(json.RawMessage) (any, error) {
+func (a *Agent) handleWake(struct{}, []byte) (any, []byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.suspended = false
 	a.tel.suspended.Set(0)
 	a.logf("agent %s: host woken", a.Name)
-	return nil, nil
+	return nil, nil, nil
 }
 
-func (a *Agent) handleStats(json.RawMessage) (any, error) {
+func (a *Agent) handleStats(struct{}, []byte) (any, []byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := Stats{Name: a.Name, Suspended: a.suspended, MemServer: a.mem.StatsSnapshot()}
@@ -1188,5 +1030,5 @@ func (a *Agent) handleStats(json.RawMessage) (any, error) {
 		info.Quarantined = mv.quarantined
 		st.VMs = append(st.VMs, info)
 	}
-	return st, nil
+	return st, nil, nil
 }

@@ -2,7 +2,6 @@ package agent
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -173,8 +172,7 @@ func TestQuarantineWhenOwnerUnreachable(t *testing.T) {
 	// Drive the consolidation agent's handler directly (the manager's
 	// path would fail earlier at Wake, which is also correct — but the
 	// quarantine decision lives in the agent).
-	raw, _ := json.Marshal(RecoverArgs{VMID: id, Dest: deadAddr})
-	if _, err := cons.handleRecoverDegraded(raw); err == nil {
+	if _, _, err := cons.handleRecoverDegraded(RecoverArgs{VMID: id, Dest: deadAddr}, nil); err == nil {
 		t.Fatal("promotion to a dead owner succeeded")
 	}
 	st, err := m.HostStats(cons.Name)

@@ -1,9 +1,9 @@
 package agent
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -54,22 +54,29 @@ type FabricStatusReply struct {
 	VMs []VMFabricStatus `json:"vms,omitempty"`
 }
 
+// vmFabric is one partial VM's memtap fabric.
+type vmFabric struct {
+	id  pagestore.VMID
+	fab *shard.Client
+}
+
 // liveFabrics snapshots every dialed fabric client: the agent's upload
-// fabric (label "") plus each partial VM's memtap fabric.
-func (a *Agent) liveFabrics() (upload *shard.Client, vms map[pagestore.VMID]*shard.Client) {
+// fabric (nil until first use) plus each partial VM's memtap fabric, in
+// VM-ID order.
+func (a *Agent) liveFabrics() (upload *shard.Client, vms []vmFabric) {
 	a.upPoolMu.Lock()
 	upload = a.fabric
 	a.upPoolMu.Unlock()
-	vms = make(map[pagestore.VMID]*shard.Client)
 	a.mu.Lock()
 	for id, mv := range a.vms {
 		if mv.mt != nil {
 			if f := mv.mt.Fabric(); f != nil {
-				vms[id] = f
+				vms = append(vms, vmFabric{id, f})
 			}
 		}
 	}
 	a.mu.Unlock()
+	sort.Slice(vms, func(i, j int) bool { return vms[i].id < vms[j].id })
 	return upload, vms
 }
 
@@ -88,24 +95,12 @@ func (a *Agent) changeFabricMembership(args FabricBackendArgs, add bool) error {
 	}
 	// Update the configured membership first: even if a live fabric
 	// refuses (mid-rebalance), future dials must see the target state.
-	has := false
-	for _, b := range a.transport.Backends {
-		if b == args.Addr {
-			has = true
-			break
-		}
-	}
+	has := slices.Contains(a.transport.Backends, args.Addr)
 	switch {
 	case add && !has:
 		a.transport.Backends = append(a.transport.Backends, args.Addr)
 	case !add && has:
-		kept := a.transport.Backends[:0]
-		for _, b := range a.transport.Backends {
-			if b != args.Addr {
-				kept = append(kept, b)
-			}
-		}
-		a.transport.Backends = kept
+		a.transport.Backends = slices.DeleteFunc(a.transport.Backends, func(b string) bool { return b == args.Addr })
 	}
 	a.mu.Unlock()
 
@@ -118,13 +113,8 @@ func (a *Agent) changeFabricMembership(args FabricBackendArgs, add bool) error {
 	if upload != nil {
 		targets = append(targets, target{"upload fabric", upload})
 	}
-	ids := make([]pagestore.VMID, 0, len(vmFabs))
-	for id := range vmFabs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		targets = append(targets, target{fmt.Sprintf("vm %04d fabric", id), vmFabs[id]})
+	for _, v := range vmFabs {
+		targets = append(targets, target{fmt.Sprintf("vm %04d fabric", v.id), v.fab})
 	}
 
 	var errs []error
@@ -155,31 +145,18 @@ func (a *Agent) changeFabricMembership(args FabricBackendArgs, add bool) error {
 	return errors.Join(errs...)
 }
 
-func (a *Agent) handleFabricAddBackend(params json.RawMessage) (any, error) {
-	args, err := decode[FabricBackendArgs](params)
-	if err != nil {
-		return nil, err
+func (a *Agent) handleFabricChange(add bool) func(FabricBackendArgs, []byte) (any, []byte, error) {
+	done := map[bool]string{true: "added", false: "removed"}[add]
+	return func(args FabricBackendArgs, _ []byte) (any, []byte, error) {
+		if err := a.changeFabricMembership(args, add); err != nil {
+			return nil, nil, err
+		}
+		a.logf("agent %s: fabric backend %s %s", a.Name, args.Addr, done)
+		return nil, nil, nil
 	}
-	if err := a.changeFabricMembership(args, true); err != nil {
-		return nil, err
-	}
-	a.logf("agent %s: fabric backend %s added", a.Name, args.Addr)
-	return nil, nil
 }
 
-func (a *Agent) handleFabricRemoveBackend(params json.RawMessage) (any, error) {
-	args, err := decode[FabricBackendArgs](params)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.changeFabricMembership(args, false); err != nil {
-		return nil, err
-	}
-	a.logf("agent %s: fabric backend %s removed", a.Name, args.Addr)
-	return nil, nil
-}
-
-func (a *Agent) handleFabricStatus(json.RawMessage) (any, error) {
+func (a *Agent) handleFabricStatus(struct{}, []byte) (any, []byte, error) {
 	a.mu.Lock()
 	reply := FabricStatusReply{
 		Sharded:  a.transport.Sharded(),
@@ -191,15 +168,10 @@ func (a *Agent) handleFabricStatus(json.RawMessage) (any, error) {
 		st := upload.FabricStatus()
 		reply.Upload = &st
 	}
-	ids := make([]pagestore.VMID, 0, len(vmFabs))
-	for id := range vmFabs {
-		ids = append(ids, id)
+	for _, v := range vmFabs {
+		reply.VMs = append(reply.VMs, VMFabricStatus{VMID: v.id, Status: v.fab.FabricStatus()})
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		reply.VMs = append(reply.VMs, VMFabricStatus{VMID: id, Status: vmFabs[id].FabricStatus()})
-	}
-	return reply, nil
+	return reply, nil, nil
 }
 
 // FabricAddBackend orders a host agent to add a memory-server backend

@@ -1,7 +1,7 @@
 package agent
 
 import (
-	"encoding/base64"
+	"errors"
 	"fmt"
 	"time"
 
@@ -99,7 +99,7 @@ func (m *Manager) CreateVM(args CreateVMArgs) (hostName string, err error) {
 			}
 		}
 		if best == "" {
-			if joined := joinErrs(scanErrs); joined != nil {
+			if joined := errors.Join(scanErrs...); joined != nil {
 				return fmt.Errorf("manager: no powered host available (%d/%d scans failed): %w",
 					len(scanErrs), len(scans), joined)
 			}
@@ -135,59 +135,60 @@ func (m *Manager) host(name string) (*hostEntry, error) {
 	return e, err
 }
 
-// call performs one RPC against a registered host under the lifecycle
-// lock.
+// call performs one payload-free RPC against a registered host under
+// the lifecycle lock.
 func (m *Manager) call(hostName, method string, args, out any) error {
-	return m.reg.do(func() error {
+	_, err := m.callPayload(hostName, method, args, nil, out)
+	return err
+}
+
+// callPayload is call with a byte payload each way.
+func (m *Manager) callPayload(hostName, method string, args any, payload []byte, out any) (reply []byte, err error) {
+	err = m.reg.do(func() error {
 		e, err := m.reg.get(hostName)
 		if err != nil {
 			return err
 		}
-		return e.client.Call(method, args, out)
+		reply, err = e.client.CallPayload(method, args, payload, out)
+		return err
+	})
+	return reply, err
+}
+
+// between resolves two registered hosts under the lifecycle lock and
+// runs fn on them — the shape of every order that moves a VM: call the
+// host it runs on with the other one's RPC address.
+func (m *Manager) between(on, other string, fn func(on, other *hostEntry) error) error {
+	return m.reg.do(func() error {
+		a, err := m.reg.get(on)
+		if err != nil {
+			return err
+		}
+		b, err := m.reg.get(other)
+		if err != nil {
+			return err
+		}
+		return fn(a, b)
 	})
 }
 
 // PartialMigrate consolidates an idle VM from src to dst.
 func (m *Manager) PartialMigrate(id pagestore.VMID, src, dst string) error {
-	return m.reg.do(func() error {
-		s, err := m.reg.get(src)
-		if err != nil {
-			return err
-		}
-		d, err := m.reg.get(dst)
-		if err != nil {
-			return err
-		}
+	return m.between(src, dst, func(s, d *hostEntry) error {
 		return s.client.Call("Agent.PartialMigrate", MigrateArgs{VMID: id, Dest: d.addr}, nil)
 	})
 }
 
 // FullMigrate moves a VM in full from src to dst; dst becomes the owner.
 func (m *Manager) FullMigrate(id pagestore.VMID, src, dst string) error {
-	return m.reg.do(func() error {
-		s, err := m.reg.get(src)
-		if err != nil {
-			return err
-		}
-		d, err := m.reg.get(dst)
-		if err != nil {
-			return err
-		}
+	return m.between(src, dst, func(s, d *hostEntry) error {
 		return s.client.Call("Agent.FullMigrate", MigrateArgs{VMID: id, Dest: d.addr}, nil)
 	})
 }
 
 // Reintegrate returns a partial VM running on consHost to its owner.
 func (m *Manager) Reintegrate(id pagestore.VMID, consHost, owner string) error {
-	return m.reg.do(func() error {
-		c, err := m.reg.get(consHost)
-		if err != nil {
-			return err
-		}
-		o, err := m.reg.get(owner)
-		if err != nil {
-			return err
-		}
+	return m.between(consHost, owner, func(c, o *hostEntry) error {
 		return c.client.Call("Agent.Reintegrate", MigrateArgs{VMID: id, Dest: o.addr}, nil)
 	})
 }
@@ -200,15 +201,7 @@ func (m *Manager) Reintegrate(id pagestore.VMID, consHost, owner string) error {
 // VM. Set force to promote a VM whose memtap does not (yet) report
 // degraded.
 func (m *Manager) RecoverDegraded(id pagestore.VMID, consHost, owner string, force bool) error {
-	return m.reg.do(func() error {
-		c, err := m.reg.get(consHost)
-		if err != nil {
-			return err
-		}
-		o, err := m.reg.get(owner)
-		if err != nil {
-			return err
-		}
+	return m.between(consHost, owner, func(c, o *hostEntry) error {
 		if err := o.client.Call("Agent.Wake", nil, nil); err != nil {
 			return fmt.Errorf("manager: wake owner %s for degraded vm %04d: %w", owner, id, err)
 		}
@@ -306,17 +299,12 @@ func (m *Manager) RefreshStats() ([]HostScan, error) {
 // WritePage writes guest memory through a host agent (workload
 // emulation for examples and tests).
 func (m *Manager) WritePage(hostName string, id pagestore.VMID, pfn pagestore.PFN, data []byte) error {
-	return m.call(hostName, "Agent.WritePage", PageArgs{
-		VMID: id, PFN: pfn, Data: base64.StdEncoding.EncodeToString(data),
-	}, nil)
+	_, err := m.callPayload(hostName, "Agent.WritePage", PageArgs{VMID: id, PFN: pfn}, data, nil)
+	return err
 }
 
 // ReadPage reads guest memory through a host agent; on a partial VM this
 // faults the page in from the memory server.
 func (m *Manager) ReadPage(hostName string, id pagestore.VMID, pfn pagestore.PFN) ([]byte, error) {
-	var b64 string
-	if err := m.call(hostName, "Agent.ReadPage", PageArgs{VMID: id, PFN: pfn}, &b64); err != nil {
-		return nil, err
-	}
-	return base64.StdEncoding.DecodeString(b64)
+	return m.callPayload(hostName, "Agent.ReadPage", PageArgs{VMID: id, PFN: pfn}, nil, nil)
 }

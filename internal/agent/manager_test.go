@@ -1,7 +1,6 @@
 package agent
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -30,12 +29,12 @@ func startStubHost(t *testing.T, name string, gate chan struct{}) *stubHost {
 	t.Helper()
 	s := &stubHost{srv: wire.NewServer(nil), gate: gate}
 	s.stats = Stats{Name: name}
-	s.srv.Handle("Agent.Stats", func(params json.RawMessage) (any, error) {
+	wire.Handle(s.srv, "Agent.Stats", func(struct{}, []byte) (any, []byte, error) {
 		s.calls.Add(1)
 		if s.gate != nil {
 			<-s.gate
 		}
-		return s.stats, nil
+		return s.stats, nil, nil
 	})
 	addr, err := s.srv.Listen("127.0.0.1:0")
 	if err != nil {
