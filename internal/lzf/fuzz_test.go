@@ -41,6 +41,36 @@ func FuzzDecompress(f *testing.F) {
 	})
 }
 
+// FuzzValidate holds the write-free walk to the decoder's accept/reject
+// set, error text included: Validate(in, n) == nil exactly when
+// Decompress(nil, in, n) succeeds. Seeds are the decoder's corpus, the
+// parent compressor's streams (whole and cut short) and the hostile
+// table.
+func FuzzValidate(f *testing.F) {
+	f.Add([]byte{}, 0)
+	f.Add([]byte{0x05, 1, 2, 3, 4, 5, 6}, 6)
+	f.Add([]byte{0xe0, 0x01, 0x00}, 12)
+	f.Add([]byte{0x00, 'a', 0x20, 0x02}, 4) // reaches before the output: dictionary-only
+	f.Add(Compress(nil, bytes.Repeat([]byte("abc"), 100)), 300)
+	for _, g := range readGolden(f) {
+		f.Add(g.comp, len(g.in))
+		f.Add(g.comp[:len(g.comp)/2], len(g.in))
+	}
+	for _, c := range hostileStreams {
+		f.Add(c.in, c.outLen)
+	}
+	f.Fuzz(func(t *testing.T, in []byte, outLen int) {
+		if outLen < 0 || outLen > 1<<20 {
+			return
+		}
+		_, want := Decompress(nil, in, outLen)
+		got := Validate(in, outLen)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Fatalf("Validate says %v, Decompress says %v", got, want)
+		}
+	})
+}
+
 // stretch repeats in until it is n bytes long, XORing each pass with a
 // different multiple of salt: passes match each other only at distances
 // the window cannot reach, which is what leaves stale table entries.

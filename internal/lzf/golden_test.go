@@ -64,7 +64,7 @@ type goldenStream struct {
 
 // readGolden parses testdata/parent_streams.golden; the layout is
 // described in testdata/gen_parent_streams.go, which wrote it.
-func readGolden(t *testing.T) []goldenStream {
+func readGolden(t testing.TB) []goldenStream {
 	t.Helper()
 	data, err := os.ReadFile("testdata/parent_streams.golden")
 	if err != nil {

@@ -161,6 +161,47 @@ func Decompress(dst, in []byte, outLen int) ([]byte, error) {
 	return decompress(dst, nil, in, outLen)
 }
 
+// Validate reports whether Decompress(nil, in, outLen) would succeed,
+// with the error it would return, by walking the token stream without
+// writing a byte: literal runs are skipped, a back-reference only has to
+// start inside the output produced so far. It is what lets a receiver
+// keep a page compressed and still refuse every stream the decoder
+// refuses.
+func Validate(in []byte, outLen int) error {
+	op, ip, n := 0, 0, len(in)
+	for ip < n {
+		ctrl := int(in[ip])
+		ip++
+		if ctrl < 0x20 {
+			run := ctrl + 1
+			if ip+run > n || op+run > outLen {
+				return ErrCorrupt
+			}
+			ip += run
+			op += run
+			continue
+		}
+		length := ctrl >> 5
+		if length == 7 {
+			if ip >= n {
+				return ErrCorrupt
+			}
+			length += int(in[ip])
+			ip++
+		}
+		length += 2
+		if ip >= n || op+length > outLen || op-(ctrl&0x1f)<<8-int(in[ip])-1 < 0 {
+			return ErrCorrupt
+		}
+		ip++
+		op += length
+	}
+	if op != outLen {
+		return fmt.Errorf("%w: got %d bytes, want %d", ErrCorrupt, op, outLen)
+	}
+	return nil
+}
+
 // decompress is the one decoder: dict virtually precedes the output. It
 // grows dst by outLen once and fills that region in place; a token that
 // would write past it is refused where it stands.

@@ -88,29 +88,35 @@ func TestRoundTripStructured(t *testing.T) {
 
 // TestDecompressHostile has one stream per rejection, each tried through
 // Decompress and through DecompressDict with a dictionary in play.
+// hostileStreams is one stream per rejection the decoder makes.
+var hostileStreams = []struct {
+	name   string
+	in     []byte
+	outLen int
+}{
+	{"truncated literal run", []byte{0x05, 'a'}, 6},
+	{"truncated length byte", []byte{0x00, 'a', 0xe0}, 100},
+	{"truncated offset byte", []byte{0x00, 'a', 0x20}, 4},
+	{"truncated offset byte after a length byte", []byte{0x00, 'a', 0xe0, 0x01}, 11},
+	{"reference before the output and the dictionary", []byte{0x00, 'a', 0x20, 0x10}, 4},
+	{"trailing control byte wanting more", []byte{0x00, 'a', 0xff}, 1},
+	{"stream ends short of outLen", []byte{0x01, 'a', 'b'}, 3},
+	{"literal run passes outLen", []byte{0x02, 'a', 'b', 'c'}, 2},
+	{"match passes outLen", []byte{0x00, 'a', 0xe0, 0xff, 0x00}, 100},
+}
+
 func TestDecompressHostile(t *testing.T) {
 	dict := []byte("xyz")
-	cases := []struct {
-		name   string
-		in     []byte
-		outLen int
-	}{
-		{"truncated literal run", []byte{0x05, 'a'}, 6},
-		{"truncated length byte", []byte{0x00, 'a', 0xe0}, 100},
-		{"truncated offset byte", []byte{0x00, 'a', 0x20}, 4},
-		{"truncated offset byte after a length byte", []byte{0x00, 'a', 0xe0, 0x01}, 11},
-		{"reference before the output and the dictionary", []byte{0x00, 'a', 0x20, 0x10}, 4},
-		{"trailing control byte wanting more", []byte{0x00, 'a', 0xff}, 1},
-		{"stream ends short of outLen", []byte{0x01, 'a', 'b'}, 3},
-		{"literal run passes outLen", []byte{0x02, 'a', 'b', 'c'}, 2},
-		{"match passes outLen", []byte{0x00, 'a', 0xe0, 0xff, 0x00}, 100},
-	}
+	cases := hostileStreams
 	for _, c := range cases {
 		if _, err := Decompress(nil, c.in, c.outLen); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: Decompress = %v, want ErrCorrupt", c.name, err)
 		}
 		if _, err := DecompressDict(nil, dict, c.in, c.outLen); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: DecompressDict = %v, want ErrCorrupt", c.name, err)
+		}
+		if err := Validate(c.in, c.outLen); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Validate = %v, want ErrCorrupt", c.name, err)
 		}
 	}
 	// A reference may reach the dictionary but not bytes dst already

@@ -13,6 +13,12 @@ import (
 // FuzzGetPagesRequest holds two properties over the batch-request
 // framing: parse never panics on arbitrary bytes, and anything it accepts
 // re-encodes to the identical canonical payload (round trip).
+// appendPageEntry appends one msgPages reply entry (pfn | token | encoded
+// body) for a page's raw contents, as a server holding the page raw does.
+func appendPageEntry(out []byte, pfn pagestore.PFN, page []byte) []byte {
+	return pagestore.EncodePageAppend(binary.BigEndian.AppendUint64(out, uint64(pfn)), page)
+}
+
 func FuzzGetPagesRequest(f *testing.F) {
 	f.Add(encodeGetPagesRequest(7, []pagestore.PFN{0, 1, 2, 99}))
 	f.Add(encodeGetPagesRequest(0, nil))
@@ -22,7 +28,7 @@ func FuzzGetPagesRequest(f *testing.F) {
 	binary.BigEndian.PutUint32(huge[4:], maxBatchPages+1)
 	f.Add(huge)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		id, pfns, err := parseGetPagesRequest(data)
+		id, pfns, err := parseGetPagesRequest(nil, data)
 		if err != nil {
 			return
 		}
@@ -226,7 +232,7 @@ func FuzzGetPagesRoundTrip(f *testing.F) {
 		}
 
 		// Request side.
-		id, pfns, err := parseGetPagesRequest(encodeGetPagesRequest(3, []pagestore.PFN{pfn}))
+		id, pfns, err := parseGetPagesRequest(nil, encodeGetPagesRequest(3, []pagestore.PFN{pfn}))
 		if err != nil || id != 3 || len(pfns) != 1 || pfns[0] != pfn {
 			t.Fatalf("request round trip: id=%d pfns=%v err=%v", id, pfns, err)
 		}

@@ -12,7 +12,7 @@ import (
 // Persistence: the prototype's memory server serves images from a shared
 // SAS drive, so they survive daemon restarts. SetPersistDir gives the Go
 // daemon the same property: every image install/update is mirrored to a
-// per-VM file in the random-access disk format, and LoadPersisted
+// per-VM image file (pagestore.WriteImageFile), and LoadPersisted
 // restores the directory's images at startup.
 
 // SetPersistDir enables mirroring of VM images to dir (created if
@@ -30,7 +30,9 @@ func (s *Server) imagePath(id pagestore.VMID) string {
 	return filepath.Join(s.persistDir, fmt.Sprintf("%04d.img", id))
 }
 
-// persist mirrors a VM's current image to disk, if enabled.
+// persist mirrors a VM's current image to disk, if enabled: the file is
+// written and synced under a temporary name, renamed into place, and the
+// directory synced, so an acknowledged upload survives power loss.
 func (s *Server) persist(id pagestore.VMID) error {
 	if s.persistDir == "" {
 		return nil
@@ -43,7 +45,15 @@ func (s *Server) persist(id pagestore.VMID) error {
 	if _, err := pagestore.WriteImageFile(tmp, im); err != nil {
 		return err
 	}
-	return os.Rename(tmp, s.imagePath(id))
+	if err := os.Rename(tmp, s.imagePath(id)); err != nil {
+		return err
+	}
+	dir, err := os.Open(s.persistDir)
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // unpersist removes a VM's on-disk image, if enabled.
@@ -75,17 +85,13 @@ func (s *Server) LoadPersisted() (int, error) {
 		if _, err := fmt.Sscanf(name, "%d.img", &id); err != nil {
 			continue
 		}
-		d, err := pagestore.OpenImageFile(filepath.Join(s.persistDir, name))
-		if err != nil {
-			return n, fmt.Errorf("memserver: load %s: %w", name, err)
-		}
-		im, err := d.Load()
-		d.Close()
+		im, err := pagestore.LoadImageFile(filepath.Join(s.persistDir, name))
 		if err != nil {
 			return n, fmt.Errorf("memserver: load %s: %w", name, err)
 		}
 		s.store.Put(pagestore.VMID(id), im)
 		n++
 	}
+	s.noteStore()
 	return n, nil
 }

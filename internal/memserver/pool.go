@@ -81,9 +81,13 @@ func NewPool(cfg PoolConfig) *ClientPool {
 }
 
 // DialPool returns a pool for the server at addr. The first lane
-// connects eagerly so misconfiguration (bad address, bad secret) surfaces
-// immediately; the remaining lanes dial lazily as load arrives, and every
-// lane heals itself independently afterwards.
+// connects eagerly, through the same retry, backoff and breaker as any
+// call, so a transport fault on the way in (a reset during the
+// handshake, a server mid-restart) is ridden out like one a moment
+// later would be, while a server that answers and refuses (bad secret,
+// refused handshake) still fails the dial on the first attempt. The
+// remaining lanes dial lazily as load arrives, and every lane heals
+// itself independently afterwards.
 func DialPool(addr string, secret []byte, cfg PoolConfig) (*ClientPool, error) {
 	cfg.Resilience.withDefaults()
 	if cfg.Resilience.Dialer == nil {
@@ -92,11 +96,7 @@ func DialPool(addr string, secret []byte, cfg PoolConfig) (*ClientPool, error) {
 		cfg.Resilience.Dialer = func() (*Client, error) { return Dial(addr, secret, dialTimeout) }
 	}
 	p := NewPool(cfg)
-	first := p.lanes[0]
-	first.callMu.Lock()
-	_, err := first.connect()
-	first.callMu.Unlock()
-	if err != nil {
+	if _, err := p.lanes[0].exchange(call{op: "dial"}); err != nil {
 		return nil, fmt.Errorf("memserver: pool dial %s: %w", addr, err)
 	}
 	return p, nil

@@ -302,8 +302,9 @@ func encodeGetPagesRequest(id pagestore.VMID, pfns []pagestore.PFN) []byte {
 
 // parseGetPagesRequest decodes a msgGetPages payload, enforcing the batch
 // ceiling and an exact length match (a short or oversized payload means a
-// confused or malicious peer, not a usable prefix).
-func parseGetPagesRequest(payload []byte) (pagestore.VMID, []pagestore.PFN, error) {
+// confused or malicious peer, not a usable prefix). The PFNs are appended
+// to dst[:0], which a connection reuses across requests.
+func parseGetPagesRequest(dst []pagestore.PFN, payload []byte) (pagestore.VMID, []pagestore.PFN, error) {
 	if len(payload) < 8 {
 		return 0, nil, errors.New("malformed GetPages")
 	}
@@ -312,18 +313,11 @@ func parseGetPagesRequest(payload []byte) (pagestore.VMID, []pagestore.PFN, erro
 	if n > maxBatchPages || n < 0 || len(payload) != 8+8*n {
 		return 0, nil, fmt.Errorf("malformed GetPages batch of %d", n)
 	}
-	pfns := make([]pagestore.PFN, n)
+	pfns := dst[:0]
 	for i := 0; i < n; i++ {
-		pfns[i] = pagestore.PFN(binary.BigEndian.Uint64(payload[8+8*i:]))
+		pfns = append(pfns, pagestore.PFN(binary.BigEndian.Uint64(payload[8+8*i:])))
 	}
 	return id, pfns, nil
-}
-
-// appendPageEntry appends one reply entry (pfn | token | encoded body)
-// for a page's raw contents.
-func appendPageEntry(out []byte, pfn pagestore.PFN, page []byte) []byte {
-	out = binary.BigEndian.AppendUint64(out, uint64(pfn))
-	return pagestore.EncodePageAppend(out, page)
 }
 
 // parsePagesReply decodes a msgPages payload into decompressed pages.

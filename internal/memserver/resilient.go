@@ -235,12 +235,13 @@ func (l *lane) resilienceStats() ResilienceStats {
 }
 
 // attempt makes one try at c: over the current connection if it is
-// healthy, else over a fresh one.
+// healthy, else over a fresh one. A call with no request type (DialPool's
+// eager dial) is done once connected.
 func (l *lane) attempt(c call) ([]byte, error) {
 	l.callMu.Lock()
 	defer l.callMu.Unlock()
 	client, err := l.connect()
-	if err != nil {
+	if err != nil || c.req == 0 {
 		return nil, err
 	}
 	return client.exchange(c)

@@ -1,6 +1,7 @@
 package memserver
 
 import (
+	"bytes"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
@@ -67,6 +68,11 @@ type Server struct {
 	upMu      sync.Mutex
 	uploads   map[pagestore.VMID]*pendingUpload
 	committed map[pagestore.VMID]uint64
+
+	// storeMu guards storeLive/storeHeld, this server's last published
+	// contribution to the shared store-size gauges (see noteStore).
+	storeMu              sync.Mutex
+	storeLive, storeHeld int64
 
 	serving       atomic.Bool
 	pagesServed   atomic.Int64
@@ -135,12 +141,12 @@ func (s *Server) Store() *pagestore.Store { return s.store }
 // counters accurate.
 func (s *Server) InstallImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte) error {
 	im := pagestore.NewImage(alloc)
-	if err := pagestore.ApplySnapshot(im, snapshot); err != nil {
+	if _, err := s.adopt(im, snapshot); err != nil {
 		return err
 	}
 	s.store.Put(id, im)
 	s.pagesUploaded.Add(im.TouchedPages())
-	return s.persist(id)
+	return s.stored(id)
 }
 
 // ApplyDiff applies a differential snapshot to an existing image through
@@ -150,18 +156,58 @@ func (s *Server) ApplyDiff(id pagestore.VMID, snapshot []byte) error {
 	if err != nil {
 		return err
 	}
-	var n int64
-	if err := pagestore.DecodeSnapshot(snapshot, func(pfn pagestore.PFN, page []byte) error {
-		n++
-		if page == nil {
-			return im.Write(pfn, nil)
-		}
-		return im.Write(pfn, page)
-	}); err != nil {
+	n, err := s.adopt(im, snapshot)
+	if err != nil {
 		return err
 	}
 	s.pagesUploaded.Add(n)
+	return s.stored(id)
+}
+
+// adopt is every put's way into an image: the snapshot is copied once
+// (callers' buffers are reused or theirs to keep), each entry of the
+// copy is checked (pagestore.Image.Stage), and only a snapshot that
+// passes whole changes the image, its entries kept as they arrived.
+func (s *Server) adopt(im *pagestore.Image, snapshot []byte) (entries int64, err error) {
+	st, err := im.Stage(bytes.Clone(snapshot))
+	if err != nil {
+		return 0, err
+	}
+	return s.adoptStaged(im, st), nil
+}
+
+func (s *Server) adoptStaged(im *pagestore.Image, staged ...*pagestore.Staged) int64 {
+	n, compacted := im.Adopt(staged...)
+	if compacted {
+		s.tel.compactions.Inc()
+	}
+	return n
+}
+
+// stored follows every change to the store: it publishes the store's
+// size and mirrors the VM's image to disk.
+func (s *Server) stored(id pagestore.VMID) error {
+	s.noteStore()
 	return s.persist(id)
+}
+
+// noteStore moves the store-size gauges by what this server's store
+// changed since it last looked. The series are shared by every server
+// in the process, and a store outlives a restarted server, so a closed
+// server's share is nothing.
+func (s *Server) noteStore() {
+	s.storeMu.Lock()
+	defer s.storeMu.Unlock()
+	var live, held int64
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if !closed {
+		live, held = s.store.WireBytes()
+	}
+	s.tel.storeLive.Add(float64(live - s.storeLive))
+	s.tel.storeHeld.Add(float64(held - s.storeHeld))
+	s.storeLive, s.storeHeld = live, held
 }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
@@ -172,6 +218,7 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 		return nil, fmt.Errorf("memserver: listen: %w", err)
 	}
 	s.ln = ln
+	s.noteStore() // a store handed over by a restarted daemon is not empty
 	go s.acceptLoop()
 	return ln.Addr(), nil
 }
@@ -185,6 +232,7 @@ func (s *Server) Close() error {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
+	s.noteStore()
 	var err error
 	if s.ln != nil {
 		err = s.ln.Close()
@@ -262,10 +310,10 @@ func (s *Server) serveConn(raw net.Conn) {
 	}
 	// Per-connection reusable buffers: one goroutine serves a
 	// connection, so the receive buffer and the reply under construction
-	// (which pages are compressed straight into, see
-	// pagestore.EncodePageAppend) live across frames instead of being
-	// allocated per page — the page-serving and chunk-receiving hot
-	// paths are allocation-free in steady state.
+	// (which stored entries are copied into, see
+	// pagestore.Image.AppendEntries) live across frames instead of being
+	// allocated per page — the page-serving hot path is allocation-free
+	// in steady state, and a put allocates the one copy its image keeps.
 	var scratch connScratch
 	if err := s.authenticate(conn, &scratch); err != nil {
 		s.tel.authFail.Inc()
@@ -296,9 +344,10 @@ func (s *Server) serveConn(raw net.Conn) {
 // connScratch holds one connection's reusable buffers and the
 // negotiated per-connection auth state.
 type connScratch struct {
-	hdr   [5]byte // inbound frame header (stack copies escape via io.ReadFull)
-	read  []byte  // inbound frame payload (reused; handlers must not retain)
-	reply []byte  // outgoing reply frame under construction
+	hdr   [5]byte         // inbound frame header (stack copies escape via io.ReadFull)
+	read  []byte          // inbound frame payload (reused; handlers must not retain)
+	reply []byte          // outgoing reply frame under construction
+	pfns  []pagestore.PFN // the GetPages batch being served
 	upMAC *sessionHMAC
 }
 
@@ -396,17 +445,15 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 		if err != nil {
 			return fail(err)
 		}
-		page, err := im.Read(pfn)
+		// msgPage's reply body IS the page encoding (u16 token | payload),
+		// built in the connection's reusable buffer and sent with a single
+		// write. A page that arrived compressed is copied into the frame as
+		// it is stored; only a page held raw is compressed here, straight
+		// into the frame. Either way the reply allocates nothing.
+		out, err := im.AppendEntry(scratch.beginReply(msgPage), pfn)
 		if err != nil {
 			return fail(err)
 		}
-		// msgPage's reply body IS the page encoding (u16 token | payload),
-		// built straight into the frame under construction in the
-		// connection's reusable buffer and sent with a single write: the
-		// GetPage reply hot path performs no allocations and no copies:
-		// the compressor's output lands in the frame.
-		out := scratch.beginReply(msgPage)
-		out = pagestore.EncodePageAppend(out, page)
 		s.pagesServed.Add(1)
 		s.bytesServed.Add(int64(len(out) - 5))
 		return scratch.finishReply(conn, out)
@@ -415,24 +462,20 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 		if !s.serving.Load() {
 			return fail(errors.New("daemon not serving (host awake)"))
 		}
-		vmid, pfns, err := parseGetPagesRequest(payload)
+		vmid, pfns, err := parseGetPagesRequest(scratch.pfns, payload)
 		if err != nil {
 			return fail(err)
 		}
+		scratch.pfns = pfns
 		n := len(pfns)
 		s.tel.batchPages.Observe(float64(n))
 		im, err := s.store.Get(vmid)
 		if err != nil {
 			return fail(err)
 		}
-		out := scratch.beginReply(msgPages)
-		out = binary.BigEndian.AppendUint32(out, uint32(n))
-		for _, pfn := range pfns {
-			page, err := im.Read(pfn)
-			if err != nil {
-				return fail(err)
-			}
-			out = appendPageEntry(out, pfn, page)
+		out := binary.BigEndian.AppendUint32(scratch.beginReply(msgPages), uint32(n))
+		if out, err = im.AppendEntries(out, pfns); err != nil {
+			return fail(err)
 		}
 		s.pagesServed.Add(int64(n))
 		s.bytesServed.Add(int64(len(out) - 5))
@@ -443,14 +486,13 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 			return fail(errors.New("malformed PutImage"))
 		}
 		vmid := pagestore.VMID(binary.BigEndian.Uint32(payload))
-		alloc := units.Bytes(binary.BigEndian.Uint64(payload[4:]))
-		im := pagestore.NewImage(alloc)
-		if err := pagestore.ApplySnapshot(im, payload[12:]); err != nil {
+		im := pagestore.NewImage(units.Bytes(binary.BigEndian.Uint64(payload[4:])))
+		if _, err := s.adopt(im, payload[12:]); err != nil {
 			return fail(err)
 		}
 		s.store.Put(vmid, im)
 		s.pagesUploaded.Add(im.TouchedPages())
-		if err := s.persist(vmid); err != nil {
+		if err := s.stored(vmid); err != nil {
 			return fail(err)
 		}
 		return writeFrame(conn, msgOK, nil)
@@ -465,11 +507,11 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 			return fail(err)
 		}
 		before := im.TouchedPages()
-		if err := pagestore.ApplySnapshot(im, payload[4:]); err != nil {
+		if _, err := s.adopt(im, payload[4:]); err != nil {
 			return fail(err)
 		}
 		s.pagesUploaded.Add(im.TouchedPages() - before)
-		if err := s.persist(vmid); err != nil {
+		if err := s.stored(vmid); err != nil {
 			return fail(err)
 		}
 		return writeFrame(conn, msgOK, nil)
@@ -514,6 +556,7 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 		delete(s.uploads, id)
 		delete(s.committed, id)
 		s.upMu.Unlock()
+		s.noteStore()
 		s.unpersist(id)
 		return writeFrame(conn, msgOK, nil)
 

@@ -61,6 +61,9 @@ type serverTel struct {
 	bytesOut    *telemetry.Counter
 	batchPages  *telemetry.Histogram
 	applySecs   *telemetry.Histogram
+	storeLive   *telemetry.Gauge
+	storeHeld   *telemetry.Gauge
+	compactions *telemetry.Counter
 	ops         map[byte]opTel
 }
 
@@ -86,6 +89,12 @@ func newServerTel(r *telemetry.Registry) *serverTel {
 		applySecs: r.Histogram("oasis_memserver_apply_seconds",
 			"Commit-time decode/apply latency of a staged chunked upload.",
 			telemetry.ExpBuckets(1e-5, 2, 20)),
+		storeLive: r.Gauge("oasis_memserver_store_live_bytes",
+			"Bytes of page entries the stored images serve as they arrived."),
+		storeHeld: r.Gauge("oasis_memserver_store_held_bytes",
+			"Bytes of the upload buffers those entries lie in, overwritten entries included."),
+		compactions: r.Counter("oasis_memserver_store_compactions_total",
+			"Times an image copied its live entries together to drop overwritten ones."),
 		ops: make(map[byte]opTel),
 	}
 	for _, typ := range []byte{msgGetPage, msgGetPages, msgPutImage, msgPutDiff,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"oasis/internal/pagestore"
@@ -19,16 +18,17 @@ import (
 //     also opens a private staging image. The VM's live image is not
 //     touched.
 //  2. PutChunks arrive in any order and over any mix of connections.
-//     Full-image chunks decode straight into the staging image as they
-//     arrive — the decode overlaps the wire transfer of later chunks
-//     and the receive buffer can be reused because nothing retains the
-//     chunk bytes. Diff chunks are copied and held staged (a diff must
+//     Either kind is copied once, into the buffer the image will keep
+//     (the receive buffer is reused). A full-image chunk is checked and
+//     adopted by the staging image as it arrives, overlapping the wire
+//     transfer of later chunks. A diff chunk is only held (a diff must
 //     not touch the live image before commit).
-//  3. PutCommit waits for in-flight decodes, checks every chunk 0..n-1
+//  3. PutCommit waits for in-flight chunks, checks every chunk 0..n-1
 //     arrived, and only then makes the result visible: the staging
 //     image is swapped into the store; a diff is fully validated
-//     (decode + bounds) before the first page is written to the live
-//     image, so application cannot fail half way.
+//     (every entry's token stream, length and bounds) before the first
+//     slot of the live image changes, so application cannot fail half
+//     way.
 //
 // A failure anywhere before the commit's final swap leaves the previous
 // image intact — the degradation path (§7) then serves the stale-but-
@@ -40,8 +40,8 @@ type pendingUpload struct {
 	kind     byte
 	alloc    units.Bytes
 	// seqs tracks staged chunk numbers. For a full image, true means
-	// the chunk finished decoding into staging and false means a decode
-	// claimed the seq and is in flight; for a diff every staged seq is
+	// the staging image adopted the chunk and false means a connection
+	// claimed the seq and is checking it; for a diff every staged seq is
 	// true.
 	seqs map[uint32]bool
 	// staging receives full-image chunks as they arrive; the store swap
@@ -49,10 +49,10 @@ type pendingUpload struct {
 	staging *pagestore.Image
 	// chunks holds diff chunks (owned copies) until commit.
 	chunks map[uint32][]byte
-	// inflight counts decodes applying into staging right now; commit
-	// waits for it after sealing.
+	// inflight counts chunks on their way into staging right now;
+	// commit waits for it after sealing.
 	inflight sync.WaitGroup
-	// sealed stops new chunk decodes once a commit began; a failed
+	// sealed stops new chunks once a commit began; a failed
 	// commit (missing chunks) unseals so the client can re-send.
 	sealed bool
 }
@@ -91,8 +91,8 @@ func (s *Server) putBegin(id pagestore.VMID, uploadID uint64, kind byte, alloc u
 // putChunk stages one chunk. Duplicate sequence numbers are acknowledged
 // without re-applying (the retried frame carries identical bytes);
 // chunks for an already-committed upload id are acknowledged as no-ops.
-// The chunk slice is only borrowed: full-image chunks are decoded before
-// returning, diff chunks are copied — the caller may reuse the buffer.
+// The chunk slice is only borrowed: what is kept is a copy — the caller
+// may reuse the buffer.
 func (s *Server) putChunk(id pagestore.VMID, uploadID uint64, seq uint32, chunk []byte) error {
 	s.upMu.Lock()
 	p := s.uploads[id]
@@ -122,15 +122,15 @@ func (s *Server) putChunk(id pagestore.VMID, uploadID uint64, seq uint32, chunk 
 		s.upMu.Unlock()
 		return fmt.Errorf("upload %d for vm %04d is committing", uploadID, id)
 	}
-	// Full image: claim the seq and decode into the staging image
-	// outside the lock — arrival-time application is what overlaps
-	// decode with the wire and lets the receive buffer be reused.
+	// Full image: claim the seq and check the chunk into the staging
+	// image outside the lock — arrival-time application is what overlaps
+	// validation with the wire.
 	p.seqs[seq] = false
 	p.inflight.Add(1)
 	staging := p.staging
 	s.upMu.Unlock()
 
-	err := pagestore.ApplySnapshot(staging, chunk)
+	_, err := s.adopt(staging, chunk)
 
 	s.upMu.Lock()
 	if cur := s.uploads[id]; cur == p {
@@ -220,7 +220,7 @@ func (s *Server) putCommit(id pagestore.VMID, uploadID uint64, n uint32) error {
 	}
 	s.committed[id] = uploadID
 	s.upMu.Unlock()
-	return s.persist(id)
+	return s.stored(id)
 }
 
 // verifySeqs checks chunks 0..n-1 all finished staging. Callers hold
@@ -238,53 +238,34 @@ func (p *pendingUpload) verifySeqs(n uint32) error {
 	return nil
 }
 
-// applyDiff validates every diff chunk completely — framing,
-// decompression, and PFN bounds — before the first write lands, so the
-// apply pass cannot fail part way through the live image.
+// applyDiff validates every diff chunk completely — framing, token
+// streams, and PFN bounds — before the first slot changes, so the adopt
+// pass cannot fail part way through the live image, and adopts them
+// together, so no reader sees the diff half applied. The staged chunks
+// are already the server's own copies: the image keeps them as they are.
 func (s *Server) applyDiff(id pagestore.VMID, chunks [][]byte) (int64, error) {
 	im, err := s.store.Get(id)
 	if err != nil {
 		return 0, err
 	}
-	npages := im.NumPages()
-	if err := forEachChunk(chunks, func(chunk []byte) error {
-		return pagestore.DecodeSnapshot(chunk, func(pfn pagestore.PFN, _ []byte) error {
-			if int64(pfn) >= npages {
-				return fmt.Errorf("%w: pfn %d, allocation %d pages", pagestore.ErrOutOfRange, pfn, npages)
-			}
-			return nil
-		})
-	}); err != nil {
-		return 0, err
-	}
-	var pages atomic.Int64
-	if err := forEachChunk(chunks, func(chunk []byte) error {
-		var n int64
-		err := pagestore.DecodeSnapshot(chunk, func(pfn pagestore.PFN, page []byte) error {
-			n++
-			return im.Write(pfn, page)
-		})
-		pages.Add(n)
+	staged := make([]*pagestore.Staged, len(chunks))
+	if err := forEachChunk(chunks, func(i int) (err error) {
+		staged[i], err = im.Stage(chunks[i])
 		return err
 	}); err != nil {
-		// Unreachable after validation; surfaced for completeness.
 		return 0, err
 	}
-	return pages.Load(), nil
+	return s.adoptStaged(im, staged...), nil
 }
 
-// forEachChunk runs fn over every chunk with bounded parallelism. Chunks
-// are independent (self-contained snapshots over disjoint or idempotently
-// overwritten pages), so order does not matter; the target Image's own
-// locking makes concurrent application safe.
-func forEachChunk(chunks [][]byte, fn func([]byte) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
+// forEachChunk runs fn(i) for every chunk index with bounded
+// parallelism. Chunks are independent (self-contained snapshots), so
+// order does not matter.
+func forEachChunk(chunks [][]byte, fn func(i int) error) error {
+	workers := min(runtime.GOMAXPROCS(0), len(chunks))
 	if workers <= 1 {
-		for _, c := range chunks {
-			if err := fn(c); err != nil {
+		for i := range chunks {
+			if err := fn(i); err != nil {
 				return err
 			}
 		}
@@ -298,7 +279,7 @@ func forEachChunk(chunks [][]byte, fn func([]byte) error) error {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				errs[i] = fn(chunks[i])
+				errs[i] = fn(i)
 			}
 		}()
 	}

@@ -3,7 +3,6 @@ package pagestore
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"oasis/internal/lzf"
 	"oasis/internal/telemetry"
@@ -26,7 +25,7 @@ import (
 //	  token 0x4000|len      dictionary-compressed payload of len bytes
 //	  token len             lzf-compressed payload of len bytes
 //
-// Every consumer of snapshot bytes (DecodeSnapshot, SplitSnapshot,
+// Every consumer of snapshot bytes (ApplySnapshot, Stage, SplitSnapshot,
 // PartitionSnapshot) accepts both formats; chunking and partitioning
 // replicate the dictionary into each output so chunks and per-owner
 // partitions stay self-contained — which is what keeps the shard
@@ -96,14 +95,14 @@ func appendSnapHeader(out []byte, h snapHeader, count uint32) []byte {
 	return append(out, h.dict...)
 }
 
-// appendPageEntriesDict is appendPageEntries with a dictionary in play:
-// each non-zero page is also compressed against dict, and that encoding
-// replaces the plain (or raw) one when it is smaller (tagged with
-// tokenDictBit). With an empty dict it produces exactly
-// appendPageEntries' bytes.
+// appendPageEntriesDict is Image.AppendEntries with a dictionary in
+// play: each non-zero page is also compressed against dict, and that
+// encoding replaces the plain (or raw) one when it is smaller (tagged
+// with tokenDictBit). With an empty dict it produces exactly
+// AppendEntries' bytes.
 func appendPageEntriesDict(out []byte, im *Image, pfns []PFN, dict []byte) ([]byte, error) {
 	if len(dict) == 0 {
-		return appendPageEntries(out, im, pfns)
+		return im.AppendEntries(out, pfns)
 	}
 	var dcomp []byte
 	for _, pfn := range pfns {
@@ -127,65 +126,12 @@ func appendPageEntriesDict(out []byte, im *Image, pfns []PFN, dict []byte) ([]by
 	return out, nil
 }
 
-// EncodePagesDict encodes the given pages as a v2 dictionary snapshot,
-// splitting the work over up to `workers` goroutines exactly like
-// EncodePagesParallel (and, like it, byte-identical across worker
-// counts). An empty dict falls back to the v1 encoder.
-func EncodePagesDict(im *Image, pfns []PFN, dict []byte, workers int) ([]byte, error) {
-	if len(dict) == 0 {
-		return EncodePagesParallel(im, pfns, workers)
-	}
-	if len(dict) > lzf.MaxDictLen {
-		dict = dict[len(dict)-lzf.MaxDictLen:]
-	}
-	hdr := snapHeader{dict: dict}
-	if shards := len(pfns) / minShardPages; workers > shards {
-		workers = shards
-	}
-	if workers <= 1 {
-		out := appendSnapHeader(make([]byte, 0, len(dict)+snapshotCapacity(len(pfns))), hdr, uint32(len(pfns)))
-		out, err := appendPageEntriesDict(out, im, pfns, dict)
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	per := (len(pfns) + workers - 1) / workers
-	segs := make([][]byte, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := min(lo+per, len(pfns))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			seg := make([]byte, 0, snapshotCapacity(hi-lo)-8)
-			segs[w], errs[w] = appendPageEntriesDict(seg, im, pfns[lo:hi], dict)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := hdr.headerLen()
-	for w := range segs {
-		if errs[w] != nil {
-			return nil, errs[w]
-		}
-		total += len(segs[w])
-	}
-	out := appendSnapHeader(make([]byte, 0, total), hdr, uint32(len(pfns)))
-	for _, seg := range segs {
-		out = append(out, seg...)
-	}
-	return out, nil
-}
-
-// EncodeAllDict encodes every touched page as a dictionary snapshot.
+// EncodeAllDict encodes every touched page as a v2 dictionary snapshot
+// over up to `workers` goroutines, byte-identical across worker counts.
+// An empty dict yields the v1 snapshot EncodeAllParallel does.
 func EncodeAllDict(im *Image, dict []byte, workers int) ([]byte, int, error) {
 	pfns := im.AllTouched()
-	data, err := EncodePagesDict(im, pfns, dict, workers)
+	data, err := encodePages(im, pfns, dict, workers)
 	return data, len(pfns), err
 }
 
@@ -210,7 +156,7 @@ func BuildDict(im *Image) []byte {
 	var samples [][]byte
 	for i := 0; i < len(pfns) && len(samples) < buildDictSamples; i += step {
 		page, err := im.Read(pfns[i])
-		if err != nil || isZero(page) {
+		if err != nil || IsZeroPage(page) {
 			continue
 		}
 		samples = append(samples, page)
@@ -276,7 +222,7 @@ func (c ChunkRef) AppendTo(dst []byte) []byte {
 // self-contained chunk references of at most maxChunk bytes each
 // (raised to the single-entry minimum if smaller). Entries are never
 // split, page bytes are never copied — only the small per-chunk headers
-// are allocated, all from one backing array. For v2 snapshots every
+// are allocated. For v2 snapshots every
 // chunk repeats the dictionary, so each remains independently
 // decodable. An empty snapshot yields one empty chunk.
 func SplitSnapshotRefs(data []byte, maxChunk int) ([]ChunkRef, error) {
@@ -294,42 +240,23 @@ func SplitSnapshotRefs(data []byte, maxChunk int) ([]ChunkRef, error) {
 	}
 	var spans []span
 	cur := span{lo: hdr.bodyOff, hi: hdr.bodyOff}
-	off := hdr.bodyOff
-	for i := uint32(0); i < hdr.count; i++ {
-		if off+10 > len(data) {
-			return nil, fmt.Errorf("pagestore: truncated snapshot at page %d/%d", i, hdr.count)
-		}
-		token := binary.BigEndian.Uint16(data[off+8:])
-		entry := 10 + PageBodyLen(token)
-		if off+entry > len(data) {
-			return nil, fmt.Errorf("pagestore: truncated snapshot at page %d/%d", i, hdr.count)
-		}
-		if cur.count > 0 && hl+(cur.hi-cur.lo)+entry > maxChunk {
+	if err := walkSnapshot(data, func(_ []byte, _ PFN, entry []byte) error {
+		if cur.count > 0 && hl+(cur.hi-cur.lo)+len(entry) > maxChunk {
 			spans = append(spans, cur)
-			cur = span{lo: off, hi: off}
+			cur = span{lo: cur.hi, hi: cur.hi}
 		}
-		off += entry
-		cur.hi = off
+		cur.hi += len(entry)
 		cur.count++
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("pagestore: %d trailing bytes in snapshot", len(data)-off)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	spans = append(spans, cur) // the final (possibly empty) chunk
-	// Headers are carved from one fixed backing array: full-length slots
-	// never move, so the refs stay valid.
-	backing := make([]byte, 0, hl*len(spans))
 	refs := make([]ChunkRef, len(spans))
-	hdrOnly := snapHeader{}
-	if hdr.dict != nil {
-		hdrOnly.dict = hdr.dict[:0] // right magic + dictLen field, bytes shipped via Dict
-	}
 	for i, sp := range spans {
-		at := len(backing)
-		backing = appendSnapHeader(backing, hdrOnly, sp.count)
-		pre := backing[at:len(backing):len(backing)]
+		pre := binary.BigEndian.AppendUint32(append(make([]byte, 0, 12), data[:4]...), sp.count)
 		if hdr.dict != nil {
-			binary.BigEndian.PutUint32(pre[8:12], uint32(len(hdr.dict)))
+			pre = binary.BigEndian.AppendUint32(pre, uint32(len(hdr.dict)))
 		}
 		refs[i] = ChunkRef{Pre: pre, Dict: hdr.dict, Body: data[sp.lo:sp.hi:sp.hi]}
 	}

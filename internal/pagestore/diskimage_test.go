@@ -20,7 +20,7 @@ func buildDiskImage(t *testing.T) (*Image, string) {
 			t.Fatal(err)
 		}
 	}
-	// Include an explicitly zeroed page (indexed, zero token).
+	// Include an explicitly zeroed page.
 	if err := im.Write(7, fillPage(r)); err != nil {
 		t.Fatal(err)
 	}
@@ -36,19 +36,18 @@ func buildDiskImage(t *testing.T) (*Image, string) {
 
 func TestDiskImageRoundTrip(t *testing.T) {
 	im, path := buildDiskImage(t)
-	d, err := OpenImageFile(path)
+	d, err := LoadImageFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
 	if d.Alloc() != im.Alloc() {
 		t.Fatalf("alloc = %v, want %v", d.Alloc(), im.Alloc())
 	}
 	for _, pfn := range im.AllTouched() {
 		want, _ := im.Read(pfn)
-		got, err := d.ReadPage(pfn)
+		got, err := d.Read(pfn)
 		if err != nil {
-			t.Fatalf("ReadPage(%d): %v", pfn, err)
+			t.Fatalf("Read(%d): %v", pfn, err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("page %d mismatch from disk", pfn)
@@ -56,7 +55,7 @@ func TestDiskImageRoundTrip(t *testing.T) {
 	}
 	// Untouched and explicitly-zeroed pages read as zeros.
 	for _, pfn := range []PFN{7, 4000} {
-		got, err := d.ReadPage(pfn)
+		got, err := d.Read(pfn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,19 +64,17 @@ func TestDiskImageRoundTrip(t *testing.T) {
 		}
 	}
 	// Out of range is rejected.
-	if _, err := d.ReadPage(PFN(d.Alloc().Pages())); err == nil {
+	if _, err := d.Read(PFN(d.Alloc().Pages())); err == nil {
 		t.Error("out-of-range disk read accepted")
 	}
 }
 
+// TestDiskImageLoad: a loaded image holds the file's entries as they
+// lie (no decompress at start-up), and writing it again reproduces the
+// file byte for byte (no compress at persist).
 func TestDiskImageLoad(t *testing.T) {
 	im, path := buildDiskImage(t)
-	d, err := OpenImageFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	loaded, err := d.Load()
+	loaded, err := LoadImageFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +88,20 @@ func TestDiskImageLoad(t *testing.T) {
 			t.Fatalf("page %d differs after disk round trip", pfn)
 		}
 	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live, held := loaded.WireBytes(); live == 0 || held != int64(len(file)-12) {
+		t.Fatalf("loaded image references %d bytes of %d held, want the %d-byte file body adopted", live, held, len(file)-12)
+	}
+	again := filepath.Join(t.TempDir(), "again.img")
+	if _, err := WriteImageFile(again, loaded); err != nil {
+		t.Fatal(err)
+	}
+	if rewritten, _ := os.ReadFile(again); !bytes.Equal(rewritten, file) {
+		t.Fatal("an image file loaded and written again differs from the original")
+	}
 }
 
 func TestOpenImageFileRejectsGarbage(t *testing.T) {
@@ -98,21 +109,48 @@ func TestOpenImageFileRejectsGarbage(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not an image at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenImageFile(path); err == nil {
+	if _, err := LoadImageFile(path); err == nil {
 		t.Error("garbage file opened as disk image")
 	}
-	if _, err := OpenImageFile(filepath.Join(t.TempDir(), "missing")); err == nil {
+	if _, err := LoadImageFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("missing file opened")
+	}
+	// A dictionary snapshot shares the old image file's magic. It must
+	// be refused, not opened with its page entries read as an index.
+	im, _ := buildDiskImage(t)
+	dict := bytes.Repeat([]byte("dictionary "), 300)
+	snap, _, err := EncodeAllDict(im, dict, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(snap[:4]) != legacyImageMagic {
+		t.Fatalf("dictionary snapshot magic %q", snap[:4])
+	}
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadImageFile(path); err == nil {
+		t.Error("dictionary snapshot opened as disk image")
+	}
+	// So are files cut short anywhere.
+	_, good := buildDiskImage(t)
+	whole, _ := os.ReadFile(good)
+	for _, n := range []int{3, 11, 12, 19, 20, len(whole) / 2, len(whole) - 1} {
+		if err := os.WriteFile(path, whole[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadImageFile(path); err == nil {
+			t.Errorf("image file cut to %d of %d bytes opened", n, len(whole))
+		}
 	}
 }
 
 func TestDiskImageConcurrentReads(t *testing.T) {
 	im, path := buildDiskImage(t)
-	d, err := OpenImageFile(path)
+	d, err := LoadImageFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
 	pfns := im.AllTouched()
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
@@ -120,7 +158,7 @@ func TestDiskImageConcurrentReads(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				pfn := pfns[(g*100+i)%len(pfns)]
 				want, _ := im.Read(pfn)
-				got, err := d.ReadPage(pfn)
+				got, err := d.Read(pfn)
 				if err != nil {
 					done <- err
 					return

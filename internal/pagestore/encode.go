@@ -77,53 +77,27 @@ func observeSnapshot(pages, encodedBytes int) {
 // that are all zero are encoded with a zero token. The returned byte count
 // is what travels over the SAS link or network.
 func EncodePages(im *Image, pfns []PFN) ([]byte, error) {
-	out := make([]byte, 0, snapshotCapacity(len(pfns)))
-	out = append(out, snapMagic...)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(pfns)))
-	out, err := appendPageEntries(out, im, pfns)
-	if err != nil {
-		return nil, err
-	}
-	observeSnapshot(len(pfns), len(out))
-	return out, nil
-}
-
-// appendPageEntries appends the per-page entries (u64 pfn | u16 token |
-// payload) for pfns to out, in order. It is the single definition of the
-// snapshot body, shared by the serial encoder and each shard of the
-// parallel one — which is what makes their outputs byte-identical by
-// construction.
-func appendPageEntries(out []byte, im *Image, pfns []PFN) ([]byte, error) {
-	for _, pfn := range pfns {
-		page, err := im.Read(pfn)
-		if err != nil {
-			return nil, err
-		}
-		out = binary.BigEndian.AppendUint64(out, uint64(pfn))
-		out = EncodePageAppend(out, page)
-	}
-	return out, nil
+	return encodePages(im, pfns, nil, 1)
 }
 
 // EncodeDirtySince encodes the pages dirtied since epoch and returns the
 // snapshot together with the encoded page count.
 func EncodeDirtySince(im *Image, epoch uint64) ([]byte, int, error) {
-	pfns := im.DirtySince(epoch)
-	data, err := EncodePages(im, pfns)
-	return data, len(pfns), err
+	return EncodeDirtySinceParallel(im, epoch, 1)
 }
 
 // EncodeAll encodes every touched page (a full upload).
 func EncodeAll(im *Image) ([]byte, int, error) {
-	pfns := im.AllTouched()
-	data, err := EncodePages(im, pfns)
-	return data, len(pfns), err
+	return EncodeAllDict(im, nil, 1)
 }
 
 // walkSnapshot parses a snapshot's framing (either the v1 "OAPS" or the
 // v2 dictionary-carrying "OAPD" format) and hands fn every page entry,
-// still encoded, with the snapshot's dictionary (nil for v1).
-func walkSnapshot(data []byte, fn func(dict []byte, pfn PFN, token uint16, payload []byte) error) error {
+// still encoded (u64 pfn | u16 token | payload), with the snapshot's
+// dictionary (nil for v1). It is the one definition of where an entry
+// ends, under everything that decodes, stores, splits or partitions a
+// snapshot.
+func walkSnapshot(data []byte, fn func(dict []byte, pfn PFN, entry []byte) error) error {
 	hdr, err := parseSnapHeader(data)
 	if err != nil {
 		return err
@@ -143,7 +117,7 @@ func walkSnapshot(data []byte, fn func(dict []byte, pfn PFN, token uint16, paylo
 		if off+n > len(data) {
 			return fmt.Errorf("pagestore: truncated page %d", pfn)
 		}
-		if err := fn(hdr.dict, pfn, token, data[off:off+n]); err != nil {
+		if err := fn(hdr.dict, pfn, data[off-10:off+n:off+n]); err != nil {
 			return err
 		}
 		off += n
@@ -157,7 +131,8 @@ func walkSnapshot(data []byte, fn func(dict []byte, pfn PFN, token uint16, paylo
 // decodeEntry returns the page of one snapshot entry: nil for a zero
 // page, the payload itself for a raw one, and otherwise the payload
 // decompressed into dst.
-func decodeEntry(dst, dict []byte, pfn PFN, token uint16, payload []byte) (page []byte, err error) {
+func decodeEntry(dst, dict []byte, pfn PFN, entry []byte) (page []byte, err error) {
+	token, payload := binary.BigEndian.Uint16(entry[8:]), entry[10:]
 	switch {
 	case token == tokenZero:
 		return nil, nil
@@ -176,37 +151,120 @@ func decodeEntry(dst, dict []byte, pfn PFN, token uint16, payload []byte) (page 
 	return page, nil
 }
 
-// DecodeSnapshot parses a snapshot of either format, invoking apply for
-// every page. Zero pages are delivered as a nil slice so the receiver
-// can elide storage; any other page is only valid during the call.
-func DecodeSnapshot(data []byte, apply func(pfn PFN, page []byte) error) error {
-	buf := make([]byte, 0, units.PageSize)
-	return walkSnapshot(data, func(dict []byte, pfn PFN, token uint16, payload []byte) error {
-		page, err := decodeEntry(buf, dict, pfn, token, payload)
-		if err != nil {
-			return err
-		}
-		return apply(pfn, page)
-	})
-}
-
 // ApplySnapshot decodes a snapshot directly into an image: a compressed
-// page is decompressed into the buffer the image then keeps.
+// page is decompressed into the buffer the image then keeps. It is the
+// guest side's apply (the hypervisor needs raw pages); a memory server
+// keeps entries as they arrive, see Stage.
 func ApplySnapshot(im *Image, data []byte) error {
-	return walkSnapshot(data, func(dict []byte, pfn PFN, token uint16, payload []byte) error {
-		page, err := decodeEntry(nil, dict, pfn, token, payload)
+	return walkSnapshot(data, func(dict []byte, pfn PFN, entry []byte) error {
+		page, err := decodeEntry(nil, dict, pfn, entry)
 		if err != nil {
 			return err
 		}
-		if token&tokenRawBit != 0 {
+		if binary.BigEndian.Uint16(entry[8:])&tokenRawBit != 0 {
 			// Zero (every bit set) or raw: nothing was decoded, Write copies.
 			return im.Write(pfn, page)
 		}
-		if isZero(page) {
+		if IsZeroPage(page) {
 			page = nil
 		}
 		return im.set(pfn, page)
 	})
+}
+
+// Staged is a snapshot an image has checked entry by entry and can
+// adopt without failing.
+type Staged struct {
+	held  int // bytes of the snapshot the wire slots will point into
+	slots []stagedSlot
+}
+
+type stagedSlot struct {
+	pfn  PFN
+	b    []byte // see leaf.slot
+	wire bool
+}
+
+// Stage is the store side's check of an upload: it refuses whatever
+// ApplySnapshot would, with the same error, and changes nothing in the
+// image. A plain-lzf entry is validated by a walk of its token stream
+// and a whole raw page by its length; both stay as they arrived, to be
+// served by copy. Only what the page-serving wire cannot carry is
+// decoded to a raw page here. Stage takes ownership of snap: adopted
+// slots point into it.
+func (im *Image) Stage(snap []byte) (*Staged, error) {
+	st := &Staged{held: len(snap)}
+	err := walkSnapshot(snap, func(dict []byte, pfn PFN, entry []byte) error {
+		token, wire := binary.BigEndian.Uint16(entry[8:]), entry[8:]
+		s := stagedSlot{pfn: pfn, b: wire, wire: true}
+		switch {
+		case token == tokenZero:
+			s = stagedSlot{pfn: pfn}
+		case token&tokenRawBit != 0 && len(wire) == 2+int(units.PageSize):
+		case token&(tokenRawBit|tokenDictBit) == 0:
+			if err := lzf.Validate(wire[2:], int(units.PageSize)); err != nil {
+				return fmt.Errorf("pagestore: page %d: %w", pfn, err)
+			}
+		default: // dictionary-compressed or short raw
+			page, err := decodeEntry(nil, dict, pfn, entry)
+			if err != nil {
+				return err
+			}
+			if len(page) > int(units.PageSize) {
+				return fmt.Errorf("pagestore: page data %d bytes exceeds page size", len(page))
+			}
+			if s = (stagedSlot{pfn: pfn}); !IsZeroPage(page) {
+				s.b = append(make([]byte, 0, units.PageSize), page...)[:units.PageSize]
+			}
+		}
+		st.slots = append(st.slots, s)
+		return im.checkRange(pfn)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// Adopt makes the staged snapshots' entries the image's pages under one
+// acquisition of the lock — a reader sees none of them or all — and
+// returns how many entries that was. Entries a later upload overwrites
+// stay behind in the snapshots they arrived in; once those hold more
+// than twice the bytes still referenced, Adopt copies the live entries
+// into one fresh buffer and lets the rest go. Readers copy an entry out
+// under the same lock, so they never see one move.
+func (im *Image) Adopt(staged ...*Staged) (entries int64, compacted bool) {
+	im.mu.Lock()
+	defer im.mu.Unlock()
+	for _, st := range staged {
+		im.wireHeld += int64(st.held)
+		entries += int64(len(st.slots))
+		for _, s := range st.slots {
+			im.setLocked(s.pfn, s.b, s.wire)
+		}
+	}
+	if compacted = im.wireHeld > 2*im.wireLive; compacted {
+		buf := make([]byte, 0, im.wireLive)
+		for _, lf := range im.leaves {
+			for i := 0; lf != nil && i < leafPages; i++ {
+				if lf.wire[i] {
+					at := len(buf)
+					buf = append(buf, lf.slot[i]...)
+					lf.slot[i] = buf[at:len(buf):len(buf)]
+				}
+			}
+		}
+		im.wireHeld = im.wireLive
+	}
+	return entries, compacted
+}
+
+// WireBytes returns the bytes the image's wire slots reference and the
+// bytes of the buffers they point into.
+func (im *Image) WireBytes() (live, held int64) {
+	im.mu.RLock()
+	defer im.mu.RUnlock()
+	return im.wireLive, im.wireHeld
 }
 
 // EncodePageAppend appends one page's wire encoding (u16 token | payload,
@@ -216,7 +274,7 @@ func ApplySnapshot(im *Image, data []byte) error {
 // over pages (the snapshot encoders, the daemon's GetPage/GetPages
 // handlers) reuses out and pays no allocation per page.
 func EncodePageAppend(out, page []byte) []byte {
-	if isZero(page) {
+	if IsZeroPage(page) {
 		return binary.BigEndian.AppendUint16(out, tokenZero)
 	}
 	at := len(out)

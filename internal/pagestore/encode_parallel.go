@@ -1,21 +1,10 @@
 package pagestore
 
 import (
-	"encoding/binary"
 	"sync"
 
-	"oasis/internal/units"
+	"oasis/internal/lzf"
 )
-
-// Parallel snapshot encoding (the detach-side counterpart of the
-// pipelined prefetch path): the PFN list is split into contiguous shards,
-// one worker encodes each shard's page entries with its own compressor
-// scratch buffer, and the per-shard segments are stitched behind a single
-// snapshot header. Because the serial format is a pure in-order
-// concatenation of independent per-page encodings (see
-// appendPageEntries), stitching shard segments in shard order reproduces
-// the serial output byte for byte — a property the tests hold across
-// worker counts and page mixes.
 
 // minShardPages is the smallest shard worth a goroutine: below this the
 // per-worker scheduling and stitch copy cost more than the compression
@@ -26,80 +15,73 @@ const minShardPages = 16
 // goroutines, producing output byte-identical to EncodePages. Values of
 // workers <= 1 (and small PFN lists) take the serial path.
 func EncodePagesParallel(im *Image, pfns []PFN, workers int) ([]byte, error) {
-	if shards := len(pfns) / minShardPages; workers > shards {
-		workers = shards
+	return encodePages(im, pfns, nil, workers)
+}
+
+// encodePages is the one snapshot encoder (the detach-side counterpart
+// of the pipelined prefetch path): a header in dict's format (v1 when
+// dict is empty), then the entries of pfns, encoded over contiguous
+// shards by up to `workers` goroutines and stitched in shard order.
+// Because the body is a pure in-order concatenation of independent
+// per-page encodings (see appendPageEntriesDict), stitching reproduces
+// the serial output byte for byte — a property the tests hold across
+// worker counts and page mixes.
+func encodePages(im *Image, pfns []PFN, dict []byte, workers int) ([]byte, error) {
+	var hdr snapHeader
+	if len(dict) > 0 {
+		hdr.dict = dict[max(0, len(dict)-lzf.MaxDictLen):]
 	}
-	if workers <= 1 {
-		return EncodePages(im, pfns)
-	}
+	workers = max(1, min(workers, len(pfns)/minShardPages))
 	per := (len(pfns) + workers - 1) / workers
 	segs := make([][]byte, workers)
 	errs := make([]error, workers)
+	// The first shard is encoded behind the header, in the buffer the
+	// others are stitched onto: a serial encode copies nothing.
+	segs[0] = appendSnapHeader(make([]byte, 0, hdr.headerLen()+snapshotCapacity(len(pfns))), hdr, uint32(len(pfns)))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * per
+	for w := range segs {
+		lo := min(w*per, len(pfns))
 		hi := min(lo+per, len(pfns))
-		if lo >= hi {
-			break
+		if w > 0 {
+			segs[w] = make([]byte, 0, snapshotCapacity(hi-lo))
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			seg := make([]byte, 0, snapshotCapacity(hi-lo)-8)
-			segs[w], errs[w] = appendPageEntries(seg, im, pfns[lo:hi])
-		}(w, lo, hi)
+			segs[w], errs[w] = appendPageEntriesDict(segs[w], im, pfns[lo:hi], hdr.dict)
+		}()
 	}
 	wg.Wait()
-	total := 8
-	for w := range segs {
+	out := segs[0]
+	for w, seg := range segs {
 		if errs[w] != nil {
 			return nil, errs[w]
 		}
-		total += len(segs[w])
+		if w > 0 {
+			out = append(out, seg...)
+		}
 	}
-	out := make([]byte, 0, total)
-	out = append(out, snapMagic...)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(pfns)))
-	for _, seg := range segs {
-		out = append(out, seg...)
-	}
-	observeSnapshot(len(pfns), len(out))
+	observeSnapshot(len(pfns), len(out)-hdr.headerLen()+8)
 	return out, nil
 }
 
 // EncodeDirtySinceParallel is EncodeDirtySince over the parallel encoder.
 func EncodeDirtySinceParallel(im *Image, epoch uint64, workers int) ([]byte, int, error) {
 	pfns := im.DirtySince(epoch)
-	data, err := EncodePagesParallel(im, pfns, workers)
+	data, err := encodePages(im, pfns, nil, workers)
 	return data, len(pfns), err
 }
 
 // EncodeAllParallel is EncodeAll over the parallel encoder.
 func EncodeAllParallel(im *Image, workers int) ([]byte, int, error) {
-	pfns := im.AllTouched()
-	data, err := EncodePagesParallel(im, pfns, workers)
-	return data, len(pfns), err
+	return EncodeAllDict(im, nil, workers)
 }
 
-// minSplitChunk is the smallest chunk size SplitSnapshot honours: one
-// header plus the largest possible entry (a raw page), so every entry
-// fits in some chunk.
-var minSplitChunk = 8 + 10 + int(units.PageSize)
-
-// SplitSnapshot splits an encoded snapshot (either format) into
-// self-contained snapshot chunks of at most maxChunk bytes each (raised
-// to the single-entry minimum if smaller). Entries are never split: the
-// walk skips over each payload using the token lengths, without
-// decompressing, and re-frames every chunk with its own header (v2
-// chunks each carry the dictionary). Applying the chunks in any order —
-// page entries are independent — reproduces applying the original, which
-// is what lets the streaming upload path ship them concurrently and the
-// server decode them in parallel. An empty snapshot yields one empty
-// chunk.
-//
-// SplitSnapshot materializes each chunk; the streaming upload hot path
-// uses SplitSnapshotRefs instead, which describes the same chunks
-// without copying any page bytes.
+// SplitSnapshot is SplitSnapshotRefs with each chunk materialized.
+// Applying the chunks in any order — page entries are independent —
+// reproduces applying the original, which is what lets the streaming
+// upload path ship them concurrently and the server check them in
+// parallel; that path uses the refs and copies no page bytes.
 func SplitSnapshot(data []byte, maxChunk int) ([][]byte, error) {
 	refs, err := SplitSnapshotRefs(data, maxChunk)
 	if err != nil {

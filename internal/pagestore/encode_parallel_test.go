@@ -42,25 +42,39 @@ func mixImage(t *testing.T, pages int64, mix string) *Image {
 // rests on: for every worker count and page mix, the sharded encoder's
 // output is byte-identical to the serial encoder's.
 func TestEncodePagesParallelMatchesSerial(t *testing.T) {
-	const pages = 300
-	for _, mix := range []string{"z", "c", "r", "zcr", "zzzzc", "rrc", "czzr"} {
-		im := mixImage(t, pages, mix)
-		pfns := make([]PFN, pages)
-		for i := range pfns {
-			pfns[i] = PFN(i)
-		}
-		serial, err := EncodePages(im, pfns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			got, err := EncodePagesParallel(im, pfns, workers)
-			if err != nil {
-				t.Fatalf("mix %q workers %d: %v", mix, workers, err)
+	// 321 pages over 20 workers leaves the last shard empty.
+	for _, pages := range []int64{300, 321} {
+		for _, mix := range []string{"z", "c", "r", "zcr", "zzzzc", "rrc", "czzr"} {
+			im := mixImage(t, pages, mix)
+			pfns := make([]PFN, pages)
+			for i := range pfns {
+				pfns[i] = PFN(i)
 			}
-			if !bytes.Equal(got, serial) {
-				t.Fatalf("mix %q workers %d: parallel output diverges from serial (%d vs %d bytes)",
-					mix, workers, len(got), len(serial))
+			// The serial encoder is the sharded one with a single shard,
+			// so it is itself held to the format written out longhand.
+			want := binary.BigEndian.AppendUint32([]byte(snapMagic), uint32(pages))
+			for _, pfn := range pfns {
+				page, _ := im.Read(pfn)
+				token, payload := encodePage(page)
+				want = binary.BigEndian.AppendUint64(want, uint64(pfn))
+				want = append(binary.BigEndian.AppendUint16(want, token), payload...)
+			}
+			serial, err := EncodePages(im, pfns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(serial, want) {
+				t.Fatalf("mix %q: serial output diverges from the format's definition", mix)
+			}
+			for _, workers := range []int{1, 2, 8, 64} {
+				got, err := EncodePagesParallel(im, pfns, workers)
+				if err != nil {
+					t.Fatalf("mix %q workers %d: %v", mix, workers, err)
+				}
+				if !bytes.Equal(got, serial) {
+					t.Fatalf("mix %q workers %d: parallel output diverges from serial (%d vs %d bytes)",
+						mix, workers, len(got), len(serial))
+				}
 			}
 		}
 	}
@@ -154,7 +168,7 @@ func TestSplitSnapshotReassembles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxChunk := minSplitChunk // force many chunks
+	maxChunk := 8 + 10 + int(units.PageSize) // one header and one raw entry: many chunks
 	chunks, err := SplitSnapshot(snap, maxChunk)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +242,7 @@ func TestSplitSnapshotEdgeCases(t *testing.T) {
 // encodePage is the reference EncodePageAppend is held to: compress
 // aside, then pick the zero, raw or compressed token.
 func encodePage(page []byte) (token uint16, payload []byte) {
-	if isZero(page) {
+	if IsZeroPage(page) {
 		return tokenZero, nil
 	}
 	comp := lzf.Compress(nil, page)

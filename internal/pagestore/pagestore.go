@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"oasis/internal/units"
@@ -31,26 +30,44 @@ type VMID uint32
 // ErrOutOfRange is returned for accesses beyond a VM's allocation.
 var ErrOutOfRange = errors.New("pagestore: pfn beyond allocation")
 
+// leafPages is the span of one table leaf: 1,024 pages, the shard
+// fabric's 4 MiB placement range. maxPages (1 TiB of guest memory) bounds
+// the directory a hostile allocation buys: 2 MiB of leaf pointers.
+const (
+	leafPages = 1024
+	maxPages  = 1 << 28
+)
+
+// leaf is one directory entry of an image's page table.
+type leaf struct {
+	// slot holds each page in the form it arrived: nil for a zero page, a
+	// whole raw page (guest writes, ApplySnapshot) or, where wire is set,
+	// its wire entry (u16 token | payload), a subslice of an adopted
+	// snapshot. A slot's bytes are never written again.
+	slot [leafPages][]byte
+	wire [leafPages]bool
+	// stamp is the epoch of each page's last change; zero is clean.
+	stamp [leafPages]uint64
+}
+
 // Image is the sparse memory image of one VM. Untouched pages read as
 // zero. Image is safe for concurrent use.
 type Image struct {
-	mu      sync.RWMutex
-	alloc   units.Bytes
-	npages  int64
-	pages   map[PFN][]byte
-	epoch   uint64
-	dirtyAt map[PFN]uint64
+	mu     sync.RWMutex
+	alloc  units.Bytes
+	npages int64
+	epoch  uint64
+	leaves []*leaf // the table's directory; a leaf is allocated on first touch
+	live   int64   // non-zero pages
+	// wireLive is the bytes wire slots reference, wireHeld the bytes of the
+	// snapshots they point into; Adopt bounds the difference by compacting.
+	wireLive, wireHeld int64
 }
 
 // NewImage creates an image for a VM with the given memory allocation.
 func NewImage(alloc units.Bytes) *Image {
-	return &Image{
-		alloc:   alloc,
-		npages:  alloc.Pages(),
-		pages:   make(map[PFN][]byte),
-		dirtyAt: make(map[PFN]uint64),
-		epoch:   1,
-	}
+	npages := max(0, min(alloc.Pages(), maxPages))
+	return &Image{alloc: alloc, npages: npages, epoch: 1, leaves: make([]*leaf, (npages+leafPages-1)/leafPages)}
 }
 
 // Alloc returns the VM's nominal memory allocation.
@@ -58,6 +75,14 @@ func (im *Image) Alloc() units.Bytes { return im.alloc }
 
 // NumPages returns the number of pages in the allocation.
 func (im *Image) NumPages() int64 { return im.npages }
+
+// checkRange compares unsigned: a PFN past 1<<63 is no negative index.
+func (im *Image) checkRange(pfn PFN) error {
+	if uint64(pfn) >= uint64(im.npages) {
+		return fmt.Errorf("%w: pfn %d, allocation %d pages", ErrOutOfRange, pfn, im.npages)
+	}
+	return nil
+}
 
 // Write stores a page, marking it dirty in the current epoch. Writing an
 // all-zero page releases the backing storage but still records the dirty
@@ -68,7 +93,7 @@ func (im *Image) Write(pfn PFN, data []byte) error {
 		return fmt.Errorf("pagestore: page data %d bytes exceeds page size", len(data))
 	}
 	var p []byte
-	if !isZero(data) {
+	if !IsZeroPage(data) {
 		p = make([]byte, units.PageSize)
 		copy(p, data)
 	}
@@ -79,39 +104,109 @@ func (im *Image) Write(pfn PFN, data []byte) error {
 // epoch. p is a whole non-zero page the image keeps from here on, or nil
 // for a zero page.
 func (im *Image) set(pfn PFN, p []byte) error {
-	if int64(pfn) >= im.npages {
-		return fmt.Errorf("%w: pfn %d, allocation %d pages", ErrOutOfRange, pfn, im.npages)
+	if err := im.checkRange(pfn); err != nil {
+		return err
 	}
 	im.mu.Lock()
-	defer im.mu.Unlock()
-	if p == nil {
-		delete(im.pages, pfn)
-	} else {
-		im.pages[pfn] = p
-	}
-	im.dirtyAt[pfn] = im.epoch
+	im.setLocked(pfn, p, false)
+	im.mu.Unlock()
 	return nil
 }
 
-// Read returns the page's contents. Untouched or zeroed pages return a
-// shared zero page; callers must not modify the returned slice.
-func (im *Image) Read(pfn PFN) ([]byte, error) {
-	if int64(pfn) >= im.npages {
-		return nil, fmt.Errorf("%w: pfn %d, allocation %d pages", ErrOutOfRange, pfn, im.npages)
+// setLocked stores b (see leaf.slot for its forms) as the page of an
+// in-range pfn and stamps it with the current epoch.
+func (im *Image) setLocked(pfn PFN, b []byte, wire bool) {
+	lf := im.leaves[pfn/leafPages]
+	if lf == nil {
+		lf = new(leaf)
+		im.leaves[pfn/leafPages] = lf
 	}
-	im.mu.RLock()
-	defer im.mu.RUnlock()
-	if p, ok := im.pages[pfn]; ok {
-		return p, nil
+	i := pfn % leafPages
+	old := lf.slot[i]
+	if lf.wire[i] {
+		im.wireLive -= int64(len(old))
 	}
-	return zeroPage, nil
+	if wire {
+		im.wireLive += int64(len(b))
+	}
+	if old != nil {
+		im.live--
+	}
+	if b != nil {
+		im.live++
+	}
+	lf.slot[i], lf.wire[i], lf.stamp[i] = b, wire, im.epoch
 }
 
-// TouchedPages returns the number of pages with non-zero contents.
+// slotLocked returns an in-range page's slot and whether it is wire form.
+func (im *Image) slotLocked(pfn PFN) ([]byte, bool) {
+	if lf := im.leaves[pfn/leafPages]; lf != nil {
+		return lf.slot[pfn%leafPages], lf.wire[pfn%leafPages]
+	}
+	return nil, false
+}
+
+// Read returns the page's contents. Untouched or zeroed pages return a
+// shared zero page; callers must not modify the returned slice. A page
+// held as a wire entry is decoded into a fresh page and stays held as
+// it was: reading never changes what the image serves next.
+func (im *Image) Read(pfn PFN) ([]byte, error) {
+	if err := im.checkRange(pfn); err != nil {
+		return nil, err
+	}
+	im.mu.RLock()
+	b, wire := im.slotLocked(pfn)
+	im.mu.RUnlock()
+	switch {
+	case b == nil:
+		return zeroPage, nil
+	case wire:
+		return DecodePage(binary.BigEndian.Uint16(b), b[2:])
+	}
+	return b, nil
+}
+
+// AppendEntry appends the page's wire encoding (u16 token | payload): a
+// wire entry as it arrived, a raw page through EncodePageAppend.
+func (im *Image) AppendEntry(out []byte, pfn PFN) ([]byte, error) {
+	im.mu.RLock()
+	defer im.mu.RUnlock()
+	return im.appendEntryLocked(out, pfn)
+}
+
+func (im *Image) appendEntryLocked(out []byte, pfn PFN) ([]byte, error) {
+	if err := im.checkRange(pfn); err != nil {
+		return nil, err
+	}
+	b, wire := im.slotLocked(pfn)
+	if wire {
+		return append(out, b...), nil
+	}
+	return EncodePageAppend(out, b), nil
+}
+
+// AppendEntries appends u64 pfn | u16 token | payload for each pfn, in
+// order, under one acquisition of the image lock: the body of a snapshot,
+// an image file and a GetPages reply alike.
+func (im *Image) AppendEntries(out []byte, pfns []PFN) ([]byte, error) {
+	im.mu.RLock()
+	defer im.mu.RUnlock()
+	for _, pfn := range pfns {
+		var err error
+		out = binary.BigEndian.AppendUint64(out, uint64(pfn))
+		if out, err = im.appendEntryLocked(out, pfn); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// TouchedPages returns the number of pages with non-zero contents (a
+// page held as a wire entry counts; encoders emit none for a zero page).
 func (im *Image) TouchedPages() int64 {
 	im.mu.RLock()
 	defer im.mu.RUnlock()
-	return int64(len(im.pages))
+	return im.live
 }
 
 // TouchedBytes returns the resident (non-zero) size of the image.
@@ -137,30 +232,30 @@ func (im *Image) NextEpoch() uint64 {
 	return prev
 }
 
+// collectLocked returns, ascending, the PFNs whose slot passes keep.
+func (im *Image) collectLocked(out []PFN, keep func(lf *leaf, i int) bool) []PFN {
+	for d, lf := range im.leaves {
+		for i := 0; lf != nil && i < leafPages; i++ {
+			if keep(lf, i) {
+				out = append(out, PFN(d*leafPages+i))
+			}
+		}
+	}
+	return out
+}
+
 // DirtySince returns the PFNs dirtied in epochs > epoch, sorted.
 func (im *Image) DirtySince(epoch uint64) []PFN {
 	im.mu.RLock()
 	defer im.mu.RUnlock()
-	var out []PFN
-	for pfn, e := range im.dirtyAt {
-		if e > epoch {
-			out = append(out, pfn)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return im.collectLocked(nil, func(lf *leaf, i int) bool { return lf.stamp[i] > epoch })
 }
 
 // AllTouched returns the PFNs of all non-zero pages, sorted.
 func (im *Image) AllTouched() []PFN {
 	im.mu.RLock()
 	defer im.mu.RUnlock()
-	out := make([]PFN, 0, len(im.pages))
-	for pfn := range im.pages {
-		out = append(out, pfn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return im.collectLocked(make([]PFN, 0, im.live), func(lf *leaf, i int) bool { return lf.slot[i] != nil })
 }
 
 // ClearDirty forgets all dirty tracking (used after a full upload when the
@@ -168,13 +263,18 @@ func (im *Image) AllTouched() []PFN {
 func (im *Image) ClearDirty() {
 	im.mu.Lock()
 	defer im.mu.Unlock()
-	im.dirtyAt = make(map[PFN]uint64)
+	for _, lf := range im.leaves {
+		if lf != nil {
+			lf.stamp = [leafPages]uint64{}
+		}
+	}
 }
 
 var zeroPage = make([]byte, units.PageSize)
 
-// isZero scans eight bytes at a time, then the tail.
-func isZero(p []byte) bool {
+// IsZeroPage reports whether p contains only zero bytes, scanning eight
+// at a time, then the tail.
+func IsZeroPage(p []byte) bool {
 	for ; len(p) >= 8; p = p[8:] {
 		if binary.LittleEndian.Uint64(p) != 0 {
 			return false
@@ -187,9 +287,6 @@ func isZero(p []byte) bool {
 	}
 	return true
 }
-
-// IsZeroPage reports whether p contains only zero bytes.
-func IsZeroPage(p []byte) bool { return isZero(p) }
 
 // IsSharedZero reports whether p is the package's shared zero page —
 // the slice DecodePage returns for zero tokens. A pointer compare, so

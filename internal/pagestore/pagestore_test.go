@@ -192,7 +192,7 @@ func TestDifferentialSmallerThanFull(t *testing.T) {
 }
 
 func TestDecodeSnapshotCorrupt(t *testing.T) {
-	if err := DecodeSnapshot([]byte("XXXX"), nil); err == nil {
+	if err := ApplySnapshot(NewImage(1*units.MiB), []byte("XXXX")); err == nil {
 		t.Error("bad magic accepted")
 	}
 	im := NewImage(1 * units.MiB)
@@ -253,19 +253,19 @@ func TestIsZeroMatchesByteLoop(t *testing.T) {
 	for start := 0; start < 8; start++ {
 		for n := 0; start+n <= 40; n++ {
 			p := buf[start : start+n]
-			if !isZero(p) {
-				t.Fatalf("isZero(%d zero bytes at offset %d) = false", n, start)
+			if !IsZeroPage(p) {
+				t.Fatalf("IsZeroPage(%d zero bytes at offset %d) = false", n, start)
 			}
 			for i := range p {
 				p[i] = 0x80
-				if isZero(p) != byteLoop(p) {
+				if IsZeroPage(p) != byteLoop(p) {
 					t.Fatalf("len %d offset %d: non-zero byte at %d missed", n, start, i)
 				}
 				p[i] = 0
 			}
 		}
 	}
-	if !isZero(nil) || !isZero(zeroPage) {
+	if !IsZeroPage(nil) || !IsZeroPage(zeroPage) {
 		t.Fatal("nil or the shared zero page not zero")
 	}
 }

@@ -35,35 +35,23 @@ func PartitionSnapshot(data []byte, n int, owners func(PFN) []int) ([][]byte, er
 	if err != nil {
 		return nil, err
 	}
-	count := hdr.count
 	parts := make([][]byte, n)
 	counts := make([]uint32, n)
 	for i := range parts {
 		p := make([]byte, 0, hdr.headerLen()+(len(data)-hdr.bodyOff)/n)
 		parts[i] = appendSnapHeader(p, hdr, 0) // count patched below
 	}
-	off := hdr.bodyOff
-	for i := uint32(0); i < count; i++ {
-		if off+10 > len(data) {
-			return nil, fmt.Errorf("pagestore: truncated snapshot at page %d/%d", i, count)
-		}
-		pfn := PFN(binary.BigEndian.Uint64(data[off:]))
-		token := binary.BigEndian.Uint16(data[off+8:])
-		entry := 10 + PageBodyLen(token)
-		if off+entry > len(data) {
-			return nil, fmt.Errorf("pagestore: truncated snapshot at page %d/%d", i, count)
-		}
+	if err := walkSnapshot(data, func(_ []byte, pfn PFN, entry []byte) error {
 		for _, o := range owners(pfn) {
 			if o < 0 || o >= n {
-				return nil, fmt.Errorf("pagestore: page %d assigned to owner %d of %d", pfn, o, n)
+				return fmt.Errorf("pagestore: page %d assigned to owner %d of %d", pfn, o, n)
 			}
-			parts[o] = append(parts[o], data[off:off+entry]...)
+			parts[o] = append(parts[o], entry...)
 			counts[o]++
 		}
-		off += entry
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("pagestore: %d trailing bytes in snapshot", len(data)-off)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	for i := range parts {
 		binary.BigEndian.PutUint32(parts[i][4:8], counts[i])

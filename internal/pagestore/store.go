@@ -93,29 +93,37 @@ func (s *Store) Delete(id VMID) {
 	delete(sh.images, id)
 }
 
-// IDs returns the VMIDs present in the store, sorted ascending.
-func (s *Store) IDs() []VMID {
-	var out []VMID
+// each calls fn for every image, shard by shard under the shard's lock.
+func (s *Store) each(fn func(id VMID, im *Image)) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for id := range sh.images {
-			out = append(out, id)
+		for id, im := range sh.images {
+			fn(id, im)
 		}
 		sh.mu.RUnlock()
 	}
+}
+
+// IDs returns the VMIDs present in the store, sorted ascending.
+func (s *Store) IDs() []VMID {
+	var out []VMID
+	s.each(func(id VMID, _ *Image) { out = append(out, id) })
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
+// WireBytes sums Image.WireBytes over the store.
+func (s *Store) WireBytes() (live, held int64) {
+	s.each(func(_ VMID, im *Image) {
+		l, h := im.WireBytes()
+		live, held = live+l, held+h
+	})
+	return live, held
+}
+
 // Len returns the number of images held.
-func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.images)
-		sh.mu.RUnlock()
-	}
+func (s *Store) Len() (n int) {
+	s.each(func(VMID, *Image) { n++ })
 	return n
 }
