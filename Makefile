@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race stress vet lint check bench bench-check bench-fleet profile-fleet bench-codec profile-codec clean
+.PHONY: all build test race stress vet lint check loc bench bench-check bench-fleet profile-fleet bench-codec profile-codec clean
 
 all: build
 
@@ -38,6 +38,14 @@ lint:
 
 # check is the CI gate: lint + race tests.
 check: lint race
+
+# loc prints the non-test line count ROADMAP tracks, per top-level package
+# (internal/memserver includes its shard subpackage) and in total: tracked
+# *.go outside bench/, minus _test.go files and testdata/.
+loc:
+	@git ls-files -- '*.go' ':!:bench/' ':!:*_test.go' ':!:*/testdata/*' | xargs wc -l | \
+		awk '$$2 != "total" { n = split($$2, p, "/"); k = n == 1 ? "." : n == 2 ? p[1] : p[1] "/" p[2]; c[k] += $$1; t += $$1 } \
+		END { for (k in c) printf "%7d  %s\n", c[k], k | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -661,12 +661,6 @@ func (a *Agent) handlePartialMigrate(args MigrateArgs, _ []byte) (any, []byte, e
 	var pages int
 	if mv.uploaded {
 		snap, pages, err = pagestore.EncodeDirtySinceParallel(mv.image, mv.uploadedEpoch, workers)
-	} else if a.transport.CompressDict {
-		// Per-VM dictionary mode: sample the image for a dictionary page
-		// and encode against it where that wins. BuildDict returns nil
-		// when nothing beats plain LZF, and EncodeAllDict then emits the
-		// plain v1 snapshot — the knob can only shrink the upload.
-		snap, pages, err = pagestore.EncodeAllDict(mv.image, pagestore.BuildDict(mv.image), workers)
 	} else {
 		snap, pages, err = pagestore.EncodeAllParallel(mv.image, workers)
 	}

@@ -117,52 +117,6 @@ func TestStreamedUploadPartialLifecycle(t *testing.T) {
 	}
 }
 
-// TestCompressDictPartialLifecycle detaches with per-VM dictionary
-// compression on (-compress-dict): the full-image upload encodes against
-// a sampled dictionary page, and the partial VM's faults must read back
-// exactly what a plain encode would have uploaded.
-func TestCompressDictPartialLifecycle(t *testing.T) {
-	m, agents := startHosts(t, 2)
-	for _, a := range agents {
-		a.SetTransport(TransportConfig{UploadStreams: 2, CompressDict: true})
-	}
-	src, dst := agents[0].Name, agents[1].Name
-	if err := m.CreateVMOn(src, CreateVMArgs{VMID: 35, Alloc: 8 * units.MiB}); err != nil {
-		t.Fatal(err)
-	}
-	// Self-similar pages (template-clone style) so the sampled dictionary
-	// actually wins for some of them; plus one odd page.
-	tmpl := page(0x5A)
-	for i := 0; i < len(tmpl); i += 16 {
-		tmpl[i] = byte(i)
-	}
-	for pfn := pagestore.PFN(50); pfn < 90; pfn++ {
-		p := append([]byte(nil), tmpl...)
-		p[0] = byte(pfn)
-		if err := m.WritePage(src, 35, pfn, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.WritePage(src, 35, 90, page(0x11)); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.PartialMigrate(35, src, dst); err != nil {
-		t.Fatal(err)
-	}
-	for _, pfn := range []pagestore.PFN{50, 71, 89} {
-		got, err := m.ReadPage(dst, 35, pfn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != byte(pfn) || got[1] != tmpl[1] {
-			t.Fatalf("pfn %d corrupted through dictionary upload: % x", pfn, got[:2])
-		}
-	}
-	if got, err := m.ReadPage(dst, 35, 90); err != nil || got[0] != 0x11 {
-		t.Fatalf("pfn 90 = %v, %v through dictionary upload", got[0], err)
-	}
-}
-
 // startFabric brings up n standalone memory-server daemons sharing the
 // agents' secret — the rack's shard fabric.
 func startFabric(t *testing.T, n int) []string {

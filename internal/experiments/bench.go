@@ -3,6 +3,7 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"strings"
 )
@@ -11,7 +12,7 @@ import (
 // Bump it whenever a field is added, removed, or changes meaning, so a
 // reader (CI's delta step, PERFORMANCE.md tooling) can refuse to compare
 // artifacts across incompatible layouts.
-const BenchSchemaVersion = 3
+const BenchSchemaVersion = 4
 
 // BenchMeta is the header every JSON bench artifact carries.
 type BenchMeta struct {
@@ -21,10 +22,16 @@ type BenchMeta struct {
 	// build info when stamped, else the checkout's .git; "unknown" when
 	// neither is available).
 	GitSHA string `json:"git_sha"`
+	// NumCPU and GOMAXPROCS are the cores the run had: without them no
+	// throughput or scaling figure can be read (a 1-CPU box gives a flat
+	// worker-scaling curve).
+	NumCPU     int `json:"num_cpu"`
+	GOMAXPROCS int `json:"gomaxprocs"`
 }
 
 func benchMeta() BenchMeta {
-	return BenchMeta{SchemaVersion: BenchSchemaVersion, GitSHA: gitSHA()}
+	return BenchMeta{SchemaVersion: BenchSchemaVersion, GitSHA: gitSHA(),
+		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
 }
 
 // Gate is a machine-checkable acceptance comparison embedded in a bench

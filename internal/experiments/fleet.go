@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -47,10 +46,6 @@ type FleetRun struct {
 type FleetBench struct {
 	Experiment string `json:"experiment"`
 	BenchMeta
-	// NumCPU and GOMAXPROCS are the cores the run had: without them a
-	// worker-scaling curve cannot be read (a 1-CPU box gives a flat one).
-	NumCPU     int `json:"num_cpu"`
-	GOMAXPROCS int `json:"gomaxprocs"`
 	// WorkerScaling is the widest run's throughput over the one-worker
 	// run's. MeasuredGate.Comparison says whether the gate held it to
 	// fleetScalingFloor, which takes fleetScalingMinCores cores.
@@ -96,8 +91,6 @@ func Fleet(opt Option) (FleetBench, error) {
 	out := FleetBench{
 		Experiment:   "sim",
 		BenchMeta:    benchMeta(),
-		NumCPU:       runtime.NumCPU(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
 		Users:        users,
 		Cells:        cfg.Cells(),
 		UsersPerCell: cfg.UsersPerCell(),

@@ -64,10 +64,11 @@ type RebalanceMeasured struct {
 // RebalanceBench is the full result; oasis-bench -experiment rebalance
 // with -json writes it as BENCH_rebalance.json.
 type RebalanceBench struct {
-	Experiment string            `json:"experiment"`
-	Model      RebalanceModel    `json:"model"`
-	Measured   RebalanceMeasured `json:"measured_loopback"`
-	Note       string            `json:"note"`
+	Experiment string `json:"experiment"`
+	BenchMeta
+	Model    RebalanceModel    `json:"model"`
+	Measured RebalanceMeasured `json:"measured_loopback"`
+	Note     string            `json:"note"`
 }
 
 // rebalanceGeometry: the smallest fabric where one backend can leave
@@ -85,6 +86,7 @@ const (
 func Rebalance(opt Option) (RebalanceBench, error) {
 	out := RebalanceBench{
 		Experiment: "rebalance",
+		BenchMeta:  benchMeta(),
 		Model:      rebalanceModel(),
 		Note:       "model is deterministic ring math; measured_loopback is one run on the build machine",
 	}

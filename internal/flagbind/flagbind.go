@@ -34,13 +34,6 @@ type Transport struct {
 	// Replicas is how many fabric backends each page range is written
 	// to (<= 0 takes the fabric default; ignored without Backends).
 	Replicas int
-	// CompressDict enables per-VM dictionary compression for full-image
-	// detach uploads: the agent samples the image for a dictionary page
-	// (pagestore.BuildDict) and encodes pages against it when that wins
-	// over plain LZF. Readback is byte-identical either way; the knob
-	// trades a little encode CPU for smaller snapshots on images with
-	// self-similar pages (template-cloned VMs).
-	CompressDict bool
 }
 
 // Sharded reports whether the transport addresses a multi-backend
@@ -61,8 +54,6 @@ func BindTransport(fs *flag.FlagSet, t *Transport) {
 		"comma-separated memory-server fabric addresses; empty keeps the single-server transport")
 	fs.IntVar(&t.Replicas, "replicas", t.Replicas,
 		"fabric backends each page range is replicated to (<=0 uses the fabric default; needs -backends)")
-	fs.BoolVar(&t.CompressDict, "compress-dict", t.CompressDict,
-		"sample a per-VM dictionary and use it for full-image detach uploads when it compresses better")
 }
 
 // addrList is the flag.Value for a comma-separated address list.

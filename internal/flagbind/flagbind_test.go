@@ -51,6 +51,22 @@ func TestBindTransportDefaultsPreserved(t *testing.T) {
 	}
 }
 
+// TestBindTransportFlagSet pins the transport flags every daemon binds;
+// a removed knob is a parse error, not a silent no-op.
+func TestBindTransportFlagSet(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(discard{})
+	BindTransport(fs, &Transport{})
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	if want := []string{"backends", "pool", "prefetch-streams", "replicas", "upload-streams"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("flags = %v, want %v", got, want)
+	}
+	if err := fs.Parse([]string{"-compress-dict"}); err == nil {
+		t.Error("-compress-dict parsed; want it rejected")
+	}
+}
+
 func TestBindTransportRejectsEmptyBackends(t *testing.T) {
 	var tr Transport
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)

@@ -3,6 +3,7 @@ package lzf
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"testing"
 )
@@ -10,9 +11,9 @@ import (
 // refDecompress is the byte-at-a-time decoder this package shipped up to
 // commit 03c66f5, kept as the reference the word-at-a-time one is held
 // to: same output on every stream it accepts, rejection of every stream
-// it rejects.
-func refDecompress(dict, in []byte, outLen int) ([]byte, error) {
-	dict = clampDict(dict)
+// it rejects. (That decoder also took a dictionary; without one, a
+// reference before the output's start is corrupt.)
+func refDecompress(in []byte, outLen int) ([]byte, error) {
 	var dst []byte
 	for ip, n := 0, len(in); ip < n; {
 		ctrl := int(in[ip])
@@ -38,17 +39,13 @@ func refDecompress(dict, in []byte, outLen int) ([]byte, error) {
 		if ip >= n {
 			return dst, ErrCorrupt
 		}
-		d := len(dst) - ((ctrl&0x1f)<<8 | int(in[ip])) - 1 + len(dict)
+		d := len(dst) - ((ctrl&0x1f)<<8 | int(in[ip])) - 1
 		ip++
 		if d < 0 {
 			return dst, ErrCorrupt
 		}
 		for i := 0; i < length; i++ {
-			if j := d + i; j < len(dict) {
-				dst = append(dst, dict[j])
-			} else {
-				dst = append(dst, dst[j-len(dict)])
-			}
+			dst = append(dst, dst[d+i])
 		}
 	}
 	if len(dst) != outLen {
@@ -92,34 +89,44 @@ func readGolden(t testing.TB) []goldenStream {
 }
 
 // TestParentStreamsGolden is the format-compatibility proof, both ways:
-// every stream the parent's compressor wrote decodes to its input with
-// this decoder, and every stream this compressor writes for the same
-// inputs stays within CompressBound and decodes with the parent's
-// decoder as well as this one.
+// every plain stream the parent's compressor wrote decodes to its input
+// with this decoder, and every stream this compressor writes for the
+// same inputs stays within CompressBound and decodes with the parent's
+// decoder as well as this one. The parent also wrote streams against a
+// dictionary, a format that is gone; fed to Decompress as they are, each
+// must be refused or decode to exactly its input (one that never reached
+// into its dictionary), never to other bytes.
 func TestParentStreamsGolden(t *testing.T) {
 	streams := readGolden(t)
 	seen := map[string]bool{}
 	for _, g := range streams {
 		seen[g.name] = true
-		got, err := DecompressDict([]byte("prefix"), g.dict, g.comp, len(g.in))
+		got, err := Decompress([]byte("prefix"), g.comp, len(g.in))
+		if len(g.dict) > 0 {
+			if (err != nil && !errors.Is(err, ErrCorrupt)) || (err == nil && !bytes.Equal(got[len("prefix"):], g.in)) {
+				t.Errorf("%s: dictionary stream without its dictionary = %d bytes, %v; want ErrCorrupt or its input", g.name, len(got), err)
+			}
+			if verr := Validate(g.comp, len(g.in)); (verr == nil) != (err == nil) {
+				t.Errorf("%s: Validate says %v, Decompress says %v", g.name, verr, err)
+			}
+			t.Logf("%-14s in %6d  dictionary stream: %v", g.name, len(g.in), err)
+			continue
+		}
 		if err != nil || !bytes.Equal(got[len("prefix"):], g.in) || !bytes.HasPrefix(got, []byte("prefix")) {
 			t.Errorf("%s: parent stream (%d bytes) does not decode to its %d-byte input: %v",
 				g.name, len(g.comp), len(g.in), err)
 		}
-		comp := CompressDict(nil, g.dict, g.in)
+		comp := Compress(nil, g.in)
 		if len(comp) > CompressBound(len(g.in)) {
 			t.Errorf("%s: %d bytes compressed to %d, bound %d", g.name, len(g.in), len(comp), CompressBound(len(g.in)))
 		}
 		for who, dec := range map[string]func() ([]byte, error){
-			"this decoder":   func() ([]byte, error) { return DecompressDict(nil, g.dict, comp, len(g.in)) },
-			"parent decoder": func() ([]byte, error) { return refDecompress(g.dict, comp, len(g.in)) },
+			"this decoder":   func() ([]byte, error) { return Decompress(nil, comp, len(g.in)) },
+			"parent decoder": func() ([]byte, error) { return refDecompress(comp, len(g.in)) },
 		} {
 			if got, err := dec(); err != nil || !bytes.Equal(got, g.in) {
 				t.Errorf("%s: new stream does not round-trip through %s: %v", g.name, who, err)
 			}
-		}
-		if len(g.dict) == 0 && !bytes.Equal(comp, Compress(nil, g.in)) {
-			t.Errorf("%s: CompressDict without a dictionary diverges from Compress", g.name)
 		}
 		t.Logf("%-14s in %6d  parent %6d  now %6d", g.name, len(g.in), len(g.comp), len(comp))
 	}

@@ -28,14 +28,9 @@
 // bytes with every other (testdata/parent_streams.golden holds streams
 // of the byte-at-a-time compressor this one replaced).
 //
-// CompressDict/DecompressDict extend the format with a shared
-// dictionary: the dictionary bytes virtually precede the input, so
-// back-references may reach into them (dict.go). The output framing is
-// unchanged — only both ends must agree on the dictionary, which the
-// pagestore's "OAPD" snapshot format carries in its header. Dictionaries
-// longer than MaxDictLen (the compressor's match window) are truncated
-// to their trailing bytes by both sides. DESIGN.md §13 covers when the
-// detach path reaches for this (-compress-dict).
+// Every input is compressed alone, as the paper compresses each page: a
+// back-reference reaches only output the same stream produced, and one
+// that points before the output's start is corrupt.
 package lzf
 
 import (
@@ -78,18 +73,12 @@ func CompressBound(n int) int {
 // extended slice. Compressing empty input yields an empty output. A dst
 // with CompressBound(len(in)) spare capacity is never reallocated.
 func Compress(dst, in []byte) []byte {
-	return compressFrom(dst, in, 0)
-}
-
-// compressFrom compresses buf[start:], treating buf[:start] as
-// already-emitted history the token stream may reference.
-func compressFrom(dst, buf []byte, start int) []byte {
-	n := len(buf)
-	if n == start {
+	n := len(in)
+	if n == 0 {
 		return dst
 	}
 	op := len(dst)
-	dst = slices.Grow(dst, CompressBound(n-start))
+	dst = slices.Grow(dst, CompressBound(n))
 	dst = dst[:cap(dst)]
 
 	// htab[h] is the last position whose three bytes hashed to h, plus
@@ -97,23 +86,20 @@ func compressFrom(dst, buf []byte, start int) []byte {
 	// back-reference can reach is told apart, and a stale or empty entry
 	// only ever proposes a candidate that the byte compare below refuses.
 	var htab [hashSize]uint16
-	for i := 0; i < start && i+4 <= n; i++ {
-		htab[hash(binary.LittleEndian.Uint32(buf[i:]))] = uint16(i + 1)
-	}
 
-	anchor := start // first literal not yet emitted
-	for ip := start; ip+4 <= n; {
-		v := binary.LittleEndian.Uint32(buf[ip:])
+	anchor := 0 // first literal not yet emitted
+	for ip := 0; ip+4 <= n; {
+		v := binary.LittleEndian.Uint32(in[ip:])
 		h := hash(v)
 		off := int(uint16(ip+1)-htab[h]) - 1
 		htab[h] = uint16(ip + 1)
 		ref := ip - off - 1
-		if uint(off) >= maxOff || ref < 0 || (binary.LittleEndian.Uint32(buf[ref:])^v)<<8 != 0 {
+		if uint(off) >= maxOff || ref < 0 || (binary.LittleEndian.Uint32(in[ref:])^v)<<8 != 0 {
 			ip += 1 + (ip-anchor)>>skipLog
 			continue
 		}
-		length := 3 + matchLen(buf[ref+3:], buf[ip+3:min(n, ip+maxRef)])
-		op = putLiterals(dst, op, buf[anchor:ip])
+		length := 3 + matchLen(in[ref+3:], in[ip+3:min(n, ip+maxRef)])
+		op = putLiterals(dst, op, in[anchor:ip])
 		if l := length - 2; l < 7 {
 			dst[op], dst[op+1] = byte(off>>8+l<<5), byte(off)
 			op += 2
@@ -124,7 +110,7 @@ func compressFrom(dst, buf []byte, start int) []byte {
 		ip += length
 		anchor = ip
 	}
-	return dst[:putLiterals(dst, op, buf[anchor:])]
+	return dst[:putLiterals(dst, op, in[anchor:])]
 }
 
 // matchLen returns how many leading bytes of b equal those of a, which
@@ -152,13 +138,6 @@ func putLiterals(dst []byte, op int, lit []byte) int {
 		lit = lit[run:]
 	}
 	return op
-}
-
-// Decompress appends the decompressed form of in to dst and returns the
-// extended slice. outLen is the expected decompressed size; a mismatch or
-// malformed stream returns ErrCorrupt.
-func Decompress(dst, in []byte, outLen int) ([]byte, error) {
-	return decompress(dst, nil, in, outLen)
 }
 
 // Validate reports whether Decompress(nil, in, outLen) would succeed,
@@ -202,10 +181,12 @@ func Validate(in []byte, outLen int) error {
 	return nil
 }
 
-// decompress is the one decoder: dict virtually precedes the output. It
-// grows dst by outLen once and fills that region in place; a token that
-// would write past it is refused where it stands.
-func decompress(dst, dict, in []byte, outLen int) ([]byte, error) {
+// Decompress appends the decompressed form of in to dst and returns the
+// extended slice. outLen is the expected decompressed size; a mismatch or
+// malformed stream returns ErrCorrupt. It grows dst by outLen once and
+// fills that region in place; a token that would write past it is
+// refused where it stands.
+func Decompress(dst, in []byte, outLen int) ([]byte, error) {
 	base := len(dst)
 	dst = slices.Grow(dst, outLen)
 	out := dst[base : base+outLen]
@@ -241,14 +222,7 @@ func decompress(dst, dict, in []byte, outLen int) ([]byte, error) {
 		ip++
 		end := op + length
 		if ref < 0 {
-			// Reference into the dictionary; the run may spill from the
-			// dictionary's tail into the output already produced.
-			d := len(dict) + ref
-			if d < 0 {
-				return dst[:base+op], ErrCorrupt
-			}
-			op += copy(out[op:end], dict[d:])
-			ref = 0
+			return dst[:base+op], ErrCorrupt
 		}
 		// copy is a memmove: where source and destination overlap, the
 		// bytes already written are a whole number of periods, so each

@@ -13,6 +13,14 @@
 //
 // Record layout, after the magic line "LZFGOLD1\n": four uvarint-length
 // prefixed fields — name, dictionary, input, compressed stream.
+//
+// The six "dict-*" records were written against a dictionary, which the
+// codec no longer has (it compresses every page alone; DESIGN.md §13).
+// They stay in the file, unregenerated, as hostile input: decoded
+// without their dictionary, each must be refused as corrupt or give
+// exactly its input, never other bytes. The nine plain records are the
+// compatibility promise and must round-trip as they always have. This
+// program only builds at a commit that still has lzf.CompressDict.
 package main
 
 import (

@@ -178,7 +178,7 @@ func (c *Client) exchange(op call) ([]byte, error) {
 	// The prefix is copied into client scratch: a slice of the by-value
 	// call stored in c.bufs would move every call to the heap.
 	n := copy(c.opArr[:], op.prefix[:op.n])
-	c.bufs = append(c.bufs[:0], nil, c.opArr[:n], op.segs[0], op.segs[1], op.segs[2])
+	c.bufs = append(c.bufs[:0], nil, c.opArr[:n], op.segs[0], op.segs[1])
 	if err := c.writeRequestLocked(op.req, op.mac); err != nil {
 		c.markBroken()
 		return nil, err

@@ -68,7 +68,7 @@ type call struct {
 	// caller's buffers and reach the socket without a copy.
 	prefix [16]byte
 	n      int
-	segs   [3][]byte
+	segs   [2][]byte
 }
 
 func (c *call) u32(v uint32) {
@@ -186,15 +186,15 @@ func (o ops) PutBegin(id pagestore.VMID, uploadID uint64, kind byte, alloc units
 // PutChunkRef stages one self-contained snapshot chunk of an open upload.
 // Chunks may arrive in any order and over any connection; a duplicate seq
 // overwrites with identical bytes and a chunk landing after its upload
-// committed is acknowledged as a no-op. The chunk's header, dictionary
-// and body segments go straight from the encoded snapshot to the socket:
-// the hot path performs no allocations and no copies of page bytes.
+// committed is acknowledged as a no-op. The chunk's header and body
+// segments go straight from the encoded snapshot to the socket: the hot
+// path performs no allocations and no copies of page bytes.
 func (o ops) PutChunkRef(id pagestore.VMID, uploadID uint64, seq uint32, chunk pagestore.ChunkRef) error {
 	c := call{op: "PutChunk", req: msgPutChunk, want: msgOK, mac: true}
 	c.u32(uint32(id))
 	c.u64(uploadID)
 	c.u32(seq)
-	c.segs = [3][]byte{chunk.Pre, chunk.Dict, chunk.Body}
+	c.segs = [2][]byte{chunk.Pre, chunk.Body}
 	_, err := o.x.exchange(c)
 	return err
 }

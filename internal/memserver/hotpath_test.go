@@ -263,65 +263,3 @@ func TestUploadMACRejectsTamper(t *testing.T) {
 		t.Fatalf("unexpected refusal: %s", errPayload)
 	}
 }
-
-// TestStreamImageDictRoundTrip pushes a dictionary-mode snapshot with
-// zero-page elision through the chunked streaming path and checks the
-// server's applied image matches the source bit for bit.
-func TestStreamImageDictRoundTrip(t *testing.T) {
-	srv, addr := startServer(t)
-	pool, err := DialPool(addr, testSecret, PoolConfig{Size: 2, Resilience: ResilientConfig{
-		BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, JitterSeed: 3,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	r := rng.New(31)
-	im := pagestore.NewImage(units.PagesBytes(300))
-	template := testPage(77)
-	page := make([]byte, units.PageSize)
-	for i := 0; i < 300; i++ {
-		switch r.Intn(4) {
-		case 0: // untouched zero page
-		case 1: // dirty-but-zero page (elided as a zero token)
-			if err := im.Write(pagestore.PFN(i), nil); err != nil {
-				t.Fatal(err)
-			}
-		default: // near-template page (dictionary fodder)
-			copy(page, template)
-			for j := 0; j < 10; j++ {
-				page[r.Intn(len(page))] = byte(r.Uint64())
-			}
-			if err := im.Write(pagestore.PFN(i), page); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	dict := pagestore.BuildDict(im)
-	if dict == nil {
-		t.Fatal("template-heavy image produced no dictionary")
-	}
-	snap, _, err := pagestore.EncodeAllDict(im, dict, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.StreamImage(701, im.Alloc(), snap, PutOptions{Streams: 3, ChunkBytes: 32 << 10}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := srv.Store().Get(701)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := pagestore.EncodeAll(im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have, _, err := pagestore.EncodeAll(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, have) {
-		t.Fatal("dict-mode streamed image diverges from the source")
-	}
-}

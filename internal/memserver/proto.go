@@ -339,8 +339,11 @@ func parsePagesReply(reply []byte) (map[pagestore.PFN][]byte, error) {
 		pfn := pagestore.PFN(binary.BigEndian.Uint64(reply[off:]))
 		token := binary.BigEndian.Uint16(reply[off+8:])
 		off += 10
-		bodyLen := pagestore.PageBodyLen(token)
-		if bodyLen < 0 || off+bodyLen > len(reply) {
+		bodyLen, err := pagestore.PageBodyLen(token)
+		if err != nil {
+			return nil, fmt.Errorf("memserver: batch page %d: %w", pfn, err)
+		}
+		if off+bodyLen > len(reply) {
 			return nil, errors.New("memserver: truncated batch page")
 		}
 		page, err := pagestore.DecodePage(token, reply[off:off+bodyLen])

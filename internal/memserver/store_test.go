@@ -59,7 +59,9 @@ func getPageRequest(id pagestore.VMID, pfn pagestore.PFN) []byte {
 // wire as a msgError that leaves the connection usable, and the image
 // stored before must still read back unchanged — including the good
 // entry's page, which a put that applied as it parsed would have
-// changed.
+// changed. Dictionary input, which that server decoded, is refused by
+// name: a dictionary token with its page, a dictionary snapshot by its
+// header.
 func TestHostilePutPaths(t *testing.T) {
 	const (
 		id    = pagestore.VMID(9)
@@ -67,24 +69,29 @@ func TestHostilePutPaths(t *testing.T) {
 	)
 	good := pageEntry(3, testPage(1))
 	short := lzf.Compress(nil, make([]byte, 100))
+	dictHeader := binary.BigEndian.AppendUint32([]byte("OAPD"), 1)
+	dictHeader = append(binary.BigEndian.AppendUint32(dictHeader, 4), "dict"...)
 	cases := []struct {
 		name, want string
 		bad        []byte
+		snap       []byte // the whole snapshot, when not good then bad
 	}{
 		{"truncated literal", "pagestore: page 4: lzf: corrupt compressed data",
-			snapEntry(4, 2, []byte{0x05, 'a'})},
+			snapEntry(4, 2, []byte{0x05, 'a'}), nil},
 		{"back-reference before start", "pagestore: page 4: lzf: corrupt compressed data",
-			snapEntry(4, 4, []byte{0x00, 'a', 0x20, 0x10})},
+			snapEntry(4, 4, []byte{0x00, 'a', 0x20, 0x10}), nil},
 		{"wrong output length", "pagestore: page 4: lzf: corrupt compressed data: got 100 bytes, want 4096",
-			snapEntry(4, uint16(len(short)), short)},
+			snapEntry(4, uint16(len(short)), short), nil},
 		{"out-of-range pfn", "pagestore: pfn beyond allocation: pfn 256, allocation 256 pages",
-			pageEntry(256, testPage(2))},
+			pageEntry(256, testPage(2)), nil},
 		{"raw cut short", "pagestore: truncated page 4",
-			snapEntry(4, 0x9000, make([]byte, 100))},
+			snapEntry(4, 0x9000, make([]byte, 100)), nil},
 		{"raw longer than a page", "pagestore: page data 5000 bytes exceeds page size",
-			snapEntry(4, 0x8000|5000, make([]byte, 5000))},
-		{"dict token without dictionary", "pagestore: page 4: dict token in dictionary-less snapshot",
-			snapEntry(4, 0x4000|2, []byte{0x00, 'a'})},
+			snapEntry(4, 0x8000|5000, make([]byte, 5000)), nil},
+		{"dict token without dictionary", "pagestore: page 4: dictionary-compressed entry (token 0x4002) is not supported",
+			snapEntry(4, 0x4000|2, []byte{0x00, 'a'}), nil},
+		{"dictionary snapshot header", `pagestore: dictionary snapshot ("OAPD") is not supported`,
+			nil, append(dictHeader, good...)},
 	}
 	const remote = "memserver: remote: "
 	for _, tc := range cases {
@@ -96,7 +103,10 @@ func TestHostilePutPaths(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := serverImageBytes(t, srv, id)
-			snap := frameSnap(good, tc.bad)
+			snap := tc.snap
+			if snap == nil {
+				snap = frameSnap(good, tc.bad)
+			}
 			chunk := pagestore.ChunkRef{Body: snap}
 
 			check := func(path, want string, err error) {
@@ -135,6 +145,18 @@ func TestHostilePutPaths(t *testing.T) {
 				t.Fatalf("connection unusable after refused puts: %v", err)
 			}
 		})
+	}
+}
+
+// TestPagesReplyRefusesDictionaryToken: the client refuses a batch reply
+// entry with a dictionary token by name, with its page, before the
+// 16 KiB+ length that token implies as a plain one is trusted.
+func TestPagesReplyRefusesDictionaryToken(t *testing.T) {
+	reply := appendPageEntry(binary.BigEndian.AppendUint32(nil, 2), 3, testPage(1))
+	reply = append(reply, snapEntry(4, 0x4000|2, []byte{0x00, 'a'})...)
+	const want = "memserver: batch page 4: dictionary-compressed entry (token 0x4002) is not supported"
+	if _, err := parsePagesReply(reply); err == nil || err.Error() != want {
+		t.Fatalf("parsePagesReply: %v, want %q", err, want)
 	}
 }
 
@@ -185,9 +207,8 @@ var uploadShapes = []struct {
 }
 
 // TestServedEntryIsStoredEntry: what the server sends for a page is the
-// entry it was sent — byte for byte for plain-lzf and raw entries,
-// whichever way they were uploaded — and decodes to the source page for
-// every entry, dictionary-compressed ones included.
+// entry it was sent, byte for byte, for every entry of an honest upload
+// (plain-lzf, raw and zero), whichever way it was uploaded.
 func TestServedEntryIsStoredEntry(t *testing.T) {
 	const alloc = 2 * units.MiB
 	r := rng.New(17)
@@ -196,7 +217,7 @@ func TestServedEntryIsStoredEntry(t *testing.T) {
 	for pfn := pagestore.PFN(0); pfn < 120; pfn++ {
 		page := make([]byte, units.PageSize)
 		switch pfn % 4 {
-		case 0: // near-template: dictionary fodder
+		case 0: // near-template
 			copy(page, template)
 			page[r.Intn(len(page))] ^= 0x55
 		case 1: // incompressible: a raw entry
@@ -212,82 +233,57 @@ func TestServedEntryIsStoredEntry(t *testing.T) {
 		}
 	}
 	pfns := src.DirtySince(0)
-	plain, err := pagestore.EncodePages(src, pfns)
+	snap, err := pagestore.EncodePages(src, pfns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withDict, _, err := pagestore.EncodeAllDict(src, template, 1) // no zero entries: touched pages only
-	if err != nil {
-		t.Fatal(err)
-	}
-	// uploaded maps each pfn to its entry (token | payload) in snap.
-	uploaded := func(snap []byte, bodyOff int) map[pagestore.PFN][]byte {
-		m := map[pagestore.PFN][]byte{}
-		for off := bodyOff; off < len(snap); {
-			pfn := pagestore.PFN(binary.BigEndian.Uint64(snap[off:]))
-			n := 2 + pagestore.PageBodyLen(binary.BigEndian.Uint16(snap[off+8:]))
-			m[pfn] = snap[off+8 : off+8+n]
-			off += 8 + n
+	// sent maps each pfn to its entry (token | payload) in snap.
+	sent := map[pagestore.PFN][]byte{}
+	for off := 8; off < len(snap); {
+		pfn := pagestore.PFN(binary.BigEndian.Uint64(snap[off:]))
+		n, err := pagestore.PageBodyLen(binary.BigEndian.Uint16(snap[off+8:]))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return m
+		sent[pfn] = snap[off+8 : off+10+n]
+		off += 10 + n
 	}
-	for _, snapCase := range []struct {
-		name    string
-		snap    []byte
-		entries map[pagestore.PFN][]byte
-	}{
-		{"plain", plain, uploaded(plain, 8)},
-		{"dictionary", withDict, uploaded(withDict, 12+len(template))},
-	} {
-		for _, shape := range uploadShapes {
-			t.Run(snapCase.name+"/"+shape.name, func(t *testing.T) {
-				_, addr := startServer(t)
-				c := dial(t, addr)
-				const id = 77
-				if err := shape.put(c, id, alloc, snapCase.snap); err != nil {
-					t.Fatal(err)
+	for _, shape := range uploadShapes {
+		t.Run("plain/"+shape.name, func(t *testing.T) {
+			_, addr := startServer(t)
+			c := dial(t, addr)
+			const id = 77
+			if err := shape.put(c, id, alloc, snap); err != nil {
+				t.Fatal(err)
+			}
+			batch := rawReply(t, c, msgGetPages, msgPages, encodeGetPagesRequest(id, pfns))
+			if n := binary.BigEndian.Uint32(batch); int(n) != len(pfns) {
+				t.Fatalf("batch reply holds %d pages, want %d", n, len(pfns))
+			}
+			off := 4
+			for _, pfn := range pfns {
+				single := rawReply(t, c, msgGetPage, msgPage, getPageRequest(id, pfn))
+				if got := pagestore.PFN(binary.BigEndian.Uint64(batch[off:])); got != pfn {
+					t.Fatalf("batch entry for pfn %d where %d was asked", got, pfn)
 				}
-				batch := rawReply(t, c, msgGetPages, msgPages, encodeGetPagesRequest(id, pfns))
-				if n := binary.BigEndian.Uint32(batch); int(n) != len(pfns) {
-					t.Fatalf("batch reply holds %d pages, want %d", n, len(pfns))
+				inBatch := batch[off+8 : off+8+len(single)]
+				off += 8 + len(single)
+				if !bytes.Equal(inBatch, single) {
+					t.Fatalf("pfn %d: msgPages and msgPage entries differ", pfn)
 				}
-				off, verbatim, dictEntries := 4, 0, 0
-				for _, pfn := range pfns {
-					single := rawReply(t, c, msgGetPage, msgPage, getPageRequest(id, pfn))
-					if got := pagestore.PFN(binary.BigEndian.Uint64(batch[off:])); got != pfn {
-						t.Fatalf("batch entry for pfn %d where %d was asked", got, pfn)
-					}
-					inBatch := batch[off+8 : off+8+len(single)]
-					off += 8 + len(single)
-					if !bytes.Equal(inBatch, single) {
-						t.Fatalf("pfn %d: msgPages and msgPage entries differ", pfn)
-					}
-					want, _ := src.Read(pfn)
-					got, err := pagestore.DecodePage(binary.BigEndian.Uint16(single), single[2:])
-					if err != nil || !bytes.Equal(got, want) {
-						t.Fatalf("pfn %d: served entry does not decode to the source page: %v", pfn, err)
-					}
-					sent, ok := snapCase.entries[pfn]
-					if !ok {
-						sent = []byte{0xFF, 0xFF} // never uploaded: served as a zero page
-					}
-					if binary.BigEndian.Uint16(sent)&0xC000 == 0x4000 {
-						dictEntries++ // not servable as sent: the reply wire carries no dictionary
-						continue
-					}
-					if !bytes.Equal(single, sent) {
-						t.Fatalf("pfn %d: served entry differs from the uploaded one", pfn)
-					}
-					verbatim++
+				want, _ := src.Read(pfn)
+				got, err := pagestore.DecodePage(binary.BigEndian.Uint16(single), single[2:])
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("pfn %d: served entry does not decode to the source page: %v", pfn, err)
 				}
-				if off != len(batch) {
-					t.Fatalf("%d stray bytes in the batch reply", len(batch)-off)
+				if !bytes.Equal(single, sent[pfn]) {
+					t.Fatalf("pfn %d: served entry differs from the uploaded one", pfn)
 				}
-				if verbatim < 60 || (snapCase.name == "dictionary") != (dictEntries > 0) {
-					t.Fatalf("mix not exercised: %d verbatim entries, %d dictionary entries", verbatim, dictEntries)
-				}
-			})
-		}
+			}
+			if off != len(batch) {
+				t.Fatalf("%d stray bytes in the batch reply", len(batch)-off)
+			}
+		})
 	}
 }
 

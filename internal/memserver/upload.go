@@ -69,7 +69,7 @@ func (o ops) StreamDiff(id pagestore.VMID, snapshot []byte, opts PutOptions) err
 func (o ops) streamUpload(id pagestore.VMID, kind byte, alloc units.Bytes, snapshot []byte, opts PutOptions) error {
 	opts = opts.withDefaults()
 	// Chunk references point back into the snapshot buffer — no copies;
-	// the connection's vectored send stitches prefix+dict+body on the wire.
+	// the connection's vectored send stitches header+body on the wire.
 	chunks, err := pagestore.SplitSnapshotRefs(snapshot, opts.ChunkBytes)
 	if err != nil {
 		return fmt.Errorf("memserver: split snapshot: %w", err)

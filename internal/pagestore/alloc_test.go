@@ -20,7 +20,7 @@ import (
 func TestDecodePageOneAlloc(t *testing.T) {
 	enc := EncodePageAppend(nil, fillPage(rng.New(5)))
 	token, payload := binary.BigEndian.Uint16(enc), enc[2:]
-	if PageBodyLen(token) != len(payload) || len(payload) >= int(units.PageSize) {
+	if n, err := PageBodyLen(token); err != nil || n != len(payload) || len(payload) >= int(units.PageSize) {
 		t.Fatalf("want a compressed page, got token %#x with %d bytes", token, len(payload))
 	}
 	allocs := testing.AllocsPerRun(100, func() {

@@ -95,12 +95,15 @@ func legacySnapshot(data []byte) ([]byte, error) {
 	out = binary.BigEndian.AppendUint32(out, uint32(count))
 	for i := 0; i < count; i++ {
 		e := data[legacyHeaderSize+i*indexEntrySize:]
-		n := uint64(PageBodyLen(binary.BigEndian.Uint16(e[8:])))
+		n, err := PageBodyLen(binary.BigEndian.Uint16(e[8:]))
+		if err != nil {
+			return nil, fmt.Errorf("page %d: %w", binary.BigEndian.Uint64(e), err)
+		}
 		off := binary.BigEndian.Uint64(e[10:])
-		if off > uint64(len(data)) || n > uint64(len(data))-off {
+		if off > uint64(len(data)) || uint64(n) > uint64(len(data))-off {
 			return nil, fmt.Errorf("page %d payload lies outside the file", binary.BigEndian.Uint64(e))
 		}
-		out = append(append(out, e[:10]...), data[off:off+n]...)
+		out = append(append(out, e[:10]...), data[off:off+uint64(n)]...)
 	}
 	return out, nil
 }

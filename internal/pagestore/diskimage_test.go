@@ -118,11 +118,11 @@ func TestOpenImageFileRejectsGarbage(t *testing.T) {
 	// A dictionary snapshot shares the old image file's magic. It must
 	// be refused, not opened with its page entries read as an index.
 	im, _ := buildDiskImage(t)
-	dict := bytes.Repeat([]byte("dictionary "), 300)
-	snap, _, err := EncodeAllDict(im, dict, 1)
+	plain, n, err := EncodeAll(im)
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := dictSnapshot(bytes.Repeat([]byte("dictionary "), 300), n, plain[8:])
 	if string(snap[:4]) != legacyImageMagic {
 		t.Fatalf("dictionary snapshot magic %q", snap[:4])
 	}

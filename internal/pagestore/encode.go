@@ -1,7 +1,9 @@
 package pagestore
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -17,11 +19,24 @@ import (
 //	  token 0xFFFF        zero page, no payload
 //	  token 0x8000|len    raw (incompressible) page of len bytes
 //	  token len           lzf-compressed payload of len bytes
+//
+// Every page is compressed alone. Earlier versions could also compress
+// a page against a per-VM dictionary, carried in an "OAPD" snapshot
+// header and marked by a token of 0x4000|len; both are refused by name
+// (walkSnapshot, PageBodyLen, DecodePage), never read as something
+// else.
 const (
-	snapMagic   = "OAPS"
-	tokenZero   = 0xFFFF
-	tokenRawBit = 0x8000
+	snapMagic     = "OAPS"
+	tokenZero     = 0xFFFF
+	tokenRawBit   = 0x8000
+	tokenDictMark = 0x4000
 )
+
+// errDictToken is the refusal of a dictionary token, before the 16 KiB+
+// plain length it would otherwise imply is trusted.
+func errDictToken(token uint16) error {
+	return fmt.Errorf("dictionary-compressed entry (token %#x) is not supported", token)
+}
 
 // pageEstimate is a process-wide EWMA of the observed encoded size per
 // page entry (the 10-byte entry header included). It seeds the output
@@ -77,7 +92,7 @@ func observeSnapshot(pages, encodedBytes int) {
 // that are all zero are encoded with a zero token. The returned byte count
 // is what travels over the SAS link or network.
 func EncodePages(im *Image, pfns []PFN) ([]byte, error) {
-	return encodePages(im, pfns, nil, 1)
+	return encodePages(im, pfns, 1)
 }
 
 // EncodeDirtySince encodes the pages dirtied since epoch and returns the
@@ -88,36 +103,41 @@ func EncodeDirtySince(im *Image, epoch uint64) ([]byte, int, error) {
 
 // EncodeAll encodes every touched page (a full upload).
 func EncodeAll(im *Image) ([]byte, int, error) {
-	return EncodeAllDict(im, nil, 1)
+	return EncodeAllParallel(im, 1)
 }
 
-// walkSnapshot parses a snapshot's framing (either the v1 "OAPS" or the
-// v2 dictionary-carrying "OAPD" format) and hands fn every page entry,
-// still encoded (u64 pfn | u16 token | payload), with the snapshot's
-// dictionary (nil for v1). It is the one definition of where an entry
-// ends, under everything that decodes, stores, splits or partitions a
-// snapshot.
-func walkSnapshot(data []byte, fn func(dict []byte, pfn PFN, entry []byte) error) error {
-	hdr, err := parseSnapHeader(data)
-	if err != nil {
-		return err
+// walkSnapshot parses a snapshot's framing and hands fn every page
+// entry, still encoded (u64 pfn | u16 token | payload). It is the one
+// definition of where an entry ends, under everything that decodes,
+// stores, splits or partitions a snapshot.
+func walkSnapshot(data []byte, fn func(pfn PFN, entry []byte) error) error {
+	switch {
+	case len(data) >= 8 && string(data[:4]) == snapMagic:
+	case bytes.HasPrefix(data, []byte("OAPD")):
+		return errors.New(`pagestore: dictionary snapshot ("OAPD") is not supported`)
+	default:
+		return errors.New("pagestore: bad snapshot magic")
 	}
-	off := hdr.bodyOff
-	for i := uint32(0); i < hdr.count; i++ {
+	count := binary.BigEndian.Uint32(data[4:8])
+	off := 8
+	for i := uint32(0); i < count; i++ {
 		if off+10 > len(data) {
-			return fmt.Errorf("pagestore: truncated snapshot at page %d/%d", i, hdr.count)
+			return fmt.Errorf("pagestore: truncated snapshot at page %d/%d", i, count)
 		}
 		pfn := PFN(binary.BigEndian.Uint64(data[off:]))
 		token := binary.BigEndian.Uint16(data[off+8:])
 		off += 10
-		n := PageBodyLen(token)
+		n, err := PageBodyLen(token)
+		if err != nil {
+			return fmt.Errorf("pagestore: page %d: %w", pfn, err)
+		}
 		if token != tokenZero && token&tokenRawBit != 0 {
 			n = int(token &^ tokenRawBit) // a snapshot's raw token carries its own length
 		}
 		if off+n > len(data) {
 			return fmt.Errorf("pagestore: truncated page %d", pfn)
 		}
-		if err := fn(hdr.dict, pfn, data[off-10:off+n:off+n]); err != nil {
+		if err := fn(pfn, data[off-10:off+n:off+n]); err != nil {
 			return err
 		}
 		off += n
@@ -128,42 +148,21 @@ func walkSnapshot(data []byte, fn func(dict []byte, pfn PFN, entry []byte) error
 	return nil
 }
 
-// decodeEntry returns the page of one snapshot entry: nil for a zero
-// page, the payload itself for a raw one, and otherwise the payload
-// decompressed into dst.
-func decodeEntry(dst, dict []byte, pfn PFN, entry []byte) (page []byte, err error) {
-	token, payload := binary.BigEndian.Uint16(entry[8:]), entry[10:]
-	switch {
-	case token == tokenZero:
-		return nil, nil
-	case token&tokenRawBit != 0:
-		return payload, nil
-	case token&tokenDictBit == 0:
-		page, err = lzf.Decompress(dst, payload, int(units.PageSize))
-	case dict == nil:
-		return nil, fmt.Errorf("pagestore: page %d: dict token in dictionary-less snapshot", pfn)
-	default:
-		page, err = lzf.DecompressDict(dst, dict, payload, int(units.PageSize))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("pagestore: page %d: %w", pfn, err)
-	}
-	return page, nil
-}
-
 // ApplySnapshot decodes a snapshot directly into an image: a compressed
 // page is decompressed into the buffer the image then keeps. It is the
 // guest side's apply (the hypervisor needs raw pages); a memory server
 // keeps entries as they arrive, see Stage.
 func ApplySnapshot(im *Image, data []byte) error {
-	return walkSnapshot(data, func(dict []byte, pfn PFN, entry []byte) error {
-		page, err := decodeEntry(nil, dict, pfn, entry)
-		if err != nil {
-			return err
+	return walkSnapshot(data, func(pfn PFN, entry []byte) error {
+		token, payload := binary.BigEndian.Uint16(entry[8:]), entry[10:]
+		if token&tokenRawBit != 0 {
+			// Zero (every bit set, no payload) or raw: nothing to decode,
+			// Write copies.
+			return im.Write(pfn, payload)
 		}
-		if binary.BigEndian.Uint16(entry[8:])&tokenRawBit != 0 {
-			// Zero (every bit set) or raw: nothing was decoded, Write copies.
-			return im.Write(pfn, page)
+		page, err := lzf.Decompress(nil, payload, int(units.PageSize))
+		if err != nil {
+			return fmt.Errorf("pagestore: page %d: %w", pfn, err)
 		}
 		if IsZeroPage(page) {
 			page = nil
@@ -189,27 +188,25 @@ type stagedSlot struct {
 // ApplySnapshot would, with the same error, and changes nothing in the
 // image. A plain-lzf entry is validated by a walk of its token stream
 // and a whole raw page by its length; both stay as they arrived, to be
-// served by copy. Only what the page-serving wire cannot carry is
-// decoded to a raw page here. Stage takes ownership of snap: adopted
-// slots point into it.
+// served by copy. The one entry the page-serving wire cannot carry, a
+// raw entry shorter than a page, is padded to a raw page here: Stage
+// decodes nothing else. Stage takes ownership of snap: adopted slots
+// point into it.
 func (im *Image) Stage(snap []byte) (*Staged, error) {
 	st := &Staged{held: len(snap)}
-	err := walkSnapshot(snap, func(dict []byte, pfn PFN, entry []byte) error {
+	err := walkSnapshot(snap, func(pfn PFN, entry []byte) error {
 		token, wire := binary.BigEndian.Uint16(entry[8:]), entry[8:]
 		s := stagedSlot{pfn: pfn, b: wire, wire: true}
 		switch {
 		case token == tokenZero:
 			s = stagedSlot{pfn: pfn}
-		case token&tokenRawBit != 0 && len(wire) == 2+int(units.PageSize):
-		case token&(tokenRawBit|tokenDictBit) == 0:
+		case token&tokenRawBit == 0:
 			if err := lzf.Validate(wire[2:], int(units.PageSize)); err != nil {
 				return fmt.Errorf("pagestore: page %d: %w", pfn, err)
 			}
-		default: // dictionary-compressed or short raw
-			page, err := decodeEntry(nil, dict, pfn, entry)
-			if err != nil {
-				return err
-			}
+		case len(wire) == 2+int(units.PageSize):
+		default: // a raw entry of other than a page
+			page := wire[2:]
 			if len(page) > int(units.PageSize) {
 				return fmt.Errorf("pagestore: page data %d bytes exceeds page size", len(page))
 			}
@@ -290,17 +287,18 @@ func EncodePageAppend(out, page []byte) []byte {
 }
 
 // PageBodyLen returns the payload size implied by a page token, so wire
-// formats can frame page entries without their own length fields.
-func PageBodyLen(token uint16) int {
+// formats can frame page entries without their own length fields. A
+// dictionary token is refused.
+func PageBodyLen(token uint16) (int, error) {
 	switch {
 	case token == tokenZero:
-		return 0
+		return 0, nil
 	case token&tokenRawBit != 0:
-		return int(units.PageSize)
-	case token&tokenDictBit != 0:
-		return int(token &^ tokenDictBit)
+		return int(units.PageSize), nil
+	case token&tokenDictMark != 0:
+		return 0, errDictToken(token)
 	default:
-		return int(token)
+		return int(token), nil
 	}
 }
 
@@ -315,10 +313,8 @@ func DecodePage(token uint16, payload []byte) ([]byte, error) {
 			return nil, fmt.Errorf("pagestore: raw page payload %d bytes", len(payload))
 		}
 		return payload, nil
-	case token&tokenDictBit != 0:
-		// Dict tokens only appear inside v2 snapshots, which carry their
-		// dictionary; the page-serving wire never produces them.
-		return nil, fmt.Errorf("pagestore: dict token outside a dictionary snapshot")
+	case token&tokenDictMark != 0:
+		return nil, fmt.Errorf("pagestore: %w", errDictToken(token))
 	default:
 		out, err := lzf.Decompress(nil, payload, int(units.PageSize))
 		if err != nil {

@@ -350,3 +350,72 @@ func benchEncode(b *testing.B, workers int) {
 		}
 	}
 }
+
+func imagesEqual(t *testing.T, a, b *Image) {
+	t.Helper()
+	ea, _, err := EncodeAll(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, _, err := EncodeAll(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ea, eb) {
+		t.Fatal("images differ after round trip")
+	}
+}
+
+func TestSplitSnapshotRefsMatchesSplitSnapshot(t *testing.T) {
+	im := mixImage(t, 128, "zcrcc")
+	snap, _, err := EncodeAll(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, maxChunk := range []int{0, 1 << 14, 1 << 16, 1 << 30} {
+		chunks, err := SplitSnapshot(snap, maxChunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs, err := SplitSnapshotRefs(snap, maxChunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chunks) != len(refs) {
+			t.Fatalf("maxChunk=%d: %d chunks vs %d refs", maxChunk, len(chunks), len(refs))
+		}
+		back := NewImage(im.Alloc())
+		for i := range refs {
+			if got := refs[i].AppendTo(nil); !bytes.Equal(got, chunks[i]) {
+				t.Fatalf("maxChunk=%d chunk %d: ref bytes differ", maxChunk, i)
+			}
+			if refs[i].Len() != len(chunks[i]) {
+				t.Fatalf("chunk %d: Len %d != %d", i, refs[i].Len(), len(chunks[i]))
+			}
+			// Every chunk must be independently decodable.
+			if err := ApplySnapshot(back, chunks[i]); err != nil {
+				t.Fatalf("chunk %d: %v", i, err)
+			}
+		}
+		imagesEqual(t, im, back)
+	}
+}
+
+func TestSplitSnapshotRefsEmpty(t *testing.T) {
+	im := NewImage(units.PagesBytes(4))
+	snap, _, err := EncodeAll(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs, err := SplitSnapshotRefs(snap, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(refs) != 1 {
+		t.Fatalf("empty snapshot: %d chunks", len(refs))
+	}
+	back := NewImage(im.Alloc())
+	if err := ApplySnapshot(back, refs[0].AppendTo(nil)); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -329,3 +329,71 @@ func TestQuickImageWriteRead(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestIsSharedZero(t *testing.T) {
+	p, err := DecodePage(tokenZero, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !IsSharedZero(p) {
+		t.Fatal("zero-token decode is not the shared zero page")
+	}
+	if IsSharedZero(make([]byte, units.PageSize)) {
+		t.Fatal("fresh zero slice misidentified as shared")
+	}
+	if IsSharedZero(nil) {
+		t.Fatal("nil misidentified as shared zero")
+	}
+}
+
+// dictSnapshot frames count entries (body) under the dictionary snapshot
+// header earlier versions wrote: "OAPD" | u32 count | u32 dictionary
+// length | dictionary.
+func dictSnapshot(dict []byte, count int, body []byte) []byte {
+	out := binary.BigEndian.AppendUint32([]byte("OAPD"), uint32(count))
+	out = append(binary.BigEndian.AppendUint32(out, uint32(len(dict))), dict...)
+	return append(out, body...)
+}
+
+// TestDictionaryInputRefused: a dictionary snapshot header and a
+// dictionary token (0x4000|len) are refused by name wherever snapshot
+// bytes or page tokens are read, the token with its page number and
+// before the 16 KiB+ length it implies as a plain token is trusted.
+func TestDictionaryInputRefused(t *testing.T) {
+	good := EncodePageAppend(binary.BigEndian.AppendUint64(nil, 3), fillPage(rng.New(9)))
+	dictEntry := append(binary.BigEndian.AppendUint64(nil, 4), 0x40, 0x02, 0x00, 'a')
+	withToken := binary.BigEndian.AppendUint32([]byte(snapMagic), 2)
+	withToken = append(append(withToken, good...), dictEntry...)
+	const (
+		header = `pagestore: dictionary snapshot ("OAPD") is not supported`
+		token  = "dictionary-compressed entry (token 0x4002) is not supported"
+	)
+	for _, c := range []struct {
+		name, want string
+		snap       []byte
+	}{
+		{"dictionary header", header, dictSnapshot([]byte("dictionary"), 1, good)},
+		{"empty dictionary header", header, dictSnapshot(nil, 0, nil)},
+		{"dictionary token", "pagestore: page 4: " + token, withToken},
+	} {
+		_, stageErr := NewImage(1 * units.MiB).Stage(bytes.Clone(c.snap))
+		_, splitErr := SplitSnapshotRefs(c.snap, 1<<20)
+		_, partErr := PartitionSnapshot(c.snap, 2, func(PFN) []int { return []int{0} })
+		for path, err := range map[string]error{
+			"ApplySnapshot":     ApplySnapshot(NewImage(1*units.MiB), c.snap),
+			"Stage":             stageErr,
+			"SplitSnapshotRefs": splitErr,
+			"PartitionSnapshot": partErr,
+		} {
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s: %s: error %v, want %q", c.name, path, err, c.want)
+			}
+		}
+	}
+	if n, err := PageBodyLen(0x4002); err == nil || err.Error() != token {
+		t.Errorf("PageBodyLen framed a dictionary token as %d bytes: %v", n, err)
+	}
+	if _, err := DecodePage(0x4002, []byte{0x00, 'a'}); err == nil || err.Error() != "pagestore: "+token {
+		t.Errorf("DecodePage of a dictionary token: %v", err)
+	}
+}

@@ -22,26 +22,17 @@ import (
 // uploads never hit an unknown VM.
 //
 // Owner indices outside [0, n) are rejected, as is a malformed snapshot.
-//
-// Both snapshot formats are accepted. A v2 (dictionary) snapshot's
-// dictionary is replicated into every partition — including empty ones —
-// so each per-owner sub-snapshot remains self-contained and an empty
-// partition is still a valid image for a registered-but-empty owner.
 func PartitionSnapshot(data []byte, n int, owners func(PFN) []int) ([][]byte, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("pagestore: partition into %d parts", n)
 	}
-	hdr, err := parseSnapHeader(data)
-	if err != nil {
-		return nil, err
-	}
 	parts := make([][]byte, n)
 	counts := make([]uint32, n)
 	for i := range parts {
-		p := make([]byte, 0, hdr.headerLen()+(len(data)-hdr.bodyOff)/n)
-		parts[i] = appendSnapHeader(p, hdr, 0) // count patched below
+		p := append(make([]byte, 0, 8+len(data)/n), snapMagic...)
+		parts[i] = binary.BigEndian.AppendUint32(p, 0) // count patched below
 	}
-	if err := walkSnapshot(data, func(_ []byte, pfn PFN, entry []byte) error {
+	if err := walkSnapshot(data, func(pfn PFN, entry []byte) error {
 		for _, o := range owners(pfn) {
 			if o < 0 || o >= n {
 				return fmt.Errorf("pagestore: page %d assigned to owner %d of %d", pfn, o, n)

@@ -120,7 +120,7 @@ func TestTableMatchesMapSemantics(t *testing.T) {
 				}
 				slices.Sort(pfns)
 				pfns = slices.Compact(pfns)
-				snap, err := encodePages(scratch, pfns, [][]byte{nil, fillPage(rng.New(seed))}[r.Intn(2)], 1)
+				snap, err := EncodePages(scratch, pfns)
 				if err != nil {
 					t.Fatal(err)
 				}
