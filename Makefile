@@ -20,10 +20,14 @@ race:
 # The chaos suite twenty times over, plain and under the race detector.
 # Its accounting tests pin exact cross-layer counts (memtap faults ==
 # hypervisor faults), so a duplicate fetch or a lost install that shows
-# once in a hundred runs fails here instead of flaking tier-1.
+# once in a hundred runs fails here instead of flaking tier-1. The shard
+# fabric's own tests get the same treatment: its GetPages route race
+# showed up there at 6 failures in 150 runs.
 stress:
 	$(GO) test -count=20 ./internal/stress
 	$(GO) test -race -count=20 ./internal/stress
+	$(GO) test -count=20 ./internal/memserver/shard/
+	$(GO) test -race -count=20 ./internal/memserver/shard/
 
 vet:
 	$(GO) vet ./...

@@ -10,6 +10,7 @@ import (
 
 	"oasis/internal/memserver"
 	"oasis/internal/memserver/shard"
+	"oasis/internal/metrics"
 	"oasis/internal/pagestore"
 	"oasis/internal/rng"
 	"oasis/internal/units"
@@ -61,15 +62,33 @@ type RebalanceMeasured struct {
 	FinalRingVersion     uint64           `json:"final_ring_version"`
 }
 
+// RebalancePhaseThroughput is one phase's MiB/s across the measured
+// runs: median and quartiles.
+type RebalancePhaseThroughput struct {
+	Action     string  `json:"action"`
+	Q1MBps     float64 `json:"q1_mib_per_sec"`
+	MedianMBps float64 `json:"median_mib_per_sec"`
+	Q3MBps     float64 `json:"q3_mib_per_sec"`
+}
+
 // RebalanceBench is the full result; oasis-bench -experiment rebalance
-// with -json writes it as BENCH_rebalance.json.
+// with -json writes it as BENCH_rebalance.json. Measured holds every
+// run, PhaseThroughput each phase's spread across them, and the gate
+// holds every run to zero failed reads, byte-identical readback and
+// full replication afterwards.
 type RebalanceBench struct {
 	Experiment string `json:"experiment"`
 	BenchMeta
-	Model    RebalanceModel    `json:"model"`
-	Measured RebalanceMeasured `json:"measured_loopback"`
-	Note     string            `json:"note"`
+	Model           RebalanceModel             `json:"model"`
+	Measured        []RebalanceMeasured        `json:"measured_loopback"`
+	PhaseThroughput []RebalancePhaseThroughput `json:"phase_throughput"`
+	MeasuredGate    Gate                       `json:"measured_gate"`
+	Note            string                     `json:"note"`
 }
+
+// GateResult returns the measured acceptance gate (for oasis-bench's
+// exit status).
+func (b RebalanceBench) GateResult() Gate { return b.MeasuredGate }
 
 // rebalanceGeometry: the smallest fabric where one backend can leave
 // while every page keeps a live replica, and a 32 MiB image over 64-page
@@ -80,6 +99,9 @@ const (
 	shardReplicas       = 2
 	rebalanceRangePages = 64
 	rebalanceAllocMiB   = 32
+	// rebalanceReps grow-then-drain runs give each phase a median and
+	// quartiles instead of one number.
+	rebalanceReps = 5
 )
 
 // Rebalance runs the elastic-fabric rebalance benchmark.
@@ -88,14 +110,50 @@ func Rebalance(opt Option) (RebalanceBench, error) {
 		Experiment: "rebalance",
 		BenchMeta:  benchMeta(),
 		Model:      rebalanceModel(),
-		Note:       "model is deterministic ring math; measured_loopback is one run on the build machine",
+		Note: fmt.Sprintf("model is deterministic ring math; measured_loopback is %d runs on the build machine, each on a fresh fabric",
+			rebalanceReps),
 	}
-	meas, err := measureRebalance(opt.Seed)
-	if err != nil {
-		return RebalanceBench{}, err
+	var tput [2]metrics.Sample // by phase: add, remove
+	for range rebalanceReps {
+		meas, err := measureRebalance(opt.Seed)
+		if err != nil {
+			return RebalanceBench{}, err
+		}
+		out.Measured = append(out.Measured, meas)
+		for i, p := range meas.Phases {
+			tput[i].Add(p.ThroughputMBps)
+		}
 	}
-	out.Measured = meas
+	for i, p := range out.Measured[0].Phases {
+		out.PhaseThroughput = append(out.PhaseThroughput, RebalancePhaseThroughput{
+			Action:     p.Action,
+			Q1MBps:     tput[i].Percentile(25),
+			MedianMBps: tput[i].Percentile(50),
+			Q3MBps:     tput[i].Percentile(75),
+		})
+	}
+	out.MeasuredGate = rebalanceGate(out.Measured)
 	return out, nil
+}
+
+// rebalanceGate passes only if every run read through both membership
+// changes without a failure, read back byte-identically and ended fully
+// replicated. Ratio is the share of runs that did.
+func rebalanceGate(runs []RebalanceMeasured) Gate {
+	clean := 0
+	for _, m := range runs {
+		if m.FailedReads == 0 && m.ByteIdentical && m.UnderreplicatedAfter == 0 {
+			clean++
+		}
+	}
+	ratio := float64(clean) / float64(max(len(runs), 1))
+	return Gate{
+		Metric:     "rebalance_clean_runs",
+		Comparison: "every run: failed_reads == 0 AND byte_identical AND underreplicated_ranges_after == 0",
+		Ratio:      ratio,
+		NoiseFloor: 1,
+		Pass:       len(runs) > 0 && clean == len(runs),
+	}
 }
 
 // rebalanceModel counts moved ranges with pure ring arithmetic over a
@@ -345,13 +403,20 @@ func RebalanceReport(opt Option) Report {
 		mo.MovedOnAdd, 100*mo.AddMovedFraction)
 	fmt.Fprintf(&b, "  remove one backend: %d ranges move\n", mo.MovedOnRemove)
 	fmt.Fprintf(&b, "  transfer reduction vs naive: %.1fx\n", mo.Speedup)
-	m := r.Measured
-	fmt.Fprintf(&b, "measured on loopback (%d MiB image, %d-page ranges):\n", rebalanceAllocMiB, m.RangePages)
-	for _, p := range m.Phases {
-		fmt.Fprintf(&b, "  %-6s %3d ranges (%5.1f MiB) in %6.1fms (%.0f MiB/s)\n",
-			p.Action, p.RangesMoved, float64(p.BytesMoved)/float64(units.MiB), p.Millis, p.ThroughputMBps)
+	fmt.Fprintf(&b, "measured on loopback (%d MiB image, %d-page ranges, %d runs):\n",
+		rebalanceAllocMiB, rebalanceRangePages, len(r.Measured))
+	for _, m := range r.Measured {
+		for _, p := range m.Phases {
+			fmt.Fprintf(&b, "  %-6s %3d ranges (%5.1f MiB) in %6.1fms (%.0f MiB/s)\n",
+				p.Action, p.RangesMoved, float64(p.BytesMoved)/float64(units.MiB), p.Millis, p.ThroughputMBps)
+		}
+		fmt.Fprintf(&b, "  %d reads during rebalance: %d failed; byte-identical: %v; underreplicated after: %d (ring v%d)\n",
+			m.ReadsDuringRebalance, m.FailedReads, m.ByteIdentical, m.UnderreplicatedAfter, m.FinalRingVersion)
 	}
-	fmt.Fprintf(&b, "  %d reads during rebalance: %d failed; byte-identical: %v; underreplicated after: %d (ring v%d)\n",
-		m.ReadsDuringRebalance, m.FailedReads, m.ByteIdentical, m.UnderreplicatedAfter, m.FinalRingVersion)
+	for _, p := range r.PhaseThroughput {
+		fmt.Fprintf(&b, "  %-6s MiB/s median %.0f (quartiles %.0f-%.0f)\n", p.Action, p.MedianMBps, p.Q1MBps, p.Q3MBps)
+	}
+	g := r.MeasuredGate
+	fmt.Fprintf(&b, "measured gate (%s): %s\n", g.Comparison, gateWord(g))
 	return Report{ID: "rebalance", Title: "Elastic fabric rebalance benchmark", Text: b.String()}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -13,10 +14,10 @@ import (
 	"oasis/internal/units"
 )
 
-// DefaultMaxHintBytes bounds the hinted-handoff buffer kept per
-// unreachable backend. Overflow discards the backend's hints and marks
-// it for full re-replication from the surviving replicas on rejoin.
-const DefaultMaxHintBytes = 256 << 20
+// maxHintBytes bounds the hinted-handoff buffer kept per unreachable
+// backend. Overflow discards the backend's hints and marks it for full
+// re-replication from the surviving replicas on rejoin.
+const maxHintBytes = 256 << 20
 
 // DefaultRebalanceBatchPages is the copy unit of the rebalancer and
 // repair paths: pages fetched, re-encoded and verified per round trip.
@@ -38,8 +39,6 @@ type Config struct {
 	// of this many pages share a replica set. <= 0 takes
 	// DefaultRangePages.
 	RangePages int
-	// Vnodes is the ring points per backend. <= 0 takes DefaultVnodes.
-	Vnodes int
 	// Pool configures every backend's connection pool. The resilience
 	// Name (default "shard") is suffixed with the backend's stable shard
 	// index so each backend's oasis_client_* series stay
@@ -58,9 +57,6 @@ type Config struct {
 	// RebalanceBatchPages is the copy/verify unit of the rebalancer.
 	// <= 0 takes DefaultRebalanceBatchPages.
 	RebalanceBatchPages int
-	// MaxHintBytes bounds the hinted-handoff buffer per backend; <= 0
-	// takes DefaultMaxHintBytes.
-	MaxHintBytes int64
 	// ProbeInterval paces the background health prober; <= 0 takes
 	// DefaultProbeInterval.
 	ProbeInterval time.Duration
@@ -113,14 +109,7 @@ func (st *epochState) allRefs() []*backendRef {
 	}
 	out := append(make([]*backendRef, 0, len(st.cur)+1), st.cur...)
 	for _, ref := range st.prev {
-		dup := false
-		for _, have := range out {
-			if have.addr == ref.addr {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !hasAddr(out, ref.addr) {
 			out = append(out, ref)
 		}
 	}
@@ -194,12 +183,14 @@ type Client struct {
 	pendMu  sync.RWMutex
 	pending map[rangeKey]bool
 
-	// hints holds the per-backend hinted-handoff logs; taint counts
+	// hints holds the per-backend hinted-handoff logs, each bounded to
+	// hintLimit bytes (maxHintBytes; tests lower it); taint counts
 	// backends with any stale-data debt so the read path can skip the
 	// lookup entirely when the fabric is clean.
-	hintMu sync.Mutex
-	hints  map[string]*hintLog
-	taint  atomic.Int32
+	hintMu    sync.Mutex
+	hints     map[string]*hintLog
+	hintLimit int64
+	taint     atomic.Int32
 
 	recovering sync.Map // addr → struct{}: recovery goroutine in flight
 
@@ -218,10 +209,6 @@ var _ memserver.Conn = (*Client)(nil)
 // errHinted marks a replica write that was buffered for replay instead
 // of acknowledged (internal to the write fan-out).
 var errHinted = errors.New("shard: write hinted for unreachable backend")
-
-// errClosed reports an operation against a closed client's background
-// machinery.
-var errClosed = errors.New("shard: client closed")
 
 // Dial connects a shard client to the fabric at addrs. Like
 // memserver.DialPool, the first lane of every backend dials eagerly so
@@ -256,14 +243,8 @@ func New(addrs []string, secret []byte, cfg Config) (*Client, error) {
 	if cfg.RangePages <= 0 {
 		cfg.RangePages = DefaultRangePages
 	}
-	if cfg.Vnodes <= 0 {
-		cfg.Vnodes = DefaultVnodes
-	}
 	if cfg.RebalanceBatchPages <= 0 {
 		cfg.RebalanceBatchPages = DefaultRebalanceBatchPages
-	}
-	if cfg.MaxHintBytes <= 0 {
-		cfg.MaxHintBytes = DefaultMaxHintBytes
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
@@ -275,7 +256,7 @@ func New(addrs []string, secret []byte, cfg Config) (*Client, error) {
 			return memserver.Dial(addr, secret, timeout)
 		}
 	}
-	ring, err := NewRing(addrs, cfg.Replicas, cfg.RangePages, cfg.Vnodes)
+	ring, err := NewRing(addrs, cfg.Replicas, cfg.RangePages, DefaultVnodes)
 	if err != nil {
 		return nil, err
 	}
@@ -284,16 +265,17 @@ func New(addrs []string, secret []byte, cfg Config) (*Client, error) {
 		base.Name = "shard"
 	}
 	c := &Client{
-		cfg:      cfg,
-		baseRes:  base,
-		onState:  base.OnStateChange,
-		tel:      newShardTel(base.Registry),
-		adminSem: make(chan struct{}, 1),
-		images:   make(map[pagestore.VMID]imageInfo),
-		vmLocks:  make(map[pagestore.VMID]*sync.Mutex),
-		pending:  make(map[rangeKey]bool),
-		hints:    make(map[string]*hintLog),
-		done:     make(chan struct{}),
+		cfg:       cfg,
+		baseRes:   base,
+		onState:   base.OnStateChange,
+		tel:       newShardTel(base.Registry),
+		adminSem:  make(chan struct{}, 1),
+		images:    make(map[pagestore.VMID]imageInfo),
+		vmLocks:   make(map[pagestore.VMID]*sync.Mutex),
+		pending:   make(map[rangeKey]bool),
+		hints:     make(map[string]*hintLog),
+		hintLimit: maxHintBytes,
+		done:      make(chan struct{}),
 	}
 	refs := make([]*backendRef, len(addrs))
 	for i, addr := range addrs {
@@ -471,18 +453,29 @@ func (c *Client) ResilienceStats() memserver.ResilienceStats {
 	return out
 }
 
-// tracked reports whether this client uploaded (and therefore manages
-// replication for) the VM's image.
-func (c *Client) tracked(id pagestore.VMID) bool {
+// image returns the record of a VM this client uploaded (and therefore
+// manages replication for); ok is false for any other VM.
+func (c *Client) image(id pagestore.VMID) (info imageInfo, ok bool) {
 	c.mu.Lock()
-	_, ok := c.images[id]
-	c.mu.Unlock()
-	return ok
+	defer c.mu.Unlock()
+	info, ok = c.images[id]
+	return info, ok
+}
+
+// imageAllocs snapshots the tracked VMs and their allocations.
+func (c *Client) imageAllocs() map[pagestore.VMID]units.Bytes {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[pagestore.VMID]units.Bytes, len(c.images))
+	for id, info := range c.images {
+		out[id] = info.alloc
+	}
+	return out
 }
 
 // vmLock returns the per-VM mutex serializing this VM's writes with the
-// rebalancer's copy batches and the hint replays (the ordering that
-// keeps replicas convergent).
+// rebalancer's copy batches, the hint replays and repairs (the ordering
+// that keeps replicas convergent).
 func (c *Client) vmLock(id pagestore.VMID) *sync.Mutex {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -518,102 +511,122 @@ func (c *Client) pendingCount() int {
 	return n
 }
 
-// isTainted reports whether addr's copy of the range may be stale:
-// unreplayed hinted writes cover it, or the backend owes a full repair.
-// Tainted replicas never serve reads — returning stale bytes as success
-// would be corruption, where an error is just a failover.
-func (c *Client) isTainted(addr string, k rangeKey) bool {
+// isTainted reports whether addr's copy of any of keys may be stale:
+// unreplayed hinted writes cover it, the backend owes a full repair, or
+// a recovery pass — which may be rebuilding it from an empty image — is
+// running on it. Tainted replicas never serve reads or copies.
+func (c *Client) isTainted(addr string, keys ...rangeKey) bool {
 	if c.taint.Load() == 0 {
 		return false
 	}
 	c.hintMu.Lock()
+	defer c.hintMu.Unlock()
 	hl := c.hints[addr]
-	bad := hl != nil && (hl.needsRepair || hl.dirty[k])
-	c.hintMu.Unlock()
-	return bad
+	return hl != nil && (hl.needsRepair || hl.replaying ||
+		slices.ContainsFunc(keys, func(k rangeKey) bool { return hl.dirty[k] }))
 }
 
-// appendRef appends ref unless its address is already present.
-func appendRef(dst []*backendRef, ref *backendRef) []*backendRef {
-	for _, have := range dst {
-		if have.addr == ref.addr {
-			return dst
+// route is one (VM, range)'s replica sets under one epoch. While a
+// transition has the range pending, its new owners hold a
+// registered-but-empty image whose absent pages read back as zeros —
+// legitimate-looking wrong bytes — so they take writes but serve nothing
+// until the rebalancer has filled and verified them.
+type route struct {
+	// read serves reads and is the source of every copy: the previous
+	// owners while the range is pending, otherwise the current ones.
+	read []*backendRef
+	// write must take every write: the current owners, plus the previous
+	// ones while the range is pending.
+	write []*backendRef
+	// fill is what the rebalancer copies the range onto: the current
+	// owners that were not previous owners, while the range is pending.
+	fill []*backendRef
+}
+
+// route resolves k's replica sets under st. It is the one place a range
+// is mapped to backends: reads, partitioning, the rebalancer, repair and
+// the under-replication gauge all take their sets from here, so none
+// can route where another would not. In particular a settled range
+// never reads or copies from a previous owner, which stopped receiving
+// writes when the range settled.
+func (c *Client) route(st *epochState, k rangeKey) route {
+	pfn := pagestore.PFN(k.rng * st.ring.RangePages())
+	var r route
+	for _, i := range st.ring.Owners(k.vm, pfn) {
+		r.write = append(r.write, st.cur[i])
+	}
+	if st.prevRing == nil || !c.isPending(k) {
+		r.read = r.write
+		return r
+	}
+	for _, i := range st.prevRing.Owners(k.vm, pfn) {
+		r.read = append(r.read, st.prev[i])
+	}
+	for _, ref := range r.write {
+		if !hasAddr(r.read, ref.addr) {
+			r.fill = append(r.fill, ref)
 		}
 	}
-	return append(dst, ref)
-}
-
-// readRefs resolves the replicas a read of (id, pfn) may be served
-// from, preferred order first. A range that is mid-migration is served
-// exclusively by its previous owners: the new owners are registered but
-// not yet verified, and an unfilled replica would answer absent pages
-// with zeroes — legitimate-looking wrong bytes.
-func (c *Client) readRefs(st *epochState, id pagestore.VMID, pfn pagestore.PFN, dst []*backendRef) []*backendRef {
-	if st.prevRing != nil && c.isPending(rangeKey{id, rngOf(st.ring, pfn)}) {
-		for _, i := range st.prevRing.Owners(id, pfn) {
-			dst = appendRef(dst, st.prev[i])
+	for _, ref := range r.read {
+		if !hasAddr(r.write, ref.addr) {
+			r.write = append(r.write, ref)
 		}
-		return dst
 	}
-	for _, i := range st.ring.Owners(id, pfn) {
-		dst = appendRef(dst, st.cur[i])
-	}
-	return dst
+	return r
 }
 
-// readFrom runs a read against the page's replicas in preference order:
-// backends with an open breaker are deferred (not skipped — if every
+// hasAddr reports whether refs holds the backend at addr.
+func hasAddr(refs []*backendRef, addr string) bool {
+	return slices.ContainsFunc(refs, func(ref *backendRef) bool { return ref.addr == addr })
+}
+
+// readVia runs fn against refs in preference order until one succeeds:
+// backends with an open breaker are deferred, not skipped (if every
 // replica is open the primary is still tried, riding its half-open
-// probe), tainted replicas are excluded outright, and a failed fetch
-// fails over to the next replica. On total failure every replica's
-// error is reported, joined with its address, so operators see which
-// replicas failed and why.
-func (c *Client) readFrom(id pagestore.VMID, pfn pagestore.PFN, fn func(p *memserver.ClientPool) error) error {
-	st := c.state.Load()
-	return c.readVia(st, c.readRefs(st, id, pfn, nil), id, pfn, fn)
-}
-
-// readVia is readFrom over a route the caller already resolved.
-func (c *Client) readVia(st *epochState, refs []*backendRef, id pagestore.VMID, pfn pagestore.PFN, fn func(p *memserver.ClientPool) error) error {
-	key := rangeKey{id, rngOf(st.ring, pfn)}
+// probe), and a replica tainted for any of keys is excluded outright —
+// stale bytes returned as success would be corruption, where an error is
+// just a failover. It returns the replica that served (nil if none) and
+// every failure, joined with its address. Foreground reads and range
+// copies both read through it.
+func (c *Client) readVia(refs []*backendRef, id pagestore.VMID, keys []rangeKey, fn func(p *memserver.ClientPool) error) (*backendRef, []error) {
 	var errs []error
-	tried := 0
-	try := func(ref *backendRef) bool {
-		if tried > 0 {
-			c.tel.failovers.Inc()
-		}
-		tried++
-		if err := fn(ref.pool); err != nil {
-			if memserver.IsUnknownVM(err) && c.tracked(id) {
-				// The backend is up but lost a VM we registered with it:
-				// it restarted empty. Flag the repair so the replica
-				// count recovers (the read itself just fails over).
-				c.markLost(ref.addr)
+	for _, open := range [2]bool{false, true} {
+		for _, ref := range refs {
+			if (ref.pool.BreakerState() == memserver.BreakerOpen) != open || c.isTainted(ref.addr, keys...) {
+				continue
+			}
+			err := fn(ref.pool)
+			if err == nil {
+				return ref, errs
+			}
+			if memserver.IsUnknownVM(err) {
+				if _, tracked := c.image(id); tracked {
+					// The backend is up but lost a VM we registered with
+					// it: it restarted empty. Flag the repair so the
+					// replica count recovers (the read just fails over).
+					c.markLost(ref.addr)
+				}
 			}
 			errs = append(errs, fmt.Errorf("backend %s: %w", ref.addr, err))
-			return false
-		}
-		c.tel.read(ref.tidx).Inc()
-		return true
-	}
-	// First pass: clean replicas whose breaker is not open.
-	for _, ref := range refs {
-		if ref.pool.BreakerState() == memserver.BreakerOpen || c.isTainted(ref.addr, key) {
-			continue
-		}
-		if try(ref) {
-			return nil
 		}
 	}
-	// Second pass: the open ones anyway, so a recovering backend's
-	// half-open probe can serve us. Tainted replicas stay excluded.
-	for _, ref := range refs {
-		if ref.pool.BreakerState() != memserver.BreakerOpen || c.isTainted(ref.addr, key) {
-			continue
+	return nil, errs
+}
+
+// read is a foreground read through readVia, with its telemetry. On
+// total failure every replica's error is reported, so operators see
+// which replicas failed and why.
+func (c *Client) read(refs []*backendRef, id pagestore.VMID, pfn pagestore.PFN, keys []rangeKey, fn func(p *memserver.ClientPool) error) error {
+	served, errs := c.readVia(refs, id, keys, fn)
+	if served != nil {
+		if len(errs) > 0 {
+			c.tel.failovers.Add(float64(len(errs)))
 		}
-		if try(ref) {
-			return nil
-		}
+		c.tel.read(served.tidx).Inc()
+		return nil
+	}
+	if len(errs) > 1 {
+		c.tel.failovers.Add(float64(len(errs) - 1))
 	}
 	c.tel.readErrs.Inc()
 	if len(errs) == 0 {
@@ -633,7 +646,9 @@ func (c *Client) GetPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error) {
 // (from the replica that served it), so shard-backed memtaps keep their
 // fault-path stage attribution.
 func (c *Client) GetPageStaged(id pagestore.VMID, pfn pagestore.PFN) (page []byte, wire, decompress time.Duration, err error) {
-	err = c.readFrom(id, pfn, func(p *memserver.ClientPool) error {
+	st := c.state.Load()
+	k := rangeKey{id, rngOf(st.ring, pfn)}
+	err = c.read(c.route(st, k).read, id, pfn, []rangeKey{k}, func(p *memserver.ClientPool) error {
 		var err error
 		page, wire, decompress, err = p.GetPageStaged(id, pfn)
 		return err
@@ -641,16 +656,15 @@ func (c *Client) GetPageStaged(id pagestore.VMID, pfn pagestore.PFN) (page []byt
 	return page, wire, decompress, err
 }
 
-// GetPages fetches a batch of pages. The batch is grouped by effective
-// replica route — with range-aligned batches (the prefetcher's default)
-// a whole batch is one group on one shard — and the groups fetch
-// concurrently, each failing over independently.
+// GetPages fetches a batch of pages. The batch is grouped by read route
+// — with range-aligned batches (the prefetcher's default) a whole batch
+// is one group on one shard — and the groups fetch concurrently, each
+// failing over independently.
 func (c *Client) GetPages(id pagestore.VMID, pfns []pagestore.PFN) (map[pagestore.PFN][]byte, error) {
 	if len(pfns) == 0 {
 		return map[pagestore.PFN][]byte{}, nil
 	}
-	st := c.state.Load()
-	groups := c.groupByOwners(st, id, pfns)
+	groups := c.groupByRoute(c.state.Load(), id, pfns)
 	out := make(map[pagestore.PFN][]byte, len(pfns))
 	var (
 		mu       sync.Mutex
@@ -659,14 +673,13 @@ func (c *Client) GetPages(id pagestore.VMID, pfns []pagestore.PFN) (map[pagestor
 	)
 	for _, g := range groups {
 		wg.Add(1)
-		go func(g ownerGroup) {
+		go func() {
 			defer wg.Done()
-			// All pages in the group share the route resolved when they
-			// were grouped, and are read over that one: resolving it again
-			// from the first page would send the rest to a new owner their
-			// own, still pending, ranges have not been copied to the
-			// moment the first page's range settles in between.
-			err := c.readVia(st, g.refs, id, g.pfns[0], func(p *memserver.ClientPool) error {
+			// All pages in the group are read over the route resolved when
+			// they were grouped: resolving it again would send pages of a
+			// still-pending range to a new owner it has not been copied to
+			// whenever another range of the group settles in between.
+			err := c.read(g.refs, id, g.pfns[0], g.keys, func(p *memserver.ClientPool) error {
 				pages, err := p.GetPages(id, g.pfns)
 				if err != nil {
 					return err
@@ -685,7 +698,7 @@ func (c *Client) GetPages(id pagestore.VMID, pfns []pagestore.PFN) (map[pagestor
 				}
 				mu.Unlock()
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -694,40 +707,44 @@ func (c *Client) GetPages(id pagestore.VMID, pfns []pagestore.PFN) (map[pagestor
 	return out, nil
 }
 
-// ownerGroup is a run of pages sharing one replica route.
-type ownerGroup struct {
-	key  string
+// readGroup is the pages of a batch whose ranges share one read route;
+// keys are those ranges, so a replica tainted for any of them is skipped.
+type readGroup struct {
 	refs []*backendRef
+	keys []rangeKey
 	pfns []pagestore.PFN
 }
 
-// groupByOwners splits a PFN batch into groups with identical replica
-// routes, preserving order within each group.
-func (c *Client) groupByOwners(st *epochState, id pagestore.VMID, pfns []pagestore.PFN) []ownerGroup {
-	idx := make(map[string]int)
-	var groups []ownerGroup
-	var refs []*backendRef
-	var key []byte
+// groupByRoute splits a PFN batch by read route, preserving order
+// within each group. The route is resolved once per range, and a run of
+// pages in one range costs no lookup at all; ranges with the same route
+// share a group, so a random batch costs one RPC per route.
+func (c *Client) groupByRoute(st *epochState, id pagestore.VMID, pfns []pagestore.PFN) []readGroup {
+	var groups []readGroup
+	groupOf := make(map[int64]int)
+	last, g := int64(0), -1
 	for _, pfn := range pfns {
-		refs = c.readRefs(st, id, pfn, refs[:0])
-		key = key[:0]
-		for _, ref := range refs {
-			key = append(key, ref.addr...)
-			key = append(key, ',')
+		if rng := rngOf(st.ring, pfn); g < 0 || rng != last {
+			i, ok := groupOf[rng]
+			if !ok {
+				k := rangeKey{id, rng}
+				refs := c.route(st, k).read
+				i = slices.IndexFunc(groups, func(x readGroup) bool { return slices.Equal(x.refs, refs) })
+				if i < 0 {
+					i = len(groups)
+					groups = append(groups, readGroup{refs: refs})
+				}
+				groups[i].keys = append(groups[i].keys, k)
+				groupOf[rng] = i
+			}
+			last, g = rng, i
 		}
-		k := string(key)
-		i, ok := idx[k]
-		if !ok {
-			i = len(groups)
-			idx[k] = i
-			groups = append(groups, ownerGroup{key: k, refs: append([]*backendRef(nil), refs...)})
-		}
-		groups[i].pfns = append(groups[i].pfns, pfn)
+		groups[g].pfns = append(groups[g].pfns, pfn)
 	}
 	return groups
 }
 
-// writeKind selects the replica write operation of one snapshot fan-out.
+// writeKind selects the replica write operation of one fan-out.
 type writeKind int
 
 const (
@@ -735,7 +752,7 @@ const (
 	wStreamImage
 	wDiff
 	wStreamDiff
-	wDelete // hint-log only: a Delete queued behind earlier hints
+	wDelete
 )
 
 func (k writeKind) String() string {
@@ -755,7 +772,8 @@ func (k writeKind) String() string {
 
 func (k writeKind) image() bool { return k == wImage || k == wStreamImage }
 
-// send issues the write k names against one backend's pool.
+// send issues the write k names against one backend's pool. An
+// unknown-VM answer to a delete is success: the VM is already gone.
 func (k writeKind) send(p *memserver.ClientPool, id pagestore.VMID, alloc units.Bytes, part []byte, opts memserver.PutOptions) error {
 	switch k {
 	case wImage:
@@ -766,18 +784,18 @@ func (k writeKind) send(p *memserver.ClientPool, id pagestore.VMID, alloc units.
 		return p.PutDiff(id, part)
 	case wStreamDiff:
 		return p.StreamDiff(id, part, opts)
-	default:
-		return p.Delete(id)
 	}
+	if err := p.Delete(id); !memserver.IsUnknownVM(err) {
+		return err
+	}
+	return nil
 }
 
 // writeSnapshot is the single replica-write fan-out behind
-// PutImage/PutDiff/StreamImage/StreamDiff. Partitioning follows the
-// current ring; ranges that are mid-migration additionally write their
-// previous owners, because those still serve the reads. A replica that
-// cannot be reached gets its part buffered as a hint; the operation as a
-// whole succeeds only if every range acknowledged on at least one clean
-// replica.
+// PutImage/PutDiff/StreamImage/StreamDiff. Partitioning follows each
+// range's write set. A replica that cannot be reached gets its part
+// buffered as a hint; the operation as a whole succeeds only if every
+// range acknowledged on at least one clean replica.
 func (c *Client) writeSnapshot(kind writeKind, id pagestore.VMID, alloc units.Bytes, snapshot []byte, opts memserver.PutOptions) error {
 	lk := c.vmLock(id)
 	lk.Lock()
@@ -814,23 +832,16 @@ func (c *Client) writeSnapshotEpoch(st *epochState, kind writeKind, id pagestore
 	for i, ref := range all {
 		idxOf[ref.addr] = i
 	}
-	transition := st.prevRing != nil
 	rangeOwners := make(map[int64][]int)
 	parts, err := pagestore.PartitionSnapshot(snapshot, len(all), func(pfn pagestore.PFN) []int {
 		rng := rngOf(st.ring, pfn)
-		if cached, ok := rangeOwners[rng]; ok {
-			return cached
-		}
-		var owners []int
-		for _, i := range st.ring.Owners(id, pfn) {
-			owners = appendIdx(owners, idxOf[st.cur[i].addr])
-		}
-		if transition && c.isPending(rangeKey{id, rng}) {
-			for _, i := range st.prevRing.Owners(id, pfn) {
-				owners = appendIdx(owners, idxOf[st.prev[i].addr])
+		owners, ok := rangeOwners[rng]
+		if !ok {
+			for _, ref := range c.route(st, rangeKey{id, rng}).write {
+				owners = append(owners, idxOf[ref.addr])
 			}
+			rangeOwners[rng] = owners
 		}
-		rangeOwners[rng] = owners
 		return owners
 	})
 	if err != nil {
@@ -838,43 +849,18 @@ func (c *Client) writeSnapshotEpoch(st *epochState, kind writeKind, id pagestore
 	}
 
 	// Ranges each backend's part covers, for the hint dirty marks.
-	backendRanges := make(map[int][]int64)
+	ranges := make([][]int64, len(all))
 	for rng, owners := range rangeOwners {
 		for _, i := range owners {
-			backendRanges[i] = append(backendRanges[i], rng)
+			ranges[i] = append(ranges[i], rng)
 		}
 	}
-
-	errs := make([]error, len(all))
-	var wg sync.WaitGroup
-	for i, ref := range all {
-		wg.Add(1)
-		go func(i int, ref *backendRef) {
-			defer wg.Done()
-			errs[i] = c.writePart(kind, ref, id, alloc, parts[i], opts, backendRanges[i])
-		}(i, ref)
-	}
-	wg.Wait()
-
-	var hardErrs []error
-	for i, err := range errs {
-		if err == nil || errors.Is(err, errHinted) {
-			continue
-		}
-		hardErrs = append(hardErrs, fmt.Errorf("backend %s: %w", all[i].addr, err))
-	}
-	if len(hardErrs) > 0 {
-		return fmt.Errorf("shard: %s vm %04d: %w", kind, id, errors.Join(hardErrs...))
+	errs, err := c.fanOut(all, kind, id, alloc, parts, opts, ranges)
+	if err != nil {
+		return err
 	}
 	for rng, owners := range rangeOwners {
-		acked := false
-		for _, i := range owners {
-			if errs[i] == nil {
-				acked = true
-				break
-			}
-		}
-		if !acked {
+		if !slices.ContainsFunc(owners, func(i int) bool { return errs[i] == nil }) {
 			return fmt.Errorf("shard: %s vm %04d: range %d has no reachable replica (all owners down, writes hinted)",
 				kind, id, rng)
 		}
@@ -882,14 +868,31 @@ func (c *Client) writeSnapshotEpoch(st *epochState, kind writeKind, id pagestore
 	return nil
 }
 
-// appendIdx appends i unless present.
-func appendIdx(dst []int, i int) []int {
-	for _, have := range dst {
-		if have == i {
-			return dst
+// fanOut sends one write to every backend in all at once — backend i
+// gets parts[i], covering ranges[i] — and returns each backend's
+// outcome: nil, errHinted, or the refusal of a healthy server, any of
+// which fails the operation.
+func (c *Client) fanOut(all []*backendRef, kind writeKind, id pagestore.VMID, alloc units.Bytes, parts [][]byte, opts memserver.PutOptions, ranges [][]int64) ([]error, error) {
+	errs := make([]error, len(all))
+	var wg sync.WaitGroup
+	for i, ref := range all {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = c.writePart(kind, ref, id, alloc, parts[i], opts, ranges[i])
+		}()
+	}
+	wg.Wait()
+	var hard []error
+	for i, err := range errs {
+		if err != nil && !errors.Is(err, errHinted) {
+			hard = append(hard, fmt.Errorf("backend %s: %w", all[i].addr, err))
 		}
 	}
-	return append(dst, i)
+	if len(hard) > 0 {
+		return errs, fmt.Errorf("shard: %s vm %04d: %w", kind, id, errors.Join(hard...))
+	}
+	return errs, nil
 }
 
 // writePart ships one backend's partition, routing through the hint log
@@ -947,37 +950,15 @@ func (c *Client) StreamDiff(id pagestore.VMID, snapshot []byte, opts memserver.P
 }
 
 // Delete frees the VM's image on every backend (including an outgoing
-// one mid-transition). An unreachable backend gets the delete hinted so
-// it applies on rejoin; its queued writes for the VM are dropped.
+// one mid-transition) through the write fan-out: an unreachable backend
+// gets the delete hinted so it applies on rejoin, and its queued writes
+// for the VM are dropped.
 func (c *Client) Delete(id pagestore.VMID) error {
 	lk := c.vmLock(id)
 	lk.Lock()
 	defer lk.Unlock()
-	st := c.state.Load()
-	all := st.allRefs()
-	errs := make([]error, len(all))
-	var wg sync.WaitGroup
-	for i, ref := range all {
-		wg.Add(1)
-		go func(i int, ref *backendRef) {
-			defer wg.Done()
-			if c.enqueueIfQueued(ref.addr, wDelete, id, 0, nil, memserver.PutOptions{}, nil) {
-				errs[i] = errHinted
-				return
-			}
-			err := ref.pool.Delete(id)
-			if err == nil || memserver.IsUnknownVM(err) {
-				return
-			}
-			if memserver.IsRemoteError(err) {
-				errs[i] = err
-				return
-			}
-			c.addHint(ref.addr, hint{kind: wDelete, vm: id}, nil, false)
-			errs[i] = errHinted
-		}(i, ref)
-	}
-	wg.Wait()
+	all := c.state.Load().allRefs()
+	_, err := c.fanOut(all, wDelete, id, 0, make([][]byte, len(all)), memserver.PutOptions{}, make([][]int64, len(all)))
 	c.mu.Lock()
 	delete(c.images, id)
 	c.mu.Unlock()
@@ -988,17 +969,7 @@ func (c *Client) Delete(id pagestore.VMID) error {
 		}
 	}
 	c.pendMu.Unlock()
-	var hard []error
-	for i, err := range errs {
-		if err == nil || errors.Is(err, errHinted) {
-			continue
-		}
-		hard = append(hard, fmt.Errorf("backend %s: %w", all[i].addr, err))
-	}
-	if len(hard) > 0 {
-		return fmt.Errorf("shard: delete vm %04d: %w", id, errors.Join(hard...))
-	}
-	return nil
+	return err
 }
 
 // SetServing toggles page serving on every current backend.

@@ -38,6 +38,16 @@ func (f *fabric) addServer(t *testing.T) string {
 	return addr.String()
 }
 
+// ownsRange reports whether addr owns the range containing pfn in r.
+func ownsRange(r *Ring, addr string, id pagestore.VMID, pfn pagestore.PFN) bool {
+	for _, a := range r.OwnerAddrs(id, pfn) {
+		if a == addr {
+			return true
+		}
+	}
+	return false
+}
+
 // elasticConfig keeps membership machinery fast for tests.
 func elasticConfig() Config {
 	return Config{

@@ -7,21 +7,23 @@ package shard
 // every range landed on at least one clean replica. When the backend's
 // breaker closes again the log replays in order, restoring full
 // replication without recopying anything that never changed. Two
-// situations escalate from replay to a full per-VM repair: the backend
+// situations escalate from replay to a per-VM repair: the backend
 // restarted empty (its server answers "unknown vm" for a VM this client
 // registered), and the hint buffer overflowed (the ordered history is
-// gone, so only a rebuild from the surviving replicas is safe). Repair
-// runs before replay — a rebuilt image re-registers the VM so queued
-// diffs have something to apply to, and the survivors are authoritative
-// because every acknowledged write landed on at least one of them.
+// gone, so only a rebuild from the surviving replicas is safe). A repair
+// is the rebalancer's range copy aimed at one backend: register an empty
+// image, then copy and byte-verify every range the backend must hold
+// from that range's read set. It runs before the replay, under the VM
+// lock, and supersedes the VM's queued hints; hints queued after it
+// replay on top.
 //
 // The dirty-range marks double as a read barrier: a backend with
-// unreplayed hints (or a pending repair) holds stale bytes for exactly
-// those ranges, and a stale page returned as success is corruption, so
-// the read path excludes tainted replicas until the log drains.
+// unreplayed hints holds stale bytes for exactly those ranges, and a
+// stale page returned as success is corruption, so the read path
+// excludes tainted replicas until the log drains. A backend that owes a
+// repair, or is in a recovery pass, is excluded whole.
 
 import (
-	"errors"
 	"fmt"
 
 	"oasis/internal/memserver"
@@ -78,11 +80,7 @@ func (c *Client) enqueueIfQueued(addr string, kind writeKind, id pagestore.VMID,
 func (c *Client) addHint(addr string, h hint, ranges []int64, knownLost bool) {
 	h.ranges = ranges
 	c.hintMu.Lock()
-	hl := c.hints[addr]
-	if hl == nil {
-		hl = &hintLog{dirty: make(map[rangeKey]bool)}
-		c.hints[addr] = hl
-	}
+	hl := c.hintLogLocked(addr)
 	if knownLost {
 		hl.needsRepair = true
 	}
@@ -91,23 +89,24 @@ func (c *Client) addHint(addr string, h hint, ranges []int64, knownLost bool) {
 	c.healthChanged()
 }
 
-// appendHintLocked appends under hintMu, handling overflow: past
-// MaxHintBytes the ordered history is abandoned wholesale and the
-// backend owes a full repair instead (half a history is worse than
-// none — replaying it would interleave stale and fresh bytes).
+// hintLogLocked returns addr's hint log, creating an empty one. Callers
+// hold hintMu.
+func (c *Client) hintLogLocked(addr string) *hintLog {
+	hl := c.hints[addr]
+	if hl == nil {
+		hl = &hintLog{dirty: make(map[rangeKey]bool)}
+		c.hints[addr] = hl
+	}
+	return hl
+}
+
+// appendHintLocked appends under hintMu, handling overflow: past the
+// hint limit the ordered history is abandoned wholesale and the backend
+// owes a full repair instead (half a history is worse than none —
+// replaying it would interleave stale and fresh bytes).
 func (c *Client) appendHintLocked(addr string, hl *hintLog, h hint) {
 	if h.kind == wDelete {
-		// A delete supersedes everything queued for the VM.
-		kept := hl.queue[:0]
-		for _, q := range hl.queue {
-			if q.vm == h.vm {
-				hl.bytes -= int64(len(q.part))
-				c.tel.hintsDropped.Inc()
-				continue
-			}
-			kept = append(kept, q)
-		}
-		hl.queue = kept
+		c.dropQueuedLocked(hl, h.vm)
 	}
 	h.seq = hl.nextSeq
 	hl.nextSeq++
@@ -118,7 +117,7 @@ func (c *Client) appendHintLocked(addr string, hl *hintLog, h hint) {
 	}
 	c.tel.hintsBuffered.Inc()
 	c.tel.hintBytes.Add(float64(len(h.part)))
-	if hl.bytes > c.cfg.MaxHintBytes {
+	if hl.bytes > c.hintLimit {
 		c.tel.hintsDropped.Add(float64(len(hl.queue)))
 		c.tel.hintBytes.Add(-float64(hl.bytes))
 		hl.queue = nil
@@ -126,6 +125,22 @@ func (c *Client) appendHintLocked(addr string, hl *hintLog, h hint) {
 		hl.needsRepair = true
 	}
 	c.taintRecount()
+}
+
+// dropQueuedLocked discards hl's queued hints for vm, superseded by a
+// delete or a repair of the VM. Callers hold hintMu.
+func (c *Client) dropQueuedLocked(hl *hintLog, vm pagestore.VMID) {
+	kept := hl.queue[:0]
+	for _, q := range hl.queue {
+		if q.vm != vm {
+			kept = append(kept, q)
+			continue
+		}
+		hl.bytes -= int64(len(q.part))
+		c.tel.hintBytes.Add(-float64(len(q.part)))
+		c.tel.hintsDropped.Inc()
+	}
+	hl.queue = kept
 }
 
 // taintRecount recomputes the fast-path taint counter. Callers hold
@@ -146,17 +161,12 @@ func (c *Client) healthChanged() {
 	c.spawn(func() { c.refreshHealth() })
 }
 
-// markLost flags addr as having lost tracked VM data (observed via an
-// unknown-vm refusal from a backend that restarted empty) and arms a
-// repair.
+// markLost flags addr as owing a full repair — it lost tracked VM data
+// (an unknown-vm refusal from a backend that restarted empty), or a
+// repair of it failed part-way — and arms one.
 func (c *Client) markLost(addr string) {
 	c.hintMu.Lock()
-	hl := c.hints[addr]
-	if hl == nil {
-		hl = &hintLog{dirty: make(map[rangeKey]bool)}
-		c.hints[addr] = hl
-	}
-	hl.needsRepair = true
+	c.hintLogLocked(addr).needsRepair = true
 	c.taintRecount()
 	c.hintMu.Unlock()
 	c.healthChanged()
@@ -194,27 +204,21 @@ func (c *Client) triggerRecover(addr string, force bool) {
 
 // recover drains addr's debt: verify the backend still holds every VM
 // this client tracks (repairing the ones it lost), then replay the hint
-// log in order, then clear the taint. Any failure leaves the log (and
-// the taint) in place; the prober re-arms recovery on the next tick.
+// log in order, then clear the taint. The backend stays out of the read
+// set for the whole pass. Any failure leaves the log (and the taint) in
+// place; the prober re-arms recovery on the next tick.
 func (c *Client) recover(addr string) {
-	st := c.state.Load()
-	ref := st.refByAddr(addr)
+	ref := c.state.Load().refByAddr(addr)
 	if ref == nil {
 		// Backend left the fabric while it was down; its debt is moot.
 		c.dropHints(addr)
 		return
 	}
 	c.hintMu.Lock()
-	hl := c.hints[addr]
-	if hl == nil {
-		// Forced presence check after a breaker close: synthesize an
-		// empty log so the probe/repair phase has somewhere to record
-		// what it finds.
-		hl = &hintLog{dirty: make(map[rangeKey]bool)}
-		c.hints[addr] = hl
-	}
+	hl := c.hintLogLocked(addr)
 	hl.replaying = true
 	needsRepair := hl.needsRepair
+	c.taintRecount()
 	c.hintMu.Unlock()
 
 	defer func() {
@@ -230,52 +234,37 @@ func (c *Client) recover(addr string) {
 		c.healthChanged()
 	}()
 
-	// Phase 1: repair. If the backend restarted empty, rebuild its
-	// partition of every tracked VM from the surviving replicas. Probe
-	// even without the needsRepair flag — a crash while no write was in
-	// flight leaves no hint evidence, only missing data.
-	c.mu.Lock()
-	vms := make(map[pagestore.VMID]units.Bytes, len(c.images))
-	for id, info := range c.images {
-		vms[id] = info.alloc
+	// Phase 1: repair. Rebuild every tracked VM the backend lost — all
+	// of them when a repair is owed. Probe even without the needsRepair
+	// flag: a crash while no write was in flight leaves no hint
+	// evidence, only missing data.
+	vms := c.imageAllocs()
+	if !needsRepair && len(vms) > 0 {
+		if _, err := ref.pool.Stats(); err != nil {
+			return // still unreachable; retry on next breaker close
+		}
 	}
-	c.mu.Unlock()
-	for id, alloc := range vms {
-		lost := needsRepair
-		if !lost {
-			if _, err := ref.pool.Stats(); err != nil {
-				return // still unreachable; retry on next breaker close
+	for id := range vms {
+		if !needsRepair {
+			_, err := ref.pool.GetPage(id, 0)
+			if err == nil || (memserver.IsRemoteError(err) && !memserver.IsUnknownVM(err)) {
+				continue // the VM is there (a refusal is serving disabled etc.)
 			}
-			if _, err := ref.pool.GetPage(id, 0); err != nil {
-				if !memserver.IsUnknownVM(err) && memserver.IsRemoteError(err) {
-					// Serving disabled etc.: the VM is there.
-					lost = false
-				} else if memserver.IsUnknownVM(err) {
-					lost = true
-				} else {
-					return // transport error; retry later
-				}
+			if !memserver.IsUnknownVM(err) {
+				return // transport error; retry later
 			}
 		}
-		if lost {
-			if err := c.repairVM(st, ref, id, alloc); err != nil {
-				return // retry on next probe tick / breaker close
-			}
+		lk := c.vmLock(id)
+		lk.Lock()
+		err := c.repairVM(ref, id)
+		lk.Unlock()
+		if err != nil {
+			return // owed again; retry on next probe tick / breaker close
 		}
 	}
 	if needsRepair {
-		// The repair rebuilt from post-crash authoritative state, which
-		// already includes everything the queue would replay (writes
-		// were queued only after the repair flag was set, and repair
-		// runs under each VM's lock after those writes landed on the
-		// survivors). Drop the queue rather than replay over the fresh
-		// image out of order.
 		c.hintMu.Lock()
 		if hl := c.hints[addr]; hl != nil {
-			c.tel.hintsDropped.Add(float64(len(hl.queue)))
-			c.tel.hintBytes.Add(-float64(hl.bytes))
-			hl.queue = nil
-			hl.bytes = 0
 			hl.needsRepair = false
 		}
 		c.hintMu.Unlock()
@@ -323,36 +312,24 @@ func (c *Client) popReplayed(addr string, h hint) {
 	c.hintMu.Unlock()
 }
 
-// replayOne applies one buffered write to the rejoined backend.
+// replayOne applies one buffered write to the rejoined backend. A diff
+// answered with unknown-VM means the backend lost the VM after all: the
+// replay escalates to a repair, which supersedes the hint (and is a
+// no-op for a VM this client does not track: there is nothing to apply
+// the diff to). The caller, recover's replay loop, holds the VM lock
+// repairVM needs; taking it again would wedge the recovery goroutine.
 func (c *Client) replayOne(ref *backendRef, h hint) error {
 	err := h.kind.send(ref.pool, h.vm, h.alloc, h.part, h.opts)
-	if h.kind == wDelete && memserver.IsUnknownVM(err) {
-		err = nil // already gone
-	}
-	if err != nil && h.kind.diff() && memserver.IsUnknownVM(err) {
-		// The backend lost the VM after all: escalate to repair. The
-		// hint is consumed — the repair copies fresher bytes anyway.
-		// The caller (recover's replay loop) already holds this VM's
-		// lock, so the locked variant is mandatory: repairVM would
-		// re-acquire the non-reentrant lock and wedge the recovery
-		// goroutine forever.
-		c.mu.Lock()
-		info, tracked := c.images[h.vm]
-		c.mu.Unlock()
-		if tracked {
-			if rerr := c.repairVMLocked(c.state.Load(), ref, h.vm, info.alloc); rerr == nil {
-				return nil
-			}
-		}
-	}
 	if err == nil {
 		c.tel.write(ref.tidx).Inc()
 		c.tel.byte(ref.tidx).Add(float64(len(h.part)))
+		return nil
+	}
+	if (h.kind == wDiff || h.kind == wStreamDiff) && memserver.IsUnknownVM(err) {
+		return c.repairVM(ref, h.vm)
 	}
 	return err
 }
-
-func (k writeKind) diff() bool { return k == wDiff || k == wStreamDiff }
 
 // dropHints discards addr's log entirely (backend left the fabric).
 func (c *Client) dropHints(addr string) {
@@ -378,121 +355,38 @@ func (c *Client) hintLogClean(addr string) bool {
 	return clean
 }
 
-// repairVM rebuilds addr's partition of one VM from the surviving
-// replicas: fetch every page range the backend owns (under the current
-// ring, and the previous one mid-transition) from a clean other owner,
-// assemble a fresh image, and PutImage it — an atomic whole-image
-// replace, which is the only write that also *clears* stale non-zero
-// pages (diffs elide zeroes). The caller must NOT hold the VM lock;
-// callers that already do (the replay path) use repairVMLocked.
-func (c *Client) repairVM(st *epochState, ref *backendRef, id pagestore.VMID, alloc units.Bytes) error {
-	lk := c.vmLock(id)
-	lk.Lock()
-	defer lk.Unlock()
-	return c.repairVMLocked(st, ref, id, alloc)
-}
-
-// repairVMLocked is repairVM's body; the caller holds the VM lock.
-func (c *Client) repairVMLocked(st *epochState, ref *backendRef, id pagestore.VMID, alloc units.Bytes) error {
-	im := pagestore.NewImage(alloc)
-	pages := alloc.Pages()
+// repairVM rebuilds ref's copy of one VM the way the rebalancer fills a
+// new owner: register an empty image (the one write that also clears
+// stale pages, which diffs elide), then copy and verify every range
+// whose write set holds ref, from that range's read set. The caller
+// holds the VM lock, so no write of the VM can queue behind the copy:
+// the VM's queued hints are older than the bytes copied, and are
+// dropped. Outside tests it runs inside ref's recovery pass, which keeps
+// ref out of the read set until the last range verifies. A failed
+// repair leaves ref owing a full one.
+func (c *Client) repairVM(ref *backendRef, id pagestore.VMID) error {
+	info, tracked := c.image(id)
+	if !tracked {
+		return nil // deleted meanwhile, or never registered by this client
+	}
+	st := c.state.Load()
 	rp := st.ring.RangePages()
-	batch := int64(c.cfg.RebalanceBatchPages)
-	for start := int64(0); start < pages; start += rp {
-		end := start + rp
-		if end > pages {
-			end = pages
-		}
-		owned := ownsRange(st.ring, ref.addr, id, pagestore.PFN(start))
-		if !owned && st.prevRing != nil {
-			owned = ownsRange(st.prevRing, ref.addr, id, pagestore.PFN(start))
-		}
-		if !owned {
-			continue
-		}
-		for bs := start; bs < end; bs += batch {
-			be := bs + batch
-			if be > end {
-				be = end
-			}
-			pfns := make([]pagestore.PFN, 0, be-bs)
-			for p := bs; p < be; p++ {
-				pfns = append(pfns, pagestore.PFN(p))
-			}
-			got, err := c.fetchFromSurvivors(st, ref.addr, id, pfns)
-			if err != nil {
-				return err
-			}
-			for pfn, pg := range got {
-				if err := im.Write(pfn, pg); err != nil {
-					return fmt.Errorf("shard: repair vm %04d: %w", id, err)
-				}
-			}
-			c.rateLimit(int64(len(got)) * int64(units.PageSize))
+	err := c.registerEmpty(ref, id, info.alloc)
+	for rng := int64(0); err == nil && rng*rp < info.alloc.Pages(); rng++ {
+		k := rangeKey{id, rng}
+		if r := c.route(st, k); hasAddr(r.write, ref.addr) {
+			err = c.copyRange(r.read, []*backendRef{ref}, k, info.alloc, rp)
 		}
 	}
-	enc, _, err := pagestore.EncodeAll(im)
 	if err != nil {
-		return fmt.Errorf("shard: repair vm %04d: encode: %w", id, err)
+		c.markLost(ref.addr)
+		return fmt.Errorf("shard: repair vm %04d on %s: %w", id, ref.addr, err)
 	}
-	if err := ref.pool.PutImage(id, alloc, enc); err != nil {
-		return fmt.Errorf("shard: repair vm %04d: put: %w", id, err)
+	c.hintMu.Lock()
+	if hl := c.hints[ref.addr]; hl != nil {
+		c.dropQueuedLocked(hl, id)
 	}
+	c.hintMu.Unlock()
 	c.tel.repairs.Inc()
-	c.tel.rebalBytes.Add(float64(len(enc)))
-	c.tel.write(ref.tidx).Inc()
-	c.tel.byte(ref.tidx).Add(float64(len(enc)))
 	return nil
-}
-
-// ownsRange reports whether addr owns the range containing pfn in r.
-func ownsRange(r *Ring, addr string, id pagestore.VMID, pfn pagestore.PFN) bool {
-	for _, a := range r.OwnerAddrs(id, pfn) {
-		if a == addr {
-			return true
-		}
-	}
-	return false
-}
-
-// fetchFromSurvivors reads a page batch from any clean replica other
-// than exclude, trying current owners first, then (mid-transition) the
-// previous ones.
-func (c *Client) fetchFromSurvivors(st *epochState, exclude string, id pagestore.VMID, pfns []pagestore.PFN) (map[pagestore.PFN][]byte, error) {
-	key := rangeKey{id, rngOf(st.ring, pfns[0])}
-	var refs []*backendRef
-	if st.prevRing != nil && c.isPending(key) {
-		// Mid-migration the new owners hold registered-but-empty images
-		// whose absent pages read back as zeroes; like the read path,
-		// repair must treat only the previous owners as authoritative
-		// until the copy verifies, or it would rebuild with zeros.
-		for _, i := range st.prevRing.Owners(id, pfns[0]) {
-			refs = appendRef(refs, st.prev[i])
-		}
-	} else {
-		for _, i := range st.ring.Owners(id, pfns[0]) {
-			refs = appendRef(refs, st.cur[i])
-		}
-		if st.prevRing != nil {
-			for _, i := range st.prevRing.Owners(id, pfns[0]) {
-				refs = appendRef(refs, st.prev[i])
-			}
-		}
-	}
-	var errs []error
-	for _, ref := range refs {
-		if ref.addr == exclude || c.isTainted(ref.addr, key) {
-			continue
-		}
-		got, err := ref.pool.GetPages(id, pfns)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("backend %s: %w", ref.addr, err))
-			continue
-		}
-		return got, nil
-	}
-	if len(errs) == 0 {
-		return nil, fmt.Errorf("shard: vm %04d range %d: no clean surviving replica", id, key.rng)
-	}
-	return nil, fmt.Errorf("shard: vm %04d range %d: all survivors failed: %w", id, key.rng, errors.Join(errs...))
 }

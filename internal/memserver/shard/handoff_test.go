@@ -2,11 +2,16 @@ package shard
 
 import (
 	"bytes"
+	"fmt"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"oasis/internal/faultinject"
 	"oasis/internal/memserver"
 	"oasis/internal/pagestore"
+	"oasis/internal/units"
 )
 
 // TestReplayEscalatesToRepairUnderVMLock pins the replay escalation
@@ -206,5 +211,268 @@ func TestElasticAddBackendConcurrentUpload(t *testing.T) {
 		if !bytes.Equal(got, wantPage) {
 			t.Fatalf("newcomer serves wrong bytes for racing VM pfn %d", pfn)
 		}
+	}
+}
+
+// TestRepairNeverCopiesFromStalePreviousOwner holds a transition open on
+// one pending range while a second moved range has settled and been
+// written since. That range's previous owner stopped receiving writes
+// when it settled, so it holds stale bytes; with the range's other
+// current owner tainted there is no clean source left, and repairing
+// the remaining current owner must fail rather than rebuild from the
+// stale copy.
+func TestRepairNeverCopiesFromStalePreviousOwner(t *testing.T) {
+	const vmid = pagestore.VMID(94)
+	im := testImage(t, 24, 256)
+	snap, _, err := pagestore.EncodeAll(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := elasticConfig()
+	cfg.ProbeInterval = time.Hour // nothing recovers behind the test's back
+	f := newFabric(t, 3, cfg)
+	if err := f.client.PutImage(vmid, im.Alloc(), snap); err != nil {
+		t.Fatal(err)
+	}
+	old := f.client.state.Load()
+	if err := f.client.AddBackend(f.addServer(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.client.WaitRebalance(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cur := f.client.state.Load()
+	moved := movedRanges(old.ring, cur.ring, map[pagestore.VMID]units.Bytes{vmid: im.Alloc()})
+	if len(moved) < 2 {
+		t.Fatalf("only %d ranges moved; need one held pending and one settled", len(moved))
+	}
+	held, settled := moved[0], moved[1]
+	f.client.pendMu.Lock()
+	f.client.pending[held] = true
+	f.client.pendMu.Unlock()
+	f.client.state.Store(&epochState{version: cur.version, ring: cur.ring, cur: cur.cur, prevRing: old.ring, prev: old.cur})
+
+	// A write to the settled range lands on its current owners only.
+	pfn := pagestore.PFN(settled.rng * cur.ring.RangePages())
+	fresh := bytes.Repeat([]byte{0xA5}, int(units.PageSize))
+	epoch := im.NextEpoch()
+	if err := im.Write(pfn, fresh); err != nil {
+		t.Fatal(err)
+	}
+	diff, _, err := pagestore.EncodeDirtySince(im, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.client.PutDiff(vmid, diff); err != nil {
+		t.Fatal(err)
+	}
+	owners := cur.ring.OwnerAddrs(vmid, pfn)
+	stale := ""
+	for _, a := range old.ring.OwnerAddrs(vmid, pfn) {
+		if !ownsRange(cur.ring, a, vmid, pfn) {
+			stale = a
+		}
+	}
+	direct, err := memserver.Dial(stale, testSecret, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	if got, err := direct.GetPage(vmid, pfn); err != nil || bytes.Equal(got, fresh) {
+		t.Fatalf("previous owner %s should hold the pre-write page (err %v)", stale, err)
+	}
+
+	// Taint the settled range's other current owner, then repair the first.
+	f.client.hintMu.Lock()
+	f.client.hints[owners[1]] = &hintLog{dirty: map[rangeKey]bool{settled: true}}
+	f.client.taintRecount()
+	f.client.hintMu.Unlock()
+	lk := f.client.vmLock(vmid)
+	lk.Lock()
+	err = f.client.repairVM(cur.refByAddr(owners[0]), vmid)
+	lk.Unlock()
+	if err == nil || !strings.Contains(err.Error(), "no clean surviving replica") {
+		t.Fatalf("repair with no clean current owner = %v, want a no-clean-replica failure (never a copy from %s)", err, stale)
+	}
+}
+
+// TestRepairKeepsBackendOutOfReads races page reads against a repair
+// found by the presence probe after a breaker close (a backend restarted
+// empty while no write was in flight, so nothing else marked it). The
+// repair registers an empty image and copies the ranges back one by
+// one, slowed here so the window is wide; until the last range verifies
+// the backend would answer zeros, so it must not serve a single read.
+func TestRepairKeepsBackendOutOfReads(t *testing.T) {
+	const vmid = pagestore.VMID(95)
+	im := testImage(t, 25, 256)
+	snap, _, err := pagestore.EncodeAll(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := faultinject.New(5, faultinject.Config{Latency: 2 * time.Millisecond, LatencyProb: 1})
+	slow.SetEnabled(false)
+	cfg := elasticConfig()
+	cfg.Dialer = func(addr string) (*memserver.Client, error) {
+		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+		if err != nil {
+			return nil, err
+		}
+		return memserver.NewClientConn(slow.WrapConn(conn), testSecret)
+	}
+	f := newFabric(t, 3, cfg)
+	if err := f.client.PutImage(vmid, im.Alloc(), snap); err != nil {
+		t.Fatal(err)
+	}
+	victim := f.addrs[0]
+	ref := f.client.state.Load().refByAddr(victim)
+	f.servers[0].Close()
+	// Reads fail over until the victim's breaker opens; after that only
+	// the prober's half-open probe reaches it.
+	waitFor(t, 10*time.Second, "the victim's breaker to open", func() bool {
+		readBack(t, f.client, vmid, im)
+		return ref.pool.BreakerState() == memserver.BreakerOpen
+	})
+
+	repairs := f.client.tel.repairs.Value()
+	slow.SetEnabled(true)
+	restarted := memserver.NewServer(testSecret, nil)
+	if _, err := restarted.Listen(victim); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { restarted.Close() })
+
+	// Read from the moment the repair has registered the empty image.
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for {
+			if _, err := restarted.Store().Get(vmid); err == nil {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		for reads := 0; ; reads++ {
+			select {
+			case <-stop:
+				if reads == 0 {
+					done <- fmt.Errorf("no read raced the repair")
+				}
+				close(done)
+				return
+			default:
+			}
+			for base := int64(0); base < im.NumPages(); base += 32 {
+				batch := make([]pagestore.PFN, 0, 32)
+				for pfn := base; pfn < base+32; pfn++ {
+					batch = append(batch, pagestore.PFN(pfn))
+				}
+				pages, err := f.client.GetPages(vmid, batch)
+				if err != nil {
+					done <- err
+					return
+				}
+				for _, pfn := range batch {
+					if want, _ := im.Read(pfn); !pagesEqual(pages[pfn], want) {
+						done <- fmt.Errorf("pfn %d read wrong bytes (zero: %v) while the victim was being repaired",
+							pfn, pagestore.IsZeroPage(pages[pfn]))
+						return
+					}
+				}
+			}
+		}
+	}()
+	waitFor(t, 30*time.Second, "the repair to finish and under-replication to clear", func() bool {
+		return f.client.tel.repairs.Value() > repairs && f.client.UnderreplicatedRanges() == 0
+	})
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHintOverflowForcesRepair pins the hint bound: past it the queue is
+// dropped (counted as dropped hints) and the backend owes a repair. The
+// backend then rejoins with the data it had before the outage — stale,
+// not missing, so the presence probe alone would pass it — and the owed
+// repair must bring every range it holds back to the newest bytes.
+func TestHintOverflowForcesRepair(t *testing.T) {
+	const vmid = pagestore.VMID(96)
+	im := testImage(t, 26, 256)
+	snap, _, err := pagestore.EncodeAll(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFabric(t, 3, elasticConfig())
+	f.client.hintMu.Lock()
+	f.client.hintLimit = 1 // every hinted part overflows
+	f.client.hintMu.Unlock()
+	if err := f.client.PutImage(vmid, im.Alloc(), snap); err != nil {
+		t.Fatal(err)
+	}
+	victim := f.addrs[1]
+	kept := f.servers[1].Store()
+	f.servers[1].Close()
+
+	dropped := f.client.tel.hintsDropped.Value()
+	dirty := bytes.Repeat([]byte{0x5E}, int(units.PageSize))
+	for round := 0; round < 3; round++ {
+		epoch := im.NextEpoch()
+		for pfn := pagestore.PFN(round); int64(pfn) < im.NumPages(); pfn += 7 {
+			if err := im.Write(pfn, dirty); err != nil {
+				t.Fatal(err)
+			}
+		}
+		diff, _, err := pagestore.EncodeDirtySince(im, epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.client.PutDiff(vmid, diff); err != nil {
+			t.Fatalf("diff round %d with a dead replica: %v", round, err)
+		}
+	}
+	if f.client.tel.hintsDropped.Value() == dropped {
+		t.Fatal("hint overflow dropped nothing")
+	}
+	for _, b := range f.client.FabricStatus().Backends {
+		if b.Addr == victim && (b.HintQueue != 0 || !b.NeedsRepair) {
+			t.Fatalf("after overflow: %+v, want an empty queue and a repair owed", b)
+		}
+	}
+
+	restarted := memserver.NewServerWithStore(testSecret, kept, nil)
+	if _, err := restarted.Listen(victim); err != nil {
+		t.Fatalf("rejoin listen on %s: %v", victim, err)
+	}
+	t.Cleanup(func() { restarted.Close() })
+	waitFor(t, 10*time.Second, "the owed repair to converge", func() bool {
+		for _, b := range f.client.FabricStatus().Backends {
+			if b.Addr == victim && b.NeedsRepair {
+				return false
+			}
+		}
+		return f.client.UnderreplicatedRanges() == 0
+	})
+	ring := f.client.Ring()
+	direct, err := memserver.Dial(victim, testSecret, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	checked := 0
+	for pfn := pagestore.PFN(0); int64(pfn) < im.NumPages(); pfn++ {
+		if !ownsRange(ring, victim, vmid, pfn) {
+			continue
+		}
+		checked++
+		got, err := direct.GetPage(vmid, pfn)
+		if err != nil {
+			t.Fatalf("repaired backend cannot serve owned pfn %d: %v", pfn, err)
+		}
+		if want, _ := im.Read(pfn); !bytes.Equal(got, want) {
+			t.Fatalf("repaired backend serves stale bytes for pfn %d", pfn)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("victim owns nothing; test proves nothing")
 	}
 }

@@ -8,16 +8,18 @@ package shard
 // range whose replica set changed is marked pending: pending ranges keep
 // reading from (and, for writes, also writing to) their previous owners,
 // because a new owner holds a registered-but-empty image whose absent
-// pages would read back as zeroes — legitimate-looking wrong bytes. The
-// rebalancer then walks the pending set, copying each range from a clean
-// previous owner to its new owners in bounded-rate batches and reading
-// every batch back byte-for-byte before the range flips over. Only
+// pages would read back as zeroes — legitimate-looking wrong bytes (the
+// route, in client.go, is where that rule lives). The rebalancer then
+// walks the pending set, copying each range from a clean previous owner
+// to its new owners in bounded-rate batches and reading every batch back
+// byte-for-byte before the range flips over; repair reuses the copy. Only
 // ranges whose ownership moved are copied; the sweep is resumable (a
 // failed range stays pending and is retried) and a crash of the client
 // process loses only bookkeeping — the data is still fully readable on
 // the old owners, and re-issuing the membership change resumes the copy.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -79,12 +81,7 @@ func (c *Client) changeMembership(addr string, add bool) error {
 	// Tracked VMs at the moment of the swap: the set the transition
 	// registers and rebalances. Images uploaded later write through the
 	// new ring directly and need no migration.
-	c.mu.Lock()
-	images := make(map[pagestore.VMID]units.Bytes, len(c.images))
-	for id, info := range c.images {
-		images[id] = info.alloc
-	}
-	c.mu.Unlock()
+	images := c.imageAllocs()
 
 	if add {
 		joined = c.newBackendRef(addr)
@@ -98,8 +95,15 @@ func (c *Client) changeMembership(addr string, add bool) error {
 		// re-added backend still held — its data is stale by definition,
 		// and the migration below recopies the ranges it now owns from
 		// the authoritative replicas.
-		for id, alloc := range images {
-			if err := c.registerEmpty(joined, id, alloc); err != nil {
+		for id := range images {
+			lk := c.vmLock(id)
+			lk.Lock()
+			info, still := c.image(id) // else deleted while the change was being prepared
+			if still {
+				err = c.registerEmpty(joined, id, info.alloc)
+			}
+			lk.Unlock()
+			if err != nil {
 				joined.pool.Close() //nolint:errcheck
 				release()
 				return fmt.Errorf("shard: backend %s: register vm %04d: %w", addr, id, err)
@@ -169,25 +173,11 @@ func (c *Client) changeMembership(addr string, add bool) error {
 	return nil
 }
 
-// registerEmpty creates the VM on a joining backend as an empty image
-// (atomic whole-image replace). Runs under the VM lock so it cannot
-// interleave with a live upload of the same VM.
+// registerEmpty creates the VM on ref as an empty image (an atomic
+// whole-image replace, which also wipes whatever ref held). The caller
+// holds the VM lock, so it cannot interleave with a live upload of the
+// same VM.
 func (c *Client) registerEmpty(ref *backendRef, id pagestore.VMID, alloc units.Bytes) error {
-	lk := c.vmLock(id)
-	lk.Lock()
-	defer lk.Unlock()
-	return c.registerEmptyLocked(ref, id, alloc)
-}
-
-// registerEmptyLocked is registerEmpty's body; the caller holds the VM
-// lock.
-func (c *Client) registerEmptyLocked(ref *backendRef, id pagestore.VMID, alloc units.Bytes) error {
-	c.mu.Lock()
-	_, still := c.images[id]
-	c.mu.Unlock()
-	if !still {
-		return nil // deleted while the change was being prepared
-	}
 	enc, _, err := pagestore.EncodeAll(pagestore.NewImage(alloc))
 	if err != nil {
 		return err
@@ -228,7 +218,7 @@ func (c *Client) catchUpLateImages(oldRing *Ring, next *epochState, known map[pa
 			continue
 		}
 		if joined != nil {
-			if err := c.registerEmptyLocked(joined, id, alloc); err != nil {
+			if err := c.registerEmpty(joined, id, alloc); err != nil {
 				// The new epoch is already live, so there is nothing to
 				// unwind; arm a repair instead — the newcomer rebuilds
 				// this VM from the survivors once reachable, and the
@@ -344,11 +334,9 @@ func (c *Client) settle(st *epochState, done chan struct{}) {
 	close(done)
 }
 
-// migrateRange copies one pending range from its previous owners to the
-// new ones and verifies the copy byte-for-byte before flipping reads
-// over. Holding the VM lock serializes the copy against writes, hint
-// replays and repairs of the same VM, so the source cannot change under
-// the verify.
+// migrateRange fills one pending range's new owners and flips its reads
+// over once every copy verified. Holding the VM lock serializes the copy
+// against writes, hint replays and repairs of the same VM.
 func (c *Client) migrateRange(st *epochState, k rangeKey) error {
 	lk := c.vmLock(k.vm)
 	lk.Lock()
@@ -356,159 +344,105 @@ func (c *Client) migrateRange(st *epochState, k rangeKey) error {
 	if !c.isPending(k) {
 		return nil
 	}
-	c.mu.Lock()
-	info, tracked := c.images[k.vm]
-	c.mu.Unlock()
-	alloc := info.alloc
-	if !tracked {
-		// Deleted mid-transition; nothing to move.
-		c.clearPending(k)
-		return nil
-	}
-
+	info, tracked := c.image(k.vm)
 	rp := st.ring.RangePages()
-	start := k.rng * rp
-	pages := alloc.Pages()
-	if start >= pages {
-		c.clearPending(k)
+	if !tracked || k.rng*rp >= info.alloc.Pages() {
+		c.clearPending(k) // deleted mid-transition: nothing to move
 		return nil
 	}
-	end := start + rp
-	if end > pages {
-		end = pages
-	}
-	pfn0 := pagestore.PFN(start)
-
-	// Destinations: new owners that were not owners before. Refuse to
-	// copy onto a backend that still owes hint replays — the queued
-	// writes would land on top of (and behind) the fresh copy in
-	// unknown order.
-	prevOwners := st.prevRing.OwnerAddrs(k.vm, pfn0)
-	var dsts []*backendRef
-	for _, i := range st.ring.Owners(k.vm, pfn0) {
-		ref := st.cur[i]
-		isOld := false
-		for _, a := range prevOwners {
-			if a == ref.addr {
-				isOld = true
-				break
+	// A pure shrink of the replica set (or a clamp change) has nothing to
+	// fill: the surviving owners already hold the range.
+	if r := c.route(st, k); len(r.fill) > 0 {
+		// Refuse to copy onto a backend that still owes hint replays —
+		// the queued writes would land on top of (and behind) the fresh
+		// copy in unknown order.
+		for _, dst := range r.fill {
+			if !c.hintLogClean(dst.addr) {
+				return fmt.Errorf("shard: vm %04d range %d: destination %s draining hints", k.vm, k.rng, dst.addr)
 			}
 		}
-		if isOld {
-			continue
-		}
-		if !c.hintLogClean(ref.addr) {
-			return fmt.Errorf("shard: vm %04d range %d: destination %s draining hints", k.vm, k.rng, ref.addr)
-		}
-		dsts = append(dsts, ref)
-	}
-	if len(dsts) == 0 {
-		// Pure shrink of the replica set (or a clamp change): nothing to
-		// copy, the surviving owners already hold the range.
-		c.clearPending(k)
-		c.tel.rebalRanges.Inc()
-		return nil
-	}
-
-	im := pagestore.NewImage(alloc)
-	var copied int64
-	batch := int64(c.cfg.RebalanceBatchPages)
-	for bs := start; bs < end; bs += batch {
-		be := bs + batch
-		if be > end {
-			be = end
-		}
-		pfns := make([]pagestore.PFN, 0, be-bs)
-		for p := bs; p < be; p++ {
-			pfns = append(pfns, pagestore.PFN(p))
-		}
-		src, err := c.fetchFromPrev(st, k, pfns)
-		if err != nil {
+		if err := c.copyRange(r.read, r.fill, k, info.alloc, rp); err != nil {
 			return err
 		}
-		for pfn, pg := range src {
+	}
+	c.clearPending(k)
+	c.tel.rebalRanges.Inc()
+	return nil
+}
+
+// copyRange is the one copy path, under both the rebalancer and repair:
+// it copies range k onto dsts batch by batch — read the batch from a
+// clean replica of src through readVia, encode an explicit entry for
+// every page (zero pages included, so stale bytes on a destination are
+// overwritten), PutDiff it to each destination, read it back and
+// byte-verify, then pace. The caller holds the VM lock, so the source
+// cannot change under the verify.
+func (c *Client) copyRange(src, dsts []*backendRef, k rangeKey, alloc units.Bytes, rp int64) error {
+	var from []*backendRef
+	for _, ref := range src {
+		if !hasAddr(dsts, ref.addr) {
+			from = append(from, ref)
+		}
+	}
+	end := min((k.rng+1)*rp, alloc.Pages())
+	batch := int64(c.cfg.RebalanceBatchPages)
+	for bs := k.rng * rp; bs < end; bs += batch {
+		pfns := make([]pagestore.PFN, 0, batch)
+		for p := bs; p < min(bs+batch, end); p++ {
+			pfns = append(pfns, pagestore.PFN(p))
+		}
+		var got map[pagestore.PFN][]byte
+		served, errs := c.readVia(from, k.vm, []rangeKey{k}, func(p *memserver.ClientPool) (err error) {
+			got, err = p.GetPages(k.vm, pfns)
+			return err
+		})
+		switch {
+		case served == nil && len(errs) == 0:
+			return fmt.Errorf("shard: vm %04d range %d: no clean surviving replica", k.vm, k.rng)
+		case served == nil:
+			return fmt.Errorf("shard: vm %04d range %d: every source failed: %w", k.vm, k.rng, errors.Join(errs...))
+		}
+		im := pagestore.NewImage(alloc)
+		for pfn, pg := range got {
 			if err := im.Write(pfn, pg); err != nil {
-				return fmt.Errorf("shard: migrate vm %04d range %d: %w", k.vm, k.rng, err)
+				return fmt.Errorf("shard: copy vm %04d range %d: %w", k.vm, k.rng, err)
 			}
 		}
-		// EncodePages (not EncodeAll) emits an explicit entry for every
-		// page of the batch, zero pages included — applying the diff
-		// clears any stale bytes a re-added backend might still hold for
-		// this range.
 		enc, err := pagestore.EncodePages(im, pfns)
 		if err != nil {
-			return fmt.Errorf("shard: migrate vm %04d range %d: encode: %w", k.vm, k.rng, err)
+			return fmt.Errorf("shard: copy vm %04d range %d: encode: %w", k.vm, k.rng, err)
 		}
 		for _, dst := range dsts {
 			if err := dst.pool.PutDiff(k.vm, enc); err != nil {
-				return fmt.Errorf("shard: migrate vm %04d range %d: copy to %s: %w", k.vm, k.rng, dst.addr, err)
+				return fmt.Errorf("shard: copy vm %04d range %d to %s: %w", k.vm, k.rng, dst.addr, err)
 			}
-			got, err := dst.pool.GetPages(k.vm, pfns)
+			back, err := dst.pool.GetPages(k.vm, pfns)
 			if err != nil {
-				return fmt.Errorf("shard: migrate vm %04d range %d: verify read %s: %w", k.vm, k.rng, dst.addr, err)
+				return fmt.Errorf("shard: copy vm %04d range %d: verify read %s: %w", k.vm, k.rng, dst.addr, err)
 			}
 			for _, pfn := range pfns {
-				want := src[pfn]
-				if !pagesEqual(want, got[pfn]) {
+				if !pagesEqual(got[pfn], back[pfn]) {
 					c.tel.rebalVerifyFail.Inc()
-					return fmt.Errorf("shard: migrate vm %04d range %d: verify mismatch at pfn %d on %s",
+					return fmt.Errorf("shard: copy vm %04d range %d: verify mismatch at pfn %d on %s",
 						k.vm, k.rng, pfn, dst.addr)
 				}
 			}
 			c.tel.write(dst.tidx).Inc()
 			c.tel.byte(dst.tidx).Add(float64(len(enc)))
-			copied += int64(len(enc))
 		}
-		c.rateLimit(int64(len(dsts)) * int64(len(enc)))
+		n := int64(len(dsts)) * int64(len(enc))
+		c.tel.rebalBytes.Add(float64(n))
+		c.rateLimit(n)
 	}
-
-	c.clearPending(k)
-	c.tel.rebalRanges.Inc()
-	c.tel.rebalBytes.Add(float64(copied))
 	return nil
 }
 
 // pagesEqual compares two pages, treating nil/empty as a zero page.
 func pagesEqual(a, b []byte) bool {
-	if len(a) == 0 {
-		return len(b) == 0 || pagestore.IsZeroPage(b)
+	if len(a) == 0 || len(b) == 0 {
+		return pagestore.IsZeroPage(a) && pagestore.IsZeroPage(b)
 	}
-	if len(b) == 0 {
-		return pagestore.IsZeroPage(a)
-	}
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// fetchFromPrev reads a batch of a pending range from its previous
-// owners (the copies that served every acknowledged write), failing
-// over between them and skipping tainted replicas.
-func (c *Client) fetchFromPrev(st *epochState, k rangeKey, pfns []pagestore.PFN) (map[pagestore.PFN][]byte, error) {
-	var errs []error
-	for _, i := range st.prevRing.Owners(k.vm, pfns[0]) {
-		ref := st.prev[i]
-		if c.isTainted(ref.addr, k) {
-			continue
-		}
-		got, err := ref.pool.GetPages(k.vm, pfns)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("backend %s: %w", ref.addr, err))
-			continue
-		}
-		return got, nil
-	}
-	if len(errs) == 0 {
-		errs = append(errs, errors.New("all previous owners tainted"))
-	}
-	return nil, fmt.Errorf("shard: migrate vm %04d range %d: no previous owner readable: %w",
-		k.vm, k.rng, errors.Join(errs...))
+	return bytes.Equal(a, b)
 }
 
 // breakerName renders a breaker state for the admin status surface.
@@ -559,33 +493,19 @@ func (c *Client) UnderreplicatedRanges() int { return c.computeUnderreplicated()
 
 func (c *Client) computeUnderreplicated() int {
 	st := c.state.Load()
-	c.mu.Lock()
-	images := make(map[pagestore.VMID]units.Bytes, len(c.images))
-	for id, info := range c.images {
-		images[id] = info.alloc
-	}
-	c.mu.Unlock()
 	rp := st.ring.RangePages()
 	under := 0
-	for id, alloc := range images {
-		pages := alloc.Pages()
-		for rng := int64(0); rng*rp < pages; rng++ {
+	for id, alloc := range c.imageAllocs() {
+		for rng := int64(0); rng*rp < alloc.Pages(); rng++ {
 			k := rangeKey{id, rng}
-			pfn := pagestore.PFN(rng * rp)
-			ring, refs := st.ring, st.cur
-			if st.prevRing != nil && c.isPending(k) {
-				ring, refs = st.prevRing, st.prev
-			}
-			target := ring.Replicas()
+			read := c.route(st, k).read
 			live := 0
-			for _, i := range ring.Owners(id, pfn) {
-				ref := refs[i]
-				if ref.pool.BreakerState() == memserver.BreakerOpen || c.isTainted(ref.addr, k) {
-					continue
+			for _, ref := range read {
+				if ref.pool.BreakerState() != memserver.BreakerOpen && !c.isTainted(ref.addr, k) {
+					live++
 				}
-				live++
 			}
-			if live < target {
+			if live < len(read) {
 				under++
 			}
 		}

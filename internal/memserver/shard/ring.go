@@ -17,6 +17,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"oasis/internal/pagestore"
@@ -156,7 +157,7 @@ func (r *Ring) WithoutBackend(addr string) (*Ring, error) {
 // only the address strings, so owner addresses are comparable across
 // rings and across processes even when the index order differs.
 func (r *Ring) OwnerAddrs(id pagestore.VMID, pfn pagestore.PFN) []string {
-	owners := r.appendOwners(make([]int, 0, r.replicas), id, pfn)
+	owners := r.Owners(id, pfn)
 	out := make([]string, len(owners))
 	for i, o := range owners {
 		out[i] = r.addrs[o]
@@ -182,31 +183,16 @@ func (r *Ring) Fingerprint() uint64 {
 // allocated; all pages in the same RangePages-aligned range of the same
 // VM get the same owners.
 func (r *Ring) Owners(id pagestore.VMID, pfn pagestore.PFN) []int {
-	return r.appendOwners(make([]int, 0, r.replicas), id, pfn)
-}
-
-// appendOwners is Owners into a caller-provided slice (hot paths reuse
-// the buffer across pages).
-func (r *Ring) appendOwners(dst []int, id pagestore.VMID, pfn pagestore.PFN) []int {
+	owners := make([]int, 0, r.replicas)
 	key := mix64(uint64(id)*0xD6E8FEB86659FD93 ^ uint64(int64(pfn)/r.rangePages))
 	// First point clockwise of the key; wrap at the end of the circle.
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })
-	seen := 0
-	for n := 0; n < len(r.points) && seen < r.replicas; n++ {
-		b := r.points[(i+n)%len(r.points)].backend
-		dup := false
-		for _, have := range dst[len(dst)-seen:] {
-			if have == b {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			dst = append(dst, b)
-			seen++
+	for n := 0; n < len(r.points) && len(owners) < r.replicas; n++ {
+		if b := r.points[(i+n)%len(r.points)].backend; !slices.Contains(owners, b) {
+			owners = append(owners, b)
 		}
 	}
-	return dst
+	return owners
 }
 
 // hashString is FNV-1a, finished with a mixer so nearby addresses
