@@ -22,12 +22,15 @@ race:
 # hypervisor faults), so a duplicate fetch or a lost install that shows
 # once in a hundred runs fails here instead of flaking tier-1. The shard
 # fabric's own tests get the same treatment: its GetPages route race
-# showed up there at 6 failures in 150 runs.
+# showed up there at 6 failures in 150 runs. So do the agent's: its
+# hand-off tests hold migrations open across real sockets.
 stress:
 	$(GO) test -count=20 ./internal/stress
 	$(GO) test -race -count=20 ./internal/stress
 	$(GO) test -count=20 ./internal/memserver/shard/
 	$(GO) test -race -count=20 ./internal/memserver/shard/
+	$(GO) test -count=20 ./internal/agent/
+	$(GO) test -race -count=20 ./internal/agent/
 
 vet:
 	$(GO) vet ./...

@@ -16,6 +16,7 @@ package agent
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 
 	"oasis/internal/flagbind"
@@ -59,48 +60,83 @@ func newAgentTel(host string) *agentTel {
 
 // managedVM is one VM under an agent's control.
 type managedVM struct {
-	desc *hypervisor.Descriptor
+	desc  *hypervisor.Descriptor
+	phase phase // written by set alone
 
-	// image is the full memory image when the VM runs here in full, and
-	// the retained DRAM copy while the VM is partially migrated away
-	// (S3 keeps memory in self-refresh, which is why reintegration only
-	// needs dirty pages).
+	// image is the full memory image when the VM runs here in full, the
+	// retained DRAM copy while it is away (S3 keeps memory in
+	// self-refresh, which is why reintegration only needs dirty pages),
+	// and the inbound copy while it is staged.
 	image *pagestore.Image
 
-	// pvm/mt are set when the VM runs here as a partial VM.
+	// pvm/mt are set exactly while the VM is in a partial phase.
 	pvm *hypervisor.PartialVM
 	mt  *memtap.Memtap
 
-	// owner reports whether this agent owns the VM (its home).
-	owner bool
-	// away reports whether an owned VM currently runs elsewhere.
-	away bool
 	// uploadedEpoch is the image epoch as of the last memory-server
 	// upload; it enables differential uploads.
 	uploaded      bool
 	uploadedEpoch uint64
-
-	// migrating marks an in-flight hand-off of this VM to a peer; a second
-	// one is refused. paused marks the part of it, from the snapshot that
-	// decides what the peer receives onwards, during which guest writes
-	// are refused (§4.2: a write acknowledged after that snapshot would
-	// exist nowhere once the peer takes over) — all of it except pre-copy
-	// rounds. Both are cleared when the hand-off returns: by then away or
-	// the VM's deletion has taken over, or it failed and the VM runs on.
-	migrating bool
-	paused    bool
-
-	// quarantined marks a degraded partial VM whose forced promotion
-	// home also failed: it is left resident but flagged so operators
-	// (and the cluster manager) can see it needs manual recovery.
-	quarantined bool
 }
 
-// stagedVM is an inbound live migration that has not switched over yet.
-type stagedVM struct {
-	desc  *hypervisor.Descriptor
-	image *pagestore.Image
+// phase is where a VM stands on this host (§4.2). Every RPC handler names
+// the phases it accepts and moves a VM only through set, along the edges
+// of next. A hand-off to a peer is two phases: live while guest writes
+// may still land (pre-copy rounds, adoption's prefetch), then paused from
+// the snapshot the peer resumes from onwards. A paused VM refuses writes:
+// one acknowledged after that snapshot would exist nowhere once the peer
+// takes over.
+type phase uint8
+
+// The order groups the phases: the first three do not run the guest
+// here, away through homePaused are owned here, and the last four are
+// partial VMs.
+const (
+	gone          phase = iota // not on this host
+	staged                     // an inbound live migration filling image; the guest runs at its source
+	away                       // runs elsewhere as a partial VM; image is the retained copy
+	home                       // runs here in full
+	homeLive                   // home, in pre-copy rounds to a peer
+	homePaused                 // home, handed off from the snapshot its peer resumes from
+	partial                    // runs here as a partial VM
+	quarantined                // partial, and its forced promotion home failed (§4.4.4)
+	partialLive                // partial, prefetching its last pages to be adopted here
+	partialPaused              // partial, pushing its dirty pages home
+)
+
+var phaseNames = [...]string{
+	gone: "not here", staged: "staged", away: "away", home: "running here",
+	homeLive: "in pre-copy", homePaused: "paused for a hand-off",
+	partial: "a partial VM here", quarantined: "quarantined",
+	partialLive: "being adopted", partialPaused: "paused on its way home",
 }
+
+func (p phase) String() string { return phaseNames[p] }
+
+func (p phase) partialVM() bool { return p >= partial }
+
+// next is the transition table: the phases each phase may move to. A
+// failed hand-off goes back to the phase it started from, and a failed
+// forced promotion to quarantined.
+var next = [...][]phase{
+	gone:          {home, staged, partial},
+	staged:        {home},
+	away:          {home},
+	home:          {homeLive, homePaused},
+	homeLive:      {homePaused, home},
+	homePaused:    {away, gone, home},
+	partial:       {partialLive, partialPaused},
+	quarantined:   {partialLive, partialPaused},
+	partialLive:   {home, partial, quarantined},
+	partialPaused: {gone, partial, quarantined},
+}
+
+// The phases the guest runs here in (and reads are served), and those of
+// them that take writes.
+var (
+	running  = []phase{home, homeLive, homePaused, partial, quarantined, partialLive, partialPaused}
+	writable = []phase{home, homeLive, partial, quarantined, partialLive}
+)
 
 // Agent is one host's agent plus its memory server.
 type Agent struct {
@@ -116,7 +152,6 @@ type Agent struct {
 
 	mu        sync.Mutex
 	vms       map[pagestore.VMID]*managedVM
-	staged    map[pagestore.VMID]*stagedVM
 	suspended bool
 
 	peersMu sync.Mutex
@@ -175,7 +210,6 @@ func New(name string, secret []byte, logf func(string, ...any)) *Agent {
 		secret: append([]byte(nil), secret...),
 		logf:   logf,
 		vms:    make(map[pagestore.VMID]*managedVM),
-		staged: make(map[pagestore.VMID]*stagedVM),
 		peers:  make(map[string]*wire.Client),
 		tel:    newAgentTel(name),
 	}
@@ -346,9 +380,9 @@ func (a *Agent) register() {
 	wire.Handle(a.rpc, "Agent.ReceivePartial", a.handleReceivePartial)
 	wire.Handle(a.rpc, "Agent.FullMigrate", a.handleFullMigrate)
 	wire.Handle(a.rpc, "Agent.ReceiveFull", a.handleReceiveFull)
-	wire.Handle(a.rpc, "Agent.ReceiveFullDelta", a.receiveSnapshot(chunkMore))
-	wire.Handle(a.rpc, "Agent.ActivateFull", a.receiveSnapshot(chunkActivates))
-	wire.Handle(a.rpc, "Agent.ReceiveDirty", a.receiveSnapshot(chunkReturns))
+	wire.Handle(a.rpc, "Agent.ReceiveFullDelta", a.receiveSnapshot(map[phase]phase{staged: staged, away: away}))
+	wire.Handle(a.rpc, "Agent.ActivateFull", a.receiveSnapshot(map[phase]phase{staged: home}))
+	wire.Handle(a.rpc, "Agent.ReceiveDirty", a.receiveSnapshot(map[phase]phase{away: home}))
 	wire.Handle(a.rpc, "Agent.PostCopyMigrate", a.handlePostCopyMigrate)
 	wire.Handle(a.rpc, "Agent.AdoptVM", a.handleAdoptVM)
 	wire.Handle(a.rpc, "Agent.Reintegrate", a.handleReintegrate)
@@ -361,63 +395,73 @@ func (a *Agent) register() {
 	wire.Handle(a.rpc, "Agent.FabricStatus", a.handleFabricStatus)
 }
 
-func (a *Agent) checkAwake() error {
+// vm returns VM id if its phase here — gone when the id is absent — is
+// one of in, and otherwise says which phase it is in. A suspended host
+// accepts nothing. Called with a.mu held.
+func (a *Agent) vm(id pagestore.VMID, in ...phase) (*managedVM, error) {
 	if a.suspended {
-		return fmt.Errorf("agent %s: host is suspended", a.Name)
+		return nil, fmt.Errorf("agent %s: host is suspended", a.Name)
 	}
-	return nil
+	mv, p := a.vms[id], gone
+	if mv != nil {
+		p = mv.phase
+	}
+	if !slices.Contains(in, p) {
+		return nil, fmt.Errorf("vm %04d is %v", id, p)
+	}
+	return mv, nil
+}
+
+// set moves mv to phase to, and is the only code that writes a phase. A
+// VM leaving gone enters a.vms, replacing a staged entry for its id, and
+// one moving to gone leaves it. pvm and mt belong to the partial phases:
+// every move out of them closes mt and clears both, the VM keeping the
+// partial VM's image. A move next does not list is a bug in the caller.
+// Called with a.mu held.
+func (a *Agent) set(mv *managedVM, to phase) {
+	id := mv.desc.VMID
+	if !slices.Contains(next[mv.phase], to) {
+		panic(fmt.Sprintf("agent: vm %04d cannot go from %v to %v", id, mv.phase, to))
+	}
+	if mv.pvm != nil && !to.partialVM() {
+		mv.image = mv.pvm.Image()
+		mv.mt.Close()
+		mv.pvm, mv.mt = nil, nil
+	}
+	switch {
+	case mv.phase == gone:
+		a.vms[id] = mv
+	case to == gone:
+		delete(a.vms, id)
+	}
+	mv.phase = to
 }
 
 func (a *Agent) handleCreateVM(args CreateVMArgs, _ []byte) (any, []byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.checkAwake(); err != nil {
+	if _, err := a.vm(args.VMID, gone); err != nil {
 		return nil, nil, err
-	}
-	if _, ok := a.vms[args.VMID]; ok {
-		return nil, nil, fmt.Errorf("vm %04d already exists", args.VMID)
 	}
 	if args.Alloc <= 0 {
 		return nil, nil, fmt.Errorf("vm %04d: invalid allocation %d", args.VMID, args.Alloc)
 	}
 	desc := hypervisor.NewDescriptor(args.VMID, args.Name, args.Alloc, args.VCPUs)
 	desc.DiskImagePath = args.Disk
-	a.vms[args.VMID] = &managedVM{
-		desc:  desc,
-		image: pagestore.NewImage(args.Alloc),
-		owner: true,
-	}
+	a.set(&managedVM{desc: desc, image: pagestore.NewImage(args.Alloc)}, home)
 	a.logf("agent %s: created vm %04d (%v)", a.Name, args.VMID, args.Alloc)
 	return nil, nil, nil
 }
 
-// running returns the VM if its guest runs on this host, as a partial VM
-// or in full. Called with a.mu held.
-func (a *Agent) running(id pagestore.VMID) (*managedVM, error) {
-	if err := a.checkAwake(); err != nil {
-		return nil, err
-	}
-	mv, ok := a.vms[id]
-	if !ok {
-		return nil, fmt.Errorf("unknown vm %04d", id)
-	}
-	if mv.pvm == nil && (mv.image == nil || mv.away) {
-		return nil, fmt.Errorf("vm %04d is not running here", id)
-	}
-	return mv, nil
-}
-
 // handleWritePage stores the payload as the page's contents (the image
-// copies it). A VM that is paused for a hand-off refuses the write.
+// copies it). A VM paused for a hand-off refuses the write.
 func (a *Agent) handleWritePage(args PageArgs, data []byte) (any, []byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	mv, err := a.running(args.VMID)
+	mv, err := a.vm(args.VMID, writable...)
 	switch {
 	case err != nil:
 		return nil, nil, err
-	case mv.paused:
-		return nil, nil, fmt.Errorf("vm %04d is paused for migration switch-over", args.VMID)
 	case mv.pvm != nil:
 		return nil, nil, mv.pvm.Write(args.PFN, data)
 	}
@@ -430,7 +474,7 @@ func (a *Agent) handleWritePage(args PageArgs, data []byte) (any, []byte, error)
 func (a *Agent) handleReadPage(args PageArgs, _ []byte) (_ any, page []byte, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	mv, err := a.running(args.VMID)
+	mv, err := a.vm(args.VMID, running...)
 	switch {
 	case err != nil:
 	case mv.pvm != nil:
@@ -533,40 +577,25 @@ func (a *Agent) upload(id pagestore.VMID, alloc units.Bytes, snap []byte, diff b
 	return conn.StreamImage(id, alloc, snap, memserver.PutOptions{Streams: streams})
 }
 
-// claim's two choices, by name.
-const (
-	fullVM, partialVM = false, true
-	live, stopped     = false, true
-)
-
-// claim finds the VM a hand-off is about — a partial VM running here, or
-// else a full VM this agent owns and runs — and marks it migrating, and
-// paused too when pause is set (see managedVM.migrating). On success the
-// caller defers a.release(mv).
-func (a *Agent) claim(id pagestore.VMID, partial, pause bool) (*managedVM, error) {
+// claim starts a hand-off: it moves VM id from one of from to phase to
+// and returns it with the phase it left, which the caller's deferred
+// settle goes back to unless the hand-off names another end.
+func (a *Agent) claim(id pagestore.VMID, to phase, from ...phase) (*managedVM, phase, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.checkAwake(); err != nil {
-		return nil, err
+	mv, err := a.vm(id, from...)
+	if err != nil {
+		return nil, gone, err
 	}
-	mv, ok := a.vms[id]
-	switch {
-	case partial && (!ok || mv.pvm == nil):
-		return nil, fmt.Errorf("vm %04d is not a partial VM here", id)
-	case !partial && (!ok || !mv.owner || mv.away || mv.image == nil):
-		return nil, fmt.Errorf("vm %04d is not a resident owned full VM", id)
-	case mv.migrating:
-		return nil, fmt.Errorf("vm %04d is already migrating", id)
-	}
-	mv.migrating, mv.paused = true, pause
-	return mv, nil
+	was := mv.phase
+	a.set(mv, to)
+	return mv, was, nil
 }
 
-// release ends a hand-off, however it went: a VM that is still here runs
-// (and accepts writes) again.
-func (a *Agent) release(mv *managedVM) {
+// settle ends a hand-off in phase end.
+func (a *Agent) settle(mv *managedVM, end phase) {
 	a.mu.Lock()
-	mv.migrating, mv.paused = false, false
+	a.set(mv, end)
 	a.mu.Unlock()
 }
 
@@ -595,63 +624,52 @@ func (a *Agent) pushSnapshot(dest string, id pagestore.VMID, snap []byte, last s
 	return nil
 }
 
-// What the call carrying a snapshot chunk completes at the receiver.
-const (
-	chunkMore      = iota // nothing yet: more chunks follow
-	chunkActivates        // a staged live migration: the VM switches over and runs here
-	chunkReturns          // a reintegration: the away VM runs at home again
-)
-
-// receiveSnapshot is the apply step under every inbound snapshot push:
-// the chunk lands in the image the VM's inbound state belongs to — the
-// retained copy of an owned VM that is away, or a staged live migration's
-// image — and the call that completes the push flips that VM's state.
-func (a *Agent) receiveSnapshot(completes int) func(vmArgs, []byte) (any, []byte, error) {
+// receiveSnapshot is the apply step under every inbound snapshot push,
+// keyed by phase: moves maps each phase the call accepts to the one it
+// leaves the VM in. The chunk lands in the VM's image — the retained copy
+// of an away VM or a staged live migration's — and only the call that
+// completes a push (ActivateFull, ReceiveDirty) changes the phase.
+func (a *Agent) receiveSnapshot(moves map[phase]phase) func(vmArgs, []byte) (any, []byte, error) {
+	var from []phase
+	for p := range moves {
+		from = append(from, p)
+	}
 	return func(args vmArgs, chunk []byte) (any, []byte, error) {
 		a.mu.Lock()
 		defer a.mu.Unlock()
-		if err := a.checkAwake(); err != nil {
+		mv, err := a.vm(args.VMID, from...)
+		if err != nil {
 			return nil, nil, err
 		}
-		mv, sv := a.vms[args.VMID], a.staged[args.VMID]
-		var im *pagestore.Image
-		switch {
-		case completes != chunkActivates && mv != nil && mv.owner && mv.away:
-			im = mv.image
-		case completes != chunkReturns && mv == nil && sv != nil:
-			im = sv.image
-		case completes == chunkReturns:
-			return nil, nil, fmt.Errorf("vm %04d is not an away VM owned here", args.VMID)
-		default:
-			return nil, nil, fmt.Errorf("vm %04d has no staged migration", args.VMID)
-		}
-		if err := pagestore.ApplySnapshot(im, chunk); err != nil {
+		if err := pagestore.ApplySnapshot(mv.image, chunk); err != nil {
 			return nil, nil, err
 		}
-		switch completes {
-		case chunkReturns:
-			mv.away = false
-			a.logf("agent %s: vm %04d reintegrated and resumed", a.Name, args.VMID)
-		case chunkActivates:
-			delete(a.staged, args.VMID)
-			a.vms[args.VMID] = &managedVM{desc: sv.desc, image: sv.image, owner: true}
-			a.logf("agent %s: vm %04d switched over and resumed here", a.Name, args.VMID)
+		if to := moves[mv.phase]; to != mv.phase {
+			a.logf("agent %s: vm %04d was %v, resumed here", a.Name, args.VMID, mv.phase)
+			a.set(mv, to)
 		}
 		return nil, nil, nil
 	}
 }
 
 // handlePartialMigrate implements the source side of §4.2 partial
-// migration: suspend the VM, upload its memory to the host's memory
-// server (differential when possible), and push the descriptor to the
-// destination agent.
+// migration (see detach); the VM is away once its peer runs it.
 func (a *Agent) handlePartialMigrate(args MigrateArgs, _ []byte) (any, []byte, error) {
-	mv, err := a.claim(args.VMID, fullVM, stopped)
+	mv, end, err := a.claim(args.VMID, homePaused, home)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer a.release(mv)
+	defer func() { a.settle(mv, end) }()
+	if err = a.detach(mv, args.Dest); err == nil {
+		end = away
+	}
+	return nil, nil, err
+}
 
+// detach moves a claimed, paused home VM to dest as a partial VM: upload
+// its memory to the host's memory server (differential when possible)
+// and push the descriptor to the destination agent, which resumes it.
+func (a *Agent) detach(mv *managedVM, dest string) (err error) {
 	// Upload memory to the memory server: full image the first time,
 	// only dirty pages afterwards (§4.3 differential upload). The encode
 	// fans out across UploadStreams shards (byte-identical to serial).
@@ -666,7 +684,7 @@ func (a *Agent) handlePartialMigrate(args MigrateArgs, _ []byte) (any, []byte, e
 	}
 	if err != nil {
 		a.mu.Unlock()
-		return nil, nil, err
+		return err
 	}
 	epoch := mv.image.NextEpoch()
 	wasUploaded := mv.uploaded
@@ -674,8 +692,9 @@ func (a *Agent) handlePartialMigrate(args MigrateArgs, _ []byte) (any, []byte, e
 	handoff.Desc.MemServerAddr = handoff.MemAddr
 	a.mu.Unlock()
 
-	if err := a.upload(args.VMID, handoff.Desc.Alloc, snap, wasUploaded); err != nil {
-		return nil, nil, err
+	id := mv.desc.VMID
+	if err := a.upload(id, handoff.Desc.Alloc, snap, wasUploaded); err != nil {
+		return err
 	}
 
 	// Push the descriptor to the destination, with the fabric membership
@@ -684,19 +703,17 @@ func (a *Agent) handlePartialMigrate(args MigrateArgs, _ []byte) (any, []byte, e
 	handoff.Backends = append([]string(nil), a.transport.Backends...)
 	handoff.Replicas = a.transport.Replicas
 	a.mu.Unlock()
-	if err := a.callPeer(args.Dest, "Agent.ReceivePartial", handoff, nil); err != nil {
-		return nil, nil, err
+	if err := a.callPeer(dest, "Agent.ReceivePartial", handoff, nil); err != nil {
+		return err
 	}
 
 	a.mu.Lock()
-	mv.away = true
 	mv.uploaded = true
 	mv.uploadedEpoch = epoch
 	a.mu.Unlock()
 	a.tel.migrations("partial").Inc()
-	a.logf("agent %s: partial migrated vm %04d to %s (%d pages uploaded)",
-		a.Name, args.VMID, args.Dest, pages)
-	return nil, nil, nil
+	a.logf("agent %s: partial migrated vm %04d to %s (%d pages uploaded)", a.Name, id, dest, pages)
+	return nil
 }
 
 // handleReceivePartial implements the destination side: create a partial
@@ -723,15 +740,11 @@ func (a *Agent) handleReceivePartial(args receivePartialArgs, _ []byte) (any, []
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.checkAwake(); err != nil {
+	if _, err := a.vm(desc.VMID, gone, staged); err != nil {
 		mt.Close()
 		return nil, nil, err
 	}
-	if _, ok := a.vms[desc.VMID]; ok {
-		mt.Close()
-		return nil, nil, fmt.Errorf("vm %04d already resident", desc.VMID)
-	}
-	a.vms[desc.VMID] = &managedVM{desc: desc, pvm: pvm, mt: mt}
+	a.set(&managedVM{desc: desc, pvm: pvm, mt: mt}, partial)
 	a.logf("agent %s: received partial vm %04d (pages from %s)", a.Name, desc.VMID, args.MemAddr)
 	return nil, nil, nil
 }
@@ -754,11 +767,11 @@ const (
 // frees everything including memory-server state. A failure at any point
 // leaves the VM running here.
 func (a *Agent) handleFullMigrate(args MigrateArgs, _ []byte) (any, []byte, error) {
-	mv, err := a.claim(args.VMID, fullVM, live)
+	mv, end, err := a.claim(args.VMID, homeLive, home)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer a.release(mv)
+	defer func() { a.settle(mv, end) }()
 	a.mu.Lock()
 	desc := *mv.desc
 	epoch := mv.image.NextEpoch()
@@ -799,7 +812,7 @@ func (a *Agent) handleFullMigrate(args MigrateArgs, _ []byte) (any, []byte, erro
 	// Stop-and-copy: pause the VM, transfer the final dirty set, and let
 	// the destination activate it.
 	a.mu.Lock()
-	mv.paused = true
+	a.set(mv, homePaused)
 	final := mv.image.DirtySince(epoch)
 	lastDelta, err := pagestore.EncodePages(mv.image, final)
 	a.mu.Unlock()
@@ -811,9 +824,7 @@ func (a *Agent) handleFullMigrate(args MigrateArgs, _ []byte) (any, []byte, erro
 	}
 
 	// Free all source resources, including any memory-server image.
-	a.mu.Lock()
-	delete(a.vms, args.VMID)
-	a.mu.Unlock()
+	end = gone
 	a.deleteImage(args.VMID)
 	a.tel.migrations("full_live").Inc()
 	a.logf("agent %s: live migrated vm %04d to %s (%d pre-copy rounds, %d stop-and-copy pages)",
@@ -832,22 +843,26 @@ func (a *Agent) handleFullMigrate(args MigrateArgs, _ []byte) (any, []byte, erro
 // the paper draws: partial VM migration *is* post-copy without the active
 // push and without the ownership transfer.
 func (a *Agent) handlePostCopyMigrate(args MigrateArgs, _ []byte) (any, []byte, error) {
-	// Phase 1: exactly a partial migration — suspend, upload, push the
+	// Step 1: exactly a partial migration — suspend, upload, push the
 	// descriptor, resume at the destination.
-	if _, _, err := a.handlePartialMigrate(args, nil); err != nil {
+	mv, end, err := a.claim(args.VMID, homePaused, home)
+	if err != nil {
 		return nil, nil, err
 	}
-	// Phase 2: the destination pulls all remaining memory and adopts the
+	defer func() { a.settle(mv, end) }()
+	if err := a.detach(mv, args.Dest); err != nil {
+		return nil, nil, err
+	}
+	end = away
+	// Step 2: the destination pulls all remaining memory and adopts the
 	// VM.
 	if err := a.callPeer(args.Dest, "Agent.AdoptVM", vmArgs{VMID: args.VMID}, nil); err != nil {
 		return nil, nil, fmt.Errorf("post-copy adopt failed (VM keeps running as partial at %s): %w",
 			args.Dest, err)
 	}
-	// Phase 3: free the source's copy and memory-server image (§4.2:
+	// Step 3: free the source's copy and memory-server image (§4.2:
 	// after full migration the destination owns the VM).
-	a.mu.Lock()
-	delete(a.vms, args.VMID)
-	a.mu.Unlock()
+	end = gone
 	a.deleteImage(args.VMID)
 	a.tel.migrations("post_copy").Inc()
 	a.logf("agent %s: post-copy migrated vm %04d to %s", a.Name, args.VMID, args.Dest)
@@ -856,28 +871,20 @@ func (a *Agent) handlePostCopyMigrate(args MigrateArgs, _ []byte) (any, []byte, 
 
 // handleAdoptVM completes a post-copy migration on the destination: it
 // prefetches every absent page of the resident partial VM and converts it
-// into an owned full VM.
+// into an owned full VM (set closes its memtap).
 func (a *Agent) handleAdoptVM(args vmArgs, _ []byte) (any, []byte, error) {
-	mv, err := a.claim(args.VMID, partialVM, live)
+	mv, end, err := a.claim(args.VMID, partialLive, partial, quarantined)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer a.release(mv)
-	pvm, mt := mv.pvm, mv.mt
-
+	defer func() { a.settle(mv, end) }()
 	// The active push of post-copy: stream all remaining pages in
 	// batches while the VM keeps executing.
-	n, err := mt.PrefetchRemaining(pvm, 1024)
+	n, err := mv.mt.PrefetchRemaining(mv.pvm, 1024)
 	if err != nil {
 		return nil, nil, err
 	}
-	a.mu.Lock()
-	mv.image = pvm.Image()
-	mv.pvm = nil
-	mv.owner = true
-	mv.uploaded = false
-	a.mu.Unlock()
-	mt.Close()
+	end = home
 	a.tel.migrations("adopt").Inc()
 	a.logf("agent %s: adopted vm %04d after prefetching %d pages", a.Name, args.VMID, n)
 	return nil, nil, nil
@@ -885,17 +892,15 @@ func (a *Agent) handleAdoptVM(args vmArgs, _ []byte) (any, []byte, error) {
 
 // handleReceiveFull opens an inbound live migration: an empty image is
 // staged under the VM's descriptor, the pre-copy rounds fill it chunk by
-// chunk (ReceiveFullDelta) and ActivateFull switches it over.
+// chunk (ReceiveFullDelta) and ActivateFull switches it over. A staged
+// copy left by an abandoned migration is replaced.
 func (a *Agent) handleReceiveFull(desc hypervisor.Descriptor, _ []byte) (any, []byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.checkAwake(); err != nil {
+	if _, err := a.vm(desc.VMID, gone, staged); err != nil {
 		return nil, nil, err
 	}
-	if _, ok := a.vms[desc.VMID]; ok {
-		return nil, nil, fmt.Errorf("vm %04d already resident", desc.VMID)
-	}
-	a.staged[desc.VMID] = &stagedVM{desc: &desc, image: pagestore.NewImage(desc.Alloc)}
+	a.set(&managedVM{desc: &desc, image: pagestore.NewImage(desc.Alloc)}, staged)
 	a.logf("agent %s: staging inbound live migration of vm %04d", a.Name, desc.VMID)
 	return nil, nil, nil
 }
@@ -903,40 +908,31 @@ func (a *Agent) handleReceiveFull(desc hypervisor.Descriptor, _ []byte) (any, []
 // sendHome hands a claimed, paused partial VM back to its owner: only
 // the pages it wrote here travel (faulted-in pages already match the
 // owner's retained DRAM copy, §4.2); the owner merges them with that copy
-// and resumes the VM, and then the memtap is closed and the VM dropped
-// here. It returns the number of dirty pages pushed.
+// and resumes the VM. It returns the number of dirty pages pushed.
 func (a *Agent) sendHome(id pagestore.VMID, mv *managedVM, owner string) (int, error) {
 	a.mu.Lock()
 	snap, pages, err := mv.pvm.DirtySnapshotParallel(a.transport.UploadStreams)
 	a.mu.Unlock()
-	if err == nil {
-		err = a.pushSnapshot(owner, id, snap, "Agent.ReceiveDirty")
-	}
 	if err != nil {
 		return 0, err
 	}
-	a.mu.Lock()
-	if mv.mt != nil {
-		mv.mt.Close()
-	}
-	delete(a.vms, id)
-	a.mu.Unlock()
-	return pages, nil
+	return pages, a.pushSnapshot(owner, id, snap, "Agent.ReceiveDirty")
 }
 
 // handleReintegrate implements §4.2 reintegration, executed on the
 // consolidation host: push only the partial VM's dirty state back to the
 // owner.
 func (a *Agent) handleReintegrate(args MigrateArgs, _ []byte) (any, []byte, error) {
-	mv, err := a.claim(args.VMID, partialVM, stopped)
+	mv, end, err := a.claim(args.VMID, partialPaused, partial, quarantined)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer a.release(mv)
+	defer func() { a.settle(mv, end) }()
 	pages, err := a.sendHome(args.VMID, mv, args.Dest)
 	if err != nil {
 		return nil, nil, err
 	}
+	end = gone
 	a.tel.migrations("reintegrate").Inc()
 	a.logf("agent %s: reintegrated vm %04d to %s (%d dirty pages)", a.Name, args.VMID, args.Dest, pages)
 	return nil, nil, nil
@@ -953,24 +949,23 @@ func (a *Agent) handleReintegrate(args MigrateArgs, _ []byte) (any, []byte, erro
 // left resident and flagged for manual recovery rather than silently
 // retried forever.
 func (a *Agent) handleRecoverDegraded(args RecoverArgs, _ []byte) (any, []byte, error) {
-	mv, err := a.claim(args.VMID, partialVM, stopped)
+	mv, end, err := a.claim(args.VMID, partialPaused, partial, quarantined)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer a.release(mv)
-	if !args.Force && (mv.mt == nil || !mv.mt.Degraded()) {
+	defer func() { a.settle(mv, end) }()
+	if !args.Force && !mv.mt.Degraded() {
 		return nil, nil, fmt.Errorf("vm %04d is not degraded (memory server reachable); use force to promote anyway", args.VMID)
 	}
 	pages, err := a.sendHome(args.VMID, mv, args.Dest)
 	if err != nil {
-		a.mu.Lock()
-		mv.quarantined = true
-		a.mu.Unlock()
+		end = quarantined
 		a.tel.quarantines.Inc()
 		a.logf("agent %s: vm %04d QUARANTINED: forced promotion to %s failed: %v",
 			a.Name, args.VMID, args.Dest, err)
 		return nil, nil, fmt.Errorf("vm %04d quarantined: promotion to owner failed: %w", args.VMID, err)
 	}
+	end = gone
 	a.tel.promotions.Inc()
 	a.logf("agent %s: force-promoted degraded vm %04d home to %s (%d dirty pages)",
 		a.Name, args.VMID, args.Dest, pages)
@@ -981,7 +976,7 @@ func (a *Agent) handleSuspend(struct{}, []byte) (any, []byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for id, mv := range a.vms {
-		if mv.pvm != nil || (mv.image != nil && !mv.away) {
+		if slices.Contains(running, mv.phase) {
 			return nil, nil, fmt.Errorf("cannot suspend: vm %04d still runs here", id)
 		}
 	}
@@ -1005,13 +1000,17 @@ func (a *Agent) handleStats(struct{}, []byte) (any, []byte, error) {
 	defer a.mu.Unlock()
 	st := Stats{Name: a.Name, Suspended: a.suspended, MemServer: a.mem.StatsSnapshot()}
 	for id, mv := range a.vms {
+		if mv.phase == staged {
+			continue // not resident until it switches over
+		}
 		info := VMInfo{
-			VMID:    id,
-			Name:    mv.desc.Name,
-			Alloc:   mv.desc.Alloc,
-			Owner:   mv.owner,
-			Away:    mv.away,
-			Partial: mv.pvm != nil,
+			VMID:        id,
+			Name:        mv.desc.Name,
+			Alloc:       mv.desc.Alloc,
+			Owner:       !mv.phase.partialVM(),
+			Away:        mv.phase == away,
+			Partial:     mv.phase.partialVM(),
+			Quarantined: mv.phase == quarantined,
 		}
 		if mv.mt != nil {
 			info.Faults = mv.mt.Faults()
@@ -1021,7 +1020,6 @@ func (a *Agent) handleStats(struct{}, []byte) (any, []byte, error) {
 			info.Retries = rs.Retries
 			info.Reconnects = rs.Reconnects
 		}
-		info.Quarantined = mv.quarantined
 		st.VMs = append(st.VMs, info)
 	}
 	return st, nil, nil

@@ -21,12 +21,11 @@ type Controller struct {
 	homes []string
 	cons  []string
 
-	// vmHome is the owner host; vmLoc is where the VM currently runs;
-	// vmPartial marks partial residency; vmAlloc sizes capacity checks.
-	vmHome    map[pagestore.VMID]string
-	vmLoc     map[pagestore.VMID]string
-	vmPartial map[pagestore.VMID]bool
-	vmAlloc   map[pagestore.VMID]units.Bytes
+	// vmHome is the owner host; vmLoc is where the VM currently runs. The
+	// controller only migrates partially, so a VM away from its home is a
+	// partial VM.
+	vmHome map[pagestore.VMID]string
+	vmLoc  map[pagestore.VMID]string
 
 	suspended map[string]bool
 }
@@ -39,8 +38,6 @@ func NewController(m *Manager, homes, cons []string) *Controller {
 		cons:      append([]string(nil), cons...),
 		vmHome:    make(map[pagestore.VMID]string),
 		vmLoc:     make(map[pagestore.VMID]string),
-		vmPartial: make(map[pagestore.VMID]bool),
-		vmAlloc:   make(map[pagestore.VMID]units.Bytes),
 		suspended: make(map[string]bool),
 	}
 }
@@ -70,7 +67,6 @@ func (c *Controller) CreateVM(id pagestore.VMID, name string, alloc units.Bytes)
 	}
 	c.vmHome[id] = best
 	c.vmLoc[id] = best
-	c.vmAlloc[id] = alloc
 	return best, nil
 }
 
@@ -81,7 +77,7 @@ func (c *Controller) Home(id pagestore.VMID) string { return c.vmHome[id] }
 func (c *Controller) Location(id pagestore.VMID) string { return c.vmLoc[id] }
 
 // Partial reports whether the VM runs as a partial VM.
-func (c *Controller) Partial(id pagestore.VMID) bool { return c.vmPartial[id] }
+func (c *Controller) Partial(id pagestore.VMID) bool { return c.vmLoc[id] != c.vmHome[id] }
 
 // Suspended reports whether the controller believes host is asleep.
 func (c *Controller) Suspended(host string) bool { return c.suspended[host] }
@@ -105,7 +101,7 @@ func (c *Controller) Step(active map[pagestore.VMID]bool) error {
 	// 1. Activations of consolidated partial VMs: wake the home and
 	// return all of its VMs (§3.2 Default return).
 	for id, on := range active {
-		if !on || !c.vmPartial[id] {
+		if !on || !c.Partial(id) {
 			continue
 		}
 		home := c.vmHome[id]
@@ -116,13 +112,12 @@ func (c *Controller) Step(active map[pagestore.VMID]bool) error {
 			c.suspended[home] = false
 		}
 		for _, sib := range c.vmsHomedOn(home) {
-			if !c.vmPartial[sib] {
+			if !c.Partial(sib) {
 				continue
 			}
 			if err := c.m.Reintegrate(sib, c.vmLoc[sib], home); err != nil {
 				return fmt.Errorf("controller: reintegrate %04d: %w", sib, err)
 			}
-			c.vmPartial[sib] = false
 			c.vmLoc[sib] = home
 		}
 	}
@@ -155,7 +150,6 @@ func (c *Controller) Step(active map[pagestore.VMID]bool) error {
 			if err := c.m.PartialMigrate(id, home, dest); err != nil {
 				return fmt.Errorf("controller: partial migrate %04d: %w", id, err)
 			}
-			c.vmPartial[id] = true
 			c.vmLoc[id] = dest
 		}
 		if err := c.m.Suspend(home); err != nil {
@@ -172,7 +166,7 @@ func (c *Controller) pickCons() string {
 	for _, h := range c.cons {
 		n := 0
 		for id, loc := range c.vmLoc {
-			if loc == h && c.vmPartial[id] {
+			if loc == h && c.Partial(id) {
 				n++
 			}
 		}

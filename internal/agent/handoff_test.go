@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"oasis/internal/hypervisor"
 	"oasis/internal/memserver"
 	"oasis/internal/pagestore"
 	"oasis/internal/units"
@@ -178,6 +179,84 @@ func TestFailedHandoffLeavesVMWritable(t *testing.T) {
 	}
 	if got, err := m.ReadPage(home.Name, id, 50); err != nil || got[0] != 0x05 {
 		t.Fatalf("write made between the attempts did not come home: %v %x", err, got[:1])
+	}
+}
+
+// TestOneEntryPerVMID: an inbound live migration's staged copy is its
+// VM's one entry on the host. CreateVM of the same id is refused; a
+// second ReceiveFull, or a ReceivePartial, replaces the staged copy; and
+// ActivateFull switches the VM over with no staged copy left behind.
+// CreateVM used to succeed beside the staged copy, which then could
+// never be activated.
+func TestOneEntryPerVMID(t *testing.T) {
+	m, agents := startHosts(t, 2)
+	a, peer := agents[0], agents[1]
+	c, err := wire.Dial(a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const id, other = pagestore.VMID(7), pagestore.VMID(8)
+	desc := func(id pagestore.VMID, alloc units.Bytes) hypervisor.Descriptor {
+		return *hypervisor.NewDescriptor(id, "inbound", alloc, 1)
+	}
+
+	if err := c.Call("Agent.ReceiveFull", desc(id, units.MiB), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Call("Agent.CreateVM", CreateVMArgs{VMID: id, Alloc: units.MiB}, nil); err == nil {
+		t.Fatal("CreateVM accepted beside a staged inbound migration of the same VM")
+	}
+	// An abandoned migration's copy gives way to a new one, here of a
+	// larger VM: pfn 300 exists only in the second.
+	if err := c.Call("Agent.ReceiveFull", desc(id, 2*units.MiB), nil); err != nil {
+		t.Fatal(err)
+	}
+	im := pagestore.NewImage(2 * units.MiB)
+	if err := im.Write(300, page(0x07)); err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := pagestore.EncodeAll(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CallPayload("Agent.ActivateFull", vmArgs{VMID: id}, snap, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := m.ReadPage(a.Name, id, 300); err != nil || got[0] != 0x07 {
+		t.Fatalf("activated VM reads %v (%v), want the second migration's page", got[:min(len(got), 1)], err)
+	}
+
+	// A partial VM replaces a staged copy too, which then cannot be
+	// activated.
+	if err := c.Call("Agent.ReceiveFull", desc(other, units.MiB), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Call("Agent.ReceivePartial", receivePartialArgs{Desc: desc(other, units.MiB), MemAddr: peer.MemServerAddr()}, nil); err != nil {
+		t.Fatal(err)
+	}
+	empty, _, err := pagestore.EncodeAll(pagestore.NewImage(units.MiB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CallPayload("Agent.ActivateFull", vmArgs{VMID: other}, empty, nil); err == nil {
+		t.Fatal("ActivateFull switched over a VM that runs here as a partial VM")
+	}
+
+	st, err := m.HostStats(a.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.mu.Lock()
+	entries := len(a.vms)
+	a.mu.Unlock()
+	if len(st.VMs) != 2 || entries != 2 {
+		t.Fatalf("host lists %v with %d entries, want vm 0007 owned and vm 0008 partial", st.VMs, entries)
+	}
+	for _, vi := range st.VMs {
+		if vi.Owner != (vi.VMID == id) || vi.Partial != (vi.VMID == other) {
+			t.Fatalf("vm %04d: owner %v, partial %v", vi.VMID, vi.Owner, vi.Partial)
+		}
 	}
 }
 

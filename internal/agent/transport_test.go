@@ -201,6 +201,58 @@ func TestShardedTransportPartialLifecycle(t *testing.T) {
 	}
 }
 
+// TestAdoptedVMDropsItsMemtap runs a sharded post-copy migration: the
+// destination adopts the VM and runs it in full, so it holds no memtap
+// fabric for it any more, and a later membership change reaches only its
+// own upload fabric. The adopted VM used to keep its closed memtap, which
+// FabricStatus listed and every membership change was applied to.
+func TestAdoptedVMDropsItsMemtap(t *testing.T) {
+	m, agents := startHosts(t, 2)
+	backends := startFabric(t, 4)
+	for _, a := range agents {
+		a.SetTransport(TransportConfig{PoolSize: 2, PrefetchStreams: 2, UploadStreams: 2, Backends: backends[:3], Replicas: 2})
+	}
+	src, dst := agents[0], agents[1]
+	const id = pagestore.VMID(35)
+	if err := m.CreateVMOn(src.Name, CreateVMArgs{VMID: id, Alloc: 8 * units.MiB}); err != nil {
+		t.Fatal(err)
+	}
+	for pfn := pagestore.PFN(40); pfn < 120; pfn++ {
+		if err := m.WritePage(src.Name, id, pfn, page(byte(pfn%250+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, err := m.host(src.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.client.Call("Agent.PostCopyMigrate", MigrateArgs{VMID: id, Dest: dst.Addr()}, nil); err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.FabricStatus(dst.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.VMs) != 0 {
+		t.Fatalf("destination still holds %d memtap fabrics after adopting the VM", len(st.VMs))
+	}
+
+	// The adopted VM detaches again, which dials the destination's
+	// upload fabric; then the fabric grows by a fourth backend.
+	if err := m.PartialMigrate(id, dst.Name, src.Name); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.FabricAddBackend(dst.Name, backends[3], true); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = m.FabricStatus(dst.Name); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.VMs) != 0 || st.Upload == nil || len(st.Upload.Backends) != 4 {
+		t.Fatalf("after adding a backend: %d memtap fabrics, upload fabric %+v; want none and 4 backends", len(st.VMs), st.Upload)
+	}
+}
+
 // TestPooledTransportPartialLifecycle checks the on-demand fault path of
 // a partial VM whose agent runs the pooled transport, including
 // reintegration of dirty state.

@@ -224,6 +224,46 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestDiffPathsCountEntriesAdopted: the same diff — four pages the image
+// already holds, rewritten — counts four uploaded pages whichever way it
+// arrives: one PutDiff request, a streamed diff, or the host-local path.
+// PutDiff used to count the change in non-zero pages instead, here none.
+func TestDiffPathsCountEntriesAdopted(t *testing.T) {
+	srv, addr := startServer(t)
+	c := dial(t, addr)
+	im, snap := makeSnapshot(t, 1*units.MiB, 9, 10)
+	since := im.NextEpoch()
+	for pfn := pagestore.PFN(2); pfn < 6; pfn++ {
+		if err := im.Write(pfn, bytes.Repeat([]byte{byte(pfn)}, int(units.PageSize))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	diff, pages, err := pagestore.EncodeDirtySince(im, since)
+	if err != nil || pages != 4 {
+		t.Fatalf("diff of %d pages (%v), want 4", pages, err)
+	}
+	for i, path := range []struct {
+		name string
+		put  func(pagestore.VMID) error
+	}{
+		{"PutDiff", func(id pagestore.VMID) error { return c.PutDiff(id, diff) }},
+		{"StreamDiff", func(id pagestore.VMID) error { return c.StreamDiff(id, diff, PutOptions{Streams: 2}) }},
+		{"ApplyDiff", func(id pagestore.VMID) error { return srv.ApplyDiff(id, diff) }},
+	} {
+		id := pagestore.VMID(i + 1)
+		if err := srv.InstallImage(id, 1*units.MiB, snap); err != nil {
+			t.Fatal(err)
+		}
+		before := srv.StatsSnapshot().PagesUploaded
+		if err := path.put(id); err != nil {
+			t.Fatalf("%s: %v", path.name, err)
+		}
+		if got := srv.StatsSnapshot().PagesUploaded - before; got != 4 {
+			t.Errorf("%s counted %d uploaded pages for a 4-page diff, want 4", path.name, got)
+		}
+	}
+}
+
 func TestAuthRejectsBadSecret(t *testing.T) {
 	_, addr := startServer(t)
 	if _, err := Dial(addr, []byte("wrong"), 2*time.Second); err == nil {

@@ -136,9 +136,10 @@ func (s *Server) SetRequireUploadMAC(on bool) { s.requireUploadMAC = on }
 // it when co-located, as the prototype's SAS path does).
 func (s *Server) Store() *pagestore.Store { return s.store }
 
-// InstallImage installs a full snapshot as a VM's image through the
-// host-local (SAS) path, bypassing the network but keeping the upload
-// counters accurate.
+// InstallImage installs a full snapshot as a VM's image: the PutImage
+// request's body, and the host-local (SAS) path that bypasses the
+// network. An image counts its non-zero pages as uploaded, as a streamed
+// one does.
 func (s *Server) InstallImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte) error {
 	im := pagestore.NewImage(alloc)
 	if _, err := s.adopt(im, snapshot); err != nil {
@@ -149,14 +150,12 @@ func (s *Server) InstallImage(id pagestore.VMID, alloc units.Bytes, snapshot []b
 	return s.stored(id)
 }
 
-// ApplyDiff applies a differential snapshot to an existing image through
-// the host-local path.
+// ApplyDiff applies a differential snapshot to an existing image: the
+// PutDiff request's body, and the host-local path. It is the streamed
+// diff's commit over one chunk, so every diff path counts the entries it
+// adopted as uploaded pages.
 func (s *Server) ApplyDiff(id pagestore.VMID, snapshot []byte) error {
-	im, err := s.store.Get(id)
-	if err != nil {
-		return err
-	}
-	n, err := s.adopt(im, snapshot)
+	n, err := s.applyDiff(id, [][]byte{bytes.Clone(snapshot)})
 	if err != nil {
 		return err
 	}
@@ -486,13 +485,8 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 			return fail(errors.New("malformed PutImage"))
 		}
 		vmid := pagestore.VMID(binary.BigEndian.Uint32(payload))
-		im := pagestore.NewImage(units.Bytes(binary.BigEndian.Uint64(payload[4:])))
-		if _, err := s.adopt(im, payload[12:]); err != nil {
-			return fail(err)
-		}
-		s.store.Put(vmid, im)
-		s.pagesUploaded.Add(im.TouchedPages())
-		if err := s.stored(vmid); err != nil {
+		alloc := units.Bytes(binary.BigEndian.Uint64(payload[4:]))
+		if err := s.InstallImage(vmid, alloc, payload[12:]); err != nil {
 			return fail(err)
 		}
 		return writeFrame(conn, msgOK, nil)
@@ -501,17 +495,7 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 		if len(payload) < 4 {
 			return fail(errors.New("malformed PutDiff"))
 		}
-		vmid := pagestore.VMID(binary.BigEndian.Uint32(payload))
-		im, err := s.store.Get(vmid)
-		if err != nil {
-			return fail(err)
-		}
-		before := im.TouchedPages()
-		if _, err := s.adopt(im, payload[4:]); err != nil {
-			return fail(err)
-		}
-		s.pagesUploaded.Add(im.TouchedPages() - before)
-		if err := s.stored(vmid); err != nil {
+		if err := s.ApplyDiff(pagestore.VMID(binary.BigEndian.Uint32(payload)), payload[4:]); err != nil {
 			return fail(err)
 		}
 		return writeFrame(conn, msgOK, nil)
