@@ -1,9 +1,11 @@
-// Controlplane: the §4.1 cluster manager driving real host agents over
-// RPC. Three "hosts" run in-process, each with its own TCP endpoints and
-// memory server. The manager creates a VM, consolidates it with partial
-// migration, suspends the emptied home host, serves page faults from the
-// sleeping host's memory server, and reintegrates the VM when its user
-// returns.
+// Controlplane: the simulator's consolidation policy driving real host
+// agents over RPC. Three "hosts" run in-process, each with its own TCP
+// endpoints and memory server. A tiny cluster model with the same host
+// names plans a scripted morning of the FulltoPartial policy, interval by
+// interval, and an agent.Applier carries out every action the planner
+// commits — partial and full migrations, conversions in place,
+// reintegrations, wakes and suspends — as manager calls to the agents.
+// At the end every guest's pages are read back wherever the VM then runs.
 //
 // Run with: go run ./examples/controlplane
 package main
@@ -14,99 +16,100 @@ import (
 	"log"
 
 	"oasis/internal/agent"
+	"oasis/internal/cluster"
 	"oasis/internal/pagestore"
+	"oasis/internal/simtime"
 	"oasis/internal/units"
 )
 
 func main() {
+	// Two homes of two 4 GiB desktops and one consolidation host with
+	// room for two of them in full: enough to convert in place, and to
+	// run out of room.
+	cfg := cluster.DefaultConfig()
+	cfg.HomeHosts, cfg.ConsHosts, cfg.VMsPerHost = 2, 1, 2
+	cfg.HostCap, cfg.HostReserved = 12*units.GiB, 2*units.GiB
+	cfg.EventLogSize = 64
+	c, err := cluster.New(simtime.New(), cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	secret := []byte("controlplane-example")
 	mgr := agent.NewManager()
 	defer mgr.Close()
-
-	names := []string{"home-0", "home-1", "cons-0"}
-	agents := map[string]*agent.Agent{}
-	for _, name := range names {
-		a := agent.New(name, secret, nil)
+	for _, h := range c.Hosts {
+		a := agent.New(h.Name, secret, nil)
 		if err := a.Start("127.0.0.1:0", "127.0.0.1:0"); err != nil {
 			log.Fatal(err)
 		}
 		defer a.Close()
-		if err := mgr.AddHost(name, a.Addr()); err != nil {
+		if err := mgr.AddHost(h.Name, a.Addr()); err != nil {
 			log.Fatal(err)
 		}
-		agents[name] = a
-		fmt.Printf("%s: agent %s, memory server %s\n", name, a.Addr(), a.MemServerAddr())
+		fmt.Printf("host %d %s: agent %s, memory server %s\n", h.ID, h.Name, a.Addr(), a.MemServerAddr())
 	}
-
-	// Create a desktop VM on its home host.
-	const vmid = pagestore.VMID(1001)
-	host, consHost := "home-0", "cons-0"
-	err := mgr.CreateVMOn(host, agent.CreateVMArgs{
-		VMID: vmid, Name: "vdi-1001", Alloc: 32 * units.MiB, VCPUs: 1,
-		Disk: "nfs://storage/vdi-1001.img",
-	})
+	// The agents' VMs are 8 MiB stand-ins for the model's 4 GiB.
+	ap, err := agent.NewApplier(mgr, c, 8*units.MiB)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nmanager: created vm %04d on %s\n", vmid, host)
 
-	// The user works: the guest dirties memory.
-	for pfn := pagestore.PFN(64); pfn < 96; pfn++ {
-		if err := mgr.WritePage(host, vmid, pfn, bytes.Repeat([]byte{byte(pfn)}, int(units.PageSize))); err != nil {
-			log.Fatal(err)
+	// Each user works a little before the morning starts: the guest
+	// dirties 16 pages at home.
+	onHost := func(v int) string { return c.Hosts[c.VMs[v].Host].Name }
+	fill := func(b byte) []byte { return bytes.Repeat([]byte{b}, int(units.PageSize)) }
+	for i, v := range c.VMs {
+		for pfn := pagestore.PFN(64); pfn < 80; pfn++ {
+			if err := mgr.WritePage(onHost(i), v.ID, pfn, fill(byte(i+1))); err != nil {
+				log.Fatal(err)
+			}
 		}
 	}
-	fmt.Printf("guest: dirtied 32 pages while active on %s\n", host)
 
-	// The user goes idle: consolidate with partial migration and put the
-	// home host to sleep.
-	if err := mgr.PartialMigrate(vmid, host, consHost); err != nil {
-		log.Fatal(err)
+	// Which VMs are active in each five-minute interval.
+	script := [][]int{{}, {}, {0}, {}, {0, 1, 2}, {0, 1, 2, 3}}
+	for iv, on := range script {
+		active := make([]bool, len(c.VMs))
+		for _, i := range on {
+			active[i] = true
+		}
+		fmt.Printf("\ninterval %d, active VMs %v:\n", iv, on)
+		evs, err := ap.Step(active)
+		for _, e := range evs {
+			fmt.Println("  applied", e)
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		// Idle background activity: the last VM dirties a page wherever
+		// it runs, consolidated or not.
+		if iv == 1 {
+			last := len(c.VMs) - 1
+			if err := mgr.WritePage(onHost(last), c.VMs[last].ID, 200, fill(0xAB)); err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("  vm %04d dirtied page 200 on %s (partial: %v)\n", c.VMs[last].ID, onHost(last), c.VMs[last].Partial)
+		}
 	}
-	if err := mgr.Suspend(host); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("manager: vm %04d partially migrated to %s; %s suspended\n", vmid, consHost, host)
 
-	// Idle-period background activity on the consolidation host: page
-	// faults are served by the sleeping home's memory server.
-	got, err := mgr.ReadPage(consHost, vmid, 80)
+	ok := true
+	for i, v := range c.VMs {
+		for pfn := pagestore.PFN(64); pfn < 80; pfn++ {
+			got, err := mgr.ReadPage(onHost(i), v.ID, pfn)
+			if err != nil {
+				log.Fatal(err)
+			}
+			ok = ok && got[0] == byte(i+1)
+		}
+	}
+	last := len(c.VMs) - 1
+	got, err := mgr.ReadPage(onHost(last), c.VMs[last].ID, 200)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s: faulted page 80 from sleeping %s's memory server (contents ok: %v)\n",
-		consHost, host, got[0] == 80)
-	if err := mgr.WritePage(consHost, vmid, 200, bytes.Repeat([]byte{0xAB}, int(units.PageSize))); err != nil {
-		log.Fatal(err)
+	fmt.Printf("\ncontents ok: %v\nremote dirty state preserved: %v\n", ok, got[0] == 0xAB)
+	if !ok || got[0] != 0xAB {
+		log.Fatal("guest pages lost")
 	}
-
-	st, err := mgr.HostStats(consHost)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s: %d partial VM(s); faults so far: %d\n", consHost, len(st.VMs), st.VMs[0].Faults)
-
-	// The user returns: wake the home, reintegrate only the dirty state,
-	// resume at full speed.
-	if err := mgr.Wake(host); err != nil {
-		log.Fatal(err)
-	}
-	if err := mgr.Reintegrate(vmid, consHost, host); err != nil {
-		log.Fatal(err)
-	}
-	got, err = mgr.ReadPage(host, vmid, 200)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("manager: vm %04d reintegrated to %s; remote dirty state preserved: %v\n",
-		vmid, host, got[0] == 0xAB)
-
-	ms := agents[host].MemServerAddr()
-	_ = ms
-	mst, err := mgr.HostStats(host)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s: memory server uploaded %d pages, served %d page requests\n",
-		host, mst.MemServer.PagesUploaded, mst.MemServer.PagesServed)
 }

@@ -3,7 +3,8 @@
 // migrations and reintegration against other agents, uploads memory
 // images to the host's memory server, and reports statistics to the
 // cluster manager. A thin Manager (manager.go) drives a set of agents the
-// way §4.1 describes.
+// way §4.1 describes, and an Applier (applier.go) drives them with the
+// simulator's consolidation policy.
 //
 // The agent is fully functional over TCP: partial migration really pushes
 // a descriptor and serves pages on demand through memtap; full migration
@@ -413,11 +414,11 @@ func (a *Agent) vm(id pagestore.VMID, in ...phase) (*managedVM, error) {
 }
 
 // set moves mv to phase to, and is the only code that writes a phase. A
-// VM leaving gone enters a.vms, replacing a staged entry for its id, and
-// one moving to gone leaves it. pvm and mt belong to the partial phases:
-// every move out of them closes mt and clears both, the VM keeping the
-// partial VM's image. A move next does not list is a bug in the caller.
-// Called with a.mu held.
+// VM leaving gone enters a.vms, replacing a staged or away entry for its
+// id, and one moving to gone leaves it. pvm and mt belong to the partial
+// phases: every move out of them closes mt and clears both, the VM
+// keeping the partial VM's image. A move next does not list is a bug in
+// the caller. Called with a.mu held.
 func (a *Agent) set(mv *managedVM, to phase) {
 	id := mv.desc.VMID
 	if !slices.Contains(next[mv.phase], to) {
@@ -893,14 +894,24 @@ func (a *Agent) handleAdoptVM(args vmArgs, _ []byte) (any, []byte, error) {
 // handleReceiveFull opens an inbound live migration: an empty image is
 // staged under the VM's descriptor, the pre-copy rounds fill it chunk by
 // chunk (ReceiveFullDelta) and ActivateFull switches it over. A staged
-// copy left by an abandoned migration is replaced.
+// copy left by an abandoned migration is replaced, and so is the retained
+// copy of a VM away from here that became full elsewhere (converted in
+// place): its memory-server image goes with it, as a full migration's
+// source frees its own.
 func (a *Agent) handleReceiveFull(desc hypervisor.Descriptor, _ []byte) (any, []byte, error) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	if _, err := a.vm(desc.VMID, gone, staged); err != nil {
+	mv, err := a.vm(desc.VMID, gone, staged, away)
+	wasAway := mv != nil && mv.phase == away
+	if err == nil {
+		a.set(&managedVM{desc: &desc, image: pagestore.NewImage(desc.Alloc)}, staged)
+	}
+	a.mu.Unlock()
+	if err != nil {
 		return nil, nil, err
 	}
-	a.set(&managedVM{desc: &desc, image: pagestore.NewImage(desc.Alloc)}, staged)
+	if wasAway {
+		a.deleteImage(desc.VMID)
+	}
 	a.logf("agent %s: staging inbound live migration of vm %04d", a.Name, desc.VMID)
 	return nil, nil, nil
 }

@@ -499,3 +499,71 @@ func TestPostCopyMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConvertedVMGoesHome takes a VM through §3.2's convert in place and
+// back: partially migrated to a consolidation host, its owner suspended,
+// it is adopted there as a full VM, and once the owner wakes a full
+// migration returns it. The owner's retained copy must not refuse the
+// VM's return; it is replaced, with its memory-server image.
+func TestConvertedVMGoesHome(t *testing.T) {
+	m, agents := startHosts(t, 2)
+	home, cons := agents[0].Name, agents[1].Name
+	const id = pagestore.VMID(1000)
+	if err := m.CreateVMOn(home, CreateVMArgs{VMID: id, Alloc: 4 * units.MiB}); err != nil {
+		t.Fatal(err)
+	}
+	for pfn := pagestore.PFN(100); pfn < 110; pfn++ {
+		if err := m.WritePage(home, id, pfn, page(byte(pfn))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.PartialMigrate(id, home, cons); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Suspend(home); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WritePage(cons, id, 110, page(0xC0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AdoptVM(id, cons); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Wake(home); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.FullMigrate(id, cons, home); err != nil {
+		t.Fatal(err)
+	}
+	for pfn := pagestore.PFN(100); pfn <= 110; pfn++ {
+		want := byte(pfn)
+		if pfn == 110 {
+			want = 0xC0
+		}
+		got, err := m.ReadPage(home, id, pfn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != want {
+			t.Fatalf("pfn %d = %x after the return, want %x", pfn, got[0], want)
+		}
+	}
+	var resident []string
+	for _, a := range agents {
+		st, err := m.HostStats(a.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, vi := range st.VMs {
+			if vi.VMID == id && !vi.Away {
+				resident = append(resident, a.Name)
+			}
+		}
+	}
+	if len(resident) != 1 || resident[0] != home {
+		t.Fatalf("vm %04d resident on %v, want only %s", id, resident, home)
+	}
+	if agents[0].mem.Store().Len() != 0 {
+		t.Fatal("the owner's memory server still holds the replaced copy's image")
+	}
+}

@@ -186,6 +186,14 @@ func (m *Manager) FullMigrate(id pagestore.VMID, src, dst string) error {
 	})
 }
 
+// AdoptVM converts the partial VM running on hostName into a full VM
+// there, owned there (§3.2 convert in place): the host fetches every page
+// it lacks from the owner's memory server. The owner keeps its retained
+// copy until a full migration home replaces it.
+func (m *Manager) AdoptVM(id pagestore.VMID, hostName string) error {
+	return m.call(hostName, "Agent.AdoptVM", vmArgs{VMID: id}, nil)
+}
+
 // Reintegrate returns a partial VM running on consHost to its owner.
 func (m *Manager) Reintegrate(id pagestore.VMID, consHost, owner string) error {
 	return m.between(consHost, owner, func(c, o *hostEntry) error {

@@ -187,7 +187,7 @@ func TestPhaseTable(t *testing.T) {
 		{"CreateVM", func(*phaseHost) any { return CreateVMArgs{VMID: probeVM, Alloc: units.MiB} }, nil,
 			map[phase]phase{gone: home}},
 		{"ReceiveFull", func(*phaseHost) any { return desc }, nil,
-			map[phase]phase{gone: staged, staged: staged}},
+			map[phase]phase{gone: staged, staged: staged, away: staged}},
 		{"ReceivePartial", func(h *phaseHost) any {
 			return receivePartialArgs{Desc: desc, MemAddr: h.peer.MemServerAddr()}
 		}, nil, map[phase]phase{gone: partial, staged: partial}},

@@ -159,8 +159,8 @@ type Config struct {
 	// how hard resume storms collide on consolidation-host NICs.
 	ActivationSpread time.Duration
 
-	// EventLogSize bounds the manager's decision log (Events); zero
-	// disables logging.
+	// EventLogSize bounds the manager's decision log (Events), one event
+	// per committed action; zero disables logging.
 	EventLogSize int
 
 	// MemServerMTBF enables memory-server fault injection: the mean time
@@ -267,8 +267,10 @@ type Cluster struct {
 	// flushDelays resolves them in arrival order.
 	pendingDelays []delayReq
 
-	// events is the bounded decision log (see Events).
+	// events is the bounded decision log (see Events); logged counts
+	// every event ever recorded.
 	events []Event
+	logged int
 
 	// outageFired latches the one-shot correlated outage burst
 	// (Config.OutageAt) once it has happened.

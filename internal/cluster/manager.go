@@ -283,7 +283,7 @@ func (c *Cluster) convertInPlace(v *vm.VM) bool {
 	if err := h.Recharge(v.ID, old); err != nil {
 		panic(fmt.Sprintf("cluster: convert recharge: %v", err))
 	}
-	c.event(EvConvert, h.ID, v.ID, "")
+	c.moved(EvConvert, v, h.ID)
 	// Remaining state streams in from the home's memory server, after
 	// which the home frees the image (§4.2). The VM keeps its original
 	// home for policy purposes: §3.2 returns "all full VMs that were
@@ -321,7 +321,7 @@ func (c *Cluster) migrateToNewHome(v *vm.VM) bool {
 	}
 	c.Stats.FullBytes += v.Alloc
 	c.Stats.Ops.Inc("full-newhome", 1)
-	c.event(EvNewHome, dest.ID, v.ID, "")
+	c.moved(EvNewHome, v, src.ID)
 	// The home's memory-server image is freed once the full state has
 	// been transferred; the VM keeps its original home.
 	m := c.metaOf(v)
@@ -341,7 +341,6 @@ func (c *Cluster) wakeHomeAndReturnAll(h *host.Host) {
 	}
 	h.Wake(func() {
 		h.SetMemServer(false)
-		c.event(EvReturnAll, h.ID, 0, "")
 		c.returnAllHome(h)
 	})
 }
@@ -361,10 +360,11 @@ func (c *Cluster) returnAllHome(h *host.Host) {
 		if err := src.RemoveVM(v.ID); err != nil {
 			panic(fmt.Sprintf("cluster: return remove: %v", err))
 		}
+		kind := EvReturnAll
 		if v.Partial {
 			c.endPartialEpisode(v, true)
 			v.Partial = false
-			c.event(EvReintegrate, h.ID, v.ID, "")
+			kind = EvReintegrate
 		} else {
 			c.Stats.FullBytes += v.Alloc
 			c.Stats.Ops.Inc("full-return", 1)
@@ -372,6 +372,7 @@ func (c *Cluster) returnAllHome(h *host.Host) {
 		if err := h.AddVM(v); err != nil {
 			panic(fmt.Sprintf("cluster: return add: %v", err))
 		}
+		c.moved(kind, v, src.ID)
 	}
 }
 
@@ -400,6 +401,7 @@ func (c *Cluster) exchangeIdleFulls(wentIdle []*vm.VM) {
 		wasAsleep := h.Sleeping() || h.InTransit()
 		if wasAsleep {
 			c.Stats.Ops.Inc("home-wake-exchange", 1)
+			c.event(EvWake, h.ID, 0, "for exchange")
 		}
 		h.Wake(func() {
 			h.SetMemServer(false)
@@ -442,7 +444,7 @@ func (c *Cluster) exchangeOne(home *host.Host, v *vm.VM) (time.Duration, bool) {
 	fullOp := c.Cfg.Model.FullMigration(v.Alloc, false)
 	c.Stats.FullBytes += fullOp.NetBytes
 	c.Stats.Ops.Inc("full-exchange", 1)
-	c.event(EvExchange, cons.ID, v.ID, "")
+	c.moved(EvExchange, v, cons.ID)
 
 	// Partial migration back to the same consolidation host.
 	d, ok := c.partialMigrate(v, cons)
@@ -452,6 +454,7 @@ func (c *Cluster) exchangeOne(home *host.Host, v *vm.VM) (time.Duration, bool) {
 		// planner deals with it next interval.
 		return fullOp.Latency, true
 	}
+	c.moved(EvExchange, v, home.ID)
 	return fullOp.Latency + d, true
 }
 
@@ -750,6 +753,7 @@ func (c *Cluster) executeVacate(h *host.Host, plan []assignment) {
 			needWake = true
 			c.waking[a.dest] = true
 			c.Stats.Ops.Inc("cons-wake", 1)
+			c.event(EvWake, a.dest, 0, "for vacate")
 			dest.Wake(nil)
 		}
 	}
@@ -762,7 +766,7 @@ func (c *Cluster) executeVacate(h *host.Host, plan []assignment) {
 	}
 	c.Sim.After(delay, "vacate", func() {
 		var busy time.Duration
-		moved := 0
+		n := 0
 		for _, a := range plan {
 			v := a.v
 			if v.Host != h.ID {
@@ -771,8 +775,9 @@ func (c *Cluster) executeVacate(h *host.Host, plan []assignment) {
 			dest := c.hostByID(a.dest)
 			if a.partial && !v.Active {
 				if d, ok := c.partialMigrate(v, dest); ok {
+					c.moved(EvVacate, v, h.ID)
 					busy += d
-					moved++
+					n++
 				}
 				continue
 			}
@@ -786,6 +791,7 @@ func (c *Cluster) executeVacate(h *host.Host, plan []assignment) {
 			if err := dest.AddVM(v); err != nil {
 				panic(fmt.Sprintf("cluster: vacate add: %v", err))
 			}
+			c.moved(EvVacate, v, h.ID)
 			op := c.Cfg.Model.FullMigration(v.Alloc, v.Active)
 			c.Stats.FullBytes += op.NetBytes
 			c.Stats.Ops.Inc("full-vacate", 1)
@@ -795,13 +801,10 @@ func (c *Cluster) executeVacate(h *host.Host, plan []assignment) {
 			m.uploaded = false
 			m.dirtySinceUpload = 0
 			busy += op.Latency
-			moved++
+			n++
 		}
-		if moved == 0 {
+		if n == 0 {
 			return
-		}
-		if c.Cfg.EventLogSize > 0 {
-			c.event(EvVacate, h.ID, 0, fmt.Sprintf("%d VMs moved", moved))
 		}
 		c.Sim.After(busy, "vacate-sleep", func() {
 			if h.Powered() && h.NumVMs() == 0 {
