@@ -70,7 +70,14 @@ func (a *Applier) Step(active []bool) ([]cluster.Event, error) {
 }
 
 // apply carries out one event on the agents; annotations need nothing.
+// A new-home move is refused before any agent is called: the agents
+// would take its destination for the VM's owner while the planner keeps
+// the old home, and a later reintegration would merge dirty pages into
+// that home's stale retained copy.
 func (a *Applier) apply(e cluster.Event) error {
+	if e.Kind == cluster.EvNewHome {
+		return fmt.Errorf("a %s move is not supported: the planner keeps vm %04d's home where it was", e.Kind, e.VM)
+	}
 	from, to := a.c.Hosts[e.From].Name, a.c.Hosts[e.Host].Name
 	switch e.Kind {
 	case cluster.EvWake:
@@ -81,11 +88,6 @@ func (a *Applier) apply(e cluster.Event) error {
 		return a.m.AdoptVM(e.VM, to)
 	case cluster.EvReintegrate:
 		return a.m.Reintegrate(e.VM, from, to)
-	case cluster.EvNewHome:
-		if err := a.m.AdoptVM(e.VM, from); err != nil {
-			return err
-		}
-		return a.m.FullMigrate(e.VM, from, to)
 	case cluster.EvVacate, cluster.EvExchange, cluster.EvReturnAll:
 		if e.Partial {
 			return a.m.PartialMigrate(e.VM, from, to)

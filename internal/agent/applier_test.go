@@ -212,6 +212,25 @@ func TestApplierOnlyPartialSoak(t *testing.T) {
 	}
 }
 
+// TestApplierRefusesNewHome hands the applier one synthetic new-home move.
+// It must refuse the event by name without calling an agent: its Manager
+// is nil, so any call would panic.
+func TestApplierRefusesNewHome(t *testing.T) {
+	cfg := cluster.DefaultConfig()
+	cfg.HomeHosts, cfg.ConsHosts, cfg.VMsPerHost = 2, 1, 1
+	cfg.EventLogSize = 16
+	c, err := cluster.New(simtime.New(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap := &Applier{c: c}
+	v := c.VMs[0]
+	e := cluster.Event{Kind: cluster.EvNewHome, VM: v.ID, From: v.Host, Host: len(c.Hosts) - 1}
+	if err := ap.apply(e); err == nil || !strings.Contains(err.Error(), "new-home move is not supported") {
+		t.Fatalf("applying a new-home move: %v, want it refused by name", err)
+	}
+}
+
 // TestApplierRefusesAGappedLog gives the planner a decision log too small
 // for one interval's actions: the applier must stop rather than drive the
 // agents through half a plan.

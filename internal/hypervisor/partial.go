@@ -13,6 +13,13 @@ import (
 // Pager retrieves missing pages for a partial VM. In the prototype this is
 // the per-VM memtap user process fetching from the memory server; tests
 // may supply an in-process implementation.
+//
+// The page FetchPage returns is the caller's to keep and is never written
+// again, by the pager or by anyone else: the partial VM installs that
+// slice as its page instead of copying it. Only the shared zero page
+// (pagestore.IsSharedZero) is handed to every caller alike; it is
+// installed as a zero page. A page shorter than a page is padded into a
+// fresh one on install.
 type Pager interface {
 	FetchPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error)
 }
@@ -146,23 +153,27 @@ func (vm *PartialVM) Touch(pfn pagestore.PFN) (faulted bool, err error) {
 	if err != nil {
 		return true, fmt.Errorf("hypervisor: vm %04d: fetch pfn %d: %w", vm.desc.VMID, pfn, err)
 	}
-	if pagestore.IsSharedZero(page) {
-		// The pager handed back the decoder's shared zero page: install
-		// the elided form instead of scanning and copying 4 KiB of zeros.
-		page = nil
-	}
+	// The pager's page becomes the VM's own (see Pager). A page that lost
+	// to another fault, an install or a guest write is not counted.
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
-	if vm.isPresent(pfn) {
-		return true, nil // raced with another fault, install, or guest write
+	n, err := vm.mem.Keep([]pagestore.PFN{pfn}, [][]byte{page}, vm.claimLocked)
+	if n == 1 {
+		vm.faults++
+		vm.fetchedBytes += units.PageSize
 	}
-	if err := vm.mem.Write(pfn, page); err != nil {
-		return true, err
+	return true, err
+}
+
+// claimLocked marks an absent page present for the install about to
+// store it; a present page holds newer state than anything fetched for
+// it, so it is refused. vm.mu is held.
+func (vm *PartialVM) claimLocked(pfn pagestore.PFN) bool {
+	if vm.isPresent(pfn) {
+		return false
 	}
 	vm.markPresent(pfn)
-	vm.faults++
-	vm.fetchedBytes += units.PageSize
-	return true, nil
+	return true
 }
 
 // Write emulates a guest write access: the page becomes present without a
@@ -184,26 +195,39 @@ func (vm *PartialVM) Write(pfn pagestore.PFN, data []byte) error {
 	return nil
 }
 
-// Install stores a page fetched from the memory server without marking it
-// dirty: its contents match the home's copy, so reintegration need not
-// push it. Prefetchers use this to stream in absent pages. It reports
-// whether the page was actually installed: false means the install raced
-// with a fault or a guest write and the newer local state was kept, so
-// callers accounting transferred-and-installed bytes must not count it.
+// Install is InstallPages of one page applied to a copy of data: the
+// caller keeps its slice and may write to it afterwards. It reports
+// whether the page was installed.
 func (vm *PartialVM) Install(pfn pagestore.PFN, data []byte) (bool, error) {
-	if int64(pfn) >= vm.desc.Alloc.Pages() {
-		return false, fmt.Errorf("hypervisor: vm %04d: pfn %d out of range", vm.desc.VMID, pfn)
+	p := data // an oversized page is refused, so it needs no copy
+	if len(data) <= int(units.PageSize) {
+		p = make([]byte, units.PageSize)
+		copy(p, data)
+	}
+	n, err := vm.InstallPages([]pagestore.PFN{pfn}, [][]byte{p})
+	return n == 1, err
+}
+
+// InstallPages stores pages fetched from the memory server, pages[i]
+// being the contents of pfns[i], without marking them dirty: their
+// contents match the home's copy, so reintegration need not push them.
+// Prefetchers use it to stream in absent pages. Each page becomes the
+// VM's own, not a copy (see Pager for the contract); nil or the shared
+// zero page is a zero page. The present bits are rechecked and the pages
+// stored under one acquisition of the VM's lock and one of its image's.
+// It returns how many pages were installed: a page whose pfn is present
+// already raced with a fault, an install or a guest write, and the newer
+// local state was kept, so callers accounting transferred-and-installed
+// bytes must not count it. An error installs nothing.
+func (vm *PartialVM) InstallPages(pfns []pagestore.PFN, pages [][]byte) (int, error) {
+	for _, pfn := range pfns {
+		if int64(pfn) >= vm.desc.Alloc.Pages() {
+			return 0, fmt.Errorf("hypervisor: vm %04d: pfn %d out of range", vm.desc.VMID, pfn)
+		}
 	}
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
-	if vm.isPresent(pfn) {
-		return false, nil // raced with a fault or a guest write; keep newer state
-	}
-	if err := vm.mem.Write(pfn, data); err != nil {
-		return false, err
-	}
-	vm.markPresent(pfn)
-	return true, nil
+	return vm.mem.Keep(pfns, pages, vm.claimLocked)
 }
 
 // AbsentPages returns up to max absent PFNs in ascending order (all of

@@ -83,6 +83,171 @@ func TestTouchConcurrentSamePFN(t *testing.T) {
 	}
 }
 
+// TestTouchKeepsPagersPage: a fault installs the pager's whole page as
+// the VM's own, without a copy.
+func TestTouchKeepsPagersPage(t *testing.T) {
+	fetched := pageOf(9)
+	vm, err := NewPartialVM(NewDescriptor(80, "own", 4*units.MiB, 1), &blockingPager{
+		fill: func(pagestore.PFN) []byte { return fetched },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pfn := pagestore.PFN(vm.desc.PageTablePages)
+	got, err := vm.Read(pfn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &fetched[0] {
+		t.Fatal("the fault copied the pager's page instead of keeping it")
+	}
+}
+
+// TestTouchPadsShortPage: a pager's page shorter than a page is padded
+// with zeros into a fresh page, as a short guest write is.
+func TestTouchPadsShortPage(t *testing.T) {
+	short := []byte{1, 2, 3}
+	vm, err := NewPartialVM(NewDescriptor(81, "own", 4*units.MiB, 1), &blockingPager{
+		fill: func(pagestore.PFN) []byte { return short },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pfn := pagestore.PFN(vm.desc.PageTablePages)
+	got, err := vm.Read(pfn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, units.PageSize)
+	copy(want, short)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("short page read back as %d bytes starting %v", len(got), got[:min(len(got), 4)])
+	}
+	if vm.Faults() != 1 || vm.FetchedBytes() != units.PageSize {
+		t.Fatalf("Faults = %d, FetchedBytes = %v; want one page", vm.Faults(), vm.FetchedBytes())
+	}
+}
+
+// TestInstallCopies: Install still copies, so a caller that writes to
+// its slice afterwards changes nothing in the VM.
+func TestInstallCopies(t *testing.T) {
+	vm, err := NewPartialVM(NewDescriptor(82, "own", 4*units.MiB, 1), &blockingPager{fill: pageOf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pfn := pagestore.PFN(vm.desc.PageTablePages)
+	data := pageOf(pfn)
+	if ok, err := vm.Install(pfn, data); !ok || err != nil {
+		t.Fatalf("Install = %v, %v", ok, err)
+	}
+	for i := range data {
+		data[i] = 0xEE
+	}
+	got, err := vm.Read(pfn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, pageOf(pfn)) {
+		t.Fatal("a write to the caller's slice after Install reached the VM")
+	}
+}
+
+// TestInstallPagesRacesTouchAndWrite runs batch installs against guest
+// faults and guest writes on the same pages. Every page ends up present
+// once: a written page keeps the guest's data and stays dirty whatever
+// came after it, every other page holds the fetched contents, and
+// installs plus faults count each unwritten page exactly once.
+func TestInstallPagesRacesTouchAndWrite(t *testing.T) {
+	const batch = 16
+	vm, err := NewPartialVM(NewDescriptor(83, "conc", 4*units.MiB, 1), &blockingPager{fill: pageOf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	npages := vm.desc.Alloc.Pages()
+	start := pagestore.PFN(vm.desc.PageTablePages)
+	guest := bytes.Repeat([]byte{0xAB}, int(units.PageSize))
+	written := func(pfn pagestore.PFN) bool { return pfn%7 == 0 }
+
+	var installed atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { // prefetcher: forward, one batch and one lock pair at a time
+		defer wg.Done()
+		for lo := start; int64(lo) < npages; lo += batch {
+			var pfns []pagestore.PFN
+			var pages [][]byte
+			for pfn := lo; pfn < lo+batch && int64(pfn) < npages; pfn++ {
+				pfns, pages = append(pfns, pfn), append(pages, pageOf(pfn))
+			}
+			n, err := vm.InstallPages(pfns, pages)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			installed.Add(int64(n))
+		}
+	}()
+	go func() { // guest faulting backward
+		defer wg.Done()
+		for pfn := pagestore.PFN(npages - 1); pfn >= start; pfn-- {
+			if _, err := vm.Touch(pfn); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // guest overwriting every seventh page, backward too
+		defer wg.Done()
+		for pfn := pagestore.PFN(npages - 1); pfn >= start; pfn-- {
+			if written(pfn) {
+				if err := vm.Write(pfn, guest); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+
+	if got := vm.PresentPages(); got != npages {
+		t.Fatalf("PresentPages = %d, want %d", got, npages)
+	}
+	dirty := map[pagestore.PFN]bool{}
+	for _, pfn := range vm.DirtyPages() {
+		dirty[pfn] = true
+	}
+	var unwritten int64
+	for pfn := start; int64(pfn) < npages; pfn++ {
+		got, err := vm.Read(pfn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := pageOf(pfn)
+		if written(pfn) {
+			want = guest
+			if !dirty[pfn] {
+				t.Fatalf("written pfn %d lost its dirty mark", pfn)
+			}
+		} else {
+			unwritten++
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("pfn %d holds stale contents: a fetched page overwrote newer state", pfn)
+		}
+	}
+	// An unwritten page counts once, by an install or a fault. A written
+	// page counts once if a fetched copy got there before the write
+	// replaced it, else not at all.
+	total := installed.Load() + vm.Faults()
+	if total < unwritten || total > npages-int64(start) {
+		t.Fatalf("installs(%d) + faults(%d) = %d for %d unwritten of %d pageable pages: a page was lost or double-counted",
+			installed.Load(), vm.Faults(), total, unwritten, npages-int64(start))
+	}
+	if got, want := vm.FetchedBytes(), units.Bytes(vm.Faults())*units.PageSize; got != want {
+		t.Fatalf("FetchedBytes = %v, want %v", got, want)
+	}
+}
+
 // TestTouchLosesToGuestWrite checks the recheck-after-fetch: a guest write
 // that lands while the fetch is in flight must win over the stale fetched
 // copy.

@@ -18,7 +18,8 @@ import (
 // embedding ops, the protocol written once), and the sharded fabric
 // client in the shard subpackage. shard.Connect picks between them, which
 // is what lets one call site scale from a bare connection to a
-// replicated fabric purely through dial options.
+// replicated fabric purely through dial options. A page the reads return
+// is the caller's to keep (see GetPage).
 type Conn interface {
 	GetPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error)
 	GetPageStaged(id pagestore.VMID, pfn pagestore.PFN) (page []byte, wire, decompress time.Duration, err error)
@@ -99,8 +100,11 @@ type ops struct {
 	put *putTel
 }
 
-// GetPage fetches one guest page, decompressing it. The returned slice
-// must not be modified if the page was all zero (a shared buffer).
+// GetPage fetches one guest page, decompressing it. The page is the
+// caller's to keep and is never written again: a compressed entry is
+// decoded into a fresh page, a raw one stays where it arrived, in the
+// reply buffer this exchange allocated. An all-zero page is the shared
+// zero page, which belongs to no caller and must not be modified.
 func (o ops) GetPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error) {
 	page, _, _, err := o.GetPageStaged(id, pfn)
 	return page, err
@@ -135,8 +139,11 @@ func (o ops) GetPageStaged(id pagestore.VMID, pfn pagestore.PFN) (page []byte, w
 
 // GetPages fetches a batch of guest pages in one round trip, for
 // prefetchers converting a partial VM into a full one (§4.4.4). The
-// result maps each requested PFN to its decompressed contents; all-zero
-// pages share one buffer that must not be modified.
+// result maps each requested PFN to its decompressed contents. Each page
+// is the caller's to keep and is never written again: a compressed entry
+// is decoded into a fresh page and a raw one copied out of the reply, so
+// a kept page does not pin the whole batch. All-zero pages are the shared
+// zero page, which belongs to no caller and must not be modified.
 func (o ops) GetPages(id pagestore.VMID, pfns []pagestore.PFN) (map[pagestore.PFN][]byte, error) {
 	if len(pfns) == 0 {
 		return map[pagestore.PFN][]byte{}, nil

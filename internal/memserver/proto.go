@@ -8,6 +8,7 @@
 package memserver
 
 import (
+	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
@@ -320,8 +321,10 @@ func parseGetPagesRequest(dst []pagestore.PFN, payload []byte) (pagestore.VMID, 
 	return id, pfns, nil
 }
 
-// parsePagesReply decodes a msgPages payload into decompressed pages.
-// All-zero pages share one buffer that must not be modified.
+// parsePagesReply decodes a msgPages payload into pages the caller owns:
+// a compressed entry is decoded into a fresh page and a raw one copied
+// out, so that no page pins the reply, and nobody writes either again.
+// All-zero pages are the shared zero page, which must not be modified.
 func parsePagesReply(reply []byte) (map[pagestore.PFN][]byte, error) {
 	if len(reply) < 4 {
 		return nil, errors.New("memserver: short batch reply")
@@ -349,6 +352,9 @@ func parsePagesReply(reply []byte) (map[pagestore.PFN][]byte, error) {
 		page, err := pagestore.DecodePage(token, reply[off:off+bodyLen])
 		if err != nil {
 			return nil, err
+		}
+		if bodyLen > 0 && &page[0] == &reply[off] {
+			page = bytes.Clone(page) // a raw entry, decoded in place
 		}
 		out[pfn] = page
 		off += bodyLen

@@ -1,0 +1,195 @@
+//go:build !race
+
+package memtap
+
+import (
+	"bytes"
+	"math"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"oasis/internal/hypervisor"
+	"oasis/internal/memserver"
+	"oasis/internal/pagestore"
+	"oasis/internal/rng"
+	"oasis/internal/units"
+)
+
+// The race detector's instrumentation adds allocations of its own, so
+// the exact counts are held in uninstrumented builds only. Both gates run
+// the real client over loopback against a real server, whose serving
+// path allocates nothing (memserver's TestGetPagesWireFormZeroAlloc).
+
+// Page kinds of an alloc-gate image.
+const (
+	kindZero = iota
+	kindCompressible
+	kindRaw
+)
+
+// allocImage serves a 4 MiB VM whose page i is of kind(i), and returns
+// the server's address.
+func allocImage(t *testing.T, vmid pagestore.VMID, kind func(pagestore.PFN) int) string {
+	t.Helper()
+	srv := memserver.NewServer(secret, t.Logf)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	r := rng.New(uint64(vmid))
+	im := pagestore.NewImage(4 * units.MiB)
+	for pfn := pagestore.PFN(0); int64(pfn) < im.NumPages(); pfn++ {
+		p := make([]byte, units.PageSize)
+		switch kind(pfn) {
+		case kindCompressible:
+			copy(p, bytes.Repeat([]byte{byte(pfn), 0, 0, 0, 7, 7}, len(p)/6))
+		case kindRaw:
+			for i := range p {
+				p[i] = byte(r.Uint64())
+			}
+		}
+		if err := im.Write(pfn, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Store().Put(vmid, im)
+	return addr.String()
+}
+
+// minMallocs returns the fewest heap allocations fn made over reps runs,
+// each after its own setup: allocations by anything else running in the
+// process only ever add to a run's count. The collector is held off while
+// fn runs; a cycle landing inside one costs a few allocations of its own.
+func minMallocs(reps int, setup func(), fn func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var ms runtime.MemStats
+	best := uint64(math.MaxUint64)
+	for range reps {
+		setup()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		fn()
+		runtime.ReadMemStats(&ms)
+		best = min(best, ms.Mallocs-before)
+	}
+	return best
+}
+
+// TestPrefetchAllocatesOnePagePerInstall is the prefetch path's
+// allocation gate: PrefetchRemaining — GetPages round trip, reply decode,
+// one InstallPages per batch — allocates one page per installed non-zero
+// page and a constant per batch, and nothing per zero page. Two images of
+// the same geometry, one all compressible and one a mix of zero,
+// compressible and raw pages, take the same batches; once each non-zero
+// page's allocation is taken off, they must cost the same.
+func TestPrefetchAllocatesOnePagePerInstall(t *testing.T) {
+	const batch = 128
+	shapes := []struct {
+		name string
+		kind func(pagestore.PFN) int
+	}{
+		{"compressible", func(pagestore.PFN) int { return kindCompressible }},
+		{"mixed", func(pfn pagestore.PFN) int { return int(pfn % 3) }},
+	}
+	var perBatch []float64
+	for i, s := range shapes {
+		vmid := pagestore.VMID(90 + i)
+		mt, err := NewWithOptions(vmid, allocImage(t, vmid, s.kind), secret, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mt.Close()
+		desc := hypervisor.NewDescriptor(vmid, "alloc", 4*units.MiB, 1)
+		var pvm *hypervisor.PartialVM
+		var installed int
+		nonZero := 0
+		for pfn := desc.PageTablePages; pfn < desc.Alloc.Pages(); pfn++ {
+			if s.kind(pagestore.PFN(pfn)) != kindZero {
+				nonZero++
+			}
+		}
+		batches := int((desc.Alloc.Pages() - desc.PageTablePages + batch - 1) / batch)
+		allocs := minMallocs(5, func() {
+			if pvm, err = hypervisor.NewPartialVM(desc, mt); err != nil {
+				t.Fatal(err)
+			}
+		}, func() {
+			installed, err = mt.PrefetchRemaining(pvm, batch)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(installed) != desc.Alloc.Pages()-desc.PageTablePages {
+			t.Fatalf("%s: installed %d pages", s.name, installed)
+		}
+		rest := float64(int(allocs)-nonZero) / float64(batches)
+		t.Logf("%s: %d allocations for %d non-zero of %d pages in %d batches: %.2f a batch besides the pages",
+			s.name, allocs, nonZero, installed, batches, rest)
+		perBatch = append(perBatch, rest)
+	}
+	if perBatch[0] != perBatch[1] {
+		t.Fatalf("allocations a batch besides one per non-zero page: %.2f all compressible, %.2f mixed; want equal",
+			perBatch[0], perBatch[1])
+	}
+	if perBatch[0] > 32 || perBatch[0] < 0 {
+		t.Fatalf("%.2f allocations a batch of %d besides the pages; want a handful", perBatch[0], batch)
+	}
+}
+
+// TestFaultAllocatesItsPageOnce is the demand fault's allocation gate:
+// a fault on a compressible page, from the partial VM's Touch through
+// memtap and the client's round trip, allocates the page it decodes
+// once and keeps it, so it costs exactly one allocation more than a fault
+// on a zero page; a raw page is kept where its reply arrived and costs
+// none more.
+func TestFaultAllocatesItsPageOnce(t *testing.T) {
+	const faults = 200
+	kinds := []int{kindZero, kindCompressible, kindRaw}
+	allocs := make([]uint64, len(kinds))
+	for i, k := range kinds {
+		vmid := pagestore.VMID(95 + i)
+		addr := allocImage(t, vmid, func(pagestore.PFN) int { return k })
+		desc := hypervisor.NewDescriptor(vmid, "alloc", 4*units.MiB, 1)
+		var mt *Memtap
+		var pvm *hypervisor.PartialVM
+		var err error
+		allocs[i] = minMallocs(5, func() {
+			if mt != nil {
+				mt.Close()
+			}
+			if mt, err = NewWithOptions(vmid, addr, secret, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if pvm, err = hypervisor.NewPartialVM(desc, mt); err != nil {
+				t.Fatal(err)
+			}
+			// One fault per touched 2 MiB chunk and table leaf first, so
+			// the measured faults grow neither.
+			for pfn := desc.PageTablePages; pfn < desc.Alloc.Pages(); pfn += 512 {
+				if _, err := pvm.Touch(pagestore.PFN(pfn)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, func() {
+			for pfn := desc.PageTablePages + 1; pfn < desc.PageTablePages+1+faults; pfn++ {
+				if _, err = pvm.Touch(pagestore.PFN(pfn)); err != nil {
+					return
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mt.Close()
+	}
+	t.Logf("allocations for %d faults: zero %d, compressible %d, raw %d", faults, allocs[0], allocs[1], allocs[2])
+	if got := int(allocs[1]) - int(allocs[0]); got != faults {
+		t.Fatalf("%d faults on compressible pages allocate %d more times than on zero pages; want one page each", faults, got)
+	}
+	if allocs[2] != allocs[0] {
+		t.Fatalf("%d faults on raw pages allocate %d times, on zero pages %d; want equal", faults, allocs[2], allocs[0])
+	}
+}

@@ -94,7 +94,10 @@ var ErrDegraded = errors.New("memtap: memory server unavailable, VM degraded")
 
 // PageClient is the slice of the memory-server client surface a memtap
 // needs. Every memserver.Conn satisfies it; tests may supply in-process
-// fakes.
+// fakes. Every page GetPage and GetPages return is the caller's to keep
+// and is never written again; the exception is the shared zero page,
+// which belongs to no caller and which nobody writes. Memtap hands the
+// pages on to the partial VM as they are (see hypervisor.Pager).
 type PageClient interface {
 	GetPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error)
 	GetPages(id pagestore.VMID, pfns []pagestore.PFN) (map[pagestore.PFN][]byte, error)
@@ -725,36 +728,32 @@ func (m *Memtap) PrefetchRemaining(vm *hypervisor.PartialVM, batch int) (int, er
 	return int(installed.Load()), err
 }
 
-// installBatch installs one fetched batch into the VM, counting only the
-// pages actually installed (installs that lose the race to a concurrent
-// fault or guest write are dropped from the accounting).
-func (m *Memtap) installBatch(vm *hypervisor.PartialVM, pfns []pagestore.PFN, pages map[pagestore.PFN][]byte) (installed int, err error) {
-	var batchBytes units.Bytes
-	defer func() {
-		m.bytes.Add(int64(batchBytes))
-		tel.bytes.Add(float64(batchBytes))
-		tel.prefetched.Add(float64(batchBytes / units.PageSize))
-	}()
-	for _, pfn := range pfns {
+// installBatch installs one fetched batch into the VM in one
+// InstallPages call, handing it the client's pages to keep, and counts
+// only the pages actually installed (installs that lose the race to a
+// concurrent fault or guest write are dropped from the accounting).
+func (m *Memtap) installBatch(vm *hypervisor.PartialVM, pfns []pagestore.PFN, pages map[pagestore.PFN][]byte) (int, error) {
+	ordered := make([][]byte, len(pfns))
+	zeros := 0
+	for i, pfn := range pfns {
 		page, ok := pages[pfn]
 		if !ok {
-			return installed, fmt.Errorf("memtap: prefetch vm %04d: server omitted pfn %d", m.vmid, pfn)
+			return 0, fmt.Errorf("memtap: prefetch vm %04d: server omitted pfn %d", m.vmid, pfn)
 		}
 		if pagestore.IsSharedZero(page) {
 			// The decoder handed back its shared zero page: install the
-			// elided form instead of scanning and copying 4 KiB of zeros.
+			// elided form instead of scanning 4 KiB of zeros.
 			page = nil
-			m.zeroElided.Add(1)
-			tel.zeroElided.Inc()
+			zeros++
 		}
-		ok, err := vm.Install(pfn, page)
-		if err != nil {
-			return installed, err
-		}
-		if ok {
-			installed++
-			batchBytes += units.PageSize
-		}
+		ordered[i] = page
 	}
-	return installed, nil
+	m.zeroElided.Add(int64(zeros))
+	tel.zeroElided.Add(float64(zeros))
+	installed, err := vm.InstallPages(pfns, ordered)
+	batchBytes := units.Bytes(installed) * units.PageSize
+	m.bytes.Add(int64(batchBytes))
+	tel.bytes.Add(float64(batchBytes))
+	tel.prefetched.Add(float64(installed))
+	return installed, err
 }

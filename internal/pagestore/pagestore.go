@@ -100,6 +100,47 @@ func (im *Image) Write(pfn PFN, data []byte) error {
 	return im.set(pfn, p)
 }
 
+// Keep stores pages[i] as the page of pfns[i], for each i whose pfn take
+// accepts, under one acquisition of the lock, marks each stored page
+// dirty in the current epoch, and returns how many it stored. A whole
+// page is kept, not copied: from here on nobody writes its bytes, the
+// caller included. A shorter page is padded into a fresh one, and a zero
+// page (nil, the shared zero page or all zeros) keeps no storage. take
+// runs under the image lock, once per page in order, and may record what
+// it accepts. Every pfn and length is checked before take is first
+// called, so an error stores nothing.
+func (im *Image) Keep(pfns []PFN, pages [][]byte, take func(PFN) bool) (int, error) {
+	if len(pages) != len(pfns) {
+		return 0, fmt.Errorf("pagestore: %d pages for %d pfns", len(pages), len(pfns))
+	}
+	for i, pfn := range pfns {
+		if err := im.checkRange(pfn); err != nil {
+			return 0, err
+		}
+		if len(pages[i]) > int(units.PageSize) {
+			return 0, fmt.Errorf("pagestore: page data %d bytes exceeds page size", len(pages[i]))
+		}
+	}
+	im.mu.Lock()
+	defer im.mu.Unlock()
+	n := 0
+	for i, pfn := range pfns {
+		if !take(pfn) {
+			continue
+		}
+		p := pages[i]
+		switch {
+		case len(p) == 0 || IsSharedZero(p) || IsZeroPage(p):
+			p = nil
+		case len(p) < int(units.PageSize):
+			p = append(make([]byte, 0, units.PageSize), p...)[:units.PageSize]
+		}
+		im.setLocked(pfn, p, false)
+		n++
+	}
+	return n, nil
+}
+
 // set makes p the page's contents and marks it dirty in the current
 // epoch. p is a whole non-zero page the image keeps from here on, or nil
 // for a zero page.
