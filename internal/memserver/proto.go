@@ -220,19 +220,22 @@ func readFrameHdr(r io.Reader, hdr *[5]byte) (typ byte, payload []byte, err erro
 }
 
 // readBufCap is the ceiling readFrameReuse keeps a connection's receive
-// buffer at: a buffer grown for one oversized frame (a serial PutImage
-// of a whole image) is released after use instead of pinning memory for
-// the connection's lifetime. Streaming-upload chunks (~4 MiB) stay
-// under it, so the steady-state upload path reads into one long-lived
-// buffer with zero per-frame allocations.
+// buffer at: a buffer grown for one oversized frame is released after
+// use instead of pinning memory for the connection's lifetime.
+// Streaming-upload chunks (~4 MiB) stay under it, so the steady-state
+// upload path reads into one long-lived buffer with zero per-frame
+// allocations.
 const readBufCap = 8 << 20
 
 // readFrameReuse is readFrame with a caller-owned receive buffer: the
 // payload is read into *buf when capacity allows, growing (and, past
-// readBufCap, later shrinking) as needed. The returned payload aliases
-// *buf and is valid only until the next call — the server's receive
-// loop guarantees no handler retains it (see putChunk, which either
-// applies chunk bytes on arrival or copies them).
+// readBufCap, later shrinking) as needed, and is then valid only until
+// the next call; handlers that keep bytes of it copy them (see
+// putChunk). A PutImage or PutDiff payload is the exception: the image
+// keeps it whole, so it is read into a fresh buffer of exactly the
+// frame's length, which the caller owns, and *buf is left alone. The
+// connection's buffer never reaches an image, where it would pin its
+// spare capacity unseen by the held-bytes accounting.
 func readFrameReuse(r io.Reader, hdr *[5]byte, buf *[]byte) (typ byte, payload []byte, err error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -245,11 +248,16 @@ func readFrameReuse(r io.Reader, hdr *[5]byte, buf *[]byte) (typ byte, payload [
 		return hdr[4], nil, nil
 	}
 	b := *buf
-	if cap(b) < n || (cap(b) > readBufCap && n <= readBufCap) {
+	switch {
+	case hdr[4] == msgPutImage || hdr[4] == msgPutDiff:
 		b = make([]byte, n)
+	case cap(b) < n || (cap(b) > readBufCap && n <= readBufCap):
+		b = make([]byte, n)
+		*buf = b
+	default:
+		b = b[:n]
+		*buf = b
 	}
-	b = b[:n]
-	*buf = b
 	if _, err := io.ReadFull(r, b); err != nil {
 		return 0, nil, err
 	}

@@ -136,11 +136,18 @@ func (s *Server) SetRequireUploadMAC(on bool) { s.requireUploadMAC = on }
 // it when co-located, as the prototype's SAS path does).
 func (s *Server) Store() *pagestore.Store { return s.store }
 
-// InstallImage installs a full snapshot as a VM's image: the PutImage
-// request's body, and the host-local (SAS) path that bypasses the
-// network. An image counts its non-zero pages as uploaded, as a streamed
-// one does.
+// InstallImage installs a full snapshot as a VM's image: the host-local
+// (SAS) path that bypasses the network. The snapshot stays the
+// caller's: the image keeps a copy. An image counts its non-zero pages
+// as uploaded, as a streamed one does.
 func (s *Server) InstallImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte) error {
+	return s.installImage(id, alloc, bytes.Clone(snapshot))
+}
+
+// installImage is every whole-image put's install: the PutImage
+// request's, on the buffer its frame was read into, and InstallImage's,
+// on its copy. The image takes ownership of snapshot.
+func (s *Server) installImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte) error {
 	im := pagestore.NewImage(alloc)
 	if _, err := s.adopt(im, snapshot); err != nil {
 		return err
@@ -151,11 +158,16 @@ func (s *Server) InstallImage(id pagestore.VMID, alloc units.Bytes, snapshot []b
 }
 
 // ApplyDiff applies a differential snapshot to an existing image: the
-// PutDiff request's body, and the host-local path. It is the streamed
-// diff's commit over one chunk, so every diff path counts the entries it
-// adopted as uploaded pages.
+// host-local path. Like InstallImage it keeps a copy of the snapshot.
 func (s *Server) ApplyDiff(id pagestore.VMID, snapshot []byte) error {
-	n, err := s.applyDiff(id, [][]byte{bytes.Clone(snapshot)})
+	return s.putDiff(id, bytes.Clone(snapshot))
+}
+
+// putDiff is the streamed diff's commit over one chunk, shared by the
+// PutDiff request and ApplyDiff, so every diff path counts the entries
+// it adopted as uploaded pages. The image takes ownership of snapshot.
+func (s *Server) putDiff(id pagestore.VMID, snapshot []byte) error {
+	n, err := s.applyDiff(id, [][]byte{snapshot})
 	if err != nil {
 		return err
 	}
@@ -163,12 +175,12 @@ func (s *Server) ApplyDiff(id pagestore.VMID, snapshot []byte) error {
 	return s.stored(id)
 }
 
-// adopt is every put's way into an image: the snapshot is copied once
-// (callers' buffers are reused or theirs to keep), each entry of the
-// copy is checked (pagestore.Image.Stage), and only a snapshot that
-// passes whole changes the image, its entries kept as they arrived.
+// adopt is every image put's way into an image: each entry of the
+// snapshot is checked (pagestore.Image.Stage), and only a snapshot that
+// passes whole changes the image, its entries kept as they arrived —
+// in snapshot itself, which the image takes ownership of.
 func (s *Server) adopt(im *pagestore.Image, snapshot []byte) (entries int64, err error) {
-	st, err := im.Stage(bytes.Clone(snapshot))
+	st, err := im.Stage(snapshot)
 	if err != nil {
 		return 0, err
 	}
@@ -312,7 +324,8 @@ func (s *Server) serveConn(raw net.Conn) {
 	// (which stored entries are copied into, see
 	// pagestore.Image.AppendEntries) live across frames instead of being
 	// allocated per page — the page-serving hot path is allocation-free
-	// in steady state, and a put allocates the one copy its image keeps.
+	// in steady state, and a put's frame is read into the one buffer its
+	// image keeps (see readFrameReuse).
 	var scratch connScratch
 	if err := s.authenticate(conn, &scratch); err != nil {
 		s.tel.authFail.Inc()
@@ -344,7 +357,7 @@ func (s *Server) serveConn(raw net.Conn) {
 // negotiated per-connection auth state.
 type connScratch struct {
 	hdr   [5]byte         // inbound frame header (stack copies escape via io.ReadFull)
-	read  []byte          // inbound frame payload (reused; handlers must not retain)
+	read  []byte          // inbound frame payload (reused; puts bypass it, see readFrameReuse)
 	reply []byte          // outgoing reply frame under construction
 	pfns  []pagestore.PFN // the GetPages batch being served
 	upMAC *sessionHMAC
@@ -486,7 +499,7 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 		}
 		vmid := pagestore.VMID(binary.BigEndian.Uint32(payload))
 		alloc := units.Bytes(binary.BigEndian.Uint64(payload[4:]))
-		if err := s.InstallImage(vmid, alloc, payload[12:]); err != nil {
+		if err := s.installImage(vmid, alloc, payload[12:]); err != nil {
 			return fail(err)
 		}
 		return writeFrame(conn, msgOK, nil)
@@ -495,7 +508,7 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 		if len(payload) < 4 {
 			return fail(errors.New("malformed PutDiff"))
 		}
-		if err := s.ApplyDiff(pagestore.VMID(binary.BigEndian.Uint32(payload)), payload[4:]); err != nil {
+		if err := s.putDiff(pagestore.VMID(binary.BigEndian.Uint32(payload)), payload[4:]); err != nil {
 			return fail(err)
 		}
 		return writeFrame(conn, msgOK, nil)

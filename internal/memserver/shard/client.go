@@ -832,9 +832,19 @@ func (c *Client) writeSnapshotEpoch(st *epochState, kind writeKind, id pagestore
 	for i, ref := range all {
 		idxOf[ref.addr] = i
 	}
+	// Pages arrive in runs of one range: the last range resolved answers
+	// the rest of its run with a division and a compare.
 	rangeOwners := make(map[int64][]int)
+	var (
+		lastRng    int64
+		lastOwners []int
+		resolved   bool
+	)
 	parts, err := pagestore.PartitionSnapshot(snapshot, len(all), func(pfn pagestore.PFN) []int {
 		rng := rngOf(st.ring, pfn)
+		if resolved && rng == lastRng {
+			return lastOwners
+		}
 		owners, ok := rangeOwners[rng]
 		if !ok {
 			for _, ref := range c.route(st, rangeKey{id, rng}).write {
@@ -842,6 +852,7 @@ func (c *Client) writeSnapshotEpoch(st *epochState, kind writeKind, id pagestore
 			}
 			rangeOwners[rng] = owners
 		}
+		lastRng, lastOwners, resolved = rng, owners, true
 		return owners
 	})
 	if err != nil {

@@ -477,3 +477,100 @@ func TestDialPoolRetriesFirstDial(t *testing.T) {
 		t.Fatalf("bad secret: %v after %d dials, want the server's refusal after one", err, dials)
 	}
 }
+
+// TestHostLocalPutsCopy: InstallImage and ApplyDiff, the host-local
+// path, leave the caller its snapshot — the image keeps a copy, so
+// overwriting the snapshot after the call changes no stored page. (A
+// wire put's image keeps the buffer its frame was read into instead.)
+func TestHostLocalPutsCopy(t *testing.T) {
+	const (
+		id    = 4
+		alloc = 4 * units.MiB
+	)
+	s := NewServer(testSecret, nil)
+	src, snap := makeSnapshot(t, alloc, 8, 64)
+	if err := s.InstallImage(id, alloc, snap); err != nil {
+		t.Fatal(err)
+	}
+	epoch := src.NextEpoch()
+	for pfn := pagestore.PFN(0); pfn < 32; pfn++ {
+		if err := src.Write(pfn, testPage(uint64(pfn))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	diff, _, err := pagestore.EncodeDirtySince(src, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ApplyDiff(id, diff); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{snap, diff} {
+		for i := range b {
+			b[i] = 0xAA
+		}
+	}
+	im, err := s.Store().Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pfn := pagestore.PFN(0); pfn < 64; pfn++ {
+		want, _ := src.Read(pfn)
+		if got, err := im.Read(pfn); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("pfn %d changed with the caller's snapshot (%v)", pfn, err)
+		}
+	}
+}
+
+// TestHeldBytesArePutBytes: on one connection a large PutImage grows the
+// receive buffer and a small PutDiff follows it. The held-bytes gauge
+// must read exactly the two snapshots' bytes. (That the bytes held are
+// the buffer each frame was read into, not the connection's larger
+// one, is TestPutKeepsTheBufferItWasReadInto's check.)
+func TestHeldBytesArePutBytes(t *testing.T) {
+	const (
+		id    = 6
+		alloc = 16 * units.MiB
+	)
+	reg := telemetry.NewRegistry()
+	srv := NewServer(testSecret, t.Logf)
+	srv.SetMetricsRegistry(reg)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := dial(t, addr.String())
+	img := rawSnapshot(t, alloc, 21, 600)
+	if err := c.PutImage(id, alloc, img); err != nil {
+		t.Fatal(err)
+	}
+	src := pagestore.NewImage(alloc)
+	for pfn := pagestore.PFN(0); pfn < 4; pfn++ {
+		if err := src.Write(pfn, testPage(uint64(pfn))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	diff, _, err := pagestore.EncodeAll(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PutDiff(id, diff); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(len(img) + len(diff))
+	if held := int64(reg.Gauge("oasis_memserver_store_held_bytes", "").Value()); held != want {
+		t.Fatalf("store holds %d bytes after a %d-byte image and a %d-byte diff, want %d",
+			held, len(img), len(diff), want)
+	}
+	im, err := srv.Store().Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pfn := pagestore.PFN(0); pfn < 4; pfn++ {
+		want, _ := src.Read(pfn)
+		if got, err := im.Read(pfn); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("pfn %d is not the diff's page (%v)", pfn, err)
+		}
+	}
+}

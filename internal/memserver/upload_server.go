@@ -130,7 +130,7 @@ func (s *Server) putChunk(id pagestore.VMID, uploadID uint64, seq uint32, chunk 
 	staging := p.staging
 	s.upMu.Unlock()
 
-	_, err := s.adopt(staging, chunk)
+	_, err := s.adopt(staging, append([]byte(nil), chunk...))
 
 	s.upMu.Lock()
 	if cur := s.uploads[id]; cur == p {

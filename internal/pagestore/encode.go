@@ -194,6 +194,13 @@ type stagedSlot struct {
 // point into it.
 func (im *Image) Stage(snap []byte) (*Staged, error) {
 	st := &Staged{held: len(snap)}
+	if len(snap) >= 8 {
+		// Size the slots from the header's count, but never past the
+		// entries the bytes can hold (10 bytes each at the least), so a
+		// hostile count cannot force a large allocation.
+		count := int(binary.BigEndian.Uint32(snap[4:8]))
+		st.slots = make([]stagedSlot, 0, min(count, (len(snap)-8)/10))
+	}
 	err := walkSnapshot(snap, func(pfn PFN, entry []byte) error {
 		token, wire := binary.BigEndian.Uint16(entry[8:]), entry[8:]
 		s := stagedSlot{pfn: pfn, b: wire, wire: true}
