@@ -160,18 +160,14 @@ type Agent struct {
 
 	// transport tunes the page-transport layer (connection pool width,
 	// pipelined prefetch depth) of every memtap this agent creates for
-	// inbound partial VMs, and the upload stream count of the agent's own
-	// detach path.
+	// inbound partial VMs, and the encode fan-out (and, when sharded,
+	// upload stream count) of the agent's own detach path.
 	transport TransportConfig
 
-	// upPool is the lazily-dialed connection pool to this host's own
-	// memory server, used for chunked streaming uploads when
-	// transport.UploadStreams > 1 (the serial path installs host-locally
-	// through a.mem instead). fabric is its sharded counterpart: the
-	// lazily-dialed shard client over transport.Backends, used for both
-	// upload shapes when the transport is sharded.
-	upPoolMu sync.Mutex
-	upPool   memserver.Conn
+	// fabric is the lazily-dialed shard client over transport.Backends
+	// that detach uploads go to when the transport is sharded (an
+	// unsharded agent installs host-locally through a.mem).
+	fabricMu sync.Mutex
 	fabric   *shard.Client
 
 	tel *agentTel
@@ -181,11 +177,10 @@ type Agent struct {
 // each inbound partial VM: PoolSize memory-server connections per memtap
 // (1 keeps the serial client) and PrefetchStreams pipelined batches
 // during partial→full conversion. UploadStreams tunes the detach
-// direction — snapshot encoding fans out over that many shards and
-// uploads ship as chunks over that many concurrent streams to the
-// memory server (<= 1 keeps the serial encode + one-shot upload). Zero
-// fields select the serial defaults, preserving the pre-pooling
-// behaviour.
+// direction — snapshot encoding fans out over that many shards, and a
+// sharded agent streams each backend's part as chunks over that many
+// concurrent streams (an unsharded one installs into its own memory
+// server in process). Zero fields select the serial defaults.
 //
 // It is the shared flagbind.Transport: when Backends is non-empty the
 // agent detaches to (and hands partial VMs pages from) a sharded,
@@ -244,16 +239,12 @@ func (a *Agent) Close() error {
 	}
 	a.peers = map[string]*wire.Client{}
 	a.peersMu.Unlock()
-	a.upPoolMu.Lock()
-	if a.upPool != nil {
-		a.upPool.Close()
-		a.upPool = nil
-	}
+	a.fabricMu.Lock()
 	if a.fabric != nil {
 		a.fabric.Close()
 		a.fabric = nil
 	}
-	a.upPoolMu.Unlock()
+	a.fabricMu.Unlock()
 	var err error
 	if a.rpc != nil {
 		err = a.rpc.Close()
@@ -494,44 +485,28 @@ func (a *Agent) uploadStreams() int {
 	return max(w, 1)
 }
 
-// uploadConn returns, dialing on first use, the client detach uploads
-// stream through: the shard fabric over transport.Backends when the
-// transport is sharded, else UploadStreams lanes to this host's own
-// memory server.
-func (a *Agent) uploadConn() (memserver.Conn, error) {
+// fabricConn returns, dialing on first use, the shard fabric over
+// transport.Backends. Callers check sharded() first.
+func (a *Agent) fabricConn() (*shard.Client, error) {
 	a.mu.Lock()
 	tc := a.transport
 	tc.Backends = append([]string(nil), tc.Backends...)
 	a.mu.Unlock()
-	a.upPoolMu.Lock()
-	defer a.upPoolMu.Unlock()
-	if tc.Sharded() {
-		if a.fabric == nil {
-			conn, err := shard.Connect(shard.Target{
-				Backends:   tc.Backends,
-				Replicas:   tc.Replicas,
-				Lanes:      tc.PoolSize,
-				Resilience: &memserver.ResilientConfig{Name: "agent-fabric"},
-			}, a.secret)
-			if err != nil {
-				return nil, err
-			}
-			a.fabric = conn.(*shard.Client)
-		}
-		return a.fabric, nil
-	}
-	if a.upPool == nil {
+	a.fabricMu.Lock()
+	defer a.fabricMu.Unlock()
+	if a.fabric == nil {
 		conn, err := shard.Connect(shard.Target{
-			Addr:       a.memAddr.String(),
-			Lanes:      tc.UploadStreams,
-			Resilience: &memserver.ResilientConfig{Name: "agent-upload"},
+			Backends:   tc.Backends,
+			Replicas:   tc.Replicas,
+			Lanes:      tc.PoolSize,
+			Resilience: &memserver.ResilientConfig{Name: "agent-fabric"},
 		}, a.secret)
 		if err != nil {
 			return nil, err
 		}
-		a.upPool = conn
+		a.fabric = conn.(*shard.Client)
 	}
-	return a.upPool, nil
+	return a.fabric, nil
 }
 
 // sharded reports whether detach uploads target a shard fabric instead
@@ -547,7 +522,7 @@ func (a *Agent) sharded() bool {
 // Cleanup is best-effort — a missing image is not an error.
 func (a *Agent) deleteImage(id pagestore.VMID) {
 	if a.sharded() {
-		if f, err := a.uploadConn(); err == nil {
+		if f, err := a.fabricConn(); err == nil {
 			f.Delete(id) //nolint:errcheck // best-effort cleanup
 		}
 		return
@@ -556,26 +531,26 @@ func (a *Agent) deleteImage(id pagestore.VMID) {
 }
 
 // upload ships a snapshot — the full image, or a diff against the image
-// already there — to the VM's memory backend: the shard fabric when the
-// transport is sharded, otherwise chunked streaming over UploadStreams
-// concurrent connections when > 1, else the host-local (SAS) install.
-// Every path swaps the result in atomically.
+// already there — to the VM's memory backend: the shard fabric, over
+// UploadStreams chunked streams per backend, when the transport is
+// sharded, else the host-local (SAS, §4.3) install into this host's
+// own memory server. Every path swaps the result in atomically.
 func (a *Agent) upload(id pagestore.VMID, alloc units.Bytes, snap []byte, diff bool) error {
-	streams := a.uploadStreams()
-	if streams <= 1 && !a.sharded() {
+	if !a.sharded() {
 		if diff {
 			return a.mem.ApplyDiff(id, snap)
 		}
 		return a.mem.InstallImage(id, alloc, snap)
 	}
-	conn, err := a.uploadConn()
+	f, err := a.fabricConn()
 	if err != nil {
 		return err
 	}
+	opts := memserver.PutOptions{Streams: a.uploadStreams()}
 	if diff {
-		return conn.StreamDiff(id, snap, memserver.PutOptions{Streams: streams})
+		return f.StreamDiff(id, snap, opts)
 	}
-	return conn.StreamImage(id, alloc, snap, memserver.PutOptions{Streams: streams})
+	return f.StreamImage(id, alloc, snap, opts)
 }
 
 // claim starts a hand-off: it moves VM id from one of from to phase to

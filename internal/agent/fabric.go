@@ -64,9 +64,9 @@ type vmFabric struct {
 // fabric (nil until first use) plus each partial VM's memtap fabric, in
 // VM-ID order.
 func (a *Agent) liveFabrics() (upload *shard.Client, vms []vmFabric) {
-	a.upPoolMu.Lock()
+	a.fabricMu.Lock()
 	upload = a.fabric
-	a.upPoolMu.Unlock()
+	a.fabricMu.Unlock()
 	a.mu.Lock()
 	for id, mv := range a.vms {
 		if mv.mt != nil {

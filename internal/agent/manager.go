@@ -3,9 +3,12 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"sync"
 	"time"
 
 	"oasis/internal/pagestore"
+	"oasis/internal/telemetry"
 	"oasis/internal/wire"
 )
 
@@ -13,24 +16,78 @@ import (
 // roster, creates VMs on hosts with room, and orders migrations and power
 // transitions through the host agents' RPC interfaces.
 //
-// It is built from two layers (DESIGN.md §15): a sharded host registry
-// with cached, epoch-stamped host stats (registry.go — the state store),
-// and a batched asynchronous RPC fan-out with bounded concurrency and
-// per-host single-flight stats refresh (actuate.go — the actuation
-// layer). Fleet-wide decisions (CreateVM, DegradedVMs) cost one parallel
-// sweep instead of one synchronous RPC per host, and concurrent
-// decisions share in-flight refreshes instead of stampeding the agents.
+// It is one roster and one fan-out (DESIGN.md §15): a map of registered
+// hosts under one lock, and a bounded-concurrency Agent.Stats fan-out for
+// the decisions that need a fleet-wide view (CreateVM, DegradedVMs,
+// RefreshStats), which costs one parallel sweep instead of one
+// synchronous RPC per host.
+//
+// Lifecycle: every operation that may touch a host's RPC client runs
+// inside do(), which holds the lifecycle read-lock for its whole
+// duration. Close takes the write side, so it refuses new operations and
+// waits for in-flight RPCs to drain before closing any client — no
+// goroutine can observe a client after Close.
 type Manager struct {
-	reg *registry
+	// life is the lifecycle lock; closed is set under its write side.
+	life   sync.RWMutex
+	closed bool
+
+	// mu guards hosts, the roster.
+	mu    sync.RWMutex
+	hosts map[string]*hostEntry
 
 	// fanLimit bounds one fan-out's concurrent RPCs; 0 means
 	// defaultFanOut.
 	fanLimit int
 }
 
+// hostEntry is one registered host.
+type hostEntry struct {
+	name   string
+	addr   string
+	client *wire.Client
+}
+
+// defaultFanOut bounds the concurrent RPCs of one fan-out. 32 keeps a
+// large sweep from opening one read per host at once while still hiding
+// the per-host round-trip latency; SetFanOutLimit overrides it.
+const defaultFanOut = 32
+
+// errClosed is what every operation returns once Close has begun.
+var errClosed = fmt.Errorf("manager: closed")
+
+// managerTelemetry is the control plane's oasis_manager_* instrument
+// set. Process-global (registration is idempotent): a process hosting
+// several managers — tests, the stress bench — reports their combined
+// activity, exactly like the pool/shard client metrics.
+type managerTelemetry struct {
+	hosts        *telemetry.Gauge
+	fanouts      *telemetry.Counter
+	fanoutErrors *telemetry.Counter
+	fanoutSecs   *telemetry.Histogram
+	statsRPCs    *telemetry.Counter
+}
+
+var managerTel = func() *managerTelemetry {
+	r := telemetry.Default
+	return &managerTelemetry{
+		hosts: r.Gauge("oasis_manager_hosts",
+			"Hosts currently registered across this process's managers."),
+		fanouts: r.Counter("oasis_manager_fanouts_total",
+			"Batched RPC fan-outs issued (stats sweeps, placement scans)."),
+		fanoutErrors: r.Counter("oasis_manager_fanout_errors_total",
+			"Per-host errors joined into fan-out results."),
+		fanoutSecs: r.Histogram("oasis_manager_fanout_seconds",
+			"Wall time of one full fan-out (all hosts, bounded concurrency).",
+			telemetry.ExpBuckets(1e-4, 2, 18)),
+		statsRPCs: r.Counter("oasis_manager_stats_refreshes_total",
+			"Agent.Stats RPCs issued by the manager."),
+	}
+}()
+
 // NewManager returns an empty manager.
 func NewManager() *Manager {
-	return &Manager{reg: newRegistry()}
+	return &Manager{hosts: make(map[string]*hostEntry)}
 }
 
 // SetFanOutLimit bounds the concurrent RPCs of fleet-wide sweeps
@@ -38,11 +95,39 @@ func NewManager() *Manager {
 // default. Call before concurrent use.
 func (m *Manager) SetFanOutLimit(n int) { m.fanLimit = n }
 
-func (m *Manager) fanOutLimit() int {
-	if m.fanLimit > 0 {
-		return m.fanLimit
+// do runs fn under the lifecycle read-lock. Close blocks until every
+// in-flight do returns, so fn may use clients freely.
+func (m *Manager) do(fn func() error) error {
+	m.life.RLock()
+	defer m.life.RUnlock()
+	if m.closed {
+		return errClosed
 	}
-	return defaultFanOut
+	return fn()
+}
+
+// get looks up a host entry.
+func (m *Manager) get(name string) (*hostEntry, error) {
+	m.mu.RLock()
+	e, ok := m.hosts[name]
+	m.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("manager: unknown host %s", name)
+	}
+	return e, nil
+}
+
+// roster returns every registered entry sorted by name, so fan-outs
+// visit hosts (and join their errors) in a deterministic order.
+func (m *Manager) roster() []*hostEntry {
+	m.mu.RLock()
+	out := make([]*hostEntry, 0, len(m.hosts))
+	for _, e := range m.hosts {
+		out = append(out, e)
+	}
+	m.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
 }
 
 // AddHost registers a host agent by RPC address.
@@ -51,26 +136,113 @@ func (m *Manager) AddHost(name, addr string) error {
 	if err != nil {
 		return fmt.Errorf("manager: add host %s: %w", name, err)
 	}
-	e := &hostEntry{name: name, addr: addr, client: c}
-	err = m.reg.do(func() error { return m.reg.add(e) })
+	err = m.do(func() error {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if _, ok := m.hosts[name]; ok {
+			return fmt.Errorf("manager: host %s already registered", name)
+		}
+		m.hosts[name] = &hostEntry{name: name, addr: addr, client: c}
+		managerTel.hosts.Add(1)
+		return nil
+	})
 	if err != nil {
 		c.Close()
-		return err
 	}
-	return nil
+	return err
 }
 
 // Close releases all agent connections. It refuses new operations and
 // waits for in-flight ones to finish, so no RPC client is used after
-// its Close.
-func (m *Manager) Close() { m.reg.close() }
+// its Close. Idempotent.
+func (m *Manager) Close() {
+	m.life.Lock()
+	defer m.life.Unlock()
+	if m.closed {
+		return
+	}
+	m.closed = true
+	m.mu.Lock()
+	for _, e := range m.hosts {
+		e.client.Close()
+	}
+	managerTel.hosts.Add(-float64(len(m.hosts)))
+	m.hosts = make(map[string]*hostEntry)
+	m.mu.Unlock()
+}
 
 // Hosts returns the registered host names, sorted.
 func (m *Manager) Hosts() []string {
-	entries := m.reg.snapshot()
+	entries := m.roster()
 	out := make([]string, len(entries))
 	for i, e := range entries {
 		out[i] = e.name
+	}
+	return out
+}
+
+// stats issues one Agent.Stats RPC.
+func (e *hostEntry) stats() (Stats, error) {
+	var st Stats
+	managerTel.statsRPCs.Inc()
+	if err := e.client.Call("Agent.Stats", nil, &st); err != nil {
+		return Stats{}, fmt.Errorf("manager: stats %s: %w", e.name, err)
+	}
+	return st, nil
+}
+
+// HostScan is one host's slot in a fleet-wide stats sweep.
+type HostScan struct {
+	// Name is the host's registered name.
+	Name string
+	// Stats is the host's reply; valid when Err is nil.
+	Stats Stats
+	// Err is the per-host failure, if any.
+	Err error
+}
+
+// scanStats fetches every registered host's stats from a pool of at
+// most the fan-out limit's goroutines and returns the results in
+// host-name order, each failure in its host's slot. Callers hold do().
+func (m *Manager) scanStats() []HostScan {
+	entries := m.roster()
+	n := len(entries)
+	out := make([]HostScan, n)
+	if n == 0 {
+		return out
+	}
+	limit := m.fanLimit
+	if limit <= 0 {
+		limit = defaultFanOut
+	}
+	managerTel.fanouts.Inc()
+	t0 := time.Now()
+	var next int
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for w := 0; w < min(limit, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				mu.Lock()
+				i := next
+				next++
+				mu.Unlock()
+				if i >= n {
+					return
+				}
+				st, err := entries[i].stats()
+				out[i] = HostScan{Name: entries[i].name, Stats: st, Err: err}
+			}
+		}()
+	}
+	wg.Wait()
+	managerTel.fanoutSecs.Observe(time.Since(t0).Seconds())
+	for _, sc := range out {
+		if sc.Err != nil {
+			managerTel.fanoutErrors.Inc()
+		}
 	}
 	return out
 }
@@ -82,7 +254,7 @@ func (m *Manager) Hosts() []string {
 // back joined, so an all-hosts-unreachable fleet is distinguishable
 // from an all-suspended one.
 func (m *Manager) CreateVM(args CreateVMArgs) (hostName string, err error) {
-	err = m.reg.do(func() error {
+	err = m.do(func() error {
 		scans := m.scanStats()
 		best, bestCount := "", int(^uint(0)>>1)
 		var scanErrs []error
@@ -105,7 +277,7 @@ func (m *Manager) CreateVM(args CreateVMArgs) (hostName string, err error) {
 			}
 			return fmt.Errorf("manager: no powered host available")
 		}
-		e, err := m.reg.get(best)
+		e, err := m.get(best)
 		if err != nil {
 			return err
 		}
@@ -123,13 +295,13 @@ func (m *Manager) CreateVMOn(hostName string, args CreateVMArgs) error {
 	return m.call(hostName, "Agent.CreateVM", args, nil)
 }
 
-// host returns the registry entry for a host — a white-box helper for
+// host returns the roster entry for a host — a white-box helper for
 // tests that speak raw RPC past the manager's API. Manager methods use
 // call() instead, which holds the lifecycle lock across the RPC.
 func (m *Manager) host(name string) (*hostEntry, error) {
 	var e *hostEntry
-	err := m.reg.do(func() (err error) {
-		e, err = m.reg.get(name)
+	err := m.do(func() (err error) {
+		e, err = m.get(name)
 		return err
 	})
 	return e, err
@@ -144,8 +316,8 @@ func (m *Manager) call(hostName, method string, args, out any) error {
 
 // callPayload is call with a byte payload each way.
 func (m *Manager) callPayload(hostName, method string, args any, payload []byte, out any) (reply []byte, err error) {
-	err = m.reg.do(func() error {
-		e, err := m.reg.get(hostName)
+	err = m.do(func() error {
+		e, err := m.get(hostName)
 		if err != nil {
 			return err
 		}
@@ -159,12 +331,12 @@ func (m *Manager) callPayload(hostName, method string, args any, payload []byte,
 // runs fn on them — the shape of every order that moves a VM: call the
 // host it runs on with the other one's RPC address.
 func (m *Manager) between(on, other string, fn func(on, other *hostEntry) error) error {
-	return m.reg.do(func() error {
-		a, err := m.reg.get(on)
+	return m.do(func() error {
+		a, err := m.get(on)
 		if err != nil {
 			return err
 		}
-		b, err := m.reg.get(other)
+		b, err := m.get(other)
 		if err != nil {
 			return err
 		}
@@ -224,7 +396,7 @@ func (m *Manager) RecoverDegraded(id pagestore.VMID, consHost, owner string, for
 // the cluster are failing.
 func (m *Manager) DegradedVMs() (map[pagestore.VMID]string, error) {
 	out := make(map[pagestore.VMID]string)
-	err := m.reg.do(func() error {
+	err := m.do(func() error {
 		for _, sc := range m.scanStats() {
 			if sc.Err != nil {
 				continue
@@ -251,53 +423,27 @@ func (m *Manager) Wake(name string) error {
 	return m.call(name, "Agent.Wake", nil, nil)
 }
 
-// HostStats fetches one agent's statistics. The fetch goes through the
-// registry's single-flight refresh, so concurrent callers (and
-// concurrent fleet sweeps) share one RPC and its reply; the registry's
-// cache is updated as a side effect.
+// HostStats fetches one agent's statistics.
 func (m *Manager) HostStats(name string) (Stats, error) {
 	var st Stats
-	err := m.reg.do(func() error {
-		e, err := m.reg.get(name)
+	err := m.do(func() error {
+		e, err := m.get(name)
 		if err != nil {
 			return err
 		}
-		st, _, err = e.refreshStats()
+		st, err = e.stats()
 		return err
 	})
-	if err != nil {
-		return Stats{}, err
-	}
-	return st, nil
+	return st, err
 }
 
-// HostStatsCached returns the registry's cached stats for a host
-// without touching the wire, with the refresh epoch and fetch time so
-// the caller can judge staleness. ok is false if the host has never
-// answered a refresh (or is unknown).
-func (m *Manager) HostStatsCached(name string) (st Stats, epoch uint64, fetchedAt time.Time, ok bool) {
-	err := m.reg.do(func() error {
-		e, err := m.reg.get(name)
-		if err != nil {
-			return err
-		}
-		st, epoch, fetchedAt, ok = e.cachedStats()
-		return nil
-	})
-	if err != nil {
-		return Stats{}, 0, time.Time{}, false
-	}
-	return st, epoch, fetchedAt, ok
-}
-
-// RefreshStats sweeps the whole fleet's stats with one bounded
-// fan-out, updating every host's cache, and returns the per-host scan
-// results in host-name order. Unreachable hosts carry their error in
-// the scan slot; the error return is non-nil only when the manager is
-// closed.
+// RefreshStats sweeps the whole fleet's stats with one bounded fan-out
+// and returns the per-host scan results in host-name order. Unreachable
+// hosts carry their error in the scan slot; the error return is non-nil
+// only when the manager is closed.
 func (m *Manager) RefreshStats() ([]HostScan, error) {
 	var scans []HostScan
-	err := m.reg.do(func() error {
+	err := m.do(func() error {
 		scans = m.scanStats()
 		return nil
 	})

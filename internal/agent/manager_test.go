@@ -7,20 +7,17 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"oasis/internal/pagestore"
 	"oasis/internal/units"
 	"oasis/internal/wire"
 )
 
-// stubHost is a bare wire server that answers Agent.Stats (and counts
-// the calls) — a host agent reduced to the RPC surface the registry
-// cares about, so tests can gate and observe the stats path precisely.
+// stubHost is a bare wire server that answers Agent.Stats — a host
+// agent reduced to the RPC surface the manager's roster cares about.
 type stubHost struct {
 	srv   *wire.Server
 	addr  string
-	calls atomic.Int64
 	gate  chan struct{} // non-nil: Stats blocks until closed
 	stats Stats
 }
@@ -30,7 +27,6 @@ func startStubHost(t *testing.T, name string, gate chan struct{}) *stubHost {
 	s := &stubHost{srv: wire.NewServer(nil), gate: gate}
 	s.stats = Stats{Name: name}
 	wire.Handle(s.srv, "Agent.Stats", func(struct{}, []byte) (any, []byte, error) {
-		s.calls.Add(1)
 		if s.gate != nil {
 			<-s.gate
 		}
@@ -91,71 +87,6 @@ func TestCreateVMAllSuspendedDistinctFromUnreachable(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "scans failed") {
 		t.Errorf("all-suspended fleet misreported as unreachable: %v", err)
-	}
-}
-
-// TestStatsCacheEpochs: the registry's cache is epoch-stamped — absent
-// before the first refresh, and advancing on each one.
-func TestStatsCacheEpochs(t *testing.T) {
-	m, agents := startHosts(t, 1)
-	defer m.Close()
-	name := agents[0].Name
-
-	if _, _, _, ok := m.HostStatsCached(name); ok {
-		t.Fatal("cache reports stats before any refresh")
-	}
-	if _, err := m.HostStats(name); err != nil {
-		t.Fatal(err)
-	}
-	st, ep, at, ok := m.HostStatsCached(name)
-	if !ok || ep != 1 || st.Name != name || at.IsZero() {
-		t.Fatalf("after one refresh: ok=%v epoch=%d name=%q", ok, ep, st.Name)
-	}
-	if _, err := m.HostStats(name); err != nil {
-		t.Fatal(err)
-	}
-	if _, ep, _, _ := m.HostStatsCached(name); ep != 2 {
-		t.Fatalf("epoch after second refresh = %d, want 2", ep)
-	}
-	if _, _, _, ok := m.HostStatsCached("nonesuch"); ok {
-		t.Fatal("unknown host reported cached stats")
-	}
-}
-
-// TestStatsSingleFlight: with the host's Stats handler gated shut,
-// concurrent HostStats calls must coalesce onto (at most a couple of)
-// in-flight RPCs rather than stampeding one each.
-func TestStatsSingleFlight(t *testing.T) {
-	gate := make(chan struct{})
-	stub := startStubHost(t, "gated", gate)
-	m := NewManager()
-	defer m.Close()
-	if err := m.AddHost("gated", stub.addr); err != nil {
-		t.Fatal(err)
-	}
-
-	const callers = 8
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = m.HostStats("gated")
-		}(i)
-	}
-	// Let the callers pile up behind the single in-flight RPC, then
-	// release it.
-	time.Sleep(100 * time.Millisecond)
-	close(gate)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("caller %d: %v", i, err)
-		}
-	}
-	if got := stub.calls.Load(); got >= callers {
-		t.Fatalf("%d concurrent HostStats cost %d RPCs; single-flight coalescing is broken", callers, got)
 	}
 }
 

@@ -55,8 +55,8 @@ type Client struct {
 	frame  []byte
 	bufs   net.Buffers
 
-	// upMAC, when non-nil, signs upload payloads with the negotiated
-	// per-connection session MAC (see proto.go).
+	// upMAC signs upload payloads with the per-connection session MAC
+	// the handshake derived (see proto.go).
 	upMAC *sessionHMAC
 }
 
@@ -123,10 +123,7 @@ func (c *Client) authenticate(secret []byte) error {
 	}
 	h := hmac.New(sha256.New, secret)
 	h.Write(nonce)
-	// Handshake MAC plus offered capability flags (see proto.go).
-	auth := h.Sum(nil)
-	auth = append(auth, authFlagUploadMAC)
-	if err := writeFrame(c.conn, msgAuth, auth); err != nil {
+	if err := writeFrame(c.conn, msgAuth, h.Sum(nil)); err != nil {
 		return err
 	}
 	typ, payload, err := readFrame(c.conn)
@@ -139,20 +136,8 @@ func (c *Client) authenticate(secret []byte) error {
 	if typ != msgOK {
 		return errors.New("memserver: unexpected auth reply")
 	}
-	// The msgOK payload echoes the flags the server accepted (empty from
-	// a server that predates capability flags).
-	if len(payload) >= 1 && payload[0]&authFlagUploadMAC != 0 {
-		c.upMAC = sessionMAC(secret, nonce)
-	}
+	c.upMAC = sessionMAC(secret, nonce)
 	return nil
-}
-
-// UploadMACNegotiated reports whether upload payloads on this
-// connection carry the per-chunk session MAC trailer.
-func (c *Client) UploadMACNegotiated() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.upMAC != nil
 }
 
 // Close terminates the connection.
@@ -204,12 +189,12 @@ func (c *Client) exchange(op call) ([]byte, error) {
 }
 
 // writeRequestLocked frames and sends the request laid out in c.bufs[1:]
-// (bufs[0] is reserved for the header, rebuilt here): optional
-// session-MAC trailer over the payload segments, header into hdrArr,
+// (bufs[0] is reserved for the header, rebuilt here): the session-MAC
+// trailer when withMAC, over the payload segments, header into hdrArr,
 // then one coalesced Write (or a vectored write past coalesceLimit). It
 // allocates nothing in steady state. Callers hold c.mu.
 func (c *Client) writeRequestLocked(typ byte, withMAC bool) error {
-	if withMAC && c.upMAC != nil {
+	if withMAC {
 		c.bufs = append(c.bufs, c.upMAC.compute(c.bufs[1:]...))
 	}
 	total := 0

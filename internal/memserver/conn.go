@@ -60,8 +60,8 @@ type call struct {
 	// touch nothing live until the commit applies, so they ride the read
 	// budget.
 	mutating bool
-	// mac asks for the session MAC trailer over the payload, on
-	// connections that negotiated it (upload payloads; see proto.go).
+	// mac asks for the session MAC trailer over the payload (upload
+	// payloads; see proto.go).
 	mac bool
 
 	// The payload is prefix[:n] followed by segs. The prefix is the
@@ -160,7 +160,7 @@ func (o ops) GetPages(id pagestore.VMID, pfns []pagestore.PFN) (map[pagestore.PF
 // PutImage uploads a full snapshot as a VM's image, replacing any prior
 // image for that VMID (so replaying it yields the same image). The
 // snapshot bytes are sent without an intermediate copy, with the session
-// MAC trailer when negotiated.
+// MAC trailer.
 func (o ops) PutImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte) error {
 	c := call{op: "PutImage", req: msgPutImage, want: msgOK, mutating: true, mac: true}
 	c.u32(uint32(id))

@@ -135,10 +135,10 @@ func TestGetPageReplyZeroAlloc(t *testing.T) {
 	}
 }
 
-// legacyHandshake authenticates the way a pre-capability client does: a
-// bare 32-byte MAC with no flags byte. Returns the accepted-flags
-// payload from msgOK, or the server's error.
-func legacyHandshake(t *testing.T, addr string, offerFlags []byte) (net.Conn, []byte, error) {
+// rawHandshake authenticates over a bare connection with the 32-byte
+// handshake MAC followed by extra, and returns the connection, or the
+// server's refusal.
+func rawHandshake(t *testing.T, addr string, extra []byte) (net.Conn, error) {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
@@ -151,9 +151,7 @@ func legacyHandshake(t *testing.T, addr string, offerFlags []byte) (net.Conn, []
 	}
 	h := hmac.New(sha256.New, testSecret)
 	h.Write(nonce)
-	auth := h.Sum(nil)
-	auth = append(auth, offerFlags...)
-	if err := writeFrame(conn, msgAuth, auth); err != nil {
+	if err := writeFrame(conn, msgAuth, append(h.Sum(nil), extra...)); err != nil {
 		conn.Close()
 		t.Fatal(err)
 	}
@@ -164,92 +162,79 @@ func legacyHandshake(t *testing.T, addr string, offerFlags []byte) (net.Conn, []
 	}
 	if typ == msgError {
 		conn.Close()
-		return nil, nil, remoteError(payload)
+		return nil, remoteError(payload)
 	}
 	if typ != msgOK {
 		conn.Close()
 		t.Fatalf("unexpected auth reply type %d", typ)
 	}
-	return conn, payload, nil
+	return conn, nil
 }
 
-// TestUploadMACNegotiation covers the capability handshake matrix:
-// flag-offering clients negotiate the session MAC, legacy clients stay
-// accepted without it, and SetRequireUploadMAC refuses the downgrade.
+// putImagePayload lays out a PutImage request body followed by trailer.
+func putImagePayload(id uint32, alloc units.Bytes, snap, trailer []byte) []byte {
+	payload := binary.BigEndian.AppendUint32(nil, id)
+	payload = binary.BigEndian.AppendUint64(payload, uint64(alloc))
+	return append(append(payload, snap...), trailer...)
+}
+
+// TestUploadMACNegotiation: the upload MAC is not negotiable. An
+// authenticated connection whose upload carries no trailer has that
+// upload refused and nothing stored; an auth frame with a byte past the
+// 32-byte MAC (the old capability offer) is refused at the handshake;
+// the client's uploads carry the trailer and are stored.
 func TestUploadMACNegotiation(t *testing.T) {
 	srv, addr := startServer(t)
-
-	c := dial(t, addr)
-	if !c.UploadMACNegotiated() {
-		t.Fatal("modern client did not negotiate the upload MAC")
-	}
 	_, snap := makeSnapshot(t, 8*units.MiB, 21, 20)
-	if err := c.PutImage(501, 8*units.MiB, snap); err != nil {
-		t.Fatalf("MACed PutImage: %v", err)
-	}
 
-	// A legacy-shaped handshake still authenticates while downgrades are
-	// allowed, and its accepted-flags echo is empty.
-	conn, accepted, err := legacyHandshake(t, addr, nil)
+	conn, err := rawHandshake(t, addr, nil)
 	if err != nil {
-		t.Fatalf("legacy handshake refused: %v", err)
+		t.Fatalf("32-byte handshake refused: %v", err)
 	}
-	if len(accepted) != 0 && accepted[0] != 0 {
-		t.Fatalf("legacy client granted flags %v", accepted)
-	}
-	// Un-MACed upload over the legacy connection works.
-	payload := make([]byte, 12+len(snap))
-	binary.BigEndian.PutUint32(payload, 502)
-	binary.BigEndian.PutUint64(payload[4:], uint64(8*units.MiB))
-	copy(payload[12:], snap)
-	if err := writeFrame(conn, msgPutImage, payload); err != nil {
+	defer conn.Close()
+	if err := writeFrame(conn, msgPutImage, putImagePayload(502, 8*units.MiB, snap, nil)); err != nil {
 		t.Fatal(err)
 	}
-	typ, _, err := readFrame(conn)
-	if err != nil || typ != msgOK {
-		t.Fatalf("legacy PutImage: typ=%d err=%v", typ, err)
+	typ, errPayload, err := readFrame(conn)
+	if err != nil {
+		t.Fatal(err)
 	}
-	conn.Close()
+	if typ != msgError {
+		t.Fatalf("unsigned PutImage accepted (reply type %d)", typ)
+	}
+	if !bytes.Contains(errPayload, []byte("MAC")) {
+		t.Fatalf("unexpected refusal: %s", errPayload)
+	}
+	if _, err := srv.Store().Get(502); err == nil {
+		t.Fatal("unsigned PutImage stored an image")
+	}
 
-	// With the downgrade refused, the same handshake is rejected before
-	// any operation.
-	srv.SetRequireUploadMAC(true)
-	if _, _, err := legacyHandshake(t, addr, nil); err == nil {
-		t.Fatal("downgrade accepted despite SetRequireUploadMAC")
-	} else if !strings.Contains(err.Error(), "MAC required") {
-		t.Fatalf("downgrade refusal error = %v", err)
+	if _, err := rawHandshake(t, addr, []byte{1}); err == nil {
+		t.Fatal("33-byte auth frame accepted")
+	} else if !strings.Contains(err.Error(), "authentication failed") {
+		t.Fatalf("33-byte auth frame refusal = %v", err)
 	}
-	// Flag-offering clients still connect and upload.
-	c2 := dial(t, addr)
-	if !c2.UploadMACNegotiated() {
-		t.Fatal("modern client did not negotiate under require mode")
-	}
-	if err := c2.PutImage(503, 8*units.MiB, snap); err != nil {
-		t.Fatalf("MACed PutImage under require mode: %v", err)
+
+	c := dial(t, addr)
+	if err := c.PutImage(501, 8*units.MiB, snap); err != nil {
+		t.Fatalf("MACed PutImage: %v", err)
 	}
 }
 
 // TestUploadMACRejectsTamper corrupts the MAC trailer of an upload frame
-// on a MAC-negotiated connection and checks the server refuses it.
+// and checks the server refuses it.
 func TestUploadMACRejectsTamper(t *testing.T) {
 	_, addr := startServer(t)
 	_, snap := makeSnapshot(t, 8*units.MiB, 22, 10)
 
-	conn, accepted, err := legacyHandshake(t, addr, []byte{authFlagUploadMAC})
+	conn, err := rawHandshake(t, addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if len(accepted) == 0 || accepted[0]&authFlagUploadMAC == 0 {
-		t.Fatalf("server did not accept the MAC flag: %v", accepted)
-	}
 
-	payload := make([]byte, 12+len(snap)+macLen)
-	binary.BigEndian.PutUint32(payload, 601)
-	binary.BigEndian.PutUint64(payload[4:], uint64(8*units.MiB))
-	copy(payload[12:], snap)
 	// Trailer left as zeros: a forged/corrupted MAC.
-	if err := writeFrame(conn, msgPutImage, payload); err != nil {
+	if err := writeFrame(conn, msgPutImage, putImagePayload(601, 8*units.MiB, snap, make([]byte, macLen))); err != nil {
 		t.Fatal(err)
 	}
 	typ, errPayload, err := readFrame(conn)
@@ -261,5 +246,66 @@ func TestUploadMACRejectsTamper(t *testing.T) {
 	}
 	if !bytes.Contains(errPayload, []byte("MAC")) {
 		t.Fatalf("unexpected refusal: %s", errPayload)
+	}
+}
+
+// TestStrippedCapabilityCannotDowngradeUploads puts a relay between a
+// client and the server that drops any byte after the 32-byte handshake
+// MAC in the auth frame — where a capability offer used to sit, outside
+// the MAC's cover — and flips one snapshot byte of every PutImage. The
+// client must still sign its upload, so the server refuses the tampered
+// image and stores nothing.
+func TestStrippedCapabilityCannotDowngradeUploads(t *testing.T) {
+	srv, addr := startServer(t)
+	_, snap := makeSnapshot(t, 8*units.MiB, 23, 20)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		in, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer in.Close()
+		out, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		defer out.Close()
+		go io.Copy(in, out) //nolint:errcheck // server→client verbatim
+		for {
+			var hdr [5]byte
+			if _, err := io.ReadFull(in, hdr[:]); err != nil {
+				return
+			}
+			payload := make([]byte, binary.BigEndian.Uint32(hdr[:4]))
+			if _, err := io.ReadFull(in, payload); err != nil {
+				return
+			}
+			switch hdr[4] {
+			case msgAuth:
+				payload = payload[:min(len(payload), sha256.Size)]
+			case msgPutImage:
+				payload[12+len(snap)/2] ^= 0x01
+			}
+			if err := writeFrame(out, hdr[4], payload); err != nil {
+				return
+			}
+		}
+	}()
+
+	c := dial(t, ln.Addr().String())
+	err = c.PutImage(701, 8*units.MiB, snap)
+	if err == nil {
+		t.Fatal("PutImage of a tampered snapshot succeeded through the stripping relay")
+	}
+	if !strings.Contains(err.Error(), "MAC") {
+		t.Fatalf("tampered PutImage refused for another reason: %v", err)
+	}
+	if _, err := srv.Store().Get(701); err == nil {
+		t.Fatal("tampered image stored")
 	}
 }

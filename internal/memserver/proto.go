@@ -78,20 +78,16 @@ const (
 const maxUploadChunks = 16384
 
 // Amortized upload authentication. The HMAC challenge/response
-// handshake stays exactly as before; a client may additionally offer
-// capability flags in a single byte after the 32-byte handshake MAC,
-// and the server echoes the flags it accepts in the msgOK payload.
-// When both sides accept authFlagUploadMAC, every upload payload
-// (PutImage, PutDiff, PutChunk) carries a 32-byte HMAC-SHA256 trailer
-// over the payload, keyed by a per-connection session key derived from
-// the handshake nonce. The MAC is per-chunk, not per-frame-byte: one
-// SHA-256 pass over megabytes of page data costs ~1 GB/s, amortized to
-// noise, while tying the upload bytes to the authenticated session. A
-// server configured with SetRequireUploadMAC refuses the handshake of
-// any client that does not offer the flag — the downgrade-refusal rule.
+// handshake derives, on both ends, a per-connection session key from
+// the handshake nonce, and every upload payload (PutImage, PutDiff,
+// PutChunk) carries a 32-byte HMAC-SHA256 trailer over the payload under
+// that key. The server refuses an upload whose trailer does not verify.
+// There is nothing to negotiate: the auth frame is exactly the 32-byte
+// handshake MAC, so no byte outside the MAC can switch the trailer off.
+// The MAC is per-chunk, not per-frame-byte: one SHA-256 pass over
+// megabytes of page data costs ~1 GB/s, amortized to noise, while tying
+// the upload bytes to the authenticated session.
 const (
-	authFlagUploadMAC byte = 1 << 0
-
 	// macLen is the upload trailer length (HMAC-SHA256).
 	macLen = sha256.Size
 

@@ -48,9 +48,6 @@ type Server struct {
 
 	// idleTimeout bounds how long serveConn waits for the next frame.
 	idleTimeout time.Duration
-	// requireUploadMAC refuses the handshake of clients that do not
-	// offer per-chunk upload MACs (downgrade refusal; see proto.go).
-	requireUploadMAC bool
 	// wrapConn, when set, wraps every accepted connection — the hook
 	// the fault injector uses to perturb server-side transport.
 	wrapConn func(net.Conn) net.Conn
@@ -125,12 +122,6 @@ func (s *Server) SetIdleTimeout(d time.Duration) { s.idleTimeout = d }
 // SetConnWrapper installs a wrapper applied to every accepted
 // connection (fault injection, instrumentation). Call before Listen.
 func (s *Server) SetConnWrapper(wrap func(net.Conn) net.Conn) { s.wrapConn = wrap }
-
-// SetRequireUploadMAC makes the handshake refuse clients that do not
-// offer the per-chunk upload MAC capability, so a stripped-down or
-// downgraded client cannot feed the server unauthenticated image bytes.
-// Call before Listen.
-func (s *Server) SetRequireUploadMAC(on bool) { s.requireUploadMAC = on }
 
 // Store exposes the underlying image store (hosts preload images through
 // it when co-located, as the prototype's SAS path does).
@@ -354,7 +345,7 @@ func (s *Server) serveConn(raw net.Conn) {
 }
 
 // connScratch holds one connection's reusable buffers and the
-// negotiated per-connection auth state.
+// per-connection upload MAC the handshake derived.
 type connScratch struct {
 	hdr   [5]byte         // inbound frame header (stack copies escape via io.ReadFull)
 	read  []byte          // inbound frame payload (reused; puts bypass it, see readFrameReuse)
@@ -393,33 +384,19 @@ func (s *Server) authenticate(conn net.Conn, scratch *connScratch) error {
 	if typ != msgAuth {
 		return errors.New("expected auth frame")
 	}
-	// Payload: 32-byte handshake MAC, optionally followed by one byte of
-	// offered capability flags (see proto.go).
-	if len(payload) < sha256.Size {
+	// Payload: exactly the 32-byte handshake MAC (see proto.go).
+	if len(payload) != sha256.Size {
 		writeFrame(conn, msgError, []byte("authentication failed"))
-		return errors.New("short auth frame")
-	}
-	mac := payload[:sha256.Size]
-	var offered byte
-	if len(payload) > sha256.Size {
-		offered = payload[sha256.Size]
+		return fmt.Errorf("auth frame of %d bytes, want %d", len(payload), sha256.Size)
 	}
 	h := hmac.New(sha256.New, s.secret)
 	h.Write(nonce[:])
-	want := h.Sum(nil)
-	if subtle.ConstantTimeCompare(mac, want) != 1 {
+	if subtle.ConstantTimeCompare(payload, h.Sum(nil)) != 1 {
 		writeFrame(conn, msgError, []byte("authentication failed"))
 		return errors.New("bad mac")
 	}
-	accepted := offered & authFlagUploadMAC
-	if s.requireUploadMAC && accepted&authFlagUploadMAC == 0 {
-		writeFrame(conn, msgError, []byte("per-chunk upload MAC required"))
-		return errors.New("client refused upload MAC (downgrade refused)")
-	}
-	if accepted&authFlagUploadMAC != 0 {
-		scratch.upMAC = sessionMAC(s.secret, nonce[:])
-	}
-	return writeFrame(conn, msgOK, []byte{accepted})
+	scratch.upMAC = sessionMAC(s.secret, nonce[:])
+	return writeFrame(conn, msgOK, nil)
 }
 
 func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connScratch) error {
@@ -431,16 +408,14 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 		op.errors.Inc()
 		return writeFrame(conn, msgError, []byte(err.Error()))
 	}
-	// Upload payloads carry the session MAC trailer when the handshake
-	// negotiated it: verify and strip before parsing (amortized auth —
-	// one HMAC pass per chunk, not per frame byte on the serving path).
+	// Upload payloads carry the session MAC trailer: verify and strip
+	// before parsing (amortized auth — one HMAC pass per chunk, not per
+	// frame byte on the serving path). A payload that fails is refused.
 	switch typ {
 	case msgPutImage, msgPutDiff, msgPutChunk:
-		if scratch.upMAC != nil {
-			var err error
-			if payload, err = scratch.upMAC.verify(payload); err != nil {
-				return fail(err)
-			}
+		var err error
+		if payload, err = scratch.upMAC.verify(payload); err != nil {
+			return fail(err)
 		}
 	}
 	switch typ {

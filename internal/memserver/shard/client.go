@@ -915,10 +915,8 @@ func (c *Client) writePart(kind writeKind, ref *backendRef, id pagestore.VMID, a
 	if c.enqueueIfQueued(ref.addr, kind, id, alloc, part, opts, ranges) {
 		return errHinted
 	}
-	err := kind.send(ref.pool, id, alloc, part, opts)
+	err := c.sendPart(kind, ref, id, alloc, part, opts)
 	if err == nil {
-		c.tel.write(ref.tidx).Inc()
-		c.tel.byte(ref.tidx).Add(float64(len(part)))
 		return nil
 	}
 	if memserver.IsRemoteError(err) && !memserver.IsUnknownVM(err) {
@@ -932,6 +930,17 @@ func (c *Client) writePart(kind writeKind, ref *backendRef, id pagestore.VMID, a
 	c.addHint(ref.addr, hint{kind: kind, vm: id, alloc: alloc, part: part, opts: opts}, ranges, memserver.IsUnknownVM(err))
 	c.maybeRecover(ref.addr)
 	return errHinted
+}
+
+// sendPart issues one backend's write and counts it on success: the
+// step a direct write and a hint replay share.
+func (c *Client) sendPart(kind writeKind, ref *backendRef, id pagestore.VMID, alloc units.Bytes, part []byte, opts memserver.PutOptions) error {
+	err := kind.send(ref.pool, id, alloc, part, opts)
+	if err == nil {
+		c.tel.write(ref.tidx).Inc()
+		c.tel.byte(ref.tidx).Add(float64(len(part)))
+	}
+	return err
 }
 
 // PutImage uploads a full image, partitioned so each backend stores the

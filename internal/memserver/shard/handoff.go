@@ -319,12 +319,7 @@ func (c *Client) popReplayed(addr string, h hint) {
 // the diff to). The caller, recover's replay loop, holds the VM lock
 // repairVM needs; taking it again would wedge the recovery goroutine.
 func (c *Client) replayOne(ref *backendRef, h hint) error {
-	err := h.kind.send(ref.pool, h.vm, h.alloc, h.part, h.opts)
-	if err == nil {
-		c.tel.write(ref.tidx).Inc()
-		c.tel.byte(ref.tidx).Add(float64(len(h.part)))
-		return nil
-	}
+	err := c.sendPart(h.kind, ref, h.vm, h.alloc, h.part, h.opts)
 	if (h.kind == wDiff || h.kind == wStreamDiff) && memserver.IsUnknownVM(err) {
 		return c.repairVM(ref, h.vm)
 	}

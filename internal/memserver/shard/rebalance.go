@@ -445,18 +445,6 @@ func pagesEqual(a, b []byte) bool {
 	return bytes.Equal(a, b)
 }
 
-// breakerName renders a breaker state for the admin status surface.
-func breakerName(s memserver.BreakerState) string {
-	switch s {
-	case memserver.BreakerOpen:
-		return "open"
-	case memserver.BreakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
 // rateLimit paces the rebalancer/repair copy streams to
 // RebalanceBytesPerSec (0 = unpaced), so data movement does not starve
 // foreground page traffic.
@@ -554,7 +542,7 @@ func (c *Client) FabricStatus() Status {
 	for _, ref := range st.allRefs() {
 		bs := BackendStatus{
 			Addr:     ref.addr,
-			Breaker:  breakerName(ref.pool.BreakerState()),
+			Breaker:  ref.pool.BreakerState().String(),
 			Draining: !st.ring.HasBackend(ref.addr),
 		}
 		c.hintMu.Lock()
