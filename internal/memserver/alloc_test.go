@@ -52,9 +52,10 @@ func TestGetPagesWireFormZeroAlloc(t *testing.T) {
 }
 
 // putFrame frames a PutImage or PutDiff body as a client sends it: the
-// frame header, then the body and its session MAC trailer.
-func putFrame(mac *sessionHMAC, typ byte, body []byte) []byte {
-	payload := append(bytes.Clone(body), mac.compute(body)...)
+// frame header, then the body and its session MAC trailer, signed as the
+// client's next upload frame.
+func putFrame(mac *sessionGCM, typ byte, body []byte) []byte {
+	payload := append(bytes.Clone(body), mac.compute(typ, body)...)
 	hdr := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
 	return append(append(hdr, typ), payload...)
 }
@@ -110,10 +111,17 @@ func TestPutKeepsTheBufferItWasReadInto(t *testing.T) {
 		{"diff", msgPutDiff, 4, append(binary.BigEndian.AppendUint32(nil, id), diff...)},
 	}
 	scratch.read = make([]byte, 0, readBufCap) // a connection warm from earlier frames
+	const reps = 3
 	for _, c := range cases {
-		frame := putFrame(client, c.typ, c.body)
+		// Each run reads the next frame: the server refuses a replay.
+		var frames [reps][]byte
+		for i := range frames {
+			frames[i] = putFrame(client, c.typ, c.body)
+		}
+		frame, run := frames[0], 0
 		var payload []byte
 		put := func() {
+			frame, run = frames[run], run+1
 			typ, p, err := readFrameReuse(bytes.NewReader(frame), &scratch.hdr, &scratch.read)
 			if err != nil || typ != c.typ {
 				t.Fatalf("%s: read frame type %d: %v", c.name, typ, err)
@@ -123,7 +131,7 @@ func TestPutKeepsTheBufferItWasReadInto(t *testing.T) {
 			}
 			payload = p
 		}
-		got := minAllocBytes(3, put)
+		got := minAllocBytes(reps, put)
 		if len(payload) != len(frame)-5 || cap(payload) != len(payload) {
 			t.Fatalf("%s: payload read into %d of %d bytes, want exactly the %d-byte frame",
 				c.name, len(payload), cap(payload), len(frame)-5)
@@ -177,4 +185,62 @@ func minAllocBytes(reps int, fn func()) uint64 {
 		best = min(best, ms.TotalAlloc-before)
 	}
 	return best
+}
+
+// callRecorder is an exchanger that keeps the last call it was handed
+// and answers it with an empty reply.
+type callRecorder struct{ last call }
+
+func (r *callRecorder) exchange(c call) ([]byte, error) {
+	r.last = c
+	return nil, nil
+}
+
+// TestSessionMACZeroAlloc is the upload MAC's allocation gate. It takes
+// the segments PutImage, PutDiff and PutChunkRef actually hand the
+// client — the op's prefix, then its two caller slices — and requires
+// that signing them and verifying the frame allocate nothing. The MAC
+// copies at most a head of 32 bytes and passes the rest to GCM as one
+// slice, so a shape whose remainder spans two segments fails here.
+func TestSessionMACZeroAlloc(t *testing.T) {
+	_, snap := makeSnapshot(t, 4*units.MiB, 11, 64)
+	refs, err := pagestore.SplitSnapshotRefs(snap, 16<<10)
+	if err != nil || len(refs) < 2 {
+		t.Fatalf("split into %d chunks: %v", len(refs), err)
+	}
+	rec := &callRecorder{}
+	o := ops{x: rec}
+	shapes := map[string]func(){
+		"PutImage": func() { o.PutImage(1, 4*units.MiB, snap) },
+		"PutDiff":  func() { o.PutDiff(1, snap) },
+		"PutChunk": func() { o.PutChunkRef(1, 2, 1, refs[1]) },
+	}
+	nonce := []byte("alloc-nonce-0000")
+	client, server := sessionMAC(testSecret, nonce), sessionMAC(testSecret, nonce)
+	for name, send := range shapes {
+		send()
+		c := rec.last
+		if !c.mac {
+			t.Fatalf("%s is not signed", name)
+		}
+		segs := [][]byte{c.prefix[:c.n], c.segs[0], c.segs[1]}
+		payload := append(bytes.Join(segs, nil), make([]byte, macLen)...)
+		round := func() {
+			copy(payload[len(payload)-macLen:], client.compute(c.req, segs...))
+			if _, err := server.verify(c.req, payload); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: %v", name, r)
+				}
+			}()
+			round()
+		}()
+		if allocs := testing.AllocsPerRun(100, round); allocs > 0 {
+			t.Errorf("%s: signing and verifying an upload allocates %.1f times; want 0", name, allocs)
+		}
+	}
 }

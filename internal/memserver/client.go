@@ -57,7 +57,7 @@ type Client struct {
 
 	// upMAC signs upload payloads with the per-connection session MAC
 	// the handshake derived (see proto.go).
-	upMAC *sessionHMAC
+	upMAC *sessionGCM
 }
 
 // Dial connects and authenticates to the server at addr with the shared
@@ -195,7 +195,7 @@ func (c *Client) exchange(op call) ([]byte, error) {
 // allocates nothing in steady state. Callers hold c.mu.
 func (c *Client) writeRequestLocked(typ byte, withMAC bool) error {
 	if withMAC {
-		c.bufs = append(c.bufs, c.upMAC.compute(c.bufs[1:]...))
+		c.bufs = append(c.bufs, c.upMAC.compute(typ, c.bufs[1:]...))
 	}
 	total := 0
 	for _, s := range c.bufs[1:] {

@@ -9,12 +9,13 @@ package memserver
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"net"
 	"strings"
@@ -78,64 +79,82 @@ const (
 const maxUploadChunks = 16384
 
 // Amortized upload authentication. The HMAC challenge/response
-// handshake derives, on both ends, a per-connection session key from
-// the handshake nonce, and every upload payload (PutImage, PutDiff,
-// PutChunk) carries a 32-byte HMAC-SHA256 trailer over the payload under
-// that key. The server refuses an upload whose trailer does not verify.
-// There is nothing to negotiate: the auth frame is exactly the 32-byte
-// handshake MAC, so no byte outside the MAC can switch the trailer off.
-// The MAC is per-chunk, not per-frame-byte: one SHA-256 pass over
-// megabytes of page data costs ~1 GB/s, amortized to noise, while tying
-// the upload bytes to the authenticated session.
+// handshake derives, on both ends, a per-connection AES-256 key from its
+// nonce, and every upload payload (PutImage, PutDiff, PutChunk) carries
+// a 16-byte AES-GCM tag under that key, bound to the frame's type and
+// its place in the connection's upload sequence. The server refuses an
+// upload whose tag does not verify. There is nothing to negotiate: the
+// auth frame is exactly the 32-byte handshake MAC.
 const (
-	// macLen is the upload trailer length (HMAC-SHA256).
-	macLen = sha256.Size
-
+	// macLen is the upload trailer length (the GCM tag).
+	macLen = 16
 	// sessionKeyInfo domain-separates the session key derivation from
 	// the handshake response (which is HMAC(secret, nonce) alone).
-	sessionKeyInfo = "oasis/frame-auth/v1"
+	sessionKeyInfo = "oasis/frame-auth/v2"
 )
 
-// sessionMAC returns the per-connection upload MAC state: an
-// HMAC-SHA256 keyed by HMAC(secret, sessionKeyInfo || nonce). Both ends
-// derive it from the handshake they just completed; the trailer never
-// exposes the long-lived secret directly.
-func sessionMAC(secret, nonce []byte) *sessionHMAC {
+// sessionMAC returns the per-connection upload MAC, AES-256-GCM keyed
+// by HMAC(secret, sessionKeyInfo || nonce), which both ends derive from
+// the handshake they just completed.
+func sessionMAC(secret, nonce []byte) *sessionGCM {
 	kdf := hmac.New(sha256.New, secret)
 	kdf.Write([]byte(sessionKeyInfo))
 	kdf.Write(nonce)
-	return &sessionHMAC{h: hmac.New(sha256.New, kdf.Sum(nil))}
+	// A 32-byte key, the standard nonce and tag sizes: neither can fail.
+	block, _ := aes.NewCipher(kdf.Sum(nil))
+	aead, _ := cipher.NewGCM(block)
+	return &sessionGCM{aead: aead}
 }
 
-// sessionHMAC wraps the reusable upload-MAC hash with a fixed Sum
-// buffer, so the per-chunk MAC computation allocates nothing.
-type sessionHMAC struct {
-	h   hash.Hash
-	sum [macLen]byte
+// sessionGCM is one end's upload MAC: the GCM tag of Seal(nonce, head,
+// tail), the payload's first 32 bytes as plaintext (whose ciphertext is
+// discarded) and the rest as additional data. The nonce is the frame
+// type, three zero bytes and seq, which every upload frame advances, so
+// none repeats under a key. Fixed arrays keep it allocation-free.
+type sessionGCM struct {
+	aead  cipher.AEAD
+	seq   uint64
+	nonce [12]byte
+	head  [32]byte
+	out   [32 + macLen]byte
 }
 
-// compute MACs the concatenation of segs into the reused sum buffer.
-func (m *sessionHMAC) compute(segs ...[]byte) []byte {
-	m.h.Reset()
+// compute returns the tag over the concatenation of segs as frame typ.
+// Past the head, the payload must lie in a single segment: every upload
+// shape is a fixed prefix of at most 24 bytes and one caller slice.
+func (m *sessionGCM) compute(typ byte, segs ...[]byte) []byte {
+	n, tail := 0, []byte(nil)
 	for _, s := range segs {
-		if len(s) > 0 {
-			m.h.Write(s)
+		k := copy(m.head[n:], s)
+		n += k
+		if k < len(s) {
+			if tail != nil {
+				panic("memserver: upload MAC tail spans segments")
+			}
+			tail = s[k:]
 		}
 	}
-	return m.h.Sum(m.sum[:0])
+	return m.seal(typ, m.head[:n], tail)
 }
 
-// verify checks a payload whose last macLen bytes are the trailer,
-// returning the payload with the trailer stripped.
-func (m *sessionHMAC) verify(payload []byte) ([]byte, error) {
-	if len(payload) < macLen {
-		return nil, errors.New("upload payload shorter than its MAC trailer")
-	}
-	body := payload[:len(payload)-macLen]
-	if !hmac.Equal(m.compute(body), payload[len(payload)-macLen:]) {
+// verify checks a frame-typ payload whose last macLen bytes are the tag,
+// returning the payload with the tag stripped. It advances the sequence
+// whether or not the tag verifies, keeping both ends in step.
+func (m *sessionGCM) verify(typ byte, payload []byte) ([]byte, error) {
+	body := payload[:max(len(payload)-macLen, 0)]
+	h := min(len(body), len(m.head))
+	if !hmac.Equal(m.seal(typ, body[:h], body[h:]), payload[len(body):]) {
 		return nil, errors.New("upload MAC mismatch")
 	}
 	return body, nil
+}
+
+// seal returns the tag for the next frame in sequence.
+func (m *sessionGCM) seal(typ byte, head, tail []byte) []byte {
+	m.nonce[0] = typ
+	binary.BigEndian.PutUint64(m.nonce[4:], m.seq)
+	m.seq++
+	return m.aead.Seal(m.out[:0], m.nonce[:], head, tail)[len(head):]
 }
 
 // writeFrame sends one length-prefixed frame.

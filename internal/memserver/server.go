@@ -351,7 +351,7 @@ type connScratch struct {
 	read  []byte          // inbound frame payload (reused; puts bypass it, see readFrameReuse)
 	reply []byte          // outgoing reply frame under construction
 	pfns  []pagestore.PFN // the GetPages batch being served
-	upMAC *sessionHMAC
+	upMAC *sessionGCM
 }
 
 // beginReply starts a reply frame of the given type in the connection's
@@ -409,12 +409,12 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 		return writeFrame(conn, msgError, []byte(err.Error()))
 	}
 	// Upload payloads carry the session MAC trailer: verify and strip
-	// before parsing (amortized auth — one HMAC pass per chunk, not per
-	// frame byte on the serving path). A payload that fails is refused.
+	// before parsing (one GCM pass per chunk; the upload sequence
+	// advances either way). A payload that fails is refused.
 	switch typ {
 	case msgPutImage, msgPutDiff, msgPutChunk:
 		var err error
-		if payload, err = scratch.upMAC.verify(payload); err != nil {
+		if payload, err = scratch.upMAC.verify(typ, payload); err != nil {
 			return fail(err)
 		}
 	}
