@@ -78,17 +78,19 @@ profile-fleet:
 		-cpuprofile .bench_build/fleet.cpu.prof -o .bench_build/fleet.test ./internal/sim
 
 # The codec micro-benchmarks: lzf on one page (caller-owned dst and nil),
-# the in-place page encoder, and the whole-snapshot encoders.
+# the in-place page encoder, and the snapshot encoder on one core and on
+# two (its shard count is GOMAXPROCS).
 bench-codec:
-	$(GO) test -run '^$$' -bench 'Page|EncodePages' -benchmem ./internal/lzf ./internal/pagestore
+	$(GO) test -run '^$$' -bench 'Page' -benchmem ./internal/lzf ./internal/pagestore
+	$(GO) test -run '^$$' -bench 'BenchmarkEncodeAll$$' -cpu 1,2 -benchmem ./internal/pagestore
 
-# CPU profile of the serial snapshot encoder (lzf + pagestore, what
-# detach-upload has on the clock), written with its test binary under
-# .bench_build/; read it with
+# CPU profile of the snapshot encoder on one core (lzf + pagestore, what
+# detach-upload has on the clock, without the shards' scheduling),
+# written with its test binary under .bench_build/; read it with
 #   go tool pprof -top .bench_build/codec.test .bench_build/codec.cpu.prof
 profile-codec:
 	mkdir -p .bench_build
-	$(GO) test -run '^$$' -bench 'BenchmarkEncodePagesSerial$$' -benchtime 200x -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkEncodeAll$$' -cpu 1 -benchtime 200x -benchmem \
 		-cpuprofile .bench_build/codec.cpu.prof -o .bench_build/codec.test ./internal/pagestore
 
 clean:

@@ -38,8 +38,6 @@ var apiGolden = []string{
 	"DialShard",
 	"EncodeImage",
 	"EncodeImageDiff",
-	"EncodeImageDiffParallel",
-	"EncodeImageParallel",
 	"ErrCircuitOpen",
 	"ErrMemtapDegraded",
 	"FleetConfig",

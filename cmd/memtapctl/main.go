@@ -118,7 +118,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer client.Close()
-	snap, n, err := oasis.EncodeImageParallel(im, transport.UploadStreams)
+	snap, n, err := oasis.EncodeImage(im)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	diff, dn, err := oasis.EncodeImageDiffParallel(im, epoch, transport.UploadStreams)
+	diff, dn, err := oasis.EncodeImageDiff(im, epoch)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -160,8 +160,8 @@ type Agent struct {
 
 	// transport tunes the page-transport layer (connection pool width,
 	// pipelined prefetch depth) of every memtap this agent creates for
-	// inbound partial VMs, and the encode fan-out (and, when sharded,
-	// upload stream count) of the agent's own detach path.
+	// inbound partial VMs, and, when sharded, the upload stream count of
+	// the agent's own detach path.
 	transport TransportConfig
 
 	// fabric is the lazily-dialed shard client over transport.Backends
@@ -176,11 +176,11 @@ type Agent struct {
 // TransportConfig tunes the parallel page-transport layer an agent gives
 // each inbound partial VM: PoolSize memory-server connections per memtap
 // (1 keeps the serial client) and PrefetchStreams pipelined batches
-// during partial→full conversion. UploadStreams tunes the detach
-// direction — snapshot encoding fans out over that many shards, and a
-// sharded agent streams each backend's part as chunks over that many
-// concurrent streams (an unsharded one installs into its own memory
-// server in process). Zero fields select the serial defaults.
+// during partial→full conversion. UploadStreams is the chunked upload
+// streams a sharded agent opens to each backend on a detach (an
+// unsharded one installs into its own memory server in process). Zero
+// fields select the serial defaults. The snapshot encode needs no
+// knob: it runs on every core.
 //
 // It is the shared flagbind.Transport: when Backends is non-empty the
 // agent detaches to (and hands partial VMs pages from) a sharded,
@@ -647,16 +647,14 @@ func (a *Agent) handlePartialMigrate(args MigrateArgs, _ []byte) (any, []byte, e
 // and push the descriptor to the destination agent, which resumes it.
 func (a *Agent) detach(mv *managedVM, dest string) (err error) {
 	// Upload memory to the memory server: full image the first time,
-	// only dirty pages afterwards (§4.3 differential upload). The encode
-	// fans out across UploadStreams shards (byte-identical to serial).
+	// only dirty pages afterwards (§4.3 differential upload).
 	a.mu.Lock()
-	workers := a.transport.UploadStreams
 	var snap []byte
 	var pages int
 	if mv.uploaded {
-		snap, pages, err = pagestore.EncodeDirtySinceParallel(mv.image, mv.uploadedEpoch, workers)
+		snap, pages, err = pagestore.EncodeDirtySince(mv.image, mv.uploadedEpoch)
 	} else {
-		snap, pages, err = pagestore.EncodeAllParallel(mv.image, workers)
+		snap, pages, err = pagestore.EncodeAll(mv.image)
 	}
 	if err != nil {
 		a.mu.Unlock()
@@ -751,7 +749,7 @@ func (a *Agent) handleFullMigrate(args MigrateArgs, _ []byte) (any, []byte, erro
 	a.mu.Lock()
 	desc := *mv.desc
 	epoch := mv.image.NextEpoch()
-	snap, _, err := pagestore.EncodeAllParallel(mv.image, a.transport.UploadStreams)
+	snap, _, err := pagestore.EncodeAll(mv.image)
 	a.mu.Unlock()
 	if err != nil {
 		return nil, nil, err
@@ -775,7 +773,7 @@ func (a *Agent) handleFullMigrate(args MigrateArgs, _ []byte) (any, []byte, erro
 			break
 		}
 		epoch = mv.image.NextEpoch()
-		delta, err := pagestore.EncodePagesParallel(mv.image, dirty, a.transport.UploadStreams)
+		delta, err := pagestore.EncodePages(mv.image, dirty)
 		a.mu.Unlock()
 		if err != nil {
 			return nil, nil, err
@@ -897,7 +895,7 @@ func (a *Agent) handleReceiveFull(desc hypervisor.Descriptor, _ []byte) (any, []
 // and resumes the VM. It returns the number of dirty pages pushed.
 func (a *Agent) sendHome(id pagestore.VMID, mv *managedVM, owner string) (int, error) {
 	a.mu.Lock()
-	snap, pages, err := mv.pvm.DirtySnapshotParallel(a.transport.UploadStreams)
+	snap, pages, err := mv.pvm.DirtySnapshot()
 	a.mu.Unlock()
 	if err != nil {
 		return 0, err

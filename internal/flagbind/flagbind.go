@@ -24,9 +24,9 @@ type Transport struct {
 	// PrefetchStreams is the pipelined GetPages batches kept in flight
 	// during partial→full conversion (<= 1 is serial).
 	PrefetchStreams int
-	// UploadStreams is the parallel encode shards of the detach path
-	// and its chunked upload streams to each remote memory server; an
-	// unsharded agent installs host-locally (<= 1 is serial).
+	// UploadStreams is the detach path's chunked upload streams to each
+	// remote memory server; an unsharded agent installs host-locally
+	// (<= 1 is serial).
 	UploadStreams int
 	// Backends, when non-empty, shards page placement over these
 	// memory-server addresses (a consistent-hash fabric) instead of one
@@ -50,7 +50,7 @@ func BindTransport(fs *flag.FlagSet, t *Transport) {
 	fs.IntVar(&t.PrefetchStreams, "prefetch-streams", t.PrefetchStreams,
 		"pipelined prefetch batches in flight during partial->full conversion (<=1 is serial)")
 	fs.IntVar(&t.UploadStreams, "upload-streams", t.UploadStreams,
-		"parallel encode shards and chunked upload streams per remote memory server for detach uploads; an unsharded agent installs host-locally (<=1 is serial)")
+		"chunked upload streams per remote memory server for detach uploads; an unsharded agent installs host-locally (<=1 is serial)")
 	fs.Var((*addrList)(&t.Backends), "backends",
 		"comma-separated memory-server fabric addresses; empty keeps the single-server transport")
 	fs.IntVar(&t.Replicas, "replicas", t.Replicas,

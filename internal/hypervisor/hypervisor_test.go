@@ -3,9 +3,11 @@ package hypervisor
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"oasis/internal/pagestore"
+	"oasis/internal/rng"
 	"oasis/internal/units"
 )
 
@@ -211,6 +213,48 @@ func TestPartialVMDirtySnapshot(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("dirty snapshot did not carry the write")
+	}
+}
+
+// TestDirtySnapshotSameBytesAtEveryCoreCount: the dirty snapshot is
+// sharded over GOMAXPROCS and is the same bytes on one core or many.
+func TestDirtySnapshotSameBytesAtEveryCoreCount(t *testing.T) {
+	vm, _ := newTestVM(t, 8*units.MiB)
+	r := rng.New(9)
+	page := make([]byte, units.PageSize)
+	for i := 0; i < 300; i++ {
+		switch i % 3 {
+		case 0:
+			clear(page)
+		case 1:
+			for j := range page {
+				page[j] = byte(i)
+			}
+		default:
+			for j := range page {
+				page[j] = byte(r.Uint64())
+			}
+		}
+		if err := vm.Write(pagestore.PFN(100+5*i), page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapAt := func(procs int) ([]byte, int) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		snap, n, err := vm.DirtySnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap, n
+	}
+	serial, n := snapAt(1)
+	if n != 300 {
+		t.Fatalf("dirty pages = %d, want 300", n)
+	}
+	for _, procs := range []int{2, 3, 8} {
+		if got, pn := snapAt(procs); pn != n || !bytes.Equal(got, serial) {
+			t.Fatalf("procs %d: dirty snapshot diverges: %d/%d pages, equal=%v", procs, pn, n, bytes.Equal(got, serial))
+		}
 	}
 }
 

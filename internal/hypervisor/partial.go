@@ -337,16 +337,10 @@ func (vm *PartialVM) DirtyPages() []pagestore.PFN {
 
 // DirtySnapshot encodes the pages the guest wrote locally — the state
 // reintegration pushes back to the owner. Pages that were only faulted in
-// are excluded: the home's DRAM copy already holds them (§4.2).
+// are excluded: the home's DRAM copy already holds them (§4.2). The
+// encode runs on every core (pagestore.EncodePages).
 func (vm *PartialVM) DirtySnapshot() (data []byte, pages int, err error) {
-	return vm.DirtySnapshotParallel(1)
-}
-
-// DirtySnapshotParallel is DirtySnapshot with the snapshot encoded by
-// workers parallel shards (byte-identical to the serial encoding; see
-// pagestore.EncodePagesParallel). workers <= 1 encodes serially.
-func (vm *PartialVM) DirtySnapshotParallel(workers int) (data []byte, pages int, err error) {
 	pfns := vm.DirtyPages()
-	data, err = pagestore.EncodePagesParallel(vm.mem, pfns, workers)
+	data, err = pagestore.EncodePages(vm.mem, pfns)
 	return data, len(pfns), err
 }

@@ -127,3 +127,64 @@ func minAllocBytes(reps int, fn func()) uint64 {
 	}
 	return best
 }
+
+// TestEncodeReservesOnce is the snapshot encoder's allocation gate: a
+// whole-image encode reserves its output once, also straight after a run
+// of small well-compressed diffs, which must not shrink the image's
+// reservation into a chain of regrowths. Each shard costs its buffer
+// and, past the first, the goroutine that fills it; shard 0's buffer
+// holds the whole snapshot and the others their own part, so at 4
+// shards the bytes come to about 1.75x the snapshot plus the headroom.
+func TestEncodeReservesOnce(t *testing.T) {
+	im := partitionImage(t, 23, 4096)
+	var constant []PFN // pages of one repeated byte
+	for _, pfn := range im.AllTouched() {
+		if p, _ := im.Read(pfn); bytes.Count(p, p[:1]) == len(p) && len(constant) < 64 {
+			constant = append(constant, pfn)
+		}
+	}
+	for _, procs := range []int{1, 4} {
+		atProcs(procs, func() {
+			var snap []byte
+			var err error
+			encode := func() { snap, _, err = EncodeAll(im) }
+			for range 16 {
+				encode()
+			}
+			allocs, allocBytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+			for range 3 {
+				for range 8 {
+					epoch := im.NextEpoch()
+					for _, pfn := range constant {
+						p, _ := im.Read(pfn)
+						if err := im.Write(pfn, p); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if _, _, err := EncodeDirtySince(im, epoch); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				encode()
+				runtime.ReadMemStats(&after)
+				allocs = min(allocs, after.Mallocs-before.Mallocs)
+				allocBytes = min(allocBytes, after.TotalAlloc-before.TotalAlloc)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards := uint64(min(procs, len(im.AllTouched())/minShardPages))
+			ratio := float64(allocBytes) / float64(len(snap))
+			t.Logf("GOMAXPROCS %d: %d shards, %d allocations, %d bytes for a %d-byte snapshot (%.2fx)",
+				procs, shards, allocs, allocBytes, len(snap), ratio)
+			if allocs > 2*shards+2 {
+				t.Errorf("GOMAXPROCS %d: %d allocations for %d shards; want at most %d", procs, allocs, shards, 2*shards+2)
+			}
+			if ratio > 2.5 {
+				t.Errorf("GOMAXPROCS %d: the encode allocates %.2fx its snapshot's bytes; want at most 2.5x", procs, ratio)
+			}
+		})
+	}
+}

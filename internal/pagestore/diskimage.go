@@ -32,7 +32,7 @@ const (
 // file, returning the page count.
 func WriteImageFile(path string, im *Image) (int, error) {
 	pfns := im.AllTouched()
-	out := make([]byte, 0, 12+snapshotCapacity(len(pfns)))
+	out := make([]byte, 0, 12+imageEstimate.capacity(len(pfns)))
 	out = append(out, imageFileMagic...)
 	out = binary.BigEndian.AppendUint64(out, uint64(im.Alloc()))
 	out = append(out, snapMagic...)

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"oasis/internal/lzf"
@@ -38,72 +40,128 @@ func errDictToken(token uint16) error {
 	return fmt.Errorf("dictionary-compressed entry (token %#x) is not supported", token)
 }
 
-// pageEstimate is a process-wide EWMA of the observed encoded size per
-// page entry (the 10-byte entry header included). It seeds the output
-// buffer capacity in EncodePages: the old fixed 128-byte guess forced
-// repeated grow-copies on large detaches of poorly compressing images
-// (an incompressible page encodes to PageSize+10 bytes, 32x the guess).
-// The estimate is a capacity hint only — the encoded bytes are identical
-// whatever its value.
-var pageEstimate atomic.Int64
+// sizeEstimate is a running estimate of the encoded bytes per page entry
+// (the 10-byte entry header included) of one kind of snapshot. It sizes
+// the encoder's output buffer, which is reserved once: an estimate that
+// falls short makes append regrow the buffer 1.25x at a time, copying
+// the snapshot so far each time. Whole images and page lists (diffs,
+// dirty snapshots, pre-copy deltas) keep apart, since a run of small
+// well-compressed diffs says nothing about the next image. The estimate
+// is a capacity hint only — the encoded bytes are identical whatever its
+// value.
+type sizeEstimate struct{ per atomic.Int64 }
 
-// defaultPageEstimate is used before any snapshot has been observed:
-// the old guess, which real guest images (zero-heavy, compressible)
-// hover around.
+var (
+	imageEstimate sizeEstimate // EncodeAll, WriteImageFile
+	listEstimate  sizeEstimate // EncodePages, EncodeDirtySince
+)
+
+// defaultPageEstimate is used before a kind has been observed: real
+// guest images (zero-heavy, compressible) hover around it.
 const defaultPageEstimate = 128
 
-// snapshotCapacity returns the output capacity to reserve for an n-page
-// snapshot, from the observed compressibility of previous encodes, plus
-// the worst-case room the compressor wants ahead of it for one page: a
-// snapshot the estimate fits is then never regrown for its last entries.
-func snapshotCapacity(n int) int {
-	per := int(pageEstimate.Load())
+// capacity returns the output capacity to reserve for n entries: the
+// estimate with 1/8 headroom, plus the worst-case room the compressor
+// wants ahead of it for one page, so a snapshot the estimate fits is
+// never regrown for its last entries.
+func (e *sizeEstimate) capacity(n int) int {
+	per := int(e.per.Load())
 	if per <= 0 {
 		per = defaultPageEstimate
 	}
-	return 8 + n*per + lzf.CompressBound(int(units.PageSize))
+	return 8 + n*per + n*per/8 + lzf.CompressBound(int(units.PageSize))
 }
 
-// observeSnapshot folds one encode's realized bytes/page into the
-// estimate (EWMA, 3/4 old + 1/4 new), clamped to the format's actual
-// range: at least a bare entry header, at most a raw entry plus the
-// compressor's worst-case bound.
-func observeSnapshot(pages, encodedBytes int) {
+// observe folds one encode's bytes per entry, rounded up and clamped to
+// the format's range, into the estimate: a larger value is taken at
+// once, so the next snapshot like this one is not regrown, and a smaller
+// one pulls the estimate down by a quarter of the gap, rounded up.
+func (e *sizeEstimate) observe(pages, encodedBytes int) {
 	if pages <= 0 {
 		return
 	}
-	per := (encodedBytes - 8) / pages
-	if per < 10 {
-		per = 10
-	}
-	if bound := 10 + lzf.CompressBound(int(units.PageSize)); per > bound {
-		per = bound
-	}
-	old := pageEstimate.Load()
-	if old <= 0 {
-		old = defaultPageEstimate
-	}
+	per := int64(encodedBytes-8+pages-1) / int64(pages)
+	per = max(10, min(per, int64(10+lzf.CompressBound(int(units.PageSize)))))
 	// A racing store may drop a concurrent observation; the estimate is
 	// advisory, so last-writer-wins is fine.
-	pageEstimate.Store((3*old + int64(per)) / 4)
+	if old := e.per.Load(); old > per {
+		per = (3*old + per + 3) / 4
+	}
+	e.per.Store(per)
+}
+
+// minShardPages is the smallest shard worth a goroutine: below this the
+// per-worker scheduling and stitch copy cost more than the compression
+// they parallelize.
+const minShardPages = 16
+
+// encodePages is the one snapshot encoder: the header, then the entries
+// of pfns, encoded over contiguous shards by one goroutine per available
+// core (fewer for short lists) and stitched in shard order. The body is
+// an in-order concatenation of independent per-page encodings, so the
+// output is byte-identical whatever the shard count. Every shard reads
+// under the one read lock taken here: a snapshot is one point in time,
+// as a serial encode's is. Shard 0 is encoded behind the header into a
+// buffer sized for the whole snapshot, the others into buffers sized for
+// their own part, and est learns from the result.
+func encodePages(im *Image, pfns []PFN, est *sizeEstimate) ([]byte, error) {
+	shards := max(1, min(runtime.GOMAXPROCS(0), len(pfns)/minShardPages))
+	per := (len(pfns) + shards - 1) / shards
+	parts := make([]struct {
+		b   []byte
+		err error
+	}, shards)
+	parts[0].b = binary.BigEndian.AppendUint32(append(make([]byte, 0, est.capacity(len(pfns))), snapMagic...), uint32(len(pfns)))
+	var wg sync.WaitGroup
+	im.mu.RLock()
+	for w := shards - 1; w >= 0; w-- {
+		lo := min(w*per, len(pfns))
+		hi := min(lo+per, len(pfns))
+		if w == 0 { // on this goroutine, after the others have started
+			parts[0].b, parts[0].err = im.appendEntriesLocked(parts[0].b, pfns[:hi])
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[w].b, parts[w].err = im.appendEntriesLocked(make([]byte, 0, est.capacity(hi-lo)), pfns[lo:hi])
+		}()
+	}
+	wg.Wait()
+	im.mu.RUnlock()
+	out := parts[0].b
+	for w, p := range parts {
+		if p.err != nil {
+			return nil, p.err
+		}
+		if w > 0 {
+			out = append(out, p.b...)
+		}
+	}
+	est.observe(len(pfns), len(out))
+	return out, nil
 }
 
 // EncodePages encodes the given pages of the image into a snapshot. Pages
 // that are all zero are encoded with a zero token. The returned byte count
 // is what travels over the SAS link or network.
 func EncodePages(im *Image, pfns []PFN) ([]byte, error) {
-	return encodePages(im, pfns, 1)
+	return encodePages(im, pfns, &listEstimate)
 }
 
 // EncodeDirtySince encodes the pages dirtied since epoch and returns the
 // snapshot together with the encoded page count.
 func EncodeDirtySince(im *Image, epoch uint64) ([]byte, int, error) {
-	return EncodeDirtySinceParallel(im, epoch, 1)
+	pfns := im.DirtySince(epoch)
+	data, err := encodePages(im, pfns, &listEstimate)
+	return data, len(pfns), err
 }
 
 // EncodeAll encodes every touched page (a full upload).
 func EncodeAll(im *Image) ([]byte, int, error) {
-	return EncodeAllParallel(im, 1)
+	pfns := im.AllTouched()
+	data, err := encodePages(im, pfns, &imageEstimate)
+	return data, len(pfns), err
 }
 
 // walkSnapshot parses a snapshot's framing and hands fn every page

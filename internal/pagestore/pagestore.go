@@ -227,11 +227,17 @@ func (im *Image) appendEntryLocked(out []byte, pfn PFN) ([]byte, error) {
 }
 
 // AppendEntries appends u64 pfn | u16 token | payload for each pfn, in
-// order, under one acquisition of the image lock: the body of a snapshot,
-// an image file and a GetPages reply alike.
+// order, under one acquisition of the image lock: the body of an image
+// file and of a GetPages reply alike.
 func (im *Image) AppendEntries(out []byte, pfns []PFN) ([]byte, error) {
 	im.mu.RLock()
 	defer im.mu.RUnlock()
+	return im.appendEntriesLocked(out, pfns)
+}
+
+// appendEntriesLocked is AppendEntries with the read lock held by the
+// caller: the snapshot encoder's shards share one acquisition.
+func (im *Image) appendEntriesLocked(out []byte, pfns []PFN) ([]byte, error) {
 	for _, pfn := range pfns {
 		var err error
 		out = binary.BigEndian.AppendUint64(out, uint64(pfn))

@@ -295,7 +295,8 @@ type Image = pagestore.Image
 func NewImage(alloc Bytes) *Image { return pagestore.NewImage(alloc) }
 
 // EncodeImage encodes every touched page of an image into the compressed
-// snapshot format used for memory-server uploads.
+// snapshot format used for memory-server uploads. The encode is sharded
+// over GOMAXPROCS goroutines; the bytes do not depend on how many.
 func EncodeImage(im *Image) (data []byte, pages int, err error) {
 	return pagestore.EncodeAll(im)
 }
@@ -304,19 +305,6 @@ func EncodeImage(im *Image) (data []byte, pages int, err error) {
 // differential-upload optimisation of §4.3.
 func EncodeImageDiff(im *Image, epoch uint64) (data []byte, pages int, err error) {
 	return pagestore.EncodeDirtySince(im, epoch)
-}
-
-// EncodeImageParallel is EncodeImage with the snapshot encode sharded
-// across workers goroutines; the output is byte-identical to the serial
-// encoding (workers <= 1 takes the serial path).
-func EncodeImageParallel(im *Image, workers int) (data []byte, pages int, err error) {
-	return pagestore.EncodeAllParallel(im, workers)
-}
-
-// EncodeImageDiffParallel is EncodeImageDiff with the encode sharded
-// across workers goroutines, byte-identical to the serial encoding.
-func EncodeImageDiffParallel(im *Image, epoch uint64, workers int) (data []byte, pages int, err error) {
-	return pagestore.EncodeDirtySinceParallel(im, epoch, workers)
 }
 
 // UploadOptions tunes a MemConn's chunked streaming uploads
