@@ -112,8 +112,8 @@ func WithReplicas(n int) DialOption {
 // connections (zero leaves the shape to the other options), Backends
 // selects the sharded fabric with PoolSize as the per-backend pool
 // width, and Replicas <= 0 takes the fabric default. PrefetchStreams
-// and UploadStreams shape the memtap/agent pipelines, not the
-// connection, and are ignored here.
+// (itself ignored everywhere now) and UploadStreams shape the
+// memtap/agent pipelines, not the connection, and are ignored here.
 func WithTransport(tr Transport) DialOption {
 	return func(t *shard.Target) {
 		if tr.Sharded() {

@@ -175,12 +175,13 @@ type Agent struct {
 
 // TransportConfig tunes the parallel page-transport layer an agent gives
 // each inbound partial VM: PoolSize memory-server connections per memtap
-// (1 keeps the serial client) and PrefetchStreams pipelined batches
-// during partial→full conversion. UploadStreams is the chunked upload
-// streams a sharded agent opens to each backend on a detach (an
-// unsharded one installs into its own memory server in process). Zero
-// fields select the serial defaults. The snapshot encode needs no
-// knob: it runs on every core.
+// (1 keeps the serial client); a conversion keeps a batch in flight per
+// connection and a second where a CPU is free, and PrefetchStreams is
+// ignored. UploadStreams is the chunked upload streams a sharded
+// agent opens to each backend on a detach (an unsharded one installs
+// into its own memory server in process). Zero fields select the
+// defaults. Neither the snapshot encode nor the conversion's decode
+// needs a knob: both run on every core.
 //
 // It is the shared flagbind.Transport: when Backends is non-empty the
 // agent detaches to (and hands partial VMs pages from) a sharded,
@@ -853,7 +854,9 @@ func (a *Agent) handleAdoptVM(args vmArgs, _ []byte) (any, []byte, error) {
 	}
 	defer func() { a.settle(mv, end) }()
 	// The active push of post-copy: stream all remaining pages in
-	// batches while the VM keeps executing.
+	// batches while the VM keeps executing. A ReadPage or WritePage
+	// meanwhile faults on the same connection, behind at most two of
+	// these exchanges (memtap's worker count is capped at two a lane).
 	n, err := mv.mt.PrefetchRemaining(mv.pvm, 1024)
 	if err != nil {
 		return nil, nil, err

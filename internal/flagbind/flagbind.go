@@ -13,16 +13,16 @@ import (
 )
 
 // Transport is the unified tuning of the page-transport layer: how many
-// connections a memtap pools, how deep prefetch pipelines, how wide
-// detach uploads fan out, and — for sharded deployments — the
-// memory-server fabric membership and replica count. The zero value is
-// the serial single-server transport.
+// connections a memtap pools, how wide detach uploads fan out, and — for
+// sharded deployments — the memory-server fabric membership and replica
+// count. The zero value is one connection to a single server.
 type Transport struct {
 	// PoolSize is the pooled memory-server connections per client
 	// (<= 1 keeps a single resilient connection).
 	PoolSize int
-	// PrefetchStreams is the pipelined GetPages batches kept in flight
-	// during partial→full conversion (<= 1 is serial).
+	// PrefetchStreams is parsed and ignored, so that existing command
+	// lines still run: a memtap keeps a conversion batch in flight per
+	// pooled connection and a second per connection where a CPU is free.
 	PrefetchStreams int
 	// UploadStreams is the detach path's chunked upload streams to each
 	// remote memory server; an unsharded agent installs host-locally
@@ -48,7 +48,7 @@ func BindTransport(fs *flag.FlagSet, t *Transport) {
 	fs.IntVar(&t.PoolSize, "pool", t.PoolSize,
 		"pooled memory-server connections per memtap (<=1 keeps the serial client)")
 	fs.IntVar(&t.PrefetchStreams, "prefetch-streams", t.PrefetchStreams,
-		"pipelined prefetch batches in flight during partial->full conversion (<=1 is serial)")
+		"ignored: a conversion keeps a batch in flight per -pool connection, and a second per connection where a CPU is free")
 	fs.IntVar(&t.UploadStreams, "upload-streams", t.UploadStreams,
 		"chunked upload streams per remote memory server for detach uploads; an unsharded agent installs host-locally (<=1 is serial)")
 	fs.Var((*addrList)(&t.Backends), "backends",

@@ -4,11 +4,13 @@ package memtap
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
+	"oasis/internal/allocgate"
 	"oasis/internal/hypervisor"
 	"oasis/internal/memserver"
 	"oasis/internal/pagestore"
@@ -60,21 +62,35 @@ func allocImage(t *testing.T, vmid pagestore.VMID, kind func(pagestore.PFN) int)
 
 // minMallocs returns the fewest heap allocations fn made over reps runs,
 // each after its own setup: allocations by anything else running in the
-// process only ever add to a run's count. The collector is held off while
-// fn runs; a cycle landing inside one costs a few allocations of its own.
-func minMallocs(reps int, setup func(), fn func()) uint64 {
+// process only ever add to a run's count. The collector is held off for
+// the whole measurement: a cycle landing inside a run costs a few
+// allocations of its own, and each cycle empties the runtime's shared
+// cache of wait records, which a run that parks a goroutine would then
+// allocate afresh. For the same reason each counted run starts from a
+// warmed scheduler (allocgate.WarmScheduler). One run before any warming
+// is logged beside the result, so that what the runtime's goroutine
+// bookkeeping adds to a cold process stays in view.
+func minMallocs(tb testing.TB, reps int, setup func(), fn func()) uint64 {
+	tb.Helper()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var ms runtime.MemStats
-	best := uint64(math.MaxUint64)
-	for range reps {
-		setup()
-		runtime.GC()
+	runtime.GC()
+	count := func() uint64 {
+		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
 		fn()
 		runtime.ReadMemStats(&ms)
-		best = min(best, ms.Mallocs-before)
+		return ms.Mallocs - before
 	}
+	setup()
+	unwarmed := count()
+	best := uint64(math.MaxUint64)
+	for range reps {
+		setup()
+		allocgate.WarmScheduler()
+		best = min(best, count())
+	}
+	tb.Logf("%d allocations unwarmed, %d warmed (fewest of %d)", unwarmed, best, reps)
 	return best
 }
 
@@ -112,7 +128,7 @@ func TestPrefetchAllocatesOnePagePerInstall(t *testing.T) {
 			}
 		}
 		batches := int((desc.Alloc.Pages() - desc.PageTablePages + batch - 1) / batch)
-		allocs := minMallocs(5, func() {
+		allocs := minMallocs(t, 5, func() {
 			if pvm, err = hypervisor.NewPartialVM(desc, mt); err != nil {
 				t.Fatal(err)
 			}
@@ -139,6 +155,19 @@ func TestPrefetchAllocatesOnePagePerInstall(t *testing.T) {
 	}
 }
 
+// TestPrefetchAllocationsAtEveryCoreCount holds the prefetch gate at
+// every worker count: on one lane PrefetchRemaining runs a worker per
+// CPU up to two, and no worker may add allocations per batch beyond the
+// serial path's.
+func TestPrefetchAllocationsAtEveryCoreCount(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			TestPrefetchAllocatesOnePagePerInstall(t)
+		})
+	}
+}
+
 // TestFaultAllocatesItsPageOnce is the demand fault's allocation gate:
 // a fault on a compressible page, from the partial VM's Touch through
 // memtap and the client's round trip, allocates the page it decodes
@@ -156,7 +185,7 @@ func TestFaultAllocatesItsPageOnce(t *testing.T) {
 		var mt *Memtap
 		var pvm *hypervisor.PartialVM
 		var err error
-		allocs[i] = minMallocs(5, func() {
+		allocs[i] = minMallocs(t, 5, func() {
 			if mt != nil {
 				mt.Close()
 			}

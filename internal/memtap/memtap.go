@@ -15,14 +15,16 @@
 // The fault path is concurrent: the hypervisor no longer serialises
 // faults behind one lock, so several vCPUs may fault simultaneously.
 // Memtap deduplicates concurrent faults on the same PFN (single-flight:
-// one remote fetch satisfies every waiter) and can spread traffic over a
-// connection pool (Options.PoolSize) with pipelined prefetch batches
-// (Options.PrefetchStreams); see DESIGN.md §9 for the concurrency model.
+// one remote fetch satisfies every waiter), converts a VM with up to
+// two prefetch batches in flight per connection, and can spread traffic
+// over a connection pool (Options.PoolSize); see DESIGN.md §9 for the
+// concurrency model.
 package memtap
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,7 +127,8 @@ var DefaultResilience = memserver.ResilientConfig{}
 
 // Options tune the transport a memtap dials. The zero value reproduces
 // New's defaults: one resilient connection (a one-lane
-// memserver.ClientPool), serial prefetch.
+// memserver.ClientPool), converted with up to two prefetch batches in
+// flight (prefetchWorkers).
 type Options struct {
 	// Resilience overrides DefaultResilience for this memtap's
 	// connection(s); nil uses DefaultResilience.
@@ -134,10 +137,10 @@ type Options struct {
 	// connections, letting concurrent faults and pipelined prefetch
 	// batches genuinely overlap on the wire.
 	PoolSize int
-	// PrefetchStreams is the number of GetPages batches PrefetchRemaining
-	// keeps in flight (<= 1 means strictly serial batches). Values above
-	// PoolSize waste goroutines — batches would queue on lanes — so
-	// agents plumb the same knob into both.
+	// PrefetchStreams is ignored by PrefetchRemaining, whose batches in
+	// flight follow from the lanes and the CPUs (prefetchWorkers); it is
+	// kept, and reported by Memtap.PrefetchStreams, so that existing
+	// configurations still compile.
 	PrefetchStreams int
 	// Backends, when non-empty, dials a sharded memory-server fabric
 	// over these addresses instead of the single server at addr: page
@@ -195,7 +198,11 @@ type Memtap struct {
 	sfMu     sync.Mutex
 	inflight map[pagestore.PFN]*flight
 
-	prefetchStreams atomic.Int32
+	// lanes is the connections one exchange may take (PoolSize, or the
+	// wrapped pool's size); prefetchStreams is Options.PrefetchStreams,
+	// reported only.
+	lanes           int
+	prefetchStreams int
 
 	// faultRing is a small lossy ring of recently faulted PFNs (stored
 	// +1 so zero means empty). The fault path publishes into it lock-free;
@@ -239,11 +246,12 @@ func (m *Memtap) PrefetchReorders() int64 { return m.reorders.Load() }
 // shared zero page and installed without copying.
 func (m *Memtap) ZeroPagesElided() int64 { return m.zeroElided.Load() }
 
-func newMemtap(vmid pagestore.VMID, client PageClient) *Memtap {
+func newMemtap(vmid pagestore.VMID, client PageClient, lanes int) *Memtap {
 	return &Memtap{
 		vmid:     vmid,
 		client:   client,
 		inflight: make(map[pagestore.PFN]*flight),
+		lanes:    max(lanes, 1),
 	}
 }
 
@@ -302,12 +310,12 @@ func NewWithOptions(vmid pagestore.VMID, addr string, secret []byte, opts Option
 	if err != nil {
 		return nil, fmt.Errorf("memtap: vm %04d: %w", vmid, err)
 	}
-	m := newMemtap(vmid, conn)
+	m := newMemtap(vmid, conn, opts.PoolSize)
 	if fab, ok := conn.(*shard.Client); ok {
 		fabRef.Store(fab)
 		m.bindFabric(fab, gauge)
 	}
-	m.SetPrefetchStreams(opts.PrefetchStreams)
+	m.prefetchStreams = max(opts.PrefetchStreams, 1)
 	return m, nil
 }
 
@@ -318,7 +326,11 @@ func NewWithOptions(vmid pagestore.VMID, addr string, secret []byte, opts Option
 // replication health (this replaces any hook previously registered on
 // the fabric with OnHealthChange).
 func NewWithClient(vmid pagestore.VMID, client PageClient) *Memtap {
-	m := newMemtap(vmid, client)
+	lanes := 1
+	if p, ok := client.(*memserver.ClientPool); ok {
+		lanes = p.Size()
+	}
+	m := newMemtap(vmid, client, lanes)
 	if fab, ok := client.(*shard.Client); ok {
 		m.bindFabric(fab, degradedGauge(vmid))
 	}
@@ -355,22 +367,9 @@ func fabricHealthLevel(f *shard.Client) int {
 	return 0
 }
 
-// SetPrefetchStreams sets how many GetPages batches PrefetchRemaining
-// keeps in flight; values <= 1 mean strictly serial batches.
-func (m *Memtap) SetPrefetchStreams(n int) {
-	if n < 1 {
-		n = 1
-	}
-	m.prefetchStreams.Store(int32(n))
-}
-
-// PrefetchStreams returns the configured prefetch pipeline depth (>= 1).
-func (m *Memtap) PrefetchStreams() int {
-	if n := m.prefetchStreams.Load(); n > 1 {
-		return int(n)
-	}
-	return 1
-}
+// PrefetchStreams returns Options.PrefetchStreams as configured (>= 1).
+// It does not steer PrefetchRemaining (see prefetchWorkers).
+func (m *Memtap) PrefetchStreams() int { return max(m.prefetchStreams, 1) }
 
 // Degraded reports whether the memory-server path is unavailable: the
 // resilient client's circuit breaker is open (for a pool: every lane's
@@ -555,24 +554,38 @@ func (m *Memtap) MeanLatency() time.Duration {
 // Close releases the connection to the memory server.
 func (m *Memtap) Close() error { return m.client.Close() }
 
-// prefetchRun is the shared state of one PrefetchRemaining call: a claim
-// set preventing two streams from fetching the same pages, a linear scan
-// cursor, and the error latch that aborts every stream.
+// prefetchWorkers is how many batches PrefetchRemaining keeps in flight
+// over lanes connections on procs CPUs: one per lane, so that every
+// lane of a pool carries a batch, and a second per lane where a CPU is
+// free to decode one batch while the lane carries the next. Two a lane
+// is the measured rule: on one lane at 2 CPUs two workers convert about
+// 1.8x the pages a second of one, three read the same and four worse
+// (DESIGN.md §9, "Pipelined prefetch"). It also bounds what a demand
+// fault on a converting VM queues behind: two exchanges a lane, however
+// many cores the host has.
+func prefetchWorkers(lanes, procs int) int {
+	return max(lanes, min(procs, 2*lanes))
+}
+
+// prefetchRun is the shared state of one PrefetchRemaining call: the
+// batch each worker has in flight (its claim, so that no two workers
+// fetch the same page), a linear scan cursor, and the error latch that
+// aborts every worker.
 type prefetchRun struct {
 	m  *Memtap
 	vm *hypervisor.PartialVM
 
 	batch int
 
-	mu      sync.Mutex
-	claimed map[pagestore.PFN]struct{}
-	cursor  pagestore.PFN
+	mu     sync.Mutex
+	held   [][]pagestore.PFN // held[w]: worker w's batch in flight, ascending; nil between batches
+	cursor pagestore.PFN
 
 	errMu    sync.Mutex
 	firstErr error
 }
 
-// fail latches the first error; every stream checks failed() and drains.
+// fail latches the first error; every worker checks failed() and drains.
 func (r *prefetchRun) fail(err error) {
 	r.errMu.Lock()
 	if r.firstErr == nil {
@@ -587,42 +600,53 @@ func (r *prefetchRun) failed() bool {
 	return r.firstErr != nil
 }
 
-// collect claims up to max unclaimed absent pages starting at from.
-// Callers hold r.mu.
-func (r *prefetchRun) collect(from pagestore.PFN, max int) []pagestore.PFN {
+// heldAround returns the batch in flight whose range holds pfn, or nil.
+// A batch is claimed as every absent page from where its scan started
+// that no other batch in flight holds, so no page in its range is absent
+// and unclaimed while it is in flight (pages only ever become present):
+// a scan that meets one resumes past its last page. Callers hold r.mu.
+func (r *prefetchRun) heldAround(pfn pagestore.PFN) []pagestore.PFN {
+	for _, b := range r.held {
+		if len(b) > 0 && b[0] <= pfn && pfn <= b[len(b)-1] {
+			return b
+		}
+	}
+	return nil
+}
+
+// collect claims for worker w up to max absent pages no batch in flight
+// holds, in ascending order from from. Callers hold r.mu.
+func (r *prefetchRun) collect(w int, from pagestore.PFN, max int) []pagestore.PFN {
 	var out []pagestore.PFN
 	for len(out) < max {
-		// Over-fetch so a run of already-claimed pages (another stream's
-		// in-flight batch) doesn't stall the scan.
-		cand := r.vm.AbsentPagesFrom(from, 2*max)
+		cand := r.vm.AbsentPagesFrom(from, max-len(out))
 		if len(cand) == 0 {
 			break
 		}
+		from = cand[len(cand)-1] + 1
 		for _, pfn := range cand {
-			if _, taken := r.claimed[pfn]; taken {
-				continue
-			}
-			out = append(out, pfn)
-			if len(out) >= max {
+			if b := r.heldAround(pfn); b != nil {
+				from = b[len(b)-1] + 1
 				break
 			}
+			if out == nil {
+				out = make([]pagestore.PFN, 0, max)
+			}
+			out = append(out, pfn)
 		}
-		from = cand[len(cand)-1] + 1
 	}
-	for _, pfn := range out {
-		r.claimed[pfn] = struct{}{}
-	}
+	r.held[w] = out
 	return out
 }
 
-// nextBatch claims the next batch of absent pages. Recent guest faults
-// redirect the scan: a fault at PFN p means the guest is working near p,
-// so the pages right after it are the likeliest next on-demand misses
-// and prefetching them first turns would-be faults into installs. With
-// no hints pending, the scan proceeds from the ascending cursor (with
-// one wrap to sweep pages behind it). nil means every absent page is
-// claimed by an in-flight batch — the stream is done.
-func (r *prefetchRun) nextBatch() []pagestore.PFN {
+// nextBatch claims worker w's next batch of absent pages. Recent guest
+// faults redirect the scan: a fault at PFN p means the guest is working
+// near p, so the pages right after it are the likeliest next on-demand
+// misses and prefetching them first turns would-be faults into installs.
+// With no hints pending, the scan proceeds from the ascending cursor.
+// Every absent page behind the cursor is in a batch in flight, so nil
+// means the rest belongs to other workers — this one is done.
+func (r *prefetchRun) nextBatch(w int) []pagestore.PFN {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
@@ -630,31 +654,24 @@ func (r *prefetchRun) nextBatch() []pagestore.PFN {
 		if !ok {
 			break
 		}
-		if pfns := r.collect(hint, r.batch); len(pfns) > 0 {
+		if pfns := r.collect(w, hint, r.batch); pfns != nil {
 			r.m.reorders.Add(1)
 			tel.reorder.Inc()
 			return pfns
 		}
 	}
-	for {
-		if pfns := r.collect(r.cursor, r.batch); len(pfns) > 0 {
-			r.cursor = pfns[len(pfns)-1] + 1
-			return pfns
-		}
-		if r.cursor == 0 {
-			return nil
-		}
-		r.cursor = 0
+	pfns := r.collect(w, r.cursor, r.batch)
+	if pfns != nil {
+		r.cursor = pfns[len(pfns)-1] + 1
 	}
+	return pfns
 }
 
-// unclaim releases a completed batch's claims (its pages are present
-// now, or the run is aborting on its error).
-func (r *prefetchRun) unclaim(pfns []pagestore.PFN) {
+// unclaim releases worker w's batch (its pages are present now, or the
+// run is aborting on its error).
+func (r *prefetchRun) unclaim(w int) {
 	r.mu.Lock()
-	for _, pfn := range pfns {
-		delete(r.claimed, pfn)
-	}
+	r.held[w] = nil
 	r.mu.Unlock()
 }
 
@@ -669,30 +686,32 @@ func (r *prefetchRun) unclaim(pfns []pagestore.PFN) {
 // PFNs into a small ring, and the prefetcher redirects its scan to the
 // pages right after the guest's latest faults (counted by
 // oasis_memtap_prefetch_reorder_total) before falling back to an
-// ascending sweep. With PrefetchStreams > 1 that scan feeds up to that
-// many continuously running streams — each claims a batch, fetches, and
-// installs while the others are still on the wire, with no barrier
-// between rounds; a slow batch no longer stalls the other lanes. Over a
-// pool of size >= streams the batches also genuinely overlap on the
-// network. Serial and pipelined runs install the same set of pages.
+// ascending sweep. That scan feeds prefetchWorkers continuously running
+// workers — each claims a batch, fetches it and decodes and installs it
+// while the others are on the wire, with no barrier between rounds. Over
+// one connection the exchanges queue on it, so each batch's decode
+// overlaps the next batch's round trip; over a pool the batches also
+// overlap on the network. On one connection at GOMAXPROCS 1 the batches
+// run one at a time on the caller's goroutine. Every worker count
+// installs the same set of pages.
 func (m *Memtap) PrefetchRemaining(vm *hypervisor.PartialVM, batch int) (int, error) {
 	if batch <= 0 {
 		batch = 512
 	}
-	streams := m.PrefetchStreams()
-	r := &prefetchRun{m: m, vm: vm, batch: batch, claimed: make(map[pagestore.PFN]struct{})}
+	workers := prefetchWorkers(m.lanes, runtime.GOMAXPROCS(0))
+	r := &prefetchRun{m: m, vm: vm, batch: batch, held: make([][]pagestore.PFN, workers)}
 
 	var installed atomic.Int64
-	work := func() {
+	work := func(w int) {
 		for !r.failed() {
-			pfns := r.nextBatch()
+			pfns := r.nextBatch(w)
 			if pfns == nil {
 				return
 			}
 			pages, err := m.client.GetPages(m.vmid, pfns)
 			tel.batches.Inc()
 			if err != nil {
-				r.unclaim(pfns)
+				r.unclaim(w)
 				if errors.Is(err, memserver.ErrCircuitOpen) || m.Degraded() {
 					err = fmt.Errorf("%w: %w", ErrDegraded, err)
 				}
@@ -701,7 +720,7 @@ func (m *Memtap) PrefetchRemaining(vm *hypervisor.PartialVM, batch int) (int, er
 			}
 			n, err := m.installBatch(vm, pfns, pages)
 			installed.Add(int64(n))
-			r.unclaim(pfns)
+			r.unclaim(w)
 			if err != nil {
 				r.fail(err)
 				return
@@ -709,19 +728,16 @@ func (m *Memtap) PrefetchRemaining(vm *hypervisor.PartialVM, batch int) (int, er
 		}
 	}
 
-	if streams <= 1 {
-		work()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < streams; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
 	}
+	work(0)
+	wg.Wait()
 	r.errMu.Lock()
 	err := r.firstErr
 	r.errMu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ var secret = []byte("memtap-test")
 
 // startBackend brings up a real memory server preloaded with a VM image
 // and returns its address plus the source image for verification.
-func startBackend(t *testing.T, vmid pagestore.VMID, alloc units.Bytes) (string, *pagestore.Image) {
+func startBackend(t testing.TB, vmid pagestore.VMID, alloc units.Bytes) (string, *pagestore.Image) {
 	t.Helper()
 	srv := memserver.NewServer(secret, t.Logf)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -250,15 +251,15 @@ func TestPrefetchAccountingSkipsRacedPages(t *testing.T) {
 	desc := hypervisor.NewDescriptor(55, "race", alloc, 1)
 
 	var pvm *hypervisor.PartialVM
-	raced := 0
+	var raced atomic.Int64 // the prefetch's workers run the hook concurrently
 	local := bytes.Repeat([]byte{0xAB}, int(units.PageSize))
 	stub := &stubClient{src: src, beforeRet: func(pfns []pagestore.PFN) {
 		// The guest writes the first page of every batch after the
 		// server has already shipped it: the install must lose.
 		if err := pvm.Write(pfns[0], local); err != nil {
-			t.Fatal(err)
+			t.Error(err)
 		}
-		raced++
+		raced.Add(1)
 	}}
 	mt := NewWithClient(55, stub)
 	var err error
@@ -275,9 +276,9 @@ func TestPrefetchAccountingSkipsRacedPages(t *testing.T) {
 	if pvm.PresentPages() != total {
 		t.Fatalf("present %d of %d pages", pvm.PresentPages(), total)
 	}
-	want := int(total - desc.PageTablePages - int64(raced))
+	want := int(total - desc.PageTablePages - raced.Load())
 	if installed != want {
-		t.Fatalf("installed = %d, want %d (%d raced writes)", installed, want, raced)
+		t.Fatalf("installed = %d, want %d (%d raced writes)", installed, want, raced.Load())
 	}
 	if got, want := mt.FetchedBytes(), units.Bytes(installed)*units.PageSize; got != want {
 		t.Fatalf("FetchedBytes = %v, want %v: raced pages were counted", got, want)
@@ -385,6 +386,31 @@ func verifyIdentical(t *testing.T, pvm *hypervisor.PartialVM, src *pagestore.Ima
 	}
 }
 
+// killOnNthBatch is a pool whose nth GetPages first kills the server and
+// has it restarted shortly after: the outage lands while the prefetch is
+// provably under way, however fast the batches before it ran.
+type killOnNthBatch struct {
+	*memserver.ClientPool
+	rb    *restartableBackend
+	n     int64
+	calls atomic.Int64
+	done  chan struct{}
+}
+
+func (k *killOnNthBatch) GetPages(id pagestore.VMID, pfns []pagestore.PFN) (map[pagestore.PFN][]byte, error) {
+	if k.calls.Add(1) == k.n {
+		k.rb.kill()
+		go func() {
+			defer close(k.done)
+			time.Sleep(10 * time.Millisecond)
+			if err := k.rb.restart(); err != nil {
+				k.rb.t.Errorf("restart: %v", err)
+			}
+		}()
+	}
+	return k.ClientPool.GetPages(id, pfns)
+}
+
 // TestPrefetchSurvivesServerRestart is the first leg of the fault
 // matrix: the memory server is killed and restarted mid-prefetch; the
 // resilient client must resume and the VM must end byte-identical to
@@ -395,25 +421,15 @@ func TestPrefetchSurvivesServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt := NewWithClient(61, rc)
+	// Kill the server at the fourth batch, once earlier ones have landed.
+	client := &killOnNthBatch{ClientPool: rc, rb: rb, n: 4, done: make(chan struct{})}
+	mt := NewWithClient(61, client)
 	defer mt.Close()
 	desc := hypervisor.NewDescriptor(61, "restart", 8*units.MiB, 1)
 	pvm, err := hypervisor.NewPartialVM(desc, mt)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Kill the server once the prefetch is under way, then revive it.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		time.Sleep(5 * time.Millisecond)
-		rb.kill()
-		time.Sleep(10 * time.Millisecond)
-		if err := rb.restart(); err != nil {
-			t.Errorf("restart: %v", err)
-		}
-	}()
 
 	// A single PrefetchRemaining may fail if an op exhausts its retry
 	// budget during the outage window; re-driving it (what the agent's
@@ -430,7 +446,7 @@ func TestPrefetchSurvivesServerRestart(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	<-done
+	<-client.done
 	if pvm.PresentPages() != desc.Alloc.Pages() {
 		t.Fatalf("present %d of %d pages", pvm.PresentPages(), desc.Alloc.Pages())
 	}

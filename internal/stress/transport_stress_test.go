@@ -264,17 +264,24 @@ func TestSingleFlightUnderChaos(t *testing.T) {
 // the VM must end up complete with every page installed exactly once
 // and the byte accounting internally consistent.
 func TestPrefetchRacesFaultsUnderChaos(t *testing.T) {
-	const vmid = pagestore.VMID(63)
+	prefetchRacesFaultsUnderChaos(t, 63, memtap.Options{PoolSize: 4, PrefetchStreams: 4})
+}
+
+// TestOneLanePrefetchRacesFaultsUnderChaos is the same storm over the
+// default transport: one connection, which the prefetch's workers (a
+// worker per CPU, up to two) and the 16 faulters all queue on.
+func TestOneLanePrefetchRacesFaultsUnderChaos(t *testing.T) {
+	prefetchRacesFaultsUnderChaos(t, 64, memtap.Options{})
+}
+
+func prefetchRacesFaultsUnderChaos(t *testing.T, vmid pagestore.VMID, opts memtap.Options) {
 	serverInj := faultinject.New(21, faultinject.Config{ReadErr: 0.01, WriteErr: 0.01})
 	addr, src := chaosBackend(t, vmid, 4*units.MiB, serverInj)
 
 	res := stormResilience(addr, nil)
+	opts.Resilience = &res
 	serverInj.SetEnabled(false)
-	mt, err := memtap.NewWithOptions(vmid, addr, secret, memtap.Options{
-		Resilience:      &res,
-		PoolSize:        4,
-		PrefetchStreams: 4,
-	})
+	mt, err := memtap.NewWithOptions(vmid, addr, secret, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

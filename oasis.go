@@ -256,12 +256,15 @@ type MemClientPool = memserver.ClientPool
 type MemPoolConfig = memserver.PoolConfig
 
 // MemtapOptions tunes a memtap's transport: connection-pool width,
-// pipelined prefetch depth, and per-connection resilience.
+// and per-connection resilience. PrefetchStreams is kept for existing
+// configurations and ignored: a conversion's batches in flight follow
+// from the lanes and the CPUs.
 type MemtapOptions = memtap.Options
 
 // NewMemtapWithOptions dials the memory server with the configured
 // transport: PoolSize > 1 fans faults and prefetch batches across pooled
-// connections; PrefetchStreams > 1 pipelines partial→full conversion.
+// connections, and a conversion keeps a batch in flight per lane and a
+// second per lane where a CPU is free to decode it.
 func NewMemtapWithOptions(vmid VMID, addr string, secret []byte, opts MemtapOptions) (*Memtap, error) {
 	return memtap.NewWithOptions(vmid, addr, secret, opts)
 }
