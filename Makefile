@@ -78,11 +78,12 @@ profile-fleet:
 		-cpuprofile .bench_build/fleet.cpu.prof -o .bench_build/fleet.test ./internal/sim
 
 # The codec micro-benchmarks: lzf on one page (caller-owned dst and nil),
-# the in-place page encoder, and the snapshot encoder on one core and on
-# two (its shard count is GOMAXPROCS).
+# the in-place page encoder, and the snapshot encoder, whole image and a
+# detach's diff (160 and 1600 dirty pages), on one core and on two (its
+# shard count is GOMAXPROCS).
 bench-codec:
 	$(GO) test -run '^$$' -bench 'Page' -benchmem ./internal/lzf ./internal/pagestore
-	$(GO) test -run '^$$' -bench 'BenchmarkEncodeAll$$' -cpu 1,2 -benchmem ./internal/pagestore
+	$(GO) test -run '^$$' -bench 'BenchmarkEncodeAll$$|BenchmarkEncodeDiff' -cpu 1,2 -benchmem ./internal/pagestore
 
 # CPU profile of the snapshot encoder on one core (lzf + pagestore, what
 # detach-upload has on the clock, without the shards' scheduling),

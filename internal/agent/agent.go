@@ -158,10 +158,14 @@ type Agent struct {
 	peersMu sync.Mutex
 	peers   map[string]*wire.Client
 
-	// transport tunes the page-transport layer (connection pool width,
-	// pipelined prefetch depth) of every memtap this agent creates for
-	// inbound partial VMs, and, when sharded, the upload stream count of
-	// the agent's own detach path.
+	// conns is this host's connection to each memory server, by address.
+	connsMu sync.Mutex
+	conns   map[string]*memConn
+
+	// transport tunes the page-transport layer (connection pool width)
+	// of the memory-server connections this agent dials for inbound
+	// partial VMs, and, when sharded, the upload stream count of the
+	// agent's own detach path.
 	transport TransportConfig
 
 	// fabric is the lazily-dialed shard client over transport.Backends
@@ -174,10 +178,10 @@ type Agent struct {
 }
 
 // TransportConfig tunes the parallel page-transport layer an agent gives
-// each inbound partial VM: PoolSize memory-server connections per memtap
-// (1 keeps the serial client); a conversion keeps a batch in flight per
-// connection and a second where a CPU is free, and PrefetchStreams is
-// ignored. UploadStreams is the chunked upload streams a sharded
+// inbound partial VMs: PoolSize lanes on its connection to each memory
+// server (1 keeps the serial client); a conversion keeps a batch in
+// flight per lane and a second where a CPU is free, and PrefetchStreams
+// is ignored. UploadStreams is the chunked upload streams a sharded
 // agent opens to each backend on a detach (an unsharded one installs
 // into its own memory server in process). Zero fields select the
 // defaults. Neither the snapshot encode nor the conversion's decode
@@ -190,7 +194,7 @@ type Agent struct {
 type TransportConfig = flagbind.Transport
 
 // SetTransport configures the page-transport layer for partial VMs
-// received after the call; it does not retrofit memtaps already running.
+// received after the call; it does not retrofit connections already up.
 func (a *Agent) SetTransport(tc TransportConfig) {
 	a.mu.Lock()
 	a.transport = tc
@@ -206,8 +210,10 @@ func New(name string, secret []byte, logf func(string, ...any)) *Agent {
 		Name:   name,
 		secret: append([]byte(nil), secret...),
 		logf:   logf,
+		mem:    memserver.NewServer(secret, logf),
 		vms:    make(map[pagestore.VMID]*managedVM),
 		peers:  make(map[string]*wire.Client),
+		conns:  make(map[string]*memConn),
 		tel:    newAgentTel(name),
 	}
 }
@@ -222,7 +228,6 @@ func (a *Agent) Start(rpcAddr, memListenAddr string) error {
 		return err
 	}
 	a.rpcAddr = addr
-	a.mem = memserver.NewServer(a.secret, a.logf)
 	maddr, err := a.mem.Listen(memListenAddr)
 	if err != nil {
 		a.rpc.Close()
@@ -232,7 +237,7 @@ func (a *Agent) Start(rpcAddr, memListenAddr string) error {
 	return nil
 }
 
-// Close shuts down the agent, its memory server and peer connections.
+// Close shuts down the agent, its memory server and its connections.
 func (a *Agent) Close() error {
 	a.peersMu.Lock()
 	for _, c := range a.peers {
@@ -240,6 +245,12 @@ func (a *Agent) Close() error {
 	}
 	a.peers = map[string]*wire.Client{}
 	a.peersMu.Unlock()
+	a.connsMu.Lock()
+	for _, c := range a.conns {
+		c.pool.Close()
+	}
+	a.conns = nil
+	a.connsMu.Unlock()
 	a.fabricMu.Lock()
 	if a.fabric != nil {
 		a.fabric.Close()
@@ -250,10 +261,8 @@ func (a *Agent) Close() error {
 	if a.rpc != nil {
 		err = a.rpc.Close()
 	}
-	if a.mem != nil {
-		if e := a.mem.Close(); err == nil {
-			err = e
-		}
+	if e := a.mem.Close(); err == nil {
+		err = e
 	}
 	return err
 }
@@ -678,7 +687,7 @@ func (a *Agent) detach(mv *managedVM, dest string) (err error) {
 	handoff.Backends = append([]string(nil), a.transport.Backends...)
 	handoff.Replicas = a.transport.Replicas
 	a.mu.Unlock()
-	if err := a.callPeer(dest, "Agent.ReceivePartial", handoff, nil); err != nil {
+	if err := a.callPeer(dest, "Agent.ReceivePartial", handoff, handoff.Desc.ExecContext); err != nil {
 		return err
 	}
 
@@ -693,17 +702,18 @@ func (a *Agent) detach(mv *managedVM, dest string) (err error) {
 
 // handleReceivePartial implements the destination side: create a partial
 // VM whose faults are serviced by a memtap talking to the source's memory
-// server.
-func (a *Agent) handleReceivePartial(args receivePartialArgs, _ []byte) (any, []byte, error) {
+// server over this host's one connection to it (lease.go). The exec
+// context is the frame's payload.
+func (a *Agent) handleReceivePartial(args receivePartialArgs, execContext []byte) (any, []byte, error) {
 	desc := &args.Desc
+	desc.ExecContext = slices.Clone(execContext)
 	a.mu.Lock()
 	tc := a.transport
 	a.mu.Unlock()
-	mt, err := memtap.NewWithOptions(desc.VMID, args.MemAddr, a.secret, memtap.Options{
-		PoolSize:        tc.PoolSize,
-		PrefetchStreams: tc.PrefetchStreams,
-		Backends:        args.Backends,
-		Replicas:        args.Replicas,
+	mt, err := a.memtapFor(desc.VMID, args.MemAddr, memtap.Options{
+		PoolSize: tc.PoolSize,
+		Backends: args.Backends,
+		Replicas: args.Replicas,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -757,7 +767,7 @@ func (a *Agent) handleFullMigrate(args MigrateArgs, _ []byte) (any, []byte, erro
 	}
 
 	// Round 1: the full image, VM still running here.
-	if err := a.callPeer(args.Dest, "Agent.ReceiveFull", desc, nil); err != nil {
+	if err := a.callPeer(args.Dest, "Agent.ReceiveFull", desc, desc.ExecContext); err != nil {
 		return nil, nil, err
 	}
 	if err := a.pushSnapshot(args.Dest, args.VMID, snap, "Agent.ReceiveFullDelta"); err != nil {
@@ -854,9 +864,9 @@ func (a *Agent) handleAdoptVM(args vmArgs, _ []byte) (any, []byte, error) {
 	}
 	defer func() { a.settle(mv, end) }()
 	// The active push of post-copy: stream all remaining pages in
-	// batches while the VM keeps executing. A ReadPage or WritePage
-	// meanwhile faults on the same connection, behind at most two of
-	// these exchanges (memtap's worker count is capped at two a lane).
+	// batches while the VM keeps executing, over a connection of their
+	// own (lease.go). A ReadPage or WritePage meanwhile faults over the
+	// host's shared one and never queues behind these exchanges.
 	n, err := mv.mt.PrefetchRemaining(mv.pvm, 1024)
 	if err != nil {
 		return nil, nil, err
@@ -874,7 +884,8 @@ func (a *Agent) handleAdoptVM(args vmArgs, _ []byte) (any, []byte, error) {
 // copy of a VM away from here that became full elsewhere (converted in
 // place): its memory-server image goes with it, as a full migration's
 // source frees its own.
-func (a *Agent) handleReceiveFull(desc hypervisor.Descriptor, _ []byte) (any, []byte, error) {
+func (a *Agent) handleReceiveFull(desc hypervisor.Descriptor, execContext []byte) (any, []byte, error) {
+	desc.ExecContext = slices.Clone(execContext)
 	a.mu.Lock()
 	mv, err := a.vm(desc.VMID, gone, staged, away)
 	wasAway := mv != nil && mv.phase == away

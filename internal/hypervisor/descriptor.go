@@ -41,8 +41,8 @@ type Descriptor struct {
 	// creating a partial VM.
 	PageTablePages int64
 
-	// ExecContext is the serialised register and device state.
-	ExecContext []byte
+	// ExecContext is the serialised register and device state (a frame payload in hand-offs).
+	ExecContext []byte `json:"-"`
 
 	// MemServerAddr and MemServerPort locate the memory server holding
 	// the VM's pages, used to configure the destination's memtap (§4.2).

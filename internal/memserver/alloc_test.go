@@ -171,6 +171,73 @@ func TestPutKeepsTheBufferItWasReadInto(t *testing.T) {
 	}
 }
 
+// TestHostLocalPutsKeepTheSnapshot: InstallImage and ApplyDiff, the
+// host-local path, take ownership of the caller's snapshot as a wire put
+// keeps the buffer its frame was read into. Each allocates less than one
+// copy of the snapshot (the image's slots and table only), and the image
+// serves its first entry from the snapshot's own bytes.
+func TestHostLocalPutsKeepTheSnapshot(t *testing.T) {
+	const (
+		id    = 4
+		alloc = 4 * units.MiB
+	)
+	s := NewServer(testSecret, nil)
+	src, snap := makeSnapshot(t, alloc, 8, 512)
+	epoch := src.NextEpoch()
+	r := rng.New(9)
+	for pfn := pagestore.PFN(0); pfn < 512; pfn += 3 {
+		page := make([]byte, units.PageSize)
+		for range 64 {
+			page[r.Intn(len(page))] = byte(r.Uint64())
+		}
+		if err := src.Write(pfn, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	diff, _, err := pagestore.EncodeDirtySince(src, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		snap []byte
+		put  func() error
+	}{
+		{"InstallImage", snap, func() error { return s.InstallImage(id, alloc, snap) }},
+		{"ApplyDiff", diff, func() error { return s.ApplyDiff(id, diff) }},
+	} {
+		if err := c.put(); err != nil {
+			t.Fatal(err)
+		}
+		pfn := pagestore.PFN(binary.BigEndian.Uint64(c.snap[8:]))
+		if binary.BigEndian.Uint16(c.snap[16:]) == 0xFFFF {
+			t.Fatalf("%s: first entry is a zero page", c.name)
+		}
+		im, err := s.Store().Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.snap[18] ^= 0xFF
+		entry, err := im.AppendEntry(nil, pfn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if entry[2] != c.snap[18] {
+			t.Fatalf("%s: the image's entry for pfn %d does not share the caller's snapshot", c.name, pfn)
+		}
+		c.snap[18] ^= 0xFF
+		got := minAllocBytes(3, func() {
+			if err := c.put(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got >= uint64(len(c.snap)) {
+			t.Errorf("%s of a %d-byte snapshot allocates %d bytes, want under one copy of it", c.name, len(c.snap), got)
+		}
+		t.Logf("%s: a %d-byte snapshot allocates %d bytes", c.name, len(c.snap), got)
+	}
+}
+
 // minAllocBytes returns the fewest bytes fn allocated over reps runs:
 // allocations by anything else running in the process only ever add.
 func minAllocBytes(reps int, fn func()) uint64 {

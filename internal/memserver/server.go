@@ -1,7 +1,6 @@
 package memserver
 
 import (
-	"bytes"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
@@ -128,17 +127,13 @@ func (s *Server) SetConnWrapper(wrap func(net.Conn) net.Conn) { s.wrapConn = wra
 func (s *Server) Store() *pagestore.Store { return s.store }
 
 // InstallImage installs a full snapshot as a VM's image: the host-local
-// (SAS) path that bypasses the network. The snapshot stays the
-// caller's: the image keeps a copy. An image counts its non-zero pages
-// as uploaded, as a streamed one does.
+// (SAS) path that bypasses the network, and the PutImage request's
+// install on the buffer its frame was read into. The image takes
+// ownership of the snapshot: its entries are served from those bytes, so
+// the caller must not write to the snapshot after the call, whatever it
+// returns. An image counts its non-zero pages as uploaded, as a streamed
+// one does.
 func (s *Server) InstallImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte) error {
-	return s.installImage(id, alloc, bytes.Clone(snapshot))
-}
-
-// installImage is every whole-image put's install: the PutImage
-// request's, on the buffer its frame was read into, and InstallImage's,
-// on its copy. The image takes ownership of snapshot.
-func (s *Server) installImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte) error {
 	im := pagestore.NewImage(alloc)
 	if _, err := s.adopt(im, snapshot); err != nil {
 		return err
@@ -149,15 +144,10 @@ func (s *Server) installImage(id pagestore.VMID, alloc units.Bytes, snapshot []b
 }
 
 // ApplyDiff applies a differential snapshot to an existing image: the
-// host-local path. Like InstallImage it keeps a copy of the snapshot.
+// host-local path, and the PutDiff request's commit over one chunk, so
+// every diff path counts the entries it adopted as uploaded pages. Like
+// InstallImage it takes ownership of the snapshot.
 func (s *Server) ApplyDiff(id pagestore.VMID, snapshot []byte) error {
-	return s.putDiff(id, bytes.Clone(snapshot))
-}
-
-// putDiff is the streamed diff's commit over one chunk, shared by the
-// PutDiff request and ApplyDiff, so every diff path counts the entries
-// it adopted as uploaded pages. The image takes ownership of snapshot.
-func (s *Server) putDiff(id pagestore.VMID, snapshot []byte) error {
 	n, err := s.applyDiff(id, [][]byte{snapshot})
 	if err != nil {
 		return err
@@ -474,7 +464,7 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 		}
 		vmid := pagestore.VMID(binary.BigEndian.Uint32(payload))
 		alloc := units.Bytes(binary.BigEndian.Uint64(payload[4:]))
-		if err := s.installImage(vmid, alloc, payload[12:]); err != nil {
+		if err := s.InstallImage(vmid, alloc, payload[12:]); err != nil {
 			return fail(err)
 		}
 		return writeFrame(conn, msgOK, nil)
@@ -483,7 +473,7 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 		if len(payload) < 4 {
 			return fail(errors.New("malformed PutDiff"))
 		}
-		if err := s.putDiff(pagestore.VMID(binary.BigEndian.Uint32(payload)), payload[4:]); err != nil {
+		if err := s.ApplyDiff(pagestore.VMID(binary.BigEndian.Uint32(payload)), payload[4:]); err != nil {
 			return fail(err)
 		}
 		return writeFrame(conn, msgOK, nil)

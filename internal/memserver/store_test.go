@@ -478,50 +478,6 @@ func TestDialPoolRetriesFirstDial(t *testing.T) {
 	}
 }
 
-// TestHostLocalPutsCopy: InstallImage and ApplyDiff, the host-local
-// path, leave the caller its snapshot — the image keeps a copy, so
-// overwriting the snapshot after the call changes no stored page. (A
-// wire put's image keeps the buffer its frame was read into instead.)
-func TestHostLocalPutsCopy(t *testing.T) {
-	const (
-		id    = 4
-		alloc = 4 * units.MiB
-	)
-	s := NewServer(testSecret, nil)
-	src, snap := makeSnapshot(t, alloc, 8, 64)
-	if err := s.InstallImage(id, alloc, snap); err != nil {
-		t.Fatal(err)
-	}
-	epoch := src.NextEpoch()
-	for pfn := pagestore.PFN(0); pfn < 32; pfn++ {
-		if err := src.Write(pfn, testPage(uint64(pfn))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	diff, _, err := pagestore.EncodeDirtySince(src, epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ApplyDiff(id, diff); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range [][]byte{snap, diff} {
-		for i := range b {
-			b[i] = 0xAA
-		}
-	}
-	im, err := s.Store().Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pfn := pagestore.PFN(0); pfn < 64; pfn++ {
-		want, _ := src.Read(pfn)
-		if got, err := im.Read(pfn); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("pfn %d changed with the caller's snapshot (%v)", pfn, err)
-		}
-	}
-}
-
 // TestHeldBytesArePutBytes: on one connection a large PutImage grows the
 // receive buffer and a small PutDiff follows it. The held-bytes gauge
 // must read exactly the two snapshots' bytes. (That the bytes held are

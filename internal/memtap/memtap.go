@@ -137,10 +137,9 @@ type Options struct {
 	// connections, letting concurrent faults and pipelined prefetch
 	// batches genuinely overlap on the wire.
 	PoolSize int
-	// PrefetchStreams is ignored by PrefetchRemaining, whose batches in
-	// flight follow from the lanes and the CPUs (prefetchWorkers); it is
-	// kept, and reported by Memtap.PrefetchStreams, so that existing
-	// configurations still compile.
+	// PrefetchStreams is ignored: the batches PrefetchRemaining keeps in
+	// flight follow from the lanes and the CPUs (prefetchWorkers). It is
+	// kept so that existing configurations still compile.
 	PrefetchStreams int
 	// Backends, when non-empty, dials a sharded memory-server fabric
 	// over these addresses instead of the single server at addr: page
@@ -199,10 +198,8 @@ type Memtap struct {
 	inflight map[pagestore.PFN]*flight
 
 	// lanes is the connections one exchange may take (PoolSize, or the
-	// wrapped pool's size); prefetchStreams is Options.PrefetchStreams,
-	// reported only.
-	lanes           int
-	prefetchStreams int
+	// wrapped client's Size).
+	lanes int
 
 	// faultRing is a small lossy ring of recently faulted PFNs (stored
 	// +1 so zero means empty). The fault path publishes into it lock-free;
@@ -291,10 +288,8 @@ func NewWithOptions(vmid pagestore.VMID, addr string, secret []byte, opts Option
 			gauge.Set(float64(fabricHealthLevel(f)))
 		case len(opts.Backends) > 0:
 			// The fabric is still dialing; bindFabric sets the gauge.
-		case to == memserver.BreakerOpen:
-			gauge.Set(2)
 		default:
-			gauge.Set(0)
+			ReportBreaker(vmid, to)
 		}
 		if inner != nil {
 			inner(from, to)
@@ -315,19 +310,18 @@ func NewWithOptions(vmid pagestore.VMID, addr string, secret []byte, opts Option
 		fabRef.Store(fab)
 		m.bindFabric(fab, gauge)
 	}
-	m.prefetchStreams = max(opts.PrefetchStreams, 1)
 	return m, nil
 }
 
 // NewWithClient wraps an existing client (used by tests and by agents
-// that pool connections or need custom resilience settings). A
-// *shard.Client is recognized and bound the same way NewWithOptions
+// that share one connection between memtaps). A client's Size is the
+// memtap's lanes. A *shard.Client is bound the same way NewWithOptions
 // binds a dialed fabric: the per-VM degraded gauge tracks the fabric's
-// replication health (this replaces any hook previously registered on
-// the fabric with OnHealthChange).
+// replication health (this replaces any OnHealthChange hook). For any
+// other client the gauge is the owner's to keep, with ReportBreaker.
 func NewWithClient(vmid pagestore.VMID, client PageClient) *Memtap {
 	lanes := 1
-	if p, ok := client.(*memserver.ClientPool); ok {
+	if p, ok := client.(interface{ Size() int }); ok {
 		lanes = p.Size()
 	}
 	m := newMemtap(vmid, client, lanes)
@@ -345,6 +339,16 @@ func (m *Memtap) bindFabric(fab *shard.Client, gauge *telemetry.Gauge) {
 		gauge.Set(float64(fabricHealthLevel(fab)))
 	})
 	gauge.Set(float64(fabricHealthLevel(fab)))
+}
+
+// ReportBreaker sets VM vmid's degraded gauge from its one memory server's
+// breaker: 2 while open, else 0 (the owner of a shared client calls it).
+func ReportBreaker(vmid pagestore.VMID, to memserver.BreakerState) {
+	level := 0.0
+	if to == memserver.BreakerOpen {
+		level = 2
+	}
+	degradedGauge(vmid).Set(level)
 }
 
 // fabricHealthLevel grades a fabric for the degraded gauge: 0 healthy,
@@ -366,10 +370,6 @@ func fabricHealthLevel(f *shard.Client) int {
 	}
 	return 0
 }
-
-// PrefetchStreams returns Options.PrefetchStreams as configured (>= 1).
-// It does not steer PrefetchRemaining (see prefetchWorkers).
-func (m *Memtap) PrefetchStreams() int { return max(m.prefetchStreams, 1) }
 
 // Degraded reports whether the memory-server path is unavailable: the
 // resilient client's circuit breaker is open (for a pool: every lane's
@@ -698,6 +698,16 @@ func (m *Memtap) PrefetchRemaining(vm *hypervisor.PartialVM, batch int) (int, er
 	if batch <= 0 {
 		batch = 512
 	}
+	// A client shared with other VMs converts over a connection of this VM's own.
+	client := m.client
+	if c, ok := client.(interface{ Convert() (PageClient, error) }); ok {
+		own, err := c.Convert()
+		if err != nil {
+			return 0, fmt.Errorf("memtap: prefetch vm %04d: %w", m.vmid, err)
+		}
+		defer own.Close()
+		client = own
+	}
 	workers := prefetchWorkers(m.lanes, runtime.GOMAXPROCS(0))
 	r := &prefetchRun{m: m, vm: vm, batch: batch, held: make([][]pagestore.PFN, workers)}
 
@@ -708,7 +718,7 @@ func (m *Memtap) PrefetchRemaining(vm *hypervisor.PartialVM, batch int) (int, er
 			if pfns == nil {
 				return
 			}
-			pages, err := m.client.GetPages(m.vmid, pfns)
+			pages, err := client.GetPages(m.vmid, pfns)
 			tel.batches.Inc()
 			if err != nil {
 				r.unclaim(w)

@@ -235,9 +235,6 @@ func TestPipelinedPrefetchConvertsToFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mt.Close()
-	if got := mt.PrefetchStreams(); got != 4 {
-		t.Fatalf("PrefetchStreams = %d", got)
-	}
 
 	desc := hypervisor.NewDescriptor(88, "pipelined", alloc, 1)
 	pvm, err := hypervisor.NewPartialVM(desc, mt)

@@ -494,6 +494,80 @@ func BenchmarkEncodeAll(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeDiff measures the differential encode a detach ships:
+// the pages dirtied since the last upload of a 16 MiB image, a desktop's
+// mix of four compressible pages (zero runs, repeated tokens,
+// pointer-like words and a little unique data) to one incompressible.
+// 160 pages is about a detach of the benchmark of record's vdi-cycle;
+// 1600 shows how the shards scale once there is more to share out.
+// -cpu sets the shard count.
+func BenchmarkEncodeDiff(b *testing.B) {
+	r := rng.New(12)
+	vocab := make([][]byte, 64)
+	for i := range vocab {
+		vocab[i] = make([]byte, 4+r.Intn(9))
+		for j := range vocab[i] {
+			vocab[i][j] = byte(r.Uint64())
+		}
+	}
+	fill := func(p []byte) {
+		clear(p)
+		ptr := 0x00007f0000000000 | r.Uint64()&0xffffff0000
+		for off := 0; off < len(p); {
+			rest := p[off:]
+			n := 64 + r.Intn(321) // a zero run
+			switch roll := r.Intn(100); {
+			case roll < 33:
+			case roll < 65: // one token repeated
+				tok := vocab[r.Intn(len(vocab))]
+				n = len(tok) * (4 + r.Intn(21))
+				for i := 0; i < n && i < len(rest); i++ {
+					rest[i] = tok[i%len(tok)]
+				}
+			case roll < 85: // pointer-like words
+				n = 8 * (4 + r.Intn(21))
+				for i := 0; i+8 <= n && i+8 <= len(rest); i += 8 {
+					binary.LittleEndian.PutUint64(rest[i:], ptr|uint64(uint16(r.Uint64())))
+				}
+			default: // unique bytes
+				n = min(8+r.Intn(41), len(rest))
+				for i := range n {
+					rest[i] = byte(r.Uint64())
+				}
+			}
+			off += n
+		}
+	}
+	for _, dirty := range []int{160, 1600} {
+		b.Run(fmt.Sprintf("pages=%d", dirty), func(b *testing.B) {
+			im := NewImage(16 * units.MiB)
+			epoch := im.NextEpoch()
+			stride := int(im.NumPages()) / dirty
+			page := make([]byte, units.PageSize)
+			for i := range dirty {
+				if i%5 == 4 {
+					for j := range page {
+						page[j] = byte(r.Uint64())
+					}
+				} else {
+					fill(page)
+				}
+				if err := im.Write(PFN(i*stride), page); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if _, _, err := EncodeDirtySince(im, epoch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dirty), "ns/page")
+		})
+	}
+}
+
 func imagesEqual(t *testing.T, a, b *Image) {
 	t.Helper()
 	ea, _, err := EncodeAll(a)
