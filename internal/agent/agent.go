@@ -23,7 +23,6 @@ import (
 	"oasis/internal/flagbind"
 	"oasis/internal/hypervisor"
 	"oasis/internal/memserver"
-	"oasis/internal/memserver/shard"
 	"oasis/internal/memtap"
 	"oasis/internal/pagestore"
 	"oasis/internal/telemetry"
@@ -158,21 +157,16 @@ type Agent struct {
 	peersMu sync.Mutex
 	peers   map[string]*wire.Client
 
-	// conns is this host's connection to each memory server, by address.
+	// conns is this host's connection to each memory server, by address,
+	// and its fabric (lease.go).
 	connsMu sync.Mutex
-	conns   map[string]*memConn
+	conns   map[string]*pageConn
 
 	// transport tunes the page-transport layer (connection pool width)
 	// of the memory-server connections this agent dials for inbound
-	// partial VMs, and, when sharded, the upload stream count of the
-	// agent's own detach path.
+	// partial VMs, and, when sharded, the fabric and the upload stream
+	// count of the agent's own detach path.
 	transport TransportConfig
-
-	// fabric is the lazily-dialed shard client over transport.Backends
-	// that detach uploads go to when the transport is sharded (an
-	// unsharded agent installs host-locally through a.mem).
-	fabricMu sync.Mutex
-	fabric   *shard.Client
 
 	tel *agentTel
 }
@@ -201,6 +195,15 @@ func (a *Agent) SetTransport(tc TransportConfig) {
 	a.mu.Unlock()
 }
 
+// transportConfig returns a copy of the transport config.
+func (a *Agent) transportConfig() TransportConfig {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	tc := a.transport
+	tc.Backends = slices.Clone(tc.Backends)
+	return tc
+}
+
 // New creates an agent. Start must be called before use.
 func New(name string, secret []byte, logf func(string, ...any)) *Agent {
 	if logf == nil {
@@ -213,7 +216,7 @@ func New(name string, secret []byte, logf func(string, ...any)) *Agent {
 		mem:    memserver.NewServer(secret, logf),
 		vms:    make(map[pagestore.VMID]*managedVM),
 		peers:  make(map[string]*wire.Client),
-		conns:  make(map[string]*memConn),
+		conns:  make(map[string]*pageConn),
 		tel:    newAgentTel(name),
 	}
 }
@@ -246,17 +249,12 @@ func (a *Agent) Close() error {
 	a.peers = map[string]*wire.Client{}
 	a.peersMu.Unlock()
 	a.connsMu.Lock()
-	for _, c := range a.conns {
-		c.pool.Close()
-	}
+	conns := a.conns
 	a.conns = nil
 	a.connsMu.Unlock()
-	a.fabricMu.Lock()
-	if a.fabric != nil {
-		a.fabric.Close()
-		a.fabric = nil
+	for _, c := range conns {
+		c.client.Close() // outside connsMu: a closing fabric may still report
 	}
-	a.fabricMu.Unlock()
 	var err error
 	if a.rpc != nil {
 		err = a.rpc.Close()
@@ -318,7 +316,8 @@ type MigrateArgs struct {
 
 // receivePartialArgs carries a partial-VM hand-off. Backends/Replicas,
 // when set, tell the destination the pages live on a shard fabric
-// rather than the single server at MemAddr.
+// rather than the single server at MemAddr; it refuses the hand-off
+// unless its own fabric is that one.
 type receivePartialArgs struct {
 	Backends []string              `json:"backends,omitempty"`
 	Replicas int                   `json:"replicas,omitempty"`
@@ -487,57 +486,15 @@ func (a *Agent) handleReadPage(args PageArgs, _ []byte) (_ any, page []byte, err
 	return nil, page, err
 }
 
-// uploadStreams returns the configured detach fan-out (>= 1).
-func (a *Agent) uploadStreams() int {
-	a.mu.Lock()
-	w := a.transport.UploadStreams
-	a.mu.Unlock()
-	return max(w, 1)
-}
-
-// fabricConn returns, dialing on first use, the shard fabric over
-// transport.Backends. Callers check sharded() first.
-func (a *Agent) fabricConn() (*shard.Client, error) {
-	a.mu.Lock()
-	tc := a.transport
-	tc.Backends = append([]string(nil), tc.Backends...)
-	a.mu.Unlock()
-	a.fabricMu.Lock()
-	defer a.fabricMu.Unlock()
-	if a.fabric == nil {
-		conn, err := shard.Connect(shard.Target{
-			Backends:   tc.Backends,
-			Replicas:   tc.Replicas,
-			Lanes:      tc.PoolSize,
-			Resilience: &memserver.ResilientConfig{Name: "agent-fabric"},
-		}, a.secret)
-		if err != nil {
-			return nil, err
-		}
-		a.fabric = conn.(*shard.Client)
-	}
-	return a.fabric, nil
-}
-
-// sharded reports whether detach uploads target a shard fabric instead
-// of the host's own memory server.
-func (a *Agent) sharded() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.transport.Sharded()
-}
-
 // deleteImage frees a VM's memory-server image wherever the transport
 // put it: every fabric backend when sharded, else the host-local store.
 // Cleanup is best-effort — a missing image is not an error.
 func (a *Agent) deleteImage(id pagestore.VMID) {
-	if a.sharded() {
-		if f, err := a.fabricConn(); err == nil {
-			f.Delete(id) //nolint:errcheck // best-effort cleanup
-		}
-		return
+	if tc := a.transportConfig(); !tc.Sharded() {
+		a.mem.Store().Delete(id)
+	} else if f, err := a.conn(fabricKey); err == nil {
+		f.client.Delete(id) //nolint:errcheck // best-effort cleanup
 	}
-	a.mem.Store().Delete(id)
 }
 
 // upload ships a snapshot — the full image, or a diff against the image
@@ -546,21 +503,22 @@ func (a *Agent) deleteImage(id pagestore.VMID) {
 // sharded, else the host-local (SAS, §4.3) install into this host's
 // own memory server. Every path swaps the result in atomically.
 func (a *Agent) upload(id pagestore.VMID, alloc units.Bytes, snap []byte, diff bool) error {
-	if !a.sharded() {
+	tc := a.transportConfig()
+	if !tc.Sharded() {
 		if diff {
 			return a.mem.ApplyDiff(id, snap)
 		}
 		return a.mem.InstallImage(id, alloc, snap)
 	}
-	f, err := a.fabricConn()
+	f, err := a.conn(fabricKey)
 	if err != nil {
 		return err
 	}
-	opts := memserver.PutOptions{Streams: a.uploadStreams()}
+	opts := memserver.PutOptions{Streams: max(tc.UploadStreams, 1)}
 	if diff {
-		return f.StreamDiff(id, snap, opts)
+		return f.client.StreamDiff(id, snap, opts)
 	}
-	return f.StreamImage(id, alloc, snap, opts)
+	return f.client.StreamImage(id, alloc, snap, opts)
 }
 
 // claim starts a hand-off: it moves VM id from one of from to phase to
@@ -683,10 +641,8 @@ func (a *Agent) detach(mv *managedVM, dest string) (err error) {
 
 	// Push the descriptor to the destination, with the fabric membership
 	// as it stands now that the upload has landed.
-	a.mu.Lock()
-	handoff.Backends = append([]string(nil), a.transport.Backends...)
-	handoff.Replicas = a.transport.Replicas
-	a.mu.Unlock()
+	tc := a.transportConfig()
+	handoff.Backends, handoff.Replicas = tc.Backends, tc.Replicas
 	if err := a.callPeer(dest, "Agent.ReceivePartial", handoff, handoff.Desc.ExecContext); err != nil {
 		return err
 	}
@@ -702,19 +658,12 @@ func (a *Agent) detach(mv *managedVM, dest string) (err error) {
 
 // handleReceivePartial implements the destination side: create a partial
 // VM whose faults are serviced by a memtap talking to the source's memory
-// server over this host's one connection to it (lease.go). The exec
-// context is the frame's payload.
+// server, or to the fabric, over this host's one client for it
+// (lease.go). The exec context is the frame's payload.
 func (a *Agent) handleReceivePartial(args receivePartialArgs, execContext []byte) (any, []byte, error) {
 	desc := &args.Desc
 	desc.ExecContext = slices.Clone(execContext)
-	a.mu.Lock()
-	tc := a.transport
-	a.mu.Unlock()
-	mt, err := a.memtapFor(desc.VMID, args.MemAddr, memtap.Options{
-		PoolSize: tc.PoolSize,
-		Backends: args.Backends,
-		Replicas: args.Replicas,
-	})
+	mt, err := a.memtapFor(&args)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,25 +1,19 @@
 package agent
 
 import (
-	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"oasis/internal/memserver/shard"
-	"oasis/internal/pagestore"
 )
 
 // The fabric admin surface: operators grow, shrink and inspect the
 // sharded memory-server fabric of a running agent without restarting
-// it. A host may hold several fabric clients at once — the agent's own
-// upload fabric plus one per fabric-backed partial VM — and a
-// membership change must land on all of them, or different clients
-// would place pages by different rings. The handlers therefore apply
-// each change to every live fabric and to the agent's transport
-// config, so memtaps created later (and partial hand-offs to peers)
-// see the new membership too.
+// it. A host holds one fabric client (lease.go), which carries its
+// detach uploads and the pages of every sharded partial VM on it, so a
+// membership change lands on that client and on the agent's transport
+// config, and memtaps, uploads and hand-offs to peers all see it.
 
 // fabricWaitTimeout bounds how long a Wait=true membership change
 // blocks on the triggered rebalance before reporting it still running.
@@ -27,63 +21,30 @@ const fabricWaitTimeout = 5 * time.Minute
 
 // FabricBackendArgs names one backend for a live membership change.
 // Wait blocks the reply until the triggered rebalance (migration of
-// moved ranges, re-replication) settles on every fabric, so scripted
-// drains can chain "remove A, wait" then "power off A" safely.
+// moved ranges, re-replication) settles, so scripted drains can chain
+// "remove A, wait" then "power off A" safely.
 type FabricBackendArgs struct {
 	Addr string `json:"addr"`
 	Wait bool   `json:"wait,omitempty"`
 }
 
-// VMFabricStatus is one partial VM's fabric health.
-type VMFabricStatus struct {
-	VMID   pagestore.VMID `json:"vmid"`
-	Status shard.Status   `json:"status"`
-}
-
-// FabricStatusReply snapshots every fabric client the agent holds.
+// FabricStatusReply snapshots the agent's fabric client.
 type FabricStatusReply struct {
 	// Sharded reports whether the agent's transport targets a fabric at
 	// all; the remaining fields are empty when it does not.
 	Sharded bool `json:"sharded"`
 	// Backends is the configured membership new dials will use.
 	Backends []string `json:"backends,omitempty"`
-	// Upload is the agent's own detach-upload fabric, nil until its
-	// first use dials it.
+	// Upload is the host's fabric client — its detach uploads and the
+	// pages of its sharded partial VMs — nil until its first use dials
+	// it.
 	Upload *shard.Status `json:"upload,omitempty"`
-	// VMs lists the per-partial-VM memtap fabrics.
-	VMs []VMFabricStatus `json:"vms,omitempty"`
 }
 
-// vmFabric is one partial VM's memtap fabric.
-type vmFabric struct {
-	id  pagestore.VMID
-	fab *shard.Client
-}
-
-// liveFabrics snapshots every dialed fabric client: the agent's upload
-// fabric (nil until first use) plus each partial VM's memtap fabric, in
-// VM-ID order.
-func (a *Agent) liveFabrics() (upload *shard.Client, vms []vmFabric) {
-	a.fabricMu.Lock()
-	upload = a.fabric
-	a.fabricMu.Unlock()
-	a.mu.Lock()
-	for id, mv := range a.vms {
-		if mv.mt != nil {
-			if f := mv.mt.Fabric(); f != nil {
-				vms = append(vms, vmFabric{id, f})
-			}
-		}
-	}
-	a.mu.Unlock()
-	sort.Slice(vms, func(i, j int) bool { return vms[i].id < vms[j].id })
-	return upload, vms
-}
-
-// changeFabricMembership applies one add/remove to the transport
-// config and every live fabric. A fabric already at the target
-// membership is skipped, so retrying a partially-failed change
-// converges instead of erroring on the fabrics that already took it.
+// changeFabricMembership applies one add/remove to the transport config
+// and the fabric client, if it is dialed. A fabric already at the target
+// membership is left alone, so retrying a change that failed part way
+// converges instead of erroring.
 func (a *Agent) changeFabricMembership(args FabricBackendArgs, add bool) error {
 	if args.Addr == "" {
 		return fmt.Errorf("fabric: backend address required")
@@ -93,8 +54,8 @@ func (a *Agent) changeFabricMembership(args FabricBackendArgs, add bool) error {
 		a.mu.Unlock()
 		return fmt.Errorf("fabric: agent transport is not sharded")
 	}
-	// Update the configured membership first: even if a live fabric
-	// refuses (mid-rebalance), future dials must see the target state.
+	// Update the configured membership first: even if the fabric refuses
+	// (mid-rebalance), future dials must see the target state.
 	has := slices.Contains(a.transport.Backends, args.Addr)
 	switch {
 	case add && !has:
@@ -104,45 +65,19 @@ func (a *Agent) changeFabricMembership(args FabricBackendArgs, add bool) error {
 	}
 	a.mu.Unlock()
 
-	upload, vmFabs := a.liveFabrics()
-	type target struct {
-		name string
-		fab  *shard.Client
+	f := a.dialedFabric()
+	if f == nil || f.Ring().HasBackend(args.Addr) == add {
+		return nil
 	}
-	targets := make([]target, 0, len(vmFabs)+1)
-	if upload != nil {
-		targets = append(targets, target{"upload fabric", upload})
+	change := f.RemoveBackend
+	if add {
+		change = f.AddBackend
 	}
-	for _, v := range vmFabs {
-		targets = append(targets, target{fmt.Sprintf("vm %04d fabric", v.id), v.fab})
+	err := change(args.Addr)
+	if err == nil && args.Wait {
+		err = f.WaitRebalance(fabricWaitTimeout)
 	}
-
-	var errs []error
-	changed := make([]*shard.Client, 0, len(targets))
-	for _, t := range targets {
-		if t.fab.Ring().HasBackend(args.Addr) == add {
-			continue // already at the target membership
-		}
-		var err error
-		if add {
-			err = t.fab.AddBackend(args.Addr)
-		} else {
-			err = t.fab.RemoveBackend(args.Addr)
-		}
-		if err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", t.name, err))
-			continue
-		}
-		changed = append(changed, t.fab)
-	}
-	if args.Wait {
-		for _, f := range changed {
-			if err := f.WaitRebalance(fabricWaitTimeout); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	return errors.Join(errs...)
+	return err
 }
 
 func (a *Agent) handleFabricChange(add bool) func(FabricBackendArgs, []byte) (any, []byte, error) {
@@ -157,31 +92,23 @@ func (a *Agent) handleFabricChange(add bool) func(FabricBackendArgs, []byte) (an
 }
 
 func (a *Agent) handleFabricStatus(struct{}, []byte) (any, []byte, error) {
-	a.mu.Lock()
-	reply := FabricStatusReply{
-		Sharded:  a.transport.Sharded(),
-		Backends: append([]string(nil), a.transport.Backends...),
-	}
-	a.mu.Unlock()
-	upload, vmFabs := a.liveFabrics()
-	if upload != nil {
-		st := upload.FabricStatus()
+	tc := a.transportConfig()
+	reply := FabricStatusReply{Sharded: tc.Sharded(), Backends: tc.Backends}
+	if f := a.dialedFabric(); f != nil {
+		st := f.FabricStatus()
 		reply.Upload = &st
-	}
-	for _, v := range vmFabs {
-		reply.VMs = append(reply.VMs, VMFabricStatus{VMID: v.id, Status: v.fab.FabricStatus()})
 	}
 	return reply, nil, nil
 }
 
 // FabricAddBackend orders a host agent to add a memory-server backend
-// to its fabric(s), rebalancing only the ranges whose placement moved.
+// to its fabric, rebalancing only the ranges whose placement moved.
 func (m *Manager) FabricAddBackend(hostName, backend string, wait bool) error {
 	return m.call(hostName, "Agent.FabricAddBackend", FabricBackendArgs{Addr: backend, Wait: wait}, nil)
 }
 
 // FabricRemoveBackend orders a host agent to drain a backend out of its
-// fabric(s): ownership moves to the survivors and the freed copies are
+// fabric: ownership moves to the survivors and the freed copies are
 // re-replicated before the backend may be powered off (wait=true blocks
 // until that has happened).
 func (m *Manager) FabricRemoveBackend(hostName, backend string, wait bool) error {

@@ -12,10 +12,6 @@
 package hypervisor
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-
 	"oasis/internal/pagestore"
 	"oasis/internal/units"
 )
@@ -61,24 +57,6 @@ func (d *Descriptor) WireSize() units.Bytes {
 		sz = 256 * units.KiB
 	}
 	return sz + units.Bytes(len(d.ExecContext))
-}
-
-// Encode serialises the descriptor for transfer.
-func (d *Descriptor) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(d); err != nil {
-		return nil, fmt.Errorf("hypervisor: encode descriptor: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeDescriptor reverses Encode.
-func DecodeDescriptor(data []byte) (*Descriptor, error) {
-	var d Descriptor
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&d); err != nil {
-		return nil, fmt.Errorf("hypervisor: decode descriptor: %w", err)
-	}
-	return &d, nil
 }
 
 // NewDescriptor builds a descriptor for a guest of the given size with a

@@ -11,23 +11,6 @@ import (
 	"oasis/internal/units"
 )
 
-func TestDescriptorRoundTrip(t *testing.T) {
-	d := NewDescriptor(1234, "desktop-7", 4*units.GiB, 1)
-	d.MemServerAddr = "10.0.0.7"
-	d.MemServerPort = 7070
-	enc, err := d.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeDescriptor(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.VMID != d.VMID || got.Alloc != d.Alloc || got.MemServerAddr != d.MemServerAddr {
-		t.Fatalf("descriptor round trip mismatch: %+v", got)
-	}
-}
-
 func TestDescriptorWireSize(t *testing.T) {
 	d := NewDescriptor(1, "vm", 4*units.GiB, 1)
 	// Paper: ~16 MiB for a 4 GiB VM.
@@ -38,12 +21,6 @@ func TestDescriptorWireSize(t *testing.T) {
 	small := NewDescriptor(2, "vm", 64*units.MiB, 1)
 	if small.WireSize() < 256*units.KiB {
 		t.Errorf("small VM descriptor %v below floor", small.WireSize())
-	}
-}
-
-func TestDecodeDescriptorCorrupt(t *testing.T) {
-	if _, err := DecodeDescriptor([]byte("not gob")); err == nil {
-		t.Error("garbage descriptor decoded")
 	}
 }
 

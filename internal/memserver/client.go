@@ -61,13 +61,23 @@ type Client struct {
 }
 
 // Dial connects and authenticates to the server at addr with the shared
-// secret.
+// secret, within timeout (zero: the connect is unbounded and the
+// authentication takes DefaultOpTimeout).
 func Dial(addr string, secret []byte, timeout time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	d := dialer(timeout)
+	conn, err := d.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("memserver: dial %s: %w", addr, err)
 	}
-	return NewClientConn(conn, secret)
+	return authenticated(conn, secret, d.Deadline)
+}
+
+// dialer bounds a dial and the handshake after it by one deadline.
+func dialer(timeout time.Duration) *net.Dialer {
+	if timeout <= 0 {
+		return &net.Dialer{}
+	}
+	return &net.Dialer{Deadline: time.Now().Add(timeout)}
 }
 
 // NewClientConn authenticates over an already-established connection and
@@ -75,8 +85,17 @@ func Dial(addr string, secret []byte, timeout time.Duration) (*Client, error) {
 // transports (fault injection, custom dialers); Dial and DialTLS route
 // through the same authentication.
 func NewClientConn(conn net.Conn, secret []byte) (*Client, error) {
+	return authenticated(conn, secret, time.Time{})
+}
+
+// authenticated runs the handshake over conn by deadline (zero:
+// DefaultOpTimeout from now) and returns a client owning it.
+func authenticated(conn net.Conn, secret []byte, deadline time.Time) (*Client, error) {
+	if deadline.IsZero() {
+		deadline = time.Now().Add(DefaultOpTimeout)
+	}
 	c := newClient(conn)
-	if err := c.authenticate(secret); err != nil {
+	if err := c.authenticate(secret, deadline); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -109,11 +128,9 @@ func (c *Client) markBroken() {
 	c.conn.Close()
 }
 
-func (c *Client) authenticate(secret []byte) error {
-	if c.opTimeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.opTimeout))
-		defer c.conn.SetDeadline(time.Time{})
-	}
+func (c *Client) authenticate(secret []byte, deadline time.Time) error {
+	c.conn.SetDeadline(deadline)
+	defer c.conn.SetDeadline(time.Time{})
 	typ, nonce, err := readFrame(c.conn)
 	if err != nil {
 		return fmt.Errorf("memserver: read challenge: %w", err)

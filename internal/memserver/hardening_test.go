@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -110,5 +111,69 @@ func TestIdleTimeoutAppliesToUnauthenticatedConns(t *testing.T) {
 	buf := make([]byte, 1)
 	if _, err := io.ReadFull(conn, buf); err == nil {
 		t.Fatal("server kept a stalled unauthenticated connection open")
+	}
+}
+
+// silentListener accepts connections and never writes to them, as a
+// server wedged before its challenge would. Cleanup closes it and every
+// connection it accepted.
+func silentListener(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	closed := false
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			if conns = append(conns, c); closed {
+				c.Close()
+			}
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		closed = true
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	return ln.Addr().String()
+}
+
+// TestDialHandshakeBoundedByTimeout: a server that accepts and never
+// sends its challenge fails a dial within the dial's timeout, for a bare
+// client and for a pool's eager first lane. The handshake used to wait
+// out DefaultOpTimeout (30 s) whatever the timeout.
+func TestDialHandshakeBoundedByTimeout(t *testing.T) {
+	addr := silentListener(t)
+	const timeout = 200 * time.Millisecond
+	for name, dial := range map[string]func() error{
+		"Dial": func() error {
+			_, err := Dial(addr, []byte("k"), timeout)
+			return err
+		},
+		"DialPool": func() error {
+			_, err := DialPool(addr, []byte("k"), PoolConfig{Size: 1, Resilience: ResilientConfig{
+				MaxRetries: 1, DialTimeout: timeout, OpTimeout: time.Second,
+			}})
+			return err
+		},
+	} {
+		start := time.Now()
+		err := dial()
+		if took := time.Since(start); err == nil || took >= time.Second {
+			t.Errorf("%s against a silent server: %v after %v, want an error in under 1s", name, err, took)
+		}
 	}
 }

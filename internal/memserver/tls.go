@@ -89,8 +89,8 @@ func DialTLS(addr string, secret []byte, roots *x509.CertPool, timeout time.Dura
 	if err != nil {
 		return nil, fmt.Errorf("memserver: dial tls %s: %w", addr, err)
 	}
-	dialer := &net.Dialer{Timeout: timeout}
-	conn, err := tls.DialWithDialer(dialer, "tcp", addr, &tls.Config{
+	d := dialer(timeout)
+	conn, err := tls.DialWithDialer(d, "tcp", addr, &tls.Config{
 		RootCAs:    roots,
 		ServerName: host,
 		MinVersion: tls.VersionTLS12,
@@ -98,5 +98,5 @@ func DialTLS(addr string, secret []byte, roots *x509.CertPool, timeout time.Dura
 	if err != nil {
 		return nil, fmt.Errorf("memserver: dial tls %s: %w", addr, err)
 	}
-	return NewClientConn(conn, secret)
+	return authenticated(conn, secret, d.Deadline)
 }

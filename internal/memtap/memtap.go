@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,6 +113,13 @@ type breakerReporter interface {
 	BreakerState() memserver.BreakerState
 }
 
+// fabricReporter is a client of a shard fabric (a shard.Client, or a
+// lease on one): health grades it by the fabric's replication health.
+type fabricReporter interface {
+	breakerReporter
+	FabricStatus() shard.Status
+}
+
 // stagedFetcher is implemented by clients that report the wire/decompress
 // stage split of a page fetch (every memserver.Conn); FetchPage uses it
 // to attribute fault latency in telemetry.FaultPath spans. Plain
@@ -176,10 +184,6 @@ type flight struct {
 type Memtap struct {
 	vmid   pagestore.VMID
 	client PageClient
-
-	// fabric is set when client is a sharded fabric; it powers the graded
-	// degraded gauge and the Underreplicated/Fabric accessors.
-	fabric *shard.Client
 
 	// Fault accounting is atomic: concurrent faults and prefetch streams
 	// update these on the hot path without sharing a lock.
@@ -275,21 +279,14 @@ func NewWithOptions(vmid pagestore.VMID, addr string, secret []byte, opts Option
 	// Mirror breaker transitions into the per-VM degraded gauge without
 	// displacing a caller-supplied hook. For a pool this hook is lifted to
 	// the aggregate breaker, so the gauge rises only when every lane is
-	// down — exactly when the VM is actually degraded. For a shard fabric
-	// the hook fires per backend pool, so the gauge is recomputed from the
-	// fabric's replication health instead: one dead backend with live
-	// replicas is under-replication (level 1), not a degraded VM (level 2).
-	gauge := degradedGauge(vmid)
+	// down — exactly when the VM is actually degraded. On a shard fabric
+	// it fires per backend, and Report grades the fabric's replication
+	// health.
 	inner := cfg.OnStateChange
-	var fabRef atomic.Pointer[shard.Client]
+	var dialed atomic.Pointer[memserver.Conn]
 	cfg.OnStateChange = func(from, to memserver.BreakerState) {
-		switch f := fabRef.Load(); {
-		case f != nil:
-			gauge.Set(float64(fabricHealthLevel(f)))
-		case len(opts.Backends) > 0:
-			// The fabric is still dialing; bindFabric sets the gauge.
-		default:
-			ReportBreaker(vmid, to)
+		if c := dialed.Load(); c != nil {
+			Report(*c, vmid)
 		}
 		if inner != nil {
 			inner(from, to)
@@ -305,68 +302,65 @@ func NewWithOptions(vmid pagestore.VMID, addr string, secret []byte, opts Option
 	if err != nil {
 		return nil, fmt.Errorf("memtap: vm %04d: %w", vmid, err)
 	}
-	m := newMemtap(vmid, conn, opts.PoolSize)
+	dialed.Store(&conn)
 	if fab, ok := conn.(*shard.Client); ok {
-		fabRef.Store(fab)
-		m.bindFabric(fab, gauge)
+		bindFabric(vmid, fab)
 	}
-	return m, nil
+	Report(conn, vmid)
+	return newMemtap(vmid, conn, opts.PoolSize), nil
 }
 
 // NewWithClient wraps an existing client (used by tests and by agents
-// that share one connection between memtaps). A client's Size is the
+// that share one client between memtaps). A client's Size is the
 // memtap's lanes. A *shard.Client is bound the same way NewWithOptions
 // binds a dialed fabric: the per-VM degraded gauge tracks the fabric's
 // replication health (this replaces any OnHealthChange hook). For any
-// other client the gauge is the owner's to keep, with ReportBreaker.
+// other client, a lease on a shared fabric included, the gauge is the
+// owner's to keep, with Report.
 func NewWithClient(vmid pagestore.VMID, client PageClient) *Memtap {
 	lanes := 1
 	if p, ok := client.(interface{ Size() int }); ok {
 		lanes = p.Size()
 	}
-	m := newMemtap(vmid, client, lanes)
 	if fab, ok := client.(*shard.Client); ok {
-		m.bindFabric(fab, degradedGauge(vmid))
+		bindFabric(vmid, fab)
 	}
-	return m
+	return newMemtap(vmid, client, lanes)
 }
 
-// bindFabric wires a fabric's health transitions into the memtap's
-// degraded gauge and remembers the fabric for Fabric()/Underreplicated.
-func (m *Memtap) bindFabric(fab *shard.Client, gauge *telemetry.Gauge) {
-	m.fabric = fab
-	fab.OnHealthChange(func() {
-		gauge.Set(float64(fabricHealthLevel(fab)))
-	})
-	gauge.Set(float64(fabricHealthLevel(fab)))
+// bindFabric keeps VM vmid's degraded gauge on a fabric's health.
+func bindFabric(vmid pagestore.VMID, fab *shard.Client) {
+	fab.OnHealthChange(func() { Report(fab, vmid) })
+	Report(fab, vmid)
 }
 
-// ReportBreaker sets VM vmid's degraded gauge from its one memory server's
-// breaker: 2 while open, else 0 (the owner of a shared client calls it).
-func ReportBreaker(vmid pagestore.VMID, to memserver.BreakerState) {
-	level := 0.0
-	if to == memserver.BreakerOpen {
-		level = 2
+// Report sets the degraded gauge of every VM in vms, all paging through
+// c, from c's health (the owner of a shared client calls it).
+func Report(c PageClient, vms ...pagestore.VMID) {
+	level := float64(health(c))
+	for _, vm := range vms {
+		degradedGauge(vm).Set(level)
 	}
-	degradedGauge(vmid).Set(level)
 }
 
-// fabricHealthLevel grades a fabric for the degraded gauge: 0 healthy,
+// health grades a client for the degraded gauge. A fabric is 0 healthy,
 // 1 under-replicated (at least one backend down or owing repair/hint
 // replay, or tracked ranges below their replica target — reads still
 // work), 2 total loss (every backend's breaker open; faults cannot be
-// serviced).
-func fabricHealthLevel(f *shard.Client) int {
-	if f.BreakerState() == memserver.BreakerOpen {
+// serviced). One server is 2 while its breaker is open, else 0.
+func health(c PageClient) int {
+	if br, ok := c.(breakerReporter); ok && br.BreakerState() == memserver.BreakerOpen {
 		return 2
 	}
-	if f.UnderreplicatedRanges() > 0 {
-		return 1
+	f, ok := c.(fabricReporter)
+	if !ok {
+		return 0
 	}
-	for _, b := range f.FabricStatus().Backends {
-		if b.Breaker == "open" || b.NeedsRepair || b.HintQueue > 0 {
-			return 1
-		}
+	st := f.FabricStatus()
+	if st.UnderreplicatedRanges > 0 || slices.ContainsFunc(st.Backends, func(b shard.BackendStatus) bool {
+		return b.Breaker == "open" || b.NeedsRepair || b.HintQueue > 0
+	}) {
+		return 1
 	}
 	return 0
 }
@@ -389,14 +383,8 @@ func (m *Memtap) Degraded() bool {
 // failover (Degraded stays false), but the VM is one more failure away
 // from losing pages. Always false for non-fabric memtaps.
 func (m *Memtap) Underreplicated() bool {
-	return m.fabric != nil && fabricHealthLevel(m.fabric) >= 1
-}
-
-// Fabric returns the sharded fabric behind this memtap, or nil when it
-// was dialed against a single server. The agent uses it to apply live
-// membership changes (add/remove backend) to per-VM fault paths.
-func (m *Memtap) Fabric() *shard.Client {
-	return m.fabric
+	_, ok := m.client.(fabricReporter)
+	return ok && health(m.client) >= 1
 }
 
 // Resilience snapshots the client's retry/reconnect/breaker counters

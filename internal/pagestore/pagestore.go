@@ -256,11 +256,6 @@ func (im *Image) TouchedPages() int64 {
 	return im.live
 }
 
-// TouchedBytes returns the resident (non-zero) size of the image.
-func (im *Image) TouchedBytes() units.Bytes {
-	return units.PagesBytes(im.TouchedPages())
-}
-
 // Epoch returns the current dirty epoch.
 func (im *Image) Epoch() uint64 {
 	im.mu.RLock()
