@@ -233,6 +233,9 @@ type vmMeta struct {
 	// uploaded reports whether the home's memory server holds an image,
 	// enabling differential upload on the next consolidation.
 	uploaded bool
+	// settled is the tick through which both dirty counters have
+	// accrued (beside uploaded, it keeps vmMeta at 32 bytes).
+	settled int32
 	// dirtySinceUpload is the volume dirtied since the last upload.
 	dirtySinceUpload units.Bytes
 	// consolidatedAt is when the current partial episode began.
@@ -255,6 +258,13 @@ type Cluster struct {
 	faultRand *rng.Rand
 	// meta is indexed by the VM's position in VMs (see metaOf).
 	meta []vmMeta
+	// ticks counts Ticks: the accrual steps every VM's counters are owed.
+	ticks int32
+	// prev is the activity row of the last Tick (each VM's Active bit),
+	// so a Tick visits only the VMs whose bit changed; nActive counts
+	// its true bits.
+	prev    []bool
+	nActive int
 
 	// busyUntil tracks, by home host ID, when its NIC finishes the
 	// reintegration transfers already in flight (in absolute sim
@@ -342,6 +352,7 @@ func New(sim *simtime.Simulator, cfg Config) (*Cluster, error) {
 
 	total := cfg.HomeHosts + cfg.ConsHosts
 	c.meta = make([]vmMeta, cfg.HomeHosts*cfg.VMsPerHost)
+	c.prev = make([]bool, len(c.meta))
 	c.busyUntil = make([]float64, total)
 	c.free, c.spent = make([]units.Bytes, total), make([]units.Bytes, total)
 	c.woken, c.waking = make([]bool, total), make([]bool, total)
@@ -427,8 +438,39 @@ func (c *Cluster) consHosts() []*host.Host { return c.Hosts[c.Cfg.HomeHosts:] }
 // firstVMID is the ID of VMs[0]; IDs ascend by one from there.
 const firstVMID pagestore.VMID = 1000
 
-// metaOf returns the manager's bookkeeping for v: meta at v's position.
-func (c *Cluster) metaOf(v *vm.VM) *vmMeta { return &c.meta[v.ID-firstVMID] }
+// metaOf returns the manager's bookkeeping for v, meta at v's position,
+// with its dirty counters settled through the current tick. Every read
+// or write of them and every change of Partial, Active or uploaded
+// goes through it, so the per-tick steps owed since the last settle
+// were all at today's rates (DESIGN.md §15 "Dense cell state").
+func (c *Cluster) metaOf(v *vm.VM) *vmMeta {
+	m := &c.meta[v.ID-firstVMID]
+	n := units.Bytes(c.ticks - m.settled)
+	if n == 0 {
+		return m
+	}
+	m.settled = c.ticks
+	hours := c.Cfg.PlanEvery.Hours()
+	switch {
+	case v.Partial:
+		step := units.Bytes(float64(c.Cfg.ConsDirtyPerHour) * hours)
+		m.consDirty = min(m.consDirty+n*step, c.Cfg.ReintegrateDirtyCap)
+	case m.uploaded:
+		rate := c.Cfg.IdleDirtyPerHour
+		if v.Active {
+			rate = c.Cfg.ActiveDirtyPerHour
+		}
+		step := units.Bytes(float64(rate) * hours)
+		m.dirtySinceUpload = min(m.dirtySinceUpload+n*step, v.Alloc)
+	}
+	return m
+}
+
+// homeVMs returns the VMs homed on home host id: New lays VMs out home
+// by home and a VM's Home never changes.
+func (c *Cluster) homeVMs(id int) []*vm.VM {
+	return c.VMs[id*c.Cfg.VMsPerHost : (id+1)*c.Cfg.VMsPerHost]
+}
 
 // hostByID returns a host.
 func (c *Cluster) hostByID(id int) *host.Host { return c.Hosts[id] }

@@ -85,8 +85,8 @@ func (c *Cluster) failMemServer(h *host.Host) {
 	// off the consolidation host's DRAM; the failed server plays no
 	// part in it).
 	stranded := 0
-	for _, v := range c.VMs {
-		if v.Home != h.ID || !v.Partial {
+	for _, v := range c.homeVMs(h.ID) {
+		if !v.Partial {
 			continue
 		}
 		stranded++
@@ -103,11 +103,9 @@ func (c *Cluster) failMemServer(h *host.Host) {
 	}
 	// The server's images died with it: invalidate the differential
 	// upload state of every VM homed here.
-	for _, v := range c.VMs {
-		if v.Home == h.ID {
-			m := c.metaOf(v)
-			m.uploaded = false
-			m.dirtySinceUpload = 0
-		}
+	for _, v := range c.homeVMs(h.ID) {
+		m := c.metaOf(v)
+		m.uploaded = false
+		m.dirtySinceUpload = 0
 	}
 }

@@ -26,7 +26,7 @@ func (c *Cluster) Tick(active []bool) error {
 
 	// 1. Accrue dirty state and working-set growth over the elapsed
 	// interval, collecting consolidation hosts newly exhausted by growth.
-	c.accrue(c.Cfg.PlanEvery)
+	c.accrue()
 
 	// 1b. Inject memory-server outages (no-op unless configured) and walk
 	// the degradation ladder for the partial VMs they strand. This runs
@@ -37,26 +37,31 @@ func (c *Cluster) Tick(active []bool) error {
 	c.injectCorrelatedOutage()
 	c.injectMemServerOutages()
 
-	// 2. Apply activity transitions. Activations first: they may trigger
+	// 2. Apply activity transitions: only the VMs whose bit differs
+	// from the last row, in VMs order. Activations may trigger
 	// conversions, relocations, or wake-the-home returns.
 	wentIdle := c.wentIdle[:0]
-	for i, v := range c.VMs {
-		switch {
-		case active[i] && !v.Active:
-			c.activate(v)
-		case !active[i] && v.Active:
-			c.setActive(v, false)
-			// A fresh idle episode begins: resample the idle working set
-			// (it is an episode property — what this idle period's
-			// background activity touches — not a monotone attribute).
-			// The VM is full right now, so its charged footprint is
-			// unaffected until it is partially migrated.
-			if !v.Partial {
-				v.WorkingSet = c.sampleWS(v.Class)
-			}
-			wentIdle = append(wentIdle, v)
+	for i, a := range active {
+		if a == c.prev[i] {
+			continue
 		}
+		v := c.VMs[i]
+		if a {
+			c.activate(v)
+			continue
+		}
+		c.setActive(v, false)
+		// A fresh idle episode begins: resample the idle working set (it
+		// is an episode property — what this idle period's background
+		// activity touches — not a monotone attribute). The VM is full
+		// right now, so its charged footprint is unaffected until it is
+		// partially migrated.
+		if !v.Partial {
+			v.WorkingSet = c.sampleWS(v.Class)
+		}
+		wentIdle = append(wentIdle, v)
 	}
+	copy(c.prev, active)
 	c.wentIdle = wentIdle
 
 	// 3. FulltoPartial/NewHome: exchange consolidated full VMs that went
@@ -98,32 +103,13 @@ func (c *Cluster) Tick(active []bool) error {
 	return nil
 }
 
-// accrue advances per-VM dirty counters and working sets by dt.
-func (c *Cluster) accrue(dt time.Duration) {
-	hours := dt.Hours()
-	for i, v := range c.VMs {
-		m := &c.meta[i]
-		if v.Partial {
-			m.consDirty += units.Bytes(float64(c.Cfg.ConsDirtyPerHour) * hours)
-			if m.consDirty > c.Cfg.ReintegrateDirtyCap {
-				m.consDirty = c.Cfg.ReintegrateDirtyCap
-			}
-			continue
-		}
-		if m.uploaded {
-			rate := c.Cfg.IdleDirtyPerHour
-			if v.Active {
-				rate = c.Cfg.ActiveDirtyPerHour
-			}
-			m.dirtySinceUpload += units.Bytes(float64(rate) * hours)
-			if m.dirtySinceUpload > v.Alloc {
-				m.dirtySinceUpload = v.Alloc
-			}
-		}
-	}
+// accrue advances the cluster one interval: every VM's dirty counters
+// are owed one more tick (metaOf settles them), and working sets grow.
+func (c *Cluster) accrue() {
+	c.ticks++
 	// Working-set growth (§3.2) can exhaust the host. Each host grows its
 	// own partial residents and re-accounts once, not once per VM.
-	grow := units.Bytes(float64(c.Cfg.WSGrowthPerHour) * hours)
+	grow := units.Bytes(float64(c.Cfg.WSGrowthPerHour) * c.Cfg.PlanEvery.Hours())
 	for _, h := range c.Hosts {
 		h.GrowPartials(grow)
 	}
@@ -131,7 +117,13 @@ func (c *Cluster) accrue(dt time.Duration) {
 
 // setActive flips v between active and idle and tells its host.
 func (c *Cluster) setActive(v *vm.VM, active bool) {
+	c.metaOf(v) // settle at the old rate before it changes
 	v.Active = active
+	if active {
+		c.nActive++
+	} else {
+		c.nActive--
+	}
 	if err := c.hostByID(v.Host).NoteVMStateChanged(v); err != nil {
 		panic(fmt.Sprintf("cluster: activity flip invariant: %v", err))
 	}
@@ -185,8 +177,8 @@ func (c *Cluster) activate(v *vm.VM) {
 // from the home — the bulk a wake-the-home return moves.
 func (c *Cluster) consolidatedSiblings(v *vm.VM) int {
 	n := 0
-	for _, u := range c.VMs {
-		if u.Home == v.Home && u.Host != u.Home && u.ID != v.ID {
+	for _, u := range c.homeVMs(v.Home) {
+		if u.Host != u.Home && u.ID != v.ID {
 			n++
 		}
 	}
@@ -347,8 +339,8 @@ func (c *Cluster) wakeHomeAndReturnAll(h *host.Host) {
 
 // returnAllHome reintegrates/migrates back every VM homed on h.
 func (c *Cluster) returnAllHome(h *host.Host) {
-	for _, v := range c.VMs {
-		if v.Home != h.ID || v.Host == h.ID || v.Host == vm.NoHost {
+	for _, v := range c.homeVMs(h.ID) {
+		if v.Host == h.ID || v.Host == vm.NoHost {
 			continue
 		}
 		src := c.hostByID(v.Host)
@@ -828,15 +820,7 @@ func (c *Cluster) PoweredHosts() int {
 }
 
 // ActiveVMs counts currently active VMs.
-func (c *Cluster) ActiveVMs() int {
-	n := 0
-	for _, v := range c.VMs {
-		if v.Active {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cluster) ActiveVMs() int { return c.nActive }
 
 // FlushEpisodes closes out the on-demand accounting of partial episodes
 // still open at the end of a run.

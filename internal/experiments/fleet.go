@@ -17,9 +17,12 @@ import (
 // floor sits between what the simulator did before its cell state became
 // dense (≈ 18k on the 2-core sandbox the artifact is recorded on) and
 // what it does since (≈ 45k there), so a return of per-flip or per-VM
-// rescans fails it while a slower CI runner does not. Parallelism is
-// gated separately and only where it can show: with at least
-// fleetScalingMinCores cores, the widest run must reach
+// rescans fails it while a slower CI runner does not. It was not raised
+// when ticks stopped walking every VM: that saved about a fifth, less
+// than the same box's own spread under load (34k to 53k for one
+// commit), so a floor between the two would fail on load, not on code.
+// Parallelism is gated separately and only where it can show: with at
+// least fleetScalingMinCores cores, the widest run must reach
 // fleetScalingFloor times the one-worker throughput.
 const (
 	fleetUsersPerSecPerCore = 25_000

@@ -74,7 +74,8 @@ type Host struct {
 	onChange func(*Host)
 
 	// The residents: ids ascending, slot[i] the place of ids[i]'s VM in
-	// vms, which is unordered (RemoveVM moves the last VM into the hole).
+	// vms, which is unordered (RemoveVM moves the last VM into the hole);
+	// each resident's HostSlot is its place in vms too.
 	// Only the pointer-free slices are ever shifted — moving a run of
 	// pointers pays a write barrier each while the collector marks — and
 	// lookups search ids, not vms[i].ID, which costs a pointer chase per
@@ -89,6 +90,10 @@ type Host struct {
 	// AddVM, RemoveVM and NoteVMStateChanged. Nothing recounts it, so a
 	// resident's flip must be notified exactly once.
 	active int
+	// partials is never below the count of partial residents: AddVM and
+	// RemoveVM count partial VMs in and out, Recharge (a resident may
+	// have turned partial) counts one in, GrowPartials recounts.
+	partials int
 
 	// Transition counters for the evaluation.
 	Suspends int
@@ -191,6 +196,13 @@ func (h *Host) VM(id pagestore.VMID) *vm.VM {
 	return v
 }
 
+// holds reports whether v itself, not merely a VM with its ID, is
+// resident here.
+func (h *Host) holds(v *vm.VM) bool {
+	j := int(v.HostSlot)
+	return j >= 0 && j < len(h.vms) && h.vms[j] == v
+}
+
 // ActiveVMs counts resident active VMs in O(1) (see the active field).
 func (h *Host) ActiveVMs() int { return h.active }
 
@@ -209,12 +221,16 @@ func (h *Host) AddVM(v *vm.VM) error {
 		return fmt.Errorf("host %d: vm%04d already resident", h.ID, v.ID)
 	}
 	h.ids = slices.Insert(h.ids, i, v.ID)
-	h.slot = slices.Insert(h.slot, i, int32(len(h.vms)))
+	v.HostSlot = int32(len(h.vms))
+	h.slot = slices.Insert(h.slot, i, v.HostSlot)
 	h.vms = append(h.vms, v)
 	h.stale = true
 	h.used += need
 	if v.Active {
 		h.active++
+	}
+	if v.Partial {
+		h.partials++
 	}
 	v.Host = h.ID
 	h.refreshPower()
@@ -230,7 +246,7 @@ func (h *Host) RemoveVM(id pagestore.VMID) error {
 	j, last := h.slot[i], len(h.vms)-1
 	if moved := h.vms[last]; moved != v {
 		k, _ := h.find(moved.ID)
-		h.vms[j], h.slot[k] = moved, j
+		h.vms[j], h.slot[k], moved.HostSlot = moved, j, j
 	}
 	h.vms = slices.Delete(h.vms, last, last+1)
 	h.ids = slices.Delete(h.ids, i, i+1)
@@ -239,6 +255,9 @@ func (h *Host) RemoveVM(id pagestore.VMID) error {
 	h.used -= v.Footprint()
 	if v.Active {
 		h.active--
+	}
+	if v.Partial {
+		h.partials--
 	}
 	h.refreshPower()
 	return nil
@@ -255,16 +274,20 @@ func (h *Host) Recharge(id pagestore.VMID, old units.Bytes) error {
 		return fmt.Errorf("host %d: vm%04d not resident", h.ID, id)
 	}
 	h.used += v.Footprint() - old
+	h.partials++
 	h.refreshPower()
 	return nil
 }
 
 // GrowPartials adds grow to every partial resident's working set, capped
 // at its allocation, and re-accounts the host once. A host without a
-// partial resident is not refreshed, so the energy integral sees the
-// same (host, instant) refreshes as a Recharge per grown VM.
+// partial resident is not walked or refreshed, so the energy integral
+// sees the same (host, instant) refreshes as a Recharge per grown VM.
 func (h *Host) GrowPartials(grow units.Bytes) {
-	grew := false
+	if h.partials == 0 {
+		return
+	}
+	h.partials = 0
 	for _, v := range h.vms {
 		if !v.Partial {
 			continue
@@ -272,9 +295,9 @@ func (h *Host) GrowPartials(grow units.Bytes) {
 		old := v.Footprint()
 		v.WorkingSet = min(v.WorkingSet+grow, v.Alloc)
 		h.used += v.Footprint() - old
-		grew = true
+		h.partials++
 	}
-	if grew {
+	if h.partials > 0 {
 		h.refreshPower()
 	}
 }
@@ -296,9 +319,10 @@ func (h *Host) refreshPower() {
 
 // NoteVMStateChanged must be called once after resident VM v flips
 // between active and idle — the host cannot see the flip itself — so the
-// active count and the power model track the load.
+// active count and the power model track the load. A flip changes
+// neither memory nor power state, so onChange does not run.
 func (h *Host) NoteVMStateChanged(v *vm.VM) error {
-	if h.VM(v.ID) != v {
+	if !h.holds(v) {
 		return fmt.Errorf("host %d: vm%04d not resident", h.ID, v.ID)
 	}
 	if v.Active {
@@ -306,7 +330,7 @@ func (h *Host) NoteVMStateChanged(v *vm.VM) error {
 	} else {
 		h.active--
 	}
-	h.refreshPower()
+	h.meter.SetActiveVMs(h.sim.Now(), h.active)
 	return nil
 }
 

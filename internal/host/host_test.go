@@ -303,7 +303,8 @@ func TestRolesAndStrings(t *testing.T) {
 // removals, activity flips, recharges and working-set growth over three
 // hosts, and after every step recounts each host from scratch: the
 // incrementally kept active count, pinned memory, resident count and the
-// ID order of VMs() must equal the recount. The host keeps all four by
+// ID order of VMs() must equal the recount, and the partial count
+// GrowPartials skips on must not fall below it. The host keeps these by
 // ±deltas and never re-derives them, so this is what would catch a
 // missed or doubled update.
 func TestResidentInvariants(t *testing.T) {
@@ -325,10 +326,10 @@ func TestResidentInvariants(t *testing.T) {
 		for _, h := range hosts {
 			var want []*vm.VM
 			var used units.Bytes
-			active := 0
+			active, partials := 0, 0
 			for i, v := range vms {
 				if on[i] != h {
-					if h.VM(v.ID) != nil {
+					if h.VM(v.ID) != nil || h.holds(v) {
 						t.Fatalf("step %d (%s): host %d still finds vm%d", step, op, h.ID, v.ID)
 					}
 					continue
@@ -338,7 +339,10 @@ func TestResidentInvariants(t *testing.T) {
 				if v.Active {
 					active++
 				}
-				if h.VM(v.ID) != v {
+				if v.Partial {
+					partials++
+				}
+				if h.VM(v.ID) != v || !h.holds(v) {
 					t.Fatalf("step %d (%s): host %d cannot find resident vm%d", step, op, h.ID, v.ID)
 				}
 			}
@@ -346,6 +350,10 @@ func TestResidentInvariants(t *testing.T) {
 			if h.ActiveVMs() != active || h.Used() != used || h.NumVMs() != len(want) {
 				t.Fatalf("step %d (%s): host %d keeps active=%d used=%v n=%d, recount gives active=%d used=%v n=%d",
 					step, op, h.ID, h.ActiveVMs(), h.Used(), h.NumVMs(), active, used, len(want))
+			}
+			if h.partials < partials {
+				t.Fatalf("step %d (%s): host %d counts %d partial residents, recount gives %d: GrowPartials would skip one",
+					step, op, h.ID, h.partials, partials)
 			}
 			if !slices.Equal(h.VMs(), want) {
 				t.Fatalf("step %d (%s): host %d VMs() is not the residents in ID order", step, op, h.ID)

@@ -328,42 +328,30 @@ func runCell(cfg *FleetConfig, cell int) (*cellResult, error) {
 	traceBase := rng.Mix64(cfg.Seed, saltTrace)
 	flashBase := rng.Mix64(cfg.Seed, saltFlash)
 	userBase := uint64(cell) * uint64(cfg.UsersPerCell())
-	days := make([]trace.UserDay, nVMs)
-	inFlash := make([]bool, nVMs)
-	for i := range days {
-		user := userBase + uint64(i)
-		days[i] = trace.UserDayAt(traceBase, user, cfg.Kind).Rotate(zone)
-		if cfg.FlashLen > 0 {
-			roll := float64(rng.Mix64(flashBase, user)>>11) / (1 << 53)
-			inFlash[i] = roll < cfg.FlashFrac
+	rows := make([]bool, trace.IntervalsPerDay*nVMs)
+	var block [userBlock]trace.UserDay
+	for lo := 0; lo < nVMs; lo += userBlock {
+		days := block[:min(userBlock, nVMs-lo)]
+		for j := range days {
+			user := userBase + uint64(lo+j)
+			days[j] = trace.UserDayAt(traceBase, user, cfg.Kind).Rotate(zone)
+			if cfg.FlashLen > 0 && float64(rng.Mix64(flashBase, user)>>11)/(1<<53) < cfg.FlashFrac {
+				for iv := max(cfg.FlashAt, 0); iv < min(cfg.FlashAt+cfg.FlashLen, trace.IntervalsPerDay); iv++ {
+					days[j].Active[iv] = true
+				}
+			}
 		}
+		setUsers(rows, lo, days)
 	}
 
 	cr := &cellResult{}
-	interval := time.Duration(trace.IntervalMinutes) * time.Minute
-	active := make([]bool, nVMs)
-	profile := ccfg.Profile
-	baselineJ := 0.0
-	for iv := 0; iv < trace.IntervalsPerDay; iv++ {
-		s.RunUntil(simtime.Time(iv) * simtime.Time(interval))
-		flash := cfg.FlashLen > 0 && iv >= cfg.FlashAt && iv < cfg.FlashAt+cfg.FlashLen
-		for i := range active {
-			active[i] = days[i].Active[iv] || (flash && inFlash[i])
-		}
-		if err := cl.Tick(active); err != nil {
-			return nil, fmt.Errorf("sim: cell %d interval %d: %w", cell, iv, err)
-		}
-		nActive := cl.ActiveVMs()
+	baselineJ, err := runDay(s, cl, 0, rows, func(iv, nActive int) {
 		cr.activeSeries[iv] = int64(nActive)
 		cr.poweredSeries[iv] = int64(cl.PoweredHosts())
-		if profile.VMHostingW > 0 {
-			baselineJ += float64(ccfg.HomeHosts) * profile.VMHostingW * interval.Seconds()
-		} else {
-			baselineJ += (float64(ccfg.HomeHosts)*profile.IdleW +
-				float64(nActive)*profile.PerActiveVMW) * interval.Seconds()
-		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("sim: cell %d %w", cell, err)
 	}
-	s.RunUntil(simtime.Day)
 	cl.FlushEpisodes()
 
 	cr.baselineMicroJ = int64(math.Round(baselineJ * 1e6))

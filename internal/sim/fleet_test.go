@@ -267,6 +267,31 @@ func TestFleetSeed200OneFingerprint(t *testing.T) {
 	}
 }
 
+// cellDayAllocs bounds the allocations of one cell's day: cell 0 of the
+// fleet-sim workload at seed 42, which allocates 32,620 to 32,623 times
+// on Go 1.24 (one more while each interval gathered its bits from the
+// user-days; the last digit is the runtime's). The margin is one
+// allocation short of one per interval, so an allocation added to every
+// tick fails the gate.
+const cellDayAllocs = 32_623 + trace.IntervalsPerDay - 1
+
+// TestCellDayAllocs is the cell-day allocation gate.
+func TestCellDayAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cfg := benchFleetCfg(42, 1)
+	n := testing.AllocsPerRun(2, func() {
+		if _, err := runCell(&cfg, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("one cell-day: %.0f allocations (gate %d)", n, cellDayAllocs)
+	if n > cellDayAllocs {
+		t.Errorf("one cell-day allocates %.0f times, gate %d", n, cellDayAllocs)
+	}
+}
+
 // BenchmarkFleetSim is one SimulateFleet call of the fleet-sim workload
 // at seed 42 on two workers; `make profile-fleet` profiles it.
 func BenchmarkFleetSim(b *testing.B) {

@@ -85,34 +85,16 @@ func Run(cfg Config) (*Result, error) {
 		ConsHosts: cfg.Cluster.ConsHosts,
 	}
 
-	interval := time.Duration(trace.IntervalMinutes) * time.Minute
-	active := make([]bool, nVMs)
-	profile := cfg.Cluster.Profile
-	for iv := 0; iv < trace.IntervalsPerDay; iv++ {
-		t := simtime.Time(iv) * simtime.Time(interval)
-		s.RunUntil(t)
-		for i := range active {
-			active[i] = set.Days[i].Active[iv]
-		}
-		if err := cl.Tick(active); err != nil {
-			return nil, fmt.Errorf("sim: interval %d: %w", iv, err)
-		}
-		nActive := cl.ActiveVMs()
+	rows := make([]bool, trace.IntervalsPerDay*nVMs)
+	setUsers(rows, 0, set.Days)
+	res.BaselineJoules, err = runDay(s, cl, 0, rows, func(_, nActive int) {
 		res.ActiveSeries = append(res.ActiveSeries, nActive)
 		res.PoweredSeries = append(res.PoweredSeries, cl.PoweredHosts())
-		if nActive > res.PeakActive {
-			res.PeakActive = nActive
-		}
-		// Baseline: all home hosts stay powered, running their VMs
-		// locally (§5.3's normalisation).
-		if profile.VMHostingW > 0 {
-			res.BaselineJoules += float64(cfg.Cluster.HomeHosts) * profile.VMHostingW * interval.Seconds()
-		} else {
-			res.BaselineJoules += (float64(cfg.Cluster.HomeHosts)*profile.IdleW +
-				float64(nActive)*profile.PerActiveVMW) * interval.Seconds()
-		}
+		res.PeakActive = max(res.PeakActive, nActive)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	s.RunUntil(simtime.Day)
 	cl.FlushEpisodes()
 
 	res.OasisJoules = cl.TotalEnergyJoules()
@@ -124,6 +106,54 @@ func Run(cfg Config) (*Result, error) {
 	res.Events = cl.Events()
 	publishRunTelemetry(res)
 	return res, nil
+}
+
+// setUsers writes days into the rows of a day (see runDay), day j as
+// VM lo+j. It takes the days userBlock at a time, so a block stays in
+// cache while each row's stretch of it is written.
+func setUsers(rows []bool, lo int, days []trace.UserDay) {
+	n := len(rows) / trace.IntervalsPerDay
+	for len(days) > 0 {
+		block := days[:min(len(days), userBlock)]
+		for iv := 0; iv < trace.IntervalsPerDay; iv++ {
+			col := rows[iv*n+lo : iv*n+lo+len(block)]
+			for j := range col {
+				col[j] = block[j].Active[iv]
+			}
+		}
+		lo, days = lo+len(block), days[len(block):]
+	}
+}
+
+// userBlock is how many user-days setUsers transposes at a time: 64 of
+// them (19 KiB) fit a core's L1 data cache.
+const userBlock = 64
+
+// runDay ticks cl through the day that starts at dayBase and returns
+// that day's baseline energy: every home host stays powered, running its
+// VMs locally (§5.3's normalisation). rows is the day's activity laid
+// out once, one row per interval: interval iv's bits for cl's n VMs are
+// rows[iv*n:(iv+1)*n], the slice its Tick reads. each sees every
+// interval after its tick with the count of active VMs.
+func runDay(s *simtime.Simulator, cl *cluster.Cluster, dayBase simtime.Time, rows []bool, each func(iv, nActive int)) (float64, error) {
+	interval := time.Duration(trace.IntervalMinutes) * time.Minute
+	n, homes, profile := len(cl.VMs), float64(cl.Cfg.HomeHosts), cl.Cfg.Profile
+	baselineJ := 0.0
+	for iv := 0; iv < trace.IntervalsPerDay; iv++ {
+		s.RunUntil(dayBase + simtime.Time(iv)*simtime.Time(interval))
+		if err := cl.Tick(rows[iv*n : (iv+1)*n]); err != nil {
+			return 0, fmt.Errorf("interval %d: %w", iv, err)
+		}
+		nActive := cl.ActiveVMs()
+		each(iv, nActive)
+		if profile.VMHostingW > 0 {
+			baselineJ += homes * profile.VMHostingW * interval.Seconds()
+		} else {
+			baselineJ += (homes*profile.IdleW + float64(nActive)*profile.PerActiveVMW) * interval.Seconds()
+		}
+	}
+	s.RunUntil(dayBase + simtime.Day)
+	return baselineJ, nil
 }
 
 // publishRunTelemetry posts a finished run's headline figures as
@@ -202,31 +232,16 @@ func RunContinuous(cfg Config, days []trace.DayKind) (*ContinuousResult, error) 
 	}
 
 	res := &ContinuousResult{Days: append([]trace.DayKind(nil), days...)}
-	interval := time.Duration(trace.IntervalMinutes) * time.Minute
-	active := make([]bool, nVMs)
-	profile := cfg.Cluster.Profile
+	rows := make([]bool, trace.IntervalsPerDay*nVMs)
 	prevOasis := 0.0
 	for d, kind := range days {
 		corpus := trace.Generate(kind, corpusN, tr)
 		set := trace.Sample(corpus, nVMs, tr)
-		dayBase := simtime.Time(d) * simtime.Day
-		dayBaselineJ := 0.0
-		for iv := 0; iv < trace.IntervalsPerDay; iv++ {
-			s.RunUntil(dayBase + simtime.Time(iv)*simtime.Time(interval))
-			for i := range active {
-				active[i] = set.Days[i].Active[iv]
-			}
-			if err := cl.Tick(active); err != nil {
-				return nil, fmt.Errorf("sim: day %d interval %d: %w", d, iv, err)
-			}
-			if profile.VMHostingW > 0 {
-				dayBaselineJ += float64(cfg.Cluster.HomeHosts) * profile.VMHostingW * interval.Seconds()
-			} else {
-				dayBaselineJ += (float64(cfg.Cluster.HomeHosts)*profile.IdleW +
-					float64(cl.ActiveVMs())*profile.PerActiveVMW) * interval.Seconds()
-			}
+		setUsers(rows, 0, set.Days)
+		dayBaselineJ, err := runDay(s, cl, simtime.Time(d)*simtime.Day, rows, func(int, int) {})
+		if err != nil {
+			return nil, fmt.Errorf("sim: day %d %w", d, err)
 		}
-		s.RunUntil(dayBase + simtime.Day)
 		res.BaselineJoules += dayBaselineJ
 		dayOasis := cl.TotalEnergyJoules() - prevOasis
 		prevOasis = cl.TotalEnergyJoules()

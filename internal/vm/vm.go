@@ -61,6 +61,10 @@ type VM struct {
 	// (its current home, §3.1). Host is where the VM presently runs.
 	Home int
 	Host int
+	// HostSlot is where the host the VM is resident on keeps it, so
+	// that the host checks residency without a search. Only package
+	// host writes it.
+	HostSlot int32
 
 	// WorkingSet is the VM's idle working set — the memory a partial VM
 	// actually pins on a consolidation host. It grows slowly while the VM
