@@ -98,7 +98,7 @@ func TestPutKeepsTheBufferItWasReadInto(t *testing.T) {
 		t.Fatal(err)
 	}
 	imageBody := func(snap []byte) []byte {
-		return append(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(nil, id), uint64(alloc)), snap...)
+		return append(appendPutHead(nil, putHead{kind: msgPutImage, id: id, alloc: alloc}), snap...)
 	}
 	cases := []struct {
 		name string
@@ -106,9 +106,9 @@ func TestPutKeepsTheBufferItWasReadInto(t *testing.T) {
 		head int // request bytes before the snapshot
 		body []byte
 	}{
-		{"image", msgPutImage, 12, imageBody(small)},
-		{"large-image", msgPutImage, 12, imageBody(large)},
-		{"diff", msgPutDiff, 4, append(binary.BigEndian.AppendUint32(nil, id), diff...)},
+		{"image", msgPutImage, 24, imageBody(small)},
+		{"large-image", msgPutImage, 24, imageBody(large)},
+		{"diff", msgPutDiff, 16, append(appendPutHead(nil, putHead{kind: msgPutDiff, id: id}), diff...)},
 	}
 	scratch.read = make([]byte, 0, readBufCap) // a connection warm from earlier frames
 	const reps = 3
@@ -264,7 +264,7 @@ func (r *callRecorder) exchange(c call) ([]byte, error) {
 }
 
 // TestSessionMACZeroAlloc is the upload MAC's allocation gate. It takes
-// the segments PutImage, PutDiff and PutChunkRef actually hand the
+// the segments PutImage, PutDiff and a staged chunk actually hand the
 // client — the op's prefix, then its two caller slices — and requires
 // that signing them and verifying the frame allocate nothing. The MAC
 // copies at most a head of 32 bytes and passes the rest to GCM as one
@@ -277,10 +277,11 @@ func TestSessionMACZeroAlloc(t *testing.T) {
 	}
 	rec := &callRecorder{}
 	o := ops{x: rec}
+	staged := putHead{kind: msgPutImage, id: 1, uploadID: 2, seq: 1, alloc: 4 * units.MiB}
 	shapes := map[string]func(){
 		"PutImage": func() { o.PutImage(1, 4*units.MiB, snap) },
 		"PutDiff":  func() { o.PutDiff(1, snap) },
-		"PutChunk": func() { o.PutChunkRef(1, 2, 1, refs[1]) },
+		"PutChunk": func() { o.putChunk(staged, refs[1]) },
 	}
 	nonce := []byte("alloc-nonce-0000")
 	client, server := sessionMAC(testSecret, nonce), sessionMAC(testSecret, nonce)

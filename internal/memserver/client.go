@@ -48,10 +48,10 @@ type Client struct {
 	// out as segments in bufs (bufs[0] is always the 5-byte header
 	// rebuilt per call in hdrArr); small frames coalesce into frame and
 	// go out in one Write, large ones as vectored buffers. opArr holds
-	// the fixed-size request prefix of the current call, so the PutChunk
+	// the fixed-size request prefix of the current call, so the upload
 	// and GetPage hot paths allocate nothing per call.
 	hdrArr [5]byte
-	opArr  [16]byte
+	opArr  [24]byte
 	frame  []byte
 	bufs   net.Buffers
 

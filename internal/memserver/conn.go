@@ -52,11 +52,11 @@ type call struct {
 	// mutating is the retry class. Every operation is idempotent, so
 	// retry is always safe; the class only sets the budget. Reads get
 	// ResilientConfig.MaxRetries because a stranded partial VM has no
-	// alternative. Mutating ops (PutImage, PutDiff, Delete, SetServing)
-	// get the smaller MutatingRetries: their caller holds the
-	// authoritative copy and can re-drive the operation, so burning the
-	// fault window on retries only delays the degradation decision. The
-	// staging ops of a chunked upload (PutBegin, PutChunk, PutCommit)
+	// alternative. Mutating ops (a whole-snapshot PutImage or PutDiff,
+	// Delete, SetServing) get the smaller MutatingRetries: their caller
+	// holds the authoritative copy and can re-drive the operation, so
+	// burning the fault window on retries only delays the degradation
+	// decision. The frames of a staged upload (its chunks, PutCommit)
 	// touch nothing live until the commit applies, so they ride the read
 	// budget.
 	mutating bool
@@ -65,9 +65,10 @@ type call struct {
 	mac bool
 
 	// The payload is prefix[:n] followed by segs. The prefix is the
-	// op's fixed-size header, built by u32/u64; segs point into the
-	// caller's buffers and reach the socket without a copy.
-	prefix [16]byte
+	// op's fixed-size header, built by u32/u64 or appendPutHead; segs
+	// point into the caller's buffers and reach the socket without a
+	// copy.
+	prefix [24]byte
 	n      int
 	segs   [2][]byte
 }
@@ -85,7 +86,7 @@ func (c *call) u64(v uint64) {
 // exchanger carries one call to a server and returns the reply payload.
 // A msgError reply comes back as a remoteError; anything else that is
 // not c.want is a transport fault. call travels by value so the hot
-// paths (GetPage, PutChunkRef) allocate nothing per exchange.
+// paths (GetPage, putChunk) allocate nothing per exchange.
 type exchanger interface {
 	exchange(c call) ([]byte, error)
 }
@@ -95,7 +96,7 @@ type exchanger interface {
 // what differs between them is only how a call travels.
 type ops struct {
 	x exchanger
-	// put counts streamed chunks under the owner's client label; nil
+	// put counts uploaded chunks under the owner's client label; nil
 	// (a bare Client) counts under "default" like any unnamed client.
 	put *putTel
 }
@@ -157,50 +158,18 @@ func (o ops) GetPages(id pagestore.VMID, pfns []pagestore.PFN) (map[pagestore.PF
 	return parsePagesReply(reply)
 }
 
-// PutImage uploads a full snapshot as a VM's image, replacing any prior
-// image for that VMID (so replaying it yields the same image). The
-// snapshot bytes are sent without an intermediate copy, with the session
-// MAC trailer.
-func (o ops) PutImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte) error {
-	c := call{op: "PutImage", req: msgPutImage, want: msgOK, mutating: true, mac: true}
-	c.u32(uint32(id))
-	c.u64(uint64(alloc))
-	c.segs[0] = snapshot
-	_, err := o.x.exchange(c)
-	return err
-}
-
-// PutDiff applies a differential snapshot to an existing image (§4.3
-// differential upload). Diffs carry absolute page contents, so applying
-// one twice is a no-op.
-func (o ops) PutDiff(id pagestore.VMID, snapshot []byte) error {
-	c := call{op: "PutDiff", req: msgPutDiff, want: msgOK, mutating: true, mac: true}
-	c.u32(uint32(id))
-	c.segs[0] = snapshot
-	_, err := o.x.exchange(c)
-	return err
-}
-
-// PutBegin opens a chunked streaming upload (see proto.go). Re-sending a
-// Begin for the same upload id is a no-op that keeps staged chunks.
-func (o ops) PutBegin(id pagestore.VMID, uploadID uint64, kind byte, alloc units.Bytes) error {
-	c := call{op: "PutBegin", req: msgPutBegin, want: msgOK}
-	c.segs[0] = encodePutBegin(id, uploadID, kind, uint64(alloc))
-	_, err := o.x.exchange(c)
-	return err
-}
-
-// PutChunkRef stages one self-contained snapshot chunk of an open upload.
-// Chunks may arrive in any order and over any connection; a duplicate seq
-// overwrites with identical bytes and a chunk landing after its upload
-// committed is acknowledged as a no-op. The chunk's header and body
-// segments go straight from the encoded snapshot to the socket: the hot
+// putChunk ships one self-contained snapshot chunk in an h.kind frame:
+// a whole snapshot when h.uploadID is 0, else one chunk of a staged
+// upload. The chunk's header and body segments go straight from the
+// encoded snapshot to the socket, with the session MAC trailer: the hot
 // path performs no allocations and no copies of page bytes.
-func (o ops) PutChunkRef(id pagestore.VMID, uploadID uint64, seq uint32, chunk pagestore.ChunkRef) error {
-	c := call{op: "PutChunk", req: msgPutChunk, want: msgOK, mac: true}
-	c.u32(uint32(id))
-	c.u64(uploadID)
-	c.u32(seq)
+func (o ops) putChunk(h putHead, chunk pagestore.ChunkRef) error {
+	op := "PutDiff"
+	if h.kind == msgPutImage {
+		op = "PutImage"
+	}
+	c := call{op: op, req: h.kind, want: msgOK, mutating: h.uploadID == 0, mac: true}
+	c.n = len(appendPutHead(c.prefix[:0], h))
 	c.segs = [2][]byte{chunk.Pre, chunk.Body}
 	_, err := o.x.exchange(c)
 	return err

@@ -95,25 +95,21 @@ func frame(typ byte, payload []byte) struct {
 	}{typ, payload}
 }
 
-// encodePutChunk builds a msgPutChunk payload around a snapshot chunk, the
-// way the client's zero-copy framing lays it out.
-func encodePutChunk(id pagestore.VMID, uploadID uint64, seq uint32, chunk []byte) []byte {
-	req := make([]byte, 0, 16+len(chunk))
-	req = binary.BigEndian.AppendUint32(req, uint32(id))
-	req = binary.BigEndian.AppendUint64(req, uploadID)
-	req = binary.BigEndian.AppendUint32(req, seq)
-	return append(req, chunk...)
+// encodePut builds a PutImage or PutDiff payload around a snapshot
+// chunk, the way the client's zero-copy framing lays it out.
+func encodePut(h putHead, chunk []byte) []byte {
+	return append(appendPutHead(nil, h), chunk...)
 }
 
-// FuzzPutChunkFraming drives the chunked-upload framing and staging state
+// FuzzPutChunkFraming drives the upload framing and staging state
 // machine with arbitrary frame sequences. Three properties hold: the
 // parsers never panic and anything they accept round-trips to identical
-// canonical bytes; the server-side staging methods never panic whatever
-// order Begin/Chunk/Commit arrive in (out-of-order seq, duplicates,
-// commit-before-begin); and a successful commit only ever installs a
-// decodable image. Seeds (plus the testdata/fuzz corpus) cover truncated
-// chunk headers, out-of-order and duplicate sequence numbers, and
-// commit-before-begin.
+// canonical bytes; the server-side put and commit methods never panic
+// whatever order chunks and commits arrive in (out-of-order seq,
+// duplicates, commit before chunk 0); and a successful whole-snapshot
+// put or commit only ever installs a decodable image. Seeds (plus the
+// testdata/fuzz corpus) cover truncated chunk heads, out-of-order and
+// duplicate sequence numbers, and commit before the upload opened.
 func FuzzPutChunkFraming(f *testing.F) {
 	// A valid two-chunk upload, chunks deliberately out of order and one
 	// duplicated.
@@ -130,35 +126,53 @@ func FuzzPutChunkFraming(f *testing.F) {
 	if err != nil || len(chunks) != 2 {
 		f.Fatalf("seed split: %d chunks, err %v", len(chunks), err)
 	}
+	image := func(seq uint32) putHead {
+		return putHead{kind: msgPutImage, id: 5, uploadID: 99, seq: seq, alloc: 1 * units.MiB}
+	}
 	f.Add(frameSeq(
-		frame(msgPutBegin, encodePutBegin(5, 99, putKindImage, uint64(1*units.MiB))),
-		frame(msgPutChunk, encodePutChunk(5, 99, 1, chunks[1])),
-		frame(msgPutChunk, encodePutChunk(5, 99, 0, chunks[0])),
-		frame(msgPutChunk, encodePutChunk(5, 99, 1, chunks[1])), // duplicate
+		frame(msgPutImage, encodePut(image(0), chunks[0])),
+		frame(msgPutImage, encodePut(image(1), chunks[1])),
+		frame(msgPutImage, encodePut(image(0), chunks[0])), // duplicate
+		frame(msgPutImage, encodePut(image(1), chunks[1])), // duplicate
 		frame(msgPutCommit, encodePutCommit(5, 99, 2)),
 		frame(msgPutCommit, encodePutCommit(5, 99, 2)), // replayed commit
 	))
-	// Commit before begin, then chunk before begin.
+	// The same image as one whole-snapshot frame, then a diff onto it.
+	f.Add(frameSeq(
+		frame(msgPutImage, encodePut(putHead{kind: msgPutImage, id: 5, alloc: 1 * units.MiB}, snap)),
+		frame(msgPutDiff, encodePut(putHead{kind: msgPutDiff, id: 5}, chunks[1])),
+	))
+	// Commit before chunk 0, then a later chunk before chunk 0.
 	f.Add(frameSeq(
 		frame(msgPutCommit, encodePutCommit(3, 1, 1)),
-		frame(msgPutChunk, encodePutChunk(3, 1, 0, chunks[0])),
+		frame(msgPutDiff, encodePut(putHead{kind: msgPutDiff, id: 3, uploadID: 1, seq: 1}, chunks[0])),
 	))
-	// Truncated chunk header (payload shorter than the 16-byte prefix).
-	f.Add(frameSeq(frame(msgPutChunk, []byte{0, 0, 0, 5, 0, 0})))
-	// Truncated begin and commit payloads.
+	// Truncated chunk head (payload shorter than the 16-byte diff head).
+	f.Add(frameSeq(frame(msgPutDiff, []byte{0, 0, 0, 5, 0, 0})))
+	// Truncated image head and commit payloads.
 	f.Add(frameSeq(
-		frame(msgPutBegin, encodePutBegin(5, 99, putKindImage, 4096)[:11]),
+		frame(msgPutImage, encodePut(image(0), nil)[:11]),
 		frame(msgPutCommit, encodePutCommit(5, 99, 1)[:7]),
 	))
 	// Seq beyond the chunk limit and a zero-chunk commit.
 	f.Add(frameSeq(
-		frame(msgPutChunk, encodePutChunk(5, 99, maxUploadChunks, nil)),
+		frame(msgPutDiff, encodePut(putHead{kind: msgPutDiff, id: 5, uploadID: 99, seq: maxUploadChunks}, nil)),
 		frame(msgPutCommit, encodePutCommit(5, 99, 0)),
 	))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewServer(testSecret, nil)
+		// installed holds a successful put or commit to one readable image.
+		installed := func(id pagestore.VMID) {
+			im, err := s.Store().Get(id)
+			if err != nil {
+				t.Fatalf("upload to vm %04d left no image: %v", id, err)
+			}
+			if _, _, err := pagestore.EncodeAll(im); err != nil {
+				t.Fatalf("uploaded image does not re-encode: %v", err)
+			}
+		}
 		for off := 0; off+5 <= len(data); {
 			n := int(binary.BigEndian.Uint32(data[off:]))
 			typ := data[off+4]
@@ -168,24 +182,17 @@ func FuzzPutChunkFraming(f *testing.F) {
 			payload := data[off+5 : off+5+n]
 			off += 5 + n
 			switch typ {
-			case msgPutBegin:
-				id, uploadID, kind, alloc, err := parsePutBegin(payload)
+			case msgPutImage, msgPutDiff:
+				h, chunk, err := parsePut(typ, payload)
 				if err != nil {
 					continue
 				}
-				if got := encodePutBegin(id, uploadID, kind, alloc); !bytes.Equal(got, payload) {
-					t.Fatalf("PutBegin round trip diverged:\n in  %x\n out %x", payload, got)
+				if got := encodePut(h, chunk); !bytes.Equal(got, payload) {
+					t.Fatalf("put round trip diverged:\n in  %x\n out %x", payload, got)
 				}
-				s.putBegin(id, uploadID, kind, alloc)
-			case msgPutChunk:
-				id, uploadID, seq, chunk, err := parsePutChunk(payload)
-				if err != nil {
-					continue
+				if err := s.put(h, chunk); err == nil && h.uploadID == 0 {
+					installed(h.id)
 				}
-				if got := encodePutChunk(id, uploadID, seq, chunk); !bytes.Equal(got, payload) {
-					t.Fatalf("PutChunk round trip diverged:\n in  %x\n out %x", payload, got)
-				}
-				s.putChunk(id, uploadID, seq, chunk)
 			case msgPutCommit:
 				id, uploadID, nchunks, err := parsePutCommit(payload)
 				if err != nil {
@@ -195,15 +202,7 @@ func FuzzPutChunkFraming(f *testing.F) {
 					t.Fatalf("PutCommit round trip diverged:\n in  %x\n out %x", payload, got)
 				}
 				if err := s.putCommit(id, uploadID, nchunks); err == nil {
-					// A commit that succeeded must have installed a
-					// readable image.
-					im, err := s.Store().Get(id)
-					if err != nil {
-						t.Fatalf("committed upload %d left no image: %v", uploadID, err)
-					}
-					if _, _, err := pagestore.EncodeAll(im); err != nil {
-						t.Fatalf("committed image does not re-encode: %v", err)
-					}
+					installed(id)
 				}
 			}
 		}

@@ -64,7 +64,7 @@ func testPage(seed uint64) []byte {
 	return page
 }
 
-// TestPutChunkFramingZeroAlloc drives the real PutChunkRef path —
+// TestPutChunkFramingZeroAlloc drives the real staged-chunk path —
 // segment layout, session-MAC trailer, coalesced/vectored framing and
 // the empty-msgOK reply read — and requires zero heap allocations per
 // operation once warm.
@@ -99,13 +99,13 @@ func TestPutChunkFramingZeroAlloc(t *testing.T) {
 
 	// Warm the reusable scratch (bufs capacity, coalesce buffer).
 	for seq, ref := range refs {
-		if err := c.PutChunkRef(9, 1, uint32(seq), ref); err != nil {
+		if err := c.putChunk(putHead{kind: msgPutImage, id: 9, uploadID: 1, seq: uint32(seq)}, ref); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		for seq, ref := range refs {
-			if err := c.PutChunkRef(9, 1, uint32(seq), ref); err != nil {
+			if err := c.putChunk(putHead{kind: msgPutImage, id: 9, uploadID: 1, seq: uint32(seq)}, ref); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -171,10 +171,10 @@ func rawHandshake(t *testing.T, addr string, extra []byte) (net.Conn, error) {
 	return conn, nil
 }
 
-// putImagePayload lays out a PutImage request body followed by trailer.
+// putImagePayload lays out a whole-snapshot PutImage request body
+// followed by trailer.
 func putImagePayload(id uint32, alloc units.Bytes, snap, trailer []byte) []byte {
-	payload := binary.BigEndian.AppendUint32(nil, id)
-	payload = binary.BigEndian.AppendUint64(payload, uint64(alloc))
+	payload := appendPutHead(nil, putHead{kind: msgPutImage, id: pagestore.VMID(id), alloc: alloc})
 	return append(append(payload, snap...), trailer...)
 }
 
@@ -289,7 +289,7 @@ func TestStrippedCapabilityCannotDowngradeUploads(t *testing.T) {
 			case msgAuth:
 				payload = payload[:min(len(payload), sha256.Size)]
 			case msgPutImage:
-				payload[12+len(snap)/2] ^= 0x01
+				payload[24+len(snap)/2] ^= 0x01
 			}
 			if err := writeFrame(out, hdr[4], payload); err != nil {
 				return

@@ -248,7 +248,7 @@ func TestUploadMACTamperProperty(t *testing.T) {
 		frame := make([]byte, size+macLen)
 		sign := func() []byte {
 			copy(frame, payload)
-			copy(frame[size:], client.compute(msgPutChunk, payload))
+			copy(frame[size:], client.compute(msgPutDiff, payload))
 			return frame
 		}
 		refuse := func(what string, typ byte, f []byte) {
@@ -256,31 +256,31 @@ func TestUploadMACTamperProperty(t *testing.T) {
 			if _, err := server.verify(typ, f); err == nil {
 				t.Fatalf("%d-byte payload: %s verified", size, what)
 			}
-			if _, err := server.verify(msgPutChunk, sign()); err != nil {
+			if _, err := server.verify(msgPutDiff, sign()); err != nil {
 				t.Fatalf("%d-byte payload: the honest frame after %s: %v", size, what, err)
 			}
 		}
 		for bit := range 8 {
-			refuse(fmt.Sprintf("type bit %d", bit), msgPutChunk^1<<bit, sign())
+			refuse(fmt.Sprintf("type bit %d", bit), msgPutDiff^1<<bit, sign())
 		}
 		for bit := range 8 * len(frame) {
 			f := sign()
 			f[bit/8] ^= 1 << (bit % 8)
-			refuse(fmt.Sprintf("frame bit %d", bit), msgPutChunk, f)
+			refuse(fmt.Sprintf("frame bit %d", bit), msgPutDiff, f)
 		}
 		for cut := 1; cut <= macLen; cut++ {
-			refuse(fmt.Sprintf("tag cut by %d", cut), msgPutChunk, sign()[:size+macLen-cut])
+			refuse(fmt.Sprintf("tag cut by %d", cut), msgPutDiff, sign()[:size+macLen-cut])
 		}
 		first := bytes.Clone(sign())
 		second := sign()
-		if _, err := server.verify(msgPutChunk, second); err == nil {
+		if _, err := server.verify(msgPutDiff, second); err == nil {
 			t.Fatalf("%d-byte payload: the second frame verified first", size)
 		}
-		refuse("swapped frames", msgPutChunk, first)
+		refuse("swapped frames", msgPutDiff, first)
 	}
 }
 
-// BenchmarkSessionMAC measures the upload MAC over a PutChunk-shaped
+// BenchmarkSessionMAC measures the upload MAC over a staged-chunk-shaped
 // payload (a 24-byte prefix, then the chunk) of one page and of a
 // default ~4 MiB streaming chunk: signing on the client and verifying
 // on the server, each one GCM pass.
@@ -300,16 +300,16 @@ func BenchmarkSessionMAC(b *testing.B) {
 				m := sessionMAC(testSecret, nonce)
 				b.SetBytes(int64(len(prefix) + len(body)))
 				for range b.N {
-					m.compute(msgPutChunk, prefix, body)
+					m.compute(msgPutDiff, prefix, body)
 				}
 			})
 			b.Run("verify", func(b *testing.B) {
 				client, server := sessionMAC(testSecret, nonce), sessionMAC(testSecret, nonce)
-				payload := append(append(bytes.Clone(prefix), body...), client.compute(msgPutChunk, prefix, body)...)
+				payload := append(append(bytes.Clone(prefix), body...), client.compute(msgPutDiff, prefix, body)...)
 				b.SetBytes(int64(len(prefix) + len(body)))
 				for range b.N {
 					server.seq = 0 // verify the one signed frame again, as its first
-					if _, err := server.verify(msgPutChunk, payload); err != nil {
+					if _, err := server.verify(msgPutDiff, payload); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"oasis/internal/pagestore"
+	"oasis/internal/units"
 )
 
 // Message types.
@@ -31,47 +32,41 @@ const (
 	msgError                      // payload: error string
 	msgGetPage                    // u32 vmid | u64 pfn
 	msgPage                       // u16 token | payload (pagestore page encoding)
-	msgPutImage                   // u32 vmid | u64 alloc bytes | snapshot
-	msgPutDiff                    // u32 vmid | snapshot
+	msgPutImage                   // u32 vmid | u64 upload id | u32 seq | u64 alloc bytes | snapshot chunk
+	msgPutDiff                    // u32 vmid | u64 upload id | u32 seq | snapshot chunk
 	msgDeleteVM                   // u32 vmid
 	msgStats                      // -> msgStatsReply
 	msgStatsReply                 // JSON payload
 	msgSetServing                 // u8 bool: daemon actively serving (host asleep)
 	msgGetPages                   // u32 vmid | u32 n | n x u64 pfn (batch fetch)
 	msgPages                      // u32 n | n x (u64 pfn | u16 token | payload)
-	msgPutBegin                   // u32 vmid | u64 upload id | u8 kind | u64 alloc bytes
-	msgPutChunk                   // u32 vmid | u64 upload id | u32 seq | snapshot chunk
 	msgPutCommit                  // u32 vmid | u64 upload id | u32 chunk count
 )
 
-// maxFrame bounds a single protocol frame. Uploads stream whole snapshots,
-// which for a consolidating host can reach hundreds of MiB; 1 GiB is a
-// generous ceiling that still rejects corrupt lengths.
+// maxFrame bounds a single protocol frame. An upload frame carries a
+// whole snapshot when it fits, which for a consolidating host can reach
+// hundreds of MiB; 1 GiB is a generous ceiling that still rejects
+// corrupt lengths, and a larger snapshot streams in chunks.
 const maxFrame = 1 << 30
 
 // maxBatchPages bounds one GetPages batch (prefetchers chunk their work).
 const maxBatchPages = 4096
 
-// Chunked streaming upload (the write-side counterpart of the pipelined
-// prefetch path). A snapshot is split into self-contained snapshot
-// chunks and shipped concurrently over pool lanes:
+// Uploads. A snapshot travels as self-contained snapshot chunks, each in
+// a PutImage or PutDiff frame (the frame type is the upload's kind):
 //
-//	PutBegin(vmid, uploadID, kind, alloc)  open a staging upload
-//	PutChunk(vmid, uploadID, seq, chunk)   stage one chunk (any order)
-//	PutCommit(vmid, uploadID, n)           validate + apply atomically
+//	Put(vmid, 0, 0, chunk)           the whole snapshot, applied at once
+//	Put(vmid, uploadID, 0, chunk)    open a staged upload with chunk 0
+//	Put(vmid, uploadID, seq, chunk)  stage chunk seq (any order, any lane)
+//	PutCommit(vmid, uploadID, n)     validate + apply atomically
 //
-// Every frame is idempotent: re-sending a Begin keeps already-staged
-// chunks, a duplicate Chunk overwrites seq with identical bytes, and a
-// re-sent Commit of the last committed upload id acknowledges without
-// re-applying. Nothing touches the VM's live image until Commit, so a
-// client crash, breaker trip or killed connection mid-upload leaves the
-// previous image intact (the crash-atomicity DESIGN.md §10 argues).
-
-// Upload kinds carried by PutBegin.
-const (
-	putKindImage byte = 0 // full image: staged image replaces the VM's
-	putKindDiff  byte = 1 // differential: chunks apply onto the live image at commit
-)
+// Every frame is idempotent: a whole-snapshot put replaces or overwrites
+// with the same bytes, a re-sent chunk 0 or any duplicate chunk is
+// acknowledged without staging it again, and a chunk or Commit of the
+// last committed upload id acknowledges without re-applying. Nothing
+// touches the VM's live image until the commit, so a client crash,
+// breaker trip or killed connection mid-upload leaves the previous image
+// intact (the crash-atomicity DESIGN.md §10 argues).
 
 // maxUploadChunks bounds one staged upload. With the default ~4 MiB
 // chunks this allows 64 GiB in flight per VM, far beyond any guest
@@ -80,9 +75,9 @@ const maxUploadChunks = 16384
 
 // Amortized upload authentication. The HMAC challenge/response
 // handshake derives, on both ends, a per-connection AES-256 key from its
-// nonce, and every upload payload (PutImage, PutDiff, PutChunk) carries
-// a 16-byte AES-GCM tag under that key, bound to the frame's type and
-// its place in the connection's upload sequence. The server refuses an
+// nonce, and every upload payload (PutImage, PutDiff) carries a 16-byte
+// AES-GCM tag under that key, bound to the frame's type and its place
+// in the connection's upload sequence. The server refuses an
 // upload whose tag does not verify. There is nothing to negotiate: the
 // auth frame is exactly the 32-byte handshake MAC.
 const (
@@ -121,7 +116,8 @@ type sessionGCM struct {
 
 // compute returns the tag over the concatenation of segs as frame typ.
 // Past the head, the payload must lie in a single segment: every upload
-// shape is a fixed prefix of at most 24 bytes and one caller slice.
+// is a head of at most 24 bytes and a chunk, whose 8-byte chunk header
+// still fits the 32-byte head, then one caller slice.
 func (m *sessionGCM) compute(typ byte, segs ...[]byte) []byte {
 	n, tail := 0, []byte(nil)
 	for _, s := range segs {
@@ -237,20 +233,16 @@ func readFrameHdr(r io.Reader, hdr *[5]byte) (typ byte, payload []byte, err erro
 // readBufCap is the ceiling readFrameReuse keeps a connection's receive
 // buffer at: a buffer grown for one oversized frame is released after
 // use instead of pinning memory for the connection's lifetime.
-// Streaming-upload chunks (~4 MiB) stay under it, so the steady-state
-// upload path reads into one long-lived buffer with zero per-frame
-// allocations.
 const readBufCap = 8 << 20
 
 // readFrameReuse is readFrame with a caller-owned receive buffer: the
 // payload is read into *buf when capacity allows, growing (and, past
 // readBufCap, later shrinking) as needed, and is then valid only until
-// the next call; handlers that keep bytes of it copy them (see
-// putChunk). A PutImage or PutDiff payload is the exception: the image
-// keeps it whole, so it is read into a fresh buffer of exactly the
-// frame's length, which the caller owns, and *buf is left alone. The
-// connection's buffer never reaches an image, where it would pin its
-// spare capacity unseen by the held-bytes accounting.
+// the next call. An upload payload (PutImage, PutDiff) is the
+// exception: the image keeps it whole, so it is read into a fresh
+// buffer of exactly the frame's length, which the caller owns, and *buf
+// is left alone. The connection's buffer never reaches an image, where
+// it would pin its spare capacity unseen by the held-bytes accounting.
 func readFrameReuse(r io.Reader, hdr *[5]byte, buf *[]byte) (typ byte, payload []byte, err error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -385,53 +377,63 @@ func parsePagesReply(reply []byte) (map[pagestore.PFN][]byte, error) {
 	return out, nil
 }
 
-// Streaming-upload framing. As with GetPages, the encode/parse pairs are
-// the single definition of the wire layout, shared by client and server
-// and held to the round-trip and no-panic properties by
-// FuzzPutChunkFraming.
+// Upload framing. As with GetPages, the encode/parse pairs are the
+// single definition of the wire layout, shared by client and server and
+// held to the round-trip and no-panic properties by FuzzPutChunkFraming.
 //
-//	PutBegin:  u32 vmid | u64 upload id | u8 kind | u64 alloc
-//	PutChunk:  u32 vmid | u64 upload id | u32 seq | chunk bytes
+//	PutImage:  u32 vmid | u64 upload id | u32 seq | u64 alloc | chunk bytes
+//	PutDiff:   u32 vmid | u64 upload id | u32 seq | chunk bytes
 //	PutCommit: u32 vmid | u64 upload id | u32 chunk count
 
-// encodePutBegin builds a msgPutBegin payload.
-func encodePutBegin(id pagestore.VMID, uploadID uint64, kind byte, alloc uint64) []byte {
-	req := make([]byte, 0, 21)
-	req = binary.BigEndian.AppendUint32(req, uint32(id))
-	req = binary.BigEndian.AppendUint64(req, uploadID)
-	req = append(req, kind)
-	return binary.BigEndian.AppendUint64(req, alloc)
+// putHead is the head of a PutImage or PutDiff frame: which upload the
+// chunk after it belongs to. Upload id 0 is a whole snapshot, applied at
+// once; any other id is a staged upload, which its chunk 0 opens.
+type putHead struct {
+	kind     byte // msgPutImage or msgPutDiff
+	id       pagestore.VMID
+	uploadID uint64
+	seq      uint32
+	alloc    units.Bytes // the image's allocation; a diff carries none
 }
 
-// parsePutBegin decodes a msgPutBegin payload (exact length, known kind).
-func parsePutBegin(payload []byte) (id pagestore.VMID, uploadID uint64, kind byte, alloc uint64, err error) {
-	if len(payload) != 21 {
-		return 0, 0, 0, 0, errors.New("malformed PutBegin")
+// appendPutHead appends h's wire form to b.
+func appendPutHead(b []byte, h putHead) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(h.id))
+	b = binary.BigEndian.AppendUint64(b, h.uploadID)
+	b = binary.BigEndian.AppendUint32(b, h.seq)
+	if h.kind == msgPutImage {
+		b = binary.BigEndian.AppendUint64(b, uint64(h.alloc))
 	}
-	kind = payload[12]
-	if kind != putKindImage && kind != putKindDiff {
-		return 0, 0, 0, 0, fmt.Errorf("PutBegin: unknown upload kind %d", kind)
-	}
-	id = pagestore.VMID(binary.BigEndian.Uint32(payload))
-	uploadID = binary.BigEndian.Uint64(payload[4:])
-	alloc = binary.BigEndian.Uint64(payload[13:])
-	return id, uploadID, kind, alloc, nil
+	return b
 }
 
-// parsePutChunk decodes a msgPutChunk payload. The chunk bytes alias the
-// payload (no copy): readFrame allocates a fresh buffer per frame, so the
-// server may retain them.
-func parsePutChunk(payload []byte) (id pagestore.VMID, uploadID uint64, seq uint32, chunk []byte, err error) {
-	if len(payload) < 16 {
-		return 0, 0, 0, nil, errors.New("malformed PutChunk")
+// parsePut decodes a kind payload (msgPutImage or msgPutDiff). The chunk
+// bytes alias the payload (no copy): every upload frame is read into a
+// buffer of its own, which the image keeps.
+func parsePut(kind byte, payload []byte) (h putHead, chunk []byte, err error) {
+	name, n := "PutDiff", 16
+	if kind == msgPutImage {
+		name, n = "PutImage", 24
 	}
-	id = pagestore.VMID(binary.BigEndian.Uint32(payload))
-	uploadID = binary.BigEndian.Uint64(payload[4:])
-	seq = binary.BigEndian.Uint32(payload[12:])
-	if seq >= maxUploadChunks {
-		return 0, 0, 0, nil, fmt.Errorf("PutChunk: seq %d beyond the %d-chunk limit", seq, maxUploadChunks)
+	if len(payload) < n {
+		return h, nil, errors.New("malformed " + name)
 	}
-	return id, uploadID, seq, payload[16:], nil
+	h = putHead{
+		kind:     kind,
+		id:       pagestore.VMID(binary.BigEndian.Uint32(payload)),
+		uploadID: binary.BigEndian.Uint64(payload[4:]),
+		seq:      binary.BigEndian.Uint32(payload[12:]),
+	}
+	if kind == msgPutImage {
+		h.alloc = units.Bytes(binary.BigEndian.Uint64(payload[16:]))
+	}
+	switch {
+	case h.seq >= maxUploadChunks:
+		return h, nil, fmt.Errorf("%s: seq %d beyond the %d-chunk limit", name, h.seq, maxUploadChunks)
+	case h.uploadID == 0 && h.seq != 0:
+		return h, nil, fmt.Errorf("%s: chunk %d of a whole snapshot", name, h.seq)
+	}
+	return h, payload[n:], nil
 }
 
 // encodePutCommit builds a msgPutCommit payload.

@@ -56,11 +56,11 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 
-	// Chunked streaming uploads staged but not yet committed, plus the
-	// last committed upload id per VM (what makes a retried PutCommit
-	// after a lost reply an acknowledgement instead of an error). One
-	// pending upload per VM: a new upload id replaces a stale one, which
-	// is also how abandoned uploads from crashed clients get collected.
+	// Staged uploads not yet committed, plus the last committed upload
+	// id per VM (what makes a retried PutCommit after a lost reply an
+	// acknowledgement instead of an error). One pending upload per VM:
+	// a new upload id replaces a stale one, which is also how abandoned
+	// uploads from crashed clients get collected.
 	upMu      sync.Mutex
 	uploads   map[pagestore.VMID]*pendingUpload
 	committed map[pagestore.VMID]uint64
@@ -127,7 +127,7 @@ func (s *Server) SetConnWrapper(wrap func(net.Conn) net.Conn) { s.wrapConn = wra
 func (s *Server) Store() *pagestore.Store { return s.store }
 
 // InstallImage installs a full snapshot as a VM's image: the host-local
-// (SAS) path that bypasses the network, and the PutImage request's
+// (SAS) path that bypasses the network, and a whole-snapshot PutImage's
 // install on the buffer its frame was read into. The image takes
 // ownership of the snapshot: its entries are served from those bytes, so
 // the caller must not write to the snapshot after the call, whatever it
@@ -144,9 +144,9 @@ func (s *Server) InstallImage(id pagestore.VMID, alloc units.Bytes, snapshot []b
 }
 
 // ApplyDiff applies a differential snapshot to an existing image: the
-// host-local path, and the PutDiff request's commit over one chunk, so
-// every diff path counts the entries it adopted as uploaded pages. Like
-// InstallImage it takes ownership of the snapshot.
+// host-local path, and a whole-snapshot PutDiff's, so every diff path
+// counts the entries it adopted as uploaded pages. Like InstallImage it
+// takes ownership of the snapshot.
 func (s *Server) ApplyDiff(id pagestore.VMID, snapshot []byte) error {
 	n, err := s.applyDiff(id, [][]byte{snapshot})
 	if err != nil {
@@ -398,16 +398,6 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 		op.errors.Inc()
 		return writeFrame(conn, msgError, []byte(err.Error()))
 	}
-	// Upload payloads carry the session MAC trailer: verify and strip
-	// before parsing (one GCM pass per chunk; the upload sequence
-	// advances either way). A payload that fails is refused.
-	switch typ {
-	case msgPutImage, msgPutDiff, msgPutChunk:
-		var err error
-		if payload, err = scratch.upMAC.verify(typ, payload); err != nil {
-			return fail(err)
-		}
-	}
 	switch typ {
 	case msgGetPage:
 		if !s.serving.Load() {
@@ -458,42 +448,19 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 		s.bytesServed.Add(int64(len(out) - 5))
 		return scratch.finishReply(conn, out)
 
-	case msgPutImage:
-		if len(payload) < 12 {
-			return fail(errors.New("malformed PutImage"))
-		}
-		vmid := pagestore.VMID(binary.BigEndian.Uint32(payload))
-		alloc := units.Bytes(binary.BigEndian.Uint64(payload[4:]))
-		if err := s.InstallImage(vmid, alloc, payload[12:]); err != nil {
-			return fail(err)
-		}
-		return writeFrame(conn, msgOK, nil)
-
-	case msgPutDiff:
-		if len(payload) < 4 {
-			return fail(errors.New("malformed PutDiff"))
-		}
-		if err := s.ApplyDiff(pagestore.VMID(binary.BigEndian.Uint32(payload)), payload[4:]); err != nil {
-			return fail(err)
-		}
-		return writeFrame(conn, msgOK, nil)
-
-	case msgPutBegin:
-		vmid, uploadID, kind, alloc, err := parsePutBegin(payload)
+	case msgPutImage, msgPutDiff:
+		// An upload payload carries the session MAC trailer: verify and
+		// strip it before parsing (one GCM pass per frame; the upload
+		// sequence advances either way). A payload that fails is refused.
+		body, err := scratch.upMAC.verify(typ, payload)
 		if err != nil {
 			return fail(err)
 		}
-		if err := s.putBegin(vmid, uploadID, kind, alloc); err != nil {
-			return fail(err)
-		}
-		return writeFrame(conn, msgOK, nil)
-
-	case msgPutChunk:
-		vmid, uploadID, seq, chunk, err := parsePutChunk(payload)
+		h, chunk, err := parsePut(typ, body)
 		if err != nil {
 			return fail(err)
 		}
-		if err := s.putChunk(vmid, uploadID, seq, chunk); err != nil {
+		if err := s.put(h, chunk); err != nil {
 			return fail(err)
 		}
 		return writeFrame(conn, msgOK, nil)

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -749,9 +750,7 @@ type writeKind int
 
 const (
 	wImage writeKind = iota
-	wStreamImage
 	wDiff
-	wStreamDiff
 	wDelete
 )
 
@@ -759,30 +758,26 @@ func (k writeKind) String() string {
 	switch k {
 	case wImage:
 		return "PutImage"
-	case wStreamImage:
-		return "StreamImage"
 	case wDiff:
 		return "PutDiff"
-	case wDelete:
-		return "Delete"
 	default:
-		return "StreamDiff"
+		return "Delete"
 	}
 }
 
-func (k writeKind) image() bool { return k == wImage || k == wStreamImage }
+// wholeFrames is what PutImage and PutDiff send each backend: its part
+// in the largest chunks one frame carries, as memserver's own PutImage
+// and PutDiff do.
+var wholeFrames = memserver.PutOptions{ChunkBytes: math.MaxInt}
 
-// send issues the write k names against one backend's pool. An
-// unknown-VM answer to a delete is success: the VM is already gone.
+// send issues the write k names against one backend's pool, its part in
+// chunks as opts says. An unknown-VM answer to a delete is success: the
+// VM is already gone.
 func (k writeKind) send(p *memserver.ClientPool, id pagestore.VMID, alloc units.Bytes, part []byte, opts memserver.PutOptions) error {
 	switch k {
 	case wImage:
-		return p.PutImage(id, alloc, part)
-	case wStreamImage:
 		return p.StreamImage(id, alloc, part, opts)
 	case wDiff:
-		return p.PutDiff(id, part)
-	case wStreamDiff:
 		return p.StreamDiff(id, part, opts)
 	}
 	if err := p.Delete(id); !memserver.IsUnknownVM(err) {
@@ -805,7 +800,7 @@ func (c *Client) writeSnapshot(kind writeKind, id pagestore.VMID, alloc units.By
 		if err := c.writeSnapshotEpoch(st, kind, id, alloc, snapshot, opts); err != nil {
 			return err
 		}
-		if !kind.image() {
+		if kind != wImage {
 			return nil
 		}
 		// Publish, then validate: record the image (tagged with the
@@ -948,25 +943,24 @@ func (c *Client) sendPart(kind writeKind, ref *backendRef, id pagestore.VMID, al
 // an image — possibly holding no pages — so the whole fabric knows the
 // VM and later diffs and deletes are well-defined everywhere.
 func (c *Client) PutImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte) error {
-	return c.writeSnapshot(wImage, id, alloc, snapshot, memserver.PutOptions{})
+	return c.writeSnapshot(wImage, id, alloc, snapshot, wholeFrames)
 }
 
 // PutDiff applies a differential snapshot, partitioned like PutImage.
 func (c *Client) PutDiff(id pagestore.VMID, snapshot []byte) error {
-	return c.writeSnapshot(wDiff, id, 0, snapshot, memserver.PutOptions{})
+	return c.writeSnapshot(wDiff, id, 0, snapshot, wholeFrames)
 }
 
-// StreamImage uploads a full image through each backend's chunked
-// streaming path, all backends in parallel (the detach pipeline's
-// per-server overlap, multiplied across the fabric).
+// StreamImage is PutImage with each backend's part in chunks as opts
+// says, all backends in parallel (the detach pipeline's per-server
+// overlap, multiplied across the fabric).
 func (c *Client) StreamImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte, opts memserver.PutOptions) error {
-	return c.writeSnapshot(wStreamImage, id, alloc, snapshot, opts)
+	return c.writeSnapshot(wImage, id, alloc, snapshot, opts)
 }
 
-// StreamDiff uploads a differential snapshot through each backend's
-// chunked streaming path.
+// StreamDiff is PutDiff with each backend's part in chunks as opts says.
 func (c *Client) StreamDiff(id pagestore.VMID, snapshot []byte, opts memserver.PutOptions) error {
-	return c.writeSnapshot(wStreamDiff, id, 0, snapshot, opts)
+	return c.writeSnapshot(wDiff, id, 0, snapshot, opts)
 }
 
 // Delete frees the VM's image on every backend (including an outgoing

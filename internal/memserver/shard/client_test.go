@@ -3,21 +3,26 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"oasis/internal/memserver"
 	"oasis/internal/pagestore"
 	"oasis/internal/rng"
+	"oasis/internal/telemetry"
 	"oasis/internal/units"
 )
 
 var testSecret = []byte("shard-test")
 
-// fabric is a loopback shard fabric: n real memory servers plus a
-// client over them with test-sized retry budgets.
+// fabric is a loopback shard fabric: n real memory servers, each with
+// its metrics on a registry of its own, plus a client over them with
+// test-sized retry budgets.
 type fabric struct {
 	servers []*memserver.Server
+	regs    []*telemetry.Registry
 	addrs   []string
 	client  *Client
 }
@@ -26,12 +31,14 @@ func newFabric(t *testing.T, n int, cfg Config) *fabric {
 	t.Helper()
 	f := &fabric{}
 	for i := 0; i < n; i++ {
-		srv := memserver.NewServer(testSecret, nil)
+		srv, reg := memserver.NewServer(testSecret, nil), telemetry.NewRegistry()
+		srv.SetMetricsRegistry(reg)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		f.servers = append(f.servers, srv)
+		f.regs = append(f.regs, reg)
 		f.addrs = append(f.addrs, addr.String())
 	}
 	t.Cleanup(func() {
@@ -218,6 +225,67 @@ func TestShardStreamImageMatchesPutImage(t *testing.T) {
 	}
 	if got := readBack(t, put.client, vmid, im); !bytes.Equal(got, want) {
 		t.Fatal("one-shot shard upload diverges from the source image")
+	}
+}
+
+// requestFrames returns the request frames each backend of f has
+// handled: every frame after the handshake is one op, whatever its label.
+func (f *fabric) requestFrames(t *testing.T) []float64 {
+	t.Helper()
+	n := make([]float64, len(f.regs))
+	for i, reg := range f.regs {
+		var text strings.Builder
+		if err := reg.WriteText(&text, "oasis_memserver_ops_total"); err != nil {
+			t.Fatal(err)
+		}
+		for _, field := range strings.Fields(text.String()) {
+			if v, err := strconv.ParseFloat(field, 64); err == nil {
+				n[i] += v
+			}
+		}
+	}
+	return n
+}
+
+// TestShardOneChunkDiffIsOneFramePerBackend: a diff whose every backend
+// part fits one chunk reaches each backend as a single frame, applied
+// at once, and the fabric serves the dirtied image.
+func TestShardOneChunkDiffIsOneFramePerBackend(t *testing.T) {
+	const vmid = pagestore.VMID(74)
+	im := testImage(t, 4, 128)
+	snap, _, err := pagestore.EncodeAll(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFabric(t, 3, Config{Replicas: 2, RangePages: 8})
+	if err := f.client.PutImage(vmid, im.Alloc(), snap); err != nil {
+		t.Fatal(err)
+	}
+	epoch := im.NextEpoch()
+	for pfn := pagestore.PFN(0); int64(pfn) < im.NumPages(); pfn += 5 {
+		if err := im.Write(pfn, bytes.Repeat([]byte{0xD2}, int(units.PageSize))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	diff, _, err := pagestore.EncodeDirtySince(im, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := f.requestFrames(t)
+	if err := f.client.StreamDiff(vmid, diff, memserver.PutOptions{Streams: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range f.requestFrames(t) {
+		if n-before[i] != 1 {
+			t.Errorf("backend %d took %v request frames for its one-chunk part, want 1", i, n-before[i])
+		}
+	}
+	want, _, err := pagestore.EncodeAll(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readBack(t, f.client, vmid, im); !bytes.Equal(got, want) {
+		t.Fatal("post-diff read-back diverges from the dirtied image")
 	}
 }
 

@@ -320,7 +320,7 @@ func (c *Client) popReplayed(addr string, h hint) {
 // repairVM needs; taking it again would wedge the recovery goroutine.
 func (c *Client) replayOne(ref *backendRef, h hint) error {
 	err := c.sendPart(h.kind, ref, h.vm, h.alloc, h.part, h.opts)
-	if (h.kind == wDiff || h.kind == wStreamDiff) && memserver.IsUnknownVM(err) {
+	if h.kind == wDiff && memserver.IsUnknownVM(err) {
 		return c.repairVM(ref, h.vm)
 	}
 	return err

@@ -126,16 +126,11 @@ func TestHostilePutPaths(t *testing.T) {
 			check("InstallImage", tc.want, srv.InstallImage(id, alloc, snap))
 			check("ApplyDiff", tc.want, srv.ApplyDiff(id, snap))
 
-			if err := c.PutBegin(id, 70, putKindImage, alloc); err != nil {
-				t.Fatal(err)
-			}
-			check("PutChunk image", remote+"chunk 0 of upload 70 for vm 0009: "+tc.want, c.PutChunkRef(id, 70, 0, chunk))
+			imageChunk := putHead{kind: msgPutImage, id: id, uploadID: 70, alloc: alloc}
+			check("PutChunk image", remote+"chunk 0 of upload 70 for vm 0009: "+tc.want, c.putChunk(imageChunk, chunk))
 			check("PutCommit image", remote+"upload 70 missing chunk 0/1", c.PutCommit(id, 70, 1))
 
-			if err := c.PutBegin(id, 71, putKindDiff, 0); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.PutChunkRef(id, 71, 0, chunk); err != nil {
+			if err := c.putChunk(putHead{kind: msgPutDiff, id: id, uploadID: 71}, chunk); err != nil {
 				t.Fatalf("a diff chunk is only held until commit, got %v", err)
 			}
 			check("PutCommit diff", remote+tc.want, c.PutCommit(id, 71, 1))

@@ -31,10 +31,6 @@ func opName(typ byte) string {
 		return "stats"
 	case msgSetServing:
 		return "set_serving"
-	case msgPutBegin:
-		return "put_begin"
-	case msgPutChunk:
-		return "put_chunk"
 	case msgPutCommit:
 		return "put_commit"
 	default:
@@ -87,7 +83,7 @@ func newServerTel(r *telemetry.Registry) *serverTel {
 			"Pages requested per GetPages batch.",
 			telemetry.ExpBuckets(1, 2, 13)),
 		applySecs: r.Histogram("oasis_memserver_apply_seconds",
-			"Commit-time decode/apply latency of a staged chunked upload.",
+			"Commit-time decode/apply latency of a staged upload.",
 			telemetry.ExpBuckets(1e-5, 2, 20)),
 		storeLive: r.Gauge("oasis_memserver_store_live_bytes",
 			"Bytes of page entries the stored images serve as they arrived."),
@@ -98,8 +94,7 @@ func newServerTel(r *telemetry.Registry) *serverTel {
 		ops: make(map[byte]opTel),
 	}
 	for _, typ := range []byte{msgGetPage, msgGetPages, msgPutImage, msgPutDiff,
-		msgDeleteVM, msgStats, msgSetServing,
-		msgPutBegin, msgPutChunk, msgPutCommit, 0 /* unknown */} {
+		msgDeleteVM, msgStats, msgSetServing, msgPutCommit, 0 /* unknown */} {
 		op := opName(typ)
 		t.ops[typ] = opTel{
 			total: r.Counter("oasis_memserver_ops_total",
@@ -214,10 +209,10 @@ func newPoolTel(r *telemetry.Registry, name string) *poolTel {
 	}
 }
 
-// putTel bundles the streaming-upload client instruments. Like the pool
-// metrics they live in the oasis_client_* namespace under the same
-// client label, so one scrape shows an upload's chunk rate next to the
-// lanes carrying it.
+// putTel bundles the upload client instruments. Like the pool metrics
+// they live in the oasis_client_* namespace under the same client label,
+// so one scrape shows an upload's chunk rate next to the lanes carrying
+// it.
 type putTel struct {
 	chunks   *telemetry.Counter
 	inflight *telemetry.Gauge
@@ -228,7 +223,7 @@ func newPutTel(r *telemetry.Registry, name string) *putTel {
 	r, l := clientSeries(r, name)
 	return &putTel{
 		chunks: r.Counter("oasis_client_put_chunks_total",
-			"Snapshot chunks shipped by streaming uploads.", l),
+			"Snapshot chunks shipped by uploads, whole-snapshot frames included.", l),
 		inflight: r.Gauge("oasis_client_put_inflight",
 			"Upload chunks currently in flight.", l),
 		retried: r.Counter("oasis_client_put_retried_total",

@@ -9,21 +9,28 @@ import (
 	"oasis/internal/units"
 )
 
-// Client side of the chunked streaming upload protocol: split a snapshot
-// into self-contained chunks and ship up to Streams of them at once.
-// Over a ClientPool the concurrent chunks land on different lanes,
-// overlapping framing, wire transfer and server-side staging the way the
-// prefetch path overlaps batch fetches; over a single Client they queue
-// on the one connection. Either way the server-side result is bit-for-bit
-// that of PutImage/PutDiff — streaming is a pure latency optimisation.
+// Client side of the upload protocol, one function behind PutImage,
+// PutDiff, StreamImage and StreamDiff. A snapshot that fits one chunk
+// goes as a single frame the server applies at once. A larger one is
+// split into self-contained chunks: chunk 0 opens a staged upload, the
+// rest follow up to Streams at a time, and a commit applies them. Over a
+// ClientPool the concurrent chunks land on different lanes, overlapping
+// framing, wire transfer and server-side staging the way the prefetch
+// path overlaps batch fetches; over a single Client they queue on the
+// one connection. Either way the server-side result is bit-for-bit the
+// same — chunking is a pure latency and frame-size matter.
 
 // DefaultChunkBytes is the streaming-upload chunk budget. 4 MiB keeps a
 // chunk well under the frame ceiling while leaving enough chunks to keep
 // every lane busy for the multi-hundred-MiB images consolidation ships.
 const DefaultChunkBytes = 4 << 20
 
-// chunkRetries bounds uploader-level re-issues of one chunk beyond the
-// retry budget the exchanger gives each attempt.
+// maxChunkBytes is the largest chunk one frame carries: the frame
+// ceiling less an image frame's head and the MAC trailer.
+const maxChunkBytes = maxFrame - 24 - macLen
+
+// chunkRetries bounds uploader-level re-issues of one staged chunk
+// beyond the retry budget the exchanger gives each attempt.
 const chunkRetries = 2
 
 // PutOptions tunes a streaming upload.
@@ -33,115 +40,145 @@ type PutOptions struct {
 	Streams int
 	// ChunkBytes bounds one chunk's encoded size. <= 0 takes
 	// DefaultChunkBytes; values too small for a single raw page are
-	// raised to the minimum by pagestore.SplitSnapshot.
+	// raised to the minimum by pagestore.SplitSnapshot, and values
+	// over what one frame carries are lowered to that.
 	ChunkBytes int
 }
 
 func (o PutOptions) withDefaults() PutOptions {
-	if o.Streams <= 0 {
-		o.Streams = 1
-	}
+	o.Streams = max(o.Streams, 1)
 	if o.ChunkBytes <= 0 {
 		o.ChunkBytes = DefaultChunkBytes
 	}
+	o.ChunkBytes = min(o.ChunkBytes, maxChunkBytes)
 	return o
 }
 
 // uploadSeq allocates process-unique upload ids. Uniqueness only matters
 // per VM per server lifetime (the server keys staging by id and remembers
-// the last committed one), so a process-wide counter is plenty.
+// the last committed one), so a process-wide counter is plenty. Id 0 is
+// never allocated: it marks a whole-snapshot frame.
 var uploadSeq atomic.Uint64
 
-// StreamImage uploads a full snapshot as a VM's image through the
-// chunked streaming protocol. The image becomes visible atomically at
-// commit; a failure anywhere leaves the VM's previous image intact.
+// PutImage uploads a full snapshot as a VM's image, replacing any prior
+// image for that VMID (so replaying it yields the same image). A
+// snapshot one frame carries goes as that frame, its bytes sent without
+// an intermediate copy; a larger one streams.
+func (o ops) PutImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte) error {
+	return o.StreamImage(id, alloc, snapshot, PutOptions{ChunkBytes: maxChunkBytes})
+}
+
+// PutDiff applies a differential snapshot to an existing image (§4.3
+// differential upload), in frames as PutImage sends. Diffs carry
+// absolute page contents, so applying one twice is a no-op.
+func (o ops) PutDiff(id pagestore.VMID, snapshot []byte) error {
+	return o.StreamDiff(id, snapshot, PutOptions{ChunkBytes: maxChunkBytes})
+}
+
+// StreamImage uploads a full snapshot as a VM's image in chunks of
+// opts.ChunkBytes. The image becomes visible atomically; a failure
+// anywhere leaves the VM's previous image intact.
 func (o ops) StreamImage(id pagestore.VMID, alloc units.Bytes, snapshot []byte, opts PutOptions) error {
-	return o.streamUpload(id, putKindImage, alloc, snapshot, opts)
+	return o.upload(putHead{kind: msgPutImage, id: id, alloc: alloc}, snapshot, opts)
 }
 
-// StreamDiff uploads a differential snapshot through the chunked
-// streaming protocol; the diff applies to the live image atomically at
-// commit after full validation.
+// StreamDiff uploads a differential snapshot in chunks of
+// opts.ChunkBytes; the diff applies to the live image atomically after
+// full validation.
 func (o ops) StreamDiff(id pagestore.VMID, snapshot []byte, opts PutOptions) error {
-	return o.streamUpload(id, putKindDiff, 0, snapshot, opts)
+	return o.upload(putHead{kind: msgPutDiff, id: id}, snapshot, opts)
 }
 
-func (o ops) streamUpload(id pagestore.VMID, kind byte, alloc units.Bytes, snapshot []byte, opts PutOptions) error {
+// upload sends snapshot as h.kind frames: one whole-snapshot frame if it
+// fits a chunk, else a staged upload. Chunk references point back into
+// the snapshot buffer — no copies; the connection's vectored send
+// stitches header and body on the wire.
+func (o ops) upload(h putHead, snapshot []byte, opts PutOptions) error {
 	opts = opts.withDefaults()
-	// Chunk references point back into the snapshot buffer — no copies;
-	// the connection's vectored send stitches header+body on the wire.
-	chunks, err := pagestore.SplitSnapshotRefs(snapshot, opts.ChunkBytes)
-	if err != nil {
-		return fmt.Errorf("memserver: split snapshot: %w", err)
+	chunks := []pagestore.ChunkRef{{Body: snapshot}}
+	if len(snapshot) > opts.ChunkBytes {
+		var err error
+		if chunks, err = pagestore.SplitSnapshotRefs(snapshot, opts.ChunkBytes); err != nil {
+			return fmt.Errorf("memserver: split snapshot: %w", err)
+		}
+		if len(chunks) > maxUploadChunks {
+			return fmt.Errorf("memserver: snapshot needs %d chunks, limit %d (raise ChunkBytes)", len(chunks), maxUploadChunks)
+		}
 	}
-	if len(chunks) > maxUploadChunks {
-		return fmt.Errorf("memserver: snapshot needs %d chunks, limit %d (raise ChunkBytes)", len(chunks), maxUploadChunks)
-	}
-	uploadID := uploadSeq.Add(1)
-	if err := o.PutBegin(id, uploadID, kind, alloc); err != nil {
-		return err
-	}
-	if err := o.shipChunks(id, uploadID, chunks, opts.Streams); err != nil {
-		return err
-	}
-	return o.PutCommit(id, uploadID, uint32(len(chunks)))
-}
-
-// shipChunks sends every chunk, keeping up to streams in flight. Each
-// chunk gets uploader-level re-issues on top of the exchanger's own
-// retries: over a pool a re-issued chunk lands on a (likely) different
-// lane, and the server treats duplicates as idempotent overwrites.
-func (o ops) shipChunks(id pagestore.VMID, uploadID uint64, chunks []pagestore.ChunkRef, streams int) error {
 	tel := o.put
 	if tel == nil {
 		tel = newPutTel(nil, "")
 	}
-	send := func(seq int) error {
-		tel.inflight.Inc()
-		defer tel.inflight.Dec()
-		var err error
-		for attempt := 0; attempt <= chunkRetries; attempt++ {
-			if attempt > 0 {
-				tel.retried.Inc()
-			}
-			if err = o.PutChunkRef(id, uploadID, uint32(seq), chunks[seq]); err == nil {
-				tel.chunks.Inc()
-				return nil
-			}
-		}
-		return fmt.Errorf("chunk %d/%d: %w", seq, len(chunks), err)
+	if len(chunks) == 1 {
+		return o.sendChunk(tel, h, chunks[0])
 	}
+	h.uploadID = uploadSeq.Add(1)
+	if err := o.shipChunks(tel, h, chunks, opts.Streams); err != nil {
+		return err
+	}
+	return o.PutCommit(h.id, h.uploadID, uint32(len(chunks)))
+}
 
-	if streams > len(chunks) {
-		streams = len(chunks)
+// sendChunk ships one chunk and counts it. A staged chunk gets
+// chunkRetries re-issues on top of the exchanger's own retries: over a
+// pool a re-issue lands on a (likely) different lane, and the server
+// acknowledges a duplicate without staging it again. A whole snapshot
+// keeps the exchanger's mutating budget alone.
+func (o ops) sendChunk(tel *putTel, h putHead, chunk pagestore.ChunkRef) error {
+	tel.inflight.Inc()
+	defer tel.inflight.Dec()
+	reissues := 0
+	if h.uploadID != 0 {
+		reissues = chunkRetries
 	}
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		mu   sync.Mutex
-		errs []error
-	)
-	for w := 0; w < streams; w++ {
+	var err error
+	for attempt := 0; attempt <= reissues; attempt++ {
+		if attempt > 0 {
+			tel.retried.Inc()
+		}
+		if err = o.putChunk(h, chunk); err == nil {
+			tel.chunks.Inc()
+			return nil
+		}
+	}
+	return err
+}
+
+// shipChunks sends every chunk of a staged upload: chunk 0 first, which
+// opens the upload, then the rest with up to streams in flight.
+func (o ops) shipChunks(tel *putTel, h putHead, chunks []pagestore.ChunkRef, streams int) error {
+	send := func(seq int) error {
+		h := h
+		h.seq = uint32(seq)
+		if err := o.sendChunk(tel, h, chunks[seq]); err != nil {
+			return fmt.Errorf("memserver: streaming upload: chunk %d/%d: %w", seq, len(chunks), err)
+		}
+		return nil
+	}
+	if err := send(0); err != nil {
+		return err
+	}
+	seqs := make(chan int, len(chunks)-1)
+	for seq := 1; seq < len(chunks); seq++ {
+		seqs <- seq
+	}
+	close(seqs)
+	workers := min(streams, len(chunks)-1)
+	errs := make(chan error, workers) // one send at most per worker
+	var wg sync.WaitGroup
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				seq := int(next.Add(1)) - 1
-				if seq >= len(chunks) {
-					return
-				}
+			for seq := range seqs {
 				if err := send(seq); err != nil {
-					mu.Lock()
-					errs = append(errs, err)
-					mu.Unlock()
+					errs <- err
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if len(errs) > 0 {
-		return fmt.Errorf("memserver: streaming upload: %w", errs[0])
-	}
-	return nil
+	close(errs)
+	return <-errs // the first error, or nil from the closed, empty channel
 }

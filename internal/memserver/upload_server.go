@@ -7,22 +7,22 @@ import (
 	"time"
 
 	"oasis/internal/pagestore"
-	"oasis/internal/units"
 )
 
-// Server side of the chunked streaming upload protocol (see proto.go for
-// the framing and DESIGN.md §10 for the crash-atomicity argument). The
-// life of an upload:
+// Server side of the upload protocol (see proto.go for the framing and
+// DESIGN.md §10 for the crash-atomicity argument). A whole snapshot
+// (upload id 0) is installed or applied as it arrives, like the
+// host-local InstallImage and ApplyDiff. The life of a staged upload:
 //
-//  1. PutBegin opens a staging entry keyed by VMID. A full-image upload
+//  1. Chunk 0 opens a staging entry keyed by VMID. A full-image upload
 //     also opens a private staging image. The VM's live image is not
 //     touched.
-//  2. PutChunks arrive in any order and over any mix of connections.
-//     Either kind is copied once, into the buffer the image will keep
-//     (the receive buffer is reused). A full-image chunk is checked and
-//     adopted by the staging image as it arrives, overlapping the wire
-//     transfer of later chunks. A diff chunk is only held (a diff must
-//     not touch the live image before commit).
+//  2. The other chunks arrive in any order and over any mix of
+//     connections, each kept in the buffer its frame was read into. A
+//     full-image chunk is checked and adopted by the staging image as it
+//     arrives, overlapping the wire transfer of later chunks. A diff
+//     chunk is only held (a diff must not touch the live image before
+//     commit).
 //  3. PutCommit waits for in-flight chunks, checks every chunk 0..n-1
 //     arrived, and only then makes the result visible: the staging
 //     image is swapped into the store; a diff is fully validated
@@ -37,18 +37,15 @@ import (
 // pendingUpload is one VM's staged, uncommitted upload.
 type pendingUpload struct {
 	uploadID uint64
-	kind     byte
-	alloc    units.Bytes
-	// seqs tracks staged chunk numbers. For a full image, true means
-	// the staging image adopted the chunk and false means a connection
-	// claimed the seq and is checking it; for a diff every staged seq is
-	// true.
-	seqs map[uint32]bool
+	kind     byte // msgPutImage or msgPutDiff
+	// chunks holds the staged chunks by seq: a diff's until commit, a
+	// full image's as adopted by staging, where nil marks a seq a
+	// connection claimed and is checking (a chunk that arrived lies in
+	// its frame's buffer, so none is nil).
+	chunks map[uint32][]byte
 	// staging receives full-image chunks as they arrive; the store swap
 	// at commit is what makes it visible.
 	staging *pagestore.Image
-	// chunks holds diff chunks (owned copies) until commit.
-	chunks map[uint32][]byte
 	// inflight counts chunks on their way into staging right now;
 	// commit waits for it after sealing.
 	inflight sync.WaitGroup
@@ -57,64 +54,58 @@ type pendingUpload struct {
 	sealed bool
 }
 
-// putBegin opens (or idempotently re-opens) a staging upload. A different
-// upload id replaces any stale pending upload for the VM, collecting
-// chunks abandoned by a crashed client.
-func (s *Server) putBegin(id pagestore.VMID, uploadID uint64, kind byte, alloc uint64) error {
-	if kind == putKindDiff {
-		// A diff needs an existing image to land on; reject at begin so
-		// the client learns before shipping chunks.
+// put applies one PutImage or PutDiff frame's chunk: a whole snapshot
+// at once (upload id 0), or one chunk of a staged upload.
+func (s *Server) put(h putHead, chunk []byte) error {
+	switch {
+	case h.uploadID != 0:
+		return s.putChunk(h, chunk)
+	case h.kind == msgPutImage:
+		return s.InstallImage(h.id, h.alloc, chunk)
+	default:
+		return s.ApplyDiff(h.id, chunk)
+	}
+}
+
+// putChunk stages one chunk of a staged upload. Chunk 0 opens the
+// upload, replacing a stale pending one for the VM (collecting chunks
+// abandoned by a crashed client); any other chunk joins only the open
+// upload with its id. Duplicate sequence numbers — chunk 0 included —
+// are acknowledged without re-applying (the retried frame carries
+// identical bytes), and so are chunks of the VM's last committed upload.
+// The image keeps the chunk where it lies: the frame's own buffer.
+func (s *Server) putChunk(h putHead, chunk []byte) error {
+	id, uploadID, seq := h.id, h.uploadID, h.seq
+	if seq == 0 && h.kind == msgPutDiff {
+		// A diff needs an existing image to land on; refuse at open so
+		// the client learns before shipping the rest.
 		if _, err := s.store.Get(id); err != nil {
 			return err
 		}
 	}
-	p := &pendingUpload{
-		uploadID: uploadID,
-		kind:     kind,
-		alloc:    units.Bytes(alloc),
-		seqs:     make(map[uint32]bool),
-	}
-	if kind == putKindImage {
-		p.staging = pagestore.NewImage(units.Bytes(alloc))
-	} else {
-		p.chunks = make(map[uint32][]byte)
-	}
-	s.upMu.Lock()
-	defer s.upMu.Unlock()
-	if cur := s.uploads[id]; cur != nil && cur.uploadID == uploadID {
-		return nil // retried Begin: keep already-staged chunks
-	}
-	s.uploads[id] = p
-	return nil
-}
-
-// putChunk stages one chunk. Duplicate sequence numbers are acknowledged
-// without re-applying (the retried frame carries identical bytes);
-// chunks for an already-committed upload id are acknowledged as no-ops.
-// The chunk slice is only borrowed: what is kept is a copy — the caller
-// may reuse the buffer.
-func (s *Server) putChunk(id pagestore.VMID, uploadID uint64, seq uint32, chunk []byte) error {
 	s.upMu.Lock()
 	p := s.uploads[id]
-	if p == nil || p.uploadID != uploadID {
-		committed := s.committed[id] == uploadID
-		s.upMu.Unlock()
-		if committed {
+	if p == nil || p.uploadID != uploadID || p.kind != h.kind {
+		if s.committed[id] == uploadID {
+			s.upMu.Unlock()
 			return nil // late retry of a chunk whose upload already committed
 		}
-		return fmt.Errorf("no open upload %d for vm %04d (PutBegin first)", uploadID, id)
+		if seq != 0 {
+			s.upMu.Unlock()
+			return fmt.Errorf("no open upload %d for vm %04d (chunk 0 opens it)", uploadID, id)
+		}
+		p = &pendingUpload{uploadID: uploadID, kind: h.kind, chunks: make(map[uint32][]byte)}
+		if h.kind == msgPutImage {
+			p.staging = pagestore.NewImage(h.alloc)
+		}
+		s.uploads[id] = p
 	}
-	if _, dup := p.seqs[seq]; dup {
+	if _, dup := p.chunks[seq]; dup {
 		s.upMu.Unlock()
 		return nil // duplicate: already staged or decoding right now
 	}
-	if len(p.seqs) >= maxUploadChunks {
-		s.upMu.Unlock()
-		return fmt.Errorf("upload %d for vm %04d exceeds %d chunks", uploadID, id, maxUploadChunks)
-	}
-	if p.kind == putKindDiff {
-		p.chunks[seq] = append([]byte(nil), chunk...)
-		p.seqs[seq] = true
+	if p.kind == msgPutDiff {
+		p.chunks[seq] = chunk
 		s.upMu.Unlock()
 		return nil
 	}
@@ -125,19 +116,19 @@ func (s *Server) putChunk(id pagestore.VMID, uploadID uint64, seq uint32, chunk 
 	// Full image: claim the seq and check the chunk into the staging
 	// image outside the lock — arrival-time application is what overlaps
 	// validation with the wire.
-	p.seqs[seq] = false
+	p.chunks[seq] = nil
 	p.inflight.Add(1)
 	staging := p.staging
 	s.upMu.Unlock()
 
-	_, err := s.adopt(staging, append([]byte(nil), chunk...))
+	_, err := s.adopt(staging, chunk)
 
 	s.upMu.Lock()
 	if cur := s.uploads[id]; cur == p {
 		if err != nil {
-			delete(p.seqs, seq) // un-claim so a re-send can retry
+			delete(p.chunks, seq) // un-claim so a re-send can retry
 		} else {
-			p.seqs[seq] = true
+			p.chunks[seq] = chunk
 		}
 	}
 	s.upMu.Unlock()
@@ -164,11 +155,10 @@ func (s *Server) putCommit(id pagestore.VMID, uploadID uint64, n uint32) error {
 	}
 
 	start := time.Now()
-	var pages int64
-	switch p.kind {
-	case putKindImage:
-		// Seal against new decodes, wait out the in-flight ones, then
-		// verify coverage. The store swap below is the commit point.
+	if p.kind == msgPutImage {
+		// Seal against new decodes and wait out the in-flight ones
+		// before checking coverage. The store swap below is the commit
+		// point.
 		p.sealed = true
 		s.upMu.Unlock()
 		p.inflight.Wait()
@@ -177,39 +167,20 @@ func (s *Server) putCommit(id pagestore.VMID, uploadID uint64, n uint32) error {
 			s.upMu.Unlock()
 			return fmt.Errorf("upload %d for vm %04d superseded during commit", uploadID, id)
 		}
-		if err := p.verifySeqs(n); err != nil {
-			p.sealed = false // let the client re-send what is missing
-			s.upMu.Unlock()
-			return err
-		}
+	}
+	chunks, err := p.inOrder(n)
+	if err != nil {
+		p.sealed = false // let the client re-send what is missing
 		s.upMu.Unlock()
+		return err
+	}
+	s.upMu.Unlock()
+	var pages int64
+	if p.kind == msgPutImage {
 		s.store.Put(id, p.staging)
 		pages = p.staging.TouchedPages()
-
-	case putKindDiff:
-		chunks := make([][]byte, n)
-		for i := uint32(0); i < n; i++ {
-			c, ok := p.chunks[i]
-			if !ok {
-				s.upMu.Unlock()
-				return fmt.Errorf("upload %d for vm %04d missing chunk %d/%d", uploadID, id, i, n)
-			}
-			chunks[i] = c
-		}
-		if uint32(len(p.chunks)) != n {
-			s.upMu.Unlock()
-			return fmt.Errorf("upload %d for vm %04d has %d chunks, commit says %d", uploadID, id, len(p.chunks), n)
-		}
-		s.upMu.Unlock()
-		var err error
-		pages, err = s.applyDiff(id, chunks)
-		if err != nil {
-			return err
-		}
-
-	default:
-		s.upMu.Unlock()
-		return fmt.Errorf("unknown upload kind %d", p.kind)
+	} else if pages, err = s.applyDiff(id, chunks); err != nil {
+		return err
 	}
 	s.tel.applySecs.Observe(sinceSeconds(start))
 	s.pagesUploaded.Add(pages)
@@ -223,26 +194,26 @@ func (s *Server) putCommit(id pagestore.VMID, uploadID uint64, n uint32) error {
 	return s.stored(id)
 }
 
-// verifySeqs checks chunks 0..n-1 all finished staging. Callers hold
-// s.upMu.
-func (p *pendingUpload) verifySeqs(n uint32) error {
-	for i := uint32(0); i < n; i++ {
-		done, ok := p.seqs[i]
-		if !ok || !done {
-			return fmt.Errorf("upload %d missing chunk %d/%d", p.uploadID, i, n)
+// inOrder returns chunks 0..n-1, checking that every one finished
+// staging and that no other was staged. Callers hold s.upMu.
+func (p *pendingUpload) inOrder(n uint32) ([][]byte, error) {
+	chunks := make([][]byte, n)
+	for i := range chunks {
+		if chunks[i] = p.chunks[uint32(i)]; chunks[i] == nil {
+			return nil, fmt.Errorf("upload %d missing chunk %d/%d", p.uploadID, i, n)
 		}
 	}
-	if uint32(len(p.seqs)) != n {
-		return fmt.Errorf("upload %d has %d chunks, commit says %d", p.uploadID, len(p.seqs), n)
+	if uint32(len(p.chunks)) != n {
+		return nil, fmt.Errorf("upload %d has %d chunks, commit says %d", p.uploadID, len(p.chunks), n)
 	}
-	return nil
+	return chunks, nil
 }
 
 // applyDiff validates every diff chunk completely — framing, token
 // streams, and PFN bounds — before the first slot changes, so the adopt
 // pass cannot fail part way through the live image, and adopts them
 // together, so no reader sees the diff half applied. The staged chunks
-// are already the server's own copies: the image keeps them as they are.
+// lie in buffers the server owns: the image keeps them as they are.
 func (s *Server) applyDiff(id pagestore.VMID, chunks [][]byte) (int64, error) {
 	im, err := s.store.Get(id)
 	if err != nil {

@@ -2,10 +2,14 @@ package memserver
 
 import (
 	"bytes"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"oasis/internal/pagestore"
 	"oasis/internal/rng"
+	"oasis/internal/telemetry"
 	"oasis/internal/units"
 )
 
@@ -47,9 +51,16 @@ func rawSnapshot(t *testing.T, alloc units.Bytes, seed uint64, pages int) []byte
 	return snap
 }
 
+// stageChunk sends chunk seq of staged upload uploadID of VM id, of the
+// kind the frame type names (an image's allocation is alloc).
+func stageChunk(c *Client, kind byte, id pagestore.VMID, uploadID uint64, seq int, alloc units.Bytes, chunk []byte) error {
+	h := putHead{kind: kind, id: id, uploadID: uploadID, seq: uint32(seq), alloc: alloc}
+	return c.putChunk(h, pagestore.ChunkRef{Body: chunk})
+}
+
 // TestUploadIdempotency exercises every retry-shaped replay the protocol
-// promises to tolerate: re-Begin, duplicate chunk, re-Commit, and a late
-// chunk landing after its upload committed.
+// promises to tolerate: a re-sent chunk 0, a duplicate chunk, a
+// re-Commit, and a late chunk landing after its upload committed.
 func TestUploadIdempotency(t *testing.T) {
 	srv, addr := startServer(t)
 	c := dial(t, addr)
@@ -63,23 +74,24 @@ func TestUploadIdempotency(t *testing.T) {
 		t.Fatalf("want >= 3 chunks for the test, got %d", len(chunks))
 	}
 	const id, uploadID = 9, 777
-	if err := c.PutBegin(id, uploadID, putKindImage, 4*units.MiB); err != nil {
+	stage := func(seq int) error { return stageChunk(c, msgPutImage, id, uploadID, seq, 4*units.MiB, chunks[seq]) }
+	for seq := range 2 {
+		if err := stage(seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A re-sent chunk 0 re-opens nothing: the staged chunks stay, so
+	// finish after it without resending chunk 1.
+	if err := stage(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PutChunkRef(id, uploadID, 0, pagestore.ChunkRef{Body: chunks[0]}); err != nil {
-		t.Fatal(err)
-	}
-	// Re-Begin keeps staged chunks; finish after it without resending 0.
-	if err := c.PutBegin(id, uploadID, putKindImage, 4*units.MiB); err != nil {
-		t.Fatal(err)
-	}
-	for seq := 1; seq < len(chunks); seq++ {
-		if err := c.PutChunkRef(id, uploadID, uint32(seq), pagestore.ChunkRef{Body: chunks[seq]}); err != nil {
+	for seq := 2; seq < len(chunks); seq++ {
+		if err := stage(seq); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Duplicate chunk overwrites with identical bytes.
-	if err := c.PutChunkRef(id, uploadID, 1, pagestore.ChunkRef{Body: chunks[1]}); err != nil {
+	if err := stage(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.PutCommit(id, uploadID, uint32(len(chunks))); err != nil {
@@ -96,7 +108,7 @@ func TestUploadIdempotency(t *testing.T) {
 		t.Fatalf("re-commit re-applied: pages uploaded %d -> %d", uploadedBefore, got)
 	}
 	// A straggler chunk retry after commit is an acknowledged no-op.
-	if err := c.PutChunkRef(id, uploadID, 2, pagestore.ChunkRef{Body: chunks[2]}); err != nil {
+	if err := stage(2); err != nil {
 		t.Fatalf("late chunk after commit: %v", err)
 	}
 	if got := serverImageBytes(t, srv, id); !bytes.Equal(got, want) {
@@ -104,34 +116,39 @@ func TestUploadIdempotency(t *testing.T) {
 	}
 }
 
-// TestUploadErrors covers the refusals: commit-before-begin, chunk
-// without begin, commit with a missing chunk (upload stays open for the
-// resend), and a diff begin against an unknown VM.
+// TestUploadErrors covers the refusals: commit before chunk 0, a later
+// chunk before chunk 0, commit with a missing chunk (upload stays open
+// for the resend), and a diff's chunk 0 for an unknown VM.
 func TestUploadErrors(t *testing.T) {
 	srv, addr := startServer(t)
 	c := dial(t, addr)
 
 	if err := c.PutCommit(3, 1, 1); err == nil {
-		t.Error("commit before begin accepted")
+		t.Error("commit before chunk 0 accepted")
 	}
-	if err := c.PutChunkRef(3, 1, 0, pagestore.ChunkRef{Body: []byte("OAPS\x00\x00\x00\x00")}); err == nil {
-		t.Error("chunk before begin accepted")
+	if err := stageChunk(c, msgPutImage, 3, 1, 1, 4*units.MiB, []byte("OAPS\x00\x00\x00\x00")); err == nil {
+		t.Error("chunk before chunk 0 accepted")
 	}
-	if err := c.PutBegin(3, 1, putKindDiff, 0); err == nil {
-		t.Error("diff begin for unknown VM accepted")
+	if err := stageChunk(c, msgPutDiff, 3, 1, 0, 0, []byte("OAPS\x00\x00\x00\x00")); err == nil {
+		t.Error("diff open for unknown VM accepted")
 	}
 
-	_, snap := makeSnapshot(t, 4*units.MiB, 19, 30)
+	// Raw pages, so the snapshot splits: chunk 0 opens, chunk 1 is held.
+	snap := rawSnapshot(t, 4*units.MiB, 19, 30)
 	chunks, err := pagestore.SplitSnapshot(snap, 4*int(units.PageSize))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const id, uploadID = 4, 42
-	if err := c.PutBegin(id, uploadID, putKindImage, 4*units.MiB); err != nil {
-		t.Fatal(err)
+	if len(chunks) < 2 {
+		t.Fatalf("want >= 2 chunks for the test, got %d", len(chunks))
 	}
-	for seq := 1; seq < len(chunks); seq++ { // hold back chunk 0
-		if err := c.PutChunkRef(id, uploadID, uint32(seq), pagestore.ChunkRef{Body: chunks[seq]}); err != nil {
+	const id, uploadID = 4, 42
+	stage := func(seq int) error { return stageChunk(c, msgPutImage, id, uploadID, seq, 4*units.MiB, chunks[seq]) }
+	for seq := range chunks {
+		if seq == 1 { // hold back chunk 1
+			continue
+		}
+		if err := stage(seq); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,7 +159,7 @@ func TestUploadErrors(t *testing.T) {
 		t.Fatal("failed commit made an image visible")
 	}
 	// The staging upload survived the refused commit: resend and retry.
-	if err := c.PutChunkRef(id, uploadID, 0, pagestore.ChunkRef{Body: chunks[0]}); err != nil {
+	if err := stage(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.PutCommit(id, uploadID, uint32(len(chunks))); err != nil {
@@ -182,11 +199,8 @@ func TestAbandonedUploadLeavesImageIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PutBegin(id, 901, putKindImage, 8*units.MiB); err != nil {
-		t.Fatal(err)
-	}
 	for seq := 0; seq < len(chunks)/2; seq++ {
-		if err := c.PutChunkRef(id, 901, uint32(seq), pagestore.ChunkRef{Body: chunks[seq]}); err != nil {
+		if err := stageChunk(c, msgPutImage, id, 901, seq, 8*units.MiB, chunks[seq]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,11 +218,8 @@ func TestAbandonedUploadLeavesImageIntact(t *testing.T) {
 
 	// A retry under a fresh upload id replaces the stale staging state
 	// and commits cleanly.
-	if err := c.PutBegin(id, 902, putKindImage, 8*units.MiB); err != nil {
-		t.Fatal(err)
-	}
 	for seq := range chunks {
-		if err := c.PutChunkRef(id, 902, uint32(seq), pagestore.ChunkRef{Body: chunks[seq]}); err != nil {
+		if err := stageChunk(c, msgPutImage, id, 902, seq, 8*units.MiB, chunks[seq]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,11 +266,8 @@ func TestStreamDiffOutOfRangeRejectedAtomically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PutBegin(id, 55, putKindDiff, 0); err != nil {
-		t.Fatal(err)
-	}
 	for seq := range chunks {
-		if err := c.PutChunkRef(id, 55, uint32(seq), pagestore.ChunkRef{Body: chunks[seq]}); err != nil {
+		if err := stageChunk(c, msgPutDiff, id, 55, seq, 0, chunks[seq]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,5 +276,103 @@ func TestStreamDiffOutOfRangeRejectedAtomically(t *testing.T) {
 	}
 	if got := serverImageBytes(t, srv, id); !bytes.Equal(got, want) {
 		t.Fatal("refused diff modified the live image")
+	}
+}
+
+// startCountingServer is startServer with the server's metrics on a
+// registry of their own, and requests counts the request frames it has
+// handled: every frame after the handshake is one op, whatever its label.
+func startCountingServer(t *testing.T) (srv *Server, addr string, requests func() float64) {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	srv = NewServer(testSecret, t.Logf)
+	srv.SetMetricsRegistry(reg)
+	bound, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv, bound.String(), func() float64 { return opsTotal(t, reg) }
+}
+
+// opsTotal sums oasis_memserver_ops_total over every op label in reg.
+func opsTotal(t *testing.T, reg *telemetry.Registry) float64 {
+	t.Helper()
+	var text strings.Builder
+	if err := reg.WriteText(&text, "oasis_memserver_ops_total"); err != nil {
+		t.Fatal(err)
+	}
+	var n float64
+	for _, line := range strings.Fields(text.String()) {
+		if v, err := strconv.ParseFloat(line, 64); err == nil {
+			n += v
+		}
+	}
+	return n
+}
+
+// TestOneChunkStreamIsOneFrame: a diff that fits one chunk streams as a
+// single frame the server applies at once — no open, no commit — and
+// lands as a staged one would.
+func TestOneChunkStreamIsOneFrame(t *testing.T) {
+	srv, addr, requests := startCountingServer(t)
+	c := dial(t, addr)
+	src, snap := makeSnapshot(t, 4*units.MiB, 37, 40)
+	if err := srv.InstallImage(5, 4*units.MiB, snap); err != nil {
+		t.Fatal(err)
+	}
+	diff, want := dirtied(t, src, 10)
+	if len(diff) > DefaultChunkBytes {
+		t.Fatalf("a %d-byte diff is more than one chunk", len(diff))
+	}
+	before := requests()
+	if err := c.StreamDiff(5, diff, PutOptions{Streams: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if n := requests() - before; n != 1 {
+		t.Errorf("a one-chunk StreamDiff sent %v request frames, want 1", n)
+	}
+	if !bytes.Equal(serverImageBytes(t, srv, 5), want) {
+		t.Fatal("the one-frame diff did not land")
+	}
+}
+
+// TestNChunkStreamIsNPlusOneFrames: an image of n chunks streams as its
+// n chunk frames and one commit — chunk 0 opens the upload, so no frame
+// of its own does.
+func TestNChunkStreamIsNPlusOneFrames(t *testing.T) {
+	srv, addr, requests := startCountingServer(t)
+	c := dial(t, addr)
+	snap := rawSnapshot(t, 4*units.MiB, 38, 40)
+	const chunkBytes = 8 * int(units.PageSize)
+	chunks, err := pagestore.SplitSnapshot(snap, chunkBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chunks) < 3 {
+		t.Fatalf("want >= 3 chunks for the test, got %d", len(chunks))
+	}
+	before := requests()
+	if err := c.StreamImage(7, 4*units.MiB, snap, PutOptions{Streams: 2, ChunkBytes: chunkBytes}); err != nil {
+		t.Fatal(err)
+	}
+	if n, want := requests()-before, float64(len(chunks)+1); n != want {
+		t.Errorf("a %d-chunk StreamImage sent %v request frames, want %v", len(chunks), n, want)
+	}
+	if !bytes.Equal(serverImageBytes(t, srv, 7), snap) {
+		t.Fatal("the streamed image is not the snapshot")
+	}
+}
+
+// TestLargestChunkFillsOneFrame: the chunk PutImage and PutDiff use,
+// and any larger ChunkBytes once lowered, is the most one image frame
+// carries with its head and tag, so a snapshot past it streams instead
+// of overflowing the frame ceiling.
+func TestLargestChunkFillsOneFrame(t *testing.T) {
+	for _, asked := range []int{maxChunkBytes, maxChunkBytes + 1, math.MaxInt} {
+		got := PutOptions{ChunkBytes: asked}.withDefaults().ChunkBytes
+		if frame := 24 + got + macLen; got != maxChunkBytes || frame != maxFrame {
+			t.Errorf("ChunkBytes %d: a chunk of %d bytes makes a %d-byte frame, want %d", asked, got, frame, maxFrame)
+		}
 	}
 }

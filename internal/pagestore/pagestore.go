@@ -300,18 +300,6 @@ func (im *Image) AllTouched() []PFN {
 	return im.collectLocked(make([]PFN, 0, im.live), func(lf *leaf, i int) bool { return lf.slot[i] != nil })
 }
 
-// ClearDirty forgets all dirty tracking (used after a full upload when the
-// baseline is re-established).
-func (im *Image) ClearDirty() {
-	im.mu.Lock()
-	defer im.mu.Unlock()
-	for _, lf := range im.leaves {
-		if lf != nil {
-			lf.stamp = [leafPages]uint64{}
-		}
-	}
-}
-
 var zeroPage = make([]byte, units.PageSize)
 
 // IsZeroPage reports whether p contains only zero bytes, scanning eight

@@ -104,10 +104,6 @@ func TestDirtyEpochs(t *testing.T) {
 	if got := im.DirtySince(0); len(got) != 3 {
 		t.Fatalf("DirtySince(0) = %v, want 3 pages", got)
 	}
-	im.ClearDirty()
-	if got := im.DirtySince(0); len(got) != 0 {
-		t.Fatalf("after ClearDirty, DirtySince(0) = %v", got)
-	}
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {

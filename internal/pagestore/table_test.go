@@ -101,7 +101,7 @@ func TestTableMatchesMapSemantics(t *testing.T) {
 			}
 		}
 		for step := 0; step < 400; step++ {
-			switch op := r.Intn(10); {
+			switch op := r.Intn(9); {
 			case op < 4:
 				pfn, data := pick(), content()
 				if err := im.Write(pfn, data); err != nil {
@@ -141,14 +141,11 @@ func TestTableMatchesMapSemantics(t *testing.T) {
 					page, _ := scratch.Read(pfn)
 					ref.write(pfn, page)
 				}
-			case op < 9:
+			default:
 				if got := im.NextEpoch(); got != ref.epoch {
 					t.Fatalf("NextEpoch = %d, want %d", got, ref.epoch)
 				}
 				ref.epoch++
-			default:
-				im.ClearDirty()
-				ref.dirtyAt = map[PFN]uint64{}
 			}
 			if got, want := im.TouchedPages(), int64(len(ref.pages)); got != want {
 				t.Fatalf("seed %d step %d: TouchedPages = %d, want %d", seed, step, got, want)

@@ -2,6 +2,8 @@ package stress
 
 import (
 	"bytes"
+	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -153,23 +155,48 @@ func TestStreamedUploadUnderChaos(t *testing.T) {
 	}
 
 	// A mid-upload abandonment (no commit at all) must leave the image
-	// byte-identical: begin a new generation, ship half the chunks over a
-	// clean connection, then walk away.
+	// byte-identical: stream a new generation over a clean connection
+	// that carries the handshake and chunk 0, which opens the upload
+	// (frame heads and MACs are well under 1 KiB), and breaks inside
+	// chunk 1, so the client walks away without committing.
 	before := encodeServerImage(t, srv, vmid)
 	snap := version(9)
 	chunks, err := pagestore.SplitSnapshot(snap, opts.ChunkBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PutBegin(vmid, 424242, 0 /* image */, alloc); err != nil {
+	if len(chunks) < 2 || len(chunks[1]) < 2<<10 {
+		t.Fatalf("want a chunk 1 of 2 KiB or more, got %d chunks", len(chunks))
+	}
+	raw, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for seq := 0; seq < len(chunks)/2; seq++ {
-		if err := c.PutChunkRef(vmid, 424242, uint32(seq), pagestore.ChunkRef{Body: chunks[seq]}); err != nil {
-			t.Fatal(err)
-		}
+	cut, err := memserver.NewClientConn(&cutConn{Conn: raw, left: len(chunks[0]) + 1<<10}, secret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cut.Close()
+	if err := cut.StreamImage(vmid, alloc, snap, opts); err == nil {
+		t.Fatal("an upload cut inside chunk 1 reported success")
 	}
 	if got := encodeServerImage(t, srv, vmid); !bytes.Equal(got, before) {
 		t.Fatal("abandoned upload perturbed the live image")
 	}
+}
+
+// cutConn is a connection that carries left bytes out and then breaks:
+// every later write fails and closes it.
+type cutConn struct {
+	net.Conn
+	left int
+}
+
+func (c *cutConn) Write(p []byte) (int, error) {
+	if len(p) > c.left {
+		c.Conn.Close()
+		return 0, errors.New("connection cut")
+	}
+	c.left -= len(p)
+	return c.Conn.Write(p)
 }
