@@ -19,7 +19,6 @@
 package main
 
 import (
-	"crypto/tls"
 	"encoding/pem"
 	"flag"
 	"log"
@@ -29,6 +28,7 @@ import (
 
 	"oasis/internal/faultinject"
 	"oasis/internal/memserver"
+	"oasis/internal/network"
 	"oasis/internal/pagestore"
 	"oasis/internal/telemetry"
 )
@@ -71,7 +71,7 @@ func main() {
 		log.Printf("memserverd: chaos enabled: %s (seed %d)", *chaosSpec, *chaosSeed)
 	}
 
-	var cert *tls.Certificate
+	nw := network.TCP
 	if *useTLS {
 		host, _, err := net.SplitHostPort(*listen)
 		if err != nil {
@@ -88,7 +88,7 @@ func main() {
 			}
 			log.Printf("memserverd: wrote certificate to %s", *certOut)
 		}
-		cert = &c
+		nw = network.TLS(nw, c, nil)
 	}
 
 	// start builds a server over the shared store and brings it up. The
@@ -112,17 +112,12 @@ func main() {
 		if inj != nil {
 			s.SetConnWrapper(inj.WrapConn)
 		}
-		var addr net.Addr
-		var err error
-		if cert != nil {
-			addr, err = s.ListenTLS(*listen, *cert)
-		} else {
-			addr, err = s.Listen(*listen)
-		}
+		ln, err := nw.Listen(*listen)
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("memserverd: listen: %v", err)
 		}
-		log.Printf("memserverd: serving on %v", addr)
+		s.Serve(ln)
+		log.Printf("memserverd: serving on %v", ln.Addr())
 		return s
 	}
 	srv := start(true)

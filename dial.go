@@ -1,6 +1,7 @@
 package oasis
 
 import (
+	"crypto/tls"
 	"crypto/x509"
 	"flag"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"oasis/internal/flagbind"
 	"oasis/internal/memserver"
 	"oasis/internal/memserver/shard"
+	"oasis/internal/network"
 )
 
 // MemConn is the full memory-server client surface: page reads (plain
@@ -86,7 +88,7 @@ func WithPool(size int) DialOption {
 // session. Applies to every connection of whatever shape the other
 // options select.
 func WithTLS(roots *x509.CertPool) DialOption {
-	return func(t *shard.Target) { t.TLSRoots = roots }
+	return func(t *shard.Target) { t.Network = network.TLS(network.TCP, tls.Certificate{}, roots) }
 }
 
 // WithBackends selects the sharded fabric: pages place onto these

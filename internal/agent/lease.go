@@ -108,7 +108,6 @@ func (a *Agent) dial(key string, onState func(from, to memserver.BreakerState), 
 	}
 	cfg.Name = cmp.Or(memtap.DefaultResilience.Name, "agent-fabric")
 	if lazy {
-		cfg.DialTimeout = cmp.Or(cfg.DialTimeout, memserver.DefaultDialTimeout)
 		pool := memserver.PoolConfig{Size: tc.PoolSize, Resilience: cfg}
 		return shard.New(tc.Backends, a.secret, shard.Config{Replicas: tc.Replicas, Pool: pool})
 	}

@@ -85,7 +85,7 @@ func TestInitialState(t *testing.T) {
 		t.Fatalf("consolidation host state = %v, want sleeping", tc.c.Hosts[2].State())
 	}
 	for _, v := range tc.c.VMs {
-		if v.Active || v.Partial || !v.OnHome() {
+		if v.Active || v.Partial || v.Host != v.Home {
 			t.Fatalf("initial VM state wrong: %v", v)
 		}
 		if v.WorkingSet <= 0 {

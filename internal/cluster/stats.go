@@ -78,12 +78,6 @@ func (s *Stats) NetworkBytes() units.Bytes {
 	return s.FullBytes + s.ConvertBytes + s.DescriptorBytes + s.OnDemandBytes + s.ReintegrateBytes
 }
 
-// PartialBytes returns the traffic attributable to the partial-migration
-// mechanism (descriptors, on-demand fetches, reintegration pushes).
-func (s *Stats) PartialBytes() units.Bytes {
-	return s.DescriptorBytes + s.OnDemandBytes + s.ReintegrateBytes
-}
-
 // Transitions returns the total number of idle→active transitions seen.
 func (s *Stats) Transitions() int64 {
 	return s.ZeroTransitions + int64(s.DelaySample.N())

@@ -49,7 +49,4 @@ func TestStatsTrafficTotals(t *testing.T) {
 	if s.NetworkBytes() != 168 {
 		t.Errorf("NetworkBytes = %d", s.NetworkBytes())
 	}
-	if s.PartialBytes() != 18 {
-		t.Errorf("PartialBytes = %d", s.PartialBytes())
-	}
 }

@@ -1,11 +1,12 @@
 // Package faultinject provides a deterministic, seedable fault injector
-// for the memory-server data path. It wraps net.Conn (and listeners and
-// dial functions) and injects the failure modes a remote-memory system
-// must survive: dial failures, mid-frame connection resets, read/write
-// stalls, and latency spikes. The same injector drives unit tests, the
-// memserverd chaos flags, and the fault-matrix end-to-end tests; because
-// every decision comes from a seeded PRNG, a failing fault schedule is
-// exactly reproducible from its seed.
+// for the memory-server data path. It wraps net.Conn (and whole
+// networks, their dials and their listeners) and injects the failure
+// modes a remote-memory system must survive: dial failures, mid-frame
+// connection resets, read/write stalls, and latency spikes. The same
+// injector drives unit tests, the memserverd chaos flags, and the
+// fault-matrix end-to-end tests; because every decision comes from a
+// seeded PRNG, a failing fault schedule is exactly reproducible from its
+// seed.
 //
 // The injector deliberately models faults at the transport layer — the
 // layer the paper's memtap/memory-server split actually crosses — so the
@@ -42,6 +43,7 @@ import (
 	"sync"
 	"time"
 
+	"oasis/internal/network"
 	"oasis/internal/rng"
 )
 
@@ -243,17 +245,49 @@ func (in *Injector) decide(kind string) decision {
 	return d
 }
 
-// Dial wraps a dial function with dial-failure injection and conn
-// wrapping.
-func (in *Injector) Dial(inner func() (net.Conn, error)) (net.Conn, error) {
-	if d := in.decide("dial"); d.fail {
+// Network returns inner with this injector's faults on it: each dial
+// may fail outright (DialFail), and every connection it dials or accepts
+// is wrapped as WrapConn wraps one.
+func (in *Injector) Network(inner network.Network) network.Network {
+	return faultNetwork{inner: inner, in: in}
+}
+
+type faultNetwork struct {
+	inner network.Network
+	in    *Injector
+}
+
+func (n faultNetwork) Dial(addr string, deadline time.Time) (net.Conn, error) {
+	if d := n.in.decide("dial"); d.fail {
 		return nil, fmt.Errorf("%w: dial refused", ErrInjected)
 	}
-	conn, err := inner()
+	conn, err := n.inner.Dial(addr, deadline)
 	if err != nil {
 		return nil, err
 	}
-	return in.WrapConn(conn), nil
+	return n.in.WrapConn(conn), nil
+}
+
+func (n faultNetwork) Listen(addr string) (net.Listener, error) {
+	ln, err := n.inner.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return faultListener{Listener: ln, in: n.in}, nil
+}
+
+// faultListener wraps every connection its inner listener accepts.
+type faultListener struct {
+	net.Listener
+	in *Injector
+}
+
+func (l faultListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return l.in.WrapConn(conn), nil
 }
 
 // WrapConn returns conn with fault injection on Read and Write. Injected

@@ -6,6 +6,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"oasis/internal/network"
 )
 
 // pipePair returns a connected conn pair, the client side wrapped.
@@ -103,14 +105,45 @@ func TestLatencyInjection(t *testing.T) {
 	}
 }
 
+// unreachable is a network no dial may reach.
+type unreachable struct{ t *testing.T }
+
+func (u unreachable) Dial(string, time.Time) (net.Conn, error) {
+	u.t.Fatal("inner dial reached despite DialFail=1")
+	return nil, nil
+}
+
+func (u unreachable) Listen(string) (net.Listener, error) { return nil, errors.New("unreachable") }
+
 func TestDialFailure(t *testing.T) {
 	in := New(1, Config{DialFail: 1})
-	_, err := in.Dial(func() (net.Conn, error) {
-		t.Fatal("inner dial reached despite DialFail=1")
-		return nil, nil
-	})
+	_, err := in.Network(unreachable{t}).Dial("127.0.0.1:1", time.Time{})
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("want ErrInjected, got %v", err)
+	}
+}
+
+// TestNetworkWrapsAcceptedConns: a listener from Network injects faults
+// into every connection it accepts, as SetConnWrapper's WrapConn does.
+func TestNetworkWrapsAcceptedConns(t *testing.T) {
+	in := New(1, Config{ReadErr: 1})
+	ln, err := in.Network(network.TCP).Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	peer, err := network.TCP.Dial(ln.Addr().String(), time.Now().Add(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("read on an accepted conn: %v, want ErrInjected", err)
 	}
 }
 

@@ -19,8 +19,7 @@ import (
 // Descriptor is the VM metadata pushed to a destination host to create and
 // start a partial VM: identification, sizing, device configuration and the
 // execution context of its vCPUs. The paper measured the descriptor
-// transfer at 16.0±0.5 MiB; WireSize reports the modelled transfer size
-// while the struct itself stays compact.
+// transfer at 16.0±0.5 MiB; the struct itself stays compact.
 type Descriptor struct {
 	VMID  pagestore.VMID
 	Name  string
@@ -44,19 +43,6 @@ type Descriptor struct {
 	// the VM's pages, used to configure the destination's memtap (§4.2).
 	MemServerAddr string
 	MemServerPort int
-}
-
-// WireSize returns the modelled on-the-wire size of the descriptor. Page
-// tables dominate: a 4 GiB guest has ~1 Mi PTEs (8 bytes each) plus
-// directories, configuration and context, which the paper measured at
-// ~16 MiB total for its 4 GiB VMs. We scale linearly with allocation.
-func (d *Descriptor) WireSize() units.Bytes {
-	perGiB := 4 * units.MiB // paper: 16 MiB for 4 GiB
-	sz := units.Bytes(float64(perGiB) * d.Alloc.GiBf())
-	if sz < 256*units.KiB {
-		sz = 256 * units.KiB
-	}
-	return sz + units.Bytes(len(d.ExecContext))
 }
 
 // NewDescriptor builds a descriptor for a guest of the given size with a

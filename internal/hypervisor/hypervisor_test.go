@@ -11,19 +11,6 @@ import (
 	"oasis/internal/units"
 )
 
-func TestDescriptorWireSize(t *testing.T) {
-	d := NewDescriptor(1, "vm", 4*units.GiB, 1)
-	// Paper: ~16 MiB for a 4 GiB VM.
-	ws := d.WireSize()
-	if ws < 15*units.MiB || ws > 18*units.MiB {
-		t.Errorf("WireSize for 4 GiB VM = %v, want ~16 MiB", ws)
-	}
-	small := NewDescriptor(2, "vm", 64*units.MiB, 1)
-	if small.WireSize() < 256*units.KiB {
-		t.Errorf("small VM descriptor %v below floor", small.WireSize())
-	}
-}
-
 // backingPager serves pages from an image, counting fetches.
 type backingPager struct {
 	im      *pagestore.Image

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"oasis/internal/network"
 )
 
 // ErrClientBroken is returned by every operation after a transport error
@@ -26,8 +28,8 @@ var ErrClientBroken = errors.New("memserver: connection broken by a previous tra
 // the VM harder than an error does.
 const DefaultOpTimeout = 30 * time.Second
 
-// DefaultDialTimeout bounds one connection attempt (TCP or TLS handshake)
-// of a lane or of shard.Connect when the caller names none.
+// DefaultDialTimeout bounds one connection attempt (connect, TLS
+// handshake and authentication) when the caller names none.
 const DefaultDialTimeout = 5 * time.Second
 
 // Client is one authenticated connection to a memory page server: the
@@ -60,39 +62,21 @@ type Client struct {
 	upMAC *sessionGCM
 }
 
-// Dial connects and authenticates to the server at addr with the shared
-// secret, within timeout (zero: the connect is unbounded and the
-// authentication takes DefaultOpTimeout).
-func Dial(addr string, secret []byte, timeout time.Duration) (*Client, error) {
-	d := dialer(timeout)
-	conn, err := d.Dial("tcp", addr)
+// Dial connects to addr over nw (nil: network.TCP) and authenticates with
+// the shared secret. The connect, any handshake nw adds and the
+// challenge/response all finish within timeout (<= 0:
+// DefaultDialTimeout, the one place that default is applied).
+func Dial(nw network.Network, addr string, secret []byte, timeout time.Duration) (*Client, error) {
+	if nw == nil {
+		nw = network.TCP
+	}
+	if timeout <= 0 {
+		timeout = DefaultDialTimeout
+	}
+	deadline := time.Now().Add(timeout)
+	conn, err := nw.Dial(addr, deadline)
 	if err != nil {
 		return nil, fmt.Errorf("memserver: dial %s: %w", addr, err)
-	}
-	return authenticated(conn, secret, d.Deadline)
-}
-
-// dialer bounds a dial and the handshake after it by one deadline.
-func dialer(timeout time.Duration) *net.Dialer {
-	if timeout <= 0 {
-		return &net.Dialer{}
-	}
-	return &net.Dialer{Deadline: time.Now().Add(timeout)}
-}
-
-// NewClientConn authenticates over an already-established connection and
-// returns a client owning it. It is the hook point for wrapped
-// transports (fault injection, custom dialers); Dial and DialTLS route
-// through the same authentication.
-func NewClientConn(conn net.Conn, secret []byte) (*Client, error) {
-	return authenticated(conn, secret, time.Time{})
-}
-
-// authenticated runs the handshake over conn by deadline (zero:
-// DefaultOpTimeout from now) and returns a client owning it.
-func authenticated(conn net.Conn, secret []byte, deadline time.Time) (*Client, error) {
-	if deadline.IsZero() {
-		deadline = time.Now().Add(DefaultOpTimeout)
 	}
 	c := newClient(conn)
 	if err := c.authenticate(secret, deadline); err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"oasis/internal/network"
 	"oasis/internal/units"
 )
 
@@ -69,7 +70,7 @@ func TestServerIdleTimeout(t *testing.T) {
 	t.Cleanup(func() { s.Close() })
 
 	// A fully authenticated client that goes silent...
-	c, err := Dial(addr.String(), testSecret, time.Second)
+	c, err := Dial(network.TCP, addr.String(), testSecret, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestDialHandshakeBoundedByTimeout(t *testing.T) {
 	const timeout = 200 * time.Millisecond
 	for name, dial := range map[string]func() error{
 		"Dial": func() error {
-			_, err := Dial(addr, []byte("k"), timeout)
+			_, err := Dial(network.TCP, addr, []byte("k"), timeout)
 			return err
 		},
 		"DialPool": func() error {

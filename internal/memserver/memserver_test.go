@@ -2,10 +2,12 @@ package memserver
 
 import (
 	"bytes"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"oasis/internal/network"
 	"oasis/internal/pagestore"
 	"oasis/internal/rng"
 	"oasis/internal/units"
@@ -24,9 +26,19 @@ func startServer(t *testing.T) (*Server, string) {
 	return s, addr.String()
 }
 
+// netFunc is a network whose dials run the function and whose listens
+// are TCP's: tests count, park, refuse or wrap a lane's dials with it.
+type netFunc func(addr string, deadline time.Time) (net.Conn, error)
+
+func (f netFunc) Dial(addr string, deadline time.Time) (net.Conn, error) { return f(addr, deadline) }
+func (netFunc) Listen(addr string) (net.Listener, error)                 { return network.TCP.Listen(addr) }
+
+// noDial is the network of a pool that must never dial.
+var noDial = netFunc(func(string, time.Time) (net.Conn, error) { panic("no dialing in this test") })
+
 func dial(t *testing.T, addr string) *Client {
 	t.Helper()
-	c, err := Dial(addr, testSecret, 2*time.Second)
+	c, err := Dial(network.TCP, addr, testSecret, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +278,7 @@ func TestDiffPathsCountEntriesAdopted(t *testing.T) {
 
 func TestAuthRejectsBadSecret(t *testing.T) {
 	_, addr := startServer(t)
-	if _, err := Dial(addr, []byte("wrong"), 2*time.Second); err == nil {
+	if _, err := Dial(network.TCP, addr, []byte("wrong"), 2*time.Second); err == nil {
 		t.Fatal("bad secret accepted")
 	}
 }
@@ -280,7 +292,7 @@ func TestConcurrentClients(t *testing.T) {
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
 		go func(g int) {
-			c, err := Dial(addr, testSecret, 2*time.Second)
+			c, err := Dial(network.TCP, addr, testSecret, 2*time.Second)
 			if err != nil {
 				done <- err
 				return
@@ -390,7 +402,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(addr.String(), testSecret, 2*time.Second)
+	c, err := Dial(network.TCP, addr.String(), testSecret, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +450,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	c2, err := Dial(addr2.String(), testSecret, 2*time.Second)
+	c2, err := Dial(network.TCP, addr2.String(), testSecret, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,13 +52,13 @@ type ClientPool struct {
 	tel           *poolTel
 }
 
-// NewPool builds a pool of cfg.Size lanes around cfg.Resilience.Dialer
-// without connecting; lanes dial on first use. cfg.Resilience.Dialer must
-// be set.
-func NewPool(cfg PoolConfig) *ClientPool {
+// NewPool builds a pool of cfg.Size lanes to the server at addr without
+// connecting; lanes dial on first use.
+func NewPool(addr string, secret []byte, cfg PoolConfig) *ClientPool {
 	if cfg.Size <= 0 {
 		cfg.Size = DefaultPoolSize
 	}
+	secret = append([]byte(nil), secret...)
 	p := &ClientPool{
 		lanes:         make([]*lane, cfg.Size),
 		inflight:      make([]int, cfg.Size),
@@ -74,7 +74,7 @@ func NewPool(cfg PoolConfig) *ClientPool {
 		// not see N synchronized reconnect storms.
 		lcfg.JitterSeed ^= uint64(lane) * 0x9E3779B97F4A7C15
 		lcfg.OnStateChange = func(from, to BreakerState) { p.laneStateChanged(lane) }
-		p.lanes[i] = newLane(lcfg)
+		p.lanes[i] = newLane(addr, secret, lcfg)
 	}
 	p.tel.size.Set(float64(cfg.Size))
 	return p
@@ -89,13 +89,7 @@ func NewPool(cfg PoolConfig) *ClientPool {
 // remaining lanes dial lazily as load arrives, and every lane heals
 // itself independently afterwards.
 func DialPool(addr string, secret []byte, cfg PoolConfig) (*ClientPool, error) {
-	cfg.Resilience.withDefaults()
-	if cfg.Resilience.Dialer == nil {
-		secret = append([]byte(nil), secret...)
-		dialTimeout := cfg.Resilience.DialTimeout
-		cfg.Resilience.Dialer = func() (*Client, error) { return Dial(addr, secret, dialTimeout) }
-	}
-	p := NewPool(cfg)
+	p := NewPool(addr, secret, cfg)
 	if _, err := p.lanes[0].exchange(call{op: "dial"}); err != nil {
 		return nil, fmt.Errorf("memserver: pool dial %s: %w", addr, err)
 	}
@@ -192,13 +186,6 @@ func (p *ClientPool) BreakerState() BreakerState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.aggState
-}
-
-// LaneStates snapshots each lane's breaker state (diagnostics, tests).
-func (p *ClientPool) LaneStates() []BreakerState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]BreakerState(nil), p.laneState...)
 }
 
 // ResilienceStats sums the lanes' counters; State is the aggregate.

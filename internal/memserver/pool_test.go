@@ -2,11 +2,13 @@ package memserver
 
 import (
 	"bytes"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"oasis/internal/network"
 	"oasis/internal/pagestore"
 	"oasis/internal/units"
 )
@@ -61,9 +63,7 @@ func TestPoolBasicOps(t *testing.T) {
 // lane is drained round-robin-ish by least-inflight, and held acquisitions
 // spread across all lanes before any lane is doubled up.
 func TestPoolLeastLoadedDispatch(t *testing.T) {
-	p := NewPool(PoolConfig{Size: 4, Resilience: ResilientConfig{
-		Dialer: func() (*Client, error) { panic("no dialing in this test") },
-	}})
+	p := NewPool("", nil, PoolConfig{Size: 4, Resilience: ResilientConfig{Network: noDial}})
 	seen := make(map[int]int)
 	var held []int
 	for i := 0; i < 4; i++ {
@@ -87,24 +87,25 @@ func TestPoolLeastLoadedDispatch(t *testing.T) {
 
 // TestParkedDialDoesNotStallBreakerOrSiblings pins the lane's locking
 // rule: a dial runs outside the lane's state mutex. One lane's redial of
-// a black-holed server (here: a Dialer parked on a channel) must not keep
-// anyone from reading the breaker — memtap's Degraded() sits on the
-// agent's recovery path — nor, through a breaker callback that takes the
-// pool's mutex and then the lane's, stall dispatch to the healthy lanes.
+// a black-holed server (here: a network whose Dial parks on a channel)
+// must not keep anyone from reading the breaker — memtap's Degraded()
+// sits on the agent's recovery path — nor, through a breaker callback
+// that takes the pool's mutex and then the lane's, stall dispatch to the
+// healthy lanes.
 func TestParkedDialDoesNotStallBreakerOrSiblings(t *testing.T) {
 	_, addr := startServer(t)
 	parked := make(chan struct{})
 	release := make(chan struct{})
 	var dials atomic.Int32
 	cfg := fastResilient()
-	cfg.Dialer = func() (*Client, error) {
+	cfg.Network = netFunc(func(addr string, deadline time.Time) (net.Conn, error) {
 		if dials.Add(1) == 1 {
 			close(parked)
 			<-release
 		}
-		return Dial(addr, testSecret, time.Second)
-	}
-	p := NewPool(PoolConfig{Size: 2, Resilience: cfg})
+		return network.TCP.Dial(addr, deadline)
+	})
+	p := NewPool(addr, testSecret, PoolConfig{Size: 2, Resilience: cfg})
 	defer p.Close()
 	var unpark sync.Once
 	defer unpark.Do(func() { close(release) }) // before Close, which waits for the dial
@@ -162,9 +163,7 @@ func forceLaneState(p *ClientPool, lane int, s BreakerState) {
 // TestPoolAvoidsOpenLanes checks that dispatch routes around a lane whose
 // breaker is open while any healthy lane remains.
 func TestPoolAvoidsOpenLanes(t *testing.T) {
-	p := NewPool(PoolConfig{Size: 3, Resilience: ResilientConfig{
-		Dialer: func() (*Client, error) { panic("no dialing in this test") },
-	}})
+	p := NewPool("", nil, PoolConfig{Size: 3, Resilience: ResilientConfig{Network: noDial}})
 	forceLaneState(p, 1, BreakerOpen)
 	for i := 0; i < 16; i++ {
 		lane := p.acquire()
@@ -189,9 +188,7 @@ func TestPoolAvoidsOpenLanes(t *testing.T) {
 // otherwise the cached aggregate sticks at "open" forever once the lane
 // settles, and the shard rebalancer counts a healthy backend as down.
 func TestPoolLaneStateResyncAfterReorderedCallbacks(t *testing.T) {
-	p := NewPool(PoolConfig{Size: 1, Resilience: ResilientConfig{
-		Dialer: func() (*Client, error) { panic("no dialing in this test") },
-	}})
+	p := NewPool("", nil, PoolConfig{Size: 1, Resilience: ResilientConfig{Network: noDial}})
 	r := p.lanes[0]
 	r.mu.Lock()
 	cbOpen := r.setStateLocked(BreakerOpen)
@@ -232,10 +229,16 @@ func TestPoolAggregateBreaker(t *testing.T) {
 	}
 
 	rs.kill()
+	laneStates := func() (s []BreakerState) {
+		for _, l := range p.lanes {
+			s = append(s, l.breakerState())
+		}
+		return s
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for p.BreakerState() != BreakerOpen {
 		if time.Now().After(deadline) {
-			t.Fatalf("pool never opened; lane states %v", p.LaneStates())
+			t.Fatalf("pool never opened; lane states %v", laneStates())
 		}
 		p.GetPage(9, 1) // errors expected; drive both lanes into failure
 	}
@@ -250,7 +253,7 @@ func TestPoolAggregateBreaker(t *testing.T) {
 	time.Sleep(cfg.BreakerCooldown + 10*time.Millisecond)
 	for p.BreakerState() != BreakerClosed {
 		if time.Now().After(deadline) {
-			t.Fatalf("pool never closed after restart; lane states %v", p.LaneStates())
+			t.Fatalf("pool never closed after restart; lane states %v", laneStates())
 		}
 		p.GetPage(9, 1)
 		time.Sleep(5 * time.Millisecond)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"oasis/internal/network"
 	"oasis/internal/rng"
 	"oasis/internal/telemetry"
 )
@@ -78,11 +79,10 @@ type ResilientConfig struct {
 	// round trip (see Client.SetOpTimeout).
 	DialTimeout time.Duration
 	OpTimeout   time.Duration
-	// Dialer overrides how connections are (re)established; tests and
-	// the fault injector supply wrapped transports. Nil uses
-	// Dial(addr, secret, DialTimeout). It runs outside every lock and
-	// may block for as long as it likes.
-	Dialer func() (*Client, error)
+	// Network carries every (re)connect (nil: network.TCP): TLS, and in
+	// tests the fault injector, wrap it. Its Dial runs outside every
+	// lock and may block until DialTimeout.
+	Network network.Network
 	// Sleep replaces time.Sleep in backoff waits (virtual time in
 	// tests). Nil uses time.Sleep.
 	Sleep func(time.Duration)
@@ -118,9 +118,6 @@ func (c *ResilientConfig) withDefaults() {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = DefaultDialTimeout
 	}
 	if c.OpTimeout <= 0 {
 		c.OpTimeout = DefaultOpTimeout
@@ -171,8 +168,10 @@ func (s *ResilienceStats) Add(member ResilienceStats) {
 // the breaker says the server is gone. It is safe for concurrent use;
 // calls serialise on the one underlying connection exactly as on Client.
 type lane struct {
-	cfg ResilientConfig
-	tel *resTel
+	addr   string
+	secret []byte
+	cfg    ResilientConfig
+	tel    *resTel
 
 	// callMu serialises attempts, each a (re)dial if needed plus one
 	// round trip. Holding it across both means at most one dial is ever
@@ -192,14 +191,12 @@ type lane struct {
 	stats    ResilienceStats // State is the breaker
 }
 
-// newLane builds a lane around cfg.Dialer (which must be set) without
-// connecting; the first call dials.
-func newLane(cfg ResilientConfig) *lane {
+// newLane builds a lane to addr without connecting; the first call dials.
+func newLane(addr string, secret []byte, cfg ResilientConfig) *lane {
 	cfg.withDefaults()
-	if cfg.Dialer == nil {
-		panic("memserver: a lane requires cfg.Dialer")
-	}
 	return &lane{
+		addr:   addr,
+		secret: secret,
 		cfg:    cfg,
 		tel:    newResTel(cfg.Registry, cfg.Name),
 		jitter: rng.New(cfg.JitterSeed ^ 0x6f617369),
@@ -258,7 +255,7 @@ func (l *lane) connect() (*Client, error) {
 		return client, nil
 	}
 	// A broken Client has already closed its socket; just replace it.
-	client, err := l.cfg.Dialer()
+	client, err := Dial(l.cfg.Network, l.addr, l.secret, l.cfg.DialTimeout)
 	if err != nil {
 		return nil, err
 	}

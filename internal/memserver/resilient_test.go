@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"oasis/internal/faultinject"
+	"oasis/internal/network"
 	"oasis/internal/pagestore"
 	"oasis/internal/units"
 )
@@ -127,16 +128,8 @@ func TestResilientRetriesThroughFaultStorm(t *testing.T) {
 	// breaker's open/half-open behaviour has its own test below, and
 	// here it would (correctly) keep re-opening and mask retry bugs.
 	cfg.BreakerThreshold = 1 << 30
-	cfg.Dialer = func() (*Client, error) {
-		conn, err := inj.Dial(func() (net.Conn, error) {
-			return net.DialTimeout("tcp", rs.addr, time.Second)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return NewClientConn(conn, testSecret)
-	}
-	rc := NewPool(PoolConfig{Size: 1, Resilience: cfg})
+	cfg.Network = inj.Network(network.TCP)
+	rc := NewPool(rs.addr, testSecret, PoolConfig{Size: 1, Resilience: cfg})
 	defer rc.Close()
 
 	// Upload the image before the storm begins (the mutating-op retry
@@ -304,13 +297,13 @@ func TestMutatingOpsBoundedRetries(t *testing.T) {
 	// MutatingRetries attempts, not MaxRetries.
 	cfg := fastResilient()
 	dials := 0
-	cfg.Dialer = func() (*Client, error) {
+	cfg.Network = netFunc(func(string, time.Time) (net.Conn, error) {
 		dials++
 		return nil, errors.New("synthetic dial failure")
-	}
-	rc := NewPool(PoolConfig{Size: 1, Resilience: cfg})
+	})
+	rc := NewPool("127.0.0.1:1", testSecret, PoolConfig{Size: 1, Resilience: cfg})
 	if err := rc.PutDiff(1, nil); err == nil {
-		t.Fatal("PutDiff succeeded with a failing dialer")
+		t.Fatal("PutDiff succeeded over a network whose dials fail")
 	}
 	if dials != cfg.MutatingRetries {
 		t.Fatalf("mutating op dialed %d times, want %d", dials, cfg.MutatingRetries)
@@ -321,11 +314,11 @@ func TestRemoteErrorsDoNotBurnRetries(t *testing.T) {
 	rs := newRestartableServer(t)
 	cfg := fastResilient()
 	dials := 0
-	cfg.Dialer = func() (*Client, error) {
+	cfg.Network = netFunc(func(addr string, deadline time.Time) (net.Conn, error) {
 		dials++
-		return Dial(rs.addr, testSecret, time.Second)
-	}
-	rc := NewPool(PoolConfig{Size: 1, Resilience: cfg})
+		return network.TCP.Dial(addr, deadline)
+	})
+	rc := NewPool(rs.addr, testSecret, PoolConfig{Size: 1, Resilience: cfg})
 	defer rc.Close()
 	// Unknown VM: the server answers with a clean msgError. That must
 	// surface once, with no retries and no breaker damage.

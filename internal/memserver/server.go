@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"oasis/internal/network"
 	"oasis/internal/pagestore"
 	"oasis/internal/telemetry"
 	"oasis/internal/units"
@@ -119,7 +120,8 @@ func (s *Server) SetMetricsRegistry(r *telemetry.Registry) { s.tel = newServerTe
 func (s *Server) SetIdleTimeout(d time.Duration) { s.idleTimeout = d }
 
 // SetConnWrapper installs a wrapper applied to every accepted
-// connection (fault injection, instrumentation). Call before Listen.
+// connection (fault injection, instrumentation). Call before Listen or
+// Serve.
 func (s *Server) SetConnWrapper(wrap func(net.Conn) net.Conn) { s.wrapConn = wrap }
 
 // Store exposes the underlying image store (hosts preload images through
@@ -202,17 +204,23 @@ func (s *Server) noteStore() {
 	s.storeLive, s.storeHeld = live, held
 }
 
-// Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
-// returns the bound address.
+// Listen serves TCP connections on addr (e.g. "127.0.0.1:0") and returns
+// the bound address.
 func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := network.TCP.Listen(addr)
 	if err != nil {
 		return nil, fmt.Errorf("memserver: listen: %w", err)
 	}
+	s.Serve(ln)
+	return ln.Addr(), nil
+}
+
+// Serve accepts connections on ln, which any network.Network may have
+// opened (network.TLS for §4.3's encrypted link); Close closes it.
+func (s *Server) Serve(ln net.Listener) {
 	s.ln = ln
 	s.noteStore() // a store handed over by a restarted daemon is not empty
 	go s.acceptLoop()
-	return ln.Addr(), nil
 }
 
 // Close stops the listener and all connections.

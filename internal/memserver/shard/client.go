@@ -44,12 +44,10 @@ type Config struct {
 	// Name (default "shard") is suffixed with the backend's stable shard
 	// index so each backend's oasis_client_* series stay
 	// distinguishable, and the JitterSeed is perturbed per backend to
-	// de-correlate reconnect storms across the fabric.
+	// de-correlate reconnect storms across the fabric. Its
+	// Resilience.Network carries every backend connection (TLS, and in
+	// tests and chaos harnesses a wrapped transport).
 	Pool memserver.PoolConfig
-	// Dialer overrides how one backend connection is established (tests
-	// and chaos harnesses wrap the transport, Connect dials TLS with a
-	// cert pool). Nil uses memserver.Dial with the fabric secret.
-	Dialer func(addr string) (*memserver.Client, error)
 	// RebalanceBytesPerSec caps the encoded bytes per second the
 	// background rebalancer and repair paths copy between backends, so a
 	// membership change does not starve foreground page traffic. <= 0
@@ -162,6 +160,7 @@ type Client struct {
 	baseRes memserver.ResilientConfig // per-backend template
 	onState func(from, to memserver.BreakerState)
 	tel     *shardTel
+	secret  []byte // the fabric's, handed to every backend pool
 
 	state atomic.Pointer[epochState]
 
@@ -250,13 +249,6 @@ func New(addrs []string, secret []byte, cfg Config) (*Client, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
 	}
-	secret = append([]byte(nil), secret...)
-	if cfg.Dialer == nil {
-		timeout := cfg.Pool.Resilience.DialTimeout
-		cfg.Dialer = func(addr string) (*memserver.Client, error) {
-			return memserver.Dial(addr, secret, timeout)
-		}
-	}
 	ring, err := NewRing(addrs, cfg.Replicas, cfg.RangePages, DefaultVnodes)
 	if err != nil {
 		return nil, err
@@ -267,6 +259,7 @@ func New(addrs []string, secret []byte, cfg Config) (*Client, error) {
 	}
 	c := &Client{
 		cfg:       cfg,
+		secret:    append([]byte(nil), secret...),
 		baseRes:   base,
 		onState:   base.OnStateChange,
 		tel:       newShardTel(base.Registry),
@@ -305,11 +298,10 @@ func (c *Client) newBackendRef(addr string) *backendRef {
 	pcfg.Resilience = c.baseRes
 	pcfg.Resilience.Name = c.baseRes.Name + "-" + strconv.Itoa(tidx)
 	pcfg.Resilience.JitterSeed ^= uint64(tidx+1) * 0xD6E8FEB86659FD93
-	pcfg.Resilience.Dialer = func() (*memserver.Client, error) { return c.cfg.Dialer(addr) }
 	pcfg.Resilience.OnStateChange = func(from, to memserver.BreakerState) {
 		c.poolStateChanged(ref, from, to)
 	}
-	ref.pool = memserver.NewPool(pcfg)
+	ref.pool = memserver.NewPool(addr, c.secret, pcfg)
 	return ref
 }
 

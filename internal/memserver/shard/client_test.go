@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"oasis/internal/memserver"
+	"oasis/internal/network"
 	"oasis/internal/pagestore"
 	"oasis/internal/rng"
 	"oasis/internal/telemetry"
@@ -160,7 +161,7 @@ func TestShardReassemblyMatchesSingleServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer single.Close()
-	ref, err := memserver.Dial(saddr.String(), testSecret, 0)
+	ref, err := memserver.Dial(network.TCP, saddr.String(), testSecret, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

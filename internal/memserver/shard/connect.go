@@ -1,10 +1,10 @@
 package shard
 
 import (
-	"crypto/x509"
 	"time"
 
 	"oasis/internal/memserver"
+	"oasis/internal/network"
 )
 
 // Target names a memory-server tier and how to reach it. It is the
@@ -25,10 +25,11 @@ type Target struct {
 	// <= 1 is one lane, on a fabric <= 0 takes memserver.DefaultPoolSize.
 	// Ignored on a single server without Resilience.
 	Lanes int
-	// TLSRoots, when non-nil, dials every connection over TLS verified
-	// against these roots; the shared-secret challenge still runs inside
-	// the session.
-	TLSRoots *x509.CertPool
+	// Network, when non-nil, carries every connection in place of
+	// Resilience.Network (nil there too: network.TCP). network.TLS is
+	// how a caller asks for §4.3's encrypted link; the shared-secret
+	// challenge still runs inside the session.
+	Network network.Network
 	// DialTimeout bounds every (re)connect. Zero takes
 	// Resilience.DialTimeout, else memserver.DefaultDialTimeout.
 	DialTimeout time.Duration
@@ -38,8 +39,9 @@ type Target struct {
 // *shard.Client for a fabric, a *memserver.ClientPool when resilience is
 // asked for, and otherwise one bare *memserver.Client. Every layer that
 // opens a memory-server connection on a user's behalf (the facade's
-// Dial, memtap, the host agent) comes through here, so TLS, timeouts and
-// resilience apply to every connection of whichever shape results.
+// Dial, memtap, the host agent) comes through here, so the network,
+// timeouts and resilience apply to every connection of whichever shape
+// results.
 func Connect(t Target, secret []byte) (memserver.Conn, error) {
 	var res memserver.ResilientConfig
 	if t.Resilience != nil {
@@ -48,38 +50,27 @@ func Connect(t Target, secret []byte) (memserver.Conn, error) {
 	if t.DialTimeout > 0 {
 		res.DialTimeout = t.DialTimeout
 	}
-	if res.DialTimeout <= 0 {
-		res.DialTimeout = memserver.DefaultDialTimeout
-	}
-	secret = append([]byte(nil), secret...)
-	dial := func(addr string) (*memserver.Client, error) {
-		if t.TLSRoots != nil {
-			return memserver.DialTLS(addr, secret, t.TLSRoots, res.DialTimeout)
-		}
-		return memserver.Dial(addr, secret, res.DialTimeout)
+	if t.Network != nil {
+		res.Network = t.Network
 	}
 	switch {
 	case len(t.Backends) > 0:
 		f, err := Dial(t.Backends, secret, Config{
 			Replicas: t.Replicas,
 			Pool:     memserver.PoolConfig{Size: t.Lanes, Resilience: res},
-			Dialer:   dial,
 		})
 		if err != nil {
 			return nil, err
 		}
 		return f, nil
 	case t.Resilience != nil:
-		if res.Dialer == nil {
-			res.Dialer = func() (*memserver.Client, error) { return dial(t.Addr) }
-		}
 		p, err := memserver.DialPool(t.Addr, secret, memserver.PoolConfig{Size: max(t.Lanes, 1), Resilience: res})
 		if err != nil {
 			return nil, err
 		}
 		return p, nil
 	default:
-		c, err := dial(t.Addr)
+		c, err := memserver.Dial(res.Network, t.Addr, secret, res.DialTimeout)
 		if err != nil {
 			return nil, err
 		}

@@ -2,10 +2,17 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"oasis/internal/faultinject"
 	"oasis/internal/memserver"
+	"oasis/internal/network"
 	"oasis/internal/pagestore"
 	"oasis/internal/rng"
 	"oasis/internal/units"
@@ -223,6 +230,103 @@ func TestConnConformance(t *testing.T) {
 			}
 			if _, err := conn.GetPage(vm, 0); !memserver.IsUnknownVM(err) {
 				t.Fatalf("GetPage after Delete: %v, want unknown VM", err)
+			}
+		})
+	}
+}
+
+// countingNetwork is TCP with every dial counted.
+type countingNetwork struct{ dials atomic.Int64 }
+
+func (n *countingNetwork) Dial(addr string, deadline time.Time) (net.Conn, error) {
+	n.dials.Add(1)
+	return network.TCP.Dial(addr, deadline)
+}
+
+func (n *countingNetwork) Listen(addr string) (net.Listener, error) { return network.TCP.Listen(addr) }
+
+// TestOneNetworkReachesEveryShape: the network a Target names carries
+// every connection of every shape Connect can return (each connection
+// the servers accept was dialed through it), and a dial failure that
+// network injects surfaces from each shape.
+func TestOneNetworkReachesEveryShape(t *testing.T) {
+	res := testResilience()
+	for _, shape := range []struct {
+		name    string
+		servers int
+		target  Target
+	}{
+		{"bare", 1, Target{}},
+		{"one-lane pool", 1, Target{Resilience: &res}},
+		{"four-lane pool", 1, Target{Resilience: &res, Lanes: 4}},
+		{"fabric r=2", 3, Target{Resilience: &res, Lanes: 2, Replicas: 2}},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			var accepted atomic.Int64
+			var addrs []string
+			for i := 0; i < shape.servers; i++ {
+				srv := memserver.NewServer(testSecret, nil)
+				srv.SetConnWrapper(func(c net.Conn) net.Conn {
+					accepted.Add(1)
+					return c
+				})
+				addr, err := srv.Listen("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer srv.Close()
+				addrs = append(addrs, addr.String())
+			}
+			counted := &countingNetwork{}
+			refuse := faultinject.New(1, faultinject.Config{DialFail: 1})
+			refuse.SetEnabled(false)
+			target := shape.target
+			target.Network = refuse.Network(counted)
+			if shape.servers == 1 {
+				target.Addr = addrs[0]
+			} else {
+				target.Backends = addrs
+			}
+
+			conn, err := Connect(target, testSecret)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const vm = pagestore.VMID(310)
+			im := sparseImage(t, 11)
+			if err := conn.PutImage(vm, im.Alloc(), encodeAll(t, im)); err != nil {
+				t.Fatal(err)
+			}
+			readBack(t, conn, vm, im)
+			// Concurrent reads, so a pool opens more than one lane.
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for pfn := pagestore.PFN(0); pfn < 4096; pfn += 512 {
+						if _, err := conn.GetPage(vm, pfn); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			conn.Close()
+			if d := counted.dials.Load(); d < int64(shape.servers) {
+				t.Fatalf("%d dials through the target's network for %d servers", d, shape.servers)
+			}
+			waitFor(t, 5*time.Second, "every accepted connection to be one the network dialed", func() bool {
+				return accepted.Load() == counted.dials.Load()
+			})
+
+			refuse.SetEnabled(true)
+			if c, err := Connect(target, testSecret); !errors.Is(err, faultinject.ErrInjected) {
+				if c != nil {
+					c.Close()
+				}
+				t.Fatalf("Connect with every dial refused: %v, want the network's injected failure", err)
 			}
 		})
 	}

@@ -3,13 +3,13 @@ package shard
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"oasis/internal/faultinject"
 	"oasis/internal/memserver"
+	"oasis/internal/network"
 	"oasis/internal/pagestore"
 	"oasis/internal/units"
 )
@@ -67,7 +67,7 @@ func TestReplayEscalatesToRepairUnderVMLock(t *testing.T) {
 
 	// The escalated repair actually rebuilt backend 0's partition.
 	ring := f.client.Ring()
-	direct, err := memserver.Dial(f.addrs[0], testSecret, 0)
+	direct, err := memserver.Dial(network.TCP, f.addrs[0], testSecret, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestElasticAddBackendConcurrentUpload(t *testing.T) {
 	}
 	// The newcomer itself holds the racing VM's owned ranges.
 	ring := f.client.Ring()
-	direct, err := memserver.Dial(newAddr, testSecret, 0)
+	direct, err := memserver.Dial(network.TCP, newAddr, testSecret, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestRepairNeverCopiesFromStalePreviousOwner(t *testing.T) {
 			stale = a
 		}
 	}
-	direct, err := memserver.Dial(stale, testSecret, 0)
+	direct, err := memserver.Dial(network.TCP, stale, testSecret, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,13 +312,7 @@ func TestRepairKeepsBackendOutOfReads(t *testing.T) {
 	slow := faultinject.New(5, faultinject.Config{Latency: 2 * time.Millisecond, LatencyProb: 1})
 	slow.SetEnabled(false)
 	cfg := elasticConfig()
-	cfg.Dialer = func(addr string) (*memserver.Client, error) {
-		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-		if err != nil {
-			return nil, err
-		}
-		return memserver.NewClientConn(slow.WrapConn(conn), testSecret)
-	}
+	cfg.Pool.Resilience.Network = slow.Network(network.TCP)
 	f := newFabric(t, 3, cfg)
 	if err := f.client.PutImage(vmid, im.Alloc(), snap); err != nil {
 		t.Fatal(err)
@@ -453,7 +447,7 @@ func TestHintOverflowForcesRepair(t *testing.T) {
 		return f.client.UnderreplicatedRanges() == 0
 	})
 	ring := f.client.Ring()
-	direct, err := memserver.Dial(victim, testSecret, 0)
+	direct, err := memserver.Dial(network.TCP, victim, testSecret, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

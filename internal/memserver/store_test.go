@@ -10,6 +10,7 @@ import (
 
 	"oasis/internal/faultinject"
 	"oasis/internal/lzf"
+	"oasis/internal/network"
 	"oasis/internal/pagestore"
 	"oasis/internal/rng"
 	"oasis/internal/telemetry"
@@ -441,16 +442,16 @@ func TestDialPoolRetriesFirstDial(t *testing.T) {
 	dials := 0
 	reset := faultinject.New(1, faultinject.Config{ReadErr: 1})
 	cfg := fastResilient()
-	cfg.Dialer = func() (*Client, error) {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
+	cfg.Network = netFunc(func(addr string, deadline time.Time) (net.Conn, error) {
+		conn, err := network.TCP.Dial(addr, deadline)
 		if err != nil {
 			return nil, err
 		}
 		if dials++; dials == 1 {
 			conn = reset.WrapConn(conn) // the challenge read fails and closes the connection
 		}
-		return NewClientConn(conn, testSecret)
-	}
+		return conn, nil
+	})
 	p, err := DialPool(addr, testSecret, PoolConfig{Size: 2, Resilience: cfg})
 	if err != nil {
 		t.Fatalf("DialPool gave up on the first dial: %v", err)
@@ -464,11 +465,11 @@ func TestDialPoolRetriesFirstDial(t *testing.T) {
 	}
 
 	dials = 0
-	cfg.Dialer = func() (*Client, error) {
+	cfg.Network = netFunc(func(addr string, deadline time.Time) (net.Conn, error) {
 		dials++
-		return Dial(addr, []byte("not the secret"), time.Second)
-	}
-	if _, err := DialPool(addr, nil, PoolConfig{Resilience: cfg}); !IsRemoteError(err) || dials != 1 {
+		return network.TCP.Dial(addr, deadline)
+	})
+	if _, err := DialPool(addr, []byte("not the secret"), PoolConfig{Resilience: cfg}); !IsRemoteError(err) || dials != 1 {
 		t.Fatalf("bad secret: %v after %d dials, want the server's refusal after one", err, dials)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"oasis/internal/network"
 	"oasis/internal/pagestore"
 	"oasis/internal/telemetry"
 	"oasis/internal/units"
@@ -113,7 +114,7 @@ func TestServerMetricsMatchSnapshot(t *testing.T) {
 	defer s.Close()
 
 	src, snap := makeSnapshot(t, 8*units.MiB, 5, 60)
-	c, err := Dial(addr.String(), testSecret, time.Second)
+	c, err := Dial(network.TCP, addr.String(), testSecret, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestAuthFailureMetric(t *testing.T) {
 	}
 	defer s.Close()
 
-	if _, err := Dial(addr.String(), []byte("wrong"), time.Second); err == nil {
+	if _, err := Dial(network.TCP, addr.String(), []byte("wrong"), time.Second); err == nil {
 		t.Fatal("dial with wrong secret should fail")
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -223,7 +224,7 @@ func TestDecompressHistogramPopulated(t *testing.T) {
 	}
 	defer s.Close()
 	_, snap := makeSnapshot(t, 8*units.MiB, 5, 60)
-	c, err := Dial(addr.String(), testSecret, time.Second)
+	c, err := Dial(network.TCP, addr.String(), testSecret, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

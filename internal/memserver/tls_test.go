@@ -2,26 +2,42 @@ package memserver
 
 import (
 	"bytes"
+	"crypto/tls"
 	"crypto/x509"
 	"testing"
 	"time"
 
+	"oasis/internal/network"
 	"oasis/internal/units"
 )
+
+// serveTLS starts a server that listens over network.TLS with cert and
+// returns its address.
+func serveTLS(t *testing.T, cert tls.Certificate) string {
+	t.Helper()
+	ln, err := network.TLS(network.TCP, cert, nil).Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(testSecret, t.Logf)
+	s.Serve(ln)
+	t.Cleanup(func() { s.Close() })
+	return ln.Addr().String()
+}
+
+// tlsTo is a client's TLS network, trusting roots.
+func tlsTo(roots *x509.CertPool) network.Network {
+	return network.TLS(network.TCP, tls.Certificate{}, roots)
+}
 
 func TestTLSUploadAndFetch(t *testing.T) {
 	cert, pool, err := GenerateCert([]string{"127.0.0.1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(testSecret, t.Logf)
-	addr, err := s.ListenTLS("127.0.0.1:0", cert)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	addr := serveTLS(t, cert)
 
-	c, err := DialTLS(addr.String(), testSecret, pool, 2*time.Second)
+	c, err := Dial(tlsTo(pool), addr, testSecret, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,16 +62,11 @@ func TestTLSRejectsUntrustedServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(testSecret, t.Logf)
-	addr, err := s.ListenTLS("127.0.0.1:0", cert)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	addr := serveTLS(t, cert)
 
 	// A client with an empty root pool must refuse the connection: this
 	// is the §4.3 server-authenticity property.
-	if _, err := DialTLS(addr.String(), testSecret, x509.NewCertPool(), 2*time.Second); err == nil {
+	if _, err := Dial(tlsTo(x509.NewCertPool()), addr, testSecret, 2*time.Second); err == nil {
 		t.Fatal("untrusted server certificate accepted")
 	}
 }
@@ -65,16 +76,11 @@ func TestTLSStillRequiresSecret(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(testSecret, t.Logf)
-	addr, err := s.ListenTLS("127.0.0.1:0", cert)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	addr := serveTLS(t, cert)
 
 	// Transport security does not replace client authentication: the
 	// HMAC challenge still runs inside the session.
-	if _, err := DialTLS(addr.String(), []byte("wrong"), pool, 2*time.Second); err == nil {
+	if _, err := Dial(tlsTo(pool), addr, []byte("wrong"), 2*time.Second); err == nil {
 		t.Fatal("bad shared secret accepted over TLS")
 	}
 }

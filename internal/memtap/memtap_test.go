@@ -3,7 +3,6 @@ package memtap
 import (
 	"bytes"
 	"errors"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +12,7 @@ import (
 	"oasis/internal/hypervisor"
 	"oasis/internal/memserver"
 	"oasis/internal/migration"
+	"oasis/internal/network"
 	"oasis/internal/pagestore"
 	"oasis/internal/rng"
 	"oasis/internal/units"
@@ -466,16 +466,8 @@ func TestPrefetchSurvivesFaultStorm(t *testing.T) {
 		DialFail: 0.1, ReadErr: 0.08, WriteErr: 0.04, PartialWrite: 0.04,
 	})
 	cfg := fastCfg()
-	cfg.Dialer = func() (*memserver.Client, error) {
-		conn, err := inj.Dial(func() (net.Conn, error) {
-			return net.DialTimeout("tcp", rb.addr, time.Second)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return memserver.NewClientConn(conn, secret)
-	}
-	rc := memserver.NewPool(memserver.PoolConfig{Size: 1, Resilience: cfg})
+	cfg.Network = inj.Network(network.TCP)
+	rc := memserver.NewPool(rb.addr, secret, memserver.PoolConfig{Size: 1, Resilience: cfg})
 	mt := NewWithClient(62, rc)
 	defer mt.Close()
 	desc := hypervisor.NewDescriptor(62, "storm", 8*units.MiB, 1)

@@ -124,7 +124,7 @@ func TestOnDemandFetchBounded(t *testing.T) {
 		t.Errorf("long fetch = %v, want capped at working set %v", long, ws)
 	}
 	// ~188.2 MiB/hour for a desktop: 10 minutes is ~31 MiB.
-	if mib := short.MiBf(); math.Abs(mib-31.4) > 3 {
+	if mib := float64(short) / float64(units.MiB); math.Abs(mib-31.4) > 3 {
 		t.Errorf("10-minute desktop fetch = %.1f MiB, want ~31", mib)
 	}
 }

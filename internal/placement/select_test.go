@@ -71,7 +71,10 @@ func genCands(r *rng.Rand, n int) []Candidate {
 	for i := range perm {
 		perm[i] = i
 	}
-	r.ShuffleInts(perm)
+	for i := len(perm) - 1; i > 0; i-- { // Fisher-Yates
+		j := r.Intn(i + 1)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
 	for i := range out {
 		out[i] = Candidate{
 			ID:   perm[i],

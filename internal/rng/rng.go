@@ -130,14 +130,6 @@ func (r *Rand) TruncNorm(mean, stddev, lo, hi float64) float64 {
 	return math.Min(math.Max(x, lo), hi)
 }
 
-// ShuffleInts shuffles s in place (Fisher-Yates).
-func (r *Rand) ShuffleInts(s []int) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
 // Mix64 deterministically combines two 64-bit values into a well-mixed
 // seed via two splitmix64 finalization rounds. It is the substream
 // derivation the fleet simulator and streaming trace generator use: a

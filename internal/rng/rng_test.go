@@ -107,29 +107,6 @@ func TestTruncNormBounds(t *testing.T) {
 	}
 }
 
-func TestPermShuffle(t *testing.T) {
-	r := New(7)
-	p := make([]int, 100)
-	for i := range p {
-		p[i] = i
-	}
-	r.ShuffleInts(p)
-	seen := make([]bool, 100)
-	moved := 0
-	for i, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("ShuffleInts lost or repeated %d", v)
-		}
-		seen[v] = true
-		if v != i {
-			moved++
-		}
-	}
-	if moved == 0 {
-		t.Error("ShuffleInts left 100 elements in place")
-	}
-}
-
 func TestForkIndependence(t *testing.T) {
 	r := New(8)
 	f1 := r.Fork()

@@ -51,15 +51,13 @@ func (t Time) String() string {
 	return fmt.Sprintf("%02d:%02d:%06.3f", h, m, s)
 }
 
-// Event is a scheduled callback. Cancelling an event that already fired or
-// was already cancelled is a no-op.
+// Event is a scheduled callback.
 type Event struct {
-	at     Time
-	seq    uint64
-	name   string
-	fn     func()
-	index  int // heap index, -1 when not queued
-	cancel bool
+	at    Time
+	seq   uint64
+	name  string
+	fn    func()
+	index int // heap index, -1 when not queued
 }
 
 // Time returns the instant the event is (or was) scheduled for.
@@ -67,9 +65,6 @@ func (e *Event) Time() Time { return e.at }
 
 // Name returns the descriptive label the event was scheduled with.
 func (e *Event) Name() string { return e.name }
-
-// Cancel removes the event from the queue. The callback will not run.
-func (e *Event) Cancel() { e.cancel = true }
 
 type eventQueue []*Event
 
@@ -121,9 +116,6 @@ func New() *Simulator {
 // Now returns the current simulation time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Pending reports the number of queued events.
-func (s *Simulator) Pending() int { return len(s.queue) }
-
 // Schedule queues fn to run at instant at. Scheduling in the past panics:
 // it always indicates a model bug, and silently clamping would hide it.
 func (s *Simulator) Schedule(at Time, name string, fn func()) *Event {
@@ -147,17 +139,14 @@ func (s *Simulator) After(d time.Duration, name string, fn func()) *Event {
 // Step fires the next event, if any, advancing the clock to its instant.
 // It reports whether an event fired.
 func (s *Simulator) Step() bool {
-	for len(s.queue) > 0 {
-		e := heap.Pop(&s.queue).(*Event)
-		if e.cancel {
-			continue
-		}
-		s.now = e.at
-		s.Processed++
-		e.fn()
-		return true
+	if len(s.queue) == 0 {
+		return false
 	}
-	return false
+	e := heap.Pop(&s.queue).(*Event)
+	s.now = e.at
+	s.Processed++
+	e.fn()
+	return true
 }
 
 // Run fires events until the queue is empty.
@@ -186,16 +175,7 @@ func (s *Simulator) Fingerprint() uint64 {
 // RunUntil fires events with instants <= end, then advances the clock to
 // end. Events scheduled beyond end remain queued.
 func (s *Simulator) RunUntil(end Time) {
-	for len(s.queue) > 0 {
-		// Peek at the head, skipping cancelled events.
-		e := s.queue[0]
-		if e.cancel {
-			heap.Pop(&s.queue)
-			continue
-		}
-		if e.at > end {
-			break
-		}
+	for len(s.queue) > 0 && s.queue[0].at <= end {
 		s.Step()
 	}
 	if s.now < end {

@@ -50,18 +50,6 @@ func TestAfterAndNesting(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	s := New()
-	ran := false
-	e := s.Schedule(Second, "x", func() { ran = true })
-	e.Cancel()
-	s.Run()
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-	e.Cancel() // idempotent
-}
-
 func TestRunUntil(t *testing.T) {
 	s := New()
 	var fired []int
@@ -74,8 +62,8 @@ func TestRunUntil(t *testing.T) {
 	if s.Now() != 3*Second {
 		t.Fatalf("clock = %v, want 3s", s.Now())
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d", s.Pending())
+	if len(s.queue) != 1 {
+		t.Fatalf("pending = %d", len(s.queue))
 	}
 	s.RunUntil(10 * Second)
 	if len(fired) != 2 {
@@ -121,20 +109,5 @@ func TestTimeHelpers(t *testing.T) {
 	}
 	if Day != 24*Hour {
 		t.Error("Day constant wrong")
-	}
-}
-
-func TestCancelledHeadSkipsInRunUntil(t *testing.T) {
-	s := New()
-	e := s.Schedule(Second, "a", func() {})
-	ran := false
-	s.Schedule(2*Second, "b", func() { ran = true })
-	e.Cancel()
-	s.RunUntil(5 * Second)
-	if !ran {
-		t.Fatal("event after cancelled head did not run")
-	}
-	if s.Processed != 1 {
-		t.Fatalf("Processed = %d, want 1", s.Processed)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"oasis/internal/memserver"
 	"oasis/internal/memserver/shard"
 	"oasis/internal/memtap"
+	"oasis/internal/network"
 	"oasis/internal/pagestore"
 	"oasis/internal/units"
 )
@@ -286,7 +287,7 @@ func TestElasticFabricChaosStorm(t *testing.T) {
 		for _, a := range ring.OwnerAddrs(vmid, pfn) {
 			d, ok := direct[a]
 			if !ok {
-				d, err = memserver.Dial(a, secret, 2*time.Second)
+				d, err = memserver.Dial(network.TCP, a, secret, 2*time.Second)
 				if err != nil {
 					t.Fatalf("direct dial owner %s: %v", a, err)
 				}

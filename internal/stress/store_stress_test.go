@@ -52,7 +52,7 @@ func TestFirstDialRidesOutReset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res := stormResilience(addr.String(), nil)
+	res := stormResilience(nil)
 	mt, err := memtap.NewWithOptions(vmid, addr.String(), secret, memtap.Options{Resilience: &res, PoolSize: 2})
 	if err != nil {
 		t.Fatalf("memtap's first dial was not retried: %v", err)
@@ -103,7 +103,7 @@ func TestServeDuringDiffsUnderChaos(t *testing.T) {
 		return out
 	}
 	dialPool := func(lanes int) *memserver.ClientPool {
-		p, err := memserver.DialPool(addr, secret, memserver.PoolConfig{Size: lanes, Resilience: stormResilience(addr, nil)})
+		p, err := memserver.DialPool(addr, secret, memserver.PoolConfig{Size: lanes, Resilience: stormResilience(nil)})
 		if err != nil {
 			t.Fatal(err)
 		}

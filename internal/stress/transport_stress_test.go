@@ -11,6 +11,7 @@ import (
 	"oasis/internal/hypervisor"
 	"oasis/internal/memserver"
 	"oasis/internal/memtap"
+	"oasis/internal/network"
 	"oasis/internal/pagestore"
 	"oasis/internal/units"
 )
@@ -54,7 +55,7 @@ func chaosBackend(t *testing.T, vmid pagestore.VMID, alloc units.Bytes, inj *fau
 // stormResilience is a retry budget big enough to ride out the injected
 // storms without the breaker masking retry bugs, with fast backoff so
 // the test stays quick.
-func stormResilience(addr string, dialInj *faultinject.Injector) memserver.ResilientConfig {
+func stormResilience(dialInj *faultinject.Injector) memserver.ResilientConfig {
 	cfg := memserver.ResilientConfig{
 		MaxRetries:       12,
 		MutatingRetries:  6,
@@ -67,20 +68,21 @@ func stormResilience(addr string, dialInj *faultinject.Injector) memserver.Resil
 		JitterSeed:       7,
 	}
 	if dialInj != nil {
-		cfg.Dialer = func() (*memserver.Client, error) {
-			conn, err := dialInj.Dial(func() (net.Conn, error) {
-				// A slow dial: reconnect storms must not convoy the pool.
-				time.Sleep(2 * time.Millisecond)
-				return net.DialTimeout("tcp", addr, 2*time.Second)
-			})
-			if err != nil {
-				return nil, err
-			}
-			return memserver.NewClientConn(conn, secret)
-		}
+		cfg.Network = dialInj.Network(netFunc(func(addr string, deadline time.Time) (net.Conn, error) {
+			// A slow dial: reconnect storms must not convoy the pool.
+			time.Sleep(2 * time.Millisecond)
+			return network.TCP.Dial(addr, deadline)
+		}))
 	}
 	return cfg
 }
+
+// netFunc is a network whose dials run the function and whose listens
+// are TCP's: tests slow, cut or count a client's dials with it.
+type netFunc func(addr string, deadline time.Time) (net.Conn, error)
+
+func (f netFunc) Dial(addr string, deadline time.Time) (net.Conn, error) { return f(addr, deadline) }
+func (netFunc) Listen(addr string) (net.Listener, error)                 { return network.TCP.Listen(addr) }
 
 // TestClientPoolChaosStorm hammers one ClientPool from 64 goroutines
 // while the server resets connections mid-batch and dials fail or crawl:
@@ -98,7 +100,7 @@ func TestClientPoolChaosStorm(t *testing.T) {
 	dialInj.SetEnabled(false)
 	p, err := memserver.DialPool(addr, secret, memserver.PoolConfig{
 		Size:       4,
-		Resilience: stormResilience(addr, dialInj),
+		Resilience: stormResilience(dialInj),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +179,7 @@ func TestSingleFlightUnderChaos(t *testing.T) {
 	addr, src := chaosBackend(t, vmid, 4*units.MiB, serverInj)
 
 	dialInj := faultinject.New(13, faultinject.Config{DialFail: 0.1})
-	res := stormResilience(addr, dialInj)
+	res := stormResilience(dialInj)
 	serverInj.SetEnabled(false)
 	dialInj.SetEnabled(false)
 	mt, err := memtap.NewWithOptions(vmid, addr, secret, memtap.Options{
@@ -278,7 +280,7 @@ func prefetchRacesFaultsUnderChaos(t *testing.T, vmid pagestore.VMID, opts memta
 	serverInj := faultinject.New(21, faultinject.Config{ReadErr: 0.01, WriteErr: 0.01})
 	addr, src := chaosBackend(t, vmid, 4*units.MiB, serverInj)
 
-	res := stormResilience(addr, nil)
+	res := stormResilience(nil)
 	opts.Resilience = &res
 	serverInj.SetEnabled(false)
 	mt, err := memtap.NewWithOptions(vmid, addr, secret, opts)

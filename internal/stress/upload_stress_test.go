@@ -9,6 +9,7 @@ import (
 
 	"oasis/internal/faultinject"
 	"oasis/internal/memserver"
+	"oasis/internal/network"
 	"oasis/internal/pagestore"
 	"oasis/internal/units"
 )
@@ -80,14 +81,14 @@ func TestStreamedUploadUnderChaos(t *testing.T) {
 
 	p, err := memserver.DialPool(addr, secret, memserver.PoolConfig{
 		Size:       4,
-		Resilience: stormResilience(addr, nil),
+		Resilience: stormResilience(nil),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	clean := func() *memserver.Client {
-		c, err := memserver.Dial(addr, secret, 2*time.Second)
+		c, err := memserver.Dial(network.TCP, addr, secret, 2*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,11 +169,13 @@ func TestStreamedUploadUnderChaos(t *testing.T) {
 	if len(chunks) < 2 || len(chunks[1]) < 2<<10 {
 		t.Fatalf("want a chunk 1 of 2 KiB or more, got %d chunks", len(chunks))
 	}
-	raw, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut, err := memserver.NewClientConn(&cutConn{Conn: raw, left: len(chunks[0]) + 1<<10}, secret)
+	cut, err := memserver.Dial(netFunc(func(addr string, deadline time.Time) (net.Conn, error) {
+		raw, err := network.TCP.Dial(addr, deadline)
+		if err != nil {
+			return nil, err
+		}
+		return &cutConn{Conn: raw, left: len(chunks[0]) + 1<<10}, nil
+	}), addr, secret, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,9 +64,6 @@ func (s *Stream) Next() (d UserDay, ok bool) {
 	return d, true
 }
 
-// Remaining reports how many user-days Next will still yield.
-func (s *Stream) Remaining() int { return s.n - s.next }
-
 // Rotate shifts the day's activity pattern circularly by the given
 // number of 5-minute intervals (positive = later in UTC terms), wrapping
 // past midnight. A fleet spread across timezones replays the same local

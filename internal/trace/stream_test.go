@@ -61,22 +61,7 @@ func TestUserDayOrderIndependence(t *testing.T) {
 }
 
 // Remaining tracks stream progress.
-func TestStreamRemaining(t *testing.T) {
-	s := NewStream(Weekend, 3, 7)
-	for want := 3; want > 0; want-- {
-		if got := s.Remaining(); got != want {
-			t.Fatalf("Remaining = %d, want %d", got, want)
-		}
-		if _, ok := s.Next(); !ok {
-			t.Fatalf("stream ended early at Remaining=%d", want)
-		}
-	}
-	if got := s.Remaining(); got != 0 {
-		t.Fatalf("Remaining after exhaustion = %d, want 0", got)
-	}
-}
 
-// Rotate shifts circularly, wraps midnight, and is invertible.
 func TestRotate(t *testing.T) {
 	d := UserDayAt(123, 0, Weekday)
 	if d.Rotate(0) != d {

@@ -61,15 +61,6 @@ func (d *UserDay) ActiveIntervals() int {
 	return n
 }
 
-// ActiveAt reports activity in the interval containing minute-of-day m.
-func (d *UserDay) ActiveAt(minuteOfDay int) bool {
-	i := minuteOfDay / IntervalMinutes
-	if i < 0 || i >= IntervalsPerDay {
-		return false
-	}
-	return d.Active[i]
-}
-
 // Set is a collection of user-days, typically the 900 samples one
 // simulation run uses.
 type Set struct {

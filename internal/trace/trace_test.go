@@ -145,17 +145,6 @@ func TestSample(t *testing.T) {
 	}
 }
 
-func TestActiveAt(t *testing.T) {
-	var d UserDay
-	d.Active[100] = true
-	if !d.ActiveAt(100*IntervalMinutes) || !d.ActiveAt(100*IntervalMinutes+4) {
-		t.Error("ActiveAt misses the marked interval")
-	}
-	if d.ActiveAt(99*IntervalMinutes) || d.ActiveAt(-5) || d.ActiveAt(25*60) {
-		t.Error("ActiveAt hits outside the marked interval")
-	}
-}
-
 func TestDayKindString(t *testing.T) {
 	if Weekday.String() != "weekday" || Weekend.String() != "weekend" {
 		t.Error("DayKind.String broken")

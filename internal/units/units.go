@@ -43,9 +43,6 @@ func PagesBytes(n int64) Bytes { return Bytes(n) * PageSize }
 // FromMiB converts a fractional MiB count to Bytes.
 func FromMiB(f float64) Bytes { return Bytes(f * float64(MiB)) }
 
-// MiBf returns the size expressed in MiB as a float.
-func (b Bytes) MiBf() float64 { return float64(b) / float64(MiB) }
-
 // GiBf returns the size expressed in GiB as a float.
 func (b Bytes) GiBf() float64 { return float64(b) / float64(GiB) }
 

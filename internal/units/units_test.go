@@ -42,9 +42,6 @@ func TestConversions(t *testing.T) {
 	if (512 * MiB).GiBf() != 0.5 {
 		t.Error("GiBf broken")
 	}
-	if (GiB).MiBf() != 1024 {
-		t.Error("MiBf broken")
-	}
 	if SASWrite.MiBps() != 128 {
 		t.Errorf("SASWrite = %v MiB/s", SASWrite.MiBps())
 	}

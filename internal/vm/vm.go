@@ -86,9 +86,6 @@ func (v *VM) Footprint() units.Bytes {
 // FullFootprint returns what the VM would pin if converted to a full VM.
 func (v *VM) FullFootprint() units.Bytes { return v.Alloc }
 
-// OnHome reports whether the VM currently runs on its home host.
-func (v *VM) OnHome() bool { return v.Host == v.Home }
-
 // Consolidated reports whether the VM runs away from its home.
 func (v *VM) Consolidated() bool { return v.Host != v.Home && v.Host != NoHost }
 

@@ -40,11 +40,11 @@ func TestChunkRound(t *testing.T) {
 
 func TestResidency(t *testing.T) {
 	v := &VM{Home: 3, Host: 3}
-	if !v.OnHome() || v.Consolidated() {
+	if v.Consolidated() {
 		t.Error("VM on home misclassified")
 	}
 	v.Host = 7
-	if v.OnHome() || !v.Consolidated() {
+	if !v.Consolidated() {
 		t.Error("consolidated VM misclassified")
 	}
 	v.Host = NoHost

@@ -19,7 +19,7 @@ func TestWorkingSetDistribution(t *testing.T) {
 		if ws < 16*units.MiB || ws > 1024*units.MiB {
 			t.Fatalf("working set out of bounds: %v", ws)
 		}
-		w.Add(ws.MiBf())
+		w.Add(float64(ws) / float64(units.MiB))
 	}
 	// Paper: 165.63 ± 91.38 MiB. Truncation shifts the mean slightly.
 	if math.Abs(w.Mean()-WSMeanMiB) > 8 {
@@ -34,9 +34,9 @@ func TestWorkingSetByClass(t *testing.T) {
 	r := rng.New(2)
 	var desk, web, db metrics.Welford
 	for i := 0; i < 5000; i++ {
-		desk.Add(SampleWorkingSetFor(r, vm.Desktop).MiBf())
-		web.Add(SampleWorkingSetFor(r, vm.WebServer).MiBf())
-		db.Add(SampleWorkingSetFor(r, vm.DBServer).MiBf())
+		desk.Add(float64(SampleWorkingSetFor(r, vm.Desktop)) / float64(units.MiB))
+		web.Add(float64(SampleWorkingSetFor(r, vm.WebServer)) / float64(units.MiB))
+		db.Add(float64(SampleWorkingSetFor(r, vm.DBServer)) / float64(units.MiB))
 	}
 	if !(desk.Mean() > web.Mean() && web.Mean() > db.Mean()) {
 		t.Errorf("class ordering broken: desktop %.1f, web %.1f, db %.1f",
