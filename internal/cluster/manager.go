@@ -272,7 +272,7 @@ func (c *Cluster) convertInPlace(v *vm.VM) bool {
 	c.endPartialEpisode(v, false)
 	old := v.Footprint()
 	v.Partial = false
-	if err := h.Recharge(v.ID, old); err != nil {
+	if err := h.Recharge(v, old); err != nil {
 		panic(fmt.Sprintf("cluster: convert recharge: %v", err))
 	}
 	c.moved(EvConvert, v, h.ID)
@@ -304,7 +304,7 @@ func (c *Cluster) migrateToNewHome(v *vm.VM) bool {
 	}
 	c.endPartialEpisode(v, false)
 	src := c.hostByID(v.Host)
-	if err := src.RemoveVM(v.ID); err != nil {
+	if err := src.RemoveVM(v); err != nil {
 		panic(fmt.Sprintf("cluster: newhome remove: %v", err))
 	}
 	v.Partial = false
@@ -349,7 +349,7 @@ func (c *Cluster) returnAllHome(h *host.Host) {
 			// allocation, but guard against future policy interplay.
 			continue
 		}
-		if err := src.RemoveVM(v.ID); err != nil {
+		if err := src.RemoveVM(v); err != nil {
 			panic(fmt.Sprintf("cluster: return remove: %v", err))
 		}
 		kind := EvReturnAll
@@ -427,7 +427,7 @@ func (c *Cluster) exchangeOne(home *host.Host, v *vm.VM) (time.Duration, bool) {
 		return 0, false
 	}
 	// Full migration home.
-	if err := cons.RemoveVM(v.ID); err != nil {
+	if err := cons.RemoveVM(v); err != nil {
 		panic(fmt.Sprintf("cluster: exchange remove: %v", err))
 	}
 	if err := home.AddVM(v); err != nil {
@@ -473,7 +473,7 @@ func (c *Cluster) partialMigrate(v *vm.VM, dest *host.Host) (time.Duration, bool
 	} else {
 		c.Stats.Ops.Inc("partial-diff", 1)
 	}
-	if err := src.RemoveVM(v.ID); err != nil {
+	if err := src.RemoveVM(v); err != nil {
 		panic(fmt.Sprintf("cluster: partial remove: %v", err))
 	}
 	v.Partial = true
@@ -777,7 +777,7 @@ func (c *Cluster) executeVacate(h *host.Host, plan []assignment) {
 			if !dest.Powered() || !dest.Fits(v.FullFootprint()) {
 				continue
 			}
-			if err := h.RemoveVM(v.ID); err != nil {
+			if err := h.RemoveVM(v); err != nil {
 				panic(fmt.Sprintf("cluster: vacate remove: %v", err))
 			}
 			if err := dest.AddVM(v); err != nil {

@@ -4,10 +4,10 @@
 package host
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
-	"oasis/internal/pagestore"
 	"oasis/internal/power"
 	"oasis/internal/simtime"
 	"oasis/internal/units"
@@ -64,8 +64,16 @@ type Host struct {
 	meter   *power.Meter
 
 	state       power.State
-	pendingWake []func()
 	memServerOn bool
+	// pendingWake holds the callbacks to run when the resume in progress
+	// (or queued behind the suspend in progress) completes; spareWake is
+	// the queue the last resume drained, kept for the next. slept is the
+	// done of the suspend in progress. suspended and resumed complete the
+	// transitions, bound once in New, so that scheduling one allocates
+	// nothing.
+	pendingWake, spareWake []func()
+	slept                  func()
+	suspended, resumed     func()
 
 	// onChange, if set, runs after every change to the host's memory
 	// accounting (AddVM/RemoveVM/Recharge, via refreshPower) or power
@@ -73,15 +81,9 @@ type Host struct {
 	// stay current without rescanning hosts; the callback must be O(1).
 	onChange func(*Host)
 
-	// The residents: ids ascending, slot[i] the place of ids[i]'s VM in
-	// vms, which is unordered (RemoveVM moves the last VM into the hole);
-	// each resident's HostSlot is its place in vms too.
-	// Only the pointer-free slices are ever shifted — moving a run of
-	// pointers pays a write barrier each while the collector marks — and
-	// lookups search ids, not vms[i].ID, which costs a pointer chase per
-	// probe. byID is vms in ID order, rebuilt by VMs when stale.
-	ids   []pagestore.VMID
-	slot  []int32
+	// The residents, unordered: each one's HostSlot is its place in vms,
+	// and RemoveVM moves the last VM into the hole. byID is vms in ID
+	// order, sorted again by VMs when stale.
 	vms   []*vm.VM
 	byID  []*vm.VM
 	stale bool
@@ -119,7 +121,7 @@ func New(sim *simtime.Simulator, cfg Config) *Host {
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("host-%d", cfg.ID)
 	}
-	return &Host{
+	h := &Host{
 		ID:         cfg.ID,
 		Name:       cfg.Name,
 		Role:       cfg.Role,
@@ -131,6 +133,8 @@ func New(sim *simtime.Simulator, cfg Config) *Host {
 		meter:      power.NewMeter(cfg.Profile),
 		state:      power.Powered,
 	}
+	h.suspended, h.resumed = h.finishSuspend, h.finishResume
+	return h
 }
 
 // State returns the host's power state.
@@ -172,28 +176,11 @@ func (h *Host) NumVMs() int { return len(h.vms) }
 // read-only, and valid until the next AddVM or RemoveVM.
 func (h *Host) VMs() []*vm.VM {
 	if h.stale {
-		h.byID = h.byID[:0]
-		for _, j := range h.slot {
-			h.byID = append(h.byID, h.vms[j])
-		}
+		h.byID = append(h.byID[:0], h.vms...)
+		slices.SortFunc(h.byID, func(a, b *vm.VM) int { return cmp.Compare(a.ID, b.ID) })
 		h.stale = false
 	}
 	return h.byID
-}
-
-// find returns id's place in ids and the resident with that id, or nil.
-func (h *Host) find(id pagestore.VMID) (int, *vm.VM) {
-	i, ok := slices.BinarySearch(h.ids, id)
-	if !ok {
-		return i, nil
-	}
-	return i, h.vms[h.slot[i]]
-}
-
-// VM returns a resident VM by id, or nil.
-func (h *Host) VM(id pagestore.VMID) *vm.VM {
-	_, v := h.find(id)
-	return v
 }
 
 // holds reports whether v itself, not merely a VM with its ID, is
@@ -207,7 +194,7 @@ func (h *Host) holds(v *vm.VM) bool {
 func (h *Host) ActiveVMs() int { return h.active }
 
 // AddVM places a VM on the host, charging its footprint. It fails if the
-// host lacks capacity or is not powered.
+// host lacks capacity, is not powered, or already holds v.
 func (h *Host) AddVM(v *vm.VM) error {
 	if h.state != power.Powered {
 		return fmt.Errorf("host %d: cannot place vm%04d while %v", h.ID, v.ID, h.state)
@@ -216,13 +203,10 @@ func (h *Host) AddVM(v *vm.VM) error {
 	if !h.Fits(need) {
 		return &ErrCapacity{Host: h.ID, Need: need, Free: h.Free()}
 	}
-	i, dup := h.find(v.ID)
-	if dup != nil {
+	if h.holds(v) {
 		return fmt.Errorf("host %d: vm%04d already resident", h.ID, v.ID)
 	}
-	h.ids = slices.Insert(h.ids, i, v.ID)
 	v.HostSlot = int32(len(h.vms))
-	h.slot = slices.Insert(h.slot, i, v.HostSlot)
 	h.vms = append(h.vms, v)
 	h.stale = true
 	h.used += need
@@ -238,19 +222,15 @@ func (h *Host) AddVM(v *vm.VM) error {
 }
 
 // RemoveVM takes a VM off the host, releasing its footprint.
-func (h *Host) RemoveVM(id pagestore.VMID) error {
-	i, v := h.find(id)
-	if v == nil {
-		return fmt.Errorf("host %d: vm%04d not resident", h.ID, id)
+func (h *Host) RemoveVM(v *vm.VM) error {
+	if !h.holds(v) {
+		return fmt.Errorf("host %d: vm%04d not resident", h.ID, v.ID)
 	}
-	j, last := h.slot[i], len(h.vms)-1
-	if moved := h.vms[last]; moved != v {
-		k, _ := h.find(moved.ID)
-		h.vms[j], h.slot[k], moved.HostSlot = moved, j, j
-	}
-	h.vms = slices.Delete(h.vms, last, last+1)
-	h.ids = slices.Delete(h.ids, i, i+1)
-	h.slot = slices.Delete(h.slot, i, i+1)
+	j, last := v.HostSlot, len(h.vms)-1
+	moved := h.vms[last]
+	h.vms[j], moved.HostSlot = moved, j
+	h.vms[last] = nil
+	h.vms = h.vms[:last]
 	h.stale = true
 	h.used -= v.Footprint()
 	if v.Active {
@@ -268,10 +248,9 @@ func (h *Host) RemoveVM(id pagestore.VMID) error {
 // beyond capacity is allowed here (detection happens in the manager's
 // exhaustion check) so that working-set growth can actually exhaust a
 // host, as §3.2 describes.
-func (h *Host) Recharge(id pagestore.VMID, old units.Bytes) error {
-	v := h.VM(id)
-	if v == nil {
-		return fmt.Errorf("host %d: vm%04d not resident", h.ID, id)
+func (h *Host) Recharge(v *vm.VM, old units.Bytes) error {
+	if !h.holds(v) {
+		return fmt.Errorf("host %d: vm%04d not resident", h.ID, v.ID)
 	}
 	h.used += v.Footprint() - old
 	h.partials++
@@ -359,14 +338,22 @@ func (h *Host) Suspend(done func()) error {
 	}
 	h.setState(power.Suspending)
 	h.Suspends++
-	h.sim.After(h.profile.SuspendTime, "host-suspend", func() {
-		h.setState(power.Sleeping)
-		if done != nil {
-			done()
-		}
-		h.drainWakes()
-	})
+	h.slept = done
+	h.sim.After(h.profile.SuspendTime, "host-suspend", h.suspended)
 	return nil
+}
+
+// finishSuspend puts the host in S3, runs the suspend's done, and starts
+// a resume if a wake was queued meanwhile.
+func (h *Host) finishSuspend() {
+	h.setState(power.Sleeping)
+	if done := h.slept; done != nil {
+		h.slept = nil
+		done()
+	}
+	if h.state == power.Sleeping && len(h.pendingWake) > 0 {
+		h.startResume(nil)
+	}
 }
 
 // Wake brings a sleeping host back to Powered (the manager sends a
@@ -400,27 +387,20 @@ func (h *Host) startResume(done func()) {
 	if done != nil {
 		h.pendingWake = append(h.pendingWake, done)
 	}
-	h.sim.After(h.profile.ResumeTime, "host-resume", func() {
-		h.setState(power.Powered)
-		cbs := h.pendingWake
-		h.pendingWake = nil
-		for _, cb := range cbs {
-			cb()
-		}
-	})
+	h.sim.After(h.profile.ResumeTime, "host-resume", h.resumed)
 }
 
-// drainWakes fires a queued resume after a suspend completes.
-func (h *Host) drainWakes() {
-	if h.state == power.Sleeping && len(h.pendingWake) > 0 {
-		cbs := h.pendingWake
-		h.pendingWake = nil
-		h.startResume(func() {
-			for _, cb := range cbs {
-				cb()
-			}
-		})
+// finishResume powers the host and runs the queued wakes. A wake may
+// suspend and wake the host again, which queues on the other buffer.
+func (h *Host) finishResume() {
+	h.setState(power.Powered)
+	cbs := h.pendingWake
+	h.pendingWake = h.spareWake
+	for _, cb := range cbs {
+		cb()
 	}
+	clear(cbs)
+	h.spareWake = cbs[:0]
 }
 
 func (h *Host) setState(s power.State) {

@@ -40,13 +40,13 @@ func TestCapacityAccounting(t *testing.T) {
 	if err := h.AddVM(v); err == nil {
 		t.Fatal("duplicate add accepted")
 	}
-	if err := h.RemoveVM(1); err != nil {
+	if err := h.RemoveVM(v); err != nil {
 		t.Fatal(err)
 	}
 	if h.Used() != 0 {
 		t.Fatalf("after remove: used=%v", h.Used())
 	}
-	if err := h.RemoveVM(1); err == nil {
+	if err := h.RemoveVM(v); err == nil {
 		t.Fatal("double remove accepted")
 	}
 }
@@ -95,13 +95,13 @@ func TestPartialFootprintAndRecharge(t *testing.T) {
 	// Working set grows; recharge accounts the delta.
 	old := v.Footprint()
 	v.WorkingSet = 200 * units.MiB
-	if err := h.Recharge(v.ID, old); err != nil {
+	if err := h.Recharge(v, old); err != nil {
 		t.Fatal(err)
 	}
 	if h.Used() != vm.ChunkRound(200*units.MiB) {
 		t.Fatalf("after recharge: used=%v", h.Used())
 	}
-	if err := h.Recharge(77, 0); err == nil {
+	if err := h.Recharge(&vm.VM{ID: 77}, 0); err == nil {
 		t.Error("recharge of absent VM accepted")
 	}
 }
@@ -118,7 +118,7 @@ func TestExhaustion(t *testing.T) {
 	}
 	old := v.Footprint()
 	v.WorkingSet = 9 * units.GiB
-	if err := h.Recharge(v.ID, old); err != nil {
+	if err := h.Recharge(v, old); err != nil {
 		t.Fatal(err)
 	}
 	if !h.Exhausted() {
@@ -163,13 +163,14 @@ func TestSuspendResumeCycle(t *testing.T) {
 func TestSuspendRefusals(t *testing.T) {
 	sim := simtime.New()
 	h := newTestHost(sim, 0, Compute)
-	if err := h.AddVM(&vm.VM{ID: 1, Alloc: units.GiB}); err != nil {
+	v := &vm.VM{ID: 1, Alloc: units.GiB}
+	if err := h.AddVM(v); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Suspend(nil); err == nil {
 		t.Fatal("suspend with resident VMs accepted")
 	}
-	if err := h.RemoveVM(1); err != nil {
+	if err := h.RemoveVM(v); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Suspend(nil); err != nil {
@@ -283,6 +284,40 @@ func TestWakeDuringResumeQueuesCallback(t *testing.T) {
 	}
 }
 
+// TestWakeFromAWakeCallback: a wake callback that suspends the host and
+// wakes it again queues that wake behind the new suspend, while the
+// callbacks queued beside it still run, each once, in order.
+func TestWakeFromAWakeCallback(t *testing.T) {
+	sim := simtime.New()
+	h := newTestHost(sim, 0, Compute)
+	if err := h.Suspend(nil); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	var order []string
+	at := map[string]simtime.Time{}
+	note := func(name string) { order = append(order, name); at[name] = sim.Now() }
+	h.Wake(func() {
+		note("a")
+		if err := h.Suspend(nil); err != nil {
+			t.Fatal(err)
+		}
+		h.Wake(func() { note("c") })
+	})
+	h.Wake(func() { note("b") })
+	sim.Run()
+	if !slices.Equal(order, []string{"a", "b", "c"}) {
+		t.Fatalf("wakes ran as %v, want [a b c]", order)
+	}
+	p := power.DefaultProfile()
+	if at["b"] != at["a"] || at["c"] != at["a"].Add(p.SuspendTime+p.ResumeTime) {
+		t.Fatalf("wakes ran at %v", at)
+	}
+	if !h.Powered() || h.Suspends != 2 || h.Resumes != 2 {
+		t.Fatalf("state %v after %d suspends and %d resumes", h.State(), h.Suspends, h.Resumes)
+	}
+}
+
 func TestRolesAndStrings(t *testing.T) {
 	if Compute.String() != "compute" || Consolidation.String() != "consolidation" {
 		t.Error("Role.String broken")
@@ -300,16 +335,18 @@ func TestRolesAndStrings(t *testing.T) {
 }
 
 // TestResidentInvariants drives a random history of placements,
-// removals, activity flips, recharges and working-set growth over three
-// hosts, and after every step recounts each host from scratch: the
-// incrementally kept active count, pinned memory, resident count and the
-// ID order of VMs() must equal the recount, and the partial count
-// GrowPartials skips on must not fall below it. The host keeps these by
-// ±deltas and never re-derives them, so this is what would catch a
-// missed or doubled update.
+// removals, activity flips, recharges and working-set growth over two
+// hosts, with removals, recharges and flips also aimed at the host a VM
+// is not on, and after every step recounts each host from scratch: the
+// incrementally kept active count, pinned memory, resident count,
+// residency and the strict ID order of VMs() must equal the recount, and
+// the partial count GrowPartials skips on must not fall below it. The
+// host keeps these by ±deltas and swap-removes by HostSlot, never
+// re-deriving them, so this is what would catch a missed or doubled
+// update or a stale slot.
 func TestResidentInvariants(t *testing.T) {
 	sim := simtime.New()
-	hosts := []*Host{newTestHost(sim, 0, Compute), newTestHost(sim, 1, Consolidation), newTestHost(sim, 2, Consolidation)}
+	hosts := []*Host{newTestHost(sim, 0, Compute), newTestHost(sim, 1, Consolidation)}
 	r := rng.New(20160418)
 	vms := make([]*vm.VM, 60)
 	on := make([]*Host, len(vms)) // the reference model: where each VM is
@@ -329,8 +366,8 @@ func TestResidentInvariants(t *testing.T) {
 			active, partials := 0, 0
 			for i, v := range vms {
 				if on[i] != h {
-					if h.VM(v.ID) != nil || h.holds(v) {
-						t.Fatalf("step %d (%s): host %d still finds vm%d", step, op, h.ID, v.ID)
+					if h.holds(v) {
+						t.Fatalf("step %d (%s): host %d still holds vm%d", step, op, h.ID, v.ID)
 					}
 					continue
 				}
@@ -342,8 +379,8 @@ func TestResidentInvariants(t *testing.T) {
 				if v.Partial {
 					partials++
 				}
-				if h.VM(v.ID) != v || !h.holds(v) {
-					t.Fatalf("step %d (%s): host %d cannot find resident vm%d", step, op, h.ID, v.ID)
+				if !h.holds(v) || v.Host != h.ID {
+					t.Fatalf("step %d (%s): host %d does not hold resident vm%d", step, op, h.ID, v.ID)
 				}
 			}
 			slices.SortFunc(want, func(a, b *vm.VM) int { return cmp.Compare(a.ID, b.ID) })
@@ -355,17 +392,23 @@ func TestResidentInvariants(t *testing.T) {
 				t.Fatalf("step %d (%s): host %d counts %d partial residents, recount gives %d: GrowPartials would skip one",
 					step, op, h.ID, h.partials, partials)
 			}
-			if !slices.Equal(h.VMs(), want) {
+			got := h.VMs()
+			if !slices.Equal(got, want) {
 				t.Fatalf("step %d (%s): host %d VMs() is not the residents in ID order", step, op, h.ID)
+			}
+			for k := 1; k < len(got); k++ {
+				if got[k-1].ID >= got[k].ID {
+					t.Fatalf("step %d (%s): host %d VMs() not in strict ID order at %d", step, op, h.ID, k)
+				}
 			}
 		}
 	}
-	for step := 0; step < 4000; step++ {
+	for step := 0; step < 6000; step++ {
 		i := r.Intn(len(vms))
 		v, h := vms[i], on[i]
 		var op string
-		switch k := r.Intn(6); {
-		case h == nil: // place it (a full host refuses, which changes nothing)
+		switch k := r.Intn(8); {
+		case h == nil && k < 6: // place it (a full host refuses, which changes nothing)
 			op = "add"
 			dest := hosts[r.Intn(len(hosts))]
 			v.Partial = !v.Active && r.Bool(0.7)
@@ -374,9 +417,24 @@ func TestResidentInvariants(t *testing.T) {
 			} else if !errors.As(err, new(*ErrCapacity)) {
 				t.Fatal(err)
 			}
+		case k >= 6: // the wrong host, or any host for a VM placed nowhere
+			op = "misaimed"
+			wrong := hosts[r.Intn(len(hosts))]
+			if wrong == h {
+				wrong = hosts[(h.ID+1)%len(hosts)]
+			}
+			if err := wrong.RemoveVM(v); err == nil {
+				t.Fatalf("step %d: host %d removed vm%d resident elsewhere", step, wrong.ID, v.ID)
+			}
+			if err := wrong.Recharge(v, v.Footprint()); err == nil {
+				t.Fatalf("step %d: host %d recharged vm%d resident elsewhere", step, wrong.ID, v.ID)
+			}
+			if err := wrong.NoteVMStateChanged(v); err == nil {
+				t.Fatalf("step %d: host %d took a flip of vm%d resident elsewhere", step, wrong.ID, v.ID)
+			}
 		case k == 0:
 			op = "remove"
-			if err := h.RemoveVM(v.ID); err != nil {
+			if err := h.RemoveVM(v); err != nil {
 				t.Fatal(err)
 			}
 			on[i] = nil
@@ -390,8 +448,13 @@ func TestResidentInvariants(t *testing.T) {
 			op = "recharge"
 			old := v.Footprint()
 			v.Partial = !v.Partial
-			if err := h.Recharge(v.ID, old); err != nil {
+			if err := h.Recharge(v, old); err != nil {
 				t.Fatal(err)
+			}
+		case k == 4 && h.Role == Compute: // the duplicate add is refused
+			op = "re-add"
+			if err := h.AddVM(v); err == nil {
+				t.Fatalf("step %d: vm%d added twice to host %d", step, v.ID, h.ID)
 			}
 		default:
 			op = "grow"
@@ -400,9 +463,8 @@ func TestResidentInvariants(t *testing.T) {
 		check(step, op)
 	}
 
-	// A flip or a recharge for a VM the host does not hold must fail
-	// loudly and change nothing — also for a different VM that merely
-	// carries a resident's ID.
+	// A VM that merely carries a resident's ID, and sits in the same
+	// slot on another host, is not that resident.
 	var resident *vm.VM
 	var h *Host
 	for i, v := range vms {
@@ -413,16 +475,15 @@ func TestResidentInvariants(t *testing.T) {
 	if h == nil {
 		t.Fatal("history ended with no resident VM")
 	}
-	other := hosts[(h.ID+1)%len(hosts)]
-	impostor := &vm.VM{ID: resident.ID, Alloc: resident.Alloc, Active: true}
-	if err := other.NoteVMStateChanged(resident); err == nil {
-		t.Error("flip of a VM resident elsewhere accepted")
-	}
+	impostor := &vm.VM{ID: resident.ID, Alloc: resident.Alloc, Active: true, HostSlot: resident.HostSlot}
 	if err := h.NoteVMStateChanged(impostor); err == nil {
 		t.Error("flip of a VM that only shares a resident's ID accepted")
 	}
-	if err := other.Recharge(resident.ID, 0); err == nil {
-		t.Error("recharge of a VM resident elsewhere accepted")
+	if err := h.RemoveVM(impostor); err == nil {
+		t.Error("removal of a VM that only shares a resident's ID accepted")
 	}
-	check(-1, "rejected notifications")
+	if err := h.Recharge(impostor, 0); err == nil {
+		t.Error("recharge of a VM that only shares a resident's ID accepted")
+	}
+	check(-1, "rejected impostor")
 }

@@ -167,8 +167,19 @@ func FuzzPutChunkFraming(f *testing.F) {
 	))
 	f.Add([]byte{})
 
+	// One server per fuzz worker, not one per exec: each exec deletes
+	// the VMs it touched, so the next starts from an empty store again.
+	s := NewServer(testSecret, nil)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := NewServer(testSecret, nil)
+		if n := s.Store().Len(); n != 0 {
+			t.Fatalf("exec starts with %d images left by the last", n)
+		}
+		var touched []pagestore.VMID
+		defer func() {
+			for _, id := range touched {
+				s.deleteVM(id)
+			}
+		}()
 		// installed holds a successful put or commit to one readable image.
 		installed := func(id pagestore.VMID) {
 			im, err := s.Store().Get(id)
@@ -196,6 +207,7 @@ func FuzzPutChunkFraming(f *testing.F) {
 				if got := encodePut(h, chunk); !bytes.Equal(got, payload) {
 					t.Fatalf("put round trip diverged:\n in  %x\n out %x", payload, got)
 				}
+				touched = append(touched, h.id)
 				if err := s.put(h, chunk); err == nil && h.uploadID == 0 {
 					installed(h.id)
 				}
@@ -207,6 +219,7 @@ func FuzzPutChunkFraming(f *testing.F) {
 				if got := encodePutCommit(id, uploadID, nchunks); !bytes.Equal(got, payload) {
 					t.Fatalf("PutCommit round trip diverged:\n in  %x\n out %x", payload, got)
 				}
+				touched = append(touched, id)
 				if err := s.putCommit(id, uploadID, nchunks); err == nil {
 					installed(id)
 				}

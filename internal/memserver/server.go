@@ -281,6 +281,18 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// deleteVM forgets everything the server holds for id: its image, its
+// staged upload and its last committed upload id.
+func (s *Server) deleteVM(id pagestore.VMID) {
+	s.store.Delete(id)
+	s.upMu.Lock()
+	delete(s.uploads, id)
+	delete(s.committed, id)
+	s.upMu.Unlock()
+	s.noteStore()
+	s.unpersist(id)
+}
+
 func (s *Server) dropConn(conn net.Conn) {
 	s.mu.Lock()
 	delete(s.conns, conn)
@@ -307,6 +319,15 @@ func (s *Server) serveConn(raw net.Conn) {
 	}()
 	if s.idleTimeout > 0 {
 		raw.SetReadDeadline(time.Now().Add(s.idleTimeout))
+	}
+	// A TLS conn handshakes lazily, on its first read or write; finish
+	// it here, so that a bad certificate or a client that does not speak
+	// TLS is logged as what it is and not as a wrong secret.
+	if tc, ok := raw.(interface{ Handshake() error }); ok {
+		if err := tc.Handshake(); err != nil {
+			s.logf("memserver: tls handshake from %v: %v", conn.RemoteAddr(), err)
+			return
+		}
 	}
 	// Per-connection reusable buffers: one goroutine serves a
 	// connection, so the receive buffer and the reply under construction
@@ -487,14 +508,7 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 		if len(payload) != 4 {
 			return fail(errors.New("malformed DeleteVM"))
 		}
-		id := pagestore.VMID(binary.BigEndian.Uint32(payload))
-		s.store.Delete(id)
-		s.upMu.Lock()
-		delete(s.uploads, id)
-		delete(s.committed, id)
-		s.upMu.Unlock()
-		s.noteStore()
-		s.unpersist(id)
+		s.deleteVM(pagestore.VMID(binary.BigEndian.Uint32(payload)))
 		return writeFrame(conn, msgOK, nil)
 
 	case msgStats:

@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"crypto/tls"
 	"crypto/x509"
+	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"oasis/internal/network"
+	"oasis/internal/telemetry"
 	"oasis/internal/units"
 )
 
@@ -82,6 +87,71 @@ func TestTLSStillRequiresSecret(t *testing.T) {
 	// HMAC challenge still runs inside the session.
 	if _, err := Dial(tlsTo(pool), addr, []byte("wrong"), 2*time.Second); err == nil {
 		t.Fatal("bad shared secret accepted over TLS")
+	}
+}
+
+// TestFailedTLSHandshakeIsNotAnAuthFailure: a client that distrusts the
+// server's certificate, and one that does not speak TLS at all, are
+// logged as failed TLS handshakes; neither counts as a wrong secret.
+func TestFailedTLSHandshakeIsNotAnAuthFailure(t *testing.T) {
+	cert, _, err := GenerateCert([]string{"127.0.0.1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := network.TLS(network.TCP, cert, nil).Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var lines []string
+	reg := telemetry.NewRegistry()
+	s := NewServer(testSecret, func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	})
+	s.SetMetricsRegistry(reg)
+	s.Serve(ln)
+	defer s.Close()
+	addr := ln.Addr().String()
+	// handshakeFailures waits until the server has logged n failed
+	// handshakes and returns everything it logged.
+	handshakeFailures := func(n int) []string {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			mu.Lock()
+			got, logged := 0, slices.Clone(lines)
+			mu.Unlock()
+			for _, l := range logged {
+				if strings.Contains(l, "tls handshake from") {
+					got++
+				}
+			}
+			if got >= n {
+				return logged
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d failed TLS handshakes logged, want %d: %q", got, n, logged)
+			}
+		}
+	}
+
+	if _, err := Dial(tlsTo(x509.NewCertPool()), addr, testSecret, 2*time.Second); err == nil {
+		t.Fatal("untrusted server certificate accepted")
+	}
+	handshakeFailures(1)
+	// A plain-TCP client waits for the challenge that never comes and
+	// hangs up; the server is still waiting for its ClientHello.
+	if _, err := Dial(network.TCP, addr, testSecret, 200*time.Millisecond); err == nil {
+		t.Fatal("a plain-TCP client authenticated against a TLS listener")
+	}
+	for _, l := range handshakeFailures(2) {
+		if strings.Contains(l, "auth failure") {
+			t.Errorf("a failed TLS handshake was logged as an auth failure: %q", l)
+		}
+	}
+	if n := reg.Counter("oasis_memserver_auth_failures_total", "").Value(); n != 0 {
+		t.Errorf("auth failures = %v after two failed TLS handshakes, want 0", n)
 	}
 }
 

@@ -177,24 +177,17 @@ func (m Model) Reintegration(dirtyBytes units.Bytes) Op {
 // stays consolidated for dur: its idle access process touches pages that
 // memtap fetches over the network, bounded by the VM's working set (once
 // resident, re-touches hit local frames).
-func (m Model) OnDemandFetch(class ratedClass, ws units.Bytes, dur time.Duration) units.Bytes {
-	rate := class.MiBPerHour() // uncompressed access volume
-	fetched := units.Bytes(rate * dur.Hours() * float64(units.MiB))
+func (m Model) OnDemandFetch(rate ClassRate, ws units.Bytes, dur time.Duration) units.Bytes {
+	fetched := units.Bytes(float64(rate) * dur.Hours() * float64(units.MiB))
 	if fetched > ws {
 		fetched = ws
 	}
 	return fetched
 }
 
-// ratedClass is anything exposing an idle access rate; satisfied by
-// workload classes via ClassRate.
-type ratedClass interface{ MiBPerHour() float64 }
-
-// ClassRate adapts a workload class's calibrated idle access rate.
+// ClassRate is a workload class's calibrated idle access rate: MiB of
+// uncompressed pages touched per hour.
 type ClassRate float64
-
-// MiBPerHour returns the rate.
-func (c ClassRate) MiBPerHour() float64 { return float64(c) }
 
 // Rates for the three classes (Figure 1).
 const (

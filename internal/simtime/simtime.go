@@ -8,7 +8,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -51,48 +50,20 @@ func (t Time) String() string {
 	return fmt.Sprintf("%02d:%02d:%06.3f", h, m, s)
 }
 
-// Event is a scheduled callback.
-type Event struct {
-	at    Time
-	seq   uint64
-	name  string
-	fn    func()
-	index int // heap index, -1 when not queued
+// event is a queued callback. The queue holds events by value, so
+// scheduling one allocates nothing once the queue has grown.
+type event struct {
+	at  Time
+	seq uint64
+	fn  func()
 }
 
-// Time returns the instant the event is (or was) scheduled for.
-func (e *Event) Time() Time { return e.at }
-
-// Name returns the descriptive label the event was scheduled with.
-func (e *Event) Name() string { return e.name }
-
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before orders events by instant, then by scheduling order.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 // Simulator owns the virtual clock and event queue. The zero value is not
@@ -100,52 +71,81 @@ func (q *eventQueue) Pop() any {
 type Simulator struct {
 	now   Time
 	seq   uint64
-	queue eventQueue
+	queue []event // a binary min-heap in (at, seq) order
 
 	// Processed counts events that have fired, for diagnostics.
 	Processed uint64
 }
 
 // New returns an empty simulator with the clock at zero.
-func New() *Simulator {
-	s := &Simulator{}
-	heap.Init(&s.queue)
-	return s
-}
+func New() *Simulator { return &Simulator{} }
 
 // Now returns the current simulation time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Schedule queues fn to run at instant at. Scheduling in the past panics:
-// it always indicates a model bug, and silently clamping would hide it.
-func (s *Simulator) Schedule(at Time, name string, fn func()) *Event {
+// Schedule queues fn to run at instant at; name labels it in a panic.
+// Scheduling in the past panics: it always indicates a model bug, and
+// silently clamping would hide it.
+func (s *Simulator) Schedule(at Time, name string, fn func()) {
 	if at < s.now {
 		panic(fmt.Sprintf("simtime: scheduling %q at %v before now %v", name, at, s.now))
 	}
-	e := &Event{at: at, seq: s.seq, name: name, fn: fn, index: -1}
+	q := append(s.queue, event{at: at, seq: s.seq, fn: fn})
 	s.seq++
-	heap.Push(&s.queue, e)
-	return e
+	// Sift the new event up from the last leaf.
+	i := len(q) - 1
+	e := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+	s.queue = q
 }
 
 // After queues fn to run d after the current instant.
-func (s *Simulator) After(d time.Duration, name string, fn func()) *Event {
+func (s *Simulator) After(d time.Duration, name string, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return s.Schedule(s.now.Add(d), name, fn)
+	s.Schedule(s.now.Add(d), name, fn)
 }
 
 // Step fires the next event, if any, advancing the clock to its instant.
 // It reports whether an event fired.
 func (s *Simulator) Step() bool {
-	if len(s.queue) == 0 {
+	q := s.queue
+	if len(q) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.queue).(*Event)
-	s.now = e.at
+	top := q[0]
+	// Sift the last event down from the root into the vacated place.
+	n := len(q) - 1
+	e := q[n]
+	q[n] = event{} // drop the closure for the collector
+	q = q[:n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&e) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = e
+	}
+	s.queue = q
+	s.now = top.at
 	s.Processed++
-	e.fn()
+	top.fn()
 	return true
 }
 

@@ -1,8 +1,12 @@
 package simtime
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"time"
+
+	"oasis/internal/rng"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -109,5 +113,55 @@ func TestTimeHelpers(t *testing.T) {
 	}
 	if Day != 24*Hour {
 		t.Error("Day constant wrong")
+	}
+}
+
+// TestFiringOrderIsStableSortByInstant schedules a random history with
+// many events per instant, a third of them from inside callbacks (at the
+// firing instant or later), and checks that the events fire in the order
+// of a stable sort of the scheduling order by instant: (at, seq) order.
+func TestFiringOrderIsStableSortByInstant(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		s := New()
+		r := rng.New(seed)
+		type sched struct {
+			at Time
+			id int
+		}
+		var scheduled []sched
+		var fired []int
+		var add func()
+		add = func() {
+			at := s.Now() + Time(r.Intn(5))*Second
+			id := len(scheduled)
+			scheduled = append(scheduled, sched{at, id})
+			s.Schedule(at, "e", func() {
+				fired = append(fired, id)
+				for len(scheduled) < 3000 && r.Bool(0.35) {
+					add()
+				}
+			})
+		}
+		for i := 0; i < 500; i++ {
+			add()
+		}
+		for i := 0; s.Step(); i++ {
+			if i%97 == 0 {
+				add() // scheduled between steps, at or after now
+			}
+		}
+		want := slices.Clone(scheduled)
+		slices.SortStableFunc(want, func(a, b sched) int { return cmp.Compare(a.at, b.at) })
+		if len(fired) != len(want) {
+			t.Fatalf("seed %d: %d events fired, %d scheduled", seed, len(fired), len(want))
+		}
+		for i, w := range want {
+			if fired[i] != w.id {
+				t.Fatalf("seed %d: event %d fired %dth, want event %d (at %v)", seed, fired[i], i, w.id, w.at)
+			}
+		}
+		if s.Processed != uint64(len(want)) || s.seq != uint64(len(want)) {
+			t.Fatalf("seed %d: processed %d, seq %d, want %d", seed, s.Processed, s.seq, len(want))
+		}
 	}
 }
