@@ -65,8 +65,10 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # The fleet-sim workload of the benchmark of record (bench/README.md):
-# 9000 users, 2 workers, end-to-end metrics only.
+# 9000 users, 2 workers, end-to-end metrics only; first, the user-day
+# micro-benchmark behind its trace.user_day_ns layer metric.
 bench-fleet:
+	$(GO) test -run '^$$' -bench 'BenchmarkUserDayAt$$' -benchmem ./internal/trace
 	bash bench/run.sh --workload fleet-sim --trace 0
 
 # CPU profile of that same configuration (seed 42), written with the test

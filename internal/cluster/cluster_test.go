@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -91,6 +93,13 @@ func TestInitialState(t *testing.T) {
 		if v.WorkingSet <= 0 {
 			t.Fatal("working set not sampled")
 		}
+		if want := fmt.Sprintf("vdi-%04d", v.ID); v.Name != want {
+			t.Fatalf("VM %d named %q, want %q", v.ID, v.Name, want)
+		}
+	}
+	// Names widen past four digits.
+	if n := vmNames(9001); n[0] != "vdi-1000" || n[8999] != "vdi-9999" || n[9000] != "vdi-10000" {
+		t.Fatalf("vmNames(9001) = %q ... %q, %q", n[0], n[8999], n[9000])
 	}
 }
 
@@ -479,5 +488,86 @@ func TestEventLog(t *testing.T) {
 	tc2.tick(allIdle(8)...)
 	if len(tc2.c.Events()) != 0 {
 		t.Fatal("events recorded with logging disabled")
+	}
+}
+
+// A host's deferred batches pop in order of due, ties in push order, and
+// the buffer is reused once every batch has popped.
+func TestBatchQueueOrder(t *testing.T) {
+	var q batchQueue[int]
+	q.push(10, []int{1, 2})
+	q.push(5, []int{3})
+	q.push(10, []int{4})
+	q.push(7, nil)
+	for _, want := range [][]int{{3}, {}, {1, 2}, {4}} {
+		if got := q.pop(); !slices.Equal(got, want) {
+			t.Fatalf("popped %v, want %v", got, want)
+		}
+	}
+	// A batch pushed due earlier than one already popped goes after it:
+	// the popped ones have run.
+	q.push(20, []int{5})
+	q.push(30, []int{6})
+	if got := q.pop(); !slices.Equal(got, []int{5}) {
+		t.Fatalf("popped %v, want [5]", got)
+	}
+	q.push(1, []int{7})
+	for _, want := range [][]int{{7}, {6}} {
+		if got := q.pop(); !slices.Equal(got, want) {
+			t.Fatalf("popped %v, want %v", got, want)
+		}
+	}
+	if len(q.items) != 3 {
+		t.Fatalf("%d items held after a drain and three pushes, want 3 (reused from 0)", len(q.items))
+	}
+}
+
+// Two exchange batches queued on one waking home run as two: each VM is
+// exchanged, and each batch schedules the home's sleep after its own busy
+// time, so the home suspends after the shorter exchange, where one batch
+// of both VMs suspends it after their sum.
+func TestExchangeBatchesRunSeparately(t *testing.T) {
+	suspendAt := func(batches [][]int) (simtime.Time, int64) {
+		cfg := smallConfig(FulltoPartial)
+		cfg.MaxVacateActiveFrac = 0
+		cfg.EventLogSize = 256
+		tc := newTestCluster(t, cfg)
+		active := allIdle(8)
+		active[0], active[1] = true, true
+		tc.tick(active...) // vacates both homes; VMs 0 and 1 go full
+		tc.tick(active...)
+		v0, v1 := tc.vmByIndex(0), tc.vmByIndex(1)
+		if v0.Partial || v1.Partial || v0.Host != 2 || v1.Host != 2 || !tc.c.Hosts[0].Sleeping() {
+			t.Fatalf("setup: %v %v, home %v", v0, v1, tc.c.Hosts[0].State())
+		}
+		tc.c.setActive(v0, false)
+		tc.c.setActive(v1, false)
+		start := len(tc.c.Events())
+		for _, b := range batches {
+			var vs []*vm.VM
+			for _, i := range b {
+				vs = append(vs, tc.vmByIndex(i))
+			}
+			tc.c.exchangeIdleFulls(vs)
+		}
+		tc.sim.RunUntil(tc.sim.Now().Add(cfg.PlanEvery))
+		if !v0.Partial || !v1.Partial || v0.Host != 2 || v1.Host != 2 {
+			t.Fatalf("%v: after the exchange %v %v", batches, v0, v1)
+		}
+		for _, e := range tc.c.Events()[start:] {
+			if e.Kind == EvSuspend && e.Host == 0 {
+				return e.At, tc.c.Stats.Ops["full-exchange"]
+			}
+		}
+		t.Fatalf("%v: home 0 never suspended", batches)
+		return 0, 0
+	}
+	apart, n := suspendAt([][]int{{0}, {1}})
+	together, m := suspendAt([][]int{{0, 1}})
+	if n != 2 || m != 2 {
+		t.Fatalf("full exchanges: %d in two batches, %d in one; want 2 and 2", n, m)
+	}
+	if apart >= together {
+		t.Fatalf("home suspended at %v after two batches, %v after one: want earlier", apart, together)
 	}
 }

@@ -42,9 +42,11 @@ type SampleDigest struct {
 	Buckets [64]int64 `json:"-"`
 }
 
-// addSample folds a metrics.Sample into the digest.
+// addSample folds a metrics.Sample into the digest. It reads the
+// observations in place: integer sums, a max and counts do not depend
+// on their order.
 func (d *SampleDigest) addSample(s *metrics.Sample) {
-	for _, x := range s.Values() {
+	for _, x := range s.Raw() {
 		m := microsOf(x)
 		d.Count++
 		d.SumMicros += m

@@ -331,10 +331,7 @@ func (c *Cluster) wakeHomeAndReturnAll(h *host.Host) {
 		c.Stats.Ops.Inc("home-wake", 1)
 		c.event(EvWake, h.ID, 0, "for bulk return")
 	}
-	h.Wake(func() {
-		h.SetMemServer(false)
-		c.returnAllHome(h)
-	})
+	h.Wake(c.work[h.ID].returnAll)
 }
 
 // returnAllHome reintegrates/migrates back every VM homed on h.
@@ -373,12 +370,13 @@ func (c *Cluster) returnAllHome(h *host.Host) {
 // home in full, partially migrate it back to the same consolidation host,
 // and let the home sleep again (§3.2).
 func (c *Cluster) exchangeIdleFulls(wentIdle []*vm.VM) {
-	var fulls []*vm.VM
+	fulls := c.fulls[:0]
 	for _, v := range wentIdle {
 		if !v.Partial && v.Consolidated() && v.Home != v.Host {
 			fulls = append(fulls, v)
 		}
 	}
+	c.fulls = fulls
 	// One batch per home, homes in host-ID order: the order homes wake
 	// in can decide who gets the freed consolidation capacity.
 	slices.SortStableFunc(fulls, func(a, b *vm.VM) int { return cmp.Compare(a.Home, b.Home) })
@@ -387,35 +385,35 @@ func (c *Cluster) exchangeIdleFulls(wentIdle []*vm.VM) {
 		for n < len(fulls) && fulls[n].Home == fulls[0].Home {
 			n++
 		}
-		vs := fulls[:n]
+		h := c.hostByID(fulls[0].Home)
+		w := &c.work[h.ID]
+		w.exchanges.push(c.Sim.Now(), fulls[:n])
 		fulls = fulls[n:]
-		h := c.hostByID(vs[0].Home)
 		wasAsleep := h.Sleeping() || h.InTransit()
 		if wasAsleep {
 			c.Stats.Ops.Inc("home-wake-exchange", 1)
 			c.event(EvWake, h.ID, 0, "for exchange")
 		}
-		h.Wake(func() {
-			h.SetMemServer(false)
-			var busy time.Duration
-			for _, v := range vs {
-				if v.Active || v.Partial || !v.Consolidated() {
-					continue // state changed while the home resumed
-				}
-				if d, ok := c.exchangeOne(h, v); ok {
-					busy += d
-				}
-			}
-			// The home returns to sleep once the exchange completes,
-			// unless it picked up VMs meanwhile.
-			if h.NumVMs() == 0 {
-				c.Sim.After(busy, "exchange-sleep", func() {
-					if h.Powered() && h.NumVMs() == 0 {
-						c.suspendHost(h)
-					}
-				})
-			}
-		})
+		h.Wake(w.exchange)
+	}
+}
+
+// exchange runs one exchange batch once its home h is powered.
+func (c *Cluster) exchange(h *host.Host, vs []*vm.VM) {
+	h.SetMemServer(false)
+	var busy time.Duration
+	for _, v := range vs {
+		if v.Active || v.Partial || !v.Consolidated() {
+			continue // state changed while the home resumed
+		}
+		if d, ok := c.exchangeOne(h, v); ok {
+			busy += d
+		}
+	}
+	// The home returns to sleep once the exchange completes, unless it
+	// picked up VMs meanwhile.
+	if h.NumVMs() == 0 {
+		c.Sim.After(busy, "exchange-sleep", c.work[h.ID].sleepIfEmpty)
 	}
 }
 
@@ -528,11 +526,7 @@ func (c *Cluster) relieveExhausted() {
 // never powered).
 func (c *Cluster) suspendHost(h *host.Host) {
 	c.event(EvSuspend, h.ID, 0, "")
-	if err := h.Suspend(func() {
-		if h.Role == host.Compute {
-			h.SetMemServer(true)
-		}
-	}); err != nil {
+	if err := h.Suspend(c.work[h.ID].slept); err != nil {
 		panic(fmt.Sprintf("cluster: suspend: %v", err))
 	}
 }
@@ -591,11 +585,7 @@ func (c *Cluster) planVacate() {
 
 	// Build the full plan first, allowing sleeping consolidation hosts
 	// as destinations.
-	type hostPlan struct {
-		h      *host.Host
-		assign []assignment
-	}
-	buildPlans := func(allowSleeping bool) []hostPlan {
+	buildPlans := func(allowSleeping bool) []vacatePlan {
 		// Tentative free capacity per consolidation host, counting both
 		// currently powered and sleeping ones (sleeping hosts can be
 		// woken to accommodate incoming VMs, §3.1; a host mid-transition
@@ -605,12 +595,15 @@ func (c *Cluster) planVacate() {
 			c.free[h.ID] = h.Free()
 			c.woken[h.ID] = false
 		}
-		var plans []hostPlan
+		plans := c.plans[:0]
+		c.assignBuf = c.assignBuf[:0]
 		for _, cd := range cands {
-			if assign, ok := c.assignVMs(cd.h, allowSleeping); ok {
-				plans = append(plans, hostPlan{cd.h, assign})
+			lo := len(c.assignBuf)
+			if c.assignVMs(cd.h, allowSleeping) {
+				plans = append(plans, vacatePlan{cd.h, lo, len(c.assignBuf)})
 			}
 		}
+		c.plans = plans
 		return plans
 	}
 
@@ -634,8 +627,15 @@ func (c *Cluster) planVacate() {
 	}
 
 	for _, pl := range plans {
-		c.executeVacate(pl.h, pl.assign)
+		c.executeVacate(pl.h, c.assignBuf[pl.lo:pl.hi])
 	}
+}
+
+// vacatePlan is one home's plan: h's VMs go where c.assignBuf[lo:hi]
+// says.
+type vacatePlan struct {
+	h      *host.Host
+	lo, hi int
 }
 
 // assignment maps a VM to a destination host and residency mode.
@@ -647,10 +647,11 @@ type assignment struct {
 
 // assignVMs tries to place every VM of h onto consolidation hosts against
 // the attempt's tentative c.free; on success c.free and c.woken are
-// updated and the plan returned (a copy the caller owns: executeVacate
-// keeps it past this tick).
-func (c *Cluster) assignVMs(h *host.Host, allowSleeping bool) ([]assignment, bool) {
-	plan := c.assignBuf[:0]
+// updated and the plan appended to c.assignBuf, and on failure
+// c.assignBuf is left as it was.
+func (c *Cluster) assignVMs(h *host.Host, allowSleeping bool) bool {
+	lo := len(c.assignBuf)
+	plan := c.assignBuf
 	ok := true
 	for _, v := range h.VMs() { // ID order, for reproducibility
 		partial := !v.Active && c.Cfg.Policy != FullOnly
@@ -665,8 +666,7 @@ func (c *Cluster) assignVMs(h *host.Host, allowSleeping bool) ([]assignment, boo
 		c.spent[dest] += need
 		plan = append(plan, assignment{v: v, dest: dest, partial: partial})
 	}
-	c.assignBuf = plan
-	for _, a := range plan {
+	for _, a := range plan[lo:] {
 		if ok {
 			c.free[a.dest] -= c.spent[a.dest]
 			c.woken[a.dest] = true
@@ -674,9 +674,10 @@ func (c *Cluster) assignVMs(h *host.Host, allowSleeping bool) ([]assignment, boo
 		c.spent[a.dest] = 0
 	}
 	if !ok {
-		return nil, false
+		plan = plan[:lo]
 	}
-	return slices.Clone(plan), true
+	c.assignBuf = plan
+	return ok
 }
 
 // pickConsHost selects a destination among consolidation hosts whose
@@ -734,8 +735,8 @@ func (c *Cluster) pickConsHost(need units.Bytes, allowSleeping bool) (int, bool)
 	return strat.Pick(cands, c.rand), true
 }
 
-// executeVacate wakes the needed consolidation hosts and moves h's VMs,
-// then schedules h's suspend after the serialized migration latency.
+// executeVacate wakes the needed consolidation hosts and schedules the
+// moves of h's VMs (vacate), queuing a copy of plan for them.
 func (c *Cluster) executeVacate(h *host.Host, plan []assignment) {
 	// Wake any sleeping destinations first.
 	needWake := false
@@ -756,54 +757,56 @@ func (c *Cluster) executeVacate(h *host.Host, plan []assignment) {
 	if needWake {
 		delay = c.Cfg.Profile.ResumeTime + time.Millisecond
 	}
-	c.Sim.After(delay, "vacate", func() {
-		var busy time.Duration
-		n := 0
-		for _, a := range plan {
-			v := a.v
-			if v.Host != h.ID {
-				continue // moved by an intervening event
-			}
-			dest := c.hostByID(a.dest)
-			if a.partial && !v.Active {
-				if d, ok := c.partialMigrate(v, dest); ok {
-					c.moved(EvVacate, v, h.ID)
-					busy += d
-					n++
-				}
-				continue
-			}
-			// Full migration (active VM, or FullOnly policy).
-			if !dest.Powered() || !dest.Fits(v.FullFootprint()) {
-				continue
-			}
-			if err := h.RemoveVM(v); err != nil {
-				panic(fmt.Sprintf("cluster: vacate remove: %v", err))
-			}
-			if err := dest.AddVM(v); err != nil {
-				panic(fmt.Sprintf("cluster: vacate add: %v", err))
-			}
-			c.moved(EvVacate, v, h.ID)
-			op := c.Cfg.Model.FullMigration(v.Alloc, v.Active)
-			c.Stats.FullBytes += op.NetBytes
-			c.Stats.Ops.Inc("full-vacate", 1)
-			// Full migration frees any memory-server image at the source
-			// (§4.2).
-			m := c.metaOf(v)
-			m.uploaded = false
-			m.dirtySinceUpload = 0
-			busy += op.Latency
-			n++
+	w := &c.work[h.ID]
+	w.vacates.push(c.Sim.Now().Add(delay), plan)
+	c.Sim.After(delay, "vacate", w.vacate)
+}
+
+// vacate moves h's VMs as plan says, then schedules h's suspend after
+// the serialized migration latency.
+func (c *Cluster) vacate(h *host.Host, plan []assignment) {
+	var busy time.Duration
+	n := 0
+	for _, a := range plan {
+		v := a.v
+		if v.Host != h.ID {
+			continue // moved by an intervening event
 		}
-		if n == 0 {
-			return
-		}
-		c.Sim.After(busy, "vacate-sleep", func() {
-			if h.Powered() && h.NumVMs() == 0 {
-				c.suspendHost(h)
+		dest := c.hostByID(a.dest)
+		if a.partial && !v.Active {
+			if d, ok := c.partialMigrate(v, dest); ok {
+				c.moved(EvVacate, v, h.ID)
+				busy += d
+				n++
 			}
-		})
-	})
+			continue
+		}
+		// Full migration (active VM, or FullOnly policy).
+		if !dest.Powered() || !dest.Fits(v.FullFootprint()) {
+			continue
+		}
+		if err := h.RemoveVM(v); err != nil {
+			panic(fmt.Sprintf("cluster: vacate remove: %v", err))
+		}
+		if err := dest.AddVM(v); err != nil {
+			panic(fmt.Sprintf("cluster: vacate add: %v", err))
+		}
+		c.moved(EvVacate, v, h.ID)
+		op := c.Cfg.Model.FullMigration(v.Alloc, v.Active)
+		c.Stats.FullBytes += op.NetBytes
+		c.Stats.Ops.Inc("full-vacate", 1)
+		// Full migration frees any memory-server image at the source
+		// (§4.2).
+		m := c.metaOf(v)
+		m.uploaded = false
+		m.dirtySinceUpload = 0
+		busy += op.Latency
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	c.Sim.After(busy, "vacate-sleep", c.work[h.ID].sleepIfEmpty)
 }
 
 // PoweredHosts counts hosts currently powered or in transit — the

@@ -12,7 +12,7 @@ import (
 // Bump it whenever a field is added, removed, or changes meaning, so a
 // reader (CI's delta step, PERFORMANCE.md tooling) can refuse to compare
 // artifacts across incompatible layouts.
-const BenchSchemaVersion = 5
+const BenchSchemaVersion = 6
 
 // BenchMeta is the header every JSON bench artifact carries.
 type BenchMeta struct {

@@ -13,14 +13,17 @@ import (
 
 // The fleet benchmark's gate. What bounds how much of the design space a
 // sweep can afford is user-days per second per core, so that is what is
-// floored: the one-worker run must reach fleetUsersPerSecPerCore. The
-// floor sits between what the simulator did before its cell state became
-// dense (≈ 18k on the 2-core sandbox the artifact is recorded on) and
-// what it does since (≈ 45k there), so a return of per-flip or per-VM
-// rescans fails it while a slower CI runner does not. It was not raised
-// when ticks stopped walking every VM: that saved about a fifth, less
-// than the same box's own spread under load (34k to 53k for one
-// commit), so a floor between the two would fail on load, not on code.
+// floored: the one-worker run must reach fleetUsersPerSecPerCore user-days
+// per second of the process's CPU time (getrusage), not of wall clock. A
+// loaded box stretches the wall clock of a run but not the CPU time it
+// takes, and the floor gates the code, not the machine's load (wall
+// clock failed it on a loaded 2-CPU box at 24.6k with nothing wrong).
+// The collector's threads count too, so on a quiet box the CPU reading
+// is the stricter of the two. The floor sits between what the simulator
+// did before its cell state became dense (≈ 18k users/s on the 2-core
+// sandbox the artifact is recorded on) and what it does since (≈ 45k
+// there), so a return of per-flip or per-VM rescans fails it while a
+// slower CI runner does not.
 // Parallelism is gated separately and only where it can show: with at
 // least fleetScalingMinCores cores, the widest run must reach
 // fleetScalingFloor times the one-worker throughput.
@@ -37,7 +40,11 @@ type FleetRun struct {
 	Workers     int     `json:"workers"`
 	ElapsedSec  float64 `json:"elapsed_sec"`
 	UsersPerSec float64 `json:"users_per_sec"`
-	Fingerprint string  `json:"fingerprint"`
+	// CPUSec is the process CPU time the run took (user and system, all
+	// threads); UsersPerCPUSec is users over it, what the gate floors.
+	CPUSec         float64 `json:"cpu_sec"`
+	UsersPerCPUSec float64 `json:"users_per_cpu_sec"`
+	Fingerprint    string  `json:"fingerprint"`
 }
 
 // FleetBench is the fleet-simulator benchmark artifact; oasis-bench
@@ -105,7 +112,7 @@ func Fleet(opt Option) (FleetBench, error) {
 	// fleetBenchWorkers starts at the serial reference and ends at the
 	// widest pool.
 	widest := fleetBenchWorkers[len(fleetBenchWorkers)-1]
-	comparison := fmt.Sprintf("users_per_sec at 1 worker >= %d AND fingerprints identical across workers %v", fleetUsersPerSecPerCore, fleetBenchWorkers)
+	comparison := fmt.Sprintf("users_per_cpu_sec at 1 worker >= %d AND fingerprints identical across workers %v", fleetUsersPerSecPerCore, fleetBenchWorkers)
 	out.Note = fmt.Sprintf("one rep of %d user-days per worker count", users)
 	if gateScaling {
 		comparison += fmt.Sprintf(" AND users_per_sec at %d workers >= %.1f * that", widest, fleetScalingFloor)
@@ -118,10 +125,12 @@ func Fleet(opt Option) (FleetBench, error) {
 	for i, workers := range fleetBenchWorkers {
 		c := cfg
 		c.Workers = workers
+		cpu0 := processCPU()
 		res, err := sim.RunFleet(c)
 		if err != nil {
 			return FleetBench{}, err
 		}
+		cpu := (processCPU() - cpu0).Seconds()
 		fp := res.Fingerprint()
 		if i == 0 {
 			first = fp
@@ -130,15 +139,21 @@ func Fleet(opt Option) (FleetBench, error) {
 			out.BitIdentical = false
 		}
 		out.WorkerRuns = append(out.WorkerRuns, FleetRun{
-			Workers:     workers,
-			ElapsedSec:  res.Elapsed.Seconds(),
-			UsersPerSec: float64(res.Users) / res.Elapsed.Seconds(),
-			Fingerprint: fmt.Sprintf("%#x", fp),
+			Workers:        workers,
+			ElapsedSec:     res.Elapsed.Seconds(),
+			UsersPerSec:    float64(res.Users) / res.Elapsed.Seconds(),
+			CPUSec:         cpu,
+			UsersPerCPUSec: float64(res.Users) / cpu,
+			Fingerprint:    fmt.Sprintf("%#x", fp),
 		})
 	}
 
-	perCore := out.WorkerRuns[0].UsersPerSec
-	out.WorkerScaling = out.WorkerRuns[len(out.WorkerRuns)-1].UsersPerSec / perCore
+	serial := out.WorkerRuns[0]
+	out.WorkerScaling = out.WorkerRuns[len(out.WorkerRuns)-1].UsersPerSec / serial.UsersPerSec
+	perCore := serial.UsersPerCPUSec
+	if serial.CPUSec <= 0 {
+		perCore = serial.UsersPerSec // no CPU clock on this platform
+	}
 	ratio := perCore / fleetUsersPerSecPerCore
 	out.MeasuredGate = Gate{
 		Metric:     "fleet_users_per_sec_per_core",
@@ -288,10 +303,10 @@ func FleetBenchReport(opt Option) Report {
 	}
 	fmt.Fprintf(&b, "%d users in %d cells of %d (%s, seed %d), savings %.1f%%\n",
 		r.Users, r.Cells, r.UsersPerCell, r.Kind, r.Seed, r.SavingsPct)
-	fmt.Fprintf(&b, "%-10s %12s %14s %20s\n", "workers", "elapsed", "users/sec", "fingerprint")
+	fmt.Fprintf(&b, "%-10s %12s %14s %10s %16s %20s\n", "workers", "elapsed", "users/sec", "cpu", "users/cpu-sec", "fingerprint")
 	for _, run := range r.WorkerRuns {
-		fmt.Fprintf(&b, "%-10d %11.1fs %14.0f %20s\n",
-			run.Workers, run.ElapsedSec, run.UsersPerSec, run.Fingerprint)
+		fmt.Fprintf(&b, "%-10d %11.1fs %14.0f %9.1fs %16.0f %20s\n",
+			run.Workers, run.ElapsedSec, run.UsersPerSec, run.CPUSec, run.UsersPerCPUSec, run.Fingerprint)
 	}
 	fmt.Fprintf(&b, "bit-identical: %v; %d CPUs, GOMAXPROCS %d; widest/serial %.2fx\n",
 		r.BitIdentical, r.NumCPU, r.GOMAXPROCS, r.WorkerScaling)

@@ -159,11 +159,17 @@ func (s *Sample) CDF(points int) []CDFPoint {
 	return out
 }
 
-// Values returns a copy of the raw observations.
-func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
+// Raw returns the observations in place, in no particular order. The
+// caller must not change them; they are valid until the next Add or
+// Reset.
+func (s *Sample) Raw() []float64 { return s.xs }
+
+// Reset empties s and takes buf's backing array for the observations to
+// come, so a caller that runs many samples one after another can lend
+// each the array the last one grew (Raw returns it). A nil buf leaves s
+// as a zero Sample.
+func (s *Sample) Reset(buf []float64) {
+	s.xs, s.sorted = buf[:0], false
 }
 
 // TimeWeighted integrates a piecewise-constant value over time, e.g. power

@@ -8,7 +8,10 @@
 // period, and passes BigCrush.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a deterministic random number generator. It is not safe for
 // concurrent use; create one per goroutine or fork substreams with Fork.
@@ -23,6 +26,14 @@ type Rand struct {
 // seeds still produce well-separated streams.
 func New(seed uint64) *Rand {
 	r := &Rand{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r to the stream New(seed) starts, so a generator can live
+// on the caller's stack (var r Rand; r.Seed(seed)) instead of the heap.
+func (r *Rand) Seed(seed uint64) {
+	*r = Rand{}
 	sm := seed
 	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15
@@ -35,7 +46,6 @@ func New(seed uint64) *Rand {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 1
 	}
-	return r
 }
 
 // Fork derives an independent substream. It is used to give each simulated
@@ -43,18 +53,16 @@ func New(seed uint64) *Rand {
 // consumption does not perturb the others.
 func (r *Rand) Fork() *Rand { return New(r.Uint64()) }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 random bits (xoshiro256**).
+// Uint64 returns the next 64 random bits (xoshiro256**). The state is
+// read into locals and stored back whole, which keeps the body within
+// the compiler's inlining budget: a draw in a hot loop is then no call.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ t, bits.RotateLeft64(s3, 45)}
 	return result
 }
 
@@ -81,6 +89,27 @@ func (r *Rand) Int63n(n int64) int64 {
 
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
+
+// Threshold returns the integer form of a probability: Below(Threshold(p))
+// consumes the same draw as Bool(p) and returns the same answer, with an
+// integer compare in place of a conversion and a float compare. Float64
+// is x/2⁵³ for the top 53 bits x of a draw, and both x/2⁵³ and p·2⁵³ are
+// exact, so x/2⁵³ < p exactly when the integer x is below ⌈p·2⁵³⌉. A p
+// at or above 1 gives 2⁵³ (always true), a p at or below 0 or NaN gives 0
+// (never).
+func Threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// Below reports whether the top 53 bits of the next draw are below t:
+// true with probability t/2⁵³. With t = Threshold(p) it is Bool(p).
+func (r *Rand) Below(t uint64) bool { return r.Uint64()>>11 < t }
 
 // Exp returns an exponential variate with the given mean.
 func (r *Rand) Exp(mean float64) float64 {

@@ -135,3 +135,60 @@ func TestBool(t *testing.T) {
 		t.Errorf("Bool(0.3) rate = %v", frac)
 	}
 }
+
+// Below(Threshold(p)) must answer exactly as Bool(p) does for every draw:
+// checked on the draws whose top 53 bits sit at and around the threshold,
+// at the ends of the range, and on a stream of ordinary ones, with the
+// low 11 bits (which both ignore) all clear and all set.
+func TestThresholdMatchesFloatCompare(t *testing.T) {
+	ps := []float64{0, 0x1p-53, 0.003, 0.004, 0.22, 0.5, math.Nextafter(1, 0), 1}
+	r := New(77)
+	for _, p := range ps {
+		th := Threshold(p)
+		var xs []uint64
+		for _, d := range []int64{-2, -1, 0, 1, 2} {
+			if x := int64(th) + d; x >= 0 && x < 1<<53 {
+				xs = append(xs, uint64(x))
+			}
+		}
+		xs = append(xs, 0, 1, 1<<53-2, 1<<53-1)
+		for i := 0; i < 1000; i++ {
+			xs = append(xs, r.Uint64()>>11)
+		}
+		for _, x := range xs {
+			for _, low := range []uint64{0, 1<<11 - 1} {
+				u := x<<11 | low
+				want := float64(u>>11)/(1<<53) < p
+				if got := u>>11 < th; got != want {
+					t.Fatalf("p=%v (threshold %d): draw %#x gives %v, the float compare %v", p, th, u, got, want)
+				}
+			}
+		}
+	}
+	if Threshold(-1) != 0 || Threshold(math.NaN()) != 0 || Threshold(2) != 1<<53 {
+		t.Fatalf("out-of-range p: Threshold(-1)=%d Threshold(NaN)=%d Threshold(2)=%d",
+			Threshold(-1), Threshold(math.NaN()), Threshold(2))
+	}
+	// Below consumes the draw Bool would, so the streams stay in step.
+	a, b := New(5), New(5)
+	th := Threshold(0.22)
+	for i := 0; i < 10000; i++ {
+		if a.Bool(0.22) != b.Below(th) {
+			t.Fatalf("draw %d: Bool(0.22) and Below(Threshold(0.22)) disagree", i)
+		}
+	}
+}
+
+// A seeded value generator is the stream New starts, whatever it held.
+func TestSeedRestartsTheStream(t *testing.T) {
+	var r Rand
+	r.Seed(1)
+	r.Norm(0, 1) // leave a cached spare behind
+	r.Seed(99)
+	ref := New(99)
+	for i := 0; i < 100; i++ {
+		if r.Norm(0, 1) != ref.Norm(0, 1) {
+			t.Fatalf("draw %d: Seed(99) differs from New(99)", i)
+		}
+	}
+}

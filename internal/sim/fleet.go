@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"oasis/internal/cluster"
+	"oasis/internal/metrics"
 	"oasis/internal/rng"
 	"oasis/internal/simtime"
 	"oasis/internal/telemetry"
@@ -215,8 +216,9 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 
 	if workers == 1 {
 		// Serial reference path: a plain loop, no goroutines.
+		var sc cellScratch
 		for i := 0; i < cells; i++ {
-			cr, err := runCell(&cfg, i)
+			cr, err := runCell(&cfg, i, &sc)
 			if err != nil {
 				return nil, err
 			}
@@ -234,8 +236,9 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				var sc cellScratch
 				for i := range next {
-					cr, err := runCell(&cfg, i)
+					cr, err := runCell(&cfg, i, &sc)
 					if err != nil {
 						errOnce.Do(func() { firstErr = err })
 						continue
@@ -303,10 +306,25 @@ const (
 	saltCell  = 0x63656c6c // "cell"
 )
 
-// runCell simulates one cell's day. Pure function of (cfg, cell): all
-// randomness derives from mixed seeds, the cluster's telemetry mirror is
-// disabled, and the returned result is already reduced to integers.
-func runCell(cfg *FleetConfig, cell int) (*cellResult, error) {
+// cellScratch is what one worker's cell-days reuse, each from the last:
+// the day's activity rows, and the backing arrays of the cluster's
+// samples (cluster.Stats), lent to each new cluster and taken back once
+// its digest is made. A worker owns one, so nothing is shared.
+type cellScratch struct {
+	rows    []bool
+	samples [3][]float64
+}
+
+// statSamples returns the samples of st that a cellScratch lends arrays.
+func statSamples(st *cluster.Stats) [3]*metrics.Sample {
+	return [3]*metrics.Sample{&st.DelaySample, &st.ConsRatio, &st.OutageRecovery}
+}
+
+// runCell simulates one cell's day in sc. Pure function of (cfg, cell):
+// all randomness derives from mixed seeds, the cluster's telemetry
+// mirror is disabled, every row of sc.rows is written before it is
+// read, and the returned result is already reduced to integers.
+func runCell(cfg *FleetConfig, cell int, sc *cellScratch) (*cellResult, error) {
 	ccfg := cfg.Cell
 	ccfg.Seed = rng.Mix64(rng.Mix64(cfg.Seed, saltCell), uint64(cell))
 	ccfg.NoTelemetry = true
@@ -317,6 +335,9 @@ func runCell(cfg *FleetConfig, cell int) (*cellResult, error) {
 		return nil, fmt.Errorf("sim: cell %d: %w", cell, err)
 	}
 	nVMs := len(cl.VMs)
+	for i, smp := range statSamples(&cl.Stats) {
+		smp.Reset(sc.samples[i])
+	}
 
 	// Each VM is one user: its day derives from the global user index,
 	// rotated into the cell's timezone. The fleet's memory stays O(cell
@@ -328,7 +349,10 @@ func runCell(cfg *FleetConfig, cell int) (*cellResult, error) {
 	traceBase := rng.Mix64(cfg.Seed, saltTrace)
 	flashBase := rng.Mix64(cfg.Seed, saltFlash)
 	userBase := uint64(cell) * uint64(cfg.UsersPerCell())
-	rows := make([]bool, trace.IntervalsPerDay*nVMs)
+	if n := trace.IntervalsPerDay * nVMs; len(sc.rows) != n {
+		sc.rows = make([]bool, n)
+	}
+	rows := sc.rows
 	var block [userBlock]trace.UserDay
 	for lo := 0; lo < nVMs; lo += userBlock {
 		days := block[:min(userBlock, nVMs-lo)]
@@ -357,5 +381,8 @@ func runCell(cfg *FleetConfig, cell int) (*cellResult, error) {
 	cr.baselineMicroJ = int64(math.Round(baselineJ * 1e6))
 	cr.digest = cl.Digest()
 	cr.oasisMicroJ = cr.digest.EnergyMicroJ
+	for i, smp := range statSamples(&cl.Stats) {
+		sc.samples[i] = smp.Raw()
+	}
 	return cr, nil
 }

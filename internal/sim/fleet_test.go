@@ -2,6 +2,7 @@ package sim
 
 import (
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -268,11 +269,11 @@ func TestFleetSeed200OneFingerprint(t *testing.T) {
 }
 
 // cellDayAllocs bounds the allocations of one cell's day: cell 0 of the
-// fleet-sim workload at seed 42, which allocates 12,374 to 12,376 times
-// on Go 1.24 (the last digit is the runtime's). The margin is one
-// allocation short of one per interval, so an allocation added to every
-// tick fails the gate.
-const cellDayAllocs = 12_376 + trace.IntervalsPerDay - 1
+// fleet-sim workload at seed 42, run in a worker's scratch that an
+// earlier cell-day has grown, which allocates 1,089 times on Go 1.24. The
+// margin is one allocation short of one per interval, so an allocation
+// added to every tick fails the gate.
+const cellDayAllocs = 1_089 + trace.IntervalsPerDay - 1
 
 // TestCellDayAllocs is the cell-day allocation gate.
 func TestCellDayAllocs(t *testing.T) {
@@ -280,14 +281,50 @@ func TestCellDayAllocs(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	cfg := benchFleetCfg(42, 1)
+	var sc cellScratch
 	n := testing.AllocsPerRun(2, func() {
-		if _, err := runCell(&cfg, 0); err != nil {
+		if _, err := runCell(&cfg, 0, &sc); err != nil {
 			t.Fatal(err)
 		}
 	})
 	t.Logf("one cell-day: %.0f allocations (gate %d)", n, cellDayAllocs)
 	if n > cellDayAllocs {
 		t.Errorf("one cell-day allocates %.0f times, gate %d", n, cellDayAllocs)
+	}
+}
+
+// cellDayBytes bounds the bytes one cell's day allocates, measured as
+// cellDayAllocs is: 359,776 to 359,888 bytes on Go 1.24, where a day
+// that built its own rows, samples and callbacks took 1.1 MB. The margin
+// is 16 bytes per interval, so a small allocation added to every tick
+// fails the gate, as does a day that builds its activity rows (259 KiB)
+// or grows its samples' arrays (tens of KiB) afresh.
+const cellDayBytes = 359_888 + 16*trace.IntervalsPerDay
+
+// TestCellDayBytes is the cell-day allocated-bytes gate.
+func TestCellDayBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cfg := benchFleetCfg(42, 1)
+	var sc cellScratch
+	run := func() {
+		if _, err := runCell(&cfg, 0, &sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // grow the scratch
+	const runs = 2
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	n := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("one cell-day: %d bytes allocated (gate %d)", n, cellDayBytes)
+	if n > cellDayBytes {
+		t.Errorf("one cell-day allocates %d bytes, gate %d", n, cellDayBytes)
 	}
 }
 

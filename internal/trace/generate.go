@@ -117,11 +117,12 @@ func GenerateUserDay(kind DayKind, r *rng.Rand) UserDay {
 		}
 		// Mornings are lighter than afternoons in the source traces
 		// (Figure 7 peaks around 2 pm): thin pre-lunch activity so the
-		// aggregate envelope crests after lunch.
+		// aggregate envelope crests after lunch. Interval 150 starts at
+		// 12:30; each draw is Bool(0.22) as an integer compare.
 		if kind == Weekday {
-			for i := 0; i < IntervalsPerDay; i++ {
-				h := float64(i) / 12
-				if h < 12.5 && d.Active[i] && r.Bool(0.22) {
+			thin := rng.Threshold(0.22)
+			for i := 0; i < 150; i++ {
+				if d.Active[i] && r.Below(thin) {
 					d.Active[i] = false
 				}
 			}
@@ -149,8 +150,9 @@ func GenerateUserDay(kind DayKind, r *rng.Rand) UserDay {
 
 	// Rare residual blips across the whole day outside the marked
 	// sessions (a mail check, a nudged mouse).
+	blip := rng.Threshold(p.nightBlipProb)
 	for i := 0; i < IntervalsPerDay; i++ {
-		if !d.Active[i] && r.Bool(p.nightBlipProb) {
+		if !d.Active[i] && r.Below(blip) {
 			d.Active[i] = true
 		}
 	}

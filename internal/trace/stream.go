@@ -34,7 +34,9 @@ func daySeed(base, user uint64, kind DayKind) uint64 {
 // UserDayAt synthesises user `user`'s day of the given kind from the
 // corpus base seed, independent of every other user.
 func UserDayAt(base, user uint64, kind DayKind) UserDay {
-	return GenerateUserDay(kind, rng.New(daySeed(base, user, kind)))
+	var r rng.Rand
+	r.Seed(daySeed(base, user, kind))
+	return GenerateUserDay(kind, &r)
 }
 
 // Stream yields the user-days of a seeded corpus one at a time in O(1)
