@@ -49,7 +49,6 @@ var apiGolden = []string{
 	"Image",
 	"KiB",
 	"LinearPowerProfile",
-	"MemClient",
 	"MemClientPool",
 	"MemConn",
 	"MemPoolConfig",
@@ -201,9 +200,8 @@ func TestAPISurfaceGolden(t *testing.T) {
 // returned static type is always MemConn, and every exported concrete
 // type satisfies it.
 func TestDialCoversEveryTransportShape(t *testing.T) {
-	// Compile-time: all three shapes are MemConns, so anything written
-	// against Dial's return type works against any of them.
-	var _ oasis.MemConn = (*oasis.MemClient)(nil)
+	// Compile-time: both shapes are MemConns, so anything written
+	// against Dial's return type works against either.
 	var _ oasis.MemConn = (*oasis.MemClientPool)(nil)
 	var _ oasis.MemConn = (*oasis.ShardClient)(nil)
 
@@ -220,7 +218,7 @@ func TestDialCoversEveryTransportShape(t *testing.T) {
 		opts []oasis.DialOption
 		want string
 	}{
-		{"bare", nil, "*memserver.Client"},
+		{"no options", nil, "*memserver.ClientPool"},
 		{"resilient", []oasis.DialOption{oasis.WithResilience(oasis.ResilienceConfig{})}, "*memserver.ClientPool"},
 		{"pool", []oasis.DialOption{oasis.WithPool(2)}, "*memserver.ClientPool"},
 		{"fabric", []oasis.DialOption{oasis.WithBackends(addr.String()), oasis.WithReplicas(1)}, "*shard.Client"},
@@ -233,14 +231,11 @@ func TestDialCoversEveryTransportShape(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		switch tc.want {
-		case "*memserver.Client":
-			_, ok := conn.(*oasis.MemClient)
-			if !ok {
-				t.Errorf("%s: Dial returned %T", tc.name, conn)
-			}
 		case "*memserver.ClientPool":
-			if _, ok := conn.(*oasis.MemClientPool); !ok {
+			if pool, ok := conn.(*oasis.MemClientPool); !ok {
 				t.Errorf("%s: Dial returned %T", tc.name, conn)
+			} else if tc.opts == nil && pool.Size() != 1 {
+				t.Errorf("%s: Dial returned %d lanes, want 1", tc.name, pool.Size())
 			}
 		case "*shard.Client":
 			if _, ok := conn.(*oasis.ShardClient); !ok {

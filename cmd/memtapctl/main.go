@@ -98,8 +98,8 @@ func main() {
 	}
 
 	// Upload the image (the host's pre-suspend upload, §4.3) through the
-	// one Dial entry point: the options pick the transport shape — a bare
-	// resilient client, a pool of -upload-streams connections, or the
+	// one Dial entry point: the options pick the transport shape — one
+	// resilient connection, a pool of -upload-streams connections, or the
 	// sharded fabric when -backends is set — and the same MemConn calls
 	// work against all of them; the server-side image is identical
 	// either way.

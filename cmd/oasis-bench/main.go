@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var reports []experiments.Report
 	if *experiment == "all" {
-		reports = append(experiments.All(opt), experiments.Ablations(opt)...)
+		reports = experiments.All(opt)
 	} else {
 		r, ok := experiments.ByID(*experiment, opt)
 		if !ok {

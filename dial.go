@@ -15,9 +15,9 @@ import (
 // MemConn is the full memory-server client surface: page reads (plain
 // and staged), image/diff uploads (one-shot and streamed), lifecycle and
 // counters. Dial returns a MemConn whatever transport shape the options
-// select — a bare connection, a resilient pool of one or more, or a
-// sharded replicated fabric — so one call site scales from a laptop
-// test to a rack purely through options.
+// select — a pool of one or more self-healing connections, or a sharded
+// replicated fabric — so one call site scales from a laptop test to a
+// rack purely through options.
 type MemConn = memserver.Conn
 
 // Transport is the unified page-transport configuration every Oasis
@@ -58,22 +58,22 @@ func DialShard(backends []string, secret []byte, cfg ShardConfig) (*ShardClient,
 // WithPool, WithTLS, WithBackends, WithReplicas, WithTransport.
 type DialOption func(*shard.Target)
 
-// WithTimeout bounds the initial dial (and, on the resilient shapes,
-// every reconnect attempt). Zero keeps the 5-second default.
+// WithTimeout bounds the initial dial and every reconnect attempt. Zero
+// keeps the 5-second default.
 func WithTimeout(d time.Duration) DialOption {
 	return func(t *shard.Target) { t.DialTimeout = d }
 }
 
-// WithResilience selects the self-healing client — reconnect, bounded
-// retries, circuit breaker — tuned by cfg; the zero ResilienceConfig
-// selects defaults. Pooled and sharded shapes inherit cfg for every
-// connection they manage.
+// WithResilience tunes the self-healing connections — reconnect,
+// bounded retries, circuit breaker — every shape is made of; without it
+// (or with the zero ResilienceConfig) they take the defaults. Pooled and
+// sharded shapes apply cfg to every connection they manage.
 func WithResilience(cfg ResilienceConfig) DialOption {
 	return func(t *shard.Target) { t.Resilience = &cfg }
 }
 
-// WithPool fans requests across size pooled resilient connections
-// (size <= 0 selects the default of 4). Implies WithResilience.
+// WithPool fans requests across size pooled connections (size <= 0
+// selects the default of 4).
 func WithPool(size int) DialOption {
 	return func(t *shard.Target) {
 		if size <= 0 {
@@ -94,7 +94,7 @@ func WithTLS(roots *x509.CertPool) DialOption {
 // WithBackends selects the sharded fabric: pages place onto these
 // backends by consistent hashing and writes replicate (see
 // WithReplicas). The addr argument of Dial is ignored — the fabric is
-// exactly this list; pass "" for clarity. Implies WithResilience.
+// exactly this list; pass "" for clarity.
 func WithBackends(addrs ...string) DialOption {
 	return func(t *shard.Target) { t.Backends = append([]string(nil), addrs...) }
 }
@@ -110,8 +110,8 @@ func WithReplicas(n int) DialOption {
 // WithTransport applies a Transport's connection-shaping fields —
 // PoolSize, Backends, Replicas — to the dial, so a daemon can hand its
 // flag-bound transport straight to Dial. The fields follow the
-// Transport contract exactly: PoolSize >= 1 selects that many resilient
-// connections (zero leaves the shape to the other options), Backends
+// Transport contract exactly: PoolSize >= 1 selects that many
+// connections (zero leaves the width to the other options), Backends
 // selects the sharded fabric with PoolSize as the per-backend pool
 // width, and Replicas <= 0 takes the fabric default. PrefetchStreams
 // (itself ignored everywhere now) and UploadStreams shape the
@@ -133,21 +133,19 @@ func WithTransport(tr Transport) DialOption {
 // Dial connects to the memory-server tier and returns the client shape
 // the options select, behind the one MemConn surface:
 //
-//   - no options: one authenticated connection (a *MemClient);
-//   - WithResilience and/or WithPool: a pool of self-healing connections
-//     (*MemClientPool) — one lane unless WithPool says more;
+//   - without WithBackends: a pool of self-healing connections to addr
+//     (*MemClientPool) — one unless WithPool says more. The first
+//     connection dials before Dial returns, riding the retry budget
+//     like any call, so a silent server fails it after that budget;
 //   - WithBackends: a sharded replicated fabric (*ShardClient) — addr
 //     is ignored, the backend list is the fabric.
 //
-// WithTLS and WithTimeout shape the underlying connections of any of
-// the three.
+// WithResilience, WithTLS and WithTimeout shape the underlying
+// connections of either.
 func Dial(addr string, secret []byte, opts ...DialOption) (MemConn, error) {
 	t := shard.Target{Addr: addr}
 	for _, o := range opts {
 		o(&t)
-	}
-	if t.Lanes > 0 && t.Resilience == nil {
-		t.Resilience = &ResilienceConfig{}
 	}
 	return shard.Connect(t, secret)
 }

@@ -42,13 +42,13 @@ func TestTransportDialShapes(t *testing.T) {
 		conn.Close()
 	}
 
-	// A zero transport keeps the bare connection.
+	// A zero transport keeps one connection.
 	conn, err := oasis.Dial(addr.String(), secret, oasis.WithTransport(oasis.Transport{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := conn.(*oasis.MemClient); !ok {
-		t.Fatalf("zero Transport dialed a %T, want the bare client", conn)
+	if pool, ok := conn.(*oasis.MemClientPool); !ok || pool.Size() != 1 {
+		t.Fatalf("zero Transport dialed a %T, want a one-lane pool", conn)
 	}
 	conn.Close()
 

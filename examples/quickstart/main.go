@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"oasis"
+	"oasis/internal/cluster"
 )
 
 func main() {
@@ -32,7 +33,7 @@ func main() {
 	fmt.Printf("  zero-latency user returns:    %.0f%% of %d idle→active transitions\n",
 		100*res.Stats.ZeroDelayFraction(), res.Stats.Transitions())
 	fmt.Printf("  partial migrations: %d first, %d differential; reintegrations: %d\n",
-		res.Stats.Ops["partial-first"], res.Stats.Ops["partial-diff"], res.Stats.Ops["reintegrate"])
+		res.Stats.Ops[cluster.OpPartialFirst], res.Stats.Ops[cluster.OpPartialDiff], res.Stats.Ops[cluster.OpReintegrate])
 
 	// The day at a glance.
 	fmt.Println("\n  hour  active  powered-hosts")

@@ -100,9 +100,9 @@ func TestLazyAccrualMatchesEager(t *testing.T) {
 			check(iv, "after the events")
 		}
 		// FullOnly uploads nothing, so its counters stay zero.
-		if p != FullOnly && (lazy.Stats.MemServerOutages == 0 || lazy.Stats.Ops["reintegrate"] == 0) {
+		if p != FullOnly && (lazy.Stats.MemServerOutages == 0 || lazy.Stats.Ops[OpReintegrate] == 0) {
 			t.Fatalf("%v: the day had %d outages and %d reintegrations; it exercised too little",
-				p, lazy.Stats.MemServerOutages, lazy.Stats.Ops["reintegrate"])
+				p, lazy.Stats.MemServerOutages, lazy.Stats.Ops[OpReintegrate])
 		}
 		a, b := lazy.Digest(), eager.Digest()
 		if a.Fingerprint() != b.Fingerprint() {

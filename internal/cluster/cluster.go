@@ -357,7 +357,6 @@ func New(sim *simtime.Simulator, cfg Config) (*Cluster, error) {
 		rand:      rng.New(cfg.Seed),
 		faultRand: rng.New(cfg.Seed ^ 0xfa177),
 	}
-	c.Stats.init()
 
 	total := cfg.HomeHosts + cfg.ConsHosts
 	c.meta = make([]vmMeta, cfg.HomeHosts*cfg.VMsPerHost)

@@ -131,7 +131,7 @@ func TestVacateAllIdle(t *testing.T) {
 			t.Fatalf("VM not partially consolidated: %v", v)
 		}
 	}
-	if tc.c.Stats.Ops["partial-first"] != 8 {
+	if tc.c.Stats.Ops[OpPartialFirst] != 8 {
 		t.Fatalf("ops = %v", tc.c.Stats.Ops)
 	}
 }
@@ -152,7 +152,7 @@ func TestActiveVMsMigrateFull(t *testing.T) {
 	if v.Home != 0 {
 		t.Fatalf("active VM home changed to %d", v.Home)
 	}
-	if tc.c.Stats.Ops["full-vacate"] != 1 {
+	if tc.c.Stats.Ops[OpFullVacate] != 1 {
 		t.Fatalf("ops = %v", tc.c.Stats.Ops)
 	}
 	// Its home must be asleep regardless.
@@ -180,7 +180,7 @@ func TestOnlyPartialRefusesActiveHosts(t *testing.T) {
 		t.Fatalf("idle hosts = %v / %v, want sleeping",
 			tc.c.Hosts[1].State(), tc.c.Hosts[2].State())
 	}
-	if got := tc.c.Stats.Ops["full-vacate"]; got != 0 {
+	if got := tc.c.Stats.Ops[OpFullVacate]; got != 0 {
 		t.Fatalf("OnlyPartial performed %d full migrations", got)
 	}
 }
@@ -217,7 +217,7 @@ func TestConvertInPlace(t *testing.T) {
 	if v.Home != 0 {
 		t.Fatalf("conversion changed home to %d", v.Home)
 	}
-	if tc.c.Stats.Ops["convert-in-place"] != 1 {
+	if tc.c.Stats.Ops[OpConvertInPlace] != 1 {
 		t.Fatalf("ops = %v", tc.c.Stats.Ops)
 	}
 	// The home stays asleep: no exhaustion occurred.
@@ -246,7 +246,7 @@ func TestFullToPartialExchange(t *testing.T) {
 	if !v.Partial || v.Host != 2 {
 		t.Fatalf("VM after exchange: %v", v)
 	}
-	if tc.c.Stats.Ops["full-exchange"] != 1 {
+	if tc.c.Stats.Ops[OpFullExchange] != 1 {
 		t.Fatalf("ops = %v", tc.c.Stats.Ops)
 	}
 	// The home woke briefly for the exchange, then returned to sleep.
@@ -268,7 +268,7 @@ func TestDefaultNoExchange(t *testing.T) {
 	if v.Partial || v.Host != 2 {
 		t.Fatalf("Default exchanged anyway: %v", v)
 	}
-	if tc.c.Stats.Ops["full-exchange"] != 0 {
+	if tc.c.Stats.Ops[OpFullExchange] != 0 {
 		t.Fatalf("ops = %v", tc.c.Stats.Ops)
 	}
 }
@@ -335,7 +335,7 @@ func TestFullOnlyNeverPartial(t *testing.T) {
 	}
 	// 8 x 4 GiB = 32 GiB > 30 GiB usable: only one host's worth fits
 	// with headroom, so at most one home vacated.
-	if got := tc.c.Stats.Ops["partial-first"]; got != 0 {
+	if got := tc.c.Stats.Ops[OpPartialFirst]; got != 0 {
 		t.Fatalf("FullOnly did %d partial migrations", got)
 	}
 	// Transitions of full VMs are always zero-delay.
@@ -407,7 +407,7 @@ func TestDifferentialUploadSecondConsolidation(t *testing.T) {
 	tc := newTestCluster(t, smallConfig(OnlyPartial))
 	tc.tick(allIdle(8)...)
 	tc.tick(allIdle(8)...)
-	if tc.c.Stats.Ops["partial-first"] != 8 {
+	if tc.c.Stats.Ops[OpPartialFirst] != 8 {
 		t.Fatalf("setup ops: %v", tc.c.Stats.Ops)
 	}
 	// Wake everything via an activation, then let it all go idle again:
@@ -418,7 +418,7 @@ func TestDifferentialUploadSecondConsolidation(t *testing.T) {
 	tc.tick(allIdle(8)...)
 	tc.tick(allIdle(8)...)
 	tc.tick(allIdle(8)...)
-	if tc.c.Stats.Ops["partial-diff"] == 0 {
+	if tc.c.Stats.Ops[OpPartialDiff] == 0 {
 		t.Fatalf("no differential uploads: %v", tc.c.Stats.Ops)
 	}
 }
@@ -556,7 +556,7 @@ func TestExchangeBatchesRunSeparately(t *testing.T) {
 		}
 		for _, e := range tc.c.Events()[start:] {
 			if e.Kind == EvSuspend && e.Host == 0 {
-				return e.At, tc.c.Stats.Ops["full-exchange"]
+				return e.At, tc.c.Stats.Ops[OpFullExchange]
 			}
 		}
 		t.Fatalf("%v: home 0 never suspended", batches)

@@ -147,7 +147,9 @@ func (c *Cluster) Digest() StatsDigest {
 		Cells:            1,
 	}
 	for kind, n := range s.Ops {
-		d.Ops[kind] = n
+		if n != 0 {
+			d.Ops[Op(kind).String()] = n
+		}
 	}
 	d.Delay.addSample(&s.DelaySample)
 	d.ConsRatio.addSample(&s.ConsRatio)

@@ -249,7 +249,7 @@ func (c *Cluster) endPartialEpisode(v *vm.VM, reintegrated bool) {
 	if reintegrated {
 		dirty := c.reintegrateDirty(m)
 		c.Stats.ReintegrateBytes += dirty
-		c.Stats.Ops.Inc("reintegrate", 1)
+		c.Stats.Ops[OpReintegrate]++
 		// The home's image was stale by exactly this dirty state; it now
 		// counts toward the next differential upload.
 		m.dirtySinceUpload += dirty
@@ -282,7 +282,7 @@ func (c *Cluster) convertInPlace(v *vm.VM) bool {
 	// originally homed on the awake host", and FulltoPartial later
 	// exchanges this VM back through that home when it goes idle.
 	c.Stats.ConvertBytes += v.Alloc - v.WorkingSet
-	c.Stats.Ops.Inc("convert-in-place", 1)
+	c.Stats.Ops[OpConvertInPlace]++
 	m := c.metaOf(v)
 	m.uploaded = false
 	m.dirtySinceUpload = 0
@@ -312,7 +312,7 @@ func (c *Cluster) migrateToNewHome(v *vm.VM) bool {
 		panic(fmt.Sprintf("cluster: newhome add: %v", err))
 	}
 	c.Stats.FullBytes += v.Alloc
-	c.Stats.Ops.Inc("full-newhome", 1)
+	c.Stats.Ops[OpFullNewHome]++
 	c.moved(EvNewHome, v, src.ID)
 	// The home's memory-server image is freed once the full state has
 	// been transferred; the VM keeps its original home.
@@ -328,7 +328,7 @@ func (c *Cluster) migrateToNewHome(v *vm.VM) bool {
 // the host reaches Powered; if it is already powered it runs immediately.
 func (c *Cluster) wakeHomeAndReturnAll(h *host.Host) {
 	if h.Sleeping() || h.InTransit() {
-		c.Stats.Ops.Inc("home-wake", 1)
+		c.Stats.Ops[OpHomeWake]++
 		c.event(EvWake, h.ID, 0, "for bulk return")
 	}
 	h.Wake(c.work[h.ID].returnAll)
@@ -356,7 +356,7 @@ func (c *Cluster) returnAllHome(h *host.Host) {
 			kind = EvReintegrate
 		} else {
 			c.Stats.FullBytes += v.Alloc
-			c.Stats.Ops.Inc("full-return", 1)
+			c.Stats.Ops[OpFullReturn]++
 		}
 		if err := h.AddVM(v); err != nil {
 			panic(fmt.Sprintf("cluster: return add: %v", err))
@@ -391,7 +391,7 @@ func (c *Cluster) exchangeIdleFulls(wentIdle []*vm.VM) {
 		fulls = fulls[n:]
 		wasAsleep := h.Sleeping() || h.InTransit()
 		if wasAsleep {
-			c.Stats.Ops.Inc("home-wake-exchange", 1)
+			c.Stats.Ops[OpHomeWakeExchange]++
 			c.event(EvWake, h.ID, 0, "for exchange")
 		}
 		h.Wake(w.exchange)
@@ -433,7 +433,7 @@ func (c *Cluster) exchangeOne(home *host.Host, v *vm.VM) (time.Duration, bool) {
 	}
 	fullOp := c.Cfg.Model.FullMigration(v.Alloc, false)
 	c.Stats.FullBytes += fullOp.NetBytes
-	c.Stats.Ops.Inc("full-exchange", 1)
+	c.Stats.Ops[OpFullExchange]++
 	c.moved(EvExchange, v, cons.ID)
 
 	// Partial migration back to the same consolidation host.
@@ -467,9 +467,9 @@ func (c *Cluster) partialMigrate(v *vm.VM, dest *host.Host) (time.Duration, bool
 	c.Stats.DescriptorBytes += op.NetBytes
 	c.Stats.SASBytes += op.SASBytes
 	if first {
-		c.Stats.Ops.Inc("partial-first", 1)
+		c.Stats.Ops[OpPartialFirst]++
 	} else {
-		c.Stats.Ops.Inc("partial-diff", 1)
+		c.Stats.Ops[OpPartialDiff]++
 	}
 	if err := src.RemoveVM(v); err != nil {
 		panic(fmt.Sprintf("cluster: partial remove: %v", err))
@@ -745,7 +745,7 @@ func (c *Cluster) executeVacate(h *host.Host, plan []assignment) {
 		if !dest.Powered() && !c.waking[a.dest] {
 			needWake = true
 			c.waking[a.dest] = true
-			c.Stats.Ops.Inc("cons-wake", 1)
+			c.Stats.Ops[OpConsWake]++
 			c.event(EvWake, a.dest, 0, "for vacate")
 			dest.Wake(nil)
 		}
@@ -794,7 +794,7 @@ func (c *Cluster) vacate(h *host.Host, plan []assignment) {
 		c.moved(EvVacate, v, h.ID)
 		op := c.Cfg.Model.FullMigration(v.Alloc, v.Active)
 		c.Stats.FullBytes += op.NetBytes
-		c.Stats.Ops.Inc("full-vacate", 1)
+		c.Stats.Ops[OpFullVacate]++
 		// Full migration frees any memory-server image at the source
 		// (§4.2).
 		m := c.metaOf(v)

@@ -67,7 +67,7 @@ func TestNewHomeRelocatesOnExhaustion(t *testing.T) {
 	// The defining NewHome property: the home was NOT woken for a full
 	// return (it may be powered for unrelated reasons, but its sibling
 	// VMs must still be consolidated).
-	if got := tc.c.Stats.Ops["full-newhome"]; got != 1 {
+	if got := tc.c.Stats.Ops[OpFullNewHome]; got != 1 {
 		t.Fatalf("full-newhome ops = %d (ops %v)", got, tc.c.Stats.Ops)
 	}
 	siblingsAway := 0

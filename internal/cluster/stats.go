@@ -1,9 +1,58 @@
 package cluster
 
 import (
+	"fmt"
+	"strings"
+
 	"oasis/internal/metrics"
 	"oasis/internal/units"
 )
+
+// Op is a kind of migration operation the manager counts.
+type Op int
+
+// The operation kinds, in the order of their names, so that Ops renders
+// sorted by name.
+const (
+	OpConsWake         Op = iota // a consolidation host woken for a vacate
+	OpConvertInPlace             // a partial VM made full on its consolidation host
+	OpFullExchange               // an idle full VM moved home to go back partial
+	OpFullNewHome                // an activating partial VM moved in full to another host
+	OpFullReturn                 // a VM returned in full to its woken home
+	OpFullVacate                 // a VM moved in full off a home being vacated
+	OpHomeWake                   // a home woken to take its VMs back
+	OpHomeWakeExchange           // a home woken to exchange its idle full VMs
+	OpPartialDiff                // a partial migration uploading only a diff
+	OpPartialFirst               // a partial migration uploading a whole image
+	OpReintegrate                // a partial VM reintegrated into its home
+	numOps
+)
+
+var opNames = [numOps]string{
+	"cons-wake", "convert-in-place", "full-exchange", "full-newhome", "full-return", "full-vacate",
+	"home-wake", "home-wake-exchange", "partial-diff", "partial-first", "reintegrate",
+}
+
+// String returns the kind's name, as Digest and telemetry label it.
+func (k Op) String() string { return opNames[k] }
+
+// Ops counts migration operations, indexed by kind.
+type Ops [numOps]int64
+
+// String renders the kinds that occurred as name=count, sorted by name.
+func (o Ops) String() string {
+	var b strings.Builder
+	for k, n := range o {
+		if n == 0 {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteString(" ")
+		}
+		fmt.Fprintf(&b, "%s=%d", Op(k), n)
+	}
+	return b.String()
+}
 
 // Stats accumulates the measurements the evaluation reports: network
 // traffic by category (Figure 10), idle→active transition delays
@@ -21,7 +70,7 @@ type Stats struct {
 	SASBytes units.Bytes
 
 	// Ops counts migration operations by kind.
-	Ops metrics.Counter
+	Ops Ops
 
 	// Transition-delay accounting (Figure 11): transitions of full VMs
 	// are zero-latency; partial-VM transitions sample the reintegration
@@ -45,10 +94,6 @@ type Stats struct {
 	DegradedVMs      int64
 	ForcedPromotions int64
 	OutageRecovery   metrics.Sample
-}
-
-func (s *Stats) init() {
-	s.Ops = metrics.Counter{}
 }
 
 // UnavailableVMSeconds returns the total VM-seconds of unavailability

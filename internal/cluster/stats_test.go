@@ -4,7 +4,6 @@ import "testing"
 
 func TestStatsDelayPercentiles(t *testing.T) {
 	var s Stats
-	s.init()
 	// 6 zero-latency transitions and 4 sampled delays.
 	s.ZeroTransitions = 6
 	for _, d := range []float64{2, 3, 4, 19} {
@@ -39,7 +38,6 @@ func TestStatsDelayPercentiles(t *testing.T) {
 
 func TestStatsTrafficTotals(t *testing.T) {
 	var s Stats
-	s.init()
 	s.FullBytes = 100
 	s.ConvertBytes = 50
 	s.DescriptorBytes = 10
@@ -48,5 +46,20 @@ func TestStatsTrafficTotals(t *testing.T) {
 	s.SASBytes = 1000
 	if s.NetworkBytes() != 168 {
 		t.Errorf("NetworkBytes = %d", s.NetworkBytes())
+	}
+}
+
+func TestOpsString(t *testing.T) {
+	var o Ops
+	o[OpPartialFirst] += 2
+	o[OpFullExchange]++
+	o[OpPartialFirst]++
+	if got, want := o.String(), "full-exchange=1 partial-first=3"; got != want {
+		t.Errorf("String = %q, want %q (kinds that occurred, sorted by name)", got, want)
+	}
+	for k := Op(1); k < numOps; k++ {
+		if k.String() <= (k - 1).String() {
+			t.Errorf("kind %d %q does not sort after %q", k, k, k-1)
+		}
 	}
 }

@@ -24,8 +24,8 @@ type simTel struct {
 	poweredHosts *telemetry.Gauge
 	consRatio    *telemetry.Gauge
 
-	ops      func(kind string) *telemetry.Gauge
-	netBytes func(category string) *telemetry.Gauge
+	ops      [numOps]*telemetry.Gauge
+	netBytes [len(netCategories)]*telemetry.Gauge
 
 	outages      *telemetry.Gauge
 	degraded     *telemetry.Gauge
@@ -34,25 +34,19 @@ type simTel struct {
 	recoveryMean *telemetry.Gauge
 }
 
+// netCategories label the oasis_sim_network_bytes gauges, in the order
+// publishTelemetry reads the Stats byte counters.
+var netCategories = [...]string{"full", "convert", "descriptor", "on_demand", "reintegrate", "sas"}
+
 func newSimTel() *simTel {
 	r := telemetry.Default
-	return &simTel{
+	t := &simTel{
 		activeVMs: r.Gauge("oasis_sim_active_vms",
 			"VMs active in the current planning interval (Figure 7 'active VMs' series)."),
 		poweredHosts: r.Gauge("oasis_sim_powered_hosts",
 			"Hosts powered or in transit (Figure 7 'fully powered hosts' series)."),
 		consRatio: r.Gauge("oasis_sim_consolidation_ratio",
 			"Mean VMs per powered consolidation host so far this run (Figure 9)."),
-		ops: func(kind string) *telemetry.Gauge {
-			return r.Gauge("oasis_sim_ops",
-				"Migration operations completed this run, by kind.",
-				telemetry.L("kind", kind))
-		},
-		netBytes: func(category string) *telemetry.Gauge {
-			return r.Gauge("oasis_sim_network_bytes",
-				"Bytes moved this run, by traffic category (Figure 10; sas never touches the network).",
-				telemetry.L("category", category))
-		},
 		outages: r.Gauge("oasis_sim_memserver_outages",
 			"Injected memory-server outages this run (MemServerMTBF > 0)."),
 		degraded: r.Gauge("oasis_sim_degraded_vms",
@@ -64,6 +58,17 @@ func newSimTel() *simTel {
 		recoveryMean: r.Gauge("oasis_sim_outage_recovery_mean_seconds",
 			"Mean forced-promotion recovery latency of degraded VMs this run."),
 	}
+	for k := range t.ops {
+		t.ops[k] = r.Gauge("oasis_sim_ops",
+			"Migration operations completed this run, by kind.",
+			telemetry.L("kind", Op(k).String()))
+	}
+	for i, category := range netCategories {
+		t.netBytes[i] = r.Gauge("oasis_sim_network_bytes",
+			"Bytes moved this run, by traffic category (Figure 10; sas never touches the network).",
+			telemetry.L("category", category))
+	}
+	return t
 }
 
 // publishTelemetry mirrors the cluster's cumulative Stats into the
@@ -78,18 +83,12 @@ func (c *Cluster) publishTelemetry() {
 	t.poweredHosts.Set(float64(c.PoweredHosts()))
 	t.consRatio.Set(c.Stats.ConsRatio.Mean())
 
-	for kind, n := range c.Stats.Ops {
-		t.ops(kind).Set(float64(n))
+	for k, n := range c.Stats.Ops {
+		t.ops[k].Set(float64(n))
 	}
-	for category, b := range map[string]units.Bytes{
-		"full":        c.Stats.FullBytes,
-		"convert":     c.Stats.ConvertBytes,
-		"descriptor":  c.Stats.DescriptorBytes,
-		"on_demand":   c.Stats.OnDemandBytes,
-		"reintegrate": c.Stats.ReintegrateBytes,
-		"sas":         c.Stats.SASBytes,
-	} {
-		t.netBytes(category).Set(float64(b))
+	s := &c.Stats
+	for i, b := range [...]units.Bytes{s.FullBytes, s.ConvertBytes, s.DescriptorBytes, s.OnDemandBytes, s.ReintegrateBytes, s.SASBytes} {
+		t.netBytes[i].Set(float64(b))
 	}
 
 	t.outages.Set(float64(c.Stats.MemServerOutages))

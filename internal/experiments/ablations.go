@@ -5,27 +5,13 @@ import (
 	"strings"
 	"time"
 
+	"oasis/internal/cluster"
 	"oasis/internal/migration"
 	"oasis/internal/placement"
 	"oasis/internal/power"
 	"oasis/internal/trace"
 	"oasis/internal/units"
 )
-
-// Ablations runs the design-choice ablations DESIGN.md calls out.
-func Ablations(opt Option) []Report {
-	return []Report{
-		AblationDifferentialUpload(opt),
-		AblationCompression(opt),
-		AblationSharedMemServer(opt),
-		AblationOverwriteElision(opt),
-		AblationPlacement(opt),
-		AblationVacateOrder(opt),
-		AblationHeadroom(opt),
-		AblationPowerModel(opt),
-		AblationConsolidationMemory(opt),
-	}
-}
 
 // AblationDifferentialUpload quantifies §4.3's differential-upload
 // optimisation: repeat consolidations send only pages dirtied since the
@@ -188,7 +174,7 @@ func AblationHeadroom(opt Option) Report {
 			return errReport("ab-headroom", err)
 		}
 		fmt.Fprintf(&b, "%-34s %10.1f %12d %14d\n", fmt.Sprintf("%.0f%%", hr*100),
-			r.SavingsPct, r.Stats.Exhaustions, r.Stats.Ops["home-wake"])
+			r.SavingsPct, r.Stats.Exhaustions, r.Stats.Ops[cluster.OpHomeWake])
 	}
 	fmt.Fprintf(&b, "headroom absorbs in-place conversions that would otherwise exhaust the\n")
 	fmt.Fprintf(&b, "consolidation host and trigger wake-the-home returns\n")

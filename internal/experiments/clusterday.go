@@ -60,8 +60,9 @@ func Fig7(opt Option) Report {
 			minPow = p
 		}
 	}
+	vms := cfg.HomeHosts * cfg.VMsPerHost
 	fmt.Fprintf(&b, "peak active: %d of %d VMs (%.0f%%); minimum powered hosts: %d\n",
-		r.PeakActive, len(r.ActiveSeries)*0+900, 100*float64(r.PeakActive)/900, minPow)
+		r.PeakActive, vms, 100*float64(r.PeakActive)/float64(vms), minPow)
 	fmt.Fprintf(&b, "paper: never more than 411 (46%%) active; at the trough all 900 VMs\n")
 	fmt.Fprintf(&b, "fit in three consolidation hosts\n")
 	return Report{ID: "fig7", Title: "Active VMs and powered hosts over a simulated weekday", Text: b.String()}

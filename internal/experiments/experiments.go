@@ -42,99 +42,86 @@ type Option struct {
 // DefaultOption returns a single-run option with seed 42.
 func DefaultOption() Option { return Option{Seed: 42, Runs: 1} }
 
-// All runs every experiment in paper order.
+// reach says where an experiment is listed.
+type reach int
+
+const (
+	byName reach = iota // ByID only
+	listed              // also IDs
+	inAll               // also IDs and All
+)
+
+// table is every experiment, in paper order followed by the ablations.
+var table = []struct {
+	id    string
+	run   func(Option) Report
+	reach reach
+}{
+	{"fig1", Fig1, inAll},
+	{"fig2", Fig2, inAll},
+	{"table1", Table1, inAll},
+	{"fig5", Fig5, inAll},
+	{"traffic", Traffic, inAll},
+	{"fig6", Fig6, inAll},
+	{"fig7", Fig7, inAll},
+	{"fig8", Fig8, inAll},
+	{"fig9", Fig9, inAll},
+	{"fig10", Fig10, inAll},
+	{"fig11", Fig11, inAll},
+	{"fig12", Fig12, inAll},
+	{"table3", Table3, inAll},
+	{"rebalance", RebalanceReport, listed},
+	{"fleet", FleetReport, listed},
+	{"scenarios", ScenariosReport, listed},
+	{"ab-diff", AblationDifferentialUpload, inAll},
+	{"ab-lzf", AblationCompression, inAll},
+	{"ab-shared", AblationSharedMemServer, inAll},
+	{"ab-elide", AblationOverwriteElision, inAll},
+	{"ab-place", AblationPlacement, inAll},
+	{"ab-order", AblationVacateOrder, inAll},
+	{"ab-headroom", AblationHeadroom, inAll},
+	{"ab-power", AblationPowerModel, inAll},
+	{"ab-mem", AblationConsolidationMemory, inAll},
+	// The million-user fleet benchmark (100k under -quick) and the
+	// 10k-host control-plane stress benchmark, which rebuilds two
+	// 10k-host clusters: minutes-long runs that must be asked for by
+	// name, never swept up by `-experiment all` or the test that runs
+	// every listed experiment.
+	{"sim", FleetBenchReport, byName},
+	{"cluster", ClusterStressReport, byName},
+}
+
+// All runs every experiment of `-experiment all`: the paper's in paper
+// order, then the ablations.
 func All(opt Option) []Report {
-	return []Report{
-		Fig1(opt),
-		Fig2(opt),
-		Table1(opt),
-		Fig5(opt),
-		Traffic(opt),
-		Fig6(opt),
-		Fig7(opt),
-		Fig8(opt),
-		Fig9(opt),
-		Fig10(opt),
-		Fig11(opt),
-		Fig12(opt),
-		Table3(opt),
+	var out []Report
+	for _, e := range table {
+		if e.reach == inAll {
+			out = append(out, e.run(opt))
+		}
 	}
+	return out
 }
 
 // ByID returns the experiment with the given id, or false.
 func ByID(id string, opt Option) (Report, bool) {
-	switch strings.ToLower(id) {
-	case "fig1":
-		return Fig1(opt), true
-	case "fig2":
-		return Fig2(opt), true
-	case "table1":
-		return Table1(opt), true
-	case "fig5":
-		return Fig5(opt), true
-	case "traffic":
-		return Traffic(opt), true
-	case "fig6":
-		return Fig6(opt), true
-	case "fig7":
-		return Fig7(opt), true
-	case "fig8":
-		return Fig8(opt), true
-	case "fig9":
-		return Fig9(opt), true
-	case "fig10":
-		return Fig10(opt), true
-	case "fig11":
-		return Fig11(opt), true
-	case "fig12":
-		return Fig12(opt), true
-	case "table3":
-		return Table3(opt), true
-	case "rebalance":
-		return RebalanceReport(opt), true
-	case "ab-diff":
-		return AblationDifferentialUpload(opt), true
-	case "ab-lzf":
-		return AblationCompression(opt), true
-	case "ab-shared":
-		return AblationSharedMemServer(opt), true
-	case "ab-elide":
-		return AblationOverwriteElision(opt), true
-	case "ab-place":
-		return AblationPlacement(opt), true
-	case "ab-order":
-		return AblationVacateOrder(opt), true
-	case "ab-headroom":
-		return AblationHeadroom(opt), true
-	case "ab-power":
-		return AblationPowerModel(opt), true
-	case "fleet":
-		return FleetReport(opt), true
-	case "scenarios":
-		return ScenariosReport(opt), true
-	case "ab-mem":
-		return AblationConsolidationMemory(opt), true
-	case "sim":
-		// The million-user fleet benchmark (100k under -quick). Not in
-		// IDs(): a minutes-long run must be asked for by name, never
-		// swept up by `-experiment all` or the test that runs every
-		// listed experiment.
-		return FleetBenchReport(opt), true
-	case "cluster":
-		// The 10k-host control-plane stress benchmark. Like "sim", kept
-		// out of IDs(): it rebuilds two 10k-host clusters and must be
-		// asked for by name.
-		return ClusterStressReport(opt), true
-	default:
-		return Report{}, false
+	id = strings.ToLower(id)
+	for _, e := range table {
+		if e.id == id {
+			return e.run(opt), true
+		}
 	}
+	return Report{}, false
 }
 
 // IDs lists the known experiment identifiers in paper order, followed by
 // the ablations.
 func IDs() []string {
-	return []string{"fig1", "fig2", "table1", "fig5", "traffic", "fig6",
-		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "table3", "rebalance",
-		"fleet", "scenarios",
-		"ab-diff", "ab-lzf", "ab-shared", "ab-elide", "ab-place", "ab-order", "ab-headroom", "ab-power", "ab-mem"}
+	var out []string
+	for _, e := range table {
+		if e.reach != byName {
+			out = append(out, e.id)
+		}
+	}
+	return out
 }

@@ -25,6 +25,31 @@ func TestByIDKnowsEveryListedExperiment(t *testing.T) {
 	}
 }
 
+// TestExperimentLists pins the order -list and -experiment all print,
+// and keeps the minutes-long benchmarks reachable by name only.
+func TestExperimentLists(t *testing.T) {
+	paper := "fig1 fig2 table1 fig5 traffic fig6 fig7 fig8 fig9 fig10 fig11 fig12 table3"
+	ablations := "ab-diff ab-lzf ab-shared ab-elide ab-place ab-order ab-headroom ab-power ab-mem"
+	if got, want := strings.Join(IDs(), " "), paper+" rebalance fleet scenarios "+ablations; got != want {
+		t.Errorf("IDs() = %s\nwant     %s", got, want)
+	}
+	var all, named []string
+	for _, e := range table {
+		switch e.reach {
+		case inAll:
+			all = append(all, e.id)
+		case byName:
+			named = append(named, e.id)
+		}
+	}
+	if got, want := strings.Join(all, " "), paper+" "+ablations; got != want {
+		t.Errorf("-experiment all runs %s\nwant                   %s", got, want)
+	}
+	if got := strings.Join(named, " "); got != "sim cluster" {
+		t.Errorf("reachable by name only: %s, want sim cluster", got)
+	}
+}
+
 func TestMicroReportsContainPaperAnchors(t *testing.T) {
 	cases := map[string][]string{
 		"fig1":    {"desktop", "188.2"},
@@ -116,7 +141,13 @@ func TestAblationsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations include cluster days")
 	}
-	reports := Ablations(quickOpt())
+	var reports []Report
+	for _, id := range IDs() {
+		if strings.HasPrefix(id, "ab-") {
+			r, _ := ByID(id, quickOpt())
+			reports = append(reports, r)
+		}
+	}
 	if len(reports) < 6 {
 		t.Fatalf("only %d ablations", len(reports))
 	}

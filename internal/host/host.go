@@ -55,10 +55,6 @@ type Host struct {
 	Cap      units.Bytes
 	Reserved units.Bytes
 
-	// Overcommit scales usable memory; the paper's assumption 1 notes
-	// memory over-commitment is safe only up to ~1.5x. Default 1.0.
-	Overcommit float64
-
 	sim     *simtime.Simulator
 	profile power.Profile
 	meter   *power.Meter
@@ -104,34 +100,29 @@ type Host struct {
 
 // Config describes a host to create.
 type Config struct {
-	ID         int
-	Name       string
-	Role       Role
-	Cap        units.Bytes
-	Reserved   units.Bytes
-	Overcommit float64
-	Profile    power.Profile
+	ID       int
+	Name     string
+	Role     Role
+	Cap      units.Bytes
+	Reserved units.Bytes
+	Profile  power.Profile
 }
 
 // New creates a powered host attached to the simulator's clock.
 func New(sim *simtime.Simulator, cfg Config) *Host {
-	if cfg.Overcommit <= 0 {
-		cfg.Overcommit = 1.0
-	}
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("host-%d", cfg.ID)
 	}
 	h := &Host{
-		ID:         cfg.ID,
-		Name:       cfg.Name,
-		Role:       cfg.Role,
-		Cap:        cfg.Cap,
-		Reserved:   cfg.Reserved,
-		Overcommit: cfg.Overcommit,
-		sim:        sim,
-		profile:    cfg.Profile,
-		meter:      power.NewMeter(cfg.Profile),
-		state:      power.Powered,
+		ID:       cfg.ID,
+		Name:     cfg.Name,
+		Role:     cfg.Role,
+		Cap:      cfg.Cap,
+		Reserved: cfg.Reserved,
+		sim:      sim,
+		profile:  cfg.Profile,
+		meter:    power.NewMeter(cfg.Profile),
+		state:    power.Powered,
 	}
 	h.suspended, h.resumed = h.finishSuspend, h.finishResume
 	return h
@@ -155,9 +146,7 @@ func (h *Host) InTransit() bool {
 func (h *Host) Meter() *power.Meter { return h.meter }
 
 // Usable returns the memory available to VMs.
-func (h *Host) Usable() units.Bytes {
-	return units.Bytes(float64(h.Cap-h.Reserved) * h.Overcommit)
-}
+func (h *Host) Usable() units.Bytes { return h.Cap - h.Reserved }
 
 // Used returns the memory pinned by resident VMs.
 func (h *Host) Used() units.Bytes { return h.used }

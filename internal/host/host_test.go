@@ -70,17 +70,6 @@ func TestCapacityLimit(t *testing.T) {
 	}
 }
 
-func TestOvercommit(t *testing.T) {
-	sim := simtime.New()
-	h := New(sim, Config{
-		ID: 0, Cap: 128 * units.GiB, Reserved: 4 * units.GiB,
-		Overcommit: 1.5, Profile: power.DefaultProfile(),
-	})
-	if h.Usable() != units.Bytes(float64(124*units.GiB)*1.5) {
-		t.Fatalf("Usable with overcommit = %v", h.Usable())
-	}
-}
-
 func TestPartialFootprintAndRecharge(t *testing.T) {
 	sim := simtime.New()
 	h := newTestHost(sim, 0, Consolidation)

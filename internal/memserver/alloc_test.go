@@ -276,7 +276,7 @@ func TestSessionMACZeroAlloc(t *testing.T) {
 		t.Fatalf("split into %d chunks: %v", len(refs), err)
 	}
 	rec := &callRecorder{}
-	o := ops{x: rec}
+	o := ops{x: rec, put: newPutTel(nil, "")}
 	staged := putHead{kind: msgPutImage, id: 1, uploadID: 2, seq: 1, alloc: 4 * units.MiB}
 	shapes := map[string]func(){
 		"PutImage": func() { o.PutImage(1, 4*units.MiB, snap) },

@@ -13,11 +13,10 @@ import (
 
 // Conn is the full client surface of the memory-server protocol: page
 // reads (plain and staged), image/diff uploads (one-shot and streamed),
-// lifecycle, and counters. Three types implement it: the
-// single-connection Client and the multi-lane ClientPool here (both by
-// embedding ops, the protocol written once), and the sharded fabric
+// lifecycle, and counters. Two types implement it: the ClientPool here
+// (by embedding ops, the protocol written once) and the sharded fabric
 // client in the shard subpackage. shard.Connect picks between them, which
-// is what lets one call site scale from a bare connection to a
+// is what lets one call site scale from one self-healing connection to a
 // replicated fabric purely through dial options. A page the reads return
 // is the caller's to keep (see GetPage).
 type Conn interface {
@@ -34,16 +33,12 @@ type Conn interface {
 	Close() error
 }
 
-var (
-	_ Conn = (*Client)(nil)
-	_ Conn = (*ClientPool)(nil)
-)
+var _ Conn = (*ClientPool)(nil)
 
 // call is one request/response exchange of the protocol, described as
 // data: what to send, what reply to expect, and how hard to try. The
-// operations in this file build calls; the three exchangers (Client,
-// lane, ClientPool) carry them and never look at which operation a call
-// is.
+// operations in this file build calls; the two exchangers (lane and
+// ClientPool) carry them and never look at which operation a call is.
 type call struct {
 	op   string // operation name, for error messages
 	req  byte   // request message type
@@ -92,12 +87,11 @@ type exchanger interface {
 }
 
 // ops is the memory-server protocol, each operation encoded and decoded
-// exactly once over an exchanger. Client and ClientPool embed it, so
-// what differs between them is only how a call travels.
+// exactly once over an exchanger. ClientPool embeds it over its lanes,
+// and tests substitute an exchanger that records the calls.
 type ops struct {
 	x exchanger
-	// put counts uploaded chunks under the owner's client label; nil
-	// (a bare Client) counts under "default" like any unnamed client.
+	// put counts uploaded chunks under the owner's client label.
 	put *putTel
 }
 

@@ -1,10 +1,11 @@
 package memserver
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,48 +13,74 @@ import (
 	"oasis/internal/units"
 )
 
-// TestBrokenConnPoisonsClient verifies the satellite fix: after any
-// transport error the client refuses further use with ErrClientBroken
-// instead of reading misaligned frames from a half-written stream.
+// cutConn fails every Read once cut, after handing over at most three
+// bytes of the frame being read: the rest of that reply stays in the
+// socket, misaligned for whoever reads it next.
+type cutConn struct {
+	net.Conn
+	cut *atomic.Bool
+}
+
+func (c cutConn) Read(p []byte) (int, error) {
+	if !c.cut.Load() {
+		return c.Conn.Read(p)
+	}
+	n, _ := c.Conn.Read(p[:min(len(p), 3)])
+	return n, errors.New("cut mid-frame")
+}
+
+// TestBrokenConnPoisonsClient: after a transport error mid-frame the
+// lane drops its socket, and the next call reconnects instead of
+// reading the rest of the interrupted reply as its own.
 func TestBrokenConnPoisonsClient(t *testing.T) {
-	s, addr := startServer(t)
-	c := dial(t, addr)
-	_, snap := makeSnapshot(t, 4*units.MiB, 2, 8)
+	_, addr := startServer(t)
+	var cut atomic.Bool
+	dials := 0
+	c, err := dialLane(netFunc(func(addr string, deadline time.Time) (net.Conn, error) {
+		conn, err := network.TCP.Dial(addr, deadline)
+		if dials++; dials == 1 && err == nil {
+			conn = cutConn{conn, &cut}
+		}
+		return conn, err
+	}), addr, testSecret, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	src, snap := makeSnapshot(t, 4*units.MiB, 2, 8)
 	if err := c.PutImage(5, 4*units.MiB, snap); err != nil {
 		t.Fatal(err)
 	}
 
-	// Kill the server mid-session; the in-flight op fails with a
-	// transport error...
-	s.Close()
+	cut.Store(true)
 	if _, err := c.GetPage(5, 1); err == nil {
-		t.Fatal("GetPage succeeded against a closed server")
+		t.Fatal("GetPage succeeded over a connection cut mid-frame")
 	}
-	// ...and every subsequent op reports the poisoned connection.
-	if _, err := c.GetPage(5, 2); !errors.Is(err, ErrClientBroken) {
-		t.Fatalf("want ErrClientBroken, got %v", err)
+	got, err := c.GetPage(5, 2)
+	if err != nil {
+		t.Fatalf("GetPage after the cut: %v", err)
 	}
-	if _, err := c.Stats(); !errors.Is(err, ErrClientBroken) {
-		t.Fatalf("want ErrClientBroken from Stats, got %v", err)
+	if want, _ := src.Read(2); !bytes.Equal(got, want) {
+		t.Fatal("GetPage after the cut read another reply's bytes")
 	}
-	if !c.Broken() {
-		t.Fatal("Broken() = false after transport error")
+	if st := c.ResilienceStats(); st.Reconnects != 1 || st.Failures != 1 || dials != 2 {
+		t.Fatalf("after one cut: %+v over %d dials, want one failure, one reconnect, two dials", st, dials)
 	}
 }
 
 // TestRemoteErrorKeepsConnHealthy: a server-side refusal is not a
-// transport fault and must not poison the connection.
+// transport fault, so it costs neither a failure nor a reconnect.
 func TestRemoteErrorKeepsConnHealthy(t *testing.T) {
 	_, addr := startServer(t)
 	c := dial(t, addr)
-	if _, err := c.GetPage(12345, 0); err == nil {
-		t.Fatal("GetPage of unknown VM succeeded")
-	}
-	if c.Broken() {
-		t.Fatal("remote error poisoned the connection")
+	if _, err := c.GetPage(12345, 0); !IsRemoteError(err) {
+		t.Fatalf("GetPage of unknown VM: %v, want a remote error", err)
 	}
 	if _, err := c.Stats(); err != nil {
 		t.Fatalf("Stats after remote error: %v", err)
+	}
+	if st := c.ResilienceStats(); st.Failures != 0 || st.Reconnects != 0 || st.Retries != 0 {
+		t.Fatalf("a remote error cost the lane %+v", st)
 	}
 }
 
@@ -70,7 +97,7 @@ func TestServerIdleTimeout(t *testing.T) {
 	t.Cleanup(func() { s.Close() })
 
 	// A fully authenticated client that goes silent...
-	c, err := Dial(network.TCP, addr.String(), testSecret, time.Second)
+	c, err := dialLane(network.TCP, addr.String(), testSecret, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,66 +142,22 @@ func TestIdleTimeoutAppliesToUnauthenticatedConns(t *testing.T) {
 	}
 }
 
-// silentListener accepts connections and never writes to them, as a
-// server wedged before its challenge would. Cleanup closes it and every
-// connection it accepted.
-func silentListener(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var conns []net.Conn
-	closed := false
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			if conns = append(conns, c); closed {
-				c.Close()
-			}
-			mu.Unlock()
-		}
-	}()
-	t.Cleanup(func() {
-		ln.Close()
-		mu.Lock()
-		defer mu.Unlock()
-		closed = true
-		for _, c := range conns {
-			c.Close()
-		}
-	})
-	return ln.Addr().String()
-}
-
 // TestDialHandshakeBoundedByTimeout: a server that accepts and never
-// sends its challenge fails a dial within the dial's timeout, for a bare
-// client and for a pool's eager first lane. The handshake used to wait
-// out DefaultOpTimeout (30 s) whatever the timeout.
+// sends its challenge fails a pool's eager first dial within the dial's
+// timeout. The handshake used to wait out DefaultOpTimeout (30 s)
+// whatever the timeout.
 func TestDialHandshakeBoundedByTimeout(t *testing.T) {
-	addr := silentListener(t)
+	silent := netFunc(func(string, time.Time) (net.Conn, error) {
+		conn, peer := net.Pipe()
+		t.Cleanup(func() { peer.Close() })
+		return conn, nil
+	})
 	const timeout = 200 * time.Millisecond
-	for name, dial := range map[string]func() error{
-		"Dial": func() error {
-			_, err := Dial(network.TCP, addr, []byte("k"), timeout)
-			return err
-		},
-		"DialPool": func() error {
-			_, err := DialPool(addr, []byte("k"), PoolConfig{Size: 1, Resilience: ResilientConfig{
-				MaxRetries: 1, DialTimeout: timeout, OpTimeout: time.Second,
-			}})
-			return err
-		},
-	} {
-		start := time.Now()
-		err := dial()
-		if took := time.Since(start); err == nil || took >= time.Second {
-			t.Errorf("%s against a silent server: %v after %v, want an error in under 1s", name, err, took)
-		}
+	start := time.Now()
+	_, err := DialPool("silent", []byte("k"), PoolConfig{Size: 1, Resilience: ResilientConfig{
+		MaxRetries: 1, DialTimeout: timeout, OpTimeout: time.Second, Network: silent,
+	}})
+	if took := time.Since(start); err == nil || took >= time.Second {
+		t.Errorf("DialPool against a silent server: %v after %v, want an error in under 1s", err, took)
 	}
 }

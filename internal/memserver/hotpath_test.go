@@ -25,7 +25,9 @@ import (
 // discardConn is a net.Conn that swallows writes and replies to every
 // read with an endless stream of empty msgOK frames, so a client
 // round trip completes without a server (and without allocations).
+// Reads return pre first: a challenge, for a lane's handshake.
 type discardConn struct {
+	pre   []byte
 	reply [5]byte
 	pos   int
 }
@@ -37,6 +39,11 @@ func newDiscardConn() *discardConn {
 }
 
 func (c *discardConn) Read(p []byte) (int, error) {
+	if len(c.pre) > 0 {
+		n := copy(p, c.pre)
+		c.pre = c.pre[n:]
+		return n, nil
+	}
 	n := copy(p, c.reply[c.pos:])
 	c.pos = (c.pos + n) % len(c.reply)
 	return n, nil
@@ -64,15 +71,17 @@ func testPage(seed uint64) []byte {
 	return page
 }
 
-// TestPutChunkFramingZeroAlloc drives the real staged-chunk path —
-// segment layout, session-MAC trailer, coalesced/vectored framing and
-// the empty-msgOK reply read — and requires zero heap allocations per
-// operation once warm.
+// TestPutChunkFramingZeroAlloc drives the real staged-chunk path of a
+// lane — retry and breaker bookkeeping, segment layout, session-MAC
+// trailer, coalesced/vectored framing and the empty-msgOK reply read —
+// and requires zero heap allocations per operation once warm.
 func TestPutChunkFramingZeroAlloc(t *testing.T) {
-	c := newClient(newDiscardConn())
-	c.opTimeout = time.Second
-	var nonce [16]byte
-	c.upMAC = sessionMAC(testSecret, nonce[:])
+	l := newLane("discard", testSecret, ResilientConfig{Network: netFunc(func(string, time.Time) (net.Conn, error) {
+		c := newDiscardConn()
+		c.pre = append([]byte{0, 0, 0, 16, msgChallenge}, make([]byte, 16)...) // a zero nonce
+		return c, nil
+	})})
+	c := ops{x: l}
 
 	im := pagestore.NewImage(units.PagesBytes(16))
 	r := rng.New(41)

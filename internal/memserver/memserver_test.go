@@ -36,9 +36,17 @@ func (netFunc) Listen(addr string) (net.Listener, error)                 { retur
 // noDial is the network of a pool that must never dial.
 var noDial = netFunc(func(string, time.Time) (net.Conn, error) { panic("no dialing in this test") })
 
-func dial(t *testing.T, addr string) *Client {
+// dialLane connects a one-lane pool over nw that makes one attempt per
+// call, so a test sees each transport error the way the server caused it.
+func dialLane(nw network.Network, addr string, secret []byte, timeout time.Duration) (*ClientPool, error) {
+	return DialPool(addr, secret, PoolConfig{Size: 1, Resilience: ResilientConfig{
+		MaxRetries: 1, MutatingRetries: 1, DialTimeout: timeout, Network: nw,
+	}})
+}
+
+func dial(t *testing.T, addr string) *ClientPool {
 	t.Helper()
-	c, err := Dial(network.TCP, addr, testSecret, 2*time.Second)
+	c, err := dialLane(network.TCP, addr, testSecret, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +145,7 @@ func TestIsUnknownVM(t *testing.T) {
 	if !IsRemoteError(err) || IsUnknownVM(err) {
 		t.Errorf("out-of-range pfn of a known VM: %v, want a remote error that is not unknown-VM", err)
 	}
-	if IsUnknownVM(nil) || IsUnknownVM(ErrClientBroken) {
+	if IsUnknownVM(nil) || IsUnknownVM(ErrCircuitOpen) {
 		t.Error("IsUnknownVM matched a non-remote error")
 	}
 }
@@ -278,7 +286,7 @@ func TestDiffPathsCountEntriesAdopted(t *testing.T) {
 
 func TestAuthRejectsBadSecret(t *testing.T) {
 	_, addr := startServer(t)
-	if _, err := Dial(network.TCP, addr, []byte("wrong"), 2*time.Second); err == nil {
+	if _, err := dialLane(network.TCP, addr, []byte("wrong"), 2*time.Second); err == nil {
 		t.Fatal("bad secret accepted")
 	}
 }
@@ -292,7 +300,7 @@ func TestConcurrentClients(t *testing.T) {
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
 		go func(g int) {
-			c, err := Dial(network.TCP, addr, testSecret, 2*time.Second)
+			c, err := dialLane(network.TCP, addr, testSecret, 2*time.Second)
 			if err != nil {
 				done <- err
 				return
@@ -402,7 +410,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(network.TCP, addr.String(), testSecret, 2*time.Second)
+	c, err := dialLane(network.TCP, addr.String(), testSecret, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +458,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	c2, err := Dial(network.TCP, addr2.String(), testSecret, 2*time.Second)
+	c2, err := dialLane(network.TCP, addr2.String(), testSecret, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

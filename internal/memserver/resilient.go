@@ -3,6 +3,7 @@ package memserver
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"time"
 
@@ -75,8 +76,9 @@ type ResilientConfig struct {
 	// BreakerCooldown is how long the breaker stays open before a
 	// half-open probe is allowed.
 	BreakerCooldown time.Duration
-	// DialTimeout bounds each reconnect attempt; OpTimeout bounds each
-	// round trip (see Client.SetOpTimeout).
+	// DialTimeout bounds each (re)connect attempt (<= 0:
+	// DefaultDialTimeout); OpTimeout bounds each round trip (<= 0:
+	// DefaultOpTimeout).
 	DialTimeout time.Duration
 	OpTimeout   time.Duration
 	// Network carries every (re)connect (nil: network.TCP): TLS, and in
@@ -119,8 +121,14 @@ func (c *ResilientConfig) withDefaults() {
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
 	}
+	if c.DialTimeout <= 0 {
+		c.DialTimeout = DefaultDialTimeout
+	}
 	if c.OpTimeout <= 0 {
 		c.OpTimeout = DefaultOpTimeout
+	}
+	if c.Network == nil {
+		c.Network = network.TCP
 	}
 	if c.Sleep == nil {
 		c.Sleep = time.Sleep
@@ -163,10 +171,11 @@ func (s *ResilienceStats) Add(member ResilienceStats) {
 	s.BreakerOpens += member.BreakerOpens
 }
 
-// lane is one self-healing connection: the exchanger that re-issues a
-// call across reconnects until it succeeds, its retry budget runs out, or
-// the breaker says the server is gone. It is safe for concurrent use;
-// calls serialise on the one underlying connection exactly as on Client.
+// lane is one self-healing connection: the exchanger that owns a
+// socket to one server and re-issues a call across reconnects until it
+// succeeds, its retry budget runs out, or the breaker says the server is
+// gone. It is safe for concurrent use; calls serialise on the socket,
+// since the protocol is strictly request/response per connection.
 type lane struct {
 	addr   string
 	secret []byte
@@ -174,17 +183,31 @@ type lane struct {
 	tel    *resTel
 
 	// callMu serialises attempts, each a (re)dial if needed plus one
-	// round trip. Holding it across both means at most one dial is ever
-	// in flight, and no caller queues on a connection the caller ahead
-	// of it is about to poison — one transport error is one failure to
-	// the breaker, however many calls were waiting.
-	callMu sync.Mutex
+	// round trip, and guards the connection state below. Holding it
+	// across both means at most one dial is ever in flight, and no
+	// caller queues on a socket the caller ahead of it is about to drop
+	// — one transport error is one failure to the breaker, however many
+	// calls were waiting.
+	callMu   sync.Mutex
+	conn     net.Conn // nil when disconnected
+	everConn bool
+	// Reusable framing state (see client.go). Request frames are laid
+	// out as segments in bufs (bufs[0] is always the 5-byte header
+	// rebuilt per call in hdrArr); small frames coalesce into frame and
+	// go out in one Write, large ones as vectored buffers. opArr holds
+	// the fixed-size request prefix of the current call, so the upload
+	// and GetPage hot paths allocate nothing per call.
+	hdrArr [5]byte
+	opArr  [24]byte
+	frame  []byte
+	bufs   net.Buffers
+	// upMAC signs upload payloads with the session MAC the current
+	// socket's handshake derived (see proto.go).
+	upMAC *sessionGCM
 
 	// mu guards the state below and is never held across a dial, a
 	// round trip or a sleep, so the breaker can always be read promptly.
 	mu       sync.Mutex
-	client   *Client // nil when disconnected
-	everConn bool
 	fails    int       // consecutive failed attempts
 	openedAt time.Time // when the breaker last opened
 	jitter   *rng.Rand
@@ -203,20 +226,18 @@ func newLane(addr string, secret []byte, cfg ResilientConfig) *lane {
 	}
 }
 
-// close shuts the current connection down once the attempt in flight, if
-// any, has finished. The lane may still be used afterwards; the next call
+// close shuts the socket down once the attempt in flight, if any, has
+// finished. The lane may still be used afterwards; the next call
 // reconnects.
 func (l *lane) close() error {
 	l.callMu.Lock()
 	defer l.callMu.Unlock()
-	l.mu.Lock()
-	c := l.client
-	l.client = nil
-	l.mu.Unlock()
-	if c == nil {
+	if l.conn == nil {
 		return nil
 	}
-	return c.Close()
+	err := l.conn.Close()
+	l.conn = nil
+	return err
 }
 
 func (l *lane) breakerState() BreakerState {
@@ -231,44 +252,29 @@ func (l *lane) resilienceStats() ResilienceStats {
 	return l.stats
 }
 
-// attempt makes one try at c: over the current connection if it is
-// healthy, else over a fresh one. A call with no request type (DialPool's
-// eager dial) is done once connected.
+// attempt makes one try at c: over the current socket if there is one,
+// else over a fresh one. A call with no request type (DialPool's eager
+// dial) is done once connected. A black-holed server can park the dial
+// for DialTimeout; only callMu is held, so the breaker stays readable.
 func (l *lane) attempt(c call) ([]byte, error) {
 	l.callMu.Lock()
 	defer l.callMu.Unlock()
-	client, err := l.connect()
-	if err != nil || c.req == 0 {
-		return nil, err
+	if l.conn == nil {
+		if err := l.dial(); err != nil {
+			return nil, err
+		}
+		if l.everConn {
+			l.mu.Lock()
+			l.stats.Reconnects++
+			l.mu.Unlock()
+			l.tel.reconnects.Inc()
+		}
+		l.everConn = true
 	}
-	return client.exchange(c)
-}
-
-// connect returns a healthy connection, dialing if needed. Callers hold
-// callMu and nothing else: a black-holed server can park the dial for
-// DialTimeout, and the lane's state must stay readable throughout.
-func (l *lane) connect() (*Client, error) {
-	l.mu.Lock()
-	client := l.client
-	l.mu.Unlock()
-	if client != nil && !client.Broken() {
-		return client, nil
+	if c.req == 0 {
+		return nil, nil
 	}
-	// A broken Client has already closed its socket; just replace it.
-	client, err := Dial(l.cfg.Network, l.addr, l.secret, l.cfg.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	client.SetOpTimeout(l.cfg.OpTimeout)
-	l.mu.Lock()
-	l.client = client
-	if l.everConn {
-		l.stats.Reconnects++
-		l.tel.reconnects.Inc()
-	}
-	l.everConn = true
-	l.mu.Unlock()
-	return client, nil
+	return l.roundTrip(c)
 }
 
 // setStateLocked transitions the breaker, returning a callback to invoke

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"oasis/internal/memserver"
-	"oasis/internal/network"
 	"oasis/internal/pagestore"
 	"oasis/internal/rng"
 	"oasis/internal/telemetry"
@@ -161,7 +160,7 @@ func TestShardReassemblyMatchesSingleServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer single.Close()
-	ref, err := memserver.Dial(network.TCP, saddr.String(), testSecret, 0)
+	ref, err := memserver.DialPool(saddr.String(), testSecret, memserver.PoolConfig{Size: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

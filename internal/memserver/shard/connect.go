@@ -17,13 +17,12 @@ type Target struct {
 	// DefaultReplicas).
 	Backends []string
 	Replicas int
-	// Resilience, when non-nil, asks for self-healing connections
-	// (reconnect, bounded retries, circuit breaker) tuned by it. A fabric
-	// is always resilient; nil gives its backends the defaults.
+	// Resilience tunes the self-healing connections (reconnect, bounded
+	// retries, circuit breaker) every shape is made of; nil takes the
+	// defaults.
 	Resilience *memserver.ResilientConfig
-	// Lanes is the resilient connections per server: on a single server
-	// <= 1 is one lane, on a fabric <= 0 takes memserver.DefaultPoolSize.
-	// Ignored on a single server without Resilience.
+	// Lanes is the connections per server: on a single server <= 1 is
+	// one lane, on a fabric <= 0 takes memserver.DefaultPoolSize.
 	Lanes int
 	// Network, when non-nil, carries every connection in place of
 	// Resilience.Network (nil there too: network.TCP). network.TLS is
@@ -36,8 +35,8 @@ type Target struct {
 }
 
 // Connect dials t and returns the client shape it calls for: a
-// *shard.Client for a fabric, a *memserver.ClientPool when resilience is
-// asked for, and otherwise one bare *memserver.Client. Every layer that
+// *shard.Client for a fabric, else a *memserver.ClientPool of Lanes
+// lanes (at least one) to the single server. Every layer that
 // opens a memory-server connection on a user's behalf (the facade's
 // Dial, memtap, the host agent) comes through here, so the network,
 // timeouts and resilience apply to every connection of whichever shape
@@ -53,8 +52,7 @@ func Connect(t Target, secret []byte) (memserver.Conn, error) {
 	if t.Network != nil {
 		res.Network = t.Network
 	}
-	switch {
-	case len(t.Backends) > 0:
+	if len(t.Backends) > 0 {
 		f, err := Dial(t.Backends, secret, Config{
 			Replicas: t.Replicas,
 			Pool:     memserver.PoolConfig{Size: t.Lanes, Resilience: res},
@@ -63,17 +61,10 @@ func Connect(t Target, secret []byte) (memserver.Conn, error) {
 			return nil, err
 		}
 		return f, nil
-	case t.Resilience != nil:
-		p, err := memserver.DialPool(t.Addr, secret, memserver.PoolConfig{Size: max(t.Lanes, 1), Resilience: res})
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
-	default:
-		c, err := memserver.Dial(res.Network, t.Addr, secret, res.DialTimeout)
-		if err != nil {
-			return nil, err
-		}
-		return c, nil
 	}
+	p, err := memserver.DialPool(t.Addr, secret, memserver.PoolConfig{Size: max(t.Lanes, 1), Resilience: res})
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }

@@ -72,7 +72,6 @@ func TestConnConformance(t *testing.T) {
 		target  Target
 		want    string // concrete type Connect must pick
 	}{
-		{"bare", 1, Target{}, "*memserver.Client"},
 		{"one-lane pool", 1, Target{Resilience: &res}, "*memserver.ClientPool"},
 		{"four-lane pool", 1, Target{Resilience: &res, Lanes: 4}, "*memserver.ClientPool"},
 		{"fabric r=2", 3, Target{Resilience: &res, Lanes: 2, Replicas: 2}, "*shard.Client"},
@@ -256,7 +255,6 @@ func TestOneNetworkReachesEveryShape(t *testing.T) {
 		servers int
 		target  Target
 	}{
-		{"bare", 1, Target{}},
 		{"one-lane pool", 1, Target{Resilience: &res}},
 		{"four-lane pool", 1, Target{Resilience: &res, Lanes: 4}},
 		{"fabric r=2", 3, Target{Resilience: &res, Lanes: 2, Replicas: 2}},

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"oasis/internal/memserver"
-	"oasis/internal/network"
 	"oasis/internal/pagestore"
 	"oasis/internal/units"
 )
@@ -111,7 +110,7 @@ func TestElasticAddBackend(t *testing.T) {
 	// The newcomer actually owns data now: it must hold pages, and they
 	// must be the right bytes (read it directly, no fabric failover).
 	ring := f.client.Ring()
-	direct, err := memserver.Dial(network.TCP, newAddr, testSecret, 0)
+	direct, err := memserver.DialPool(newAddr, testSecret, memserver.PoolConfig{Size: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +286,7 @@ func TestElasticCrashThenRejoin(t *testing.T) {
 	// The rejoined backend must itself hold the newest bytes for every
 	// range it owns.
 	ring := f.client.Ring()
-	direct, err := memserver.Dial(network.TCP, crashed, testSecret, 0)
+	direct, err := memserver.DialPool(crashed, testSecret, memserver.PoolConfig{Size: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

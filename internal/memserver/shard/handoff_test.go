@@ -67,7 +67,7 @@ func TestReplayEscalatesToRepairUnderVMLock(t *testing.T) {
 
 	// The escalated repair actually rebuilt backend 0's partition.
 	ring := f.client.Ring()
-	direct, err := memserver.Dial(network.TCP, f.addrs[0], testSecret, 0)
+	direct, err := memserver.DialPool(f.addrs[0], testSecret, memserver.PoolConfig{Size: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestElasticAddBackendConcurrentUpload(t *testing.T) {
 	}
 	// The newcomer itself holds the racing VM's owned ranges.
 	ring := f.client.Ring()
-	direct, err := memserver.Dial(network.TCP, newAddr, testSecret, 0)
+	direct, err := memserver.DialPool(newAddr, testSecret, memserver.PoolConfig{Size: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestRepairNeverCopiesFromStalePreviousOwner(t *testing.T) {
 			stale = a
 		}
 	}
-	direct, err := memserver.Dial(network.TCP, stale, testSecret, 0)
+	direct, err := memserver.DialPool(stale, testSecret, memserver.PoolConfig{Size: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestHintOverflowForcesRepair(t *testing.T) {
 		return f.client.UnderreplicatedRanges() == 0
 	})
 	ring := f.client.Ring()
-	direct, err := memserver.Dial(network.TCP, victim, testSecret, 0)
+	direct, err := memserver.DialPool(victim, testSecret, memserver.PoolConfig{Size: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func pageEntry(pfn pagestore.PFN, page []byte) []byte {
 }
 
 // rawReply sends one request and returns the reply payload undecoded.
-func rawReply(t *testing.T, c *Client, req, want byte, payload []byte) []byte {
+func rawReply(t *testing.T, c *ClientPool, req, want byte, payload []byte) []byte {
 	t.Helper()
 	cl := call{op: "raw", req: req, want: want}
 	cl.segs[0] = payload
@@ -180,21 +180,21 @@ func TestShortRawEntryIsPadded(t *testing.T) {
 // wire, for tests that hold all of them to one property.
 var uploadShapes = []struct {
 	name string
-	put  func(c *Client, id pagestore.VMID, alloc units.Bytes, snap []byte) error
+	put  func(c *ClientPool, id pagestore.VMID, alloc units.Bytes, snap []byte) error
 }{
-	{"image", func(c *Client, id pagestore.VMID, alloc units.Bytes, snap []byte) error {
+	{"image", func(c *ClientPool, id pagestore.VMID, alloc units.Bytes, snap []byte) error {
 		return c.PutImage(id, alloc, snap)
 	}},
-	{"diff", func(c *Client, id pagestore.VMID, alloc units.Bytes, snap []byte) error {
+	{"diff", func(c *ClientPool, id pagestore.VMID, alloc units.Bytes, snap []byte) error {
 		if err := c.PutImage(id, alloc, frameSnap()); err != nil {
 			return err
 		}
 		return c.PutDiff(id, snap)
 	}},
-	{"chunked image", func(c *Client, id pagestore.VMID, alloc units.Bytes, snap []byte) error {
+	{"chunked image", func(c *ClientPool, id pagestore.VMID, alloc units.Bytes, snap []byte) error {
 		return c.StreamImage(id, alloc, snap, PutOptions{ChunkBytes: 16 << 10})
 	}},
-	{"chunked diff", func(c *Client, id pagestore.VMID, alloc units.Bytes, snap []byte) error {
+	{"chunked diff", func(c *ClientPool, id pagestore.VMID, alloc units.Bytes, snap []byte) error {
 		if err := c.PutImage(id, alloc, frameSnap()); err != nil {
 			return err
 		}

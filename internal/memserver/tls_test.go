@@ -42,7 +42,7 @@ func TestTLSUploadAndFetch(t *testing.T) {
 	}
 	addr := serveTLS(t, cert)
 
-	c, err := Dial(tlsTo(pool), addr, testSecret, 2*time.Second)
+	c, err := dialLane(tlsTo(pool), addr, testSecret, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestTLSRejectsUntrustedServer(t *testing.T) {
 
 	// A client with an empty root pool must refuse the connection: this
 	// is the §4.3 server-authenticity property.
-	if _, err := Dial(tlsTo(x509.NewCertPool()), addr, testSecret, 2*time.Second); err == nil {
+	if _, err := dialLane(tlsTo(x509.NewCertPool()), addr, testSecret, 2*time.Second); err == nil {
 		t.Fatal("untrusted server certificate accepted")
 	}
 }
@@ -85,7 +85,7 @@ func TestTLSStillRequiresSecret(t *testing.T) {
 
 	// Transport security does not replace client authentication: the
 	// HMAC challenge still runs inside the session.
-	if _, err := Dial(tlsTo(pool), addr, []byte("wrong"), 2*time.Second); err == nil {
+	if _, err := dialLane(tlsTo(pool), addr, []byte("wrong"), 2*time.Second); err == nil {
 		t.Fatal("bad shared secret accepted over TLS")
 	}
 }
@@ -136,13 +136,13 @@ func TestFailedTLSHandshakeIsNotAnAuthFailure(t *testing.T) {
 		}
 	}
 
-	if _, err := Dial(tlsTo(x509.NewCertPool()), addr, testSecret, 2*time.Second); err == nil {
+	if _, err := dialLane(tlsTo(x509.NewCertPool()), addr, testSecret, 2*time.Second); err == nil {
 		t.Fatal("untrusted server certificate accepted")
 	}
 	handshakeFailures(1)
 	// A plain-TCP client waits for the challenge that never comes and
 	// hangs up; the server is still waiting for its ClientHello.
-	if _, err := Dial(network.TCP, addr, testSecret, 200*time.Millisecond); err == nil {
+	if _, err := dialLane(network.TCP, addr, testSecret, 200*time.Millisecond); err == nil {
 		t.Fatal("a plain-TCP client authenticated against a TLS listener")
 	}
 	for _, l := range handshakeFailures(2) {

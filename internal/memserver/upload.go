@@ -16,7 +16,7 @@ import (
 // rest follow up to Streams at a time, and a commit applies them. Over a
 // ClientPool the concurrent chunks land on different lanes, overlapping
 // framing, wire transfer and server-side staging the way the prefetch
-// path overlaps batch fetches; over a single Client they queue on the
+// path overlaps batch fetches; over a one-lane pool they queue on the
 // one connection. Either way the server-side result is bit-for-bit the
 // same — chunking is a pure latency and frame-size matter.
 
@@ -105,15 +105,11 @@ func (o ops) upload(h putHead, snapshot []byte, opts PutOptions) error {
 			return fmt.Errorf("memserver: snapshot needs %d chunks, limit %d (raise ChunkBytes)", len(chunks), maxUploadChunks)
 		}
 	}
-	tel := o.put
-	if tel == nil {
-		tel = newPutTel(nil, "")
-	}
 	if len(chunks) == 1 {
-		return o.sendChunk(tel, h, chunks[0])
+		return o.sendChunk(h, chunks[0])
 	}
 	h.uploadID = uploadSeq.Add(1)
-	if err := o.shipChunks(tel, h, chunks, opts.Streams); err != nil {
+	if err := o.shipChunks(h, chunks, opts.Streams); err != nil {
 		return err
 	}
 	return o.PutCommit(h.id, h.uploadID, uint32(len(chunks)))
@@ -124,9 +120,9 @@ func (o ops) upload(h putHead, snapshot []byte, opts PutOptions) error {
 // pool a re-issue lands on a (likely) different lane, and the server
 // acknowledges a duplicate without staging it again. A whole snapshot
 // keeps the exchanger's mutating budget alone.
-func (o ops) sendChunk(tel *putTel, h putHead, chunk pagestore.ChunkRef) error {
-	tel.inflight.Inc()
-	defer tel.inflight.Dec()
+func (o ops) sendChunk(h putHead, chunk pagestore.ChunkRef) error {
+	o.put.inflight.Inc()
+	defer o.put.inflight.Dec()
 	reissues := 0
 	if h.uploadID != 0 {
 		reissues = chunkRetries
@@ -134,10 +130,10 @@ func (o ops) sendChunk(tel *putTel, h putHead, chunk pagestore.ChunkRef) error {
 	var err error
 	for attempt := 0; attempt <= reissues; attempt++ {
 		if attempt > 0 {
-			tel.retried.Inc()
+			o.put.retried.Inc()
 		}
 		if err = o.putChunk(h, chunk); err == nil {
-			tel.chunks.Inc()
+			o.put.chunks.Inc()
 			return nil
 		}
 	}
@@ -146,11 +142,11 @@ func (o ops) sendChunk(tel *putTel, h putHead, chunk pagestore.ChunkRef) error {
 
 // shipChunks sends every chunk of a staged upload: chunk 0 first, which
 // opens the upload, then the rest with up to streams in flight.
-func (o ops) shipChunks(tel *putTel, h putHead, chunks []pagestore.ChunkRef, streams int) error {
+func (o ops) shipChunks(h putHead, chunks []pagestore.ChunkRef, streams int) error {
 	send := func(seq int) error {
 		h := h
 		h.seq = uint32(seq)
-		if err := o.sendChunk(tel, h, chunks[seq]); err != nil {
+		if err := o.sendChunk(h, chunks[seq]); err != nil {
 			return fmt.Errorf("memserver: streaming upload: chunk %d/%d: %w", seq, len(chunks), err)
 		}
 		return nil

@@ -53,7 +53,7 @@ func rawSnapshot(t *testing.T, alloc units.Bytes, seed uint64, pages int) []byte
 
 // stageChunk sends chunk seq of staged upload uploadID of VM id, of the
 // kind the frame type names (an image's allocation is alloc).
-func stageChunk(c *Client, kind byte, id pagestore.VMID, uploadID uint64, seq int, alloc units.Bytes, chunk []byte) error {
+func stageChunk(c *ClientPool, kind byte, id pagestore.VMID, uploadID uint64, seq int, alloc units.Bytes, chunk []byte) error {
 	h := putHead{kind: kind, id: id, uploadID: uploadID, seq: uint32(seq), alloc: alloc}
 	return c.putChunk(h, pagestore.ChunkRef{Body: chunk})
 }

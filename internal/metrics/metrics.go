@@ -4,10 +4,8 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Welford accumulates a streaming mean and variance.
@@ -202,27 +200,4 @@ func (tw *TimeWeighted) Total(t float64) float64 {
 		total += tw.lastV * (t - tw.lastT)
 	}
 	return total
-}
-
-// Counter is a simple named tally used for event accounting.
-type Counter map[string]int64
-
-// Inc adds delta to the named tally.
-func (c Counter) Inc(name string, delta int64) { c[name] += delta }
-
-// String renders the counters sorted by name.
-func (c Counter) String() string {
-	names := make([]string, 0, len(c))
-	for k := range c {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for i, k := range names {
-		if i > 0 {
-			b.WriteString(" ")
-		}
-		fmt.Fprintf(&b, "%s=%d", k, c[k])
-	}
-	return b.String()
 }

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -111,23 +110,5 @@ func TestTimeWeighted(t *testing.T) {
 	// Queries before the last set point do not extend.
 	if got := tw.Total(5); got != 1000 {
 		t.Errorf("Total(5) = %v", got)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := Counter{}
-	c.Inc("full", 2)
-	c.Inc("partial", 1)
-	c.Inc("full", 1)
-	if c["full"] != 3 {
-		t.Fatalf("full = %d", c["full"])
-	}
-	s := c.String()
-	if !strings.Contains(s, "full=3") || !strings.Contains(s, "partial=1") {
-		t.Errorf("String = %q", s)
-	}
-	// Sorted output.
-	if strings.Index(s, "full") > strings.Index(s, "partial") {
-		t.Errorf("String not sorted: %q", s)
 	}
 }

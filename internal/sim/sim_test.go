@@ -287,7 +287,7 @@ func TestNoConsolidationHosts(t *testing.T) {
 	if r.SavingsPct > 0.5 || r.SavingsPct < -5 {
 		t.Errorf("savings with no consolidation hosts = %.1f%%, want ~0", r.SavingsPct)
 	}
-	if r.Stats.Ops["partial-first"] != 0 {
+	if r.Stats.Ops[cluster.OpPartialFirst] != 0 {
 		t.Error("partial migrations happened with no destinations")
 	}
 }

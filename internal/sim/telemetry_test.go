@@ -95,7 +95,8 @@ func TestSimGaugesMatchResult(t *testing.T) {
 	if got := gauge("oasis_sim_network_bytes", telemetry.L("category", "full")); got != float64(res.Stats.FullBytes) {
 		t.Errorf("oasis_sim_network_bytes{full} = %v, Result has %d", got, res.Stats.FullBytes)
 	}
-	for kind, n := range res.Stats.Ops {
+	for k, n := range res.Stats.Ops {
+		kind := cluster.Op(k).String()
 		if got := gauge("oasis_sim_ops", telemetry.L("kind", kind)); got != float64(n) {
 			t.Errorf("oasis_sim_ops{kind=%q} = %v, Result has %d", kind, got, n)
 		}

@@ -11,7 +11,6 @@ import (
 	"oasis/internal/memserver"
 	"oasis/internal/memserver/shard"
 	"oasis/internal/memtap"
-	"oasis/internal/network"
 	"oasis/internal/pagestore"
 	"oasis/internal/units"
 )
@@ -279,7 +278,7 @@ func TestElasticFabricChaosStorm(t *testing.T) {
 	// (hint replay / repair) and the one that joined mid-storm
 	// (rebalance copy). Direct-dial each owner, bypassing fabric
 	// failover, so a stale copy cannot hide behind a fresh one.
-	direct := make(map[string]*memserver.Client)
+	direct := make(map[string]*memserver.ClientPool)
 	ring := fab.Ring()
 	checked := 0
 	for k := int64(0); k < writerPages; k++ {
@@ -287,7 +286,7 @@ func TestElasticFabricChaosStorm(t *testing.T) {
 		for _, a := range ring.OwnerAddrs(vmid, pfn) {
 			d, ok := direct[a]
 			if !ok {
-				d, err = memserver.Dial(network.TCP, a, secret, 2*time.Second)
+				d, err = memserver.DialPool(a, secret, memserver.PoolConfig{Size: 1})
 				if err != nil {
 					t.Fatalf("direct dial owner %s: %v", a, err)
 				}

@@ -87,8 +87,8 @@ func TestStreamedUploadUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	clean := func() *memserver.Client {
-		c, err := memserver.Dial(network.TCP, addr, secret, 2*time.Second)
+	clean := func() *memserver.ClientPool {
+		c, err := memserver.DialPool(addr, secret, memserver.PoolConfig{Size: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,13 +169,22 @@ func TestStreamedUploadUnderChaos(t *testing.T) {
 	if len(chunks) < 2 || len(chunks[1]) < 2<<10 {
 		t.Fatalf("want a chunk 1 of 2 KiB or more, got %d chunks", len(chunks))
 	}
-	cut, err := memserver.Dial(netFunc(func(addr string, deadline time.Time) (net.Conn, error) {
-		raw, err := network.TCP.Dial(addr, deadline)
-		if err != nil {
-			return nil, err
-		}
-		return &cutConn{Conn: raw, left: len(chunks[0]) + 1<<10}, nil
-	}), addr, secret, 2*time.Second)
+	// Only the first connection is made: a re-issued chunk finds the
+	// server unreachable instead of a fresh byte budget.
+	dials := 0
+	cut, err := memserver.DialPool(addr, secret, memserver.PoolConfig{Size: 1, Resilience: memserver.ResilientConfig{
+		Network: netFunc(func(addr string, deadline time.Time) (net.Conn, error) {
+			if dials++; dials > 1 {
+				return nil, errors.New("server unreachable")
+			}
+			raw, err := network.TCP.Dial(addr, deadline)
+			if err != nil {
+				return nil, err
+			}
+			return &cutConn{Conn: raw, left: len(chunks[0]) + 1<<10}, nil
+		}),
+		BaseBackoff: time.Millisecond,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

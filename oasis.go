@@ -205,10 +205,6 @@ func NewMemServer(secret []byte, logf func(string, ...any)) *MemServer {
 	return memserver.NewServer(secret, logf)
 }
 
-// MemClient is one authenticated connection to a memory page server, the
-// shape Dial returns with no options: no retry, no reconnect.
-type MemClient = memserver.Client
-
 // ---- Resilient client path (fault tolerance) ----
 
 // ResilienceConfig tunes the retry/backoff/breaker behaviour of a
@@ -243,10 +239,10 @@ func NewMemtapWithClient(vmid VMID, client memtap.PageClient) *Memtap {
 	return memtap.NewWithClient(vmid, client)
 }
 
-// MemClientPool is the resilient client, the shape Dial returns under
-// WithResilience or WithPool: one or more authenticated connections, each
-// with reconnect, bounded retries of the (idempotent) operations and a
-// circuit breaker. Independent requests proceed in parallel across the
+// MemClientPool is the single-server client, the shape Dial returns
+// without WithBackends: one or more authenticated connections (one
+// unless WithPool says more), each with reconnect, bounded retries of
+// the (idempotent) operations and a circuit breaker. Independent requests proceed in parallel across the
 // connections while each keeps its strict request/response serialization
 // (DESIGN.md §9).
 type MemClientPool = memserver.ClientPool
