@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race stress vet lint check loc bench bench-check bench-fleet profile-fleet bench-codec profile-codec clean
+.PHONY: all build test race stress vet lint check loc bench bench-check bench-fleet profile-fleet bench-codec profile-codec bench-fault clean
 
 all: build
 
@@ -95,6 +95,13 @@ profile-codec:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench 'BenchmarkEncodeAll$$' -cpu 1 -benchtime 200x -benchmem \
 		-cpuprofile .bench_build/codec.cpu.prof -o .bench_build/codec.test ./internal/pagestore
+
+# The demand fault against its floor: a bare loopback TCP ping-pong of a
+# fault's sizes (16-byte request, 4 KiB reply) beside one GetPage round
+# trip, lane to server; the gap between them is what the protocol, the
+# client and the server add above the kernel.
+bench-fault:
+	$(GO) test -run '^$$' -bench 'BenchmarkLoopbackFloor$$|BenchmarkGetPageRoundTrip$$' -benchtime 3s -count 3 -benchmem ./internal/memserver
 
 clean:
 	$(GO) clean ./...

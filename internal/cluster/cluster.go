@@ -378,6 +378,9 @@ func New(sim *simtime.Simulator, cfg Config) (*Cluster, error) {
 			Cap:      cfg.HostCap,
 			Reserved: cfg.HostReserved,
 			Profile:  cfg.Profile,
+			// A home's VMs are placed on it below; a consolidation host
+			// starts with as much room.
+			Residents: cfg.VMsPerHost,
 		}))
 	}
 

@@ -106,6 +106,10 @@ type Config struct {
 	Cap      units.Bytes
 	Reserved units.Bytes
 	Profile  power.Profile
+	// Residents is how many VMs the resident list has room for from the
+	// start, so that filling a host to it never regrows the list. A host
+	// holds any number of residents whatever it is.
+	Residents int
 }
 
 // New creates a powered host attached to the simulator's clock.
@@ -123,6 +127,7 @@ func New(sim *simtime.Simulator, cfg Config) *Host {
 		profile:  cfg.Profile,
 		meter:    power.NewMeter(cfg.Profile),
 		state:    power.Powered,
+		vms:      make([]*vm.VM, 0, cfg.Residents),
 	}
 	h.suspended, h.resumed = h.finishSuspend, h.finishResume
 	return h

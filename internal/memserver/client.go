@@ -1,6 +1,7 @@
 package memserver
 
 import (
+	"bufio"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
@@ -27,28 +28,31 @@ const DefaultDialTimeout = 5 * time.Second
 
 // dial connects to the lane's server over its network and authenticates
 // with the shared secret. The connect, any handshake the network adds and
-// the challenge/response all finish within DialTimeout.
+// the challenge/response all finish within DialTimeout. The socket's
+// reader is made here and lives exactly as long as the socket, so bytes
+// buffered from a dead connection are never read as a reply on the next.
 func (l *lane) dial() error {
 	deadline := time.Now().Add(l.cfg.DialTimeout)
 	conn, err := l.cfg.Network.Dial(l.addr, deadline)
 	if err != nil {
 		return fmt.Errorf("memserver: dial %s: %w", l.addr, err)
 	}
-	if err := l.authenticate(conn, deadline); err != nil {
+	r := bufio.NewReaderSize(conn, readerSize)
+	if err := l.authenticate(conn, r, deadline); err != nil {
 		conn.Close()
 		return err
 	}
-	l.conn = conn
+	l.conn, l.r, l.deadline = conn, r, time.Time{}
 	return nil
 }
 
-// authenticate answers the server's challenge on conn and, once the
-// server accepts, derives the session MAC that signs this connection's
-// upload payloads (see proto.go).
-func (l *lane) authenticate(conn net.Conn, deadline time.Time) error {
+// authenticate answers the server's challenge on conn, reading through
+// r, and, once the server accepts, derives the session MAC that signs
+// this connection's upload payloads (see proto.go).
+func (l *lane) authenticate(conn net.Conn, r *bufio.Reader, deadline time.Time) error {
 	conn.SetDeadline(deadline)
 	defer conn.SetDeadline(time.Time{})
-	typ, nonce, err := readFrame(conn)
+	typ, nonce, err := readFrame(r)
 	if err != nil {
 		return fmt.Errorf("memserver: read challenge: %w", err)
 	}
@@ -60,7 +64,7 @@ func (l *lane) authenticate(conn net.Conn, deadline time.Time) error {
 	if err := writeFrame(conn, msgAuth, h.Sum(nil)); err != nil {
 		return err
 	}
-	typ, payload, err := readFrame(conn)
+	typ, payload, err := readFrame(r)
 	if err != nil {
 		return err
 	}
@@ -92,7 +96,7 @@ func (l *lane) roundTrip(op call) ([]byte, error) {
 	}
 	// hdrArr is free again once the request is on the wire; reusing it
 	// for the reply header keeps empty-reply round trips allocation-free.
-	rtyp, rpayload, err := readFrameHdr(l.conn, &l.hdrArr)
+	rtyp, rpayload, err := readFrameHdr(l.r, &l.hdrArr)
 	if err != nil {
 		l.drop()
 		return nil, err
@@ -108,17 +112,18 @@ func (l *lane) roundTrip(op call) ([]byte, error) {
 }
 
 // drop closes the socket, which also releases the server's goroutine,
-// and leaves the lane disconnected.
+// and leaves the lane disconnected. The socket's reader goes with it.
 func (l *lane) drop() {
 	l.conn.Close()
-	l.conn = nil
+	l.conn, l.r = nil, nil
 }
 
 // writeRequestLocked frames and sends the request laid out in l.bufs[1:]
 // (bufs[0] is reserved for the header, rebuilt here): the session-MAC
 // trailer when withMAC, over the payload segments, header into hdrArr,
 // then one coalesced Write (or a vectored write past coalesceLimit),
-// under the OpTimeout deadline. It allocates nothing in steady state.
+// under the OpTimeout deadline, which moves only when it has gone stale
+// (see rearm). It allocates nothing in steady state.
 func (l *lane) writeRequestLocked(typ byte, withMAC bool) error {
 	if withMAC {
 		l.bufs = append(l.bufs, l.upMAC.compute(typ, l.bufs[1:]...))
@@ -130,6 +135,9 @@ func (l *lane) writeRequestLocked(typ byte, withMAC bool) error {
 	binary.BigEndian.PutUint32(l.hdrArr[:4], uint32(total))
 	l.hdrArr[4] = typ
 	l.bufs[0] = l.hdrArr[:5]
-	l.conn.SetDeadline(time.Now().Add(l.cfg.OpTimeout))
+	if now := time.Now(); rearm(l.deadline, now, l.cfg.OpTimeout) {
+		l.deadline = now.Add(l.cfg.OpTimeout)
+		l.conn.SetDeadline(l.deadline)
+	}
 	return writeFrameBufs(l.conn, &l.frame, &l.bufs)
 }

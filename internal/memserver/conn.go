@@ -101,35 +101,53 @@ type ops struct {
 // reply buffer this exchange allocated. An all-zero page is the shared
 // zero page, which belongs to no caller and must not be modified.
 func (o ops) GetPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error) {
-	page, _, _, err := o.GetPageStaged(id, pfn)
+	reply, err := o.getPage(id, pfn)
+	if err != nil {
+		return nil, err
+	}
+	page, _, err := decodePageReply(reply)
 	return page, err
 }
 
 // GetPageStaged is GetPage plus the stage split the fault-path tracer
 // records: wire is the time the request spent away (round trip, and any
 // retries and lane queueing on the way), decompress the client-side page
-// decode. Memtap prefers this so a /traces span can attribute fault
-// latency to the network or the decompressor.
+// decode. Memtap calls it on a sampled fault so a /traces span can
+// attribute fault latency to the network or the decompressor; GetPage
+// spares the other faults the wire clock.
 func (o ops) GetPageStaged(id pagestore.VMID, pfn pagestore.PFN) (page []byte, wire, decompress time.Duration, err error) {
-	c := call{op: "GetPage", req: msgGetPage, want: msgPage}
-	c.u32(uint32(id))
-	c.u64(uint64(pfn))
 	start := time.Now()
-	reply, err := o.x.exchange(c)
+	reply, err := o.getPage(id, pfn)
 	wire = time.Since(start)
 	if err != nil {
 		return nil, wire, 0, err
 	}
+	page, decompress, err = decodePageReply(reply)
+	return page, wire, decompress, err
+}
+
+// getPage carries one GetPage call and returns the reply payload.
+func (o ops) getPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error) {
+	c := call{op: "GetPage", req: msgGetPage, want: msgPage}
+	c.u32(uint32(id))
+	c.u64(uint64(pfn))
+	return o.x.exchange(c)
+}
+
+// decodePageReply decodes a msgPage payload (u16 token | body), timing
+// the decode into the decompress histogram, which counts every page
+// GetPage and GetPageStaged return.
+func decodePageReply(reply []byte) (page []byte, decompress time.Duration, err error) {
 	if len(reply) < 2 {
-		return nil, wire, 0, errors.New("memserver: short page reply")
+		return nil, 0, errors.New("memserver: short page reply")
 	}
-	start = time.Now()
+	start := time.Now()
 	page, err = pagestore.DecodePage(binary.BigEndian.Uint16(reply), reply[2:])
 	decompress = time.Since(start)
 	if err == nil {
 		decompressSeconds.Observe(decompress.Seconds())
 	}
-	return page, wire, decompress, err
+	return page, decompress, err
 }
 
 // GetPages fetches a batch of guest pages in one round trip, for

@@ -19,6 +19,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"time"
 
 	"oasis/internal/pagestore"
 	"oasis/internal/units"
@@ -200,6 +201,29 @@ func writeFrameBufs(w io.Writer, scratch *[]byte, bufs *net.Buffers) error {
 	}
 	_, err := bufs.WriteTo(w)
 	return err
+}
+
+// readerSize is the buffer every socket's reads go through, one reader
+// per socket at each end, made when the socket is and dropped with it,
+// so that a GetPage request or a page reply, header and body, is one
+// read syscall. A frame larger than the buffer has its body read
+// straight into the frame's own buffer past what is already buffered.
+const readerSize = 16 << 10
+
+// rearmSlack is how far, as a fraction 1/rearmSlack of the timeout, a
+// connection's armed deadline may fall behind where arming it now would
+// put it before it is moved. Setting a deadline takes the poller's
+// timer locks; moving it once per timeout/rearmSlack of traffic instead
+// of once per frame keeps every bound: a deadline armed at now+timeout
+// never lets an op wait past its timeout, and a silent connection is
+// dropped between timeout·(1 - 1/rearmSlack) and timeout after its last
+// frame.
+const rearmSlack = 1000
+
+// rearm reports whether a deadline armed at armed (zero: none armed) has
+// gone stale at now for timeout and must be moved to now+timeout.
+func rearm(armed, now time.Time, timeout time.Duration) bool {
+	return armed.Sub(now) < timeout-timeout/rearmSlack
 }
 
 // readFrame reads one frame, enforcing the size ceiling.

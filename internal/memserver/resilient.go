@@ -1,6 +1,7 @@
 package memserver
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -189,7 +190,9 @@ type lane struct {
 	// — one transport error is one failure to the breaker, however many
 	// calls were waiting.
 	callMu   sync.Mutex
-	conn     net.Conn // nil when disconnected
+	conn     net.Conn      // nil when disconnected
+	r        *bufio.Reader // conn's reads; made and dropped with it
+	deadline time.Time     // conn's armed deadline (see rearm)
 	everConn bool
 	// Reusable framing state (see client.go). Request frames are laid
 	// out as segments in bufs (bufs[0] is always the 5-byte header
@@ -236,7 +239,7 @@ func (l *lane) close() error {
 		return nil
 	}
 	err := l.conn.Close()
-	l.conn = nil
+	l.conn, l.r = nil, nil
 	return err
 }
 

@@ -1,6 +1,7 @@
 package memserver
 
 import (
+	"bufio"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
@@ -317,9 +318,19 @@ func (s *Server) serveConn(raw net.Conn) {
 			s.logf("memserver: conn %v: recovered from panic: %v", conn.RemoteAddr(), r)
 		}
 	}()
-	if s.idleTimeout > 0 {
-		raw.SetReadDeadline(time.Now().Add(s.idleTimeout))
+	// The idle deadline bounds every read, the handshake's included. It
+	// moves only when it has gone stale at now (see rearm): an active
+	// client may talk for hours, but a silent one is dropped after
+	// idleTimeout. Between frames, now is when the last one was handled:
+	// handle reads the clock there anyway.
+	var idle time.Time
+	armIdle := func(now time.Time) {
+		if s.idleTimeout > 0 && rearm(idle, now, s.idleTimeout) {
+			idle = now.Add(s.idleTimeout)
+			raw.SetReadDeadline(idle)
+		}
 	}
+	armIdle(time.Now())
 	// A TLS conn handshakes lazily, on its first read or write; finish
 	// it here, so that a bad certificate or a client that does not speak
 	// TLS is logged as what it is and not as a wrong secret.
@@ -335,20 +346,20 @@ func (s *Server) serveConn(raw net.Conn) {
 	// pagestore.Image.AppendEntries) live across frames instead of being
 	// allocated per page — the page-serving hot path is allocation-free
 	// in steady state, and a put's frame is read into the one buffer its
-	// image keeps (see readFrameReuse).
+	// image keeps (see readFrameReuse). Every read, the handshake's
+	// included, goes through one reader, so a request that arrives in
+	// one segment with the frame before it is not lost.
 	var scratch connScratch
-	if err := s.authenticate(conn, &scratch); err != nil {
+	r := bufio.NewReaderSize(conn, readerSize)
+	if err := s.authenticate(conn, r, &scratch); err != nil {
 		s.tel.authFail.Inc()
 		s.logf("memserver: auth failure from %v: %v", conn.RemoteAddr(), err)
 		return
 	}
+	scratch.handled = time.Now()
 	for {
-		// Re-arm the idle deadline per frame: an active client may talk
-		// for hours, but a silent one is dropped after idleTimeout.
-		if s.idleTimeout > 0 {
-			raw.SetReadDeadline(time.Now().Add(s.idleTimeout))
-		}
-		typ, payload, err := readFrameReuse(conn, &scratch.hdr, &scratch.read)
+		armIdle(scratch.handled)
+		typ, payload, err := readFrameReuse(r, &scratch.hdr, &scratch.read)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				s.tel.idleDrops.Inc()
@@ -371,6 +382,8 @@ type connScratch struct {
 	reply []byte          // outgoing reply frame under construction
 	pfns  []pagestore.PFN // the GetPages batch being served
 	upMAC *sessionGCM
+	// handled is when handle finished the last frame.
+	handled time.Time
 }
 
 // beginReply starts a reply frame of the given type in the connection's
@@ -388,7 +401,9 @@ func (sc *connScratch) finishReply(w io.Writer, out []byte) error {
 	return err
 }
 
-func (s *Server) authenticate(conn net.Conn, scratch *connScratch) error {
+// authenticate challenges the client on conn and reads its answer
+// through r.
+func (s *Server) authenticate(conn net.Conn, r io.Reader, scratch *connScratch) error {
 	var nonce [16]byte
 	if _, err := rand.Read(nonce[:]); err != nil {
 		return err
@@ -396,7 +411,7 @@ func (s *Server) authenticate(conn net.Conn, scratch *connScratch) error {
 	if err := writeFrame(conn, msgChallenge, nonce[:]); err != nil {
 		return err
 	}
-	typ, payload, err := readFrame(conn)
+	typ, payload, err := readFrame(r)
 	if err != nil {
 		return err
 	}
@@ -422,7 +437,10 @@ func (s *Server) handle(conn net.Conn, typ byte, payload []byte, scratch *connSc
 	op := s.tel.op(typ)
 	op.total.Inc()
 	start := time.Now()
-	defer func() { op.lat.Observe(sinceSeconds(start)) }()
+	defer func() {
+		scratch.handled = time.Now()
+		op.lat.Observe(scratch.handled.Sub(start).Seconds())
+	}()
 	fail := func(err error) error {
 		op.errors.Inc()
 		return writeFrame(conn, msgError, []byte(err.Error()))

@@ -630,8 +630,12 @@ func (c *Client) read(refs []*backendRef, id pagestore.VMID, pfn pagestore.PFN, 
 }
 
 // GetPage fetches one guest page from the range's replica set.
-func (c *Client) GetPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error) {
-	page, _, _, err := c.GetPageStaged(id, pfn)
+func (c *Client) GetPage(id pagestore.VMID, pfn pagestore.PFN) (page []byte, err error) {
+	err = c.readPage(id, pfn, func(p *memserver.ClientPool) error {
+		var err error
+		page, err = p.GetPage(id, pfn)
+		return err
+	})
 	return page, err
 }
 
@@ -639,14 +643,19 @@ func (c *Client) GetPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error) {
 // (from the replica that served it), so shard-backed memtaps keep their
 // fault-path stage attribution.
 func (c *Client) GetPageStaged(id pagestore.VMID, pfn pagestore.PFN) (page []byte, wire, decompress time.Duration, err error) {
-	st := c.state.Load()
-	k := rangeKey{id, rngOf(st.ring, pfn)}
-	err = c.read(c.route(st, k).read, id, pfn, []rangeKey{k}, func(p *memserver.ClientPool) error {
+	err = c.readPage(id, pfn, func(p *memserver.ClientPool) error {
 		var err error
 		page, wire, decompress, err = p.GetPageStaged(id, pfn)
 		return err
 	})
 	return page, wire, decompress, err
+}
+
+// readPage is a read of pfn's range through fn.
+func (c *Client) readPage(id pagestore.VMID, pfn pagestore.PFN, fn func(p *memserver.ClientPool) error) error {
+	st := c.state.Load()
+	k := rangeKey{id, rngOf(st.ring, pfn)}
+	return c.read(c.route(st, k).read, id, pfn, []rangeKey{k}, fn)
 }
 
 // GetPages fetches a batch of pages. The batch is grouped by read route

@@ -15,6 +15,7 @@ import (
 	"oasis/internal/memserver"
 	"oasis/internal/pagestore"
 	"oasis/internal/rng"
+	"oasis/internal/telemetry"
 	"oasis/internal/units"
 )
 
@@ -221,4 +222,74 @@ func TestFaultAllocatesItsPageOnce(t *testing.T) {
 	if allocs[2] != allocs[0] {
 		t.Fatalf("%d faults on raw pages allocate %d times, on zero pages %d; want equal", faults, allocs[2], allocs[0])
 	}
+}
+
+// TestFaultAllocatesOnlyItsPageTracedOrNot is the tracing half of the
+// demand fault's allocation gate: a fault whose span the fault-path
+// tracer samples in allocates exactly what one sampled out does, and
+// either way a fault on a compressible page costs exactly one allocation,
+// its page, more than a fault on a zero page. A span is recycled and its
+// stages land in a ring slot's own array, so tracing costs a fault no
+// allocation whether it records it or not.
+func TestFaultAllocatesOnlyItsPageTracedOrNot(t *testing.T) {
+	const faults = 200
+	defer telemetry.FaultPath.SetSampling(telemetry.FaultSampling)
+	kinds := []int{kindZero, kindCompressible}
+	var allocs [2][2]uint64 // by sampling (out, in), then by kind
+	for si, every := range []int{0, 1} {
+		telemetry.FaultPath.SetSampling(every)
+		for ki, k := range kinds {
+			allocs[si][ki] = faultMallocs(t, pagestore.VMID(110+2*si+ki), k, faults)
+		}
+	}
+	t.Logf("allocations for %d faults: sampled out zero %d, compressible %d; sampled in zero %d, compressible %d",
+		faults, allocs[0][0], allocs[0][1], allocs[1][0], allocs[1][1])
+	if allocs[1] != allocs[0] {
+		t.Fatalf("%d traced faults allocate %v times (zero, compressible pages), untraced %v; want equal",
+			faults, allocs[1], allocs[0])
+	}
+	if got := int(allocs[1][1]) - int(allocs[1][0]); got != faults {
+		t.Fatalf("%d traced faults on compressible pages allocate %d more times than on zero pages; want one page each", faults, got)
+	}
+}
+
+// faultMallocs serves vmid's pages, all of kind, and returns the fewest
+// allocations (minMallocs) that faults demand faults through a memtap
+// and a partial VM make, each on a page of its own.
+func faultMallocs(t *testing.T, vmid pagestore.VMID, kind, faults int) uint64 {
+	t.Helper()
+	addr := allocImage(t, vmid, func(pagestore.PFN) int { return kind })
+	desc := hypervisor.NewDescriptor(vmid, "alloc", 4*units.MiB, 1)
+	var mt *Memtap
+	var pvm *hypervisor.PartialVM
+	var err error
+	n := minMallocs(t, 5, func() {
+		if mt != nil {
+			mt.Close()
+		}
+		if mt, err = NewWithOptions(vmid, addr, secret, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if pvm, err = hypervisor.NewPartialVM(desc, mt); err != nil {
+			t.Fatal(err)
+		}
+		// The first fault of each 2 MiB chunk and table leaf grows them;
+		// the counted faults grow neither.
+		for pfn := desc.PageTablePages; pfn < desc.Alloc.Pages(); pfn += 512 {
+			if _, err := pvm.Touch(pagestore.PFN(pfn)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}, func() {
+		for pfn := desc.PageTablePages + 1; pfn < desc.PageTablePages+1+int64(faults); pfn++ {
+			if _, err = pvm.Touch(pagestore.PFN(pfn)); err != nil {
+				return
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mt.Close()
+	return n
 }

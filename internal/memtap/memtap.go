@@ -40,8 +40,8 @@ import (
 )
 
 // Live telemetry (process-wide, aggregated across a host's memtaps; see
-// OBSERVABILITY.md). Fault spans additionally flow to
-// telemetry.FaultPath with the stage split fault → tap_lookup →
+// OBSERVABILITY.md). One fault in telemetry.FaultSampling also leaves a
+// span in telemetry.FaultPath with the stage split fault → tap_lookup →
 // remote_fetch → decompress → resolve.
 var tel = struct {
 	faults      *telemetry.Counter
@@ -162,7 +162,7 @@ type Options struct {
 // fetchCall is one remote fetch; followers wait on done and share the
 // leader's result.
 type fetchCall struct {
-	done chan struct{}
+	done sync.WaitGroup // one count, the leader's; Done when page and err are set
 	page []byte
 	err  error
 }
@@ -457,10 +457,11 @@ func (m *Memtap) FetchPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error)
 		m.sfMu.Unlock()
 		m.dedup.Add(1)
 		tel.dedup.Inc()
-		<-c.done
+		c.done.Wait()
 		return c.page, c.err
 	}
-	c := &fetchCall{done: make(chan struct{})}
+	c := new(fetchCall)
+	c.done.Add(1)
 	f.call = c
 	m.sfMu.Unlock()
 	tel.inflight.Inc()
@@ -473,12 +474,15 @@ func (m *Memtap) FetchPage(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error)
 		f.call = nil
 		m.sfMu.Unlock()
 	}
-	close(c.done)
+	c.done.Done()
 	return c.page, c.err
 }
 
 // fetchRemote performs one remote page fetch with tracing and accounting
-// (the single-flight leader's path).
+// (the single-flight leader's path). Every fault feeds the counters and
+// the latency histogram; only a fault the tracer samples in asks the
+// client for the wire/decompress split, and a sampled-out one reads the
+// clock no more than the histogram needs.
 func (m *Memtap) fetchRemote(id pagestore.VMID, pfn pagestore.PFN) ([]byte, error) {
 	start := time.Now()
 	span := telemetry.FaultPath.Start("fault")
@@ -486,7 +490,7 @@ func (m *Memtap) fetchRemote(id pagestore.VMID, pfn pagestore.PFN) ([]byte, erro
 
 	var page []byte
 	var err error
-	if sf, ok := m.client.(stagedFetcher); ok {
+	if sf, ok := m.client.(stagedFetcher); ok && span != nil {
 		var wire, decompress time.Duration
 		page, wire, decompress, err = sf.GetPageStaged(id, pfn)
 		span.StageDuration("remote_fetch", wire)

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,10 +19,13 @@ import (
 //
 // Tracing is sampled (SetSampling) so the ring can stay small and the
 // hot path cheap: a sampled-out Start returns a nil *Span, and every
-// Span method is nil-safe, so call sites need no branches.
+// Span method is nil-safe, so call sites need no branches. A sampled-in
+// span allocates nothing either: spans are recycled, and each ring slot
+// keeps the stage array it copies a finished span's stages into.
 type Tracer struct {
 	mu    sync.Mutex
-	ring  []SpanRecord
+	ring  []SpanRecord // every slot's Stages has spanStages capacity of its own
+	held  int          // slots holding a span (≤ len(ring))
 	next  int
 	total uint64
 
@@ -29,9 +33,27 @@ type Tracer struct {
 	every uint64 // sample 1 in every; 0 disables tracing entirely
 }
 
+// spanStages is the stage capacity a span and a ring slot start with:
+// the fault path records four.
+const spanStages = 5
+
+// FaultSampling is the default sampling of FaultPath: one fault in 64 is
+// traced. A traced fault reads the clock about ten times and takes the
+// ring's lock, about 0.35 µs on a 7 µs loopback fault (PERFORMANCE.md,
+// "A demand fault at the loopback floor"); one in 64 makes that about
+// 5 ns a fault, and the ring's 256 spans still cover the last 16,384
+// faults. The fault histograms still count every fault; SetSampling(1)
+// traces every one.
+const FaultSampling = 64
+
 // FaultPath is the process-wide tracer for the page-fault service path;
-// memtap feeds it and Serve exposes it.
-var FaultPath = NewTracer(256)
+// memtap feeds it and Serve exposes it. It samples one fault in
+// FaultSampling.
+var FaultPath = func() *Tracer {
+	t := NewTracer(256)
+	t.SetSampling(FaultSampling)
+	return t
+}()
 
 // NewTracer returns a tracer keeping the most recent capacity spans,
 // sampling every span (SetSampling(1)).
@@ -39,11 +61,16 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &Tracer{ring: make([]SpanRecord, 0, capacity), every: 1}
+	t := &Tracer{ring: make([]SpanRecord, capacity), every: 1}
+	stages := make([]Stage, capacity*spanStages)
+	for i := range t.ring {
+		t.ring[i].Stages = stages[i*spanStages : i*spanStages : (i+1)*spanStages]
+	}
+	return t
 }
 
 // SetSampling makes Start return a live span once per every calls
-// (1 = always, the default; 0 disables tracing).
+// (1 = always, the default of NewTracer; 0 disables tracing).
 func (t *Tracer) SetSampling(every int) {
 	if every < 0 {
 		every = 0
@@ -66,8 +93,9 @@ type SpanRecord struct {
 }
 
 // Span is an in-flight trace. Obtain one from Start; mark stage
-// boundaries with Stage or StageDuration; finish with End. All methods
-// are nil-safe.
+// boundaries with Stage or StageDuration; finish with End, after which
+// the span is recycled and must not be touched. All methods are
+// nil-safe.
 type Span struct {
 	t      *Tracer
 	name   string
@@ -75,6 +103,9 @@ type Span struct {
 	last   time.Time
 	stages []Stage
 }
+
+// spans recycles finished spans, stage arrays and all.
+var spans = sync.Pool{New: func() any { return &Span{stages: make([]Stage, 0, spanStages)} }}
 
 // Start begins a span, or returns nil when sampled out.
 func (t *Tracer) Start(name string) *Span {
@@ -85,8 +116,10 @@ func (t *Tracer) Start(name string) *Span {
 	if every > 1 && t.seq.Add(1)%every != 0 {
 		return nil
 	}
+	s := spans.Get().(*Span)
 	now := time.Now()
-	return &Span{t: t, name: name, start: now, last: now, stages: make([]Stage, 0, 5)}
+	s.t, s.name, s.start, s.last, s.stages = t, name, now, now, s.stages[:0]
+	return s
 }
 
 // Stage closes the current segment at now, naming it.
@@ -119,29 +152,31 @@ func (s *Span) Mark() {
 	s.last = time.Now()
 }
 
-// End completes the span and records it.
+// End completes the span, records it into the ring slot it evicts (its
+// stages copied into the slot's own array) and recycles it.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	rec := SpanRecord{Name: s.name, Start: s.start, Total: time.Since(s.start), Stages: s.stages}
+	total := time.Since(s.start)
 	t := s.t
 	t.mu.Lock()
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, rec)
-	} else {
-		t.ring[t.next] = rec
-	}
-	t.next = (t.next + 1) % cap(t.ring)
+	rec := &t.ring[t.next]
+	rec.Name, rec.Start, rec.Total = s.name, s.start, total
+	rec.Stages = append(rec.Stages[:0], s.stages...)
+	t.next = (t.next + 1) % len(t.ring)
+	t.held = min(t.held+1, len(t.ring))
 	t.total++
 	t.mu.Unlock()
+	s.t = nil
+	spans.Put(s)
 }
 
 // Len returns the number of spans currently held (≤ capacity).
 func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.ring)
+	return t.held
 }
 
 // Total returns the number of spans recorded over the tracer's lifetime.
@@ -151,13 +186,16 @@ func (t *Tracer) Total() uint64 {
 	return t.total
 }
 
-// Snapshot returns the held spans, newest first.
+// Snapshot returns the held spans, newest first. Each record's stages
+// are a copy: the ring reuses its slots' arrays.
 func (t *Tracer) Snapshot() []SpanRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]SpanRecord, 0, len(t.ring))
-	for i := 1; i <= len(t.ring); i++ {
-		out = append(out, t.ring[(t.next-i+cap(t.ring))%cap(t.ring)])
+	out := make([]SpanRecord, 0, t.held)
+	for i := 1; i <= t.held; i++ {
+		rec := t.ring[(t.next-i+len(t.ring))%len(t.ring)]
+		rec.Stages = slices.Clone(rec.Stages)
+		out = append(out, rec)
 	}
 	return out
 }

@@ -356,7 +356,7 @@ func WriteMetricsText(w io.Writer, prefix string) error {
 
 // WriteFaultTraces writes the n most recent page-fault spans recorded in
 // this process (newest first; n <= 0 for all held), one line per span
-// with the per-stage latency split. The tracer lives in the process that
+// with the per-stage latency split. One fault in 64 is traced. The tracer lives in the process that
 // runs the memtap — a memserverd scrape shows only server-side metrics.
 func WriteFaultTraces(w io.Writer, n int) error {
 	return telemetry.FaultPath.WriteTextN(w, n)
