@@ -99,9 +99,12 @@ profile-codec:
 # The demand fault against its floor: a bare loopback TCP ping-pong of a
 # fault's sizes (16-byte request, 4 KiB reply) beside one GetPage round
 # trip, lane to server; the gap between them is what the protocol, the
-# client and the server add above the kernel.
+# client and the server add above the kernel. The second line does the
+# same for the control path: a bare ping-pong of an agent ReadPage's frame
+# sizes beside the real call, client to server.
 bench-fault:
 	$(GO) test -run '^$$' -bench 'BenchmarkLoopbackFloor$$|BenchmarkGetPageRoundTrip$$' -benchtime 3s -count 3 -benchmem ./internal/memserver
+	$(GO) test -run '^$$' -bench 'BenchmarkRPCFloor$$|BenchmarkPageCall$$' -benchtime 3s -count 3 -benchmem ./internal/wire
 
 clean:
 	$(GO) clean ./...

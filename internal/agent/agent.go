@@ -155,7 +155,7 @@ type Agent struct {
 	suspended bool
 
 	peersMu sync.Mutex
-	peers   map[string]*wire.Client
+	peers   map[string]*wire.Client // nil once closed
 
 	// conns is this host's connection to each memory server, by address,
 	// and its fabric (lease.go).
@@ -246,7 +246,7 @@ func (a *Agent) Close() error {
 	for _, c := range a.peers {
 		c.Close()
 	}
-	a.peers = map[string]*wire.Client{}
+	a.peers = nil
 	a.peersMu.Unlock()
 	a.connsMu.Lock()
 	conns := a.conns
@@ -272,9 +272,14 @@ func (a *Agent) Addr() string { return a.rpcAddr.String() }
 func (a *Agent) MemServerAddr() string { return a.memAddr.String() }
 
 // callPeer calls method on the agent at addr over a connection dialed on
-// first use and kept (the client redials after a transport failure).
+// first use and kept (the client redials after a transport failure). A
+// closed agent dials nothing.
 func (a *Agent) callPeer(addr, method string, args any, payload []byte) error {
 	a.peersMu.Lock()
+	if a.peers == nil {
+		a.peersMu.Unlock()
+		return fmt.Errorf("agent %s is closed", a.Name)
+	}
 	c, ok := a.peers[addr]
 	if !ok {
 		var err error

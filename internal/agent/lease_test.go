@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -190,6 +191,22 @@ func TestCloseReleasesConnections(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("the home memory server still has a connection from a closed agent")
 		}
+	}
+}
+
+// TestClosedAgentDialsNoPeer: a closed agent refuses a peer call rather
+// than dial a connection nothing would close, as a hand-off still running
+// while Close proceeds would.
+func TestClosedAgentDialsNoPeer(t *testing.T) {
+	_, agents := startHosts(t, 2)
+	closed, peer := agents[0], agents[1]
+	closed.Close()
+	err := closed.callPeer(peer.Addr(), "Agent.Stats", nil, nil)
+	closed.peersMu.Lock()
+	peers := len(closed.peers)
+	closed.peersMu.Unlock()
+	if err == nil || !strings.Contains(err.Error(), "is closed") || peers != 0 {
+		t.Fatalf("peer call after Close: %v, %d peer connections kept", err, peers)
 	}
 }
 

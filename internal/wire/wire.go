@@ -1,21 +1,22 @@
 // Package wire is the small RPC layer the cluster manager and host agents
 // speak (§4.1: "It provides an RPC interface that clients use to create
-// and manage VMs"). A frame has two length-checked parts: a small JSON
-// head (id, method, params — or id, error, result) that a debugger can
-// read, and an optional raw byte payload after it, which is how a guest
-// page or a snapshot chunk travels: as the bytes it is, never as text.
+// and manage VMs"). A frame is a fixed binary envelope, a JSON body and an
+// optional raw byte payload, which is how a guest page or a snapshot chunk
+// travels: as the bytes it is, never as text.
 //
-//	u32 head length | u32 payload length | head (JSON) | payload
+//	u32 head len | u32 payload len | u64 id | u8 status | u16 name len | name | body | payload
 //
-// Both lengths are bounded (maxHead, MaxPayload) and checked before any
-// buffer is sized, because the socket is unauthenticated: a peer can make
-// an endpoint allocate at most those two bounds, whatever it announces.
-// The head is encoded once, straight from the caller's value, into the
-// connection's own buffer; header, head and payload leave in a single
-// Write (writev when there is a payload, which is never copied), so a
-// round trip costs one segment each way instead of tangling a header
-// write with Nagle/delayed-ACK. See PERFORMANCE.md for how the control
-// path is measured.
+// The head runs from id to the end of body. name is a request's method or
+// a failed reply's error text, body the JSON params or result (left out
+// when nil), so a packet dump stays readable. Both lengths are bounded
+// (maxHead, MaxPayload) and checked before any buffer is sized, because the
+// socket is unauthenticated: a peer can make an endpoint allocate at most
+// those two bounds, whatever it announces. The body is encoded once into
+// the connection's own buffer and decoded once, into the handler's params
+// or the caller's out; header, head and payload leave in a single Write
+// (writev when there is a payload, which is never copied), so a round trip
+// costs one segment each way instead of tangling a header write with
+// Nagle/delayed-ACK. See PERFORMANCE.md for how the control path is measured.
 package wire
 
 import (
@@ -26,13 +27,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 )
 
 const (
-	// maxHead bounds a frame's JSON head: method, arguments, a VM
-	// descriptor or a host's stats — never page contents.
+	// maxHead bounds a frame's head: method, arguments, a VM descriptor or
+	// a host's stats — never page contents.
 	maxHead = 1 << 20
 	// MaxPayload bounds a frame's byte payload: one snapshot chunk of the
 	// streaming budget (memserver.DefaultChunkBytes, 4 MiB) with room to
@@ -42,37 +44,32 @@ const (
 	// one that grew for a snapshot chunk is dropped rather than pinned
 	// for the life of the connection.
 	retainBuf = 1 << 20
+	// envelope is the fixed start of every head: id, status, name length.
+	envelope = 8 + 1 + 2
 )
 
-// The send side encodes params and result once, as the values they are;
-// the receive side delimits params (the server learns the type from the
-// method) and decodes the result straight into the caller's out.
-type (
-	request struct {
-		ID     uint64 `json:"id"`
-		Method string `json:"method"`
-		Params any    `json:"params,omitempty"`
-	}
-	requestIn struct {
-		ID     uint64          `json:"id"`
-		Method string          `json:"method"`
-		Params json.RawMessage `json:"params"`
-	}
-	response struct {
-		ID     uint64 `json:"id"`
-		Error  string `json:"error,omitempty"`
-		Result any    `json:"result,omitempty"`
-	}
-)
+// A reply's status; a request carries statusOK.
+const statusOK, statusFailed byte = 0, 1
+
+// frame is one received frame. name and body alias the framer's buffer
+// and are valid until its next read or write; payload is as read says.
+type frame struct {
+	id                  uint64
+	status              byte
+	name, body, payload []byte
+}
 
 // framer reads and writes frames on one connection, reusing its buffers
-// from frame to frame. One goroutine at a time.
+// and header scratch from frame to frame. One goroutine at a time.
 type framer struct {
-	w   io.Writer
-	r   *bufio.Reader
-	out bytes.Buffer
-	enc *json.Encoder
-	in  []byte
+	w      io.Writer
+	r      *bufio.Reader
+	out    bytes.Buffer
+	enc    *json.Encoder
+	bufs   net.Buffers
+	bufArr [2][]byte
+	hdr    [8]byte
+	in     []byte
 }
 
 func newFramer(conn io.ReadWriter) *framer {
@@ -81,17 +78,22 @@ func newFramer(conn io.ReadWriter) *framer {
 	return f
 }
 
-var zeroHdr [8]byte
+var zeroHdr [8 + envelope]byte
 
-// write sends one frame. (The encoder's trailing newline is counted in
-// the head and skipped by json's whitespace handling on the far side.)
+// write sends one frame, cutting name to its u16 bound and leaving the
+// body out when body is nil. (The encoder's trailing newline is counted in
+// the body and skipped by json's whitespace handling on the far side.)
 // Whatever the previous read returned is dead once an endpoint writes
 // again, so this is also where buffers that grew past retainBuf go.
-func (f *framer) write(head any, payload []byte) error {
+func (f *framer) write(id uint64, status byte, name string, body any, payload []byte) error {
+	name = name[:min(len(name), math.MaxUint16)]
 	f.out.Reset()
 	f.out.Write(zeroHdr[:])
-	if err := f.enc.Encode(head); err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
+	f.out.WriteString(name)
+	if body != nil {
+		if err := f.enc.Encode(body); err != nil {
+			return fmt.Errorf("wire: encode: %w", err)
+		}
 	}
 	b := f.out.Bytes()
 	if err := checkBounds(len(b)-8, len(payload)); err != nil {
@@ -99,11 +101,15 @@ func (f *framer) write(head any, payload []byte) error {
 	}
 	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-8))
 	binary.BigEndian.PutUint32(b[4:8], uint32(len(payload)))
+	binary.BigEndian.PutUint64(b[8:16], id)
+	b[16] = status
+	binary.BigEndian.PutUint16(b[17:19], uint16(len(name)))
 	var err error
 	if len(payload) == 0 {
 		_, err = f.w.Write(b)
 	} else {
-		_, err = (&net.Buffers{b, payload}).WriteTo(f.w)
+		f.bufs = append(f.bufArr[:0], b, payload)
+		_, err = f.bufs.WriteTo(f.w)
 	}
 	if f.out.Cap() > retainBuf {
 		f.out = bytes.Buffer{}
@@ -115,17 +121,19 @@ func (f *framer) write(head any, payload []byte) error {
 	return err
 }
 
-// read receives one frame, decoding its head into head. With own set the
-// payload is a fresh slice the caller keeps; otherwise it lives in the
-// framer's buffer and is valid until the next read.
-func (f *framer) read(head any, own bool) (payload []byte, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(f.r, hdr[:]); err != nil {
-		return nil, err
+// read receives one frame. With own set the payload is a fresh slice the
+// caller keeps; otherwise it lives in the framer's buffer and is valid
+// until the next read.
+func (f *framer) read(own bool) (in frame, err error) {
+	if _, err = io.ReadFull(f.r, f.hdr[:]); err != nil {
+		return in, err
 	}
-	hl, pl := int(binary.BigEndian.Uint32(hdr[:4])), int(binary.BigEndian.Uint32(hdr[4:]))
-	if err := checkBounds(hl, pl); err != nil {
-		return nil, err
+	hl, pl := int(binary.BigEndian.Uint32(f.hdr[:4])), int(binary.BigEndian.Uint32(f.hdr[4:]))
+	if err = checkBounds(hl, pl); err != nil {
+		return in, err
+	}
+	if hl < envelope {
+		return in, fmt.Errorf("head of %d bytes is shorter than its %d-byte envelope", hl, envelope)
 	}
 	n := hl
 	if !own {
@@ -134,17 +142,21 @@ func (f *framer) read(head any, own bool) (payload []byte, err error) {
 	if cap(f.in) < n {
 		f.in = make([]byte, n)
 	}
-	buf := f.in[:n:n]
-	if payload = buf[hl:]; own && pl > 0 {
-		payload = make([]byte, pl)
+	head := f.in[:hl:hl]
+	if in.payload = f.in[hl:n:n]; own && pl > 0 {
+		in.payload = make([]byte, pl)
 	}
-	if _, err := io.ReadFull(f.r, buf[:hl]); err != nil {
-		return nil, err
+	if _, err = io.ReadFull(f.r, head); err != nil {
+		return in, err
 	}
-	if _, err := io.ReadFull(f.r, payload); err != nil {
-		return nil, err
+	nl := int(binary.BigEndian.Uint16(head[9:envelope]))
+	if nl > hl-envelope || head[8] > statusFailed {
+		return in, fmt.Errorf("bad head: status %d, name of %d bytes in %d", head[8], nl, hl)
 	}
-	return payload, json.Unmarshal(buf[:hl], head)
+	in.id, in.status = binary.BigEndian.Uint64(head), head[8]
+	in.name, in.body = head[envelope:envelope+nl], head[envelope+nl:]
+	_, err = io.ReadFull(f.r, in.payload)
+	return in, err
 }
 
 func checkBounds(head, payload int) error {
@@ -154,10 +166,10 @@ func checkBounds(head, payload int) error {
 	return nil
 }
 
-// handler serves one method: raw params and the request payload in,
-// result (JSON-encoded into the reply head) and reply payload out. The
-// request payload is only valid during the call.
-type handler func(params json.RawMessage, payload []byte) (result any, reply []byte, err error)
+// handler serves one method: the request's JSON body and payload in,
+// result (JSON-encoded into the reply's body) and reply payload out. Both
+// inputs are only valid during the call.
+type handler func(body, payload []byte) (result any, reply []byte, err error)
 
 // Server dispatches RPC requests to registered handlers.
 type Server struct {
@@ -184,15 +196,15 @@ func NewServer(logf func(string, ...any)) *Server {
 // Handle registers fn for method. The request's params are decoded into
 // a T before fn runs (a decode failure is the caller's RemoteError, not a
 // dropped connection); payload is the request's byte part, valid only
-// during the call. fn's result is JSON-encoded into the reply head and
+// during the call. fn's result is JSON-encoded into the reply's body and
 // reply travels beside it as bytes.
 func Handle[T any](s *Server, method string, fn func(args T, payload []byte) (result any, reply []byte, err error)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.handlers[method] = func(params json.RawMessage, payload []byte) (any, []byte, error) {
+	s.handlers[method] = func(body, payload []byte) (any, []byte, error) {
 		var args T
-		if len(params) > 0 {
-			if err := json.Unmarshal(params, &args); err != nil {
+		if len(body) > 0 {
+			if err := json.Unmarshal(body, &args); err != nil {
 				return nil, nil, fmt.Errorf("bad params: %w", err)
 			}
 		}
@@ -268,8 +280,7 @@ func (s *Server) acceptLoop() {
 // must refuse (malformed or past the bounds); the caller then closes it.
 func (s *Server) serve(f *framer) {
 	for {
-		var req requestIn
-		payload, err := f.read(&req, false)
+		in, err := f.read(false)
 		if err != nil {
 			if err != io.EOF && !s.isClosed() {
 				s.logf("wire: read request: %v", err)
@@ -277,16 +288,20 @@ func (s *Server) serve(f *framer) {
 			return
 		}
 		s.mu.RLock()
-		h, ok := s.handlers[req.Method]
+		h, ok := s.handlers[string(in.name)]
 		s.mu.RUnlock()
-		resp := response{ID: req.ID}
+		var result any
 		var reply []byte
 		if !ok {
-			resp.Error = fmt.Sprintf("unknown method %q", req.Method)
-		} else if resp.Result, reply, err = h(req.Params, payload); err != nil {
-			resp.Error, resp.Result, reply = err.Error(), nil, nil
+			err = fmt.Errorf("unknown method %q", in.name)
+		} else {
+			result, reply, err = h(in.body, in.payload)
 		}
-		if err := f.write(&resp, reply); err != nil {
+		status, msg := statusOK, ""
+		if err != nil {
+			status, msg, result, reply = statusFailed, err.Error(), nil, nil
+		}
+		if err := f.write(in.id, status, msg, result, reply); err != nil {
 			s.logf("wire: write response: %v", err)
 			return
 		}
@@ -370,7 +385,7 @@ func (c *Client) Call(method string, params, out any) error {
 	return err
 }
 
-// CallPayload invokes method with params in the head and payload as the
+// CallPayload invokes method with params as the body and payload as the
 // frame's byte part, decodes the result into out (nil discards it) and
 // returns the reply's payload, which is the caller's to keep. Remote
 // errors come back as *RemoteError. Any other error means the stream can
@@ -385,21 +400,24 @@ func (c *Client) CallPayload(method string, params any, payload []byte, out any)
 		return nil, err
 	}
 	c.next++
-	resp := response{Result: out}
-	if err = f.write(&request{ID: c.next, Method: method, Params: params}, payload); err == nil {
-		reply, err = f.read(&resp, true)
+	var in frame
+	if err = f.write(c.next, statusOK, method, params, payload); err == nil {
+		in, err = f.read(true)
 	}
-	if err == nil && resp.ID != c.next {
-		err = fmt.Errorf("response id %d for request %d", resp.ID, c.next)
+	switch {
+	case err != nil:
+	case in.id != c.next:
+		err = fmt.Errorf("response id %d for request %d", in.id, c.next)
+	case in.status == statusFailed:
+		return nil, &RemoteError{Method: method, Msg: string(in.name)}
+	case len(in.body) > 0 && out != nil:
+		err = json.Unmarshal(in.body, out)
 	}
 	if err != nil {
 		c.hangUp(false)
 		return nil, fmt.Errorf("wire: %s at %s: %w", method, c.addr, err)
 	}
-	if resp.Error != "" {
-		return nil, &RemoteError{Method: method, Msg: resp.Error}
-	}
-	return reply, nil
+	return in.payload, nil
 }
 
 // RemoteError is an error reported by the RPC peer.

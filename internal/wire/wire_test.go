@@ -78,6 +78,27 @@ func TestRemoteError(t *testing.T) {
 	}
 }
 
+// TestEmptyErrorIsRemoteError: a handler error whose text is empty still
+// fails the call; a failed call is marked by the reply's status, not read
+// from its error text.
+func TestEmptyErrorIsRemoteError(t *testing.T) {
+	s, addr := startServer(t)
+	Handle(s, "failempty", func(struct{}, []byte) (any, []byte, error) {
+		return "result", []byte("reply"), errors.New("")
+	})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var out string
+	reply, err := c.CallPayload("failempty", nil, nil, &out)
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Msg != "" || reply != nil || out != "" {
+		t.Fatalf("handler error with empty text: reply %q, out %q, err %v", reply, out, err)
+	}
+}
+
 func TestUnknownMethod(t *testing.T) {
 	_, addr := startServer(t)
 	c, err := Dial(addr)
@@ -315,10 +336,47 @@ func TestClientRedialsAfterTransportError(t *testing.T) {
 // frameBytes encodes one request frame the way a client would.
 func frameBytes(t testing.TB, method string, params any, payload []byte) []byte {
 	var buf bytes.Buffer
-	if err := newFramer(&buf).write(&request{ID: 1, Method: method, Params: params}, payload); err != nil {
+	if err := newFramer(&buf).write(1, statusOK, method, params, payload); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// malformedFrames returns request frames whose lengths are within the
+// bounds but whose envelope is not valid, by what is wrong with each.
+func malformedFrames(tb testing.TB) map[string][]byte {
+	valid := frameBytes(tb, "mirror", echoArgs{Msg: "m"}, []byte("payload"))
+	short := append([]byte(nil), valid[:8+envelope-1]...)
+	short[3] = envelope - 1
+	overrun := append([]byte(nil), valid...)
+	overrun[8+9], overrun[8+10] = 0xff, 0xff
+	unknown := append([]byte(nil), valid...)
+	unknown[8+8] = 7
+	return map[string][]byte{
+		"head shorter than the envelope": short,
+		"name length past the head":      overrun,
+		"unknown status byte":            unknown,
+	}
+}
+
+// TestMalformedHeadRefused: a frame whose envelope does not parse is not
+// answered; the server hangs up.
+func TestMalformedHeadRefused(t *testing.T) {
+	_, addr := startServer(t)
+	for name, frame := range malformedFrames(t) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("%s: connection not closed: read %d, %v", name, n, err)
+		}
+		conn.Close()
+	}
 }
 
 // FuzzServeConn throws arbitrary bytes at a server connection: it must
@@ -331,6 +389,9 @@ func FuzzServeConn(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x00, 0x01, 0, 0, 0, 0})   // head one past the bound
 	f.Add([]byte{0, 0, 0, 2, 0x00, 0x80, 0x00, 0x01})   // payload one past the bound
 	f.Add(append(append([]byte{}, valid...), valid...)) // two frames back to back
+	for _, frame := range malformedFrames(f) {
+		f.Add(frame)
+	}
 	s := NewServer(nil)
 	Handle(s, "mirror", func(_ echoArgs, payload []byte) (any, []byte, error) {
 		if len(payload) > MaxPayload {
