@@ -23,10 +23,13 @@ race:
 # once in a hundred runs fails here instead of flaking tier-1. The shard
 # fabric's own tests get the same treatment: its GetPages route race
 # showed up there at 6 failures in 150 runs. So do the agent's: its
-# hand-off tests hold migrations open across real sockets.
+# hand-off tests hold migrations open across real sockets. And the client
+# pool's breaker tests, under the race detector: a per-lane breaker cache
+# once desynchronised in 3 runs of 8.
 stress:
 	$(GO) test -count=20 ./internal/stress
 	$(GO) test -race -count=20 ./internal/stress
+	$(GO) test -race -count=20 -run 'Pool|Breaker|Resilient|Parked' ./internal/memserver/
 	$(GO) test -count=20 ./internal/memserver/shard/
 	$(GO) test -race -count=20 ./internal/memserver/shard/
 	$(GO) test -count=20 ./internal/agent/

@@ -8,13 +8,14 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 )
 
-// This file is a lane's connection: the one socket it owns, the
-// handshake that authenticates it, and the framing of one
-// request/response round trip on it. Every function here runs under the
-// lane's callMu, which is the only lock a round trip takes.
+// This file is a lane: the one socket it owns, the handshake that
+// authenticates it, and the framing of one request/response round trip
+// on it. A lane holds no retry or breaker state; the ClientPool it
+// belongs to retries and records every attempt's outcome.
 
 // DefaultOpTimeout bounds one request/response round trip. A page server
 // that takes longer than this is treated as failed: partial VMs block a
@@ -25,6 +26,76 @@ const DefaultOpTimeout = 30 * time.Second
 // DefaultDialTimeout bounds one connection attempt (connect, TLS
 // handshake and authentication) when the caller names none.
 const DefaultDialTimeout = 5 * time.Second
+
+// lane is one connection of a ClientPool to its server. It is safe for
+// concurrent use; attempts serialise on the socket, since the protocol is
+// strictly request/response per connection.
+type lane struct {
+	addr   string
+	secret []byte
+	cfg    *ResilientConfig // the pool's: DialTimeout, OpTimeout, Network
+
+	// callMu serialises attempts, each a (re)dial if needed plus one
+	// round trip, and guards everything below. Holding it across both
+	// means at most one dial is ever in flight, and no caller queues on a
+	// socket the caller ahead of it is about to drop — one transport
+	// error is one failure to the breaker, however many calls were
+	// waiting. Every function in this file runs under it.
+	callMu   sync.Mutex
+	conn     net.Conn      // nil when disconnected
+	r        *bufio.Reader // conn's reads; made and dropped with it
+	deadline time.Time     // conn's armed deadline (see rearm)
+	everConn bool
+	// Reusable framing state. Request frames are laid out as segments in
+	// bufs (bufs[0] is always the 5-byte header rebuilt per call in
+	// hdrArr); small frames coalesce into frame and go out in one Write,
+	// large ones as vectored buffers. opArr holds the fixed-size request
+	// prefix of the current call, so the upload and GetPage hot paths
+	// allocate nothing per call.
+	hdrArr [5]byte
+	opArr  [24]byte
+	frame  []byte
+	bufs   net.Buffers
+	// upMAC signs upload payloads with the session MAC the current
+	// socket's handshake derived (see proto.go).
+	upMAC *sessionGCM
+}
+
+// close shuts the socket down once the attempt in flight, if any, has
+// finished. The lane may still be used afterwards; the next call
+// reconnects.
+func (l *lane) close() error {
+	l.callMu.Lock()
+	defer l.callMu.Unlock()
+	if l.conn == nil {
+		return nil
+	}
+	err := l.conn.Close()
+	l.conn, l.r = nil, nil
+	return err
+}
+
+// attempt makes one try at c: over the current socket if there is one,
+// else over a fresh one, reporting whether it redialed a lane that had
+// been connected before. A call with no request type (DialPool's eager
+// dial) is done once connected. A black-holed server can park the dial
+// for DialTimeout; only callMu is held, so the pool's breaker and its
+// other lanes stay available.
+func (l *lane) attempt(c call) (reply []byte, redialed bool, err error) {
+	l.callMu.Lock()
+	defer l.callMu.Unlock()
+	if l.conn == nil {
+		if err := l.dial(); err != nil {
+			return nil, false, err
+		}
+		redialed, l.everConn = l.everConn, true
+	}
+	if c.req == 0 {
+		return nil, redialed, nil
+	}
+	reply, err = l.roundTrip(c)
+	return reply, redialed, err
+}
 
 // dial connects to the lane's server over its network and authenticates
 // with the shared secret. The connect, any handshake the network adds and

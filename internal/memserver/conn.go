@@ -37,8 +37,8 @@ var _ Conn = (*ClientPool)(nil)
 
 // call is one request/response exchange of the protocol, described as
 // data: what to send, what reply to expect, and how hard to try. The
-// operations in this file build calls; the two exchangers (lane and
-// ClientPool) carry them and never look at which operation a call is.
+// operations in this file build calls; the exchanger (ClientPool)
+// carries them and never looks at which operation a call is.
 type call struct {
 	op   string // operation name, for error messages
 	req  byte   // request message type
@@ -87,8 +87,8 @@ type exchanger interface {
 }
 
 // ops is the memory-server protocol, each operation encoded and decoded
-// exactly once over an exchanger. ClientPool embeds it over its lanes,
-// and tests substitute an exchanger that records the calls.
+// exactly once over an exchanger. ClientPool embeds it over itself, and
+// tests substitute an exchanger that records the calls.
 type ops struct {
 	x exchanger
 	// put counts uploaded chunks under the owner's client label.

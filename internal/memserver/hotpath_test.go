@@ -72,16 +72,16 @@ func testPage(seed uint64) []byte {
 }
 
 // TestPutChunkFramingZeroAlloc drives the real staged-chunk path of a
-// lane — retry and breaker bookkeeping, segment layout, session-MAC
-// trailer, coalesced/vectored framing and the empty-msgOK reply read —
-// and requires zero heap allocations per operation once warm.
+// one-lane pool — dispatch, retry and breaker bookkeeping, segment
+// layout, session-MAC trailer, coalesced/vectored framing and the
+// empty-msgOK reply read — and requires zero heap allocations per
+// operation once warm.
 func TestPutChunkFramingZeroAlloc(t *testing.T) {
-	l := newLane("discard", testSecret, ResilientConfig{Network: netFunc(func(string, time.Time) (net.Conn, error) {
+	c := NewPool("discard", testSecret, PoolConfig{Size: 1, Resilience: ResilientConfig{Network: netFunc(func(string, time.Time) (net.Conn, error) {
 		c := newDiscardConn()
 		c.pre = append([]byte{0, 0, 0, 16, msgChallenge}, make([]byte, 16)...) // a zero nonce
 		return c, nil
-	})})
-	c := ops{x: l}
+	})}})
 
 	im := pagestore.NewImage(units.PagesBytes(16))
 	r := rng.New(41)

@@ -3,6 +3,9 @@ package memserver
 import (
 	"fmt"
 	"sync"
+	"time"
+
+	"oasis/internal/rng"
 )
 
 // DefaultPoolSize is the connection count DialPool uses when the config
@@ -16,40 +19,42 @@ type PoolConfig struct {
 	// DefaultPoolSize; 1 is the plain resilient client — one
 	// self-healing connection.
 	Size int
-	// Resilience configures every lane. Each lane has its own connection,
-	// retry budget, backoff and circuit breaker, so one wedged connection
-	// cannot poison its siblings. The JitterSeed is perturbed per lane to
-	// de-correlate backoff across the pool, and OnStateChange (if set) is
-	// lifted to the pool level: it fires on transitions of the AGGREGATE
-	// breaker state (see ClientPool.BreakerState), not per lane, because
-	// that is the signal callers act on (memtap's degraded flag).
+	// Resilience configures the pool's one retry loop and one circuit
+	// breaker, which every lane's attempts feed, and each lane's dial and
+	// round trip. OnStateChange fires on that breaker's transitions.
 	Resilience ResilientConfig
 }
 
 // ClientPool is the resilient client: it fans calls out over N
-// self-healing connections (lanes) to one memory server; with one lane it
-// is simply a connection that retries, reconnects and breaks the
-// circuit. The wire protocol is strictly request/response per
-// connection — that serialization is preserved per lane (it is what makes
-// the framing self-synchronizing and retries safe) — and parallelism
-// comes from having N independent lanes. Each operation is dispatched to
-// the least-loaded lane, so single-request traffic sticks to one warm
-// connection while a pipelined prefetcher spreads its batches across all
-// of them.
+// connections (lanes) to one memory server behind one retry loop and one
+// circuit breaker; with one lane it is simply a connection that retries,
+// reconnects and breaks the circuit. The lanes all reach the same server
+// over the same network, so they share its fate: the breaker is the
+// server's, not a connection's. The wire protocol is strictly
+// request/response per connection — that serialization is preserved per
+// lane (it is what makes the framing self-synchronizing and retries
+// safe) — and parallelism comes from having N lanes. Each operation is
+// dispatched to the least-loaded lane, so single-request traffic sticks
+// to one warm connection while a pipelined prefetcher spreads its
+// batches across all of them.
 //
 // ClientPool is safe for concurrent use.
 type ClientPool struct {
 	ops // the protocol operations, written once over exchange
 
+	cfg   ResilientConfig
 	lanes []*lane
+	tel   *clientTel
 
-	mu        sync.Mutex
-	inflight  []int          // per-lane outstanding ops
-	laneState []BreakerState // per-lane breaker, tracked via OnStateChange
-	aggState  BreakerState   // AggregateBreaker(laneState)
-
-	onStateChange func(from, to BreakerState)
-	tel           *poolTel
+	// mu guards dispatch and the breaker. It is never held across a
+	// dial, a round trip, a sleep or OnStateChange, so the breaker stays
+	// readable while a lane redials a black-holed server.
+	mu       sync.Mutex
+	inflight []int     // per-lane outstanding ops
+	fails    int       // consecutive failed attempts
+	openedAt time.Time // when the breaker last opened
+	jitter   *rng.Rand
+	stats    ResilienceStats // State is the breaker
 }
 
 // NewPool builds a pool of cfg.Size lanes to the server at addr without
@@ -58,23 +63,18 @@ func NewPool(addr string, secret []byte, cfg PoolConfig) *ClientPool {
 	if cfg.Size <= 0 {
 		cfg.Size = DefaultPoolSize
 	}
+	cfg.Resilience.withDefaults()
 	secret = append([]byte(nil), secret...)
 	p := &ClientPool{
-		lanes:         make([]*lane, cfg.Size),
-		inflight:      make([]int, cfg.Size),
-		laneState:     make([]BreakerState, cfg.Size),
-		onStateChange: cfg.Resilience.OnStateChange,
-		tel:           newPoolTel(cfg.Resilience.Registry, cfg.Resilience.Name),
+		cfg:      cfg.Resilience,
+		lanes:    make([]*lane, cfg.Size),
+		tel:      newClientTel(cfg.Resilience.Registry, cfg.Resilience.Name),
+		inflight: make([]int, cfg.Size),
+		jitter:   rng.New(cfg.Resilience.JitterSeed ^ 0x6f617369),
 	}
 	p.ops = ops{x: p, put: newPutTel(cfg.Resilience.Registry, cfg.Resilience.Name)}
 	for i := range p.lanes {
-		lane := i
-		lcfg := cfg.Resilience
-		// De-correlate the lanes' backoff jitter so a server restart does
-		// not see N synchronized reconnect storms.
-		lcfg.JitterSeed ^= uint64(lane) * 0x9E3779B97F4A7C15
-		lcfg.OnStateChange = func(from, to BreakerState) { p.laneStateChanged(lane) }
-		p.lanes[i] = newLane(addr, secret, lcfg)
+		p.lanes[i] = &lane{addr: addr, secret: secret, cfg: &p.cfg}
 	}
 	p.tel.size.Set(float64(cfg.Size))
 	return p
@@ -86,11 +86,11 @@ func NewPool(addr string, secret []byte, cfg PoolConfig) *ClientPool {
 // handshake, a server mid-restart) is ridden out like one a moment
 // later would be, while a server that answers and refuses (bad secret,
 // refused handshake) still fails the dial on the first attempt. The
-// remaining lanes dial lazily as load arrives, and every lane heals
-// itself independently afterwards.
+// remaining lanes dial lazily as load arrives, and a lane whose socket
+// breaks redials on its next attempt.
 func DialPool(addr string, secret []byte, cfg PoolConfig) (*ClientPool, error) {
 	p := NewPool(addr, secret, cfg)
-	if _, err := p.lanes[0].exchange(call{op: "dial"}); err != nil {
+	if _, err := p.exchange(call{op: "dial"}); err != nil {
 		return nil, fmt.Errorf("memserver: pool dial %s: %w", addr, err)
 	}
 	return p, nil
@@ -99,25 +99,14 @@ func DialPool(addr string, secret []byte, cfg PoolConfig) (*ClientPool, error) {
 // Size returns the number of lanes.
 func (p *ClientPool) Size() int { return len(p.lanes) }
 
-// acquire picks the least-loaded lane, preferring lanes whose breaker is
-// not open: while one connection's server-side socket is wedged, traffic
-// flows over its healthy siblings instead of failing fast for no reason.
-// If every breaker is open the least-loaded lane is returned anyway and
-// the caller fails fast there (or rides its half-open probe).
+// acquire picks the least-loaded lane.
 func (p *ClientPool) acquire() int {
 	p.mu.Lock()
-	best, bestOpen := -1, -1
-	for i := range p.lanes {
-		if p.laneState[i] != BreakerOpen {
-			if best < 0 || p.inflight[i] < p.inflight[best] {
-				best = i
-			}
-		} else if bestOpen < 0 || p.inflight[i] < p.inflight[bestOpen] {
-			bestOpen = i
+	best := 0
+	for i, n := range p.inflight {
+		if n < p.inflight[best] {
+			best = i
 		}
-	}
-	if best < 0 {
-		best = bestOpen
 	}
 	p.inflight[best]++
 	p.mu.Unlock()
@@ -133,69 +122,60 @@ func (p *ClientPool) release(lane int) {
 	p.tel.inflight.Dec()
 }
 
-// exchange dispatches one call to the least-loaded lane. Single-request
+// exchange is the pool's one retry loop: it checks the breaker, hands c
+// to the least-loaded lane and re-issues it there across reconnects until
+// it succeeds, the budget of its retry class (see call.mutating) runs
+// out, or the breaker opens, recording every attempt's outcome on the
+// breaker. A call keeps its lane across its attempts. Single-request
 // traffic sticks to one warm connection; a pipelined prefetcher or a
 // streamed upload issues calls concurrently and they spread across all
-// lanes, so they genuinely overlap on the wire.
+// lanes, so they genuinely overlap on the wire. A remoteError reply is a
+// healthy server refusing the request (unknown VM, not serving): it is
+// returned as-is without burning retries or tripping the breaker.
 func (p *ClientPool) exchange(c call) ([]byte, error) {
+	attempts := p.cfg.MaxRetries
+	if c.mutating {
+		attempts = p.cfg.MutatingRetries
+	}
+	if err := p.allow(c.op); err != nil {
+		return nil, err
+	}
 	i := p.acquire()
 	defer p.release(i)
-	return p.lanes[i].exchange(c)
-}
-
-// laneStateChanged records a lane's breaker transition and recomputes the
-// aggregate state, invoking the pool-level OnStateChange outside the lock
-// when the aggregate moved.
-//
-// The lane's CURRENT state is re-read from the lane rather than taken
-// from the callback arguments: breaker callbacks fire outside the lane's
-// mutex, so two rapid transitions (open → half-open → closed) can be
-// delivered out of order, and trusting the callback's "to" would park
-// the cached state at a stale value forever once the lane stops
-// transitioning. Re-reading converges: whichever delivery runs last
-// sees the lane's settled state. (Lock order is p.mu → lane.mu; lane
-// callbacks never run under lane.mu, so there is no inversion, and a
-// lane never holds its mutex across a dial or a round trip, so p.mu —
-// which every acquire takes — is never parked behind the network.)
-func (p *ClientPool) laneStateChanged(lane int) {
-	p.mu.Lock()
-	p.laneState[lane] = p.lanes[lane].breakerState()
-	agg := AggregateBreaker(p.laneState)
-	from := p.aggState
-	changed := agg != from
-	if changed {
-		p.aggState = agg
-	}
-	var open float64
-	for _, s := range p.laneState {
-		if s == BreakerOpen {
-			open++
+	for attempt := 0; ; attempt++ {
+		reply, redialed, err := p.lanes[i].attempt(c)
+		if redialed {
+			p.count(&p.stats.Reconnects, p.tel.reconnects)
 		}
-	}
-	p.mu.Unlock()
-	p.tel.lanesOpen.Set(open)
-	if changed && p.onStateChange != nil {
-		p.onStateChange(from, agg)
+		if err == nil || IsRemoteError(err) {
+			p.onSuccess() // the transport worked, whatever the server said
+			return reply, err
+		}
+		p.onFailure()
+		if attempt == attempts-1 {
+			return nil, fmt.Errorf("memserver: %s failed after %d attempts: %w", c.op, attempts, err)
+		}
+		p.backoff(attempt)
+		if err := p.allow(c.op); err != nil {
+			return nil, err
+		}
+		p.count(&p.stats.Retries, p.tel.retries)
 	}
 }
 
-// BreakerState returns the aggregate breaker state (see AggregateBreaker).
-// Memtap's Degraded check reads this: a pool is degraded only when no
-// lane can reach the server.
+// BreakerState returns the pool's breaker state. Memtap's Degraded check
+// reads this: a pool is degraded when its server is.
 func (p *ClientPool) BreakerState() BreakerState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.aggState
+	return p.stats.State
 }
 
-// ResilienceStats sums the lanes' counters; State is the aggregate.
+// ResilienceStats snapshots the pool's retry and breaker counters.
 func (p *ClientPool) ResilienceStats() ResilienceStats {
-	var out ResilienceStats
-	for _, lane := range p.lanes {
-		out.Add(lane.resilienceStats())
-	}
-	out.State = p.BreakerState()
-	return out
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats
 }
 
 // Close shuts every lane's connection down. The pool may still be used

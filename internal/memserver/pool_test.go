@@ -2,7 +2,9 @@ package memserver
 
 import (
 	"bytes"
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -85,13 +87,12 @@ func TestPoolLeastLoadedDispatch(t *testing.T) {
 	}
 }
 
-// TestParkedDialDoesNotStallBreakerOrSiblings pins the lane's locking
-// rule: a dial runs outside the lane's state mutex. One lane's redial of
-// a black-holed server (here: a network whose Dial parks on a channel)
-// must not keep anyone from reading the breaker — memtap's Degraded()
-// sits on the agent's recovery path — nor, through a breaker callback
-// that takes the pool's mutex and then the lane's, stall dispatch to the
-// healthy lanes.
+// TestParkedDialDoesNotStallBreakerOrSiblings pins the pool's locking
+// rule: a lane dials under its own callMu, never under the pool's mutex.
+// A dial parked on lane 0 (here: a network whose Dial parks on a channel,
+// as a black-holed server would park it) must not keep anyone from
+// reading the breaker — memtap's Degraded() sits on the agent's recovery
+// path — nor stall a call dispatched to lane 1.
 func TestParkedDialDoesNotStallBreakerOrSiblings(t *testing.T) {
 	_, addr := startServer(t)
 	parked := make(chan struct{})
@@ -128,17 +129,14 @@ func TestParkedDialDoesNotStallBreakerOrSiblings(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(2 * time.Second):
-			t.Fatalf("%s blocked behind another lane's dial", what)
+			t.Fatalf("%s blocked behind lane 0's dial", what)
 		}
 	}
-	promptly("lane BreakerState", func() { p.lanes[0].breakerState() })
+	promptly("BreakerState", func() { p.BreakerState() })
 	promptly("ResilienceStats", func() { p.ResilienceStats() })
-	// A breaker callback for the dialing lane, delivered late (callbacks
-	// run outside the lane's mutex, so they can be).
-	promptly("laneStateChanged", func() { p.laneStateChanged(0) })
-	promptly("a sibling lane's Stats", func() {
+	promptly("a call on lane 1", func() {
 		if _, err := p.Stats(); err != nil {
-			t.Errorf("sibling lane: %v", err)
+			t.Errorf("call on lane 1: %v", err)
 		}
 	})
 
@@ -148,118 +146,70 @@ func TestParkedDialDoesNotStallBreakerOrSiblings(t *testing.T) {
 	}
 }
 
-// forceLaneState transitions a lane's real breaker and delivers its
-// callback, the same path production transitions take.
-func forceLaneState(p *ClientPool, lane int, s BreakerState) {
-	l := p.lanes[lane]
-	l.mu.Lock()
-	cb := l.setStateLocked(s)
-	l.mu.Unlock()
-	if cb != nil {
-		cb()
-	}
-}
+// TestPoolBreakerTripsAtItsThreshold: the breaker is the server's, not a
+// lane's. However many lanes a pool has, a dead server opens it after
+// exactly BreakerThreshold failed attempts, counts one open and tells
+// OnStateChange once; after a restart and the cooldown one call closes
+// it again, and the hook hears that too.
+func TestPoolBreakerTripsAtItsThreshold(t *testing.T) {
+	for _, size := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("lanes=%d", size), func(t *testing.T) {
+			rs := newRestartableServer(t)
+			_, snap := makeSnapshot(t, 4*units.MiB, 5, 16)
+			var mu sync.Mutex
+			var hook []string
+			cfg := fastResilient()
+			cfg.OnStateChange = func(from, to BreakerState) {
+				mu.Lock()
+				hook = append(hook, fmt.Sprintf("%v->%v", from, to))
+				mu.Unlock()
+			}
+			heard := func() string {
+				mu.Lock()
+				defer mu.Unlock()
+				return strings.Join(hook, " ")
+			}
+			p, err := DialPool(rs.addr, testSecret, PoolConfig{Size: size, Resilience: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			if err := p.PutImage(9, 4*units.MiB, snap); err != nil {
+				t.Fatal(err)
+			}
 
-// TestPoolAvoidsOpenLanes checks that dispatch routes around a lane whose
-// breaker is open while any healthy lane remains.
-func TestPoolAvoidsOpenLanes(t *testing.T) {
-	p := NewPool("", nil, PoolConfig{Size: 3, Resilience: ResilientConfig{Network: noDial}})
-	forceLaneState(p, 1, BreakerOpen)
-	for i := 0; i < 16; i++ {
-		lane := p.acquire()
-		if lane == 1 {
-			t.Fatal("dispatched to a lane with an open breaker while healthy lanes exist")
-		}
-		p.release(lane)
-	}
-	// With every breaker open, dispatch must still hand out a lane so the
-	// caller gets the fail-fast (or rides the half-open probe).
-	forceLaneState(p, 0, BreakerOpen)
-	forceLaneState(p, 2, BreakerOpen)
-	lane := p.acquire()
-	p.release(lane)
-}
+			rs.kill()
+			for calls := 0; p.BreakerState() != BreakerOpen; calls++ {
+				if calls == 4*cfg.BreakerThreshold {
+					t.Fatalf("pool still %v after %d calls: %+v", p.BreakerState(), calls, p.ResilienceStats())
+				}
+				if _, err := p.GetPage(9, 1); err == nil {
+					t.Fatal("GetPage succeeded against a dead server")
+				}
+			}
+			st := p.ResilienceStats()
+			if st.Failures != int64(cfg.BreakerThreshold) || st.BreakerOpens != 1 {
+				t.Fatalf("opened after %d failed attempts with %d opens, want %d and 1",
+					st.Failures, st.BreakerOpens, cfg.BreakerThreshold)
+			}
+			if got := heard(); got != "closed->open" {
+				t.Fatalf("OnStateChange heard %q, want one closed->open", got)
+			}
 
-// TestPoolLaneStateResyncAfterReorderedCallbacks pins the fix for a
-// breaker-cache desync: lane callbacks fire outside the lane's mutex, so
-// two rapid transitions (e.g. a half-open probe succeeding right after
-// the breaker opened) can be DELIVERED out of order. The pool must
-// converge on the lane's real state, not the callback's argument —
-// otherwise the cached aggregate sticks at "open" forever once the lane
-// settles, and the shard rebalancer counts a healthy backend as down.
-func TestPoolLaneStateResyncAfterReorderedCallbacks(t *testing.T) {
-	p := NewPool("", nil, PoolConfig{Size: 1, Resilience: ResilientConfig{Network: noDial}})
-	r := p.lanes[0]
-	r.mu.Lock()
-	cbOpen := r.setStateLocked(BreakerOpen)
-	cbClosed := r.setStateLocked(BreakerClosed)
-	r.mu.Unlock()
-	// Deliver in reverse: the →closed callback lands first, the stale
-	// →open one last. The cache must still settle on the lane's truth.
-	cbClosed()
-	cbOpen()
-	if got := p.BreakerState(); got != BreakerClosed {
-		t.Fatalf("aggregate breaker = %v after reordered callback delivery, want closed", got)
-	}
-}
-
-// TestPoolAggregateBreaker proves the pool degrades only when every lane
-// is down, and that pool-level OnStateChange fires on aggregate
-// transitions — the contract memtap's degraded gauge depends on.
-func TestPoolAggregateBreaker(t *testing.T) {
-	rs := newRestartableServer(t)
-	_, snap := makeSnapshot(t, 4*units.MiB, 5, 16)
-
-	var transitions atomic.Int64
-	var lastTo atomic.Int32
-	cfg := fastResilient()
-	cfg.MaxRetries = 2
-	cfg.BreakerThreshold = 2
-	cfg.OnStateChange = func(from, to BreakerState) {
-		transitions.Add(1)
-		lastTo.Store(int32(to))
-	}
-	p, err := DialPool(rs.addr, testSecret, PoolConfig{Size: 2, Resilience: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if err := p.PutImage(9, 4*units.MiB, snap); err != nil {
-		t.Fatal(err)
-	}
-
-	rs.kill()
-	laneStates := func() (s []BreakerState) {
-		for _, l := range p.lanes {
-			s = append(s, l.breakerState())
-		}
-		return s
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for p.BreakerState() != BreakerOpen {
-		if time.Now().After(deadline) {
-			t.Fatalf("pool never opened; lane states %v", laneStates())
-		}
-		p.GetPage(9, 1) // errors expected; drive both lanes into failure
-	}
-	if BreakerState(lastTo.Load()) != BreakerOpen {
-		t.Fatalf("aggregate OnStateChange last reported %v, want open", BreakerState(lastTo.Load()))
-	}
-
-	// One lane recovering must close the aggregate again.
-	if err := rs.restart(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(cfg.BreakerCooldown + 10*time.Millisecond)
-	for p.BreakerState() != BreakerClosed {
-		if time.Now().After(deadline) {
-			t.Fatalf("pool never closed after restart; lane states %v", laneStates())
-		}
-		p.GetPage(9, 1)
-		time.Sleep(5 * time.Millisecond)
-	}
-	if transitions.Load() < 2 {
-		t.Fatalf("saw %d aggregate transitions, want >= 2 (open then closed)", transitions.Load())
+			if err := rs.restart(); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(cfg.BreakerCooldown + 10*time.Millisecond)
+			if _, err := p.GetPage(9, 1); err != nil {
+				t.Fatalf("GetPage after the restart and the cooldown: %v", err)
+			}
+			if st := p.BreakerState(); st != BreakerClosed {
+				t.Fatalf("breaker %v after one good call, want closed", st)
+			}
+			if got, want := heard(), "closed->open open->half-open half-open->closed"; got != want {
+				t.Fatalf("OnStateChange heard %q, want %q", got, want)
+			}
+		})
 	}
 }
 

@@ -302,7 +302,7 @@ func (e remoteError) Error() string { return "memserver: remote: " + string(e) }
 
 // IsRemoteError reports whether err is a reply from a healthy server
 // refusing the request (unknown VM, not serving, malformed payload), as
-// opposed to a transport failure. A lane returns such errors without
+// opposed to a transport failure. A pool returns such errors without
 // retrying or tripping the breaker; the shard fabric uses the
 // distinction to decide between hinting a write for later replay
 // (transport loss) and failing it outright (server refusal).

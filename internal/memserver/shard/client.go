@@ -212,9 +212,9 @@ var errHinted = errors.New("shard: write hinted for unreachable backend")
 
 // Dial connects a shard client to the fabric at addrs. Like
 // memserver.DialPool, the first lane of every backend dials eagerly so
-// a bad address or secret surfaces immediately; afterwards each lane
-// heals itself independently and a dead backend only affects the ranges
-// it owns.
+// a bad address or secret surfaces immediately; afterwards each
+// backend's pool heals itself and trips its own breaker, and a dead
+// backend only affects the ranges it owns.
 func Dial(addrs []string, secret []byte, cfg Config) (*Client, error) {
 	c, err := New(addrs, secret, cfg)
 	if err != nil {

@@ -141,16 +141,20 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// resTel bundles a lane's instruments. The client label
+// clientTel bundles a ClientPool's instruments: its breaker's and retry
+// loop's, and its dispatch across lanes. The client label
 // (ResilientConfig.Name) separates e.g. a memtap's fault path from an
 // agent's upload path.
-type resTel struct {
+type clientTel struct {
 	retries    *telemetry.Counter
 	reconnects *telemetry.Counter
 	failures   *telemetry.Counter
 	opens      *telemetry.Counter
 	backoff    *telemetry.Counter
 	state      *telemetry.Gauge
+	size       *telemetry.Gauge
+	inflight   *telemetry.Gauge
+	dispatches *telemetry.Counter
 }
 
 // clientSeries resolves where a client's oasis_client_* series live: the
@@ -166,9 +170,9 @@ func clientSeries(r *telemetry.Registry, name string) (*telemetry.Registry, tele
 	return r, telemetry.L("client", name)
 }
 
-func newResTel(r *telemetry.Registry, name string) *resTel {
+func newClientTel(r *telemetry.Registry, name string) *clientTel {
 	r, l := clientSeries(r, name)
-	return &resTel{
+	return &clientTel{
 		retries: r.Counter("oasis_client_retries_total",
 			"Operation attempts beyond the first.", l),
 		reconnects: r.Counter("oasis_client_reconnects_total",
@@ -181,37 +185,18 @@ func newResTel(r *telemetry.Registry, name string) *resTel {
 			"Total time spent sleeping in retry backoff.", l),
 		state: r.Gauge("oasis_client_breaker_state",
 			"Current breaker state: 0 closed, 1 open, 2 half-open.", l),
-	}
-}
-
-// poolTel bundles the connection-pool instruments. They live in the same
-// oasis_client_* namespace (and carry the same client label) as the
-// per-lane resilience metrics, so one scrape shows a pool's dispatch rate
-// next to its lanes' retries and breaker state.
-type poolTel struct {
-	size       *telemetry.Gauge
-	inflight   *telemetry.Gauge
-	dispatches *telemetry.Counter
-	lanesOpen  *telemetry.Gauge
-}
-
-func newPoolTel(r *telemetry.Registry, name string) *poolTel {
-	r, l := clientSeries(r, name)
-	return &poolTel{
 		size: r.Gauge("oasis_client_pool_size",
 			"Connections (lanes) in the client pool.", l),
 		inflight: r.Gauge("oasis_client_pool_inflight",
 			"Operations currently dispatched to pool lanes.", l),
 		dispatches: r.Counter("oasis_client_pool_dispatches_total",
 			"Operations dispatched through the pool.", l),
-		lanesOpen: r.Gauge("oasis_client_pool_lanes_open",
-			"Pool lanes whose circuit breaker is currently open.", l),
 	}
 }
 
 // putTel bundles the upload client instruments. Like the pool metrics
 // they live in the oasis_client_* namespace under the same client label,
-// so one scrape shows an upload's chunk rate next to the lanes carrying
+// so one scrape shows an upload's chunk rate next to the pool carrying
 // it.
 type putTel struct {
 	chunks   *telemetry.Counter

@@ -2,6 +2,7 @@ package memserver
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -30,72 +31,85 @@ func resCounters(r *telemetry.Registry, name string) (retries, reconnects, failu
 // and recovery — and asserts the registry's oasis_client_* series agree
 // exactly with the client's own ResilienceStats snapshot. The metrics
 // are the scrape-facing view of the same events, so any divergence is a
-// double- or missed count.
+// double- or missed count. A pool of four lanes has one breaker too, so
+// its state gauge must read BreakerState after every failed call.
 func TestResilientMetricsMatchStats(t *testing.T) {
-	rs := newRestartableServer(t)
-	_, snap := makeSnapshot(t, 8*units.MiB, 3, 40)
+	for _, size := range []int{1, 4} {
+		t.Run(fmt.Sprintf("lanes=%d", size), func(t *testing.T) {
+			rs := newRestartableServer(t)
+			_, snap := makeSnapshot(t, 8*units.MiB, 3, 40)
 
-	reg := telemetry.NewRegistry()
-	cfg := fastResilient()
-	cfg.Name = "storm"
-	cfg.Registry = reg
-	rc, err := DialPool(rs.addr, testSecret, PoolConfig{Size: 1, Resilience: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	if err := rc.PutImage(42, 8*units.MiB, snap); err != nil {
-		t.Fatal(err)
-	}
+			reg := telemetry.NewRegistry()
+			cfg := fastResilient()
+			cfg.Name = "storm"
+			cfg.Registry = reg
+			rc, err := DialPool(rs.addr, testSecret, PoolConfig{Size: size, Resilience: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rc.Close()
+			if err := rc.PutImage(42, 8*units.MiB, snap); err != nil {
+				t.Fatal(err)
+			}
 
-	// Kill the server and hammer until the breaker opens.
-	rs.kill()
-	for i := 0; i < 50; i++ {
-		if _, err := rc.GetPage(42, 7); errors.Is(err, ErrCircuitOpen) {
-			break
-		}
-	}
-	if rc.BreakerState() != BreakerOpen {
-		t.Fatalf("breaker did not open: %v", rc.BreakerState())
-	}
-	if _, _, _, opens, state := resCounters(reg, "storm"); opens == 0 || state != float64(BreakerOpen) {
-		t.Fatalf("open not reflected in metrics: opens=%v state=%v", opens, state)
-	}
+			// Kill the server and hammer until the breaker opens.
+			rs.kill()
+			for i := 0; i < 50; i++ {
+				_, err := rc.GetPage(42, 7)
+				if err == nil {
+					t.Fatal("GetPage succeeded against a dead server")
+				}
+				if _, _, _, _, state := resCounters(reg, "storm"); state != float64(rc.BreakerState()) {
+					t.Fatalf("after failed call %d: oasis_client_breaker_state %v, BreakerState %v",
+						i+1, state, rc.BreakerState())
+				}
+				if errors.Is(err, ErrCircuitOpen) {
+					break
+				}
+			}
+			if rc.BreakerState() != BreakerOpen {
+				t.Fatalf("breaker did not open: %v", rc.BreakerState())
+			}
+			if _, _, _, opens, state := resCounters(reg, "storm"); opens == 0 || state != float64(BreakerOpen) {
+				t.Fatalf("open not reflected in metrics: opens=%v state=%v", opens, state)
+			}
 
-	// Restart, wait out the cooldown, and recover.
-	if err := rs.restart(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := rc.GetPage(42, 7); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("client did not recover after restart")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+			// Restart, wait out the cooldown, and recover.
+			if err := rs.restart(); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if _, err := rc.GetPage(42, 7); err == nil {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("client did not recover after restart")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
 
-	st := rc.ResilienceStats()
-	retries, reconnects, failures, opens, state := resCounters(reg, "storm")
-	if retries != float64(st.Retries) {
-		t.Errorf("retries: metric %v, stats %d", retries, st.Retries)
-	}
-	if reconnects != float64(st.Reconnects) {
-		t.Errorf("reconnects: metric %v, stats %d", reconnects, st.Reconnects)
-	}
-	if failures != float64(st.Failures) {
-		t.Errorf("failures: metric %v, stats %d", failures, st.Failures)
-	}
-	if opens != float64(st.BreakerOpens) {
-		t.Errorf("breaker opens: metric %v, stats %d", opens, st.BreakerOpens)
-	}
-	if state != float64(st.State) {
-		t.Errorf("breaker state: metric %v, stats %v", state, st.State)
-	}
-	if st.Retries == 0 || st.Failures == 0 || st.BreakerOpens == 0 {
-		t.Errorf("storm too quiet to be a real test: %+v", st)
+			st := rc.ResilienceStats()
+			retries, reconnects, failures, opens, state := resCounters(reg, "storm")
+			if retries != float64(st.Retries) {
+				t.Errorf("retries: metric %v, stats %d", retries, st.Retries)
+			}
+			if reconnects != float64(st.Reconnects) {
+				t.Errorf("reconnects: metric %v, stats %d", reconnects, st.Reconnects)
+			}
+			if failures != float64(st.Failures) {
+				t.Errorf("failures: metric %v, stats %d", failures, st.Failures)
+			}
+			if opens != float64(st.BreakerOpens) {
+				t.Errorf("breaker opens: metric %v, stats %d", opens, st.BreakerOpens)
+			}
+			if state != float64(st.State) {
+				t.Errorf("breaker state: metric %v, stats %v", state, st.State)
+			}
+			if st.Retries == 0 || st.Failures == 0 || st.BreakerOpens == 0 {
+				t.Errorf("storm too quiet to be a real test: %+v", st)
+			}
+		})
 	}
 }
 

@@ -277,11 +277,10 @@ func NewWithOptions(vmid pagestore.VMID, addr string, secret []byte, opts Option
 		cfg.Name = "memtap"
 	}
 	// Mirror breaker transitions into the per-VM degraded gauge without
-	// displacing a caller-supplied hook. For a pool this hook is lifted to
-	// the aggregate breaker, so the gauge rises only when every lane is
-	// down — exactly when the VM is actually degraded. On a shard fabric
-	// it fires per backend, and Report grades the fabric's replication
-	// health.
+	// displacing a caller-supplied hook. A pool has one breaker for its
+	// server, so the gauge rises when that server is gone — exactly when
+	// the VM is degraded. On a shard fabric it fires per backend, and
+	// Report grades the fabric's replication health.
 	inner := cfg.OnStateChange
 	var dialed atomic.Pointer[memserver.Conn]
 	cfg.OnStateChange = func(from, to memserver.BreakerState) {
@@ -366,10 +365,10 @@ func health(c PageClient) int {
 }
 
 // Degraded reports whether the memory-server path is unavailable: the
-// resilient client's circuit breaker is open (for a pool: every lane's
-// breaker is open), so guest faults cannot be serviced and the agent
-// should promote or quarantine the VM (§4.4.4). Memtaps over
-// non-resilient clients never report degraded.
+// pool's circuit breaker is open (for a fabric: every backend's), so
+// guest faults cannot be serviced and the agent should promote or
+// quarantine the VM (§4.4.4). Memtaps over non-resilient clients never
+// report degraded.
 func (m *Memtap) Degraded() bool {
 	if br, ok := m.client.(breakerReporter); ok {
 		return br.BreakerState() == memserver.BreakerOpen
@@ -388,7 +387,8 @@ func (m *Memtap) Underreplicated() bool {
 }
 
 // Resilience snapshots the client's retry/reconnect/breaker counters
-// (zero value for non-resilient clients; summed across lanes for pools).
+// (zero value for non-resilient clients; summed across backends for a
+// fabric).
 func (m *Memtap) Resilience() memserver.ResilienceStats {
 	if rc, ok := m.client.(interface {
 		ResilienceStats() memserver.ResilienceStats

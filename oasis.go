@@ -241,18 +241,18 @@ func NewMemtapWithClient(vmid VMID, client memtap.PageClient) *Memtap {
 
 // MemClientPool is the single-server client, the shape Dial returns
 // without WithBackends: one or more authenticated connections (one
-// unless WithPool says more), each with reconnect, bounded retries of
-// the (idempotent) operations and a circuit breaker. Independent requests proceed in parallel across the
-// connections while each keeps its strict request/response serialization
-// (DESIGN.md §9).
+// unless WithPool says more) that reconnect, with bounded retries of
+// the (idempotent) operations and one circuit breaker for the server.
+// Independent requests proceed in parallel across the connections while
+// each keeps its strict request/response serialization (DESIGN.md §9).
 type MemClientPool = memserver.ClientPool
 
-// MemPoolConfig sizes a MemClientPool and tunes its per-connection
-// resilience; the zero value selects defaults.
+// MemPoolConfig sizes a MemClientPool and tunes its resilience; the
+// zero value selects defaults.
 type MemPoolConfig = memserver.PoolConfig
 
 // MemtapOptions tunes a memtap's transport: connection-pool width,
-// and per-connection resilience. PrefetchStreams is kept for existing
+// and the pool's resilience. PrefetchStreams is kept for existing
 // configurations and ignored: a conversion's batches in flight follow
 // from the lanes and the CPUs.
 type MemtapOptions = memtap.Options
